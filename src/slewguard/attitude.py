@@ -166,12 +166,18 @@ class BodyState:
 @dataclass(frozen=True)
 class SpacecraftParams:
     """Plant constants: inertia [kg m^2], per-axis torque limit [N m],
-    and the disturbance magnitude bound [N m] used by the compensator."""
+    and the disturbance magnitude bound [N m] used by the compensator.
+
+    ``inertia_rows`` and ``inertia_inv_rows`` hold the same matrices as
+    tuples of float rows for the scalar closed-loop kernel.
+    """
 
     inertia: np.ndarray
     torque_limit: float
     disturbance_bound: float
     inertia_inv: np.ndarray = field(init=False, repr=False, compare=False)
+    inertia_rows: tuple = field(init=False, repr=False, compare=False)
+    inertia_inv_rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         inertia = np.asarray(self.inertia, dtype=float)
@@ -187,8 +193,13 @@ class SpacecraftParams:
             raise ValueError("torque_limit must be positive")
         if self.disturbance_bound < 0.0:
             raise ValueError("disturbance_bound must be nonnegative")
+        inertia_inv = np.linalg.inv(inertia)
         object.__setattr__(self, "inertia", inertia)
-        object.__setattr__(self, "inertia_inv", np.linalg.inv(inertia))
+        object.__setattr__(self, "inertia_inv", inertia_inv)
+        object.__setattr__(self, "inertia_rows",
+                           tuple(tuple(row) for row in inertia.tolist()))
+        object.__setattr__(self, "inertia_inv_rows",
+                           tuple(tuple(row) for row in inertia_inv.tolist()))
 
 
 def rotate_to_body(q: UnitQuaternion, v_inertial: np.ndarray) -> np.ndarray:

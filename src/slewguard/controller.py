@@ -227,10 +227,15 @@ def torque_law(omega: np.ndarray, e2: np.ndarray, eps: float, rho: float,
     """
     bx, by, bz = float(boresight_body[0]), float(boresight_body[1]), float(boresight_body[2])
     rx, ry, rz = float(target_body[0]), float(target_body[1]), float(target_body[2])
-    w = np.asarray(omega, dtype=float)
-    jw = params.inertia @ w
-    jsd = params.inertia @ np.asarray(sd_dot, dtype=float)
+    wx, wy, wz = float(omega[0]), float(omega[1]), float(omega[2])
+    sx, sy, sz = float(sd_dot[0]), float(sd_dot[1]), float(sd_dot[2])
+    (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = params.inertia_rows
+    jwx = j00 * wx + j01 * wy + j02 * wz
+    jwy = j10 * wx + j11 * wy + j12 * wz
+    jwz = j20 * wx + j21 * wy + j22 * wz
     d_m = params.disturbance_bound
+    k_w = cfg.k_omega
+    eta = cfg.eta
 
     # barrier reaction along r_b x B_b, active only while tracking
     barrier = 0.0
@@ -244,31 +249,26 @@ def torque_law(omega: np.ndarray, e2: np.ndarray, eps: float, rho: float,
     if omega_v_eff > 0.0:
         px, py, pz = _apf_vector(bx, by, bz, rx, ry, rz, obstacles, cfg.k_a)
 
-    u = np.empty(3)
-    gyro = (w[1] * jw[2] - w[2] * jw[1],
-            w[2] * jw[0] - w[0] * jw[2],
-            w[0] * jw[1] - w[1] * jw[0])
-    tvec = (tx, ty, tz)
-    pvec = (px, py, pz)
-    for i in range(3):
-        e2i = float(e2[i])
-        u[i] = (gyro[i]
-                - cfg.k_omega * e2i
-                - d_m * math.tanh(e2i / cfg.eta)
-                + float(jsd[i])
-                - barrier * tvec[i]
-                - omega_v_eff * pvec[i])
+    # gyroscopic term, feedback, compensator, feedforward J*sd_dot, barrier
+    # and potential descent, summed in that order per axis
+    ex, ey, ez = float(e2[0]), float(e2[1]), float(e2[2])
+    u = [(wy * jwz - wz * jwy) - k_w * ex - d_m * math.tanh(ex / eta)
+         + (j00 * sx + j01 * sy + j02 * sz) - barrier * tx - omega_v_eff * px,
+         (wz * jwx - wx * jwz) - k_w * ey - d_m * math.tanh(ey / eta)
+         + (j10 * sx + j11 * sy + j12 * sz) - barrier * ty - omega_v_eff * py,
+         (wx * jwy - wy * jwx) - k_w * ez - d_m * math.tanh(ez / eta)
+         + (j20 * sx + j21 * sy + j22 * sz) - barrier * tz - omega_v_eff * pz]
 
     x_e = 1.0 - (bx * rx + by * ry + bz * rz)
     if x_e > ANTIPODAL_THRESHOLD:
         # kick off the antipodal equilibrium along the axis most orthogonal
         # to the boresight, deterministically
-        idx = int(np.argmin(np.abs([bx, by, bz])))
-        u[idx] += ANTIPODAL_NUDGE_FRACTION * params.torque_limit
+        mags = (abs(bx), abs(by), abs(bz))
+        u[mags.index(min(mags))] += ANTIPODAL_NUDGE_FRACTION * params.torque_limit
 
-    for i in range(3):
-        u[i] = _clamp(float(u[i]), params.torque_limit)
-    return u
+    limit = params.torque_limit
+    return np.array([_clamp(u[0], limit), _clamp(u[1], limit),
+                     _clamp(u[2], limit)])
 
 
 def benchmark_apf_law(omega: np.ndarray, e2: np.ndarray,

@@ -1,6 +1,6 @@
 """Deterministic fixed-step propagation of the closed control loop.
 
-One monolithic state vector couples everything that evolves in time:
+One monolithic state couples everything that evolves in time:
 
     y = [q (4), omega (3), rho (1), td_x1 (3), td_x2 (3)]
 
@@ -9,6 +9,19 @@ radius, differentiator, and rigid body all see consistent intermediate
 states.  The attitude quaternion is renormalized once per accepted step.
 All arithmetic is plain double precision with a fixed evaluation order;
 repeated runs of the same scenario are bit-identical.
+
+The state is a list of 14 Python floats and the stage evaluation, RK4
+combine, renormalization and state check are scalar code: on 3-vectors,
+numpy's per-call overhead costs far more than the arithmetic.  numpy stays
+at the edges where its rounding is part of the output.  The controller laws
+return arrays, and the logged ``v_omega = e2 . J e2 / 2`` and ``td_error =
+|x1 - v|`` keep numpy's matvec, dot and norm, whose last bit differs from a
+scalar sum for a sizeable share of inputs.
+
+``step`` returns, with the new state, the quantities its first stage
+evaluated at the start of the step.  Logging and the safety statistics
+reuse them, so the controller is not evaluated again for a record, and the
+statistics see every step whatever ``record_stride`` is.
 """
 
 from __future__ import annotations
@@ -125,16 +138,19 @@ class SimulationResult:
     validation: object
 
 
+def _disturbance(t: float) -> tuple[float, float, float]:
+    """Components of the slowly varying environmental torque [N m]."""
+    a = _DIST_OMEGA * t
+    return (1e-3 * (4.0 * math.sin(3.0 * a) + 3.0 * math.cos(10.0 * a) - 40.0),
+            1e-3 * (-1.5 * math.sin(2.0 * a) + 3.0 * math.cos(5.0 * a) + 45.0),
+            1e-3 * (3.0 * math.sin(10.0 * a) - 8.0 * math.cos(4.0 * a) + 40.0))
+
+
 def disturbance_torque(t: float, enabled: bool = True) -> np.ndarray:
     """Slowly varying environmental torque [N m]; zero when disabled."""
     if not enabled:
         return np.zeros(3)
-    a = _DIST_OMEGA * t
-    return 1e-3 * np.array([
-        4.0 * math.sin(3.0 * a) + 3.0 * math.cos(10.0 * a) - 40.0,
-        -1.5 * math.sin(2.0 * a) + 3.0 * math.cos(5.0 * a) + 45.0,
-        3.0 * math.sin(10.0 * a) - 8.0 * math.cos(4.0 * a) + 40.0,
-    ])
+    return np.array(_disturbance(t))
 
 
 class _LoopContext:
@@ -159,9 +175,9 @@ class _LoopContext:
 
     # -- geometry helpers ---------------------------------------------------
 
-    def _resolve(self, y: np.ndarray):
+    def _resolve(self, y: list):
         """Body-frame target/cone axes and derived scalars at a raw state."""
-        qx, qy, qz, qw = float(y[0]), float(y[1]), float(y[2]), float(y[3])
+        qx, qy, qz, qw = y[0], y[1], y[2], y[3]
         n = math.sqrt(qx * qx + qy * qy + qz * qz + qw * qw)
         qx, qy, qz, qw = qx / n, qy / n, qz / n, qw / n
         bx, by, bz = self.b
@@ -197,8 +213,11 @@ class _LoopContext:
 
     # -- coupled dynamics ---------------------------------------------------
 
-    def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
-        rho = float(y[7])
+    def rhs(self, t: float, y: list) -> tuple[list, tuple]:
+        """Derivative of the raw state ``y`` and the controller quantities
+        behind it, ``(r_b, x_e, obstacles, betas, eps, s_eff, v_eff, v_cmd,
+        e2, u)``."""
+        rho = y[7]
         if not rho > 0.0:
             reason = ("funnel radius reached zero" if rho <= 0.0
                       else "funnel radius became non-finite")
@@ -207,44 +226,38 @@ class _LoopContext:
         eps = x_e / rho
         s_eff, v_eff = self._switches(betas)
 
-        w = y[4:7]
-        wx, wy, wz = float(w[0]), float(w[1]), float(w[2])
-        td1 = y[8:11]
-        td2 = y[11:14]
-
+        qx, qy, qz, qw, wx, wy, wz, _, x1x, x1y, x1z, x2x, x2y, x2z = y
         v_cmd = self._command(r_b, obstacles, eps, rho, v_eff)
-        e2 = w - td1
+        w = (wx, wy, wz)
+        e2 = (wx - x1x, wy - x1y, wz - x1z)
         if self.benchmark:
-            u = benchmark_apf_law(w, e2, self.b, r_b, obstacles, td2,
-                                  self.params, self.ctrl)
+            u = benchmark_apf_law(w, e2, self.b, r_b, obstacles,
+                                  (x2x, x2y, x2z), self.params, self.ctrl)
         else:
             u = torque_law(w, e2, eps, rho, self.b, r_b, obstacles,
-                           s_eff, v_eff, td2, self.params, self.ctrl)
-
-        if self.dist_on:
-            a = _DIST_OMEGA * t
-            dx = 1e-3 * (4.0 * math.sin(3.0 * a) + 3.0 * math.cos(10.0 * a) - 40.0)
-            dy = 1e-3 * (-1.5 * math.sin(2.0 * a) + 3.0 * math.cos(5.0 * a) + 45.0)
-            dz = 1e-3 * (3.0 * math.sin(10.0 * a) - 8.0 * math.cos(4.0 * a) + 40.0)
-        else:
-            dx = dy = dz = 0.0
+                           s_eff, v_eff, (x2x, x2y, x2z), self.params,
+                           self.ctrl)
+        u = u.tolist()
+        ux, uy, uz = u
+        dx, dy, dz = _disturbance(t) if self.dist_on else (0.0, 0.0, 0.0)
 
         # rigid body: J w_dot = -w x (J w) + u + d
-        ji = self.params.inertia
-        jwx = ji[0, 0] * wx + ji[0, 1] * wy + ji[0, 2] * wz
-        jwy = ji[1, 0] * wx + ji[1, 1] * wy + ji[1, 2] * wz
-        jwz = ji[2, 0] * wx + ji[2, 1] * wy + ji[2, 2] * wz
-        rhx = -(wy * jwz - wz * jwy) + float(u[0]) + dx
-        rhy = -(wz * jwx - wx * jwz) + float(u[1]) + dy
-        rhz = -(wx * jwy - wy * jwx) + float(u[2]) + dz
-        jinv = self.params.inertia_inv
-        wdx = jinv[0, 0] * rhx + jinv[0, 1] * rhy + jinv[0, 2] * rhz
-        wdy = jinv[1, 0] * rhx + jinv[1, 1] * rhy + jinv[1, 2] * rhz
-        wdz = jinv[2, 0] * rhx + jinv[2, 1] * rhy + jinv[2, 2] * rhz
+        (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = \
+            self.params.inertia_rows
+        jwx = j00 * wx + j01 * wy + j02 * wz
+        jwy = j10 * wx + j11 * wy + j12 * wz
+        jwz = j20 * wx + j21 * wy + j22 * wz
+        rhx = -(wy * jwz - wz * jwy) + ux + dx
+        rhy = -(wz * jwx - wx * jwz) + uy + dy
+        rhz = -(wx * jwy - wy * jwx) + uz + dz
+        (i00, i01, i02), (i10, i11, i12), (i20, i21, i22) = \
+            self.params.inertia_inv_rows
+        wdx = i00 * rhx + i01 * rhy + i02 * rhz
+        wdy = i10 * rhx + i11 * rhy + i12 * rhz
+        wdz = i20 * rhx + i21 * rhy + i22 * rhz
 
         # attitude kinematics q_dot = 0.5 q (x) [w, 0]
-        dqx, dqy, dqz, dqw = _quat_mul(float(y[0]), float(y[1]), float(y[2]),
-                                       float(y[3]), wx, wy, wz, 0.0)
+        dqx, dqy, dqz, dqw = _quat_mul(qx, qy, qz, qw, wx, wy, wz, 0.0)
 
         # funnel radius: shrink vs follow blend; the baseline has no funnel,
         # so its radius is held where it started
@@ -266,81 +279,72 @@ class _LoopContext:
         r2 = r_td * r_td
         a1 = self.ctrl.td_a1
         a2 = self.ctrl.td_a2
-        t1x = float(td2[0])
-        t1y = float(td2[1])
-        t1z = float(td2[2])
-        t2x = -r2 * a1 * math.tanh(float(td1[0]) - float(v_cmd[0])) \
-            - r2 * a2 * math.tanh(float(td2[0]) / r_td)
-        t2y = -r2 * a1 * math.tanh(float(td1[1]) - float(v_cmd[1])) \
-            - r2 * a2 * math.tanh(float(td2[1]) / r_td)
-        t2z = -r2 * a1 * math.tanh(float(td1[2]) - float(v_cmd[2])) \
-            - r2 * a2 * math.tanh(float(td2[2]) / r_td)
+        vx, vy, vz = v_cmd.tolist()
+        t2x = -r2 * a1 * math.tanh(x1x - vx) - r2 * a2 * math.tanh(x2x / r_td)
+        t2y = -r2 * a1 * math.tanh(x1y - vy) - r2 * a2 * math.tanh(x2y / r_td)
+        t2z = -r2 * a1 * math.tanh(x1z - vz) - r2 * a2 * math.tanh(x2z / r_td)
 
-        return np.array([0.5 * dqx, 0.5 * dqy, 0.5 * dqz, 0.5 * dqw,
-                         wdx, wdy, wdz, rho_dot,
-                         t1x, t1y, t1z, t2x, t2y, t2z])
+        return ([0.5 * dqx, 0.5 * dqy, 0.5 * dqz, 0.5 * dqw,
+                 wdx, wdy, wdz, rho_dot,
+                 x2x, x2y, x2z, t2x, t2y, t2z],
+                (r_b, x_e, obstacles, betas, eps, s_eff, v_eff, v_cmd, e2, u))
 
-    def step(self, t: float, y: np.ndarray, dt: float) -> np.ndarray:
+    def step(self, t: float, y: list, dt: float) -> tuple[list, tuple]:
+        """Advance ``y`` by ``dt``; returns the new state and the controller
+        quantities of the first stage, which are those of ``y`` at ``t``."""
+        k1, stage = self.rhs(t, y)
         if self.sim.integrator == "euler":
-            out = y + dt * self.rhs(t, y)
+            out = [a + dt * b for a, b in zip(y, k1)]
         else:
-            k1 = self.rhs(t, y)
-            k2 = self.rhs(t + 0.5 * dt, y + (0.5 * dt) * k1)
-            k3 = self.rhs(t + 0.5 * dt, y + (0.5 * dt) * k2)
-            k4 = self.rhs(t + dt, y + dt * k3)
-            out = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        n = math.sqrt(float(out[0]) ** 2 + float(out[1]) ** 2
-                      + float(out[2]) ** 2 + float(out[3]) ** 2)
-        out[0:4] /= n
-        return out
+            h = 0.5 * dt
+            k2 = self.rhs(t + h, [a + h * b for a, b in zip(y, k1)])[0]
+            k3 = self.rhs(t + h, [a + h * b for a, b in zip(y, k2)])[0]
+            k4 = self.rhs(t + dt, [a + dt * b for a, b in zip(y, k3)])[0]
+            c = dt / 6.0
+            out = [a + c * (p + 2.0 * q + 2.0 * r + s)
+                   for a, p, q, r, s in zip(y, k1, k2, k3, k4)]
+        n = math.sqrt(out[0] ** 2 + out[1] ** 2 + out[2] ** 2 + out[3] ** 2)
+        out[0] /= n
+        out[1] /= n
+        out[2] /= n
+        out[3] /= n
+        return out, stage
 
     # -- logging ------------------------------------------------------------
 
-    def record(self, t: float, y: np.ndarray) -> TrajectoryRecord:
-        rho = float(y[7])
-        r_b, x_e, obstacles, betas = self._resolve(y)
-        eps = x_e / rho
-        s_eff, v_eff = self._switches(betas)
-        w = y[4:7]
-        td1 = y[8:11]
-        td2 = y[11:14]
-        v_cmd = self._command(r_b, obstacles, eps, rho, v_eff)
-        e2 = w - td1
-        if self.benchmark:
-            u = benchmark_apf_law(w, e2, self.b, r_b, obstacles, td2,
-                                  self.params, self.ctrl)
-        else:
-            u = torque_law(w, e2, eps, rho, self.b, r_b, obstacles,
-                           s_eff, v_eff, td2, self.params, self.ctrl)
+    def record(self, t: float, y: list, stage: tuple) -> TrajectoryRecord:
+        """Logged sample of state ``y`` at ``t`` from its stage quantities."""
+        r_b, x_e, obstacles, betas, eps, s_eff, v_eff, v_cmd, e2, u = stage
+        rho = y[7]
         v_q = blf_value(eps, self.ctrl.g, self.ctrl.big_f) + total_potential(
             x_e, self.ctrl.k_a, obstacles_betas(obstacles))
+        e2 = np.array(e2)
         v_omega = 0.5 * float(e2 @ (self.params.inertia @ e2))
-        td_err = float(np.linalg.norm(td1 - v_cmd))
+        td_err = float(np.linalg.norm(np.array(y[8:11]) - v_cmd))
         cos_angle = max(-1.0, min(1.0, 1.0 - x_e))
-        qn = math.sqrt(float(y[0]) ** 2 + float(y[1]) ** 2
-                       + float(y[2]) ** 2 + float(y[3]) ** 2)
+        qn = math.sqrt(y[0] ** 2 + y[1] ** 2 + y[2] ** 2 + y[3] ** 2)
         return TrajectoryRecord(
             t=t, x_e=x_e,
             pointing_angle_deg=math.degrees(math.acos(cos_angle)),
             betas=tuple(betas), rho=rho, eps=eps,
             omega_s_eff=s_eff, omega_v_eff=v_eff,
-            omega=(float(w[0]), float(w[1]), float(w[2])),
-            torque=(float(u[0]), float(u[1]), float(u[2])),
+            omega=(y[4], y[5], y[6]), torque=tuple(u),
             v_q=v_q, v_omega=v_omega, td_error=td_err,
             quat_norm_error=abs(qn - 1.0))
 
-    def initial_state(self) -> np.ndarray:
+    def initial_state(self) -> list:
         init = self.scenario.initial
         q = init.attitude
-        y = np.zeros(14)
-        y[0:4] = (q.x, q.y, q.z, q.w)
-        y[4:7] = init.omega
-        y[7] = self.env.rho_0
+        w = init.omega
+        rho_0 = float(self.env.rho_0)
+        y = [float(q.x), float(q.y), float(q.z), float(q.w),
+             float(w[0]), float(w[1]), float(w[2]), rho_0,
+             0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
         # differentiator starts on the initial command with zero rate
         r_b, x_e, obstacles, betas = self._resolve(y)
         s_eff, v_eff = self._switches(betas)
-        y[8:11] = self._command(r_b, obstacles, x_e / self.env.rho_0,
-                                self.env.rho_0, v_eff)
+        y[8:11] = self._command(r_b, obstacles, x_e / rho_0, rho_0,
+                                v_eff).tolist()
         return y
 
 
@@ -358,17 +362,57 @@ def coupled_rhs(t: float, y: np.ndarray, scenario: "Scenario",
     loop context used by :func:`run_scenario`.
     """
     ctx = _LoopContext(scenario, sim if sim is not None else scenario.sim)
-    return ctx.rhs(t, np.asarray(y, dtype=float))
+    return np.array(ctx.rhs(t, [float(v) for v in y])[0])
 
 
-def _check_state(t: float, y: np.ndarray) -> None:
-    if not np.all(np.isfinite(y)):
-        bad = int(np.argmax(~np.isfinite(y)))
-        names = (["quat"] * 4 + ["omega"] * 3 + ["rho"]
-                 + ["td_x1"] * 3 + ["td_x2"] * 3)
-        raise SimulationAbort(t, f"non-finite value in {names[bad]}[{bad}]")
-    if not float(y[7]) > 0.0:
+_STATE_NAMES = (["quat"] * 4 + ["omega"] * 3 + ["rho"]
+                + ["td_x1"] * 3 + ["td_x2"] * 3)
+
+
+def _check_state(t: float, y: list) -> None:
+    if not all(map(math.isfinite, y)):
+        bad = next(i for i, v in enumerate(y) if not math.isfinite(v))
+        raise SimulationAbort(
+            t, f"non-finite value in {_STATE_NAMES[bad]}[{bad}]")
+    if not y[7] > 0.0:
         raise SimulationAbort(t, "funnel radius reached zero")
+
+
+class _SafetyStats:
+    """Keep-out, funnel and torque statistics over every step of a run.
+
+    Fed the first-stage quantities of each step, so the summary fields built
+    from them do not depend on ``record_stride``.
+    """
+
+    def __init__(self, n_cones: int, torque_limit: float):
+        self.max_betas = [-math.inf] * n_cones  # deepest approach per cone
+        self.max_eps = None                     # max |eps| while tracking
+        self.n_samples = 0
+        self.n_saturated = 0
+        self.max_torque = 0.0
+        self._sat_limit = torque_limit - 1e-12
+
+    def add(self, stage: tuple) -> None:
+        _, _, _, betas, eps, s_eff, _, _, _, (ux, uy, uz) = stage
+        for i, beta in enumerate(betas):
+            if beta > self.max_betas[i]:
+                self.max_betas[i] = beta
+        if s_eff < 0.5:
+            a = abs(eps)
+            if self.max_eps is None or a > self.max_eps:
+                self.max_eps = a
+        m = max(abs(ux), abs(uy), abs(uz))
+        self.n_samples += 1
+        if m >= self._sat_limit:
+            self.n_saturated += 1
+        if m > self.max_torque:
+            self.max_torque = m
+
+    def min_clearance_deg(self) -> list[float]:
+        # acos decreases, so the deepest approach is the smallest clearance
+        return [math.degrees(math.acos(max(-1.0, min(1.0, beta))))
+                for beta in self.max_betas]
 
 
 def run_scenario(scenario: "Scenario", sim: SimConfig | None = None,
@@ -389,21 +433,29 @@ def run_scenario(scenario: "Scenario", sim: SimConfig | None = None,
         raise ValidationFailure(report)
 
     ctx = _LoopContext(scenario, sim)
-    n_steps = int(round(sim.duration / sim.dt))
+    dt = sim.dt
+    stride = sim.record_stride
+    n_steps = int(round(sim.duration / dt))
+    safety = _SafetyStats(len(ctx.cones), scenario.params.torque_limit)
     y = ctx.initial_state()
     records: list[TrajectoryRecord] = []
     t0 = time.perf_counter()
-    for k in range(n_steps + 1):
-        t = k * sim.dt
-        if k % sim.record_stride == 0 or k == n_steps:
-            records.append(ctx.record(t, y))
-        if k == n_steps:
-            break
-        y = ctx.step(t, y, sim.dt)
-        _check_state((k + 1) * sim.dt, y)
+    for k in range(n_steps):
+        t = k * dt
+        y_next, stage = ctx.step(t, y, dt)
+        safety.add(stage)
+        if k % stride == 0:
+            records.append(ctx.record(t, y, stage))
+        y = y_next
+        _check_state((k + 1) * dt, y)
+    # the final sample is the one stage evaluated outside a step
+    t = n_steps * dt
+    stage = ctx.rhs(t, y)[1]
+    safety.add(stage)
+    records.append(ctx.record(t, y, stage))
     wall = time.perf_counter() - t0
 
-    summary = summarize(scenario, sim, records, report, wall)
+    summary = summarize(scenario, sim, records, safety, report, wall)
     return SimulationResult(records=records, summary=summary, validation=report)
 
 
@@ -420,18 +472,13 @@ def settling_time(records: Sequence[TrajectoryRecord],
 
 
 def summarize(scenario: "Scenario", sim: SimConfig,
-              records: Sequence[TrajectoryRecord], report, wall: float) -> dict:
+              records: Sequence[TrajectoryRecord], safety: _SafetyStats,
+              report, wall: float) -> dict:
     cones = scenario.obstacles
-    n_obs = len(cones)
-    min_clearance = [math.inf] * n_obs
-    for rec in records:
-        for i, beta in enumerate(rec.betas):
-            ang = math.degrees(math.acos(max(-1.0, min(1.0, beta))))
-            if ang < min_clearance[i]:
-                min_clearance[i] = ang
+    min_clearance = safety.min_clearance_deg()
     constraint_ok = all(
         min_clearance[i] >= math.degrees(cones[i].theta_f)
-        for i in range(n_obs))
+        for i in range(len(cones)))
 
     terminal_start = 80.0
     targets = scenario.targets
@@ -439,15 +486,7 @@ def summarize(scenario: "Scenario", sim: SimConfig,
         terminal_start = targets.terminal_time_s
     tail = [r.pointing_angle_deg for r in records if r.t >= terminal_start]
     terminal_err = max(tail) if tail else None
-
-    eps_active = [abs(r.eps) for r in records if r.omega_s_eff < 0.5]
-    max_eps = max(eps_active) if eps_active else None
-
-    sat_limit = scenario.params.torque_limit - 1e-12
-    n_sat = sum(1 for r in records if max(abs(c) for c in r.torque) >= sat_limit)
-    max_torque = max((max(abs(c) for c in r.torque) for r in records),
-                     default=0.0)
-
+    max_eps = safety.max_eps
     lyap = lyapunov_monitor(records)
 
     targets_met = None
@@ -485,8 +524,8 @@ def summarize(scenario: "Scenario", sim: SimConfig,
         "terminal_error_deg": terminal_err,
         "max_eps_while_tracking": max_eps,
         "envelope_contained": max_eps is None or max_eps < 1.0,
-        "torque_saturation_fraction": n_sat / len(records),
-        "max_torque_abs": max_torque,
+        "torque_saturation_fraction": safety.n_saturated / safety.n_samples,
+        "max_torque_abs": safety.max_torque,
         "max_quat_norm_error": max(r.quat_norm_error for r in records),
         "lyapunov_positive_fraction": lyap.fraction_positive,
         "targets": targets_dict,
@@ -543,14 +582,15 @@ def write_trajectory_csv(records: Sequence[TrajectoryRecord], path) -> None:
                "omega_x", "omega_y", "omega_z",
                "torque_x", "torque_y", "torque_z",
                "v_q", "v_omega", "td_error", "quat_norm_error"])
+    row = ",".join(["%.17g"] * len(cols)) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(cols) + "\n")
-        for r in records:
-            vals = ([r.t, r.x_e, r.pointing_angle_deg] + list(r.betas)
-                    + [r.rho, r.eps, r.omega_s_eff, r.omega_v_eff,
-                       *r.omega, *r.torque,
-                       r.v_q, r.v_omega, r.td_error, r.quat_norm_error])
-            fh.write(",".join(f"{v:.17g}" for v in vals) + "\n")
+        fh.writelines(
+            row % (r.t, r.x_e, r.pointing_angle_deg, *r.betas,
+                   r.rho, r.eps, r.omega_s_eff, r.omega_v_eff,
+                   *r.omega, *r.torque,
+                   r.v_q, r.v_omega, r.td_error, r.quat_norm_error)
+            for r in records)
 
 
 def write_summary_json(summary: dict, path) -> None:

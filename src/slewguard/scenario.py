@@ -421,6 +421,10 @@ def scenario_from_dict(data: Any, default_name: str = "scenario") -> Scenario:
                                                  or not isinstance(val, (int, float))):
                         errors.append(f"$.sim.{key}: expected a number")
                         continue
+                    if (cast is int and isinstance(val, float)
+                            and not val.is_integer()):
+                        errors.append(f"$.sim.{key}: expected an integer")
+                        continue
                     if cast is str and not isinstance(val, str):
                         errors.append(f"$.sim.{key}: expected a string")
                         continue

@@ -8,17 +8,42 @@ to see them.  Full-length preset runs are shared across criteria through
 session fixtures, so the whole suite costs about a dozen 120 s simulations.
 """
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from slewguard.engine import run_scenario
+from slewguard.engine import run_scenario, write_trajectory_csv
 from slewguard.envelope import blf_value
 from slewguard.potential import ObstacleCone, repulsion, repulsion_grad_beta
 from slewguard.scenario import PRESET_NAMES, load_preset
 
 AVOIDANCE_PRESETS = tuple(n for n in PRESET_NAMES if n != "paper-compare-1")
+
+# sha256 of every preset's full-length trajectory.csv.  The last digits come
+# from the platform's libm (sin, cos, tanh, acos), so these hold on x86-64
+# Linux with glibc; elsewhere a mismatch may be the platform, not the code.
+TRAJECTORY_SHA256 = {
+    "paper-single-1":
+        "317b99848c0185167fc60a07f9cdfc6985570c21677d6702e60ed76ce5b1d687",
+    "paper-single-2":
+        "8a8ee536b2a20d825b1257b0308f496d02082bfbeb7972b0b58a0e2d27d45ebb",
+    "paper-single-3":
+        "a120d01773f040ca1cbb4efbc4d68af7730a813bcb38dae25c65eac585a6518d",
+    "paper-two-1":
+        "0543e319d84bd9a9fd81fb1cf8862423eb37500e17ef71de4b5e518d2fd9cc02",
+    "paper-two-2":
+        "950cfb5b0d78229cb2e6b54f222d04d64ef771495bc6c2cdf84227ffa3a6dd96",
+    "paper-two-3":
+        "255c272ca5273a90d18e10d165d12a4e2dfdc83d7e3950458f296b158219a4ff",
+    "paper-two-4":
+        "9e851bdf3c8f1c3119149ecdd1efac75e48a585accce0d4e97d4521e2310d294",
+    "paper-three-1":
+        "7486c06a3092d9ff76ac83190d958d7a9efaffeed90e69307f19bf47fef3a134",
+    "paper-compare-1":
+        "317b99848c0185167fc60a07f9cdfc6985570c21677d6702e60ed76ce5b1d687",
+}
 
 
 def check(num, description, ok, detail):
@@ -204,3 +229,19 @@ def test_criterion_10_numerical_hygiene(preset_runs, repeat_run,
               "halving the step moves terminal error < 1e-6", ok,
           f"identical={identical}, quat drift {drift:.2e}, "
           f"terminal shift {step_diff:.2e}")
+
+
+def test_trajectories_bit_identical(preset_runs, tmp_path):
+    changed = []
+    for name in PRESET_NAMES:
+        path = tmp_path / f"{name}.csv"
+        write_trajectory_csv(preset_runs[name].records, path)
+        if hashlib.sha256(path.read_bytes()).hexdigest() != \
+                TRAJECTORY_SHA256[name]:
+            changed.append(name)
+    line = (f"golden trajectories: {'PASS' if not changed else 'FAIL'} - "
+            f"trajectory.csv bytes of {len(PRESET_NAMES)} presets match the "
+            f"recorded sha256 (changed: {', '.join(changed) or 'none'}; "
+            f"digests assume x86-64 glibc libm)")
+    print(line)
+    assert not changed, line

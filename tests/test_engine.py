@@ -48,13 +48,21 @@ from slewguard.potential import ObstacleCone
 from slewguard.scenario import Scenario, load_preset
 
 
-def make_scenario(n_obstacles=1, **ctrl_over):
+# symmetric, positive definite, with every product of inertia nonzero
+FULL_INERTIA = np.array([[5.08, 0.12, -0.05],
+                         [0.12, 5.14, 0.08],
+                         [-0.05, 0.08, 5.0]])
+
+
+def make_scenario(n_obstacles=1, inertia=None, **ctrl_over):
     """Hand-built scenario with a cone close to the slew path."""
     ctrl_kw = dict(k1=0.3, k_p=0.5, k_omega=10.0, g=1.0, big_f=0.25, k_a=2.5,
                    eta=2e-4, sigma=1e-6, td_r=20.0, td_a1=1.0, td_a2=2.0)
     ctrl_kw.update(ctrl_over)
     ctrl = ControllerConfig(**ctrl_kw)
-    params = SpacecraftParams(inertia=np.diag([5.08, 5.14, 5.0]),
+    if inertia is None:
+        inertia = np.diag([5.08, 5.14, 5.0])
+    params = SpacecraftParams(inertia=inertia,
                               torque_limit=0.5, disturbance_bound=0.1)
     target = np.array([-0.866, 0.5, 0.0])
     target /= np.linalg.norm(target)
@@ -183,14 +191,17 @@ def sample_states(rng, sc, n):
 
 class TestCoupledRhs:
     def test_matches_module_composition(self):
-        sc = make_scenario(n_obstacles=2)
+        # products of inertia are where the kernel's scalar J w can differ
+        # from numpy's matvec in the last bit; the tolerance covers that
         sim = SimConfig()
-        rng = np.random.default_rng(11)
-        for y in sample_states(rng, sc, 27):
-            t = rng.uniform(0.0, 100.0)
-            got = coupled_rhs(t, y, sc, sim)
-            want = reference_rhs(t, y, sc, sim)
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        for inertia in (None, FULL_INERTIA):
+            sc = make_scenario(n_obstacles=2, inertia=inertia)
+            rng = np.random.default_rng(11)
+            for y in sample_states(rng, sc, 27):
+                t = rng.uniform(0.0, 100.0)
+                got = coupled_rhs(t, y, sc, sim)
+                want = reference_rhs(t, y, sc, sim)
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_matches_composition_in_benchmark_mode(self):
         sc = make_scenario(n_obstacles=2)
@@ -259,6 +270,15 @@ class TestRunScenario:
         s1.pop("wall_clock_s")
         s2.pop("wall_clock_s")
         assert s1 == s2
+
+    def test_safety_statistics_independent_of_record_stride(self):
+        sc = load_preset("paper-two-1").with_sim(duration=30.0)
+        every = run_scenario(sc).summary
+        sparse = run_scenario(sc.with_sim(record_stride=50)).summary
+        for key in ("min_clearance_deg", "constraint_satisfied",
+                    "max_eps_while_tracking", "envelope_contained",
+                    "torque_saturation_fraction", "max_torque_abs"):
+            assert sparse[key] == every[key], key
 
     def test_euler_agrees_with_rk4_at_small_step(self):
         sc = make_scenario(n_obstacles=0)

@@ -137,6 +137,15 @@ class TestSchema:
             scenario_from_dict(doc)
         assert any("$.sim" in e for e in err.value.errors)
 
+    def test_fractional_record_stride_rejected(self):
+        doc = valid_doc()
+        doc["sim"]["record_stride"] = 2.5
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict(doc)
+        assert any(e.startswith("$.sim.record_stride") for e in err.value.errors)
+        doc["sim"]["record_stride"] = 2.0
+        assert scenario_from_dict(doc).sim.record_stride == 2
+
     def test_full_inertia_matrix_accepted(self):
         doc = valid_doc()
         del doc["spacecraft"]["inertia_diag"]
