@@ -55,7 +55,7 @@ from .engine import (
     SimConfig,
     SimulationAbort,
     SimulationResult,
-    TrajectoryRecord,
+    Trajectory,
     coupled_rhs,
     disturbance_torque,
     lyapunov_monitor,

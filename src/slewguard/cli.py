@@ -148,7 +148,11 @@ def _cmd_run(args) -> int:
 
     worst = _EXIT_OK
     for scenario in scenarios:
-        scenario = _apply_overrides(scenario, args)
+        try:
+            scenario = _apply_overrides(scenario, args)
+        except ValueError as exc:
+            print(f"error: {scenario.name}: {exc}", file=sys.stderr)
+            return _EXIT_VALIDATION
         try:
             code = _run_one(scenario, args, out_root)
         except ValidationFailure as exc:

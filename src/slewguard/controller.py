@@ -11,7 +11,9 @@ a tanh disturbance compensator.
 
 Obstacle arguments are sequences of ``(cone, axis_body, beta)`` triples:
 the cone definition, its axis resolved in body axes, and the cosine between
-the boresight and that axis.
+the boresight and that axis.  The laws return float triples: the closed
+loop calls them in every integrator stage, where building a numpy 3-vector
+costs more than the arithmetic behind it.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from .attitude import BodyState, SpacecraftParams, pointing_error, rotate_to_body
 from .envelope import EnvelopeConfig, SwitchConfig
-from .potential import ObstacleCone, bridge_grad, repulsion_grad_beta
+from .potential import ObstacleCone, bridge_grad_max, repulsion_grad_beta
 
 __all__ = [
     "ControllerConfig",
@@ -144,7 +146,7 @@ def _apf_vector(bx: float, by: float, bz: float,
 def virtual_law(boresight_body: np.ndarray, target_body: np.ndarray,
                 obstacles: Sequence[tuple[ObstacleCone, np.ndarray, float]],
                 eps: float, rho: float, omega_v_eff: float,
-                cfg: ControllerConfig) -> np.ndarray:
+                cfg: ControllerConfig) -> tuple[float, float, float]:
     """Commanded body rate blending the tracking and avoidance branches.
 
     The tracking branch inverts the error-rate direction ``r_b x B_b`` to
@@ -167,9 +169,9 @@ def virtual_law(boresight_body: np.ndarray, target_body: np.ndarray,
         px, py, pz = _apf_vector(bx, by, bz, rx, ry, rz, obstacles, cfg.k_a)
         avoid_scale = (-cfg.k_p * omega_v_eff
                        / (px * px + py * py + pz * pz + cfg.sigma))
-    return np.array([tx * track_scale + px * avoid_scale,
-                     ty * track_scale + py * avoid_scale,
-                     tz * track_scale + pz * avoid_scale])
+    return (tx * track_scale + px * avoid_scale,
+            ty * track_scale + py * avoid_scale,
+            tz * track_scale + pz * avoid_scale)
 
 
 def td_rhs(state: TdState, command: np.ndarray,
@@ -216,7 +218,8 @@ def torque_law(omega: np.ndarray, e2: np.ndarray, eps: float, rho: float,
                boresight_body: np.ndarray, target_body: np.ndarray,
                obstacles: Sequence[tuple[ObstacleCone, np.ndarray, float]],
                omega_s_eff: float, omega_v_eff: float, sd_dot: np.ndarray,
-               params: SpacecraftParams, cfg: ControllerConfig) -> np.ndarray:
+               params: SpacecraftParams,
+               cfg: ControllerConfig) -> tuple[float, float, float]:
     """Saturated control torque of the inner rate loop.
 
     Combines gyroscopic cancellation, proportional rate-error feedback, a
@@ -267,15 +270,14 @@ def torque_law(omega: np.ndarray, e2: np.ndarray, eps: float, rho: float,
         u[mags.index(min(mags))] += ANTIPODAL_NUDGE_FRACTION * params.torque_limit
 
     limit = params.torque_limit
-    return np.array([_clamp(u[0], limit), _clamp(u[1], limit),
-                     _clamp(u[2], limit)])
+    return _clamp(u[0], limit), _clamp(u[1], limit), _clamp(u[2], limit)
 
 
 def benchmark_apf_law(omega: np.ndarray, e2: np.ndarray,
                       boresight_body: np.ndarray, target_body: np.ndarray,
                       obstacles: Sequence[tuple[ObstacleCone, np.ndarray, float]],
                       sd_dot: np.ndarray, params: SpacecraftParams,
-                      cfg: ControllerConfig) -> np.ndarray:
+                      cfg: ControllerConfig) -> tuple[float, float, float]:
     """Torque of the potential-field-only baseline.
 
     Identical backstepping structure with the funnel machinery disabled:
@@ -289,7 +291,7 @@ def benchmark_apf_law(omega: np.ndarray, e2: np.ndarray,
 
 def benchmark_virtual_law(boresight_body: np.ndarray, target_body: np.ndarray,
                           obstacles: Sequence[tuple[ObstacleCone, np.ndarray, float]],
-                          cfg: ControllerConfig) -> np.ndarray:
+                          cfg: ControllerConfig) -> tuple[float, float, float]:
     """Commanded rate of the baseline: the avoidance branch held on.
 
     The normalized descent command grows like ``k_p / |P1|`` as the field
@@ -400,8 +402,7 @@ def validate_config(cfg: ControllerConfig, envelope: EnvelopeConfig,
             f"(residual {residual:+.3g})", warn_only=True)
 
         # measured worst slope of the bridge vs the design slope
-        grid = np.linspace(cone.shape.lo, cone.shape.hi, 20001)
-        s_max = max(bridge_grad(cone.shape, float(b), cone.k_r) for b in grid)
+        s_max = bridge_grad_max(cone.shape, cone.k_r, 20001)
         add(f"repulsion-slope[{i}]", s_max <= cone.r_slope * (1.0 + 1e-6),
             f"measured max dU/dbeta {s_max:.6g} vs design slope "
             f"{cone.r_slope:g}", warn_only=True)

@@ -10,13 +10,21 @@ states.  The attitude quaternion is renormalized once per accepted step.
 All arithmetic is plain double precision with a fixed evaluation order;
 repeated runs of the same scenario are bit-identical.
 
-The state is a list of 14 Python floats and the stage evaluation, RK4
-combine, renormalization and state check are scalar code: on 3-vectors,
-numpy's per-call overhead costs far more than the arithmetic.  numpy stays
-at the edges where its rounding is part of the output.  The controller laws
-return arrays, and the logged ``v_omega = e2 . J e2 / 2`` and ``td_error =
-|x1 - v|`` keep numpy's matvec, dot and norm, whose last bit differs from a
-scalar sum for a sizeable share of inputs.
+The state is a list of 14 Python floats, and the stage evaluation, the
+controller laws, the RK4 combine, the renormalization, the state check and
+the logging are scalar code: on 3-vectors, numpy's per-call overhead costs
+far more than the arithmetic.  numpy works only at the batch edges of a run.
+Each logged step appends one flat tuple of floats to a C double buffer
+(``array("d")``, 8 bytes a value rather than a Python float object), and
+after the loop numpy reads the buffer as the ``(n, k)`` float64 array of a
+:class:`Trajectory`, whose columns the summary, the Lyapunov monitor and the
+CSV writer read.  The logged ``v_omega = e2 . J e2 / 2`` and ``td_error =
+|x1 - v|`` are formed there with stacked matmuls, ``E[:, None, :] @ (J @
+E[:, :, None])`` and ``sqrt(D[:, None, :] @ D[:, :, None])``.  numpy runs
+those as one BLAS gemv and one dot per row, the same calls that
+``e2 @ (J @ e2)`` and ``np.linalg.norm`` make on a single 3-vector, so every
+row rounds as it would alone; a scalar sum, ``einsum`` or ``norm(axis=1)``
+differs in the last bit for a sizeable share of rows.
 
 ``step`` returns, with the new state, the quantities its first stage
 evaluated at the start of the step.  Logging and the safety statistics
@@ -29,12 +37,13 @@ from __future__ import annotations
 import json
 import math
 import time
+from array import array
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .attitude import _quat_mul, _to_body
+from .attitude import _quat_mul
 from .controller import (
     benchmark_virtual_law,
     benchmark_apf_law,
@@ -50,7 +59,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "SimConfig",
-    "TrajectoryRecord",
+    "Trajectory",
     "SimulationResult",
     "SimulationAbort",
     "ValidationFailure",
@@ -99,10 +108,15 @@ class SimConfig:
     controller_mode: str = "proposed"
 
     def __post_init__(self):
+        for name in ("dt", "duration", "record_stride"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.dt <= 0.0:
             raise ValueError("dt must be positive")
         if self.duration < self.dt:
             raise ValueError("duration must cover at least one step")
+        if not math.isfinite(self.duration / self.dt):
+            raise ValueError("duration / dt must be finite")
         if self.integrator not in _INTEGRATORS:
             raise ValueError(f"integrator must be one of {_INTEGRATORS}")
         if int(self.record_stride) != self.record_stride or self.record_stride < 1:
@@ -111,29 +125,39 @@ class SimConfig:
             raise ValueError(f"controller_mode must be one of {_CONTROLLER_MODES}")
 
 
-@dataclass(frozen=True)
-class TrajectoryRecord:
-    """One logged sample of the closed-loop trajectory."""
+def _columns(n_cones: int) -> tuple[str, ...]:
+    return (("t", "x_e", "pointing_angle_deg")
+            + tuple(f"beta_{i + 1}" for i in range(n_cones))
+            + ("rho", "eps", "omega_s_eff", "omega_v_eff",
+               "omega_x", "omega_y", "omega_z",
+               "torque_x", "torque_y", "torque_z",
+               "v_q", "v_omega", "td_error", "quat_norm_error"))
 
-    t: float
-    x_e: float
-    pointing_angle_deg: float
-    betas: tuple[float, ...]
-    rho: float
-    eps: float
-    omega_s_eff: float
-    omega_v_eff: float
-    omega: tuple[float, float, float]
-    torque: tuple[float, float, float]
-    v_q: float
-    v_omega: float
-    td_error: float
-    quat_norm_error: float
+
+@dataclass(frozen=True, eq=False)
+class Trajectory:
+    """Logged samples of a run: one ``(n, k)`` float64 array, named columns.
+
+    ``records["eps"]`` is the column of that name.  The names are the CSV
+    header, in order: ``t``, ``x_e``, ``pointing_angle_deg``, one ``beta_i``
+    per cone, ``rho``, ``eps``, the two effective switches, body rate and
+    torque components, ``v_q``, ``v_omega``, ``td_error`` and
+    ``quat_norm_error``.
+    """
+
+    data: np.ndarray
+    columns: tuple[str, ...]
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self.data[:, self.columns.index(name)]
+
+    def __len__(self) -> int:
+        return len(self.data)
 
 
 @dataclass
 class SimulationResult:
-    records: list[TrajectoryRecord]
+    records: Trajectory
     summary: dict
     validation: object
 
@@ -168,8 +192,10 @@ class _LoopContext:
         self.b = (float(b[0]), float(b[1]), float(b[2]))
         r = scenario.target_inertial
         self.r_i = (float(r[0]), float(r[1]), float(r[2]))
-        self.axes_i = tuple((float(c.axis_inertial[0]), float(c.axis_inertial[1]),
-                             float(c.axis_inertial[2])) for c in self.cones)
+        # inertial directions to resolve: the target, then each cone axis
+        self.frames = ((None, self.r_i),) + tuple(
+            (c, (float(c.axis_inertial[0]), float(c.axis_inertial[1]),
+                 float(c.axis_inertial[2]))) for c in self.cones)
         self.benchmark = sim.controller_mode == "benchmark_apf"
         self.dist_on = sim.disturbance_enabled
 
@@ -179,17 +205,25 @@ class _LoopContext:
         """Body-frame target/cone axes and derived scalars at a raw state."""
         qx, qy, qz, qw = y[0], y[1], y[2], y[3]
         n = math.sqrt(qx * qx + qy * qy + qz * qz + qw * qw)
-        qx, qy, qz, qw = qx / n, qy / n, qz / n, qw / n
+        # q* [v, 0] q is attitude._sandwich of the conjugate (-x, -y, -z, w),
+        # written out here with the same operation order
+        cx, cy, cz, qw = -qx / n, -qy / n, -qz / n, qw / n
         bx, by, bz = self.b
-        r_b = _to_body(qx, qy, qz, qw, *self.r_i)
-        x_e = 1.0 - (bx * r_b[0] + by * r_b[1] + bz * r_b[2])
         obstacles = []
         betas = []
-        for cone, axis in zip(self.cones, self.axes_i):
-            f_b = _to_body(qx, qy, qz, qw, *axis)
-            beta = bx * f_b[0] + by * f_b[1] + bz * f_b[2]
-            obstacles.append((cone, f_b, beta))
-            betas.append(beta)
+        for cone, (vx, vy, vz) in self.frames:
+            tx = 2.0 * (cy * vz - cz * vy)
+            ty = 2.0 * (cz * vx - cx * vz)
+            tz = 2.0 * (cx * vy - cy * vx)
+            wx = vx + qw * tx + cy * tz - cz * ty
+            wy = vy + qw * ty + cz * tx - cx * tz
+            wz = vz + qw * tz + cx * ty - cy * tx
+            dot = bx * wx + by * wy + bz * wz
+            if cone is None:
+                r_b, x_e = (wx, wy, wz), 1.0 - dot
+            else:
+                obstacles.append((cone, (wx, wy, wz), dot))
+                betas.append(dot)
         return r_b, x_e, obstacles, betas
 
     def _switches(self, betas):
@@ -237,7 +271,6 @@ class _LoopContext:
             u = torque_law(w, e2, eps, rho, self.b, r_b, obstacles,
                            s_eff, v_eff, (x2x, x2y, x2z), self.params,
                            self.ctrl)
-        u = u.tolist()
         ux, uy, uz = u
         dx, dy, dz = _disturbance(t) if self.dist_on else (0.0, 0.0, 0.0)
 
@@ -279,7 +312,7 @@ class _LoopContext:
         r2 = r_td * r_td
         a1 = self.ctrl.td_a1
         a2 = self.ctrl.td_a2
-        vx, vy, vz = v_cmd.tolist()
+        vx, vy, vz = v_cmd
         t2x = -r2 * a1 * math.tanh(x1x - vx) - r2 * a2 * math.tanh(x2x / r_td)
         t2y = -r2 * a1 * math.tanh(x1y - vy) - r2 * a2 * math.tanh(x2y / r_td)
         t2z = -r2 * a1 * math.tanh(x1z - vz) - r2 * a2 * math.tanh(x2z / r_td)
@@ -312,25 +345,22 @@ class _LoopContext:
 
     # -- logging ------------------------------------------------------------
 
-    def record(self, t: float, y: list, stage: tuple) -> TrajectoryRecord:
-        """Logged sample of state ``y`` at ``t`` from its stage quantities."""
-        r_b, x_e, obstacles, betas, eps, s_eff, v_eff, v_cmd, e2, u = stage
-        rho = y[7]
+    def record(self, t: float, y: list, stage: tuple) -> tuple:
+        """Logged row of state ``y`` at ``t`` from its stage quantities.
+
+        The row holds the :class:`Trajectory` columns up to ``v_q``, then
+        ``quat_norm_error``, ``e2`` and ``x1 - v_cmd``; :func:`_trajectory`
+        forms ``v_omega`` and ``td_error`` from the last six in one batch.
+        """
+        _, x_e, obstacles, betas, eps, s_eff, v_eff, v_cmd, e2, u = stage
         v_q = blf_value(eps, self.ctrl.g, self.ctrl.big_f) + total_potential(
             x_e, self.ctrl.k_a, obstacles_betas(obstacles))
-        e2 = np.array(e2)
-        v_omega = 0.5 * float(e2 @ (self.params.inertia @ e2))
-        td_err = float(np.linalg.norm(np.array(y[8:11]) - v_cmd))
         cos_angle = max(-1.0, min(1.0, 1.0 - x_e))
         qn = math.sqrt(y[0] ** 2 + y[1] ** 2 + y[2] ** 2 + y[3] ** 2)
-        return TrajectoryRecord(
-            t=t, x_e=x_e,
-            pointing_angle_deg=math.degrees(math.acos(cos_angle)),
-            betas=tuple(betas), rho=rho, eps=eps,
-            omega_s_eff=s_eff, omega_v_eff=v_eff,
-            omega=(y[4], y[5], y[6]), torque=tuple(u),
-            v_q=v_q, v_omega=v_omega, td_error=td_err,
-            quat_norm_error=abs(qn - 1.0))
+        vx, vy, vz = v_cmd
+        return (t, x_e, math.degrees(math.acos(cos_angle)), *betas,
+                y[7], eps, s_eff, v_eff, y[4], y[5], y[6], *u,
+                v_q, abs(qn - 1.0), *e2, y[8] - vx, y[9] - vy, y[10] - vz)
 
     def initial_state(self) -> list:
         init = self.scenario.initial
@@ -343,8 +373,7 @@ class _LoopContext:
         # differentiator starts on the initial command with zero rate
         r_b, x_e, obstacles, betas = self._resolve(y)
         s_eff, v_eff = self._switches(betas)
-        y[8:11] = self._command(r_b, obstacles, x_e / rho_0, rho_0,
-                                v_eff).tolist()
+        y[8:11] = self._command(r_b, obstacles, x_e / rho_0, rho_0, v_eff)
         return y
 
 
@@ -376,6 +405,25 @@ def _check_state(t: float, y: list) -> None:
             t, f"non-finite value in {_STATE_NAMES[bad]}[{bad}]")
     if not y[7] > 0.0:
         raise SimulationAbort(t, "funnel radius reached zero")
+
+
+def _trajectory(log: array, n_cones: int, inertia: np.ndarray) -> Trajectory:
+    """The rows of :meth:`_LoopContext.record`, concatenated in ``log``, as a
+    trajectory.
+
+    ``v_omega`` and ``td_error`` are formed here for all rows at once, with
+    the stacked matmuls that round each row as numpy does a lone 3-vector.
+    """
+    columns = _columns(n_cones)
+    raw = np.frombuffer(log).reshape(-1, len(columns) + 4)
+    e2 = raw[:, -6:-3]
+    d = raw[:, -3:]
+    data = np.empty((len(raw), len(columns)))
+    data[:, :-3] = raw[:, :-7]
+    data[:, -3] = 0.5 * (e2[:, None, :] @ (inertia @ e2[:, :, None]))[:, 0, 0]
+    data[:, -2] = np.sqrt(d[:, None, :] @ d[:, :, None])[:, 0, 0]
+    data[:, -1] = raw[:, -7]
+    return Trajectory(data, columns)
 
 
 class _SafetyStats:
@@ -438,41 +486,37 @@ def run_scenario(scenario: "Scenario", sim: SimConfig | None = None,
     n_steps = int(round(sim.duration / dt))
     safety = _SafetyStats(len(ctx.cones), scenario.params.torque_limit)
     y = ctx.initial_state()
-    records: list[TrajectoryRecord] = []
+    log = array("d")
     t0 = time.perf_counter()
     for k in range(n_steps):
         t = k * dt
         y_next, stage = ctx.step(t, y, dt)
         safety.add(stage)
         if k % stride == 0:
-            records.append(ctx.record(t, y, stage))
+            log.extend(ctx.record(t, y, stage))
         y = y_next
         _check_state((k + 1) * dt, y)
     # the final sample is the one stage evaluated outside a step
     t = n_steps * dt
     stage = ctx.rhs(t, y)[1]
     safety.add(stage)
-    records.append(ctx.record(t, y, stage))
+    log.extend(ctx.record(t, y, stage))
+    records = _trajectory(log, len(ctx.cones), scenario.params.inertia)
     wall = time.perf_counter() - t0
 
     summary = summarize(scenario, sim, records, safety, report, wall)
     return SimulationResult(records=records, summary=summary, validation=report)
 
 
-def settling_time(records: Sequence[TrajectoryRecord],
-                  level_deg: float) -> float | None:
+def settling_time(records: Trajectory, level_deg: float) -> float | None:
     """Earliest time after which the pointing angle stays below the level."""
-    t_settle = None
-    for rec in reversed(records):
-        if rec.pointing_angle_deg < level_deg:
-            t_settle = rec.t
-        else:
-            break
-    return t_settle
+    above = np.flatnonzero(~(records["pointing_angle_deg"] < level_deg))
+    first = above[-1] + 1 if above.size else 0
+    return float(records["t"][first]) if first < len(records) else None
 
 
 def summarize(scenario: "Scenario", sim: SimConfig,
-              records: Sequence[TrajectoryRecord], safety: _SafetyStats,
+              records: Trajectory, safety: _SafetyStats,
               report, wall: float) -> dict:
     cones = scenario.obstacles
     min_clearance = safety.min_clearance_deg()
@@ -484,8 +528,9 @@ def summarize(scenario: "Scenario", sim: SimConfig,
     targets = scenario.targets
     if targets is not None and targets.terminal_time_s is not None:
         terminal_start = targets.terminal_time_s
-    tail = [r.pointing_angle_deg for r in records if r.t >= terminal_start]
-    terminal_err = max(tail) if tail else None
+    angle = records["pointing_angle_deg"]
+    tail = angle[records["t"] >= terminal_start]
+    terminal_err = float(tail.max()) if tail.size else None
     max_eps = safety.max_eps
     lyap = lyapunov_monitor(records)
 
@@ -517,8 +562,8 @@ def summarize(scenario: "Scenario", sim: SimConfig,
         "theta_f_deg": [math.degrees(c.theta_f) for c in cones],
         "min_clearance_deg": min_clearance,
         "constraint_satisfied": constraint_ok,
-        "initial_error_deg": records[0].pointing_angle_deg,
-        "final_error_deg": records[-1].pointing_angle_deg,
+        "initial_error_deg": float(angle[0]),
+        "final_error_deg": float(angle[-1]),
         "settling_time_1deg_s": settling_time(records, 1.0),
         "terminal_window_start_s": terminal_start,
         "terminal_error_deg": terminal_err,
@@ -526,7 +571,7 @@ def summarize(scenario: "Scenario", sim: SimConfig,
         "envelope_contained": max_eps is None or max_eps < 1.0,
         "torque_saturation_fraction": safety.n_saturated / safety.n_samples,
         "max_torque_abs": safety.max_torque,
-        "max_quat_norm_error": max(r.quat_norm_error for r in records),
+        "max_quat_norm_error": float(records["quat_norm_error"].max()),
         "lyapunov_positive_fraction": lyap.fraction_positive,
         "targets": targets_dict,
         "targets_met": targets_met,
@@ -543,7 +588,7 @@ class LyapunovDiagnostics:
     max_rate: float
 
 
-def lyapunov_monitor(records: Sequence[TrajectoryRecord],
+def lyapunov_monitor(records: Trajectory,
                      skip_s: float = 1.0,
                      ball_deg: float = 1.0) -> LyapunovDiagnostics:
     """Finite-difference check that the tracking energy keeps descending.
@@ -553,44 +598,32 @@ def lyapunov_monitor(records: Sequence[TrajectoryRecord],
     positive rate of ``V_q + V_omega``.  Switching intervals are excluded:
     the freeze and avoidance modes trade potential for clearance by design.
     """
-    n_pos = 0
-    n_tot = 0
-    max_rate = -math.inf
-    for prev, cur in zip(records, records[1:]):
-        if prev.t < skip_s or prev.pointing_angle_deg < ball_deg:
-            continue
-        if prev.omega_s_eff > 1e-9 or cur.omega_s_eff > 1e-9:
-            continue
-        dv = (cur.v_q + cur.v_omega) - (prev.v_q + prev.v_omega)
-        rate = dv / (cur.t - prev.t)
-        n_tot += 1
-        if rate > 0.0:
-            n_pos += 1
-        if rate > max_rate:
-            max_rate = rate
+    t = records["t"]
+    angle = records["pointing_angle_deg"]
+    s = records["omega_s_eff"]
+    energy = records["v_q"] + records["v_omega"]
+    keep = (~(t[:-1] < skip_s) & ~(angle[:-1] < ball_deg)
+            & ~(s[:-1] > 1e-9) & ~(s[1:] > 1e-9))
+    rate = ((energy[1:] - energy[:-1]) / (t[1:] - t[:-1]))[keep]
+    n_tot = int(rate.size)
     if n_tot == 0:
         return LyapunovDiagnostics(0.0, 0, -math.inf)
-    return LyapunovDiagnostics(n_pos / n_tot, n_tot, max_rate)
+    n_pos = int(np.count_nonzero(rate > 0.0))
+    return LyapunovDiagnostics(n_pos / n_tot, n_tot, float(rate.max()))
 
 
-def write_trajectory_csv(records: Sequence[TrajectoryRecord], path) -> None:
+# rows formatted by one ``%`` operation in the CSV writer
+_CSV_CHUNK_ROWS = 256
+
+
+def write_trajectory_csv(records: Trajectory, path) -> None:
     """Write records as CSV with full double precision (17 significant digits)."""
-    n_obs = len(records[0].betas) if records else 0
-    cols = (["t", "x_e", "pointing_angle_deg"]
-            + [f"beta_{i + 1}" for i in range(n_obs)]
-            + ["rho", "eps", "omega_s_eff", "omega_v_eff",
-               "omega_x", "omega_y", "omega_z",
-               "torque_x", "torque_y", "torque_z",
-               "v_q", "v_omega", "td_error", "quat_norm_error"])
-    row = ",".join(["%.17g"] * len(cols)) + "\n"
+    row = ",".join(["%.17g"] * len(records.columns)) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(cols) + "\n")
-        fh.writelines(
-            row % (r.t, r.x_e, r.pointing_angle_deg, *r.betas,
-                   r.rho, r.eps, r.omega_s_eff, r.omega_v_eff,
-                   *r.omega, *r.torque,
-                   r.v_q, r.v_omega, r.td_error, r.quat_norm_error)
-            for r in records)
+        fh.write(",".join(records.columns) + "\n")
+        for i in range(0, len(records), _CSV_CHUNK_ROWS):
+            part = records.data[i:i + _CSV_CHUNK_ROWS]
+            fh.write(row * len(part) % tuple(part.ravel().tolist()))
 
 
 def write_summary_json(summary: dict, path) -> None:

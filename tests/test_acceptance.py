@@ -76,10 +76,11 @@ def half_step_run():
     return run_scenario(load_preset("paper-single-1").with_sim(dt=0.005))
 
 
-def record_at(records, t_want):
-    rec = min(records, key=lambda r: abs(r.t - t_want))
-    assert abs(rec.t - t_want) < 1e-9, f"no record at t={t_want}"
-    return rec
+def row_at(records, t_want):
+    """Index of the record logged at ``t_want``."""
+    i = int(np.argmin(np.abs(records["t"] - t_want)))
+    assert abs(records["t"][i] - t_want) < 1e-9, f"no record at t={t_want}"
+    return i
 
 
 def test_criterion_01_keep_out_clearance(preset_runs):
@@ -104,9 +105,10 @@ def test_criterion_01_keep_out_clearance(preset_runs):
 
 def test_criterion_02_performance_envelope(preset_runs):
     recs = preset_runs["paper-single-1"].records
-    err_50 = record_at(recs, 50.0).pointing_angle_deg
-    after_50 = max(r.pointing_angle_deg for r in recs if r.t >= 50.0)
-    tail = max(r.pointing_angle_deg for r in recs if r.t > 80.0)
+    t, angle = recs["t"], recs["pointing_angle_deg"]
+    err_50 = angle[row_at(recs, 50.0)]
+    after_50 = angle[t >= 50.0].max()
+    tail = angle[t > 80.0].max()
     ok = err_50 < 1.0 and after_50 < 1.0 and tail < 0.1
     check(2, "single-obstacle run settles under 1 deg by 50 s and under "
              "0.1 deg after 80 s", ok,
@@ -125,14 +127,14 @@ def test_criterion_03_comparison_ordering(preset_runs, benchmark_run):
 def test_criterion_04_funnel_shrink_oracle(preset_runs):
     run = preset_runs["paper-single-1"]
     env = load_preset("paper-single-1").envelope
-    assert all(r.omega_s_eff == 0.0 for r in run.records), \
+    assert np.all(run.records["omega_s_eff"] == 0.0), \
         "run must stay in shrink mode for the closed form to apply"
     worst = 0.0
     for t_want in (1.0, 10.0, 50.0):
-        rec = record_at(run.records, t_want)
+        rho = run.records["rho"][row_at(run.records, t_want)]
         want = env.rho_inf + (env.rho_0 - env.rho_inf) * math.exp(
             -env.k_rho * t_want)
-        worst = max(worst, abs(rec.rho - want))
+        worst = max(worst, abs(rho - want))
     ok = worst < 1e-8
     check(4, "integrated funnel radius matches the exponential closed form "
              "at t = 1, 10, 50 s within 1e-8", ok,
@@ -140,18 +142,19 @@ def test_criterion_04_funnel_shrink_oracle(preset_runs):
 
 
 def test_criterion_05_freeze_holds_ratio(preset_runs):
-    pairs = []
+    drifts = []
     for name in AVOIDANCE_PRESETS:
         recs = preset_runs[name].records
-        pairs += [(a, b) for a, b in zip(recs, recs[1:])
-                  if a.omega_s_eff == 1.0 and b.omega_s_eff == 1.0]
-    ok = len(pairs) > 0
-    drift = max((abs(b.eps - a.eps) / (b.t - a.t) for a, b in pairs),
-                default=math.inf)
+        t, eps, s = recs["t"], recs["eps"], recs["omega_s_eff"]
+        frozen = (s[:-1] == 1.0) & (s[1:] == 1.0)
+        drifts.append((np.abs(eps[1:] - eps[:-1]) / (t[1:] - t[:-1]))[frozen])
+    drifts = np.concatenate(drifts)
+    ok = drifts.size > 0
+    drift = float(drifts.max()) if ok else math.inf
     ok = ok and drift < 1e-6
     check(5, "normalized error is frozen while the envelope follows the "
              "error (drift < 1e-6 per second)", ok,
-          f"{len(pairs)} fully frozen steps, worst drift {drift:.2e} /s")
+          f"{drifts.size} fully frozen steps, worst drift {drift:.2e} /s")
 
 
 def test_criterion_06_repulsion_gradient():
@@ -194,9 +197,10 @@ def test_criterion_08_envelope_containment(preset_runs):
     worst, worst_name = 0.0, "(never tracking)"
     ok = True
     for name in PRESET_NAMES:
-        for rec in preset_runs[name].records:
-            if rec.omega_s_eff < 0.5 and abs(rec.eps) > worst:
-                worst, worst_name = abs(rec.eps), name
+        recs = preset_runs[name].records
+        tracking = np.abs(recs["eps"][recs["omega_s_eff"] < 0.5])
+        if tracking.size and tracking.max() > worst:
+            worst, worst_name = float(tracking.max()), name
     ok = worst < 1.0
     check(8, "normalized error stays inside the unit funnel whenever "
              "tracking dominates", ok,
@@ -209,10 +213,10 @@ def test_criterion_09_torque_saturation(preset_runs, benchmark_run):
     ok = True
     runs = [preset_runs[n] for n in PRESET_NAMES] + [benchmark_run]
     for run in runs:
-        for rec in run.records:
-            for c in rec.torque:
-                worst = max(worst, abs(c))
-                ok = ok and abs(c) <= limit
+        for axis in "xyz":
+            torque = np.abs(run.records[f"torque_{axis}"])
+            worst = max(worst, float(torque.max()))
+            ok = ok and bool(np.all(torque <= limit))
     check(9, "every commanded torque component is within the 0.5 N m "
              "actuator limit", ok, f"max |torque| {worst:.6f} N m")
 
@@ -220,10 +224,12 @@ def test_criterion_09_torque_saturation(preset_runs, benchmark_run):
 def test_criterion_10_numerical_hygiene(preset_runs, repeat_run,
                                         half_step_run):
     base = preset_runs["paper-single-1"]
-    identical = base.records == repeat_run.records
+    identical = (base.records.columns == repeat_run.records.columns
+                 and np.array_equal(base.records.data,
+                                    repeat_run.records.data))
     drift = max(preset_runs[n].summary["max_quat_norm_error"]
                 for n in PRESET_NAMES)
-    step_diff = abs(base.records[-1].x_e - half_step_run.records[-1].x_e)
+    step_diff = abs(base.records["x_e"][-1] - half_step_run.records["x_e"][-1])
     ok = identical and drift < 1e-9 and step_diff < 1e-6
     check(10, "repeat runs are bit-identical, quaternion drift < 1e-9, "
               "halving the step moves terminal error < 1e-6", ok,

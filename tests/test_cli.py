@@ -1,6 +1,7 @@
 """Command line behavior: outputs, overrides, and exit codes."""
 
 import json
+import math
 
 import pytest
 
@@ -87,6 +88,28 @@ class TestRun:
         code = main(["run", "--scenario", str(path), "--out", str(tmp_path)])
         assert code == 3
         assert "gain-ordering" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [("dt", math.nan),
+                                           ("duration", math.inf)])
+    def test_non_finite_sim_setting_exits_3(self, tmp_path, capsys, key,
+                                            value):
+        doc = valid_doc()
+        doc["sim"][key] = value  # written as the JSON literal NaN/Infinity
+        path = write_scenario(tmp_path, doc)
+        code = main(["run", "--scenario", str(path), "--out", str(tmp_path)])
+        assert code == 3
+        assert f"$.sim: {key} must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--duration", "inf", "duration must be finite"),
+        ("--dt", "nan", "dt must be finite"),
+        ("--dt", "0", "dt must be positive")])
+    def test_bad_sim_override_exits_3(self, tmp_path, capsys, flag, value,
+                                      message):
+        code = main(["run", "--preset", "paper-single-1", flag, value,
+                     "--out", str(tmp_path)])
+        assert code == 3
+        assert capsys.readouterr().err == f"error: paper-single-1: {message}\n"
 
     def test_missed_targets_exit_5(self, tmp_path, capsys):
         # 2 simulated seconds cannot settle, so declared targets are missed

@@ -131,9 +131,9 @@ class TestVirtualLaw:
         f_b = np.array([0.0, math.sin(0.5), math.cos(0.5)])
         cone = make_cone([0.0, 1.0, 0.0])
         obstacles = [(cone, f_b, float(np.dot(B, f_b)))]
-        v0 = virtual_law(B, r_b, obstacles, 0.3, 1.5, 0.0, cfg)
-        v1 = virtual_law(B, r_b, obstacles, 0.3, 1.5, 1.0, cfg)
-        vb = virtual_law(B, r_b, obstacles, 0.3, 1.5, 0.3, cfg)
+        v0 = np.asarray(virtual_law(B, r_b, obstacles, 0.3, 1.5, 0.0, cfg))
+        v1 = np.asarray(virtual_law(B, r_b, obstacles, 0.3, 1.5, 1.0, cfg))
+        vb = np.asarray(virtual_law(B, r_b, obstacles, 0.3, 1.5, 0.3, cfg))
         np.testing.assert_allclose(vb, 0.7 * v0 + 0.3 * v1, atol=1e-14)
 
     def test_alignment_singularity_is_regularized(self):
@@ -240,10 +240,12 @@ class TestTorqueLaw:
         cfg = make_cfg()
         e2 = np.array([3e-4, -1e-4, 0.0])
         r_b = np.array([1.0, 0.0, 0.0])
-        with_dm = torque_law(np.zeros(3), e2, 0.0, 1.0, B, r_b, [],
-                             0.0, 0.0, np.zeros(3), make_params(0.1), cfg)
-        without = torque_law(np.zeros(3), e2, 0.0, 1.0, B, r_b, [],
-                             0.0, 0.0, np.zeros(3), make_params(0.0), cfg)
+        with_dm = np.asarray(torque_law(np.zeros(3), e2, 0.0, 1.0, B, r_b, [],
+                                        0.0, 0.0, np.zeros(3),
+                                        make_params(0.1), cfg))
+        without = np.asarray(torque_law(np.zeros(3), e2, 0.0, 1.0, B, r_b, [],
+                                        0.0, 0.0, np.zeros(3),
+                                        make_params(0.0), cfg))
         want = -0.1 * np.tanh(e2 / cfg.eta)
         np.testing.assert_allclose(with_dm - without, want, atol=1e-15)
 
@@ -252,10 +254,12 @@ class TestTorqueLaw:
         params = make_params()
         r_b = np.array([math.sin(0.8), 0.0, math.cos(0.8)])
         eps, rho = 0.2, 2.0  # keeps the barrier torque below the clamp
-        u_active = torque_law(np.zeros(3), np.zeros(3), eps, rho, B, r_b, [],
-                              0.0, 0.0, np.zeros(3), params, cfg)
-        u_frozen = torque_law(np.zeros(3), np.zeros(3), eps, rho, B, r_b, [],
-                              1.0, 0.0, np.zeros(3), params, cfg)
+        u_active = np.asarray(torque_law(np.zeros(3), np.zeros(3), eps, rho,
+                                         B, r_b, [], 0.0, 0.0, np.zeros(3),
+                                         params, cfg))
+        u_frozen = np.asarray(torque_law(np.zeros(3), np.zeros(3), eps, rho,
+                                         B, r_b, [], 1.0, 0.0, np.zeros(3),
+                                         params, cfg))
         scale = cfg.g * math.tanh(eps / cfg.big_f) / rho
         want = -scale * np.cross(r_b, B)
         np.testing.assert_allclose(u_active - u_frozen, want, atol=1e-15)

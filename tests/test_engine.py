@@ -2,6 +2,7 @@
 
 import json
 import math
+from array import array
 
 import numpy as np
 import pytest
@@ -28,8 +29,9 @@ from slewguard.controller import (
 from slewguard.engine import (
     SimConfig,
     SimulationAbort,
-    TrajectoryRecord,
+    Trajectory,
     ValidationFailure,
+    _trajectory,
     coupled_rhs,
     disturbance_torque,
     lyapunov_monitor,
@@ -243,29 +245,33 @@ class TestRunScenario:
         assert s["max_quat_norm_error"] < 1e-12
         # obstacle stays far from the slew path in this preset
         assert s["min_clearance_deg"][0] > 80.0
-        assert all(r.omega_s_eff == 0.0 for r in res.records)
+        assert np.all(res.records["omega_s_eff"] == 0.0)
         # funnel follows the mode-1 shrink law the whole way
         env = sc.envelope
-        for rec in res.records:
+        for t, rho in zip(res.records["t"].tolist(),
+                          res.records["rho"].tolist()):
             want = env.rho_inf + (env.rho_0 - env.rho_inf) * math.exp(
-                -env.k_rho * rec.t)
-            assert rec.rho == pytest.approx(want, abs=1e-6)
+                -env.k_rho * t)
+            assert rho == pytest.approx(want, abs=1e-6)
 
     def test_record_layout(self):
         sc = load_preset("paper-single-1").with_sim(duration=1.05,
                                                     record_stride=10)
         res = run_scenario(sc)
-        ts = [r.t for r in res.records]
+        ts = res.records["t"].tolist()
         assert ts[:3] == [0.0, pytest.approx(0.1), pytest.approx(0.2)]
         assert ts[-1] == pytest.approx(1.05)
         assert len(ts) == 12
-        assert all(len(r.betas) == 1 for r in res.records)
+        assert res.records.data.shape == (12, len(res.records.columns))
+        assert [c for c in res.records.columns
+                if c.startswith("beta_")] == ["beta_1"]
 
     def test_bit_identical_repeats(self):
         sc = load_preset("paper-two-1").with_sim(duration=3.0)
         r1 = run_scenario(sc)
         r2 = run_scenario(sc)
-        assert r1.records == r2.records
+        assert r1.records.columns == r2.records.columns
+        assert np.array_equal(r1.records.data, r2.records.data)
         s1, s2 = dict(r1.summary), dict(r2.summary)
         s1.pop("wall_clock_s")
         s2.pop("wall_clock_s")
@@ -285,8 +291,8 @@ class TestRunScenario:
         rk = run_scenario(sc.with_sim(duration=5.0), force=True)
         eu = run_scenario(sc.with_sim(duration=5.0, dt=0.001,
                                       integrator="euler"), force=True)
-        assert rk.records[-1].x_e == pytest.approx(eu.records[-1].x_e,
-                                                   abs=2e-3)
+        assert rk.records["x_e"][-1] == pytest.approx(eu.records["x_e"][-1],
+                                                      abs=2e-3)
 
     def test_validation_failure_raises_unless_forced(self):
         sc = make_scenario(k1=0.05)  # violates gain ordering
@@ -306,22 +312,56 @@ class TestRunScenario:
         sc = load_preset("paper-single-1").with_sim(
             duration=2.0, controller_mode="benchmark_apf")
         res = run_scenario(sc)
-        assert all(r.omega_s_eff == 1.0 and r.omega_v_eff == 1.0
-                   for r in res.records)
+        assert np.all(res.records["omega_s_eff"] == 1.0)
+        assert np.all(res.records["omega_v_eff"] == 1.0)
         assert res.summary["controller_mode"] == "benchmark_apf"
         # the baseline has no funnel: the radius is a spectator, held fixed
-        assert all(r.rho == sc.envelope.rho_0 for r in res.records)
+        assert np.all(res.records["rho"] == sc.envelope.rho_0)
+
+
+ONE_CONE_COLUMNS = ("t", "x_e", "pointing_angle_deg", "beta_1", "rho", "eps",
+                    "omega_s_eff", "omega_v_eff",
+                    "omega_x", "omega_y", "omega_z",
+                    "torque_x", "torque_y", "torque_z",
+                    "v_q", "v_omega", "td_error", "quat_norm_error")
 
 
 def synthetic_records(values, omega_s=0.0):
-    recs = []
-    for k, v in enumerate(values):
-        recs.append(TrajectoryRecord(
-            t=float(k), x_e=0.5, pointing_angle_deg=60.0, betas=(0.1,),
-            rho=1.0, eps=0.5, omega_s_eff=omega_s, omega_v_eff=0.0,
-            omega=(0.0, 0.0, 0.0), torque=(0.0, 0.0, 0.0),
-            v_q=float(v), v_omega=0.0, td_error=0.0, quat_norm_error=0.0))
-    return recs
+    data = np.zeros((len(values), len(ONE_CONE_COLUMNS)))
+    fixed = {"t": np.arange(len(values)), "x_e": 0.5,
+             "pointing_angle_deg": 60.0, "beta_1": 0.1, "rho": 1.0,
+             "eps": 0.5, "omega_s_eff": omega_s, "v_q": values}
+    for name, value in fixed.items():
+        data[:, ONE_CONE_COLUMNS.index(name)] = value
+    return Trajectory(data, ONE_CONE_COLUMNS)
+
+
+class TestTrajectoryColumns:
+    @pytest.mark.parametrize("inertia", [np.diag([5.08, 5.14, 5.0]),
+                                         FULL_INERTIA])
+    def test_batch_columns_round_like_single_rows(self, inertia):
+        # v_omega and td_error are formed for all rows at once; each must
+        # equal numpy's result on that row alone, bit for bit
+        rng = np.random.default_rng(23)
+        n = 12_000
+        head = rng.normal(size=(n, 14))          # t .. v_q, no cones
+        qn = rng.uniform(0.0, 1e-15, size=n)
+        scale = 10.0 ** rng.uniform(-9.0, 1.0, size=(n, 1))
+        e2 = rng.normal(size=(n, 3)) * scale
+        x1 = rng.normal(size=(n, 3)) * scale
+        v = rng.normal(size=(n, 3)) * scale
+        log = array("d")
+        for h, q, e, a, b in zip(head.tolist(), qn.tolist(), e2.tolist(),
+                                 x1.tolist(), v.tolist()):
+            log.extend((*h, q, *e, a[0] - b[0], a[1] - b[1], a[2] - b[2]))
+        traj = _trajectory(log, 0, inertia)
+        want_v_omega = [0.5 * float(e @ (inertia @ e)) for e in e2]
+        want_td = [float(np.linalg.norm(a - b)) for a, b in zip(x1, v)]
+        assert np.array_equal(traj["v_omega"], want_v_omega)
+        assert np.array_equal(traj["td_error"], want_td)
+        assert np.array_equal(traj.data[:, :14], head)
+        assert np.array_equal(traj["quat_norm_error"], qn)
+        assert len(traj) == n
 
 
 class TestLyapunovMonitor:
@@ -362,11 +402,19 @@ class TestOutputs(object):
         data = np.genfromtxt(path, delimiter=",", names=True)
         assert data.dtype.names[:5] == ("t", "x_e", "pointing_angle_deg",
                                         "beta_1", "beta_2")
-        for i, rec in enumerate(res.records):
-            assert data["t"][i] == rec.t
-            assert data["x_e"][i] == rec.x_e  # 17 digits round-trips exactly
-            assert data["beta_2"][i] == rec.betas[1]
-            assert data["torque_y"][i] == rec.torque[1]
+        assert len(data) == len(res.records)
+        for name in res.records.columns:
+            # 17 digits round-trip exactly
+            assert np.array_equal(data[name], res.records[name]), name
+
+    def test_columns_are_the_csv_header(self, tmp_path):
+        for name in ("paper-single-1", "paper-three-1"):
+            res = run_scenario(load_preset(name).with_sim(duration=0.1))
+            path = tmp_path / f"{name}.csv"
+            write_trajectory_csv(res.records, path)
+            header = path.read_text().splitlines()[0]
+            assert tuple(header.split(",")) == res.records.columns
+        assert res.records.columns[3:6] == ("beta_1", "beta_2", "beta_3")
 
     def test_summary_json(self, tmp_path):
         sc = load_preset("paper-single-1").with_sim(duration=0.5)

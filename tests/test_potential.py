@@ -11,6 +11,7 @@ from slewguard.potential import (
     attraction,
     bridge,
     bridge_grad,
+    bridge_grad_max,
     repulsion,
     repulsion_grad_beta,
     total_potential,
@@ -66,6 +67,22 @@ class TestBridge:
                   - bridge(self.shape, beta - h, 2.0)) / (2.0 * h)
             got = bridge_grad(self.shape, beta, 2.0)
             assert got == pytest.approx(fd, rel=1e-6, abs=1e-9)
+
+    def test_grad_max_equals_scalar_grid_max(self):
+        # gentle and sharp bridges, from nearly flat to saturated; on a few
+        # of these a plain numpy maximum is off in the last bit (np.exp)
+        rng = np.random.default_rng(4)
+        for _ in range(200):
+            lo, mid, hi = np.sort(rng.uniform(-0.9, 0.999, size=3)).tolist()
+            shape = BridgeShape(lo=lo, hi=hi, mid=mid,
+                                steepness=10.0 ** rng.uniform(-2.0, 2.0))
+            scale = 10.0 ** rng.uniform(-2.0, 1.0)
+            grid = np.linspace(lo, hi, 2001).tolist()
+            want = max(bridge_grad(shape, b, scale) for b in grid)
+            assert bridge_grad_max(shape, scale, 2001) == want
+
+    def test_grad_max_of_a_grid_without_interior_points(self):
+        assert bridge_grad_max(self.shape, 1.0, 2) == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from slewguard.controller import validate_config
+from slewguard.engine import SimConfig
 from slewguard.scenario import (
     PRESET_NAMES,
     ScenarioError,
@@ -136,6 +137,26 @@ class TestSchema:
         with pytest.raises(ScenarioError) as err:
             scenario_from_dict(doc)
         assert any("$.sim" in e for e in err.value.errors)
+
+    @pytest.mark.parametrize("key,value", [("dt", math.nan),
+                                           ("duration", math.inf),
+                                           ("dt", -math.inf)])
+    def test_non_finite_sim_settings_rejected(self, key, value):
+        doc = valid_doc()
+        doc["sim"][key] = value
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict(doc)
+        assert f"$.sim: {key} must be finite" in err.value.errors
+
+    @pytest.mark.parametrize("key", ["dt", "duration", "record_stride"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_sim_config_rejects_non_finite(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            SimConfig(**{key: value})
+
+    def test_sim_config_rejects_a_step_count_that_overflows(self):
+        with pytest.raises(ValueError, match="duration / dt must be finite"):
+            SimConfig(dt=1e-300, duration=1e10)
 
     def test_fractional_record_stride_rejected(self):
         doc = valid_doc()
