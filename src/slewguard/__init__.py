@@ -43,6 +43,7 @@ from .controller import (
     ControllerConfig,
     TdState,
     ValidationReport,
+    apf_vector,
     benchmark_apf_law,
     min_sin_theta_d,
     td_rhs,

@@ -9,11 +9,13 @@ derivative for the feedforward term.  The inner loop is a saturated torque
 law over the rate error ``e2 = omega - v`` with gyroscopic cancellation and
 a tanh disturbance compensator.
 
-Obstacle arguments are sequences of ``(cone, axis_body, beta)`` triples:
-the cone definition, its axis resolved in body axes, and the cosine between
-the boresight and that axis.  The laws return float triples: the closed
-loop calls them in every integrator stage, where building a numpy 3-vector
-costs more than the arithmetic behind it.
+The closed loop calls both laws in every integrator stage, so they take
+the terms they share as float triples and scalars that the stage computes
+once (see :mod:`slewguard.engine`): the error-rate direction ``r_b x B_b``,
+the potential descent direction P1 from :func:`apf_vector`, the pointing
+error ``x_e`` and ``J omega``.  P1 is needed only while ``omega_v > 0``;
+otherwise the caller passes zeros.  The laws return float triples, since a
+numpy 3-vector costs more there than the arithmetic behind it.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ __all__ = [
     "ValidationIssue",
     "ValidationReport",
     "min_sin_theta_d",
+    "apf_vector",
     "virtual_law",
     "td_rhs",
     "td_step",
@@ -46,6 +49,8 @@ __all__ = [
 # kicked with a fixed torque so the slew cannot stall exactly upside down.
 ANTIPODAL_THRESHOLD = 2.0 - 1e-6
 ANTIPODAL_NUDGE_FRACTION = 0.1
+
+_tanh = math.tanh
 
 
 @dataclass(frozen=True)
@@ -121,30 +126,33 @@ def min_sin_theta_d(theta_df: float, p0: float, p1: float) -> float:
     return min(math.sin(lo), math.sin(hi))
 
 
-def _apf_vector(bx: float, by: float, bz: float,
-                rx: float, ry: float, rz: float,
-                obstacles: Sequence[tuple[ObstacleCone, np.ndarray, float]],
-                k_a: float) -> tuple[float, float, float]:
+def apf_vector(boresight_body: tuple[float, float, float],
+               r_cross_b: tuple[float, float, float],
+               obstacles: Sequence[tuple[ObstacleCone, tuple, float]],
+               k_a: float) -> tuple[float, float, float]:
     """Potential gradient direction P1 with U_dot = dot(P1, omega).
 
-    P1 = k_a * (r_b x B_b) - sum_i dU_i/dbeta * (f_bi x B_b).
+    P1 = k_a * (r_b x B_b) - sum_i dU_i/dbeta * (f_bi x B_b), from the
+    boresight ``B_b``, the error-rate direction ``r_b x B_b`` and
+    ``(cone, f_bi, beta_i)`` triples with the cone axes in body axes.
     """
-    px = k_a * (ry * bz - rz * by)
-    py = k_a * (rz * bx - rx * bz)
-    pz = k_a * (rx * by - ry * bx)
-    for cone, f_b, beta in obstacles:
+    bx, by, bz = boresight_body
+    tx, ty, tz = r_cross_b
+    px = k_a * tx
+    py = k_a * ty
+    pz = k_a * tz
+    for cone, (fx, fy, fz), beta in obstacles:
         grad = repulsion_grad_beta(cone, beta)
         if grad == 0.0:
             continue
-        fx, fy, fz = float(f_b[0]), float(f_b[1]), float(f_b[2])
         px -= grad * (fy * bz - fz * by)
         py -= grad * (fz * bx - fx * bz)
         pz -= grad * (fx * by - fy * bx)
     return px, py, pz
 
 
-def virtual_law(boresight_body: np.ndarray, target_body: np.ndarray,
-                obstacles: Sequence[tuple[ObstacleCone, np.ndarray, float]],
+def virtual_law(r_cross_b: tuple[float, float, float],
+                p1: tuple[float, float, float],
                 eps: float, rho: float, omega_v_eff: float,
                 cfg: ControllerConfig) -> tuple[float, float, float]:
     """Commanded body rate blending the tracking and avoidance branches.
@@ -153,20 +161,22 @@ def virtual_law(boresight_body: np.ndarray, target_body: np.ndarray,
     drive the funnel error down at rate ``k1``; the avoidance branch descends
     the total potential along ``-P1``.  Both inverses are regularized by
     ``sigma`` so the command stays finite through alignment singularities.
+
+    With ``omega_v_eff = 1`` this is the avoidance branch alone, the command
+    of the potential-field-only baseline.  Its magnitude grows like
+    ``k_p / |P1|`` as the field gradient vanishes near the goal, so the rate
+    loop cannot track it there and the baseline hunts around the target
+    instead of parking; the switched controller avoids that by fading the
+    branch out away from the cones.
     """
-    bx, by, bz = float(boresight_body[0]), float(boresight_body[1]), float(boresight_body[2])
-    rx, ry, rz = float(target_body[0]), float(target_body[1]), float(target_body[2])
-    tx = ry * bz - rz * by
-    ty = rz * bx - rx * bz
-    tz = rx * by - ry * bx
+    tx, ty, tz = r_cross_b
+    px, py, pz = p1
     track_scale = 0.0
     if omega_v_eff < 1.0:
         track_scale = (-cfg.k1 * rho * eps * (1.0 - omega_v_eff)
                        / (tx * tx + ty * ty + tz * tz + cfg.sigma))
     avoid_scale = 0.0
-    px = py = pz = 0.0
     if omega_v_eff > 0.0:
-        px, py, pz = _apf_vector(bx, by, bz, rx, ry, rz, obstacles, cfg.k_a)
         avoid_scale = (-cfg.k_p * omega_v_eff
                        / (px * px + py * py + pz * pz + cfg.sigma))
     return (tx * track_scale + px * avoid_scale,
@@ -206,18 +216,15 @@ def td_step(state: TdState, command: np.ndarray, dt: float,
                    y2 + (dt / 6.0) * (k1b + 2 * k2b + 2 * k3b + k4b))
 
 
-def _clamp(v: float, limit: float) -> float:
-    if v > limit:
-        return limit
-    if v < -limit:
-        return -limit
-    return v
-
-
-def torque_law(omega: np.ndarray, e2: np.ndarray, eps: float, rho: float,
-               boresight_body: np.ndarray, target_body: np.ndarray,
-               obstacles: Sequence[tuple[ObstacleCone, np.ndarray, float]],
-               omega_s_eff: float, omega_v_eff: float, sd_dot: np.ndarray,
+def torque_law(omega: tuple[float, float, float],
+               j_omega: tuple[float, float, float],
+               e2: tuple[float, float, float],
+               sd_dot: tuple[float, float, float],
+               eps: float, rho: float, x_e: float,
+               r_cross_b: tuple[float, float, float],
+               p1: tuple[float, float, float],
+               omega_s_eff: float, omega_v_eff: float,
+               boresight_body: tuple[float, float, float],
                params: SpacecraftParams,
                cfg: ControllerConfig) -> tuple[float, float, float]:
     """Saturated control torque of the inner rate loop.
@@ -227,15 +234,16 @@ def torque_law(omega: np.ndarray, e2: np.ndarray, eps: float, rho: float,
     differentiator feedforward, the funnel barrier reaction (faded out by
     ``omega_s``), and the potential descent direction (faded in by
     ``omega_v``).  Each component is clamped to the actuator limit.
+    ``j_omega`` is ``J omega``, ``sd_dot`` the differentiator's command rate
+    and ``x_e`` the pointing error, which picks out the antipodal case.
     """
-    bx, by, bz = float(boresight_body[0]), float(boresight_body[1]), float(boresight_body[2])
-    rx, ry, rz = float(target_body[0]), float(target_body[1]), float(target_body[2])
-    wx, wy, wz = float(omega[0]), float(omega[1]), float(omega[2])
-    sx, sy, sz = float(sd_dot[0]), float(sd_dot[1]), float(sd_dot[2])
+    tx, ty, tz = r_cross_b
+    px, py, pz = p1
+    wx, wy, wz = omega
+    jwx, jwy, jwz = j_omega
+    sx, sy, sz = sd_dot
+    ex, ey, ez = e2
     (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = params.inertia_rows
-    jwx = j00 * wx + j01 * wy + j02 * wz
-    jwy = j10 * wx + j11 * wy + j12 * wz
-    jwz = j20 * wx + j21 * wy + j22 * wz
     d_m = params.disturbance_bound
     k_w = cfg.k_omega
     eta = cfg.eta
@@ -243,40 +251,41 @@ def torque_law(omega: np.ndarray, e2: np.ndarray, eps: float, rho: float,
     # barrier reaction along r_b x B_b, active only while tracking
     barrier = 0.0
     if omega_s_eff < 1.0:
-        barrier = (cfg.g * math.tanh(eps / cfg.big_f) / rho) * (1.0 - omega_s_eff)
-    tx = ry * bz - rz * by
-    ty = rz * bx - rx * bz
-    tz = rx * by - ry * bx
-
-    px = py = pz = 0.0
-    if omega_v_eff > 0.0:
-        px, py, pz = _apf_vector(bx, by, bz, rx, ry, rz, obstacles, cfg.k_a)
+        barrier = (cfg.g * _tanh(eps / cfg.big_f) / rho) * (1.0 - omega_s_eff)
 
     # gyroscopic term, feedback, compensator, feedforward J*sd_dot, barrier
     # and potential descent, summed in that order per axis
-    ex, ey, ez = float(e2[0]), float(e2[1]), float(e2[2])
-    u = [(wy * jwz - wz * jwy) - k_w * ex - d_m * math.tanh(ex / eta)
-         + (j00 * sx + j01 * sy + j02 * sz) - barrier * tx - omega_v_eff * px,
-         (wz * jwx - wx * jwz) - k_w * ey - d_m * math.tanh(ey / eta)
-         + (j10 * sx + j11 * sy + j12 * sz) - barrier * ty - omega_v_eff * py,
-         (wx * jwy - wy * jwx) - k_w * ez - d_m * math.tanh(ez / eta)
-         + (j20 * sx + j21 * sy + j22 * sz) - barrier * tz - omega_v_eff * pz]
+    ux = ((wy * jwz - wz * jwy) - k_w * ex - d_m * _tanh(ex / eta)
+          + (j00 * sx + j01 * sy + j02 * sz) - barrier * tx - omega_v_eff * px)
+    uy = ((wz * jwx - wx * jwz) - k_w * ey - d_m * _tanh(ey / eta)
+          + (j10 * sx + j11 * sy + j12 * sz) - barrier * ty - omega_v_eff * py)
+    uz = ((wx * jwy - wy * jwx) - k_w * ez - d_m * _tanh(ez / eta)
+          + (j20 * sx + j21 * sy + j22 * sz) - barrier * tz - omega_v_eff * pz)
 
-    x_e = 1.0 - (bx * rx + by * ry + bz * rz)
+    limit = params.torque_limit
     if x_e > ANTIPODAL_THRESHOLD:
         # kick off the antipodal equilibrium along the axis most orthogonal
         # to the boresight, deterministically
+        bx, by, bz = boresight_body
         mags = (abs(bx), abs(by), abs(bz))
-        u[mags.index(min(mags))] += ANTIPODAL_NUDGE_FRACTION * params.torque_limit
+        u = [ux, uy, uz]
+        u[mags.index(min(mags))] += ANTIPODAL_NUDGE_FRACTION * limit
+        ux, uy, uz = u
 
-    limit = params.torque_limit
-    return _clamp(u[0], limit), _clamp(u[1], limit), _clamp(u[2], limit)
+    # clamp each component to the actuator limit; NaN passes through
+    return (limit if ux > limit else -limit if ux < -limit else ux,
+            limit if uy > limit else -limit if uy < -limit else uy,
+            limit if uz > limit else -limit if uz < -limit else uz)
 
 
-def benchmark_apf_law(omega: np.ndarray, e2: np.ndarray,
-                      boresight_body: np.ndarray, target_body: np.ndarray,
-                      obstacles: Sequence[tuple[ObstacleCone, np.ndarray, float]],
-                      sd_dot: np.ndarray, params: SpacecraftParams,
+def benchmark_apf_law(omega: tuple[float, float, float],
+                      j_omega: tuple[float, float, float],
+                      e2: tuple[float, float, float],
+                      sd_dot: tuple[float, float, float], x_e: float,
+                      r_cross_b: tuple[float, float, float],
+                      p1: tuple[float, float, float],
+                      boresight_body: tuple[float, float, float],
+                      params: SpacecraftParams,
                       cfg: ControllerConfig) -> tuple[float, float, float]:
     """Torque of the potential-field-only baseline.
 
@@ -285,24 +294,8 @@ def benchmark_apf_law(omega: np.ndarray, e2: np.ndarray,
     reaction is absent, which is the switch configuration omega_s = 1,
     omega_v = 1 held for all time.
     """
-    return torque_law(omega, e2, 0.0, 1.0, boresight_body, target_body,
-                      obstacles, 1.0, 1.0, sd_dot, params, cfg)
-
-
-def benchmark_virtual_law(boresight_body: np.ndarray, target_body: np.ndarray,
-                          obstacles: Sequence[tuple[ObstacleCone, np.ndarray, float]],
-                          cfg: ControllerConfig) -> tuple[float, float, float]:
-    """Commanded rate of the baseline: the avoidance branch held on.
-
-    The normalized descent command grows like ``k_p / |P1|`` as the field
-    gradient vanishes near the goal, so the rate loop cannot track it there
-    and the baseline hunts around the target instead of parking.  That lost
-    accuracy is the behavior the baseline exists to demonstrate; the
-    switched controller avoids it by fading this branch out away from the
-    cones.
-    """
-    return virtual_law(boresight_body, target_body, obstacles,
-                       0.0, 1.0, 1.0, cfg)
+    return torque_law(omega, j_omega, e2, sd_dot, 0.0, 1.0, x_e, r_cross_b,
+                      p1, 1.0, 1.0, boresight_body, params, cfg)
 
 
 @dataclass(frozen=True)

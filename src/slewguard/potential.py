@@ -58,8 +58,9 @@ class BridgeShape:
     def __post_init__(self):
         if not (self.lo < self.mid < self.hi):
             raise ValueError("bridge knots must satisfy lo < mid < hi")
-        if self.steepness <= 0.0:
-            raise ValueError("bridge steepness must be positive")
+        if not 0.0 < self.steepness < math.inf:
+            raise ValueError(f"bridge steepness must be positive and finite, "
+                             f"got {self.steepness!r}")
 
 
 def bridge(shape: BridgeShape, beta: float, scale: float = 1.0) -> float:
@@ -101,7 +102,8 @@ def bridge_grad_max(shape: BridgeShape, scale: float, n: int) -> float:
     few ulps, far less than 1e-12 relative.  So the points within a relative
     1e-12 of the array maximum are evaluated again with the scalar function
     and the largest of those is returned: the value of the scalar maximum
-    over the grid, bit for bit, at a fraction of its cost.
+    over the grid, bit for bit, at a fraction of its cost.  A slope that
+    overflows double precision anywhere on the grid gives ``inf``.
     """
     grid = np.linspace(shape.lo, shape.hi, n)
     beta = grid[~(grid < shape.lo + _KNOT_GUARD)
@@ -110,12 +112,17 @@ def bridge_grad_max(shape: BridgeShape, scale: float, n: int) -> float:
         return 0.0
     d = (beta - shape.lo) * (shape.hi - beta)
     root = np.sqrt(d)
-    arg = shape.steepness * (beta - shape.mid) / root
-    darg = shape.steepness * (d - 0.5 * (beta - shape.mid)
-                              * (shape.lo + shape.hi - 2.0 * beta)) / (d * root)
-    e = np.exp(-np.abs(arg))
-    sech = 2.0 * e / (1.0 + e * e)
-    grad = 0.5 * scale * sech * sech * darg
+    with np.errstate(over="ignore", invalid="ignore"):
+        arg = shape.steepness * (beta - shape.mid) / root
+        darg = shape.steepness * (d - 0.5 * (beta - shape.mid)
+                                  * (shape.lo + shape.hi - 2.0 * beta)) / (d * root)
+        e = np.exp(-np.abs(arg))
+        sech = 2.0 * e / (1.0 + e * e)
+        grad = 0.5 * scale * sech * sech * darg
+    if not np.isfinite(grad).all():
+        # a steep enough bridge overflows its slope (inf, or 0 * inf = nan
+        # next to the knots), and the scalar form does the same
+        return math.inf
     near = beta[grad >= grad.max() * (1.0 - 1e-12)]
     return max(bridge_grad(shape, b, scale) for b in near.tolist())
 

@@ -165,6 +165,18 @@ class Scenario:
 # schema walking helpers: every failure names the offending field path
 # ---------------------------------------------------------------------------
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_finite_number(v) -> bool:
+    """A JSON number, not a bool, that a finite double can hold."""
+    try:
+        return _is_number(v) and math.isfinite(v)
+    except OverflowError:  # an integer beyond the double range
+        return False
+
+
 def _as_number(errors, data, path, key, required=True, default=None):
     if key not in data:
         if required:
@@ -173,8 +185,11 @@ def _as_number(errors, data, path, key, required=True, default=None):
     v = data[key]
     if v is None and not required:
         return default
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
+    if not _is_number(v):
         errors.append(f"{path}.{key}: expected a number, got {type(v).__name__}")
+        return default
+    if not _is_finite_number(v):
+        errors.append(f"{path}.{key}: expected a finite number")
         return default
     return float(v)
 
@@ -185,12 +200,13 @@ def _as_vec(errors, data, path, key, n, required=True):
             errors.append(f"{path}.{key}: missing required {n}-vector")
         return None
     v = data[key]
-    if (not isinstance(v, list) or len(v) != n
-            or any(isinstance(x, bool) or not isinstance(x, (int, float))
-                   for x in v)):
+    if not isinstance(v, list) or len(v) != n or not all(map(_is_number, v)):
         errors.append(f"{path}.{key}: expected a list of {n} numbers")
         return None
-    return [float(x) for x in v]
+    bad = [i for i, x in enumerate(v) if not _is_finite_number(x)]
+    for i in bad:
+        errors.append(f"{path}.{key}[{i}]: expected a finite number")
+    return None if bad else [float(x) for x in v]
 
 
 def _as_dict(errors, data, path, key, required=True):
@@ -249,7 +265,15 @@ def scenario_from_dict(data: Any, default_name: str = "scenario") -> Scenario:
             rows = sc.get("inertia")
             if (isinstance(rows, list) and len(rows) == 3
                     and all(isinstance(r, list) and len(r) == 3 for r in rows)):
-                inertia = np.array(rows, dtype=float)
+                ok = True
+                for i, row in enumerate(rows):
+                    for j, x in enumerate(row):
+                        if not _is_finite_number(x):
+                            errors.append(f"$.spacecraft.inertia[{i}][{j}]: "
+                                          "expected a finite number")
+                            ok = False
+                if ok:
+                    inertia = np.array(rows, dtype=float)
             else:
                 errors.append("$.spacecraft.inertia: expected a 3x3 matrix "
                               "(or use inertia_diag)")

@@ -100,6 +100,45 @@ class TestRun:
         assert code == 3
         assert f"$.sim: {key} must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section,key,value,message", [
+        ("controller", "k_p", math.nan,
+         "$.controller.k_p: expected a finite number"),
+        ("spacecraft", "torque_limit", math.inf,
+         "$.spacecraft.torque_limit: expected a finite number"),
+        ("switching", "m", math.nan, "$.switching.m: expected a finite number"),
+        ("initial", "omega", [math.nan, 0.0, 0.0],
+         "$.initial.omega[0]: expected a finite number"),
+        ("spacecraft", "inertia_diag", [math.inf, 5.0, 5.0],
+         "$.spacecraft.inertia_diag[0]: expected a finite number")])
+    def test_non_finite_scenario_number_exits_3(self, tmp_path, capsys,
+                                                section, key, value, message):
+        doc = valid_doc()
+        doc[section][key] = value  # written as the JSON literal NaN/Infinity
+        path = write_scenario(tmp_path, doc)
+        code = main(["run", "--scenario", str(path), "--out", str(tmp_path)])
+        assert code == 3
+        assert message in capsys.readouterr().err
+
+    def test_inertia_matrix_with_a_string_entry_exits_3(self, tmp_path, capsys):
+        doc = valid_doc()
+        del doc["spacecraft"]["inertia_diag"]
+        doc["spacecraft"]["inertia"] = [["5.08", 0, 0], [0, 5.14, 0],
+                                        [0, 0, 5.0]]
+        path = write_scenario(tmp_path, doc)
+        code = main(["run", "--scenario", str(path), "--out", str(tmp_path)])
+        assert code == 3
+        assert ("$.spacecraft.inertia[0][0]: expected a finite number"
+                in capsys.readouterr().err)
+
+    def test_bridge_steepness_overflow_exits_3(self, tmp_path, capsys):
+        doc = valid_doc()
+        doc["obstacles"][0].update(r_slope=1e308, k_r=1e-3)
+        path = write_scenario(tmp_path, doc)
+        code = main(["run", "--scenario", str(path), "--out", str(tmp_path)])
+        assert code == 3
+        assert ("$.obstacles[0]: bridge steepness must be positive and finite"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("flag,value,message", [
         ("--duration", "inf", "duration must be finite"),
         ("--dt", "nan", "dt must be finite"),

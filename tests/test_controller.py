@@ -9,8 +9,8 @@ from slewguard.attitude import BodyState, SpacecraftParams, UnitQuaternion
 from slewguard.controller import (
     ControllerConfig,
     TdState,
+    apf_vector,
     benchmark_apf_law,
-    benchmark_virtual_law,
     min_sin_theta_d,
     td_rhs,
     td_step,
@@ -19,7 +19,11 @@ from slewguard.controller import (
     virtual_law,
 )
 from slewguard.envelope import EnvelopeConfig, SwitchConfig
-from slewguard.potential import ObstacleCone, total_potential
+from slewguard.potential import (
+    ObstacleCone,
+    repulsion_grad_beta,
+    total_potential,
+)
 
 
 def make_cfg(**over):
@@ -43,6 +47,36 @@ def make_cone(axis, k_r=1.0, theta_0_deg=36.0, theta_1_deg=27.0):
 
 
 B = np.array([0.0, 0.0, 1.0])
+B_T = (0.0, 0.0, 1.0)
+
+
+def stage_terms(r_b, obstacles, cfg, boresight=B):
+    """The shared law terms r_b x B and P1 of a stage, from vectors."""
+    r_cross_b = tuple(np.cross(r_b, boresight).tolist())
+    p1 = apf_vector(tuple(boresight.tolist()), r_cross_b, obstacles, cfg.k_a)
+    return r_cross_b, p1
+
+
+def virtual(r_b, obstacles, eps, rho, omega_v_eff, cfg):
+    """virtual_law at a body-frame target direction and cone triples."""
+    r_cross_b, p1 = stage_terms(r_b, obstacles, cfg)
+    if not omega_v_eff > 0.0:
+        p1 = (0.0, 0.0, 0.0)
+    return virtual_law(r_cross_b, p1, eps, rho, omega_v_eff, cfg)
+
+
+def torque(w, e2, eps, rho, boresight, r_b, obstacles, omega_s_eff,
+           omega_v_eff, sd_dot, params, cfg):
+    """torque_law with its stage terms formed from vectors."""
+    r_cross_b, p1 = stage_terms(r_b, obstacles, cfg, boresight)
+    if not omega_v_eff > 0.0:
+        p1 = (0.0, 0.0, 0.0)
+    jw = tuple((params.inertia @ np.asarray(w, dtype=float)).tolist())
+    x_e = 1.0 - float(np.dot(boresight, r_b))
+    return torque_law(tuple(map(float, w)), jw, tuple(map(float, e2)),
+                      tuple(map(float, sd_dot)), eps, rho, x_e, r_cross_b, p1,
+                      omega_s_eff, omega_v_eff, tuple(boresight.tolist()),
+                      params, cfg)
 
 
 class TestMinSinThetaD:
@@ -75,7 +109,7 @@ class TestVirtualLaw:
         cfg = make_cfg(sigma=1e-12)
         r_b = np.array([1.0, 0.0, 0.0])
         eps, rho = 0.5, 2.0
-        v = virtual_law(B, r_b, [], eps, rho, 0.0, cfg)
+        v = virtual(r_b, [], eps, rho, 0.0, cfg)
         # r x B = (0, -1, 0); v = -k1 rho eps (r x B) / (1 + sigma)
         want = np.array([0.0, cfg.k1 * rho * eps, 0.0])
         np.testing.assert_allclose(v, want, rtol=1e-9)
@@ -90,7 +124,7 @@ class TestVirtualLaw:
             if x_e < 1e-6:
                 continue
             rho = x_e / 0.5  # eps = 0.5
-            v = virtual_law(B, r_b, [], 0.5, rho, 0.0, cfg)
+            v = virtual(r_b, [], 0.5, rho, 0.0, cfg)
             x_e_dot = float(np.dot(np.cross(r_b, B), v))
             assert x_e_dot <= 1e-12
 
@@ -110,7 +144,7 @@ class TestVirtualLaw:
             if not (cone.shape.lo + 0.005 < beta < cone.shape.hi - 0.005):
                 continue
             obstacles = [(cone, f_b, beta)]
-            v = virtual_law(B, r_b, obstacles, 0.0, 1.0, 1.0, cfg)
+            v = virtual(r_b, obstacles, 0.0, 1.0, 1.0, cfg)
             if np.linalg.norm(v) < 1e-6:
                 continue
             h = 1e-6
@@ -131,31 +165,83 @@ class TestVirtualLaw:
         f_b = np.array([0.0, math.sin(0.5), math.cos(0.5)])
         cone = make_cone([0.0, 1.0, 0.0])
         obstacles = [(cone, f_b, float(np.dot(B, f_b)))]
-        v0 = np.asarray(virtual_law(B, r_b, obstacles, 0.3, 1.5, 0.0, cfg))
-        v1 = np.asarray(virtual_law(B, r_b, obstacles, 0.3, 1.5, 1.0, cfg))
-        vb = np.asarray(virtual_law(B, r_b, obstacles, 0.3, 1.5, 0.3, cfg))
+        v0 = np.asarray(virtual(r_b, obstacles, 0.3, 1.5, 0.0, cfg))
+        v1 = np.asarray(virtual(r_b, obstacles, 0.3, 1.5, 1.0, cfg))
+        vb = np.asarray(virtual(r_b, obstacles, 0.3, 1.5, 0.3, cfg))
         np.testing.assert_allclose(vb, 0.7 * v0 + 0.3 * v1, atol=1e-14)
 
     def test_alignment_singularity_is_regularized(self):
         cfg = make_cfg()
-        v = virtual_law(B, B.copy(), [], 0.0, 1.0, 0.0, cfg)
+        v = virtual(B.copy(), [], 0.0, 1.0, 0.0, cfg)
         np.testing.assert_allclose(v, np.zeros(3), atol=1e-15)
-        v = virtual_law(B, -B, [], 2.0 / 3.0, 3.0, 0.0, cfg)
+        v = virtual(-B, [], 2.0 / 3.0, 3.0, 0.0, cfg)
         assert np.all(np.isfinite(v))
         np.testing.assert_allclose(v, np.zeros(3), atol=1e-12)
 
     def test_benchmark_is_pure_avoidance_branch(self):
         cfg = make_cfg()
         r_b = np.array([0.6, 0.0, 0.8])
-        got = benchmark_virtual_law(B, r_b, [], cfg)
-        want = virtual_law(B, r_b, [], 123.0, 7.0, 1.0, cfg)
+        # the baseline's command, omega_v = 1, ignores eps and rho
+        got = virtual(r_b, [], 0.0, 1.0, 1.0, cfg)
+        want = virtual(r_b, [], 123.0, 7.0, 1.0, cfg)
         np.testing.assert_allclose(got, want, atol=1e-15)
         # the command magnitude grows as the gradient shrinks: this branch
         # cannot park at the goal, which is what the baseline demonstrates
         near = np.array([math.sin(1e-3), 0.0, math.cos(1e-3)])
         far = np.array([math.sin(0.5), 0.0, math.cos(0.5)])
-        assert (np.linalg.norm(benchmark_virtual_law(B, near, [], cfg))
-                > np.linalg.norm(benchmark_virtual_law(B, far, [], cfg)))
+        assert (np.linalg.norm(virtual(near, [], 0.0, 1.0, 1.0, cfg))
+                > np.linalg.norm(virtual(far, [], 0.0, 1.0, 1.0, cfg)))
+
+
+class TestApfVector:
+    def sample(self, rng, cfg):
+        """A random target direction and two cones, each inside its bridge."""
+        r_b = rng.normal(size=3)
+        r_b /= np.linalg.norm(r_b)
+        obstacles = []
+        while len(obstacles) < 2:
+            f_b = rng.normal(size=3)
+            f_b /= np.linalg.norm(f_b)
+            cone = make_cone([0.0, 1.0, 0.0])  # axis field unused here
+            beta = float(np.dot(B, f_b))
+            if cone.shape.lo + 0.005 < beta < cone.shape.hi - 0.005:
+                obstacles.append((cone, f_b, beta))
+        return r_b, obstacles
+
+    def test_matches_gradient_formula(self):
+        cfg = make_cfg()
+        rng = np.random.default_rng(5)
+        for _ in range(30):
+            r_b, obstacles = self.sample(rng, cfg)
+            want = cfg.k_a * np.cross(r_b, B)
+            for cone, f_b, beta in obstacles:
+                want = want - repulsion_grad_beta(cone, beta) * np.cross(f_b, B)
+            got = apf_vector(B_T, tuple(np.cross(r_b, B).tolist()), obstacles,
+                             cfg.k_a)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+
+    def test_is_the_rate_of_the_total_potential(self):
+        # U_dot = P1 . omega, against a central difference along a rotation
+        cfg = make_cfg()
+        rng = np.random.default_rng(6)
+        for _ in range(20):
+            r_b, obstacles = self.sample(rng, cfg)
+            w = rng.normal(size=3) * 0.1
+            h = 1e-6
+
+            def potential(s):
+                # body-frame vectors evolve as x_dot = -w x x
+                r = r_b - s * np.cross(w, r_b)
+                cones = [(c, float(np.dot(B, f - s * np.cross(w, f))))
+                         for c, f, _ in obstacles]
+                return total_potential(1.0 - float(np.dot(B, r)), cfg.k_a,
+                                       cones)
+
+            rate = (potential(h) - potential(-h)) / (2.0 * h)
+            p1 = apf_vector(B_T, tuple(np.cross(r_b, B).tolist()), obstacles,
+                            cfg.k_a)
+            assert float(np.dot(p1, w)) == pytest.approx(rate, rel=1e-5,
+                                                         abs=1e-9)
 
 
 class TestTrackingDifferentiator:
@@ -213,7 +299,7 @@ class TestTorqueLaw:
     def test_zero_at_equilibrium(self):
         cfg = make_cfg()
         params = make_params()
-        u = torque_law(np.zeros(3), np.zeros(3), 0.0, 1.0, B, B.copy(), [],
+        u = torque(np.zeros(3), np.zeros(3), 0.0, 1.0, B, B.copy(), [],
                        0.0, 0.0, np.zeros(3), params, cfg)
         np.testing.assert_allclose(u, np.zeros(3), atol=1e-15)
 
@@ -221,7 +307,7 @@ class TestTorqueLaw:
         cfg = make_cfg()
         params = make_params()
         w = np.array([0.05, -0.03, 0.02])
-        u = torque_law(w, np.zeros(3), 0.0, 1.0, B, B.copy(), [],
+        u = torque(w, np.zeros(3), 0.0, 1.0, B, B.copy(), [],
                        0.0, 0.0, np.zeros(3), params, cfg)
         np.testing.assert_allclose(u, np.cross(w, params.inertia @ w),
                                    atol=1e-15)
@@ -229,7 +315,7 @@ class TestTorqueLaw:
     def test_exact_saturation(self):
         cfg = make_cfg()
         params = make_params()
-        u = torque_law(np.zeros(3), np.array([5.0, -7.0, 9.0]), 0.0, 1.0,
+        u = torque(np.zeros(3), np.array([5.0, -7.0, 9.0]), 0.0, 1.0,
                        B, np.array([1.0, 0.0, 0.0]), [], 0.0, 0.0,
                        np.zeros(3), params, cfg)
         assert u[0] == -params.torque_limit
@@ -240,10 +326,10 @@ class TestTorqueLaw:
         cfg = make_cfg()
         e2 = np.array([3e-4, -1e-4, 0.0])
         r_b = np.array([1.0, 0.0, 0.0])
-        with_dm = np.asarray(torque_law(np.zeros(3), e2, 0.0, 1.0, B, r_b, [],
+        with_dm = np.asarray(torque(np.zeros(3), e2, 0.0, 1.0, B, r_b, [],
                                         0.0, 0.0, np.zeros(3),
                                         make_params(0.1), cfg))
-        without = np.asarray(torque_law(np.zeros(3), e2, 0.0, 1.0, B, r_b, [],
+        without = np.asarray(torque(np.zeros(3), e2, 0.0, 1.0, B, r_b, [],
                                         0.0, 0.0, np.zeros(3),
                                         make_params(0.0), cfg))
         want = -0.1 * np.tanh(e2 / cfg.eta)
@@ -254,10 +340,10 @@ class TestTorqueLaw:
         params = make_params()
         r_b = np.array([math.sin(0.8), 0.0, math.cos(0.8)])
         eps, rho = 0.2, 2.0  # keeps the barrier torque below the clamp
-        u_active = np.asarray(torque_law(np.zeros(3), np.zeros(3), eps, rho,
+        u_active = np.asarray(torque(np.zeros(3), np.zeros(3), eps, rho,
                                          B, r_b, [], 0.0, 0.0, np.zeros(3),
                                          params, cfg))
-        u_frozen = np.asarray(torque_law(np.zeros(3), np.zeros(3), eps, rho,
+        u_frozen = np.asarray(torque(np.zeros(3), np.zeros(3), eps, rho,
                                          B, r_b, [], 1.0, 0.0, np.zeros(3),
                                          params, cfg))
         scale = cfg.g * math.tanh(eps / cfg.big_f) / rho
@@ -278,20 +364,29 @@ class TestTorqueLaw:
             cone = make_cone([0.0, 1.0, 0.0])
             obstacles = [(cone, f_b, float(np.dot(B, f_b)))]
             sd = rng.normal(size=3) * 0.01
-            got = benchmark_apf_law(w, e2, B, r_b, obstacles, sd, params, cfg)
-            want = torque_law(w, e2, 0.0, 1.0, B, r_b, obstacles, 1.0, 1.0,
-                              sd, params, cfg)
+            r_cross_b, p1 = stage_terms(r_b, obstacles, cfg)
+            w_t, e2_t, sd_t = (tuple(v.tolist()) for v in (w, e2, sd))
+            jw = tuple((params.inertia @ w).tolist())
+            x_e = 1.0 - float(np.dot(B, r_b))
+            got = benchmark_apf_law(w_t, jw, e2_t, sd_t, x_e, r_cross_b, p1,
+                                    B_T, params, cfg)
+            want = torque_law(w_t, jw, e2_t, sd_t, 0.0, 1.0, x_e, r_cross_b,
+                              p1, 1.0, 1.0, B_T, params, cfg)
             np.testing.assert_allclose(got, want, atol=1e-15)
+            # and the same as the torque law's own potential descent term
+            np.testing.assert_allclose(
+                got, torque(w, e2, 0.0, 1.0, B, r_b, obstacles, 1.0, 1.0, sd,
+                            params, cfg), atol=1e-15)
 
     def test_antipodal_nudge(self):
         cfg = make_cfg()
         params = make_params()
-        u = torque_law(np.zeros(3), np.zeros(3), 2.0 / 3.0, 3.0, B, -B, [],
+        u = torque(np.zeros(3), np.zeros(3), 2.0 / 3.0, 3.0, B, -B, [],
                        0.0, 0.0, np.zeros(3), params, cfg)
         # boresight is +z, so the kick lands on x (first least-aligned axis)
         assert u[0] > 0.0
         assert abs(u[0]) <= params.torque_limit
-        u2 = torque_law(np.zeros(3), np.zeros(3), 0.5, 3.0, B,
+        u2 = torque(np.zeros(3), np.zeros(3), 0.5, 3.0, B,
                         np.array([1.0, 0.0, 0.0]), [], 0.0, 0.0,
                         np.zeros(3), params, cfg)
         assert u2[0] == pytest.approx(

@@ -17,11 +17,12 @@ from slewguard.attitude import (
     reduced_error_rate,
     rotate_to_body,
 )
+import slewguard.controller as controller_module
+import slewguard.engine as engine_module
 from slewguard.controller import (
     ControllerConfig,
     TdState,
     benchmark_apf_law,
-    benchmark_virtual_law,
     td_rhs,
     torque_law,
     virtual_law,
@@ -31,6 +32,7 @@ from slewguard.engine import (
     SimulationAbort,
     Trajectory,
     ValidationFailure,
+    _LoopContext,
     _trajectory,
     coupled_rhs,
     disturbance_torque,
@@ -46,7 +48,7 @@ from slewguard.envelope import (
     effective_switches,
     sppf_rhs,
 )
-from slewguard.potential import ObstacleCone
+from slewguard.potential import ObstacleCone, repulsion_grad_beta
 from slewguard.scenario import Scenario, load_preset
 
 
@@ -126,7 +128,11 @@ def quat_taking(body_dir, inertial_dir):
 
 
 def reference_rhs(t, y, sc, sim):
-    """Recompose the coupled derivative from the public module functions."""
+    """Recompose the coupled derivative from the public module functions.
+
+    The terms both laws share (r_b x B, J w, x_e and P1) are formed here
+    with numpy, independently of the engine's stage.
+    """
     q = np.asarray(y[0:4], dtype=float)
     q = q / np.linalg.norm(q)
     quat = UnitQuaternion(*q)
@@ -148,16 +154,32 @@ def reference_rhs(t, y, sc, sim):
 
     benchmark = sim.controller_mode == "benchmark_apf"
     if benchmark:
-        v_cmd = benchmark_virtual_law(b, r_b, obstacles, sc.controller)
-        u = benchmark_apf_law(w, w - td.x1, b, r_b, obstacles, td.x2,
-                              sc.params, sc.controller)
-        rho_dot = 0.0  # no funnel in the baseline
+        s_eff = v_eff = 1.0
     else:
         s_eff, v_eff = effective_switches(sc.switch, betas)
+    r_cross_b = np.cross(r_b, b)
+    p1 = np.zeros(3)
+    if v_eff > 0.0:
+        p1 = sc.controller.k_a * r_cross_b
+        for cone, f_b, beta in obstacles:
+            p1 = p1 - repulsion_grad_beta(cone, beta) * np.cross(f_b, b)
+    terms = dict(omega=tuple(w.tolist()),
+                 j_omega=tuple((sc.params.inertia @ w).tolist()),
+                 e2=tuple((w - td.x1).tolist()), sd_dot=tuple(td.x2.tolist()),
+                 x_e=x_e, r_cross_b=tuple(r_cross_b.tolist()),
+                 p1=tuple(p1.tolist()), boresight_body=tuple(b.tolist()),
+                 params=sc.params, cfg=sc.controller)
+    if benchmark:
+        v_cmd = virtual_law(terms["r_cross_b"], terms["p1"], 0.0, 1.0, 1.0,
+                            sc.controller)
+        u = benchmark_apf_law(**terms)
+        rho_dot = 0.0  # no funnel in the baseline
+    else:
         eps = x_e / rho
-        v_cmd = virtual_law(b, r_b, obstacles, eps, rho, v_eff, sc.controller)
-        u = torque_law(w, w - td.x1, eps, rho, b, r_b, obstacles, s_eff,
-                       v_eff, td.x2, sc.params, sc.controller)
+        v_cmd = virtual_law(terms["r_cross_b"], terms["p1"], eps, rho, v_eff,
+                            sc.controller)
+        u = torque_law(eps=eps, rho=rho, omega_s_eff=s_eff,
+                       omega_v_eff=v_eff, **terms)
         e_dot = reduced_error_rate(b, r_b, w)
         rho_dot = sppf_rhs(EnvelopeState(rho, eps), sc.envelope, s_eff,
                            x_e, e_dot)
@@ -231,6 +253,89 @@ class TestCoupledRhs:
         y[3] = 1.0
         with pytest.raises(SimulationAbort):
             coupled_rhs(0.0, y, sc)
+
+
+def bits(values):
+    return [float(v).hex() for v in values]
+
+
+class TestSharedStageTerms:
+    """Each stage forms P1 and the disturbance once, and reuses nothing stale."""
+
+    @staticmethod
+    def count_gradients(monkeypatch):
+        calls = [0]
+        real = controller_module.repulsion_grad_beta
+
+        def counted(cone, beta):
+            calls[0] += 1
+            return real(cone, beta)
+
+        monkeypatch.setattr(controller_module, "repulsion_grad_beta", counted)
+        return calls
+
+    @pytest.mark.parametrize("mode", ["proposed", "benchmark_apf"])
+    def test_one_gradient_per_cone_per_stage(self, monkeypatch, mode):
+        sc = make_scenario(n_obstacles=2)
+        ctx = _LoopContext(sc, SimConfig(controller_mode=mode))
+        calls = self.count_gradients(monkeypatch)
+        avoiding = set()
+        for y in sample_states(np.random.default_rng(13), sc, 27):
+            before = calls[0]
+            stage = ctx.rhs(1.0, [float(v) for v in y])[1]
+            v_eff = stage[6]
+            assert calls[0] - before == (2 if v_eff > 0.0 else 0)
+            avoiding.add(v_eff > 0.0)
+        # the proposed law meets both regimes; the baseline is always on
+        assert avoiding == ({True, False} if mode == "proposed" else {True})
+
+    def test_gradient_counts_over_a_run(self, monkeypatch):
+        sc = load_preset("paper-single-1").with_sim(duration=0.5)
+        calls = self.count_gradients(monkeypatch)
+        res = run_scenario(sc)
+        # this preset never enters the avoidance blend
+        assert np.all(res.records["omega_v_eff"] == 0.0)
+        assert calls[0] == 0
+        run_scenario(sc.with_sim(controller_mode="benchmark_apf"))
+        # one per cone in each of 4 stages of 50 steps, the final sample and
+        # the initial command
+        assert calls[0] == len(sc.obstacles) * (4 * 50 + 1 + 1)
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_disturbance_cache_is_never_stale(self, enabled):
+        sc = make_scenario(n_obstacles=2)
+        sim = SimConfig(disturbance_enabled=enabled)
+        y = [float(v) for v in
+             sample_states(np.random.default_rng(3), sc, 1)[0]]
+        t1 = 12.5
+        ctx = _LoopContext(sc, sim)
+        got = {}
+        for t in (t1, t1 + 5.0, t1, t1, math.nextafter(t1, math.inf), 0.0,
+                  -0.0, t1):
+            got[t] = ctx.rhs(t, y)[0]
+            assert bits(got[t]) == bits(_LoopContext(sc, sim).rhs(t, y)[0])
+        # the disturbance reaches the derivative only when enabled
+        assert (bits(got[t1]) != bits(got[t1 + 5.0])) == enabled
+
+    def test_one_disturbance_evaluation_per_stage_time(self, monkeypatch):
+        times = []
+        real = engine_module._disturbance
+
+        def counted(t):
+            times.append(t)
+            return real(t)
+
+        monkeypatch.setattr(engine_module, "_disturbance", counted)
+        sc = make_scenario(n_obstacles=1)
+        ctx = _LoopContext(sc, SimConfig())
+        dt = 0.01
+        y = ctx.initial_state()
+        y, _ = ctx.step(0.0, y, dt)
+        # stages 2 and 3 share t + dt/2
+        assert times == [0.0, 0.5 * dt, dt]
+        ctx.step(dt, y, dt)
+        # stage 1 repeats the previous stage 4's time
+        assert times == [0.0, 0.5 * dt, dt, dt + 0.5 * dt, 2.0 * dt]
 
 
 class TestRunScenario:

@@ -1,6 +1,7 @@
 """Bridge, attraction, and repulsion tests with analytic and FD oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -92,6 +93,19 @@ class TestBridge:
         with pytest.raises(ValueError):
             BridgeShape(lo=0.5, hi=0.9, mid=0.7, steepness=0.0)
 
+    @pytest.mark.parametrize("k", [math.inf, math.nan, -math.inf])
+    def test_non_finite_steepness_rejected(self, k):
+        with pytest.raises(ValueError, match="positive and finite"):
+            BridgeShape(lo=0.5, hi=0.9, mid=0.7, steepness=k)
+
+    def test_grad_max_of_an_overflowing_slope_is_inf(self):
+        # a finite steepness whose slope overflows doubles, giving inf and
+        # 0 * inf = nan on the grid; the grid maximum used to raise
+        shape = BridgeShape(lo=0.5, hi=0.9, mid=0.7, steepness=1e305)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert bridge_grad_max(shape, 1e-3, 20001) == math.inf
+
 
 class TestObstacleCone:
     def test_shape_derivation(self):
@@ -109,6 +123,12 @@ class TestObstacleCone:
             make_cone(theta_0_deg=25.0, theta_1_deg=25.0)
         with pytest.raises(ValueError):
             make_cone(theta_1_deg=10.0)  # below theta_f
+
+    def test_steepness_overflow_rejected(self):
+        # r_slope * (hi - lo) / k_r overflows to inf
+        with pytest.raises(ValueError, match="steepness must be positive and "
+                                             "finite, got inf"):
+            make_cone(k_r=1e-3, r_slope=1e308)
 
     def test_axis_must_be_unit(self):
         with pytest.raises(ValueError):

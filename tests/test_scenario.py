@@ -167,6 +167,65 @@ class TestSchema:
         doc["sim"]["record_stride"] = 2.0
         assert scenario_from_dict(doc).sim.record_stride == 2
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("controller", "k_p", math.nan), ("controller", "td_r", math.inf),
+        ("controller", "eta", math.inf),
+        pytest.param("controller", "k1", 10 ** 400, id="controller-k1-1e400"),
+        ("spacecraft", "disturbance_bound", math.nan),
+        ("spacecraft", "torque_limit", math.inf),
+        ("switching", "m", math.nan), ("envelope", "rho_0", -math.inf),
+        ("targets", "settle_deg", math.nan)])
+    def test_non_finite_numbers_rejected(self, section, key, value):
+        doc = valid_doc()
+        doc[section][key] = value
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict(doc)
+        assert f"$.{section}.{key}: expected a finite number" in err.value.errors
+
+    def test_non_finite_top_level_and_cone_numbers_rejected(self):
+        doc = valid_doc()
+        doc["theta_df_deg"] = math.nan
+        doc["obstacles"][0]["r_slope"] = math.inf
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict(doc)
+        assert "$.theta_df_deg: expected a finite number" in err.value.errors
+        assert ("$.obstacles[0].r_slope: expected a finite number"
+                in err.value.errors)
+
+    @pytest.mark.parametrize("section,key,vec,bad", [
+        ("initial", "omega", [math.nan, 0.0, 0.0], [0]),
+        ("spacecraft", "inertia_diag", [math.inf, 5.0, 5.0], [0]),
+        ("initial", "attitude", [0.0, math.nan, 0.0, -math.inf], [1, 3])])
+    def test_non_finite_vector_entries_rejected(self, section, key, vec, bad):
+        doc = valid_doc()
+        doc[section][key] = vec
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict(doc)
+        assert err.value.errors == [
+            f"$.{section}.{key}[{i}]: expected a finite number" for i in bad]
+
+    @pytest.mark.parametrize("entry", ["5.08", True, math.nan, math.inf, None,
+                                       pytest.param(10 ** 400, id="1e400")])
+    def test_inertia_matrix_entries_must_be_finite_numbers(self, entry):
+        doc = valid_doc()
+        del doc["spacecraft"]["inertia_diag"]
+        doc["spacecraft"]["inertia"] = [[5.08, 0.0, 0.0],
+                                        [0.0, 5.14, 0.0],
+                                        [0.0, entry, 5.0]]
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict(doc)
+        assert err.value.errors == [
+            "$.spacecraft.inertia[2][1]: expected a finite number"]
+
+    def test_overflowing_bridge_steepness_reported_on_its_cone(self):
+        doc = valid_doc()
+        doc["obstacles"][0].update(r_slope=1e308, k_r=1e-3)
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict(doc)
+        assert err.value.errors == [
+            "$.obstacles[0]: bridge steepness must be positive and finite, "
+            "got inf"]
+
     def test_full_inertia_matrix_accepted(self):
         doc = valid_doc()
         del doc["spacecraft"]["inertia_diag"]
