@@ -12,10 +12,7 @@ from .attitude import (
     BodyState,
     SpacecraftParams,
     UnitQuaternion,
-    attitude_kinematics_rhs,
-    dynamics_rhs,
     pointing_error,
-    reduced_error_rate,
     rotate_to_body,
 )
 from .potential import (
@@ -30,24 +27,15 @@ from .potential import (
 )
 from .envelope import (
     EnvelopeConfig,
-    EnvelopeState,
     SwitchConfig,
     blf_value,
-    effective_switches,
-    omega_s,
-    omega_v,
-    sppf_rhs,
-    translated_error,
 )
 from .controller import (
     ControllerConfig,
-    TdState,
     ValidationReport,
     apf_vector,
     benchmark_apf_law,
     min_sin_theta_d,
-    td_rhs,
-    td_step,
     torque_law,
     validate_config,
     virtual_law,

@@ -1,4 +1,4 @@
-"""Reduced-attitude kinematics and rigid-body dynamics primitives.
+"""Attitude conventions, quaternion arithmetic and plant parameters.
 
 Conventions
 -----------
@@ -16,8 +16,11 @@ Conventions
   body-resolved target direction ``r_b`` is ``x_e = 1 - dot(B_b, r_b)``,
   ranging from 0 (aligned) to 2 (anti-aligned).
 
-All vectors are plain ``numpy`` arrays of shape (3,).  Nothing in this module
-mutates its inputs.
+The closed-loop right-hand side, rigid body and kinematics included, is
+written once, in :mod:`slewguard.engine`; it and scenario validation share
+the quaternion arithmetic here.  ``_quat_mul`` and ``_sandwich`` work on
+float components; the public functions take numpy arrays of shape (3,).
+Nothing in this module mutates its inputs.
 """
 
 from __future__ import annotations
@@ -33,9 +36,6 @@ __all__ = [
     "SpacecraftParams",
     "rotate_to_body",
     "pointing_error",
-    "reduced_error_rate",
-    "attitude_kinematics_rhs",
-    "dynamics_rhs",
 ]
 
 # Constructor rejects inputs farther than this from the unit sphere; smaller
@@ -218,47 +218,3 @@ def pointing_error(boresight_body: np.ndarray, target_body: np.ndarray) -> float
     _require_unit_vec(boresight_body, "boresight_body")
     _require_unit_vec(target_body, "target_body")
     return 1.0 - float(np.dot(boresight_body, target_body))
-
-
-def reduced_error_rate(boresight_body: np.ndarray, target_body: np.ndarray,
-                       omega: np.ndarray) -> float:
-    """Time derivative of the pointing error, ``-B_b . (r_b x omega)``.
-
-    Follows from ``r_b_dot = -omega x r_b`` for a body-fixed boresight and an
-    inertially fixed target direction.
-    """
-    _require_unit_vec(boresight_body, "boresight_body")
-    _require_unit_vec(target_body, "target_body")
-    rx, ry, rz = float(target_body[0]), float(target_body[1]), float(target_body[2])
-    wx, wy, wz = float(omega[0]), float(omega[1]), float(omega[2])
-    cx = ry * wz - rz * wy
-    cy = rz * wx - rx * wz
-    cz = rx * wy - ry * wx
-    return -(float(boresight_body[0]) * cx
-             + float(boresight_body[1]) * cy
-             + float(boresight_body[2]) * cz)
-
-
-def attitude_kinematics_rhs(q: UnitQuaternion, omega: np.ndarray) -> np.ndarray:
-    """Quaternion rate ``0.5 * q [omega, 0]`` as a raw 4-vector [x, y, z, w].
-
-    The result is a tangent vector, not a unit quaternion; integrators must
-    renormalize after stepping.
-    """
-    wx, wy, wz = float(omega[0]), float(omega[1]), float(omega[2])
-    dx, dy, dz, dw = _quat_mul(q.x, q.y, q.z, q.w, wx, wy, wz, 0.0)
-    return np.array([0.5 * dx, 0.5 * dy, 0.5 * dz, 0.5 * dw])
-
-
-def dynamics_rhs(state: BodyState, torque: np.ndarray, disturbance: np.ndarray,
-                 params: SpacecraftParams) -> np.ndarray:
-    """Euler rigid-body rate dynamics ``J w_dot = -w x (J w) + u + d``."""
-    w = state.omega
-    jw = params.inertia @ w
-    gyro = np.array([
-        w[1] * jw[2] - w[2] * jw[1],
-        w[2] * jw[0] - w[0] * jw[2],
-        w[0] * jw[1] - w[1] * jw[0],
-    ])
-    return params.inertia_inv @ (-gyro + np.asarray(torque, dtype=float)
-                                 + np.asarray(disturbance, dtype=float))

@@ -59,9 +59,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="override simulated duration [s]")
     run.add_argument("--no-disturbance", action="store_true",
                      help="disable the environmental disturbance torque")
-    run.add_argument("--seed", type=int, default=None,
-                     help="reserved for future stochastic features; runs are "
-                          "deterministic and ignore it")
 
     sub.add_parser("list-presets", help="list bundled presets")
     return parser

@@ -5,9 +5,10 @@ The cascade has two loops.  The outer loop picks a commanded body rate
 (tracking branch) or descends the artificial potential (avoidance branch);
 the blend weight ``omega_v`` comes from :mod:`slewguard.envelope`.  A
 tracking differentiator smooths the commanded rate and provides its
-derivative for the feedforward term.  The inner loop is a saturated torque
-law over the rate error ``e2 = omega - v`` with gyroscopic cancellation and
-a tanh disturbance compensator.
+derivative for the feedforward term; its state and dynamics are part of the
+coupled state in :mod:`slewguard.engine`.  The inner loop is a saturated
+torque law over the rate error ``e2 = omega - v`` with gyroscopic
+cancellation and a tanh disturbance compensator.
 
 The closed loop calls both laws in every integrator stage, so they take
 the terms they share as float triples and scalars that the stage computes
@@ -32,14 +33,11 @@ from .potential import ObstacleCone, bridge_grad_max, repulsion_grad_beta
 
 __all__ = [
     "ControllerConfig",
-    "TdState",
     "ValidationIssue",
     "ValidationReport",
     "min_sin_theta_d",
     "apf_vector",
     "virtual_law",
-    "td_rhs",
-    "td_step",
     "torque_law",
     "benchmark_apf_law",
     "validate_config",
@@ -87,20 +85,6 @@ class ControllerConfig:
                      "sigma", "td_r", "td_a1", "td_a2"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
-
-
-@dataclass
-class TdState:
-    """Tracking differentiator state: smoothed command and its rate."""
-
-    x1: np.ndarray
-    x2: np.ndarray
-
-    def __post_init__(self):
-        self.x1 = np.asarray(self.x1, dtype=float)
-        self.x2 = np.asarray(self.x2, dtype=float)
-        if self.x1.shape != (3,) or self.x2.shape != (3,):
-            raise ValueError("TdState components must have shape (3,)")
 
 
 def min_sin_theta_d(theta_df: float, p0: float, p1: float) -> float:
@@ -182,38 +166,6 @@ def virtual_law(r_cross_b: tuple[float, float, float],
     return (tx * track_scale + px * avoid_scale,
             ty * track_scale + py * avoid_scale,
             tz * track_scale + pz * avoid_scale)
-
-
-def td_rhs(state: TdState, command: np.ndarray,
-           cfg: ControllerConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Tracking differentiator dynamics, elementwise over the three axes.
-
-    x1_dot = x2
-    x2_dot = -r^2 a1 tanh(x1 - command) - r^2 a2 tanh(x2 / r)
-    """
-    r2 = cfg.td_r * cfg.td_r
-    x1, x2 = state.x1, state.x2
-    x2_dot = np.empty(3)
-    for i in range(3):
-        x2_dot[i] = (-r2 * cfg.td_a1 * math.tanh(float(x1[i]) - float(command[i]))
-                     - r2 * cfg.td_a2 * math.tanh(float(x2[i]) / cfg.td_r))
-    return x2.copy(), x2_dot
-
-
-def td_step(state: TdState, command: np.ndarray, dt: float,
-            cfg: ControllerConfig) -> TdState:
-    """One RK4 step of the differentiator with the command held constant."""
-    y1, y2 = state.x1, state.x2
-
-    def f(a, b):
-        return td_rhs(TdState(a, b), command, cfg)
-
-    k1a, k1b = f(y1, y2)
-    k2a, k2b = f(y1 + 0.5 * dt * k1a, y2 + 0.5 * dt * k1b)
-    k3a, k3b = f(y1 + 0.5 * dt * k2a, y2 + 0.5 * dt * k2b)
-    k4a, k4b = f(y1 + dt * k3a, y2 + dt * k3b)
-    return TdState(y1 + (dt / 6.0) * (k1a + 2 * k2a + 2 * k3a + k4a),
-                   y2 + (dt / 6.0) * (k1b + 2 * k2b + 2 * k3b + k4b))
 
 
 def torque_law(omega: tuple[float, float, float],

@@ -1,10 +1,14 @@
-"""Deterministic fixed-step propagation of the closed control loop.
+"""Deterministic fixed-step RK4 propagation of the closed control loop.
 
 One monolithic state couples everything that evolves in time:
 
     y = [q (4), omega (3), rho (1), td_x1 (3), td_x2 (3)]
 
-The controller is re-evaluated inside every integrator stage, so the funnel
+``_LoopContext.rhs`` is the one implementation of its derivative: the
+rigid body, the attitude kinematics, the funnel radius with its freeze
+switch, the effective switches and the tracking differentiator are written
+there and nowhere else, and :func:`coupled_rhs` evaluates it for tests.  The
+controller is re-evaluated inside every integrator stage, so the funnel
 radius, differentiator, and rigid body all see consistent intermediate
 states.  The attitude quaternion is renormalized once per accepted step.
 All arithmetic is plain double precision with a fixed evaluation order;
@@ -86,7 +90,6 @@ __all__ = [
 ]
 
 _CONTROLLER_MODES = ("proposed", "benchmark_apf")
-_INTEGRATORS = ("rk4", "euler")
 
 # Paper-style slow orbital disturbance frequency [rad/s].
 _DIST_OMEGA = 0.01
@@ -112,11 +115,10 @@ class ValidationFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Integration settings; defaults match the reference experiments."""
+    """Fixed-step RK4 settings; defaults match the reference experiments."""
 
     dt: float = 0.01
     duration: float = 120.0
-    integrator: str = "rk4"
     record_stride: int = 1
     disturbance_enabled: bool = True
     controller_mode: str = "proposed"
@@ -131,8 +133,6 @@ class SimConfig:
             raise ValueError("duration must cover at least one step")
         if not math.isfinite(self.duration / self.dt):
             raise ValueError("duration / dt must be finite")
-        if self.integrator not in _INTEGRATORS:
-            raise ValueError(f"integrator must be one of {_INTEGRATORS}")
         if int(self.record_stride) != self.record_stride or self.record_stride < 1:
             raise ValueError("record_stride must be a positive integer")
         if self.controller_mode not in _CONTROLLER_MODES:
@@ -349,11 +349,9 @@ class _LoopContext:
         if self.benchmark:
             rho_dot = 0.0
         else:
-            bx, by, bz = self.b
-            rx, ry, rz = r_b
-            e_dot = -(bx * (ry * wz - rz * wy)
-                      + by * (rz * wx - rx * wz)
-                      + bz * (rx * wy - ry * wx))
+            # e_dot = -B . (r_b x w), which is w . (r_b x B)
+            tx, ty, tz = r_cross_b
+            e_dot = tx * wx + ty * wy + tz * wz
             shrink = self.neg_k_rho * (rho - self.rho_inf)
             if abs(x_e) < ERROR_RATIO_FLOOR:
                 follow = 0.0
@@ -377,16 +375,13 @@ class _LoopContext:
         """Advance ``y`` by ``dt``; returns the new state and the controller
         quantities of the first stage, which are those of ``y`` at ``t``."""
         k1, stage = self.rhs(t, y)
-        if self.sim.integrator == "euler":
-            out = _axpy(y, dt, k1)
-        else:
-            h = 0.5 * dt
-            k2 = self.rhs(t + h, _axpy(y, h, k1))[0]
-            k3 = self.rhs(t + h, _axpy(y, h, k2))[0]
-            k4 = self.rhs(t + dt, _axpy(y, dt, k3))[0]
-            c = dt / 6.0
-            out = [a + c * (p + 2.0 * q + 2.0 * r + s)
-                   for a, p, q, r, s in zip(y, k1, k2, k3, k4)]
+        h = 0.5 * dt
+        k2 = self.rhs(t + h, _axpy(y, h, k1))[0]
+        k3 = self.rhs(t + h, _axpy(y, h, k2))[0]
+        k4 = self.rhs(t + dt, _axpy(y, dt, k3))[0]
+        c = dt / 6.0
+        out = [a + c * (p + 2.0 * q + 2.0 * r + s)
+               for a, p, q, r, s in zip(y, k1, k2, k3, k4)]
         n = math.sqrt(out[0] ** 2 + out[1] ** 2 + out[2] ** 2 + out[3] ** 2)
         out[0] /= n
         out[1] /= n
@@ -436,8 +431,8 @@ def coupled_rhs(t: float, y: np.ndarray, scenario: "Scenario",
     """Time derivative of the 14-component coupled state.
 
     Layout: quaternion [0:4], body rate [4:7], funnel radius [7],
-    differentiator x1 [8:11] and x2 [11:14].  Convenience wrapper over the
-    loop context used by :func:`run_scenario`.
+    differentiator x1 [8:11] and x2 [11:14].  It is the right-hand side
+    :func:`run_scenario` integrates, evaluated once at ``(t, y)``.
     """
     ctx = _LoopContext(scenario, sim if sim is not None else scenario.sim)
     return np.array(ctx.rhs(t, [float(v) for v in y])[0])

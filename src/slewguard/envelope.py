@@ -18,25 +18,23 @@ is steep and completes before the repulsion field onset; ``omega_v``, which
 blends the guidance law toward the potential-field branch, starts exactly at
 that onset and ramps more gently.  With several cones each switch takes the
 worst (largest) value over the per-cone cosines.
+
+This module holds the funnel and switch parameters and the barrier value.
+The closed loop evaluates the radius rate and the switches, ``bridge`` over
+``SwitchConfig.s_shape`` and ``SwitchConfig.v_shape``, in every integrator
+stage (see :mod:`slewguard.engine`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
-from .potential import BridgeShape, bridge
+from .potential import BridgeShape
 
 __all__ = [
     "EnvelopeConfig",
-    "EnvelopeState",
     "SwitchConfig",
-    "omega_s",
-    "omega_v",
-    "effective_switches",
-    "sppf_rhs",
-    "translated_error",
     "blf_value",
 ]
 
@@ -60,18 +58,6 @@ class EnvelopeConfig:
             raise ValueError("funnel requires rho_0 > rho_inf > 0")
         if self.k_rho <= 0.0:
             raise ValueError("k_rho must be positive")
-
-
-@dataclass
-class EnvelopeState:
-    """Current funnel radius and translated error."""
-
-    rho: float
-    epsilon: float
-
-    def __post_init__(self):
-        if self.rho <= 0.0:
-            raise ValueError("rho must stay positive")
 
 
 @dataclass(frozen=True)
@@ -136,55 +122,6 @@ class SwitchConfig:
             raise ValueError("p1 must not exceed the repulsion plateau edge")
         return cls(v0=v0, v1=v1, vm=v1 - delta, m=m,
                    p0=v1, p1=p1, pm=0.5 * (v1 + p1), n=n, delta=delta)
-
-
-def omega_s(cfg: SwitchConfig, beta: float) -> float:
-    """Funnel freeze switch in [0, 1] at boresight-axis cosine ``beta``."""
-    return bridge(cfg.s_shape, beta, 1.0)
-
-
-def omega_v(cfg: SwitchConfig, beta: float) -> float:
-    """Guidance blend switch in [0, 1] at boresight-axis cosine ``beta``."""
-    return bridge(cfg.v_shape, beta, 1.0)
-
-
-def effective_switches(cfg: SwitchConfig,
-                       betas: Sequence[float]) -> tuple[float, float]:
-    """Worst-case switch values over all cones; (0, 0) with no cones."""
-    s_eff = 0.0
-    v_eff = 0.0
-    for b in betas:
-        s = omega_s(cfg, b)
-        if s > s_eff:
-            s_eff = s
-        v = omega_v(cfg, b)
-        if v > v_eff:
-            v_eff = v
-    return s_eff, v_eff
-
-
-def sppf_rhs(state: EnvelopeState, cfg: EnvelopeConfig, omega_s_eff: float,
-             e: float, e_dot: float,
-             e_floor: float = ERROR_RATIO_FLOOR) -> float:
-    """Funnel radius rate blending shrink (mode 1) and follow (mode 2).
-
-    ``e`` and ``e_dot`` are the raw pointing error and its rate; the follow
-    term ``(e_dot / e) * rho`` holds the translated error stationary and is
-    suppressed when ``|e|`` is below ``e_floor``.
-    """
-    shrink = -cfg.k_rho * (state.rho - cfg.rho_inf)
-    if abs(e) < e_floor:
-        follow = 0.0
-    else:
-        follow = (e_dot / e) * state.rho
-    return (1.0 - omega_s_eff) * shrink + omega_s_eff * follow
-
-
-def translated_error(x_e: float, rho: float) -> float:
-    """Funnel-normalized error ``x_e / rho``; requires a positive radius."""
-    if rho <= 0.0:
-        raise ValueError("rho must be positive")
-    return x_e / rho
 
 
 def _ln_cosh(z: float) -> float:

@@ -144,7 +144,6 @@ class Scenario:
             "sim": {
                 "dt": self.sim.dt,
                 "duration": self.sim.duration,
-                "integrator": self.sim.integrator,
                 "record_stride": self.sim.record_stride,
                 "disturbance_enabled": self.sim.disturbance_enabled,
                 "controller_mode": self.sim.controller_mode,
@@ -434,9 +433,12 @@ def scenario_from_dict(data: Any, default_name: str = "scenario") -> Scenario:
         if not isinstance(sm, dict):
             errors.append("$.sim: expected an object")
         else:
+            # RK4 is the only integrator; the key may still name it
+            if sm.get("integrator", "rk4") != "rk4":
+                errors.append('$.sim.integrator: only "rk4" is supported')
             kwargs = {}
             for key, cast in (("dt", float), ("duration", float),
-                              ("integrator", str), ("record_stride", int),
+                              ("record_stride", int),
                               ("disturbance_enabled", bool),
                               ("controller_mode", str)):
                 if key in sm:

@@ -1,0 +1,152 @@
+"""Scenarios, states and helpers shared by the closed-loop kernel tests.
+
+Every model term (rigid body, kinematics, funnel radius, switches,
+differentiator) exists once, in ``slewguard.engine._LoopContext.rhs``; the
+oracle tests read it back through :func:`kernel` and :func:`slice_flow`.
+"""
+
+import math
+
+import numpy as np
+
+from slewguard.attitude import BodyState, SpacecraftParams, UnitQuaternion
+from slewguard.controller import ControllerConfig
+from slewguard.engine import SimConfig, _LoopContext
+from slewguard.envelope import EnvelopeConfig, SwitchConfig
+from slewguard.potential import ObstacleCone
+from slewguard.scenario import Scenario
+
+# symmetric, positive definite, with every product of inertia nonzero
+FULL_INERTIA = np.array([[5.08, 0.12, -0.05],
+                         [0.12, 5.14, 0.08],
+                         [-0.05, 0.08, 5.0]])
+
+Z_BORESIGHT = np.array([0.0, 0.0, 1.0])
+# off every body axis, so no product in the frame arithmetic is trivial
+OBLIQUE_BORESIGHT = np.array([0.3, -0.2, 0.93]) / np.linalg.norm(
+    [0.3, -0.2, 0.93])
+
+TARGET = np.array([-0.866, 0.5, 0.0]) / np.linalg.norm([-0.866, 0.5, 0.0])
+CONE_AXES = (np.array([0.5145, 0.8575, 0.0]),
+             np.array([-0.099, 0.990, -0.099]))
+
+
+def make_scenario(n_obstacles=1, inertia=None, boresight=None, target=None,
+                  axes=CONE_AXES, **ctrl_over):
+    """Hand-built scenario; by default a cone lies close to the slew path."""
+    ctrl_kw = dict(k1=0.3, k_p=0.5, k_omega=10.0, g=1.0, big_f=0.25, k_a=2.5,
+                   eta=2e-4, sigma=1e-6, td_r=20.0, td_a1=1.0, td_a2=2.0)
+    ctrl_kw.update(ctrl_over)
+    ctrl = ControllerConfig(**ctrl_kw)
+    if inertia is None:
+        inertia = np.diag([5.08, 5.14, 5.0])
+    params = SpacecraftParams(inertia=inertia,
+                              torque_limit=0.5, disturbance_bound=0.1)
+    target = TARGET if target is None else np.asarray(target, dtype=float)
+    cones = []
+    for axis in axes[:n_obstacles]:
+        axis = axis / np.linalg.norm(axis)
+        sep = math.acos(float(np.dot(axis, target)))
+        k_r = ctrl.k_a * (1.0 - math.cos(sep - math.radians(27.0)))
+        cones.append(ObstacleCone(axis_inertial=axis,
+                                  theta_f=math.radians(20.0),
+                                  theta_0=math.radians(36.0),
+                                  theta_1=math.radians(27.0),
+                                  k_r=k_r, r_slope=0.3))
+    switch = SwitchConfig.from_principles(
+        math.cos(math.radians(36.0)), math.cos(math.radians(27.0)),
+        delta=0.005, m=5.0, n=2.0, p1=math.cos(math.radians(30.0)))
+    return Scenario(
+        name="engine-test",
+        description="hand-built fixture",
+        params=params,
+        initial=BodyState(UnitQuaternion.identity(), np.zeros(3)),
+        boresight_body=Z_BORESIGHT if boresight is None else boresight,
+        target_inertial=target,
+        obstacles=tuple(cones),
+        envelope=EnvelopeConfig(rho_0=3.0, rho_inf=1e-3, k_rho=0.1),
+        switch=switch,
+        controller=ctrl,
+        sim=SimConfig(),
+        theta_df=math.radians(50.0),
+    )
+
+
+def oracle_scenarios(n_obstacles=2):
+    """Two-cone scenarios over both inertias and both boresights."""
+    return [make_scenario(n_obstacles, inertia=inertia, boresight=b)
+            for inertia in (None, FULL_INERTIA)
+            for b in (Z_BORESIGHT, OBLIQUE_BORESIGHT)]
+
+
+def quat_taking(body_dir, inertial_dir):
+    """Quaternion q with rotate_to_body(q, inertial_dir) == body_dir."""
+    c = float(np.dot(body_dir, inertial_dir))
+    axis = np.cross(body_dir, inertial_dir)
+    n = float(np.linalg.norm(axis))
+    if n < 1e-12:
+        return UnitQuaternion.identity()
+    return UnitQuaternion.from_axis_angle(axis / n, math.acos(c))
+
+
+def state(q, omega=(0.0, 0.0, 0.0), rho=1.0, x1=(0.0, 0.0, 0.0),
+          x2=(0.0, 0.0, 0.0)):
+    """The 14-component coupled state from its parts."""
+    return np.concatenate([q.as_array(), omega, [rho], x1, x2])
+
+
+def sample_states(rng, sc, n):
+    """Random coupled states with cone angles spread across every regime."""
+    b = sc.boresight_body
+    side = np.cross([0.0, 1.0, 0.0], b)
+    side /= np.linalg.norm(side)
+    states = []
+    gammas = [15.0, 25.0, 28.0, 31.0, 33.0, 35.0, 36.5, 40.0, 80.0]
+    for i in range(n):
+        gamma = math.radians(gammas[i % len(gammas)])
+        f_body = math.sin(gamma) * side + math.cos(gamma) * b
+        quat = quat_taking(f_body, sc.obstacles[0].axis_inertial)
+        spin = UnitQuaternion.from_axis_angle(rng.normal(size=3) * 0.0 + b,
+                                              rng.uniform(-math.pi, math.pi))
+        quat = quat.multiply(spin)
+        y = np.zeros(14)
+        y[0:4] = quat.as_array()
+        y[4:7] = rng.normal(size=3) * 0.1
+        y[7] = rng.uniform(0.3, 3.0)
+        y[8:11] = rng.normal(size=3) * 0.05
+        y[11:14] = rng.normal(size=3) * 0.2
+        states.append(y)
+    return states
+
+
+def kernel(sc, y, t=0.0, sim=None):
+    """The kernel's derivative at ``(t, y)`` as an array, and its stage
+    quantities ``(r_b, x_e, obstacles, betas, eps, s_eff, v_eff, v_cmd, e2,
+    u)``."""
+    ctx = _LoopContext(sc, sim if sim is not None else sc.sim)
+    dy, stage = ctx.rhs(t, [float(v) for v in y])
+    return np.array(dy), stage
+
+
+def slice_flow(sc, y, keep):
+    """``f(t, z)``: the kernel's derivative of the components ``keep`` of
+    ``y`` at ``z``, with every other component held at its value in ``y``."""
+    ctx = _LoopContext(sc, sc.sim)
+    keep = list(keep)
+
+    def f(t, z):
+        full = [float(v) for v in y]
+        for i, v in zip(keep, z):
+            full[i] = float(v)
+        dy = ctx.rhs(t, full)[0]
+        return np.array([dy[i] for i in keep])
+
+    return f
+
+
+def rk4(f, y, t, dt):
+    k1 = f(t, y)
+    k2 = f(t + 0.5 * dt, y + 0.5 * dt * k1)
+    k3 = f(t + 0.5 * dt, y + 0.5 * dt * k2)
+    k4 = f(t + dt, y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)

@@ -139,6 +139,22 @@ class TestRun:
         assert ("$.obstacles[0]: bridge steepness must be positive and finite"
                 in capsys.readouterr().err)
 
+    def test_integrator_other_than_rk4_exits_3(self, tmp_path, capsys):
+        doc = valid_doc()
+        doc["sim"]["integrator"] = "euler"
+        path = write_scenario(tmp_path, doc)
+        code = main(["run", "--scenario", str(path), "--out", str(tmp_path)])
+        assert code == 3
+        assert ('$.sim.integrator: only "rk4" is supported'
+                in capsys.readouterr().err)
+
+    def test_seed_flag_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--preset", "paper-single-1", "--seed", "3",
+                  "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag,value,message", [
         ("--duration", "inf", "duration must be finite"),
         ("--dt", "nan", "dt must be finite"),

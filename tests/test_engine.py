@@ -7,26 +7,9 @@ from array import array
 import numpy as np
 import pytest
 
-from slewguard.attitude import (
-    BodyState,
-    SpacecraftParams,
-    UnitQuaternion,
-    attitude_kinematics_rhs,
-    dynamics_rhs,
-    pointing_error,
-    reduced_error_rate,
-    rotate_to_body,
-)
 import slewguard.controller as controller_module
 import slewguard.engine as engine_module
-from slewguard.controller import (
-    ControllerConfig,
-    TdState,
-    benchmark_apf_law,
-    td_rhs,
-    torque_law,
-    virtual_law,
-)
+from slewguard.controller import benchmark_apf_law, torque_law, virtual_law
 from slewguard.engine import (
     SimConfig,
     SimulationAbort,
@@ -41,64 +24,17 @@ from slewguard.engine import (
     write_summary_json,
     write_trajectory_csv,
 )
-from slewguard.envelope import (
-    EnvelopeConfig,
-    EnvelopeState,
-    SwitchConfig,
-    effective_switches,
-    sppf_rhs,
+from slewguard.envelope import ERROR_RATIO_FLOOR
+from slewguard.potential import bridge, repulsion_grad_beta
+from slewguard.scenario import load_preset
+
+from loop_fixtures import (
+    FULL_INERTIA,
+    make_scenario,
+    oracle_scenarios,
+    sample_states,
 )
-from slewguard.potential import ObstacleCone, repulsion_grad_beta
-from slewguard.scenario import Scenario, load_preset
-
-
-# symmetric, positive definite, with every product of inertia nonzero
-FULL_INERTIA = np.array([[5.08, 0.12, -0.05],
-                         [0.12, 5.14, 0.08],
-                         [-0.05, 0.08, 5.0]])
-
-
-def make_scenario(n_obstacles=1, inertia=None, **ctrl_over):
-    """Hand-built scenario with a cone close to the slew path."""
-    ctrl_kw = dict(k1=0.3, k_p=0.5, k_omega=10.0, g=1.0, big_f=0.25, k_a=2.5,
-                   eta=2e-4, sigma=1e-6, td_r=20.0, td_a1=1.0, td_a2=2.0)
-    ctrl_kw.update(ctrl_over)
-    ctrl = ControllerConfig(**ctrl_kw)
-    if inertia is None:
-        inertia = np.diag([5.08, 5.14, 5.0])
-    params = SpacecraftParams(inertia=inertia,
-                              torque_limit=0.5, disturbance_bound=0.1)
-    target = np.array([-0.866, 0.5, 0.0])
-    target /= np.linalg.norm(target)
-    axes = [np.array([0.5145, 0.8575, 0.0]),
-            np.array([-0.099, 0.990, -0.099])]
-    cones = []
-    for axis in axes[:n_obstacles]:
-        axis = axis / np.linalg.norm(axis)
-        sep = math.acos(float(np.dot(axis, target)))
-        k_r = ctrl.k_a * (1.0 - math.cos(sep - math.radians(27.0)))
-        cones.append(ObstacleCone(axis_inertial=axis,
-                                  theta_f=math.radians(20.0),
-                                  theta_0=math.radians(36.0),
-                                  theta_1=math.radians(27.0),
-                                  k_r=k_r, r_slope=0.3))
-    switch = SwitchConfig.from_principles(
-        math.cos(math.radians(36.0)), math.cos(math.radians(27.0)),
-        delta=0.005, m=5.0, n=2.0, p1=math.cos(math.radians(30.0)))
-    return Scenario(
-        name="engine-test",
-        description="hand-built fixture",
-        params=params,
-        initial=BodyState(UnitQuaternion.identity(), np.zeros(3)),
-        boresight_body=np.array([0.0, 0.0, 1.0]),
-        target_inertial=target,
-        obstacles=tuple(cones),
-        envelope=EnvelopeConfig(rho_0=3.0, rho_inf=1e-3, k_rho=0.1),
-        switch=switch,
-        controller=ctrl,
-        sim=SimConfig(),
-        theta_df=math.radians(50.0),
-    )
+from test_attitude import hamilton, quat_conj
 
 
 class TestDisturbance:
@@ -117,46 +53,40 @@ class TestDisturbance:
                                       np.zeros(3))
 
 
-def quat_taking(body_dir, inertial_dir):
-    """Quaternion q with rotate_to_body(q, inertial_dir) == body_dir."""
-    c = float(np.dot(body_dir, inertial_dir))
-    axis = np.cross(body_dir, inertial_dir)
-    n = float(np.linalg.norm(axis))
-    if n < 1e-12:
-        return UnitQuaternion.identity()
-    return UnitQuaternion.from_axis_angle(axis / n, math.acos(c))
-
-
 def reference_rhs(t, y, sc, sim):
-    """Recompose the coupled derivative from the public module functions.
+    """The coupled derivative from textbook formulas and the two laws.
 
-    The terms both laws share (r_b x B, J w, x_e and P1) are formed here
-    with numpy, independently of the engine's stage.
+    Frames come from Hamilton products, the rigid body from a linear solve,
+    and the funnel, switches and differentiator from their defining
+    formulas, all with numpy; only the laws, the bridge and the repulsion
+    gradient are the package's own.
     """
     q = np.asarray(y[0:4], dtype=float)
-    q = q / np.linalg.norm(q)
-    quat = UnitQuaternion(*q)
+    qn = q / np.linalg.norm(q)
     w = np.asarray(y[4:7], dtype=float)
     rho = float(y[7])
-    td = TdState(np.asarray(y[8:11], dtype=float),
-                 np.asarray(y[11:14], dtype=float))
-
+    x1 = np.asarray(y[8:11], dtype=float)
+    x2 = np.asarray(y[11:14], dtype=float)
     b = sc.boresight_body
-    r_b = rotate_to_body(quat, sc.target_inertial)
-    x_e = pointing_error(b, r_b)
+
+    def to_body(v):  # q* [v, 0] q
+        return hamilton(hamilton(quat_conj(qn), [*v, 0.0]), qn)[:3]
+
+    r_b = to_body(sc.target_inertial)
+    x_e = 1.0 - float(np.dot(b, r_b))
     obstacles = []
-    betas = []
     for cone in sc.obstacles:
-        f_b = rotate_to_body(quat, cone.axis_inertial)
-        beta = float(np.dot(b, f_b))
-        obstacles.append((cone, f_b, beta))
-        betas.append(beta)
+        f_b = to_body(cone.axis_inertial)
+        obstacles.append((cone, f_b, float(np.dot(b, f_b))))
 
     benchmark = sim.controller_mode == "benchmark_apf"
     if benchmark:
         s_eff = v_eff = 1.0
     else:
-        s_eff, v_eff = effective_switches(sc.switch, betas)
+        s_eff = max([0.0] + [bridge(sc.switch.s_shape, beta)
+                             for _, _, beta in obstacles])
+        v_eff = max([0.0] + [bridge(sc.switch.v_shape, beta)
+                             for _, _, beta in obstacles])
     r_cross_b = np.cross(r_b, b)
     p1 = np.zeros(3)
     if v_eff > 0.0:
@@ -165,7 +95,7 @@ def reference_rhs(t, y, sc, sim):
             p1 = p1 - repulsion_grad_beta(cone, beta) * np.cross(f_b, b)
     terms = dict(omega=tuple(w.tolist()),
                  j_omega=tuple((sc.params.inertia @ w).tolist()),
-                 e2=tuple((w - td.x1).tolist()), sd_dot=tuple(td.x2.tolist()),
+                 e2=tuple((w - x1).tolist()), sd_dot=tuple(x2.tolist()),
                  x_e=x_e, r_cross_b=tuple(r_cross_b.tolist()),
                  p1=tuple(p1.tolist()), boresight_body=tuple(b.tolist()),
                  params=sc.params, cfg=sc.controller)
@@ -180,46 +110,31 @@ def reference_rhs(t, y, sc, sim):
                             sc.controller)
         u = torque_law(eps=eps, rho=rho, omega_s_eff=s_eff,
                        omega_v_eff=v_eff, **terms)
-        e_dot = reduced_error_rate(b, r_b, w)
-        rho_dot = sppf_rhs(EnvelopeState(rho, eps), sc.envelope, s_eff,
-                           x_e, e_dot)
+        # r_b_dot = -w x r_b, so x_e_dot = -B . (r_b x w)
+        e_dot = -float(np.dot(b, np.cross(r_b, w)))
+        env = sc.envelope
+        follow = 0.0 if abs(x_e) < ERROR_RATIO_FLOOR else e_dot / x_e * rho
+        rho_dot = ((1.0 - s_eff) * -env.k_rho * (rho - env.rho_inf)
+                   + s_eff * follow)
 
     d = disturbance_torque(t, sim.disturbance_enabled)
-    w_dot = dynamics_rhs(BodyState(quat, w), u, d, sc.params)
-    q_dot = attitude_kinematics_rhs(quat, w)
-    d1, d2 = td_rhs(td, v_cmd, sc.controller)
-    return np.concatenate([q_dot, w_dot, [rho_dot], d1, d2])
-
-
-def sample_states(rng, sc, n):
-    """Random coupled states with cone angles spread across every regime."""
-    states = []
-    gammas = [15.0, 25.0, 28.0, 31.0, 33.0, 35.0, 36.5, 40.0, 80.0]
-    for i in range(n):
-        gamma = math.radians(gammas[i % len(gammas)])
-        f_body = np.array([math.sin(gamma), 0.0, math.cos(gamma)])
-        quat = quat_taking(f_body, sc.obstacles[0].axis_inertial)
-        spin = UnitQuaternion.from_axis_angle(rng.normal(size=3) * 0.0
-                                              + np.array([0.0, 0.0, 1.0]),
-                                              rng.uniform(-math.pi, math.pi))
-        quat = quat.multiply(spin)
-        y = np.zeros(14)
-        y[0:4] = quat.as_array()
-        y[4:7] = rng.normal(size=3) * 0.1
-        y[7] = rng.uniform(0.3, 3.0)
-        y[8:11] = rng.normal(size=3) * 0.05
-        y[11:14] = rng.normal(size=3) * 0.2
-        states.append(y)
-    return states
+    j = sc.params.inertia
+    w_dot = np.linalg.solve(j, -np.cross(w, j @ w) + np.asarray(u) + d)
+    q_dot = 0.5 * hamilton(q, [*w, 0.0])
+    c = sc.controller
+    r2 = c.td_r * c.td_r
+    x2_dot = (-r2 * c.td_a1 * np.tanh(x1 - np.asarray(v_cmd))
+              - r2 * c.td_a2 * np.tanh(x2 / c.td_r))
+    return np.concatenate([q_dot, w_dot, [rho_dot], x2, x2_dot])
 
 
 class TestCoupledRhs:
     def test_matches_module_composition(self):
-        # products of inertia are where the kernel's scalar J w can differ
-        # from numpy's matvec in the last bit; the tolerance covers that
+        # products of inertia and an oblique boresight are where the kernel's
+        # scalar arithmetic can differ from numpy's in the last bit; the
+        # tolerance covers that
         sim = SimConfig()
-        for inertia in (None, FULL_INERTIA):
-            sc = make_scenario(n_obstacles=2, inertia=inertia)
+        for sc in oracle_scenarios():
             rng = np.random.default_rng(11)
             for y in sample_states(rng, sc, 27):
                 t = rng.uniform(0.0, 100.0)
@@ -228,13 +143,13 @@ class TestCoupledRhs:
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_matches_composition_in_benchmark_mode(self):
-        sc = make_scenario(n_obstacles=2)
         sim = SimConfig(controller_mode="benchmark_apf")
-        rng = np.random.default_rng(12)
-        for y in sample_states(rng, sc, 9):
-            got = coupled_rhs(3.0, y, sc, sim)
-            want = reference_rhs(3.0, y, sc, sim)
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        for sc in oracle_scenarios():
+            rng = np.random.default_rng(12)
+            for y in sample_states(rng, sc, 9):
+                got = coupled_rhs(3.0, y, sc, sim)
+                want = reference_rhs(3.0, y, sc, sim)
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_disturbance_toggle(self):
         sc = make_scenario()
@@ -390,14 +305,6 @@ class TestRunScenario:
                     "max_eps_while_tracking", "envelope_contained",
                     "torque_saturation_fraction", "max_torque_abs"):
             assert sparse[key] == every[key], key
-
-    def test_euler_agrees_with_rk4_at_small_step(self):
-        sc = make_scenario(n_obstacles=0)
-        rk = run_scenario(sc.with_sim(duration=5.0), force=True)
-        eu = run_scenario(sc.with_sim(duration=5.0, dt=0.001,
-                                      integrator="euler"), force=True)
-        assert rk.records["x_e"][-1] == pytest.approx(eu.records["x_e"][-1],
-                                                      abs=2e-3)
 
     def test_validation_failure_raises_unless_forced(self):
         sc = make_scenario(k1=0.05)  # violates gain ordering

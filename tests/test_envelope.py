@@ -1,21 +1,25 @@
-"""Funnel dynamics and switching tests with analytic oracles."""
+"""Funnel and switching tests with analytic oracles, run against the
+kernel's funnel radius rate and effective switches."""
 
 import math
 
 import numpy as np
 import pytest
 
-from slewguard.envelope import (
-    ERROR_RATIO_FLOOR,
-    EnvelopeConfig,
-    EnvelopeState,
-    SwitchConfig,
-    blf_value,
-    effective_switches,
-    omega_s,
-    omega_v,
-    sppf_rhs,
-    translated_error,
+from slewguard.attitude import UnitQuaternion
+from slewguard.engine import SimulationAbort
+from slewguard.envelope import EnvelopeConfig, SwitchConfig, blf_value
+from slewguard.potential import bridge
+
+from loop_fixtures import (
+    TARGET,
+    kernel,
+    make_scenario,
+    quat_taking,
+    rk4,
+    sample_states,
+    slice_flow,
+    state,
 )
 
 
@@ -48,130 +52,173 @@ class TestSwitchConfig:
                          p0=0.8, p1=0.9, pm=0.85, n=2.0, delta=0.005)
 
 
+def pointing_with_cosines(a1, a2, c1, c2):
+    """A unit direction whose cosines to the unit axes a1, a2 are c1, c2."""
+    c12 = float(np.dot(a1, a2))
+    alpha = (c1 - c2 * c12) / (1.0 - c12 * c12)
+    beta = (c2 - c1 * c12) / (1.0 - c12 * c12)
+    d = alpha * a1 + beta * a2
+    normal = np.cross(a1, a2)
+    return d + math.sqrt(1.0 - d @ d) / np.linalg.norm(normal) * normal
+
+
 class TestSwitches:
+    """The two switches are bridges over SwitchConfig.s_shape and v_shape;
+    the kernel's stage takes the largest value over the cones."""
+
     def test_omega_s_endpoints_and_mid(self):
         cfg = make_switch()
-        assert omega_s(cfg, cfg.v0 - 0.01) == 0.0
-        assert omega_s(cfg, cfg.v0) == 0.0
-        assert omega_s(cfg, cfg.vm) == pytest.approx(0.5, abs=1e-15)
-        assert omega_s(cfg, cfg.v1) == 1.0
-        assert omega_s(cfg, cfg.v1 + 0.05) == 1.0
+        assert bridge(cfg.s_shape, cfg.v0 - 0.01) == 0.0
+        assert bridge(cfg.s_shape, cfg.v0) == 0.0
+        assert bridge(cfg.s_shape, cfg.vm) == pytest.approx(0.5, abs=1e-15)
+        assert bridge(cfg.s_shape, cfg.v1) == 1.0
+        assert bridge(cfg.s_shape, cfg.v1 + 0.05) == 1.0
 
     def test_omega_v_endpoints_and_mid(self):
         cfg = make_switch()
-        assert omega_v(cfg, cfg.p0) == 0.0
-        assert omega_v(cfg, cfg.pm) == pytest.approx(0.5, abs=1e-15)
-        assert omega_v(cfg, cfg.p1) == 1.0
+        assert bridge(cfg.v_shape, cfg.p0) == 0.0
+        assert bridge(cfg.v_shape, cfg.pm) == pytest.approx(0.5, abs=1e-15)
+        assert bridge(cfg.v_shape, cfg.p1) == 1.0
 
     def test_freeze_completes_where_blend_starts(self):
         cfg = make_switch()
         beta = cfg.v1
-        assert omega_s(cfg, beta) == 1.0
-        assert omega_v(cfg, beta) == 0.0
+        assert bridge(cfg.s_shape, beta) == 1.0
+        assert bridge(cfg.v_shape, beta) == 0.0
 
     def test_monotone(self):
         cfg = make_switch()
         grid = np.linspace(cfg.v0 - 0.01, cfg.p1 + 0.01, 4001)
-        s_vals = [omega_s(cfg, float(b)) for b in grid]
-        v_vals = [omega_v(cfg, float(b)) for b in grid]
+        s_vals = [bridge(cfg.s_shape, float(b)) for b in grid]
+        v_vals = [bridge(cfg.v_shape, float(b)) for b in grid]
         assert all(b >= a - 1e-15 for a, b in zip(s_vals, s_vals[1:]))
         assert all(b >= a - 1e-15 for a, b in zip(v_vals, v_vals[1:]))
 
     def test_effective_switches_takes_worst(self):
-        cfg = make_switch()
-        betas = [cfg.v0 - 0.1, cfg.vm, cfg.v0]
-        s_eff, v_eff = effective_switches(cfg, betas)
-        assert s_eff == pytest.approx(0.5, abs=1e-15)
-        assert v_eff == 0.0
+        sc = make_scenario(n_obstacles=2)
+        a1, a2 = (c.axis_inertial for c in sc.obstacles)
+        cfg = sc.switch
+        below = cfg.v0 - 0.01
+        cases = [((cfg.vm, below), (0.5, 0.0)), ((below, cfg.vm), (0.5, 0.0)),
+                 ((cfg.pm, cfg.vm), (1.0, 0.5)), ((cfg.vm, cfg.pm), (1.0, 0.5)),
+                 ((below, below - 0.1), (0.0, 0.0))]
+        for cosines, (s_want, v_want) in cases:
+            d = pointing_with_cosines(a1, a2, *cosines)
+            y = state(quat_taking(sc.boresight_body, d), [0.01, -0.02, 0.03])
+            _, _, _, betas, _, s_eff, v_eff, *_ = kernel(sc, y)[1]
+            np.testing.assert_allclose(betas, cosines, atol=1e-12)
+            assert s_eff == max([0.0] + [bridge(cfg.s_shape, b)
+                                         for b in betas])
+            assert v_eff == max([0.0] + [bridge(cfg.v_shape, b)
+                                         for b in betas])
+            assert (s_eff, v_eff) == pytest.approx((s_want, v_want),
+                                                   abs=1e-9)
 
     def test_effective_switches_empty(self):
-        assert effective_switches(make_switch(), []) == (0.0, 0.0)
+        sc = make_scenario(n_obstacles=0)
+        stage = kernel(sc, state(UnitQuaternion.identity()))[1]
+        assert (stage[3], stage[5], stage[6]) == ([], 0.0, 0.0)
 
 
 class TestFunnel:
+    """The funnel radius rate of the kernel, rho_dot = (1 - s) * shrink
+    + s * follow with shrink = -k_rho (rho - rho_inf) and follow =
+    (x_e_dot / x_e) rho."""
+
     def setup_method(self):
-        self.cfg = EnvelopeConfig(rho_0=3.0, rho_inf=1e-3, k_rho=0.1)
+        # boresight +z at the identity attitude, 90 deg from the cone
+        self.sc = make_scenario()
+        self.y = state(UnitQuaternion.identity(), [0.01, 0.02, -0.03],
+                       rho=3.0)
+
+    def shrink(self, rho):
+        env = self.sc.envelope
+        return -env.k_rho * (rho - env.rho_inf)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
             EnvelopeConfig(rho_0=1e-3, rho_inf=1e-3, k_rho=0.1)
         with pytest.raises(ValueError):
             EnvelopeConfig(rho_0=3.0, rho_inf=1e-3, k_rho=0.0)
-        with pytest.raises(ValueError):
-            EnvelopeState(rho=0.0, epsilon=0.0)
 
     def test_shrink_mode_value(self):
-        state = EnvelopeState(rho=3.0, epsilon=0.1)
-        got = sppf_rhs(state, self.cfg, 0.0, e=0.3, e_dot=-0.1)
-        assert got == pytest.approx(-0.1 * (3.0 - 1e-3), rel=1e-15)
+        dy, stage = kernel(self.sc, self.y)
+        assert stage[5] == 0.0
+        assert dy[7] == self.shrink(3.0)
+        assert dy[7] == pytest.approx(-0.1 * (3.0 - 1e-3), rel=1e-15)
 
     def test_shrink_mode_analytic_trajectory(self):
         # rho(t) = rho_inf + (rho_0 - rho_inf) exp(-k t) under omega_s = 0
-        dt = 0.01
-        rho = self.cfg.rho_0
-        checks = {1.0: None, 10.0: None, 50.0: None}
-        t = 0.0
-        n_steps = int(round(50.0 / dt))
-        for k in range(n_steps):
-            def f(r):
-                return sppf_rhs(EnvelopeState(rho=r, epsilon=0.0), self.cfg,
-                                0.0, e=1.0, e_dot=0.0)
-            k1 = f(rho)
-            k2 = f(rho + 0.5 * dt * k1)
-            k3 = f(rho + 0.5 * dt * k2)
-            k4 = f(rho + dt * k3)
-            rho += (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        f = slice_flow(self.sc, self.y, [7])
+        dt = 0.05
+        rho = np.array([3.0])
+        for k in range(1000):
+            rho = rk4(f, rho, k * dt, dt)
             t = (k + 1) * dt
-            for tc in checks:
-                if abs(t - tc) < 1e-9:
-                    checks[tc] = rho
-        for tc, got in checks.items():
-            want = 1e-3 + (3.0 - 1e-3) * math.exp(-0.1 * tc)
-            assert got == pytest.approx(want, abs=1e-8)
+            if k + 1 in (20, 200, 1000):
+                want = 1e-3 + (3.0 - 1e-3) * math.exp(-0.1 * t)
+                assert rho[0] == pytest.approx(want, abs=1e-10)
 
     def test_follow_mode_freezes_translated_error(self):
-        # co-integrate rho against a prescribed error signal with omega_s = 1
+        # co-integrate attitude and radius at a fixed body rate while a
+        # cone 15 deg off the boresight holds omega_s = 1
+        f_body = np.array([math.sin(math.radians(15.0)), 0.0,
+                           math.cos(math.radians(15.0))])
+        q0 = quat_taking(f_body, self.sc.obstacles[0].axis_inertial)
+        y = state(q0, [0.02, 0.03, -0.01], rho=2.0)
+        f = slice_flow(self.sc, y, [0, 1, 2, 3, 7])
+        z = y[[0, 1, 2, 3, 7]]
+        _, stage = kernel(self.sc, y)
+        x_e0, eps0 = stage[1], stage[4]
         dt = 0.01
-
-        def e(t):
-            return 0.5 + 0.2 * math.sin(0.3 * t)
-
-        def e_dot(t):
-            return 0.2 * 0.3 * math.cos(0.3 * t)
-
-        rho = 2.0
-        eps0 = e(0.0) / rho
-        t = 0.0
-        for k in range(5000):
-            def f(tt, r):
-                return sppf_rhs(EnvelopeState(rho=r, epsilon=0.0), self.cfg,
-                                1.0, e=e(tt), e_dot=e_dot(tt))
-            k1 = f(t, rho)
-            k2 = f(t + 0.5 * dt, rho + 0.5 * dt * k1)
-            k3 = f(t + 0.5 * dt, rho + 0.5 * dt * k2)
-            k4 = f(t + dt, rho + dt * k3)
-            rho += (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            t = (k + 1) * dt
-            eps = e(t) / rho
-            assert abs(eps - eps0) < 1e-8
+        for k in range(400):
+            z = rk4(f, z, k * dt, dt)
+            y[[0, 1, 2, 3, 7]] = z
+            _, stage = kernel(self.sc, y)
+            assert stage[5] == 1.0
+            assert abs(stage[4] - eps0) < 1e-10
+        assert abs(stage[1] - x_e0) > 0.05  # the error itself moved
 
     def test_blend_is_convex_combination(self):
-        state = EnvelopeState(rho=2.0, epsilon=0.2)
-        pure0 = sppf_rhs(state, self.cfg, 0.0, e=0.4, e_dot=-0.2)
-        pure1 = sppf_rhs(state, self.cfg, 1.0, e=0.4, e_dot=-0.2)
-        mix = sppf_rhs(state, self.cfg, 0.3, e=0.4, e_dot=-0.2)
-        assert mix == pytest.approx(0.7 * pure0 + 0.3 * pure1, rel=1e-12)
+        n_blend = 0
+        for y in sample_states(np.random.default_rng(9), self.sc, 27):
+            dy, stage = kernel(self.sc, y)
+            r_b, x_e, s = stage[0], stage[1], stage[5]
+            if not 0.0 < s < 1.0:
+                continue
+            n_blend += 1
+            e_dot = -float(np.dot(self.sc.boresight_body,
+                                  np.cross(r_b, y[4:7])))
+            pure0 = self.shrink(y[7])
+            pure1 = e_dot / x_e * y[7]
+            assert dy[7] == pytest.approx((1 - s) * pure0 + s * pure1,
+                                          rel=1e-12, abs=1e-15)
+        assert n_blend >= 3
 
     def test_ratio_floor_guard(self):
-        state = EnvelopeState(rho=2.0, epsilon=0.0)
-        got = sppf_rhs(state, self.cfg, 1.0, e=ERROR_RATIO_FLOOR / 10.0,
-                       e_dot=5.0)
-        assert got == 0.0
+        # boresight on (or 1e-6 rad off) the target, a cone near the target:
+        # the follow term e_dot / e is dropped and the shrink share remains
+        z = np.array([0.0, 0.0, 1.0])
+        for cone_deg in (30.0, 36.5):
+            axis = UnitQuaternion.from_axis_angle(
+                z, math.radians(cone_deg)).rotate(TARGET)
+            sc = make_scenario(axes=[axis])
+            for offset in (0.0, 1e-6):
+                aim = UnitQuaternion.from_axis_angle(z, -offset).rotate(TARGET)
+                y = state(quat_taking(sc.boresight_body, aim),
+                          [0.1, -0.2, 0.05], rho=2.0)
+                dy, stage = kernel(sc, y)
+                x_e, s = stage[1], stage[5]
+                assert abs(x_e) < 1e-9
+                assert s > 0.0
+                assert dy[7] == (1.0 - s) * self.shrink(2.0)
 
     def test_translated_error(self):
-        assert translated_error(0.3, 2.0) == pytest.approx(0.15)
-        with pytest.raises(ValueError):
-            translated_error(0.3, 0.0)
+        for y in sample_states(np.random.default_rng(4), self.sc, 9):
+            _, stage = kernel(self.sc, y)
+            assert stage[4] == stage[1] / y[7]
+        with pytest.raises(SimulationAbort):
+            kernel(self.sc, state(UnitQuaternion.identity(), rho=0.0))
 
 
 class TestBarrier:

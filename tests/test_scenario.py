@@ -158,6 +158,17 @@ class TestSchema:
         with pytest.raises(ValueError, match="duration / dt must be finite"):
             SimConfig(dt=1e-300, duration=1e10)
 
+    def test_integrator_key_accepts_rk4_only(self):
+        doc = valid_doc()
+        doc["sim"]["integrator"] = "rk4"
+        assert scenario_from_dict(doc).sim == scenario_from_dict(valid_doc()).sim
+        for value in ("euler", 4):
+            doc["sim"]["integrator"] = value
+            with pytest.raises(ScenarioError) as err:
+                scenario_from_dict(doc)
+            assert err.value.errors == [
+                '$.sim.integrator: only "rk4" is supported']
+
     def test_fractional_record_stride_rejected(self):
         doc = valid_doc()
         doc["sim"]["record_stride"] = 2.5
@@ -251,6 +262,7 @@ class TestSchema:
         np.testing.assert_array_equal(sc2.target_inertial, sc1.target_inertial)
         assert sc2.sim == sc1.sim
         assert sc2.targets == sc1.targets
+        assert "integrator" not in sc1.to_dict()["sim"]
 
 
 class TestLoadScenario:
