@@ -300,25 +300,25 @@ def validate_config(cfg: ControllerConfig, envelope: EnvelopeConfig,
         f"k1={cfg.k1:g} vs k_rho={envelope.k_rho:g} (need k1 > k_rho)")
 
     # attraction must dominate the worst repulsion slope over the reachable
-    # goal-angle range while avoidance is active
-    try:
-        ms = min_sin_theta_d(theta_df, switch.p0, switch.p1)
-    except ValueError as exc:
-        add("attraction-floor", False, str(exc))
-        ms = None
-    if ms is not None:
-        r_max = max((c.r_slope for c in obstacles), default=0.0)
-        if not obstacles:
-            add("attraction-floor", True, "no obstacles, rule vacuous")
-        elif ms <= 0.0:
-            add("attraction-floor", False,
-                f"goal-angle lower bound reaches zero (theta_df="
-                f"{math.degrees(theta_df):.2f} deg inside the blend band)")
+    # goal-angle range while avoidance is active; without cones the switch
+    # band is inert and may sit anywhere, so it is not evaluated
+    if not obstacles:
+        add("attraction-floor", True, "no obstacles, rule vacuous")
+    else:
+        try:
+            ms = min_sin_theta_d(theta_df, switch.p0, switch.p1)
+        except ValueError as exc:
+            add("attraction-floor", False, str(exc))
         else:
-            need = r_max / ms
-            add("attraction-floor", cfg.k_a >= need - 1e-12,
-                f"k_a={cfg.k_a:g} vs r_slope_max/min_sin={need:.6g} "
-                f"(min_sin={ms:.6g})")
+            if ms <= 0.0:
+                add("attraction-floor", False,
+                    f"goal-angle lower bound reaches zero (theta_df="
+                    f"{math.degrees(theta_df):.2f} deg inside the blend band)")
+            else:
+                need = max(c.r_slope for c in obstacles) / ms
+                add("attraction-floor", cfg.k_a >= need - 1e-12,
+                    f"k_a={cfg.k_a:g} vs r_slope_max/min_sin={need:.6g} "
+                    f"(min_sin={ms:.6g})")
 
     # funnel must start strictly above the initial error
     r_b0 = rotate_to_body(initial.attitude, target_inertial)

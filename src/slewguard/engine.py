@@ -56,7 +56,7 @@ import json
 import math
 import time
 from array import array
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -176,19 +176,12 @@ class SimulationResult:
     validation: object
 
 
-def _disturbance(t: float) -> tuple[float, float, float]:
+def disturbance_torque(t: float) -> tuple[float, float, float]:
     """Components of the slowly varying environmental torque [N m]."""
     a = _DIST_OMEGA * t
     return (1e-3 * (4.0 * math.sin(3.0 * a) + 3.0 * math.cos(10.0 * a) - 40.0),
             1e-3 * (-1.5 * math.sin(2.0 * a) + 3.0 * math.cos(5.0 * a) + 45.0),
             1e-3 * (3.0 * math.sin(10.0 * a) - 8.0 * math.cos(4.0 * a) + 40.0))
-
-
-def disturbance_torque(t: float, enabled: bool = True) -> np.ndarray:
-    """Slowly varying environmental torque [N m]; zero when disabled."""
-    if not enabled:
-        return np.zeros(3)
-    return np.array(_disturbance(t))
 
 
 _ZERO3 = (0.0, 0.0, 0.0)
@@ -329,7 +322,7 @@ class _LoopContext:
         ux, uy, uz = u
         if self.dist_on and t != self._dist_t:
             self._dist_t = t
-            self._dist = _disturbance(t)
+            self._dist = disturbance_torque(t)
         dx, dy, dz = self._dist
 
         # rigid body: J w_dot = -w x (J w) + u + d
@@ -581,12 +574,7 @@ def summarize(scenario: "Scenario", sim: SimConfig,
     targets_met = None
     targets_dict = None
     if targets is not None:
-        targets_dict = {
-            "settle_deg": targets.settle_deg,
-            "settle_time_s": targets.settle_time_s,
-            "terminal_deg": targets.terminal_deg,
-            "terminal_time_s": targets.terminal_time_s,
-        }
+        targets_dict = asdict(targets)
         targets_met = True
         if targets.settle_deg is not None and targets.settle_time_s is not None:
             st = settling_time(records, targets.settle_deg)

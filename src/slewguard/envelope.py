@@ -19,7 +19,9 @@ blends the guidance law toward the potential-field branch, starts exactly at
 that onset and ramps more gently.  With several cones each switch takes the
 worst (largest) value over the per-cone cosines.
 
-This module holds the funnel and switch parameters and the barrier value.
+This module holds the funnel parameters, the five switch settings (the
+onset ``v1``, the saturation ``p1``, ``delta``, ``m`` and ``n``) with the
+knots and bridge shapes derived from them, and the barrier value.
 The closed loop evaluates the radius rate and the switches, ``bridge`` over
 ``SwitchConfig.s_shape`` and ``SwitchConfig.v_shape``, in every integrator
 stage (see :mod:`slewguard.engine`).
@@ -64,64 +66,44 @@ class EnvelopeConfig:
 class SwitchConfig:
     """Knots and steepness factors of the two mode switches.
 
-    ``omega_s`` bridges over [v0, v1] centered at vm with steepness factor
-    ``m``; ``omega_v`` over [p0, p1] centered at pm with factor ``n``.  The
-    layout is asynchronous: p0 equals v1, so the funnel freeze completes
-    exactly where the guidance blend begins.
+    Five settings fix the layout: the repulsion onset ``v1``, the saturation
+    ``p1``, the freeze band width ``delta`` and the steepness factors ``m``
+    and ``n``.  ``omega_s`` bridges over [v0, v1] = [v1 - 2 delta, v1]
+    centered at vm = v1 - delta with steepness ``m * (v1 - v0)``;
+    ``omega_v`` over [p0, p1] centered at pm with steepness
+    ``n * (p1 - p0)``.  The layout is asynchronous: p0 equals v1, so the
+    funnel freeze completes exactly where the guidance blend begins.  The
+    other knots and both bridge shapes are derived, never set.
     """
 
-    v0: float
     v1: float
-    vm: float
-    m: float
-    p0: float
     p1: float
-    pm: float
-    n: float
     delta: float
+    m: float
+    n: float
+    v0: float = field(init=False, compare=False)
+    vm: float = field(init=False, compare=False)
+    p0: float = field(init=False, compare=False)
+    pm: float = field(init=False, compare=False)
     s_shape: BridgeShape = field(init=False, repr=False, compare=False)
     v_shape: BridgeShape = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (self.v0 < self.vm < self.v1):
-            raise ValueError("switch knots must satisfy v0 < vm < v1")
-        if not (self.p0 < self.pm < self.p1):
-            raise ValueError("switch knots must satisfy p0 < pm < p1")
-        if abs(self.p0 - self.v1) > 1e-12:
-            raise ValueError("asynchronous layout requires p0 == v1")
-        if abs(self.vm - 0.5 * (self.v0 + self.v1)) > 1e-12:
-            raise ValueError("vm must center [v0, v1]")
-        if abs(self.pm - 0.5 * (self.p0 + self.p1)) > 1e-12:
-            raise ValueError("pm must center [p0, p1]")
+        if not (self.v1 < self.p1):
+            raise ValueError("switch knots must satisfy v1 < p1")
         if self.m <= 0.0 or self.n <= 0.0:
             raise ValueError("steepness factors must be positive")
         if self.delta <= 0.0:
             raise ValueError("delta must be positive")
-        object.__setattr__(self, "s_shape", BridgeShape(
-            lo=self.v0, hi=self.v1, mid=self.vm,
-            steepness=self.m * (self.v1 - self.v0)))
-        object.__setattr__(self, "v_shape", BridgeShape(
-            lo=self.p0, hi=self.p1, mid=self.pm,
-            steepness=self.n * (self.p1 - self.p0)))
-
-    @classmethod
-    def from_principles(cls, repulsion_lo: float, repulsion_hi: float,
-                        delta: float = 0.01, m: float = 5.0, n: float = 2.0,
-                        p1: float | None = None) -> "SwitchConfig":
-        """Derive knots from a repulsion bridge [lo, hi] on the cosine axis.
-
-        The freeze switch spans ``[lo - 2*delta, lo]`` so it completes at the
-        repulsion onset; the guidance switch spans ``[lo, p1]`` with ``p1``
-        defaulting to the repulsion plateau edge ``hi``.
-        """
-        v1 = repulsion_lo
-        v0 = v1 - 2.0 * delta
-        if p1 is None:
-            p1 = repulsion_hi
-        if p1 > repulsion_hi + 1e-12:
-            raise ValueError("p1 must not exceed the repulsion plateau edge")
-        return cls(v0=v0, v1=v1, vm=v1 - delta, m=m,
-                   p0=v1, p1=p1, pm=0.5 * (v1 + p1), n=n, delta=delta)
+        v1, p1 = self.v1, self.p1
+        v0, vm, pm = v1 - 2.0 * self.delta, v1 - self.delta, 0.5 * (v1 + p1)
+        for name, value in (
+                ("v0", v0), ("vm", vm), ("p0", v1), ("pm", pm),
+                ("s_shape", BridgeShape(lo=v0, hi=v1, mid=vm,
+                                        steepness=self.m * (v1 - v0))),
+                ("v_shape", BridgeShape(lo=v1, hi=p1, mid=pm,
+                                        steepness=self.n * (p1 - v1)))):
+            object.__setattr__(self, name, value)
 
 
 def _ln_cosh(z: float) -> float:

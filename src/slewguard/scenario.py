@@ -89,76 +89,6 @@ class Scenario:
         new.sim = replace(self.sim, **changes)
         return new
 
-    def to_dict(self) -> dict:
-        """Serializable document in the scenario-file schema."""
-        cones = []
-        for c in self.obstacles:
-            cones.append({
-                "axis_inertial": [float(v) for v in c.axis_inertial],
-                "theta_f_deg": math.degrees(c.theta_f),
-                "theta_0_deg": math.degrees(c.theta_0),
-                "theta_1_deg": math.degrees(c.theta_1),
-                "k_r": c.k_r,
-                "r_slope": c.r_slope,
-            })
-        doc = {
-            "name": self.name,
-            "description": self.description,
-            "spacecraft": {
-                "inertia": [[float(v) for v in row] for row in self.params.inertia],
-                "torque_limit": self.params.torque_limit,
-                "disturbance_bound": self.params.disturbance_bound,
-            },
-            "initial": {
-                "attitude": [self.initial.attitude.x, self.initial.attitude.y,
-                             self.initial.attitude.z, self.initial.attitude.w],
-                "omega": [float(v) for v in self.initial.omega],
-            },
-            "boresight_body": [float(v) for v in self.boresight_body],
-            "target_inertial": [float(v) for v in self.target_inertial],
-            "obstacles": cones,
-            "envelope": {
-                "rho_0": self.envelope.rho_0,
-                "rho_inf": self.envelope.rho_inf,
-                "k_rho": self.envelope.k_rho,
-            },
-            "switching": {
-                "delta": self.switch.delta,
-                "m": self.switch.m,
-                "n": self.switch.n,
-                "p1": self.switch.p1,
-            },
-            "controller": {
-                "k1": self.controller.k1,
-                "k_p": self.controller.k_p,
-                "k_omega": self.controller.k_omega,
-                "g": self.controller.g,
-                "big_f": self.controller.big_f,
-                "k_a": self.controller.k_a,
-                "eta": self.controller.eta,
-                "sigma": self.controller.sigma,
-                "td_r": self.controller.td_r,
-                "td_a1": self.controller.td_a1,
-                "td_a2": self.controller.td_a2,
-            },
-            "sim": {
-                "dt": self.sim.dt,
-                "duration": self.sim.duration,
-                "record_stride": self.sim.record_stride,
-                "disturbance_enabled": self.sim.disturbance_enabled,
-                "controller_mode": self.sim.controller_mode,
-            },
-            "theta_df_deg": math.degrees(self.theta_df),
-        }
-        if self.targets is not None:
-            doc["targets"] = {
-                "settle_deg": self.targets.settle_deg,
-                "settle_time_s": self.targets.settle_time_s,
-                "terminal_deg": self.targets.terminal_deg,
-                "terminal_time_s": self.targets.terminal_time_s,
-            }
-        return doc
-
 
 # ---------------------------------------------------------------------------
 # schema walking helpers: every failure names the offending field path
@@ -410,20 +340,25 @@ def scenario_from_dict(data: Any, default_name: str = "scenario") -> Scenario:
                              required=False)
             if tp1 is not None:
                 p1 = math.cos(math.radians(tp1))
-        if obstacles and None not in (delta, m, n):
-            lo = min(c.shape.lo for c in obstacles)
-            hi = min(c.shape.hi for c in obstacles)
+        if None not in (delta, m, n):
+            if obstacles:
+                # the freeze completes at the outermost onset; the blend
+                # saturates no deeper than the nearest plateau edge, and
+                # there by default
+                v1 = min(c.shape.lo for c in obstacles)
+                hi = min(c.shape.hi for c in obstacles)
+                p1 = hi if p1 is None else p1
+            else:
+                # no cones: park the switches in an inert band just below
+                # beta = 1 so the config stays constructible; it can never
+                # activate
+                v1 = 1.0 - 4.0 * delta
+                p1 = hi = 1.0 - delta
             try:
-                switch = SwitchConfig.from_principles(lo, hi, delta=delta,
-                                                      m=m, n=n, p1=p1)
-            except ValueError as exc:
-                errors.append(f"$.switching: {exc}")
-        elif not obstacles and None not in (delta, m, n):
-            # no cones: place an inert switch band just below beta = 1 so the
-            # config stays constructible; it can never activate
-            try:
-                switch = SwitchConfig.from_principles(
-                    1.0 - 4.0 * delta, 1.0 - delta, delta=delta, m=m, n=n)
+                if p1 > hi + 1e-12:
+                    raise ValueError("p1 must not exceed the repulsion "
+                                     "plateau edge")
+                switch = SwitchConfig(v1=v1, p1=p1, delta=delta, m=m, n=n)
             except ValueError as exc:
                 errors.append(f"$.switching: {exc}")
 

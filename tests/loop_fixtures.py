@@ -53,9 +53,9 @@ def make_scenario(n_obstacles=1, inertia=None, boresight=None, target=None,
                                   theta_0=math.radians(36.0),
                                   theta_1=math.radians(27.0),
                                   k_r=k_r, r_slope=0.3))
-    switch = SwitchConfig.from_principles(
-        math.cos(math.radians(36.0)), math.cos(math.radians(27.0)),
-        delta=0.005, m=5.0, n=2.0, p1=math.cos(math.radians(30.0)))
+    switch = SwitchConfig(v1=math.cos(math.radians(36.0)),
+                          p1=math.cos(math.radians(30.0)),
+                          delta=0.005, m=5.0, n=2.0)
     return Scenario(
         name="engine-test",
         description="hand-built fixture",

@@ -139,6 +139,27 @@ class TestRun:
         assert ("$.obstacles[0]: bridge steepness must be positive and finite"
                 in capsys.readouterr().err)
 
+    def test_p1_beyond_the_plateau_edge_exits_3(self, tmp_path, capsys):
+        doc = valid_doc()
+        del doc["switching"]["theta_p1_deg"]
+        doc["switching"]["p1"] = math.cos(math.radians(20.0))
+        path = write_scenario(tmp_path, doc)
+        code = main(["run", "--scenario", str(path), "--out", str(tmp_path)])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: $.switching: p1 must not exceed the repulsion plateau "
+            "edge\n")
+
+    def test_cone_free_scenario_with_a_wide_switch_band_runs(self, tmp_path):
+        doc = valid_doc()
+        del doc["targets"]
+        doc["obstacles"] = []
+        doc["switching"]["delta"] = 0.6
+        path = write_scenario(tmp_path, doc)
+        code = main(["run", "--scenario", str(path), "--duration", "1",
+                     "--out", str(tmp_path / "runs")])
+        assert code == 0
+
     def test_integrator_other_than_rk4_exits_3(self, tmp_path, capsys):
         doc = valid_doc()
         doc["sim"]["integrator"] = "euler"

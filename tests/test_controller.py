@@ -22,9 +22,10 @@ from slewguard.potential import (
     repulsion_grad_beta,
     total_potential,
 )
-from slewguard.scenario import load_preset
+from slewguard.scenario import load_preset, scenario_from_dict
 
 from loop_fixtures import kernel, make_scenario, rk4, sample_states, slice_flow
+from test_scenario import valid_doc
 
 
 def make_cfg(**over):
@@ -425,9 +426,9 @@ class TestValidateConfig:
         sep = math.acos(float(np.dot(target, axis)))
         x_edge = 1.0 - math.cos(sep - math.radians(27.0))
         cone = make_cone(axis, k_r=cfg.k_a * x_edge)
-        switch = SwitchConfig.from_principles(
-            cone.shape.lo, cone.shape.hi, delta=0.005, m=5.0, n=2.0,
-            p1=math.cos(math.radians(30.0)))
+        switch = SwitchConfig(v1=cone.shape.lo,
+                              p1=math.cos(math.radians(30.0)),
+                              delta=0.005, m=5.0, n=2.0)
         env = EnvelopeConfig(rho_0=3.0, rho_inf=1e-3, k_rho=0.1)
         initial = BodyState(UnitQuaternion.identity(), np.zeros(3))
         return cfg, env, switch, cone, target, initial
@@ -487,6 +488,20 @@ class TestValidateConfig:
         report = self.run_validate(cfg, env, switch, [cone], target, initial)
         # reference tuning is in the sharp-bridge regime by design
         assert any(i.rule == "repulsion-slope[0]" for i in report.warnings)
+
+    def test_cone_free_scenario_passes_with_a_wide_switch_band(self):
+        # without cones the switch band is inert; a delta this wide parks it
+        # below beta = -1, where the attraction floor cannot be evaluated
+        doc = valid_doc()
+        doc["obstacles"] = []
+        doc["switching"]["delta"] = 0.6
+        sc = scenario_from_dict(doc)
+        report = validate_config(sc.controller, sc.envelope, sc.switch,
+                                 sc.obstacles, sc.boresight_body,
+                                 sc.target_inertial, sc.initial, sc.theta_df)
+        assert report.ok, report.describe()
+        floor = [i for i in report.issues if i.rule == "attraction-floor"]
+        assert [i.detail for i in floor] == ["no obstacles, rule vacuous"]
 
     def test_config_positivity(self):
         with pytest.raises(ValueError):

@@ -39,18 +39,28 @@ from test_attitude import hamilton, quat_conj
 
 class TestDisturbance:
     def test_initial_value(self):
-        d0 = disturbance_torque(0.0)
+        d0 = np.array(disturbance_torque(0.0))
         np.testing.assert_allclose(d0, [-0.037, 0.048, 0.032], atol=1e-15)
 
     def test_bounded_by_declared_limit(self):
-        worst = max(float(np.linalg.norm(disturbance_torque(t)))
+        worst = max(math.hypot(*disturbance_torque(t))
                     for t in np.linspace(0.0, 4000.0, 40001))
         assert worst < 0.1
         assert worst > 0.05  # sanity: the signal is not trivially small
 
-    def test_disabled_is_zero(self):
-        np.testing.assert_array_equal(disturbance_torque(37.5, enabled=False),
-                                      np.zeros(3))
+    def test_disabled_is_zero(self, monkeypatch):
+        # a disabled disturbance is never evaluated, and the kernel matches
+        # the textbook composition with d = 0
+        def fail(t):
+            raise AssertionError("disturbance evaluated while disabled")
+
+        monkeypatch.setattr(engine_module, "disturbance_torque", fail)
+        sim = SimConfig(disturbance_enabled=False)
+        sc = make_scenario()
+        for y in sample_states(np.random.default_rng(13), sc, 3):
+            np.testing.assert_allclose(coupled_rhs(37.5, y, sc, sim),
+                                       reference_rhs(37.5, y, sc, sim),
+                                       rtol=1e-12, atol=1e-12)
 
 
 def reference_rhs(t, y, sc, sim):
@@ -117,7 +127,7 @@ def reference_rhs(t, y, sc, sim):
         rho_dot = ((1.0 - s_eff) * -env.k_rho * (rho - env.rho_inf)
                    + s_eff * follow)
 
-    d = disturbance_torque(t, sim.disturbance_enabled)
+    d = np.array(disturbance_torque(t)) if sim.disturbance_enabled else 0.0
     j = sc.params.inertia
     w_dot = np.linalg.solve(j, -np.cross(w, j @ w) + np.asarray(u) + d)
     q_dot = 0.5 * hamilton(q, [*w, 0.0])
@@ -158,7 +168,7 @@ class TestCoupledRhs:
         y[7] = 3.0
         on = coupled_rhs(5.0, y, sc, SimConfig(disturbance_enabled=True))
         off = coupled_rhs(5.0, y, sc, SimConfig(disturbance_enabled=False))
-        d = disturbance_torque(5.0)
+        d = np.array(disturbance_torque(5.0))
         np.testing.assert_allclose(
             on[4:7] - off[4:7], sc.params.inertia_inv @ d, atol=1e-15)
 
@@ -234,13 +244,13 @@ class TestSharedStageTerms:
 
     def test_one_disturbance_evaluation_per_stage_time(self, monkeypatch):
         times = []
-        real = engine_module._disturbance
+        real = engine_module.disturbance_torque
 
         def counted(t):
             times.append(t)
             return real(t)
 
-        monkeypatch.setattr(engine_module, "_disturbance", counted)
+        monkeypatch.setattr(engine_module, "disturbance_torque", counted)
         sc = make_scenario(n_obstacles=1)
         ctx = _LoopContext(sc, SimConfig())
         dt = 0.01

@@ -23,12 +23,12 @@ from loop_fixtures import (
 )
 
 
-def make_switch(lo=0.8, hi=0.9, delta=0.005, m=5.0, n=2.0, p1=None):
-    return SwitchConfig.from_principles(lo, hi, delta=delta, m=m, n=n, p1=p1)
+def make_switch(v1=0.8, p1=0.9, delta=0.005, m=5.0, n=2.0):
+    return SwitchConfig(v1=v1, p1=p1, delta=delta, m=m, n=n)
 
 
 class TestSwitchConfig:
-    def test_from_principles_layout(self):
+    def test_derived_layout(self):
         cfg = make_switch()
         assert cfg.v1 == pytest.approx(0.8, abs=1e-15)
         assert cfg.v0 == pytest.approx(0.8 - 0.01, abs=1e-15)
@@ -37,19 +37,11 @@ class TestSwitchConfig:
         assert cfg.p1 == pytest.approx(0.9, abs=1e-15)
         assert cfg.pm == pytest.approx(0.85, abs=1e-15)
 
-    def test_p1_cannot_exceed_plateau_edge(self):
+    @pytest.mark.parametrize("bad", [
+        {"p1": 0.8}, {"p1": 0.7}, {"m": 0.0}, {"n": -1.0}, {"delta": 0.0}])
+    def test_settings_are_checked(self, bad):
         with pytest.raises(ValueError):
-            make_switch(p1=0.95)
-
-    def test_asynchronous_layout_enforced(self):
-        with pytest.raises(ValueError):
-            SwitchConfig(v0=0.79, v1=0.8, vm=0.795, m=5.0,
-                         p0=0.81, p1=0.9, pm=0.855, n=2.0, delta=0.005)
-
-    def test_centering_enforced(self):
-        with pytest.raises(ValueError):
-            SwitchConfig(v0=0.79, v1=0.8, vm=0.791, m=5.0,
-                         p0=0.8, p1=0.9, pm=0.85, n=2.0, delta=0.005)
+            make_switch(**bad)
 
 
 def pointing_with_cosines(a1, a2, c1, c2):

@@ -246,23 +246,26 @@ class TestSchema:
         sc = scenario_from_dict(doc)
         assert sc.params.inertia[0, 1] == 0.01
 
-    def test_round_trip_through_dict(self):
-        sc1 = scenario_from_dict(valid_doc())
-        sc2 = scenario_from_dict(sc1.to_dict())
-        assert sc2.controller == sc1.controller
-        assert sc2.envelope == sc1.envelope
-        assert sc2.switch == sc1.switch
-        assert sc2.theta_df == sc1.theta_df
-        for c1, c2 in zip(sc1.obstacles, sc2.obstacles):
-            np.testing.assert_array_equal(c1.axis_inertial, c2.axis_inertial)
-            assert (c1.theta_f, c1.theta_0, c1.theta_1) == (
-                c2.theta_f, c2.theta_0, c2.theta_1)
-            assert c1.k_r == c2.k_r
-            assert c1.r_slope == c2.r_slope
-        np.testing.assert_array_equal(sc2.target_inertial, sc1.target_inertial)
-        assert sc2.sim == sc1.sim
-        assert sc2.targets == sc1.targets
-        assert "integrator" not in sc1.to_dict()["sim"]
+    def test_switching_p1_as_cosine_matches_the_angle(self):
+        doc = valid_doc()
+        del doc["switching"]["theta_p1_deg"]
+        doc["switching"]["p1"] = math.cos(math.radians(30.0))
+        assert scenario_from_dict(doc).switch == scenario_from_dict(
+            valid_doc()).switch
+
+    @pytest.mark.parametrize("theta_p1_deg,message", [
+        (20.0, "$.switching: p1 must not exceed the repulsion plateau edge"),
+        (36.0, "$.switching: switch knots must satisfy v1 < p1"),
+        (40.0, "$.switching: switch knots must satisfy v1 < p1")])
+    def test_switching_p1_outside_the_blend_band_rejected(
+            self, theta_p1_deg, message):
+        # the cone's plateau edge sits at 27 deg and its onset at 36 deg
+        doc = valid_doc()
+        del doc["switching"]["theta_p1_deg"]
+        doc["switching"]["p1"] = math.cos(math.radians(theta_p1_deg))
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict(doc)
+        assert err.value.errors == [message]
 
 
 class TestLoadScenario:
