@@ -45,6 +45,17 @@ TRAJECTORY_SHA256 = {
         "317b99848c0185167fc60a07f9cdfc6985570c21677d6702e60ed76ce5b1d687",
 }
 
+# sha256 of the field-only baseline's full-length trajectory_benchmark.csv
+# for the presets ``run --compare`` is benchmarked on; same platform caveat.
+BASELINE_SHA256 = {
+    "paper-compare-1":
+        "41c4483f992a8ae2664527acfce37f988fb2a4c84b73cc90148e6d4c798ed144",
+    "paper-two-1":
+        "bb7a0975cd812b0bcb80874ddb41d3b49a997f5efa50e6625fc5572731aac6d2",
+    "paper-three-1":
+        "c6e9a273712070eb828fb7b7f3da5e4b90c47d1bc3799bf7c4513ac3b0479e16",
+}
+
 
 def check(num, description, ok, detail):
     line = (f"criterion {num:>2}: {'PASS' if ok else 'FAIL'} - "
@@ -60,10 +71,15 @@ def preset_runs():
 
 
 @pytest.fixture(scope="session")
-def benchmark_run():
-    sc = load_preset("paper-compare-1").with_sim(
-        controller_mode="benchmark_apf")
-    return run_scenario(sc)
+def benchmark_runs():
+    """One full-length baseline run of each ``BASELINE_SHA256`` preset."""
+    return {name: run_scenario(load_preset(name).with_sim(
+        controller_mode="benchmark_apf")) for name in BASELINE_SHA256}
+
+
+@pytest.fixture(scope="session")
+def benchmark_run(benchmark_runs):
+    return benchmark_runs["paper-compare-1"]
 
 
 @pytest.fixture(scope="session")
@@ -237,17 +253,34 @@ def test_criterion_10_numerical_hygiene(preset_runs, repeat_run,
           f"terminal shift {step_diff:.2e}")
 
 
-def test_trajectories_bit_identical(preset_runs, tmp_path):
+def changed_digests(runs, digests, tmp_path):
+    """Names whose written trajectory CSV differs from the recorded sha256."""
     changed = []
-    for name in PRESET_NAMES:
+    for name, want in digests.items():
         path = tmp_path / f"{name}.csv"
-        write_trajectory_csv(preset_runs[name].records, path)
-        if hashlib.sha256(path.read_bytes()).hexdigest() != \
-                TRAJECTORY_SHA256[name]:
+        write_trajectory_csv(runs[name].records, path)
+        if hashlib.sha256(path.read_bytes()).hexdigest() != want:
             changed.append(name)
+    return changed
+
+
+def test_trajectories_bit_identical(preset_runs, tmp_path):
+    changed = changed_digests(preset_runs, TRAJECTORY_SHA256, tmp_path)
     line = (f"golden trajectories: {'PASS' if not changed else 'FAIL'} - "
             f"trajectory.csv bytes of {len(PRESET_NAMES)} presets match the "
             f"recorded sha256 (changed: {', '.join(changed) or 'none'}; "
             f"digests assume x86-64 glibc libm)")
+    print(line)
+    assert not changed, line
+
+
+def test_baseline_trajectories_bit_identical(benchmark_runs, tmp_path):
+    changed = changed_digests(benchmark_runs, BASELINE_SHA256, tmp_path)
+    line = (f"golden baseline trajectories: "
+            f"{'PASS' if not changed else 'FAIL'} - "
+            f"trajectory_benchmark.csv bytes of {len(BASELINE_SHA256)} "
+            f"presets match the recorded sha256 (changed: "
+            f"{', '.join(changed) or 'none'}; digests assume x86-64 glibc "
+            f"libm)")
     print(line)
     assert not changed, line
