@@ -18,10 +18,8 @@ from .attitude import (
 from .potential import (
     BridgeShape,
     ObstacleCone,
-    attraction,
     bridge,
     bridge_grad,
-    repulsion,
     repulsion_grad_beta,
     total_potential,
 )
@@ -45,7 +43,6 @@ from .engine import (
     SimulationAbort,
     SimulationResult,
     Trajectory,
-    coupled_rhs,
     disturbance_torque,
     lyapunov_monitor,
     run_scenario,

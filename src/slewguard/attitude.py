@@ -16,9 +16,10 @@ Conventions
   body-resolved target direction ``r_b`` is ``x_e = 1 - dot(B_b, r_b)``,
   ranging from 0 (aligned) to 2 (anti-aligned).
 
-The closed-loop right-hand side, rigid body and kinematics included, is
-written once, in :mod:`slewguard.engine`; it and scenario validation share
-the quaternion arithmetic here.  ``_quat_mul`` and ``_sandwich`` work on
+The closed-loop kernel in :mod:`slewguard.engine` takes its Hamilton
+product from ``_quat_mul``; its frame resolution writes the conjugate
+``_sandwich`` of :func:`rotate_to_body` out inline, in the same operation
+order, since a call per direction slows the loop.  Both helpers work on
 float components; the public functions take numpy arrays of shape (3,).
 Nothing in this module mutates its inputs.
 """
@@ -52,7 +53,7 @@ def _require_unit_vec(v: np.ndarray, name: str) -> None:
 
 
 class UnitQuaternion:
-    """Unit quaternion ``[x, y, z, w]`` (scalar last), Hamilton product.
+    """Unit quaternion ``[x, y, z, w]`` (scalar last), fields ``x`` to ``w``.
 
     Construction renormalizes so the stored norm is 1 to machine precision;
     inputs farther than 1e-6 from unit norm are rejected as likely bugs
@@ -70,50 +71,6 @@ class UnitQuaternion:
         self.y = y / n
         self.z = z / n
         self.w = w / n
-
-    @classmethod
-    def identity(cls) -> "UnitQuaternion":
-        return cls(0.0, 0.0, 0.0, 1.0)
-
-    @classmethod
-    def normalized(cls, x: float, y: float, z: float, w: float) -> "UnitQuaternion":
-        """Build from an arbitrary nonzero 4-vector, scaling onto the sphere."""
-        n = math.sqrt(x * x + y * y + z * z + w * w)
-        if n < 1e-12:
-            raise ValueError("cannot normalize a near-zero quaternion")
-        return cls(x / n, y / n, z / n, w / n)
-
-    @classmethod
-    def from_axis_angle(cls, axis: np.ndarray, angle: float) -> "UnitQuaternion":
-        """Rotation of ``angle`` [rad] about ``axis`` (normalized here)."""
-        ax, ay, az = float(axis[0]), float(axis[1]), float(axis[2])
-        n = math.sqrt(ax * ax + ay * ay + az * az)
-        if n < 1e-12:
-            raise ValueError("rotation axis must be nonzero")
-        s = math.sin(0.5 * angle) / n
-        return cls(ax * s, ay * s, az * s, math.cos(0.5 * angle))
-
-    @property
-    def norm(self) -> float:
-        return math.sqrt(self.x * self.x + self.y * self.y
-                         + self.z * self.z + self.w * self.w)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z, self.w])
-
-    def conjugate(self) -> "UnitQuaternion":
-        return UnitQuaternion(-self.x, -self.y, -self.z, self.w)
-
-    def multiply(self, other: "UnitQuaternion") -> "UnitQuaternion":
-        """Hamilton product ``self (x) other``."""
-        x, y, z, w = _quat_mul(self.x, self.y, self.z, self.w,
-                               other.x, other.y, other.z, other.w)
-        return UnitQuaternion(x, y, z, w)
-
-    def rotate(self, v: np.ndarray) -> np.ndarray:
-        """Apply the sandwich ``q [v, 0] q*`` (body -> inertial here)."""
-        return np.array(_sandwich(self.x, self.y, self.z, self.w,
-                                  float(v[0]), float(v[1]), float(v[2])))
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"UnitQuaternion(x={self.x:.9g}, y={self.y:.9g}, "
@@ -144,12 +101,6 @@ def _sandwich(qx: float, qy: float, qz: float, qw: float,
     )
 
 
-def _to_body(qx: float, qy: float, qz: float, qw: float,
-             vx: float, vy: float, vz: float):
-    """Conjugate sandwich ``q* [v, 0] q``: inertial components to body."""
-    return _sandwich(-qx, -qy, -qz, qw, vx, vy, vz)
-
-
 @dataclass
 class BodyState:
     """Instantaneous rigid-body state: attitude plus body rate [rad/s]."""
@@ -168,14 +119,13 @@ class SpacecraftParams:
     """Plant constants: inertia [kg m^2], per-axis torque limit [N m],
     and the disturbance magnitude bound [N m] used by the compensator.
 
-    ``inertia_rows`` and ``inertia_inv_rows`` hold the same matrices as
-    tuples of float rows for the scalar closed-loop kernel.
+    ``inertia_rows`` and ``inertia_inv_rows`` hold the inertia and its
+    inverse as tuples of float rows for the scalar closed-loop kernel.
     """
 
     inertia: np.ndarray
     torque_limit: float
     disturbance_bound: float
-    inertia_inv: np.ndarray = field(init=False, repr=False, compare=False)
     inertia_rows: tuple = field(init=False, repr=False, compare=False)
     inertia_inv_rows: tuple = field(init=False, repr=False, compare=False)
 
@@ -193,21 +143,19 @@ class SpacecraftParams:
             raise ValueError("torque_limit must be positive")
         if self.disturbance_bound < 0.0:
             raise ValueError("disturbance_bound must be nonnegative")
-        inertia_inv = np.linalg.inv(inertia)
         object.__setattr__(self, "inertia", inertia)
-        object.__setattr__(self, "inertia_inv", inertia_inv)
         object.__setattr__(self, "inertia_rows",
                            tuple(tuple(row) for row in inertia.tolist()))
-        object.__setattr__(self, "inertia_inv_rows",
-                           tuple(tuple(row) for row in inertia_inv.tolist()))
+        object.__setattr__(self, "inertia_inv_rows", tuple(
+            tuple(row) for row in np.linalg.inv(inertia).tolist()))
 
 
 def rotate_to_body(q: UnitQuaternion, v_inertial: np.ndarray) -> np.ndarray:
     """Resolve an inertial-frame vector in body axes: ``q* [v, 0] q``."""
-    return np.array(_to_body(q.x, q.y, q.z, q.w,
-                             float(v_inertial[0]),
-                             float(v_inertial[1]),
-                             float(v_inertial[2])))
+    return np.array(_sandwich(-q.x, -q.y, -q.z, q.w,
+                              float(v_inertial[0]),
+                              float(v_inertial[1]),
+                              float(v_inertial[2])))
 
 
 def pointing_error(boresight_body: np.ndarray, target_body: np.ndarray) -> float:

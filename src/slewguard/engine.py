@@ -7,10 +7,10 @@ One monolithic state couples everything that evolves in time:
 ``_LoopContext.rhs`` is the one implementation of its derivative: the
 rigid body, the attitude kinematics, the funnel radius with its freeze
 switch, the effective switches and the tracking differentiator are written
-there and nowhere else, and :func:`coupled_rhs` evaluates it for tests.  The
-controller is re-evaluated inside every integrator stage, so the funnel
-radius, differentiator, and rigid body all see consistent intermediate
-states.  The attitude quaternion is renormalized once per accepted step.
+there and nowhere else.  The controller is re-evaluated inside every
+integrator stage, so the funnel radius, differentiator, and rigid body all
+see consistent intermediate states.  The attitude quaternion is
+renormalized once per accepted step.
 All arithmetic is plain double precision with a fixed evaluation order;
 repeated runs of the same scenario are bit-identical.
 
@@ -82,7 +82,6 @@ __all__ = [
     "SimulationAbort",
     "ValidationFailure",
     "disturbance_torque",
-    "coupled_rhs",
     "run_scenario",
     "lyapunov_monitor",
     "write_trajectory_csv",
@@ -393,7 +392,7 @@ class _LoopContext:
         """
         _, x_e, obstacles, betas, eps, s_eff, v_eff, v_cmd, e2, u = stage
         v_q = blf_value(eps, self.ctrl.g, self.ctrl.big_f) + total_potential(
-            x_e, self.ctrl.k_a, obstacles_betas(obstacles))
+            x_e, self.ctrl.k_a, zip(self.cones, betas))
         cos_angle = max(-1.0, min(1.0, 1.0 - x_e))
         qn = math.sqrt(y[0] ** 2 + y[1] ** 2 + y[2] ** 2 + y[3] ** 2)
         vx, vy, vz = v_cmd
@@ -412,23 +411,6 @@ class _LoopContext:
         # differentiator starts on the initial command with zero rate
         y[8:11] = self._guidance(y)[-1]
         return y
-
-
-def obstacles_betas(obstacles) -> list:
-    """Strip body axes from (cone, f_b, beta) triples for potential sums."""
-    return [(cone, beta) for cone, _, beta in obstacles]
-
-
-def coupled_rhs(t: float, y: np.ndarray, scenario: "Scenario",
-                sim: SimConfig | None = None) -> np.ndarray:
-    """Time derivative of the 14-component coupled state.
-
-    Layout: quaternion [0:4], body rate [4:7], funnel radius [7],
-    differentiator x1 [8:11] and x2 [11:14].  It is the right-hand side
-    :func:`run_scenario` integrates, evaluated once at ``(t, y)``.
-    """
-    ctx = _LoopContext(scenario, sim if sim is not None else scenario.sim)
-    return np.array(ctx.rhs(t, [float(v) for v in y])[0])
 
 
 _STATE_NAMES = (["quat"] * 4 + ["omega"] * 3 + ["rho"]

@@ -1,8 +1,9 @@
 """Attractive/repulsive potential shaping over the pointing sphere.
 
-The attractive well is linear in the pointing error.  Each forbidden cone
-contributes a repulsive term that is zero while the boresight is far from the
-cone, a plateau once it is close, and a smooth monotone bridge in between.
+The attractive well is ``k_a * x_e``, linear in the pointing error.  Each
+forbidden cone adds ``bridge(cone.shape, beta, cone.k_r)``: zero while the
+boresight is far from the cone, a plateau once it is close, and a smooth
+monotone bridge in between.  :func:`total_potential` sums them.
 The bridge is a tanh of a rational argument that blows up at both knots, so
 the piecewise function is continuous with flat tangencies at the ends:
 
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -30,8 +31,6 @@ __all__ = [
     "bridge",
     "bridge_grad",
     "bridge_grad_max",
-    "attraction",
-    "repulsion",
     "repulsion_grad_beta",
     "total_potential",
 ]
@@ -168,27 +167,15 @@ class ObstacleCone:
             steepness=self.r_slope * (hi - lo) / self.k_r))
 
 
-def attraction(x_e: float, k_a: float) -> float:
-    """Attractive potential ``k_a * x_e``, linear in the pointing error."""
-    if k_a <= 0.0:
-        raise ValueError("k_a must be positive")
-    return k_a * x_e
-
-
-def repulsion(cone: ObstacleCone, beta: float) -> float:
-    """Repulsive potential of one cone at boresight-axis cosine ``beta``."""
-    return bridge(cone.shape, beta, cone.k_r)
-
-
 def repulsion_grad_beta(cone: ObstacleCone, beta: float) -> float:
     """Analytic d(repulsion)/d(beta); nonnegative, zero outside the bridge."""
     return bridge_grad(cone.shape, beta, cone.k_r)
 
 
 def total_potential(x_e: float, k_a: float,
-                    cone_betas: Sequence[tuple[ObstacleCone, float]]) -> float:
-    """Attraction plus the sum of all cone repulsions."""
-    total = attraction(x_e, k_a)
+                    cone_betas: Iterable[tuple[ObstacleCone, float]]) -> float:
+    """Attraction ``k_a * x_e`` plus the repulsion of each ``(cone, beta)``."""
+    total = k_a * x_e
     for cone, beta in cone_betas:
-        total += repulsion(cone, beta)
+        total += bridge(cone.shape, beta, cone.k_r)
     return total

@@ -222,7 +222,8 @@ def scenario_from_dict(data: Any, default_name: str = "scenario") -> Scenario:
         om = _as_vec(errors, init, "$.initial", "omega", 3)
         if att is not None and om is not None:
             try:
-                n = math.sqrt(sum(a * a for a in att))
+                x, y, z, w = att
+                n = math.sqrt(x * x + y * y + z * z + w * w)
                 if n < 1e-12:
                     raise ValueError("zero quaternion")
                 if abs(n - 1.0) > _NORM_WARN_TOL:
@@ -230,7 +231,7 @@ def scenario_from_dict(data: Any, default_name: str = "scenario") -> Scenario:
                            f"(norm correction {abs(n - 1.0):.3e})")
                     warns.append(msg)
                     warnings.warn(msg, stacklevel=2)
-                q = UnitQuaternion.normalized(*att)
+                q = UnitQuaternion(x / n, y / n, z / n, w / n)
                 initial = BodyState(attitude=q, omega=np.array(om))
             except ValueError as exc:
                 errors.append(f"$.initial: {exc}")

@@ -3,6 +3,7 @@
 Every model term (rigid body, kinematics, funnel radius, switches,
 differentiator) exists once, in ``slewguard.engine._LoopContext.rhs``; the
 oracle tests read it back through :func:`kernel` and :func:`slice_flow`.
+Quaternion oracles here are numpy 4-vectors, scalar last.
 """
 
 import math
@@ -60,7 +61,7 @@ def make_scenario(n_obstacles=1, inertia=None, boresight=None, target=None,
         name="engine-test",
         description="hand-built fixture",
         params=params,
-        initial=BodyState(UnitQuaternion.identity(), np.zeros(3)),
+        initial=BodyState(UnitQuaternion(0.0, 0.0, 0.0, 1.0), np.zeros(3)),
         boresight_body=Z_BORESIGHT if boresight is None else boresight,
         target_inertial=target,
         obstacles=tuple(cones),
@@ -79,20 +80,38 @@ def oracle_scenarios(n_obstacles=2):
             for b in (Z_BORESIGHT, OBLIQUE_BORESIGHT)]
 
 
+def hamilton(a, b):
+    """Independent Hamilton product oracle, scalar-last 4-vectors."""
+    av, aw = np.asarray(a[:3], dtype=float), float(a[3])
+    bv, bw = np.asarray(b[:3], dtype=float), float(b[3])
+    vec = aw * bv + bw * av + np.cross(av, bv)
+    return np.array([vec[0], vec[1], vec[2], aw * bw - float(np.dot(av, bv))])
+
+
+def quat_conj(q):
+    return np.array([-q[0], -q[1], -q[2], q[3]])
+
+
+def axis_angle(axis, angle):
+    """Rotation of ``angle`` [rad] about ``axis`` as a 4-vector."""
+    axis = np.asarray(axis, dtype=float)
+    s = math.sin(0.5 * angle) / np.linalg.norm(axis)
+    return np.array([*(axis * s), math.cos(0.5 * angle)])
+
+
 def quat_taking(body_dir, inertial_dir):
     """Quaternion q with rotate_to_body(q, inertial_dir) == body_dir."""
     c = float(np.dot(body_dir, inertial_dir))
     axis = np.cross(body_dir, inertial_dir)
-    n = float(np.linalg.norm(axis))
-    if n < 1e-12:
-        return UnitQuaternion.identity()
-    return UnitQuaternion.from_axis_angle(axis / n, math.acos(c))
+    if np.linalg.norm(axis) < 1e-12:
+        return UnitQuaternion(0.0, 0.0, 0.0, 1.0)
+    return UnitQuaternion(*axis_angle(axis, math.acos(c)))
 
 
 def state(q, omega=(0.0, 0.0, 0.0), rho=1.0, x1=(0.0, 0.0, 0.0),
           x2=(0.0, 0.0, 0.0)):
     """The 14-component coupled state from its parts."""
-    return np.concatenate([q.as_array(), omega, [rho], x1, x2])
+    return np.concatenate([[q.x, q.y, q.z, q.w], omega, [rho], x1, x2])
 
 
 def sample_states(rng, sc, n):
@@ -106,11 +125,10 @@ def sample_states(rng, sc, n):
         gamma = math.radians(gammas[i % len(gammas)])
         f_body = math.sin(gamma) * side + math.cos(gamma) * b
         quat = quat_taking(f_body, sc.obstacles[0].axis_inertial)
-        spin = UnitQuaternion.from_axis_angle(rng.normal(size=3) * 0.0 + b,
-                                              rng.uniform(-math.pi, math.pi))
-        quat = quat.multiply(spin)
+        spin = axis_angle(rng.normal(size=3) * 0.0 + b,
+                          rng.uniform(-math.pi, math.pi))
         y = np.zeros(14)
-        y[0:4] = quat.as_array()
+        y[0:4] = hamilton([quat.x, quat.y, quat.z, quat.w], spin)
         y[4:7] = rng.normal(size=3) * 0.1
         y[7] = rng.uniform(0.3, 3.0)
         y[8:11] = rng.normal(size=3) * 0.05

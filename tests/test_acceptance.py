@@ -16,7 +16,7 @@ import pytest
 
 from slewguard.engine import run_scenario, write_trajectory_csv
 from slewguard.envelope import blf_value
-from slewguard.potential import ObstacleCone, repulsion, repulsion_grad_beta
+from slewguard.potential import ObstacleCone, bridge, repulsion_grad_beta
 from slewguard.scenario import PRESET_NAMES, load_preset
 
 AVOIDANCE_PRESETS = tuple(n for n in PRESET_NAMES if n != "paper-compare-1")
@@ -189,7 +189,8 @@ def test_criterion_06_repulsion_gradient():
     worst_slope = 0.0
     for beta in grid:
         analytic = repulsion_grad_beta(cone, beta)
-        fd = (repulsion(cone, beta + h) - repulsion(cone, beta - h)) / (2 * h)
+        fd = (bridge(cone.shape, beta + h, cone.k_r)
+              - bridge(cone.shape, beta - h, cone.k_r)) / (2 * h)
         # measured against the slope ceiling, the natural scale of the field
         worst_rel = max(worst_rel, abs(analytic - fd) / cone.r_slope)
         worst_slope = max(worst_slope, analytic)

@@ -10,15 +10,19 @@ import pytest
 from slewguard.attitude import (
     SpacecraftParams,
     UnitQuaternion,
+    _quat_mul,
     pointing_error,
     rotate_to_body,
 )
 from slewguard.engine import SimConfig, disturbance_torque
 
 from loop_fixtures import (
+    axis_angle,
+    hamilton,
     kernel,
     make_scenario,
     oracle_scenarios,
+    quat_conj,
     rk4,
     sample_states,
     slice_flow,
@@ -26,29 +30,16 @@ from loop_fixtures import (
 )
 
 
-def hamilton(a, b):
-    """Independent Hamilton product oracle, scalar-last 4-vectors."""
-    av, aw = np.asarray(a[:3], dtype=float), float(a[3])
-    bv, bw = np.asarray(b[:3], dtype=float), float(b[3])
-    vec = aw * bv + bw * av + np.cross(av, bv)
-    return np.array([vec[0], vec[1], vec[2], aw * bw - float(np.dot(av, bv))])
-
-
-def quat_conj(q):
-    return np.array([-q[0], -q[1], -q[2], q[3]])
-
-
 def random_unit_quat(rng):
     q = rng.normal(size=4)
-    return UnitQuaternion.normalized(*q)
+    return UnitQuaternion(*(q / np.linalg.norm(q)))
+
+
+def components(q):
+    return np.array([q.x, q.y, q.z, q.w])
 
 
 class TestUnitQuaternion:
-    def test_identity(self):
-        q = UnitQuaternion.identity()
-        assert q.as_array().tolist() == [0.0, 0.0, 0.0, 1.0]
-        assert q.norm == pytest.approx(1.0, abs=1e-15)
-
     def test_constructor_rejects_far_from_unit(self):
         with pytest.raises(ValueError):
             UnitQuaternion(0.0, 0.0, 0.0, 1.1)
@@ -56,51 +47,47 @@ class TestUnitQuaternion:
     def test_constructor_renormalizes_drift(self):
         eps = 1e-8
         q = UnitQuaternion(0.0, 0.0, 0.0, 1.0 + eps)
-        assert abs(q.norm - 1.0) < 1e-15
-
-    def test_normalized_classmethod(self):
-        q = UnitQuaternion.normalized(2.0, 0.0, 0.0, 0.0)
-        assert q.as_array().tolist() == [1.0, 0.0, 0.0, 0.0]
-        with pytest.raises(ValueError):
-            UnitQuaternion.normalized(0.0, 0.0, 0.0, 0.0)
+        assert abs(np.linalg.norm(components(q)) - 1.0) < 1e-15
 
     def test_multiply_matches_hamilton_oracle(self):
+        # the kernel's kinematics take their product from _quat_mul
         rng = np.random.default_rng(11)
         for _ in range(50):
-            a = random_unit_quat(rng)
-            b = random_unit_quat(rng)
-            got = a.multiply(b).as_array()
-            want = hamilton(a.as_array(), b.as_array())
-            np.testing.assert_allclose(got, want, atol=1e-14)
+            a = components(random_unit_quat(rng))
+            b = components(random_unit_quat(rng))
+            got = _quat_mul(*a, *b)
+            np.testing.assert_allclose(got, hamilton(a, b), atol=1e-14)
 
     def test_basis_products(self):
         # i (x) j = k in scalar-last layout
-        i = UnitQuaternion(1.0, 0.0, 0.0, 0.0)
-        j = UnitQuaternion(0.0, 1.0, 0.0, 0.0)
-        np.testing.assert_allclose(i.multiply(j).as_array(), [0, 0, 1, 0], atol=1e-15)
+        np.testing.assert_allclose(_quat_mul(1.0, 0.0, 0.0, 0.0,
+                                             0.0, 1.0, 0.0, 0.0),
+                                   [0, 0, 1, 0], atol=1e-15)
 
     def test_conjugate_inverts_rotation(self):
         rng = np.random.default_rng(7)
         q = random_unit_quat(rng)
+        conj = UnitQuaternion(-q.x, -q.y, -q.z, q.w)
         v = rng.normal(size=3)
-        back = q.conjugate().rotate(q.rotate(v))
+        back = rotate_to_body(conj, rotate_to_body(q, v))
         np.testing.assert_allclose(back, v, atol=1e-12)
 
     def test_rotate_axis_angle(self):
-        q = UnitQuaternion.from_axis_angle(np.array([0.0, 0.0, 1.0]), math.pi / 2)
-        np.testing.assert_allclose(q.rotate(np.array([1.0, 0.0, 0.0])),
-                                   [0.0, 1.0, 0.0], atol=1e-15)
+        # a body turned a quarter turn about +z sees inertial +y along its +x
+        q = UnitQuaternion(*axis_angle([0.0, 0.0, 1.0], math.pi / 2))
+        got = rotate_to_body(q, np.array([0.0, 1.0, 0.0]))
+        np.testing.assert_allclose(got, [1.0, 0.0, 0.0], atol=1e-15)
 
 
 class TestRotateToBody:
     def test_identity_leaves_vector(self):
         v = np.array([0.3, -0.4, 0.866025403784439])
         v = v / np.linalg.norm(v)
-        got = rotate_to_body(UnitQuaternion.identity(), v)
+        got = rotate_to_body(UnitQuaternion(0.0, 0.0, 0.0, 1.0), v)
         np.testing.assert_allclose(got, v, atol=1e-15)
 
     def test_half_turn_about_z(self):
-        q = UnitQuaternion.from_axis_angle(np.array([0.0, 0.0, 1.0]), math.pi)
+        q = UnitQuaternion(*axis_angle([0.0, 0.0, 1.0], math.pi))
         got = rotate_to_body(q, np.array([1.0, 0.0, 0.0]))
         np.testing.assert_allclose(got, [-1.0, 0.0, 0.0], atol=1e-12)
 
@@ -114,7 +101,7 @@ class TestRotateToBody:
             v /= np.linalg.norm(v)
             u = rng.normal(size=3)
             u /= np.linalg.norm(u)
-            qa = q.as_array()
+            qa = components(q)
             want = hamilton(hamilton(quat_conj(qa), [v[0], v[1], v[2], 0.0]), qa)
             got = rotate_to_body(q, v)
             np.testing.assert_allclose(got, want[:3], atol=1e-13)
@@ -147,7 +134,7 @@ class TestReducedErrorRate:
         # boresight +z, target +x, a cone 20 deg off +z freezes the funnel
         sc = make_scenario(target=[1.0, 0.0, 0.0], axes=[np.array(
             [math.sin(math.radians(20.0)), 0.0, math.cos(math.radians(20.0))])])
-        y = state(UnitQuaternion.identity(), omega, rho=2.0)
+        y = state(UnitQuaternion(0.0, 0.0, 0.0, 1.0), omega, rho=2.0)
         dy, stage = kernel(sc, y)
         assert stage[5] == 1.0
         return dy[7] * stage[1] / y[7]
@@ -173,7 +160,8 @@ class TestReducedErrorRate:
                 n_frozen += 1
 
                 def x_e(s):
-                    q = UnitQuaternion.normalized(*(y[0:4] + s * dy[0:4]))
+                    q = y[0:4] + s * dy[0:4]
+                    q = UnitQuaternion(*(q / np.linalg.norm(q)))
                     return pointing_error(
                         b, rotate_to_body(q, sc.target_inertial))
 
@@ -184,7 +172,7 @@ class TestReducedErrorRate:
 
 class TestKinematicsRhs:
     def test_identity_spin_about_z(self):
-        y = state(UnitQuaternion.identity(), [0.0, 0.0, 0.4])
+        y = state(UnitQuaternion(0.0, 0.0, 0.0, 1.0), [0.0, 0.0, 0.4])
         dy, _ = kernel(make_scenario(), y)
         np.testing.assert_allclose(dy[0:4], [0.0, 0.0, 0.2, 0.0], atol=1e-15)
 
@@ -200,16 +188,18 @@ class TestKinematicsRhs:
         # Constant body rate: q(t) = q0 (x) axis_angle(w_hat, |w| t).
         w = np.array([0.3, -0.2, 0.4])
         wn = np.linalg.norm(w)
-        q0 = UnitQuaternion.normalized(0.2, -0.1, 0.3, 0.9)
+        q0 = np.array([0.2, -0.1, 0.3, 0.9])
+        q0 /= np.linalg.norm(q0)
         t_end, dt = 1.0, 0.01
-        f = slice_flow(make_scenario(), state(q0, w), range(4))
-        y = q0.as_array()
+        f = slice_flow(make_scenario(), state(UnitQuaternion(*q0), w),
+                       range(4))
+        y = q0
         t = 0.0
         while t < t_end - 1e-12:
             y = rk4(f, y, t, dt)
             y = y / np.linalg.norm(y)
             t += dt
-        want = q0.multiply(UnitQuaternion.from_axis_angle(w, wn * t_end)).as_array()
+        want = hamilton(q0, axis_angle(w, wn * t_end))
         np.testing.assert_allclose(y, want, atol=1e-9)
 
 
@@ -231,7 +221,7 @@ class TestDynamics:
             disturbance_bound=0.1))
         sim = SimConfig(disturbance_enabled=False)
         for w in ([0.3, 0.0, 0.0], [0.0, -0.2, 0.0], [0.0, 0.0, 0.4]):
-            y = state(UnitQuaternion.identity(), w)
+            y = state(UnitQuaternion(0.0, 0.0, 0.0, 1.0), w)
             dy, _ = kernel(sc, y, 0.0, sim)
             np.testing.assert_allclose(dy[4:7], np.zeros(3), atol=1e-15)
 

@@ -430,7 +430,7 @@ class TestValidateConfig:
                               p1=math.cos(math.radians(30.0)),
                               delta=0.005, m=5.0, n=2.0)
         env = EnvelopeConfig(rho_0=3.0, rho_inf=1e-3, k_rho=0.1)
-        initial = BodyState(UnitQuaternion.identity(), np.zeros(3))
+        initial = BodyState(UnitQuaternion(0.0, 0.0, 0.0, 1.0), np.zeros(3))
         return cfg, env, switch, cone, target, initial
 
     def run_validate(self, cfg, env, switch, cones, target, initial,

@@ -17,7 +17,6 @@ from slewguard.engine import (
     ValidationFailure,
     _LoopContext,
     _trajectory,
-    coupled_rhs,
     disturbance_torque,
     lyapunov_monitor,
     run_scenario,
@@ -30,11 +29,13 @@ from slewguard.scenario import load_preset
 
 from loop_fixtures import (
     FULL_INERTIA,
+    hamilton,
+    kernel,
     make_scenario,
     oracle_scenarios,
+    quat_conj,
     sample_states,
 )
-from test_attitude import hamilton, quat_conj
 
 
 class TestDisturbance:
@@ -58,7 +59,7 @@ class TestDisturbance:
         sim = SimConfig(disturbance_enabled=False)
         sc = make_scenario()
         for y in sample_states(np.random.default_rng(13), sc, 3):
-            np.testing.assert_allclose(coupled_rhs(37.5, y, sc, sim),
+            np.testing.assert_allclose(kernel(sc, y, 37.5, sim)[0],
                                        reference_rhs(37.5, y, sc, sim),
                                        rtol=1e-12, atol=1e-12)
 
@@ -148,7 +149,7 @@ class TestCoupledRhs:
             rng = np.random.default_rng(11)
             for y in sample_states(rng, sc, 27):
                 t = rng.uniform(0.0, 100.0)
-                got = coupled_rhs(t, y, sc, sim)
+                got = kernel(sc, y, t, sim)[0]
                 want = reference_rhs(t, y, sc, sim)
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
@@ -157,7 +158,7 @@ class TestCoupledRhs:
         for sc in oracle_scenarios():
             rng = np.random.default_rng(12)
             for y in sample_states(rng, sc, 9):
-                got = coupled_rhs(3.0, y, sc, sim)
+                got = kernel(sc, y, 3.0, sim)[0]
                 want = reference_rhs(3.0, y, sc, sim)
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
@@ -166,18 +167,19 @@ class TestCoupledRhs:
         y = np.zeros(14)
         y[3] = 1.0
         y[7] = 3.0
-        on = coupled_rhs(5.0, y, sc, SimConfig(disturbance_enabled=True))
-        off = coupled_rhs(5.0, y, sc, SimConfig(disturbance_enabled=False))
+        on = kernel(sc, y, 5.0, SimConfig(disturbance_enabled=True))[0]
+        off = kernel(sc, y, 5.0, SimConfig(disturbance_enabled=False))[0]
         d = np.array(disturbance_torque(5.0))
         np.testing.assert_allclose(
-            on[4:7] - off[4:7], sc.params.inertia_inv @ d, atol=1e-15)
+            on[4:7] - off[4:7], np.linalg.inv(sc.params.inertia) @ d,
+            atol=1e-15)
 
     def test_aborts_on_collapsed_funnel(self):
         sc = make_scenario()
         y = np.zeros(14)
         y[3] = 1.0
         with pytest.raises(SimulationAbort):
-            coupled_rhs(0.0, y, sc)
+            kernel(sc, y)
 
 
 def bits(values):

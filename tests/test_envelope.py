@@ -6,13 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from slewguard.attitude import UnitQuaternion
+from slewguard.attitude import UnitQuaternion, rotate_to_body
 from slewguard.engine import SimulationAbort
 from slewguard.envelope import EnvelopeConfig, SwitchConfig, blf_value
 from slewguard.potential import bridge
 
 from loop_fixtures import (
     TARGET,
+    axis_angle,
     kernel,
     make_scenario,
     quat_taking,
@@ -108,7 +109,7 @@ class TestSwitches:
 
     def test_effective_switches_empty(self):
         sc = make_scenario(n_obstacles=0)
-        stage = kernel(sc, state(UnitQuaternion.identity()))[1]
+        stage = kernel(sc, state(UnitQuaternion(0.0, 0.0, 0.0, 1.0)))[1]
         assert (stage[3], stage[5], stage[6]) == ([], 0.0, 0.0)
 
 
@@ -120,7 +121,7 @@ class TestFunnel:
     def setup_method(self):
         # boresight +z at the identity attitude, 90 deg from the cone
         self.sc = make_scenario()
-        self.y = state(UnitQuaternion.identity(), [0.01, 0.02, -0.03],
+        self.y = state(UnitQuaternion(0.0, 0.0, 0.0, 1.0), [0.01, 0.02, -0.03],
                        rho=3.0)
 
     def shrink(self, rho):
@@ -192,11 +193,14 @@ class TestFunnel:
         # the follow term e_dot / e is dropped and the shrink share remains
         z = np.array([0.0, 0.0, 1.0])
         for cone_deg in (30.0, 36.5):
-            axis = UnitQuaternion.from_axis_angle(
-                z, math.radians(cone_deg)).rotate(TARGET)
+            # TARGET turned by +angle about z is TARGET resolved in a frame
+            # turned by -angle
+            axis = rotate_to_body(UnitQuaternion(*axis_angle(
+                z, -math.radians(cone_deg))), TARGET)
             sc = make_scenario(axes=[axis])
             for offset in (0.0, 1e-6):
-                aim = UnitQuaternion.from_axis_angle(z, -offset).rotate(TARGET)
+                aim = rotate_to_body(UnitQuaternion(*axis_angle(z, offset)),
+                                     TARGET)
                 y = state(quat_taking(sc.boresight_body, aim),
                           [0.1, -0.2, 0.05], rho=2.0)
                 dy, stage = kernel(sc, y)
@@ -210,7 +214,7 @@ class TestFunnel:
             _, stage = kernel(self.sc, y)
             assert stage[4] == stage[1] / y[7]
         with pytest.raises(SimulationAbort):
-            kernel(self.sc, state(UnitQuaternion.identity(), rho=0.0))
+            kernel(self.sc, state(UnitQuaternion(0.0, 0.0, 0.0, 1.0), rho=0.0))
 
 
 class TestBarrier:

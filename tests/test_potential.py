@@ -9,11 +9,9 @@ import pytest
 from slewguard.potential import (
     BridgeShape,
     ObstacleCone,
-    attraction,
     bridge,
     bridge_grad,
     bridge_grad_max,
-    repulsion,
     repulsion_grad_beta,
     total_potential,
 )
@@ -147,8 +145,8 @@ class TestRepulsion:
     def test_mid_slope_fd_oracle(self):
         cone = make_cone()
         h = 1e-6
-        fd = (repulsion(cone, cone.shape.mid + h)
-              - repulsion(cone, cone.shape.mid - h)) / (2.0 * h)
+        fd = (bridge(cone.shape, cone.shape.mid + h, cone.k_r)
+              - bridge(cone.shape, cone.shape.mid - h, cone.k_r)) / (2.0 * h)
         assert fd == pytest.approx(cone.r_slope, rel=1e-6)
 
     def test_gentle_regime_slope_bound(self):
@@ -174,34 +172,19 @@ class TestRepulsion:
 
     def test_plateau_value(self):
         cone = make_cone()
-        assert repulsion(cone, 0.95) == pytest.approx(cone.k_r, abs=1e-15)
-        assert repulsion(cone, 0.0) == 0.0
+        assert total_potential(0.0, 2.5, [(cone, 0.95)]) == pytest.approx(
+            cone.k_r, abs=1e-15)
+        assert total_potential(0.0, 2.5, [(cone, 0.0)]) == 0.0
 
 
 class TestPotentials:
-    def test_attraction_linear(self):
-        assert attraction(0.0, 2.5) == 0.0
-        assert attraction(1.3, 2.0) == pytest.approx(2.6)
-        with pytest.raises(ValueError):
-            attraction(1.0, 0.0)
-
-    def test_edge_balance_identity(self):
-        # plateau height chosen as k_a * x_E balances the attraction at the
-        # buffer-edge error
-        k_a = 2.5
-        sep = math.radians(55.0)
-        theta_1 = math.radians(25.0)
-        x_edge = 1.0 - math.cos(sep - theta_1)
-        k_r = k_a * x_edge
-        assert attraction(x_edge, k_a) == pytest.approx(k_r, rel=1e-15)
-
     def test_total_is_sum(self):
         cone_a = make_cone()
         cone_b = make_cone(theta_0_deg=50.0, theta_1_deg=30.0, k_r=0.4)
         x_e, k_a = 0.8, 2.5
         beta_a, beta_b = 0.72, 0.81
-        want = (attraction(x_e, k_a) + repulsion(cone_a, beta_a)
-                + repulsion(cone_b, beta_b))
+        want = (k_a * x_e + bridge(cone_a.shape, beta_a, cone_a.k_r)
+                + bridge(cone_b.shape, beta_b, cone_b.k_r))
         got = total_potential(x_e, k_a, [(cone_a, beta_a), (cone_b, beta_b)])
         assert got == pytest.approx(want, rel=1e-15)
 
