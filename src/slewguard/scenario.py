@@ -336,11 +336,17 @@ def scenario_from_dict(data: Any, default_name: str = "scenario") -> Scenario:
         m = _as_number(errors, sw, "$.switching", "m", required=False, default=5.0)
         n = _as_number(errors, sw, "$.switching", "n", required=False, default=2.0)
         p1 = _as_number(errors, sw, "$.switching", "p1", required=False)
-        if "theta_p1_deg" in sw:
-            tp1 = _as_number(errors, sw, "$.switching", "theta_p1_deg",
-                             required=False)
-            if tp1 is not None:
-                p1 = math.cos(math.radians(tp1))
+        tp1 = _as_number(errors, sw, "$.switching", "theta_p1_deg",
+                         required=False)
+        if p1 is not None and tp1 is not None:
+            errors.append("$.switching: give p1 or theta_p1_deg, not both")
+        elif tp1 is not None:
+            p1 = math.cos(math.radians(tp1))
+        if p1 is not None and not obs:
+            key = "p1" if tp1 is None else "theta_p1_deg"
+            msg = f"$.switching.{key}: ignored, there are no obstacles"
+            warns.append(msg)
+            warnings.warn(msg, stacklevel=2)
         if None not in (delta, m, n):
             if obstacles:
                 # the freeze completes at the outermost onset; the blend

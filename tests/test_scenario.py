@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -266,6 +267,44 @@ class TestSchema:
         with pytest.raises(ScenarioError) as err:
             scenario_from_dict(doc)
         assert err.value.errors == [message]
+
+    def test_switching_p1_and_theta_p1_deg_together_rejected(self):
+        doc = valid_doc()
+        doc["switching"]["p1"] = math.cos(math.radians(28.0))
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict(doc)
+        assert err.value.errors == [
+            "$.switching: give p1 or theta_p1_deg, not both"]
+
+    @pytest.mark.parametrize("key,value", [
+        ("p1", 5.0), ("theta_p1_deg", 30.0)])
+    def test_switching_p1_without_obstacles_warns(self, key, value):
+        doc = valid_doc()
+        doc["obstacles"] = []
+        del doc["switching"]["theta_p1_deg"]
+        doc["switching"][key] = value
+        message = f"$.switching.{key}: ignored, there are no obstacles"
+        with pytest.warns(UserWarning, match=re.escape(message)):
+            sc = scenario_from_dict(doc)
+        assert sc.load_warnings == [message]
+
+    def test_zero_attitude_quaternion_rejected(self):
+        doc = valid_doc()
+        doc["initial"]["attitude"] = [0, 0, 0, 0]
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict(doc)
+        assert err.value.errors == ["$.initial: zero quaternion"]
+
+    def test_non_unit_attitude_normalized_with_warning(self):
+        doc = valid_doc()
+        doc["initial"]["attitude"] = [0, 0, 0, 2]
+        with pytest.warns(UserWarning, match=re.escape(
+                "$.initial.attitude: normalized")):
+            sc = scenario_from_dict(doc)
+        q = sc.initial.attitude
+        assert (q.x, q.y, q.z, q.w) == (0.0, 0.0, 0.0, 1.0)
+        assert sc.load_warnings == [
+            "$.initial.attitude: normalized (norm correction 1.000e+00)"]
 
 
 class TestLoadScenario:
