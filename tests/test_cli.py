@@ -159,15 +159,6 @@ class TestRun:
         assert capsys.readouterr().err == (
             "error: $.switching: give p1 or theta_p1_deg, not both\n")
 
-    def test_zero_attitude_quaternion_exits_3(self, tmp_path, capsys):
-        doc = valid_doc()
-        doc["initial"]["attitude"] = [0, 0, 0, 0]
-        path = write_scenario(tmp_path, doc)
-        code = main(["run", "--scenario", str(path), "--out", str(tmp_path)])
-        assert code == 3
-        assert capsys.readouterr().err == (
-            "error: $.initial: zero quaternion\n")
-
     def test_cone_free_scenario_with_a_wide_switch_band_runs(self, tmp_path):
         doc = valid_doc()
         del doc["targets"]

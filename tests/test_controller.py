@@ -506,5 +506,7 @@ class TestValidateConfig:
     def test_config_positivity(self):
         with pytest.raises(ValueError):
             make_cfg(k1=0.0)
+        with pytest.raises(ValueError, match="k_a must be positive"):
+            make_cfg(k_a=0.0)
         with pytest.raises(ValueError):
             make_cfg(sigma=-1e-9)

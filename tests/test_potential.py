@@ -172,9 +172,9 @@ class TestRepulsion:
 
     def test_plateau_value(self):
         cone = make_cone()
-        assert total_potential(0.0, 2.5, [(cone, 0.95)]) == pytest.approx(
+        assert bridge(cone.shape, 0.95, cone.k_r) == pytest.approx(
             cone.k_r, abs=1e-15)
-        assert total_potential(0.0, 2.5, [(cone, 0.0)]) == 0.0
+        assert bridge(cone.shape, 0.0, cone.k_r) == 0.0
 
 
 class TestPotentials:
