@@ -390,7 +390,7 @@ class _LoopContext:
         ``quat_norm_error``, ``e2`` and ``x1 - v_cmd``; :func:`_trajectory`
         forms ``v_omega`` and ``td_error`` from the last six in one batch.
         """
-        _, x_e, obstacles, betas, eps, s_eff, v_eff, v_cmd, e2, u = stage
+        _, x_e, _, betas, eps, s_eff, v_eff, v_cmd, e2, u = stage
         v_q = blf_value(eps, self.ctrl.g, self.ctrl.big_f) + total_potential(
             x_e, self.ctrl.k_a, zip(self.cones, betas))
         cos_angle = max(-1.0, min(1.0, 1.0 - x_e))
