@@ -16,12 +16,13 @@ Conventions
   body-resolved target direction ``r_b`` is ``x_e = 1 - dot(B_b, r_b)``,
   ranging from 0 (aligned) to 2 (anti-aligned).
 
-The closed-loop kernel in :mod:`slewguard.engine` takes its Hamilton
-product from ``_quat_mul``; its frame resolution writes the conjugate
-``_sandwich`` of :func:`rotate_to_body` out inline, in the same operation
-order, since a call per direction slows the loop.  Both helpers work on
-float components; the public functions take numpy arrays of shape (3,).
-Nothing in this module mutates its inputs.
+The closed-loop kernel in :mod:`slewguard.engine` writes its quaternion
+arithmetic out inline on float components, since a call per product slows
+the loop: the kinematics ``0.5 q (x) [omega, 0]`` as the full Hamilton
+product with its zero-scalar terms, and the frame resolution as the
+conjugate ``_sandwich`` of :func:`rotate_to_body`, in the same operation
+order.  The public functions take numpy arrays of shape (3,).  Nothing in
+this module mutates its inputs.
 """
 
 from __future__ import annotations
@@ -75,17 +76,6 @@ class UnitQuaternion:
     def __repr__(self) -> str:  # pragma: no cover
         return (f"UnitQuaternion(x={self.x:.9g}, y={self.y:.9g}, "
                 f"z={self.z:.9g}, w={self.w:.9g})")
-
-
-def _quat_mul(ax: float, ay: float, az: float, aw: float,
-              bx: float, by: float, bz: float, bw: float):
-    """Hamilton product components of ``a (x) b``, scalar last."""
-    return (
-        aw * bx + ax * bw + ay * bz - az * by,
-        aw * by - ax * bz + ay * bw + az * bx,
-        aw * bz + ax * by - ay * bx + az * bw,
-        aw * bw - ax * bx - ay * by - az * bz,
-    )
 
 
 def _sandwich(qx: float, qy: float, qz: float, qw: float,

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -112,7 +112,7 @@ def min_sin_theta_d(theta_df: float, p0: float, p1: float) -> float:
 
 def apf_vector(boresight_body: tuple[float, float, float],
                r_cross_b: tuple[float, float, float],
-               obstacles: Sequence[tuple[ObstacleCone, tuple, float]],
+               obstacles: Iterable[tuple[ObstacleCone, tuple, float]],
                k_a: float) -> tuple[float, float, float]:
     """Potential gradient direction P1 with U_dot = dot(P1, omega).
 

@@ -18,6 +18,11 @@ The state is a list of 14 Python floats, and the stage evaluation, the
 controller laws, the RK4 combine, the renormalization, the state check and
 the logging are scalar code: on 3-vectors, numpy's per-call overhead costs
 far more than the arithmetic.  numpy works only at the batch edges of a run.
+Inside a stage the same holds for Python calls and tuple packing, so the
+guidance, the quaternion kinematics, the stage states and the RK4 combine
+are written out in ``rhs`` and ``step``, component by component; only the
+laws and the frame resolution, which the benchmark times as layers, are
+calls.
 Each logged step appends one flat tuple of floats to a C double buffer
 (``array("d")``, 8 bytes a value rather than a Python float object), and
 after the loop numpy reads the buffer as the ``(n, k)`` float64 array of a
@@ -31,12 +36,13 @@ row rounds as it would alone; a scalar sum, ``einsum`` or ``norm(axis=1)``
 differs in the last bit for a sizeable share of rows.
 
 Each stage forms every term that more than one law needs exactly once and
-hands it to both: the body-frame target and cone axes with ``x_e`` and the
-cosines (``_resolve``), ``r_b x B``, ``J omega``, the effective switches,
-and the potential descent direction P1, which takes one repulsion gradient
-per cone and is formed only while ``omega_v > 0`` (always, in the
-baseline).  Each shared term has the expression and operation order a law
-would use on its own, so sharing it changes no result.
+hands it to both: the body-frame target with ``x_e`` and the body-frame
+cone axes with their cosines (``_resolve``), ``r_b x B``, ``J omega``, the
+effective switches, and the potential descent direction P1, which takes one
+repulsion gradient per cone and is formed only while ``omega_v > 0``
+(always, in the baseline).  Each shared term has the expression and
+operation order a law would use on its own, so sharing it changes no
+result.
 
 The disturbance torque depends on time alone.  A one-slot cache keeps the
 last stage time and its value, and reuses the value only when the next
@@ -61,7 +67,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .attitude import _quat_mul
 from .controller import (
     apf_vector,
     benchmark_apf_law,
@@ -212,10 +217,10 @@ class _LoopContext:
         self.b = (float(b[0]), float(b[1]), float(b[2]))
         r = scenario.target_inertial
         self.r_i = (float(r[0]), float(r[1]), float(r[2]))
-        # inertial directions to resolve: the target, then each cone axis
-        self.frames = ((None, self.r_i),) + tuple(
-            (c, (float(c.axis_inertial[0]), float(c.axis_inertial[1]),
-                 float(c.axis_inertial[2]))) for c in self.cones)
+        # inertial cone axes, resolved in body axes after the target
+        self.axes = tuple(
+            (float(c.axis_inertial[0]), float(c.axis_inertial[1]),
+             float(c.axis_inertial[2])) for c in self.cones)
         self.j_rows = self.params.inertia_rows
         self.j_inv_rows = self.params.inertia_inv_rows
         self.neg_k_rho = -self.env.k_rho
@@ -236,39 +241,54 @@ class _LoopContext:
     # -- geometry helpers ---------------------------------------------------
 
     def _resolve(self, y: list):
-        """Body-frame target/cone axes and derived scalars at a raw state."""
+        """Body-frame target ``r_b``, ``x_e``, and the body-frame cone axes
+        and their cosines to the boresight at a raw state."""
         qx, qy, qz, qw = y[0], y[1], y[2], y[3]
         n = math.sqrt(qx * qx + qy * qy + qz * qz + qw * qw)
         # q* [v, 0] q is attitude._sandwich of the conjugate (-x, -y, -z, w),
-        # written out here with the same operation order
+        # written out here with the same operation order, for the target
+        # and then for each cone axis
         cx, cy, cz, qw = -qx / n, -qy / n, -qz / n, qw / n
         bx, by, bz = self.b
-        obstacles = []
+        vx, vy, vz = self.r_i
+        tx = 2.0 * (cy * vz - cz * vy)
+        ty = 2.0 * (cz * vx - cx * vz)
+        tz = 2.0 * (cx * vy - cy * vx)
+        rx = vx + qw * tx + cy * tz - cz * ty
+        ry = vy + qw * ty + cz * tx - cx * tz
+        rz = vz + qw * tz + cx * ty - cy * tx
+        axes = []
         betas = []
-        for cone, (vx, vy, vz) in self.frames:
+        for vx, vy, vz in self.axes:
             tx = 2.0 * (cy * vz - cz * vy)
             ty = 2.0 * (cz * vx - cx * vz)
             tz = 2.0 * (cx * vy - cy * vx)
-            wx = vx + qw * tx + cy * tz - cz * ty
-            wy = vy + qw * ty + cz * tx - cx * tz
-            wz = vz + qw * tz + cx * ty - cy * tx
-            dot = bx * wx + by * wy + bz * wz
-            if cone is None:
-                r_b, x_e = (wx, wy, wz), 1.0 - dot
-            else:
-                obstacles.append((cone, (wx, wy, wz), dot))
-                betas.append(dot)
-        return r_b, x_e, obstacles, betas
+            fx = vx + qw * tx + cy * tz - cz * ty
+            fy = vy + qw * ty + cz * tx - cx * tz
+            fz = vz + qw * tz + cx * ty - cy * tx
+            axes.append((fx, fy, fz))
+            betas.append(bx * fx + by * fy + bz * fz)
+        return (rx, ry, rz), 1.0 - (bx * rx + by * ry + bz * rz), axes, betas
 
-    def _guidance(self, y: list) -> tuple:
-        """Frame terms, effective switches, the shared law terms ``r_b x B``
-        and P1, and the commanded rate at a raw state with ``rho = y[7]``."""
-        rho = y[7]
-        r_b, x_e, obstacles, betas = self._resolve(y)
+    # -- coupled dynamics ---------------------------------------------------
+
+    def rhs(self, t: float, y: list) -> tuple[list, tuple]:
+        """Derivative of the raw state ``y`` and the controller quantities
+        behind it, ``(r_b, x_e, betas, eps, s_eff, v_eff, v_cmd, e2, u)``."""
+        qx, qy, qz, qw, wx, wy, wz, rho, x1x, x1y, x1z, x2x, x2y, x2z = y
+        if not rho > 0.0:
+            reason = ("funnel radius reached zero" if rho <= 0.0
+                      else "funnel radius became non-finite")
+            raise SimulationAbort(t, reason)
+
+        # guidance: frame terms, effective switches, the shared law terms
+        # r_b x B and P1, and the commanded rate
+        r_b, x_e, axes, betas = self._resolve(y)
         eps = x_e / rho
         bx, by, bz = self.b
         rx, ry, rz = r_b
-        r_cross_b = (ry * bz - rz * by, rz * bx - rx * bz, rx * by - ry * bx)
+        tx, ty, tz = r_cross_b = (ry * bz - rz * by, rz * bx - rx * bz,
+                                  rx * by - ry * bx)
         if self.benchmark:
             s_eff = v_eff = 1.0
         else:
@@ -284,26 +304,11 @@ class _LoopContext:
                     v_eff = v
         p1 = _ZERO3
         if v_eff > 0.0:
-            p1 = apf_vector(self.b, r_cross_b, obstacles, self.ctrl.k_a)
+            p1 = apf_vector(self.b, r_cross_b, zip(self.cones, axes, betas),
+                            self.ctrl.k_a)
         # with omega_v = 1 (the baseline) the law ignores eps and rho
         v_cmd = virtual_law(r_cross_b, p1, eps, rho, v_eff, self.ctrl)
-        return r_b, x_e, obstacles, betas, eps, s_eff, v_eff, r_cross_b, p1, v_cmd
 
-    # -- coupled dynamics ---------------------------------------------------
-
-    def rhs(self, t: float, y: list) -> tuple[list, tuple]:
-        """Derivative of the raw state ``y`` and the controller quantities
-        behind it, ``(r_b, x_e, obstacles, betas, eps, s_eff, v_eff, v_cmd,
-        e2, u)``."""
-        rho = y[7]
-        if not rho > 0.0:
-            reason = ("funnel radius reached zero" if rho <= 0.0
-                      else "funnel radius became non-finite")
-            raise SimulationAbort(t, reason)
-        (r_b, x_e, obstacles, betas, eps, s_eff, v_eff, r_cross_b, p1,
-         v_cmd) = self._guidance(y)
-
-        qx, qy, qz, qw, wx, wy, wz, _, x1x, x1y, x1z, x2x, x2y, x2z = y
         (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = self.j_rows
         jwx = j00 * wx + j01 * wy + j02 * wz
         jwy = j10 * wx + j11 * wy + j12 * wz
@@ -333,16 +338,12 @@ class _LoopContext:
         wdy = i10 * rhx + i11 * rhy + i12 * rhz
         wdz = i20 * rhx + i21 * rhy + i22 * rhz
 
-        # attitude kinematics q_dot = 0.5 q (x) [w, 0]
-        dqx, dqy, dqz, dqw = _quat_mul(qx, qy, qz, qw, wx, wy, wz, 0.0)
-
         # funnel radius: shrink vs follow blend; the baseline has no funnel,
         # so its radius is held where it started
         if self.benchmark:
             rho_dot = 0.0
         else:
             # e_dot = -B . (r_b x w), which is w . (r_b x B)
-            tx, ty, tz = r_cross_b
             e_dot = tx * wx + ty * wy + tz * wz
             shrink = self.neg_k_rho * (rho - self.rho_inf)
             if abs(x_e) < ERROR_RATIO_FLOOR:
@@ -358,28 +359,51 @@ class _LoopContext:
         t2y = c1 * _tanh(x1y - vy) - c2 * _tanh(x2y / r_td)
         t2z = c1 * _tanh(x1z - vz) - c2 * _tanh(x2z / r_td)
 
-        return ([0.5 * dqx, 0.5 * dqy, 0.5 * dqz, 0.5 * dqw,
+        # attitude kinematics q_dot = 0.5 q (x) [w, 0], the Hamilton product
+        # with its zero-scalar terms kept, so that signed zeros and NaN
+        # propagate as in the full product
+        return ([0.5 * (qw * wx + qx * 0.0 + qy * wz - qz * wy),
+                 0.5 * (qw * wy - qx * wz + qy * 0.0 + qz * wx),
+                 0.5 * (qw * wz + qx * wy - qy * wx + qz * 0.0),
+                 0.5 * (qw * 0.0 - qx * wx - qy * wy - qz * wz),
                  wdx, wdy, wdz, rho_dot,
                  x2x, x2y, x2z, t2x, t2y, t2z],
-                (r_b, x_e, obstacles, betas, eps, s_eff, v_eff, v_cmd, e2, u))
+                (r_b, x_e, betas, eps, s_eff, v_eff, v_cmd, e2, u))
 
     def step(self, t: float, y: list, dt: float) -> tuple[list, tuple]:
         """Advance ``y`` by ``dt``; returns the new state and the controller
-        quantities of the first stage, which are those of ``y`` at ``t``."""
+        quantities of the first stage, which are those of ``y`` at ``t``.
+
+        The RK4 combine ``y + dt/6 (k1 + 2 k2 + 2 k3 + k4)`` and the
+        quaternion renormalization are written out for the 14 components.
+        """
         k1, stage = self.rhs(t, y)
         h = 0.5 * dt
         k2 = self.rhs(t + h, _axpy(y, h, k1))[0]
         k3 = self.rhs(t + h, _axpy(y, h, k2))[0]
         k4 = self.rhs(t + dt, _axpy(y, dt, k3))[0]
         c = dt / 6.0
-        out = [a + c * (p + 2.0 * q + 2.0 * r + s)
-               for a, p, q, r, s in zip(y, k1, k2, k3, k4)]
-        n = math.sqrt(out[0] ** 2 + out[1] ** 2 + out[2] ** 2 + out[3] ** 2)
-        out[0] /= n
-        out[1] /= n
-        out[2] /= n
-        out[3] /= n
-        return out, stage
+        a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13 = y
+        p0, p1, p2, p3, p4, p5, p6, p7, p8, p9, p10, p11, p12, p13 = k1
+        q0, q1, q2, q3, q4, q5, q6, q7, q8, q9, q10, q11, q12, q13 = k2
+        r0, r1, r2, r3, r4, r5, r6, r7, r8, r9, r10, r11, r12, r13 = k3
+        s0, s1, s2, s3, s4, s5, s6, s7, s8, s9, s10, s11, s12, s13 = k4
+        o0 = a0 + c * (p0 + 2.0 * q0 + 2.0 * r0 + s0)
+        o1 = a1 + c * (p1 + 2.0 * q1 + 2.0 * r1 + s1)
+        o2 = a2 + c * (p2 + 2.0 * q2 + 2.0 * r2 + s2)
+        o3 = a3 + c * (p3 + 2.0 * q3 + 2.0 * r3 + s3)
+        n = math.sqrt(o0 ** 2 + o1 ** 2 + o2 ** 2 + o3 ** 2)
+        return ([o0 / n, o1 / n, o2 / n, o3 / n,
+                 a4 + c * (p4 + 2.0 * q4 + 2.0 * r4 + s4),
+                 a5 + c * (p5 + 2.0 * q5 + 2.0 * r5 + s5),
+                 a6 + c * (p6 + 2.0 * q6 + 2.0 * r6 + s6),
+                 a7 + c * (p7 + 2.0 * q7 + 2.0 * r7 + s7),
+                 a8 + c * (p8 + 2.0 * q8 + 2.0 * r8 + s8),
+                 a9 + c * (p9 + 2.0 * q9 + 2.0 * r9 + s9),
+                 a10 + c * (p10 + 2.0 * q10 + 2.0 * r10 + s10),
+                 a11 + c * (p11 + 2.0 * q11 + 2.0 * r11 + s11),
+                 a12 + c * (p12 + 2.0 * q12 + 2.0 * r12 + s12),
+                 a13 + c * (p13 + 2.0 * q13 + 2.0 * r13 + s13)], stage)
 
     # -- logging ------------------------------------------------------------
 
@@ -390,7 +414,7 @@ class _LoopContext:
         ``quat_norm_error``, ``e2`` and ``x1 - v_cmd``; :func:`_trajectory`
         forms ``v_omega`` and ``td_error`` from the last six in one batch.
         """
-        _, x_e, _, betas, eps, s_eff, v_eff, v_cmd, e2, u = stage
+        _, x_e, betas, eps, s_eff, v_eff, v_cmd, e2, u = stage
         v_q = blf_value(eps, self.ctrl.g, self.ctrl.big_f) + total_potential(
             x_e, self.ctrl.k_a, zip(self.cones, betas))
         cos_angle = max(-1.0, min(1.0, 1.0 - x_e))
@@ -409,7 +433,7 @@ class _LoopContext:
              float(w[0]), float(w[1]), float(w[2]), rho_0,
              0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
         # differentiator starts on the initial command with zero rate
-        y[8:11] = self._guidance(y)[-1]
+        y[8:11] = self.rhs(0.0, y)[1][6]
         return y
 
 
@@ -418,10 +442,13 @@ _STATE_NAMES = (["quat"] * 4 + ["omega"] * 3 + ["rho"]
 
 
 def _check_state(t: float, y: list) -> None:
-    if not all(map(math.isfinite, y)):
-        bad = next(i for i, v in enumerate(y) if not math.isfinite(v))
-        raise SimulationAbort(
-            t, f"non-finite value in {_STATE_NAMES[bad]}[{bad}]")
+    # one sum catches any inf or NaN; it can also overflow on finite values,
+    # so the scan names the component or finds none
+    if not math.isfinite(sum(y)):
+        bad = next((i for i, v in enumerate(y) if not math.isfinite(v)), None)
+        if bad is not None:
+            raise SimulationAbort(
+                t, f"non-finite value in {_STATE_NAMES[bad]}[{bad}]")
     if not y[7] > 0.0:
         raise SimulationAbort(t, "funnel radius reached zero")
 
@@ -461,7 +488,7 @@ class _SafetyStats:
         self._sat_limit = torque_limit - 1e-12
 
     def add(self, stage: tuple) -> None:
-        _, _, _, betas, eps, s_eff, _, _, _, (ux, uy, uz) = stage
+        _, _, betas, eps, s_eff, _, _, _, (ux, uy, uz) = stage
         for i, beta in enumerate(betas):
             if beta > self.max_betas[i]:
                 self.max_betas[i] = beta

@@ -7,6 +7,7 @@ Quaternion oracles here are numpy 4-vectors, scalar last.
 """
 
 import math
+from collections import namedtuple
 
 import numpy as np
 
@@ -137,13 +138,16 @@ def sample_states(rng, sc, n):
     return states
 
 
+# the kernel's stage quantities by name, in the order ``rhs`` returns them
+Stage = namedtuple("Stage", "r_b x_e betas eps s_eff v_eff v_cmd e2 u")
+
+
 def kernel(sc, y, t=0.0, sim=None):
     """The kernel's derivative at ``(t, y)`` as an array, and its stage
-    quantities ``(r_b, x_e, obstacles, betas, eps, s_eff, v_eff, v_cmd, e2,
-    u)``."""
+    quantities as a :data:`Stage`."""
     ctx = _LoopContext(sc, sim if sim is not None else sc.sim)
     dy, stage = ctx.rhs(t, [float(v) for v in y])
-    return np.array(dy), stage
+    return np.array(dy), Stage(*stage)
 
 
 def slice_flow(sc, y, keep):

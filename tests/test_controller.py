@@ -24,7 +24,14 @@ from slewguard.potential import (
 )
 from slewguard.scenario import load_preset, scenario_from_dict
 
-from loop_fixtures import kernel, make_scenario, rk4, sample_states, slice_flow
+from loop_fixtures import (
+    Stage,
+    kernel,
+    make_scenario,
+    rk4,
+    sample_states,
+    slice_flow,
+)
 from test_scenario import valid_doc
 
 
@@ -254,11 +261,11 @@ class TestTrackingDifferentiator:
         sc = make_scenario(n_obstacles=2)
         commands = []
         for y in sample_states(np.random.default_rng(6), sc, 18):
-            v_cmd = kernel(sc, y)[1][7]
+            v_cmd = kernel(sc, y)[1].v_cmd
             y[8:11] = v_cmd
             y[11:14] = 0.0
             dy, stage = kernel(sc, y)
-            assert stage[7] == v_cmd
+            assert stage.v_cmd == v_cmd
             assert dy[8:14].tolist() == [0.0] * 6
             commands.append(max(map(abs, v_cmd)))
         assert max(commands) > 0.01
@@ -267,7 +274,7 @@ class TestTrackingDifferentiator:
         # attitude, rate and radius held, so the command is constant
         sc = make_scenario(n_obstacles=2)
         for y in sample_states(np.random.default_rng(8), sc, 3):
-            cmd = np.array(kernel(sc, y)[1][7])
+            cmd = np.array(kernel(sc, y)[1].v_cmd)
             f = slice_flow(sc, y, range(8, 14))
             z = np.zeros(6)
             dt = 0.005
@@ -286,7 +293,7 @@ class TestTrackingDifferentiator:
         commands, rates = [], []
         for k in range(1000):
             y_next, stage = ctx.step(k * dt, y, dt)
-            commands.append(stage[7])
+            commands.append(Stage(*stage).v_cmd)
             rates.append(y[11:14])
             y = y_next
         v = np.array(commands)

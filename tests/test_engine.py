@@ -29,6 +29,7 @@ from slewguard.scenario import load_preset
 
 from loop_fixtures import (
     FULL_INERTIA,
+    Stage,
     hamilton,
     kernel,
     make_scenario,
@@ -209,8 +210,7 @@ class TestSharedStageTerms:
         avoiding = set()
         for y in sample_states(np.random.default_rng(13), sc, 27):
             before = calls[0]
-            stage = ctx.rhs(1.0, [float(v) for v in y])[1]
-            v_eff = stage[6]
+            v_eff = Stage(*ctx.rhs(1.0, [float(v) for v in y])[1]).v_eff
             assert calls[0] - before == (2 if v_eff > 0.0 else 0)
             avoiding.add(v_eff > 0.0)
         # the proposed law meets both regimes; the baseline is always on

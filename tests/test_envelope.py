@@ -98,7 +98,7 @@ class TestSwitches:
         for cosines, (s_want, v_want) in cases:
             d = pointing_with_cosines(a1, a2, *cosines)
             y = state(quat_taking(sc.boresight_body, d), [0.01, -0.02, 0.03])
-            _, _, _, betas, _, s_eff, v_eff, *_ = kernel(sc, y)[1]
+            _, _, betas, _, s_eff, v_eff, *_ = kernel(sc, y)[1]
             np.testing.assert_allclose(betas, cosines, atol=1e-12)
             assert s_eff == max([0.0] + [bridge(cfg.s_shape, b)
                                          for b in betas])
@@ -110,7 +110,7 @@ class TestSwitches:
     def test_effective_switches_empty(self):
         sc = make_scenario(n_obstacles=0)
         stage = kernel(sc, state(UnitQuaternion(0.0, 0.0, 0.0, 1.0)))[1]
-        assert (stage[3], stage[5], stage[6]) == ([], 0.0, 0.0)
+        assert (stage.betas, stage.s_eff, stage.v_eff) == ([], 0.0, 0.0)
 
 
 class TestFunnel:
@@ -136,7 +136,7 @@ class TestFunnel:
 
     def test_shrink_mode_value(self):
         dy, stage = kernel(self.sc, self.y)
-        assert stage[5] == 0.0
+        assert stage.s_eff == 0.0
         assert dy[7] == self.shrink(3.0)
         assert dy[7] == pytest.approx(-0.1 * (3.0 - 1e-3), rel=1e-15)
 
@@ -162,21 +162,21 @@ class TestFunnel:
         f = slice_flow(self.sc, y, [0, 1, 2, 3, 7])
         z = y[[0, 1, 2, 3, 7]]
         _, stage = kernel(self.sc, y)
-        x_e0, eps0 = stage[1], stage[4]
+        x_e0, eps0 = stage.x_e, stage.eps
         dt = 0.01
         for k in range(400):
             z = rk4(f, z, k * dt, dt)
             y[[0, 1, 2, 3, 7]] = z
             _, stage = kernel(self.sc, y)
-            assert stage[5] == 1.0
-            assert abs(stage[4] - eps0) < 1e-10
-        assert abs(stage[1] - x_e0) > 0.05  # the error itself moved
+            assert stage.s_eff == 1.0
+            assert abs(stage.eps - eps0) < 1e-10
+        assert abs(stage.x_e - x_e0) > 0.05  # the error itself moved
 
     def test_blend_is_convex_combination(self):
         n_blend = 0
         for y in sample_states(np.random.default_rng(9), self.sc, 27):
             dy, stage = kernel(self.sc, y)
-            r_b, x_e, s = stage[0], stage[1], stage[5]
+            r_b, x_e, s = stage.r_b, stage.x_e, stage.s_eff
             if not 0.0 < s < 1.0:
                 continue
             n_blend += 1
@@ -204,7 +204,7 @@ class TestFunnel:
                 y = state(quat_taking(sc.boresight_body, aim),
                           [0.1, -0.2, 0.05], rho=2.0)
                 dy, stage = kernel(sc, y)
-                x_e, s = stage[1], stage[5]
+                x_e, s = stage.x_e, stage.s_eff
                 assert abs(x_e) < 1e-9
                 assert s > 0.0
                 assert dy[7] == (1.0 - s) * self.shrink(2.0)
@@ -212,7 +212,7 @@ class TestFunnel:
     def test_translated_error(self):
         for y in sample_states(np.random.default_rng(4), self.sc, 9):
             _, stage = kernel(self.sc, y)
-            assert stage[4] == stage[1] / y[7]
+            assert stage.eps == stage.x_e / y[7]
         with pytest.raises(SimulationAbort):
             kernel(self.sc, state(UnitQuaternion(0.0, 0.0, 0.0, 1.0), rho=0.0))
 
