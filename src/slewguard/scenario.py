@@ -17,6 +17,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field, replace
 from importlib import resources
@@ -150,15 +151,24 @@ def _as_dict(errors, data, path, key, required=True):
     return v
 
 
+def _warn(warns, msg):
+    """Record a load warning and issue it at the first frame outside this
+    module, the line that called :func:`load_scenario` or
+    :func:`scenario_from_dict`."""
+    warns.append(msg)
+    frame, level = sys._getframe(1), 2
+    while frame is not None and frame.f_globals is globals():
+        frame, level = frame.f_back, level + 1
+    warnings.warn(msg, stacklevel=level)
+
+
 def _unit(vec, path, warns):
     v = np.asarray(vec, dtype=float)
     n = float(np.linalg.norm(v))
     if n < 1e-12:
         raise ValueError(f"{path}: zero vector cannot be normalized")
     if abs(n - 1.0) > _NORM_WARN_TOL:
-        msg = f"{path}: normalized (norm correction {abs(n - 1.0):.3e})"
-        warns.append(msg)
-        warnings.warn(msg, stacklevel=3)
+        _warn(warns, f"{path}: normalized (norm correction {abs(n - 1.0):.3e})")
     return v / n
 
 
@@ -227,10 +237,8 @@ def scenario_from_dict(data: Any, default_name: str = "scenario") -> Scenario:
                 if n < 1e-12:
                     raise ValueError("zero quaternion")
                 if abs(n - 1.0) > _NORM_WARN_TOL:
-                    msg = (f"$.initial.attitude: normalized "
-                           f"(norm correction {abs(n - 1.0):.3e})")
-                    warns.append(msg)
-                    warnings.warn(msg, stacklevel=2)
+                    _warn(warns, f"$.initial.attitude: normalized "
+                                 f"(norm correction {abs(n - 1.0):.3e})")
                 q = UnitQuaternion(x / n, y / n, z / n, w / n)
                 initial = BodyState(attitude=q, omega=np.array(om))
             except ValueError as exc:
@@ -344,9 +352,7 @@ def scenario_from_dict(data: Any, default_name: str = "scenario") -> Scenario:
             p1 = math.cos(math.radians(tp1))
         if p1 is not None and not obs:
             key = "p1" if tp1 is None else "theta_p1_deg"
-            msg = f"$.switching.{key}: ignored, there are no obstacles"
-            warns.append(msg)
-            warnings.warn(msg, stacklevel=2)
+            _warn(warns, f"$.switching.{key}: ignored, there are no obstacles")
         if None not in (delta, m, n):
             if obstacles:
                 # the freeze completes at the outermost onset; the blend

@@ -127,7 +127,9 @@ class TestSchema:
     def test_zero_obstacles_allowed(self):
         doc = valid_doc()
         doc["obstacles"] = []
-        sc = scenario_from_dict(doc)
+        with pytest.warns(UserWarning, match=re.escape(
+                "$.switching.theta_p1_deg: ignored, there are no obstacles")):
+            sc = scenario_from_dict(doc)
         assert sc.obstacles == ()
         # placeholder switch band sits just below beta = 1, out of reach
         assert sc.switch.v1 < 1.0
@@ -305,6 +307,36 @@ class TestSchema:
         assert (q.x, q.y, q.z, q.w) == (0.0, 0.0, 0.0, 1.0)
         assert sc.load_warnings == [
             "$.initial.attitude: normalized (norm correction 1.000e+00)"]
+
+
+def sloppy_doc(kind):
+    """A valid document that loads with exactly one warning of ``kind``."""
+    doc = valid_doc()
+    if kind == "attitude":
+        doc["initial"]["attitude"] = [0, 0, 0, 2]
+    elif kind == "unit-vector":
+        doc["target_inertial"] = [2.0 * c for c in doc["target_inertial"]]
+    else:
+        doc["obstacles"] = []
+    return doc
+
+
+@pytest.mark.parametrize("kind", ["attitude", "unit-vector", "switching"])
+class TestWarningAttribution:
+    """A load warning names the line that called the loader, so that a
+    ``-W`` filter on the caller's module selects it."""
+
+    def test_scenario_from_dict(self, kind):
+        with pytest.warns(UserWarning) as record:
+            scenario_from_dict(sloppy_doc(kind))
+        assert [w.filename for w in record] == [__file__]
+
+    def test_load_scenario(self, kind, tmp_path):
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps(sloppy_doc(kind)))
+        with pytest.warns(UserWarning) as record:
+            load_scenario(path)
+        assert [w.filename for w in record] == [__file__]
 
 
 class TestLoadScenario:
