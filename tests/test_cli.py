@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import pytest
 
@@ -165,8 +166,10 @@ class TestRun:
         doc["obstacles"] = []
         doc["switching"]["delta"] = 0.6
         path = write_scenario(tmp_path, doc)
-        code = main(["run", "--scenario", str(path), "--duration", "1",
-                     "--out", str(tmp_path / "runs")])
+        with pytest.warns(UserWarning, match=re.escape(
+                "$.switching.theta_p1_deg: ignored, there are no obstacles")):
+            code = main(["run", "--scenario", str(path), "--duration", "1",
+                         "--out", str(tmp_path / "runs")])
         assert code == 0
 
     def test_integrator_other_than_rk4_exits_3(self, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Guidance/torque law tests: descent oracles, TD behavior, validation rules."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -502,7 +503,9 @@ class TestValidateConfig:
         doc = valid_doc()
         doc["obstacles"] = []
         doc["switching"]["delta"] = 0.6
-        sc = scenario_from_dict(doc)
+        with pytest.warns(UserWarning, match=re.escape(
+                "$.switching.theta_p1_deg: ignored, there are no obstacles")):
+            sc = scenario_from_dict(doc)
         report = validate_config(sc.controller, sc.envelope, sc.switch,
                                  sc.obstacles, sc.boresight_body,
                                  sc.target_inertial, sc.initial, sc.theta_df)
