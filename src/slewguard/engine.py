@@ -45,10 +45,11 @@ operation order a law would use on its own, so sharing it changes no
 result.
 
 The disturbance torque depends on time alone.  A one-slot cache keeps the
-last stage time and its value, and reuses the value only when the next
-stage time is the same float: stages 2 and 3 share ``t + dt/2``, and stage 1
-of a step repeats stage 4's ``t + dt`` whenever ``k * dt + dt == (k + 1) *
-dt``.
+last stage time and its value, and reuses the value when the next stage
+time is the same float.  Step ``k`` evaluates its stages at ``k * dt``,
+``k * dt + dt/2`` (twice) and ``(k + 1) * dt``, the time the next step
+starts at, so a run of ``n`` steps evaluates the disturbance ``2 n + 1``
+times.
 
 ``step`` returns, with the new state, the quantities its first stage
 evaluated at the start of the step.  Logging and the safety statistics
@@ -370,18 +371,20 @@ class _LoopContext:
                  x2x, x2y, x2z, t2x, t2y, t2z],
                 (r_b, x_e, betas, eps, s_eff, v_eff, v_cmd, e2, u))
 
-    def step(self, t: float, y: list, dt: float) -> tuple[list, tuple]:
-        """Advance ``y`` by ``dt``; returns the new state and the controller
-        quantities of the first stage, which are those of ``y`` at ``t``.
+    def step(self, k: int, y: list, dt: float) -> tuple[list, tuple]:
+        """Advance ``y`` from ``t = k * dt`` to ``(k + 1) * dt``; returns the
+        new state and the controller quantities of the first stage, which
+        are those of ``y`` at ``t``.
 
         The RK4 combine ``y + dt/6 (k1 + 2 k2 + 2 k3 + k4)`` and the
         quaternion renormalization are written out for the 14 components.
         """
+        t = k * dt
         k1, stage = self.rhs(t, y)
         h = 0.5 * dt
         k2 = self.rhs(t + h, _axpy(y, h, k1))[0]
         k3 = self.rhs(t + h, _axpy(y, h, k2))[0]
-        k4 = self.rhs(t + dt, _axpy(y, dt, k3))[0]
+        k4 = self.rhs((k + 1) * dt, _axpy(y, dt, k3))[0]
         c = dt / 6.0
         a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13 = y
         p0, p1, p2, p3, p4, p5, p6, p7, p8, p9, p10, p11, p12, p13 = k1
@@ -535,11 +538,10 @@ def run_scenario(scenario: "Scenario", sim: SimConfig | None = None,
     log = array("d")
     t0 = time.perf_counter()
     for k in range(n_steps):
-        t = k * dt
-        y_next, stage = ctx.step(t, y, dt)
+        y_next, stage = ctx.step(k, y, dt)
         safety.add(stage)
         if k % stride == 0:
-            log.extend(ctx.record(t, y, stage))
+            log.extend(ctx.record(k * dt, y, stage))
         y = y_next
         _check_state((k + 1) * dt, y)
     # the final sample is the one stage evaluated outside a step

@@ -26,34 +26,34 @@ AVOIDANCE_PRESETS = tuple(n for n in PRESET_NAMES if n != "paper-compare-1")
 # Linux with glibc; elsewhere a mismatch may be the platform, not the code.
 TRAJECTORY_SHA256 = {
     "paper-single-1":
-        "317b99848c0185167fc60a07f9cdfc6985570c21677d6702e60ed76ce5b1d687",
+        "826f54bfa2743a98a21042614251e4f1eee4d3793271c3dda1f9e0ba9ed8ddc4",
     "paper-single-2":
-        "8a8ee536b2a20d825b1257b0308f496d02082bfbeb7972b0b58a0e2d27d45ebb",
+        "802b000849383143a7851333ac0a282443e6c8cbafbcf3c5afeb98525cea1f45",
     "paper-single-3":
-        "a120d01773f040ca1cbb4efbc4d68af7730a813bcb38dae25c65eac585a6518d",
+        "5a1e2aee15e94007eb9633fd19224878dda8a0e04451c6dccca31779dc540cd2",
     "paper-two-1":
-        "0543e319d84bd9a9fd81fb1cf8862423eb37500e17ef71de4b5e518d2fd9cc02",
+        "f7a3d679c4474cf61afe472ff6a6cc8605a932b6d6f2ddb15ce89b3fd4665004",
     "paper-two-2":
-        "950cfb5b0d78229cb2e6b54f222d04d64ef771495bc6c2cdf84227ffa3a6dd96",
+        "eb23019ccd5630756feeaa4f633c1b879bdeb1ee1dbc65275bd66ccb61278ec6",
     "paper-two-3":
-        "255c272ca5273a90d18e10d165d12a4e2dfdc83d7e3950458f296b158219a4ff",
+        "6b7dc3db25ed568d3b47da659af05de4dc425151d79994ae50443eeeb631c225",
     "paper-two-4":
-        "9e851bdf3c8f1c3119149ecdd1efac75e48a585accce0d4e97d4521e2310d294",
+        "c968318d9f835829aaa51d7b7fa97257d7e60d6deb187c582f3309134d47f9e0",
     "paper-three-1":
-        "7486c06a3092d9ff76ac83190d958d7a9efaffeed90e69307f19bf47fef3a134",
+        "331fdc3aed471aa7f5f5ed1ffa69ddce59fce9f52fb9f6f81abcf7064bc5493c",
     "paper-compare-1":
-        "317b99848c0185167fc60a07f9cdfc6985570c21677d6702e60ed76ce5b1d687",
+        "826f54bfa2743a98a21042614251e4f1eee4d3793271c3dda1f9e0ba9ed8ddc4",
 }
 
 # sha256 of the field-only baseline's full-length trajectory_benchmark.csv
 # for the presets ``run --compare`` is benchmarked on; same platform caveat.
 BASELINE_SHA256 = {
     "paper-compare-1":
-        "41c4483f992a8ae2664527acfce37f988fb2a4c84b73cc90148e6d4c798ed144",
+        "d93d020f1433b2dab0ba207ceeebc2d2dd4fadb2f6fa0b22253c46630fa94ea8",
     "paper-two-1":
-        "bb7a0975cd812b0bcb80874ddb41d3b49a997f5efa50e6625fc5572731aac6d2",
+        "c5c45a40ecfa50207da05b4dbb844e11b25c88a04b11265eeb48b26cc75ae9d9",
     "paper-three-1":
-        "c6e9a273712070eb828fb7b7f3da5e4b90c47d1bc3799bf7c4513ac3b0479e16",
+        "b46846fc7c09e908ad95c87fa74531bd1915dfa56d4aaec6cc4095399d5ea397",
 }
 
 

@@ -293,7 +293,7 @@ class TestTrackingDifferentiator:
         y = ctx.initial_state()
         commands, rates = [], []
         for k in range(1000):
-            y_next, stage = ctx.step(k * dt, y, dt)
+            y_next, stage = ctx.step(k, y, dt)
             commands.append(Stage(*stage).v_cmd)
             rates.append(y[11:14])
             y = y_next

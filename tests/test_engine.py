@@ -244,7 +244,8 @@ class TestSharedStageTerms:
         # the disturbance reaches the derivative only when enabled
         assert (bits(got[t1]) != bits(got[t1 + 5.0])) == enabled
 
-    def test_one_disturbance_evaluation_per_stage_time(self, monkeypatch):
+    @staticmethod
+    def disturbance_times(monkeypatch):
         times = []
         real = engine_module.disturbance_torque
 
@@ -253,16 +254,29 @@ class TestSharedStageTerms:
             return real(t)
 
         monkeypatch.setattr(engine_module, "disturbance_torque", counted)
+        return times
+
+    def test_one_disturbance_evaluation_per_stage_time(self, monkeypatch):
+        times = self.disturbance_times(monkeypatch)
         sc = make_scenario(n_obstacles=1)
         ctx = _LoopContext(sc, SimConfig())
         dt = 0.01
         y = ctx.initial_state()
-        y, _ = ctx.step(0.0, y, dt)
+        y, _ = ctx.step(0, y, dt)
         # stages 2 and 3 share t + dt/2
         assert times == [0.0, 0.5 * dt, dt]
-        ctx.step(dt, y, dt)
+        ctx.step(1, y, dt)
         # stage 1 repeats the previous stage 4's time
         assert times == [0.0, 0.5 * dt, dt, dt + 0.5 * dt, 2.0 * dt]
+
+    def test_two_disturbance_evaluations_per_step(self, monkeypatch):
+        times = self.disturbance_times(monkeypatch)
+        res = run_scenario(load_preset("paper-single-1").with_sim(
+            duration=1.0))
+        assert len(res.records) == 101
+        # the initial command's stage at t = 0, then t + dt/2 and (k + 1) dt
+        # of each step; stage 1 and the final sample reuse the cached value
+        assert len(times) == 2 * 100 + 1
 
 
 class TestRunScenario:

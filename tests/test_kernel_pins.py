@@ -59,7 +59,7 @@ ORACLE_SHA256 = {
     ),
     "benchmark_apf": (
         "58cc2f7ffd63a8977193dcf324e5e99366a211a47cd9f2fdf3cab45ac1c9fee4",
-        "118b9e4383f754b64f22a2f94b52b23d19cd7025b26774e831126c0fcc65aec8",
+        "f055952e60dc0b338fb3b2173f02c2a1ccf05ca670ba410741f65712895933c0",
         "9f639465e4d2d3c46d0155ae941ebad4df405adf7573274a2b4173cefe6d3baf",
         "b1f17c0385a8bf97a2e14c828fb0d0b11a71d2949e4a1b56e828ac3b483df9f5",
     ),
