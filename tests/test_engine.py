@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from array import array
 
 import numpy as np
@@ -16,6 +17,7 @@ from slewguard.engine import (
     Trajectory,
     ValidationFailure,
     _LoopContext,
+    _check_state,
     _trajectory,
     disturbance_torque,
     lyapunov_monitor,
@@ -345,6 +347,23 @@ class TestRunScenario:
         with pytest.raises(SimulationAbort) as err:
             run_scenario(sc.with_sim(duration=1.0), force=True)
         assert err.value.t <= 0.02
+
+    def test_state_check_names_the_non_finite_component(self):
+        y = [0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0] + [0.0] * 6
+        # finite components whose sum overflows pass
+        _check_state(1.0, y[:4] + [1e308, 1e308] + y[6:])
+        # the first non-finite component is named, also where infinities
+        # of both signs sum to NaN
+        for bad, name in (({2: math.nan}, "quat[2]"),
+                          ({7: math.nan}, "rho[7]"),
+                          ({13: math.inf}, "td_x2[13]"),
+                          ({4: math.inf, 5: -math.inf}, "omega[4]")):
+            z = list(y)
+            for i, v in bad.items():
+                z[i] = v
+            with pytest.raises(SimulationAbort,
+                               match=re.escape(f"non-finite value in {name}")):
+                _check_state(1.0, z)
 
     def test_benchmark_mode_pins_switches(self):
         sc = load_preset("paper-single-1").with_sim(
