@@ -20,9 +20,8 @@ the logging are scalar code: on 3-vectors, numpy's per-call overhead costs
 far more than the arithmetic.  numpy works only at the batch edges of a run.
 Inside a stage the same holds for Python calls and tuple packing, so the
 guidance, the quaternion kinematics, the stage states and the RK4 combine
-are written out in ``rhs`` and ``step``, component by component; only the
-laws and the frame resolution, which the benchmark times as layers, are
-calls.
+are written out in ``rhs`` and ``step``, component by component, while the
+control laws and the frame resolution stay functions of their own.
 Each logged step appends one flat tuple of floats to a C double buffer
 (``array("d")``, 8 bytes a value rather than a Python float object), and
 after the loop numpy reads the buffer as the ``(n, k)`` float64 array of a
