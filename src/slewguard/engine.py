@@ -22,17 +22,14 @@ Inside a stage the same holds for Python calls and tuple packing, so the
 guidance, the quaternion kinematics, the stage states and the RK4 combine
 are written out in ``rhs`` and ``step``, component by component, while the
 control laws and the frame resolution stay functions of their own.
-Each logged step appends one flat tuple of floats to a C double buffer
-(``array("d")``, 8 bytes a value rather than a Python float object), and
-after the loop numpy reads the buffer as the ``(n, k)`` float64 array of a
-:class:`Trajectory`, whose columns the summary, the Lyapunov monitor and the
-CSV writer read.  The logged ``v_omega = e2 . J e2 / 2`` and ``td_error =
-|x1 - v|`` are formed there with stacked matmuls, ``E[:, None, :] @ (J @
-E[:, :, None])`` and ``sqrt(D[:, None, :] @ D[:, :, None])``.  numpy runs
-those as one BLAS gemv and one dot per row, the same calls that
-``e2 @ (J @ e2)`` and ``np.linalg.norm`` make on a single 3-vector, so every
-row rounds as it would alone; a scalar sum, ``einsum`` or ``norm(axis=1)``
-differs in the last bit for a sizeable share of rows.
+Each logged step appends one flat tuple of floats, the row of a
+:class:`Trajectory` in its column order, to a C double buffer
+(``array("d")``, 8 bytes a value rather than a Python float object).  After
+the loop numpy copies the buffer into the ``(n, k)`` float64 array whose
+columns the summary, the Lyapunov monitor and the CSV writer read.  numpy
+only wraps, compares and formats what Python floats computed: no written
+value passes through a BLAS or LAPACK call, whose rounding depends on the
+CPU kernel the library picks at run time.
 
 Each stage forms every term that more than one law needs exactly once and
 hands it to both: the body-frame target with ``x_e`` and the body-frame
@@ -410,21 +407,24 @@ class _LoopContext:
     # -- logging ------------------------------------------------------------
 
     def record(self, t: float, y: list, stage: tuple) -> tuple:
-        """Logged row of state ``y`` at ``t`` from its stage quantities.
-
-        The row holds the :class:`Trajectory` columns up to ``v_q``, then
-        ``quat_norm_error``, ``e2`` and ``x1 - v_cmd``; :func:`_trajectory`
-        forms ``v_omega`` and ``td_error`` from the last six in one batch.
-        """
+        """Logged row of state ``y`` at ``t`` from its stage quantities: the
+        :class:`Trajectory` columns, in order."""
         _, x_e, betas, eps, s_eff, v_eff, v_cmd, e2, u = stage
         v_q = blf_value(eps, self.ctrl.g, self.ctrl.big_f) + total_potential(
             x_e, self.ctrl.k_a, zip(self.cones, betas))
+        ex, ey, ez = e2
+        (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = self.j_rows
+        v_omega = 0.5 * (ex * (j00 * ex + j01 * ey + j02 * ez)
+                         + ey * (j10 * ex + j11 * ey + j12 * ez)
+                         + ez * (j20 * ex + j21 * ey + j22 * ez))
+        vx, vy, vz = v_cmd
+        dx, dy, dz = y[8] - vx, y[9] - vy, y[10] - vz
         cos_angle = max(-1.0, min(1.0, 1.0 - x_e))
         qn = math.sqrt(y[0] ** 2 + y[1] ** 2 + y[2] ** 2 + y[3] ** 2)
-        vx, vy, vz = v_cmd
         return (t, x_e, math.degrees(math.acos(cos_angle)), *betas,
                 y[7], eps, s_eff, v_eff, y[4], y[5], y[6], *u,
-                v_q, abs(qn - 1.0), *e2, y[8] - vx, y[9] - vy, y[10] - vz)
+                v_q, v_omega, math.sqrt(dx * dx + dy * dy + dz * dz),
+                abs(qn - 1.0))
 
     def initial_state(self) -> list:
         init = self.scenario.initial
@@ -453,25 +453,6 @@ def _check_state(t: float, y: list) -> None:
                 t, f"non-finite value in {_STATE_NAMES[bad]}[{bad}]")
     if not y[7] > 0.0:
         raise SimulationAbort(t, "funnel radius reached zero")
-
-
-def _trajectory(log: array, n_cones: int, inertia: np.ndarray) -> Trajectory:
-    """The rows of :meth:`_LoopContext.record`, concatenated in ``log``, as a
-    trajectory.
-
-    ``v_omega`` and ``td_error`` are formed here for all rows at once, with
-    the stacked matmuls that round each row as numpy does a lone 3-vector.
-    """
-    columns = _columns(n_cones)
-    raw = np.frombuffer(log).reshape(-1, len(columns) + 4)
-    e2 = raw[:, -6:-3]
-    d = raw[:, -3:]
-    data = np.empty((len(raw), len(columns)))
-    data[:, :-3] = raw[:, :-7]
-    data[:, -3] = 0.5 * (e2[:, None, :] @ (inertia @ e2[:, :, None]))[:, 0, 0]
-    data[:, -2] = np.sqrt(d[:, None, :] @ d[:, :, None])[:, 0, 0]
-    data[:, -1] = raw[:, -7]
-    return Trajectory(data, columns)
 
 
 class _SafetyStats:
@@ -548,7 +529,8 @@ def run_scenario(scenario: "Scenario", sim: SimConfig | None = None,
     stage = ctx.rhs(t, y)[1]
     safety.add(stage)
     log.extend(ctx.record(t, y, stage))
-    records = _trajectory(log, len(ctx.cones), scenario.params.inertia)
+    columns = _columns(len(ctx.cones))
+    records = Trajectory(np.array(log).reshape(-1, len(columns)), columns)
     wall = time.perf_counter() - t0
 
     summary = summarize(scenario, sim, records, safety, report, wall)

@@ -26,34 +26,34 @@ AVOIDANCE_PRESETS = tuple(n for n in PRESET_NAMES if n != "paper-compare-1")
 # Linux with glibc; elsewhere a mismatch may be the platform, not the code.
 TRAJECTORY_SHA256 = {
     "paper-single-1":
-        "826f54bfa2743a98a21042614251e4f1eee4d3793271c3dda1f9e0ba9ed8ddc4",
+        "603ada8ac4b1ca899ae4bfa0d886a8f094fb64ef26506261e3ad1ca5c02fa085",
     "paper-single-2":
-        "802b000849383143a7851333ac0a282443e6c8cbafbcf3c5afeb98525cea1f45",
+        "8cfc201bce4a8d1d9d9b323f8ff7108d948710fcbe99bff7cdbb1263204e80a4",
     "paper-single-3":
-        "5a1e2aee15e94007eb9633fd19224878dda8a0e04451c6dccca31779dc540cd2",
+        "0346066945394953c127532772f68d4ad81266e9d8ba7d9546de3ad1c80ab848",
     "paper-two-1":
-        "f7a3d679c4474cf61afe472ff6a6cc8605a932b6d6f2ddb15ce89b3fd4665004",
+        "99f2694d307c98bdc9c30080d69792188df785cd964e881b22d9a6dd599a1e86",
     "paper-two-2":
-        "eb23019ccd5630756feeaa4f633c1b879bdeb1ee1dbc65275bd66ccb61278ec6",
+        "5464e04041945dee7dca1ec2bb1e6a8f5233f68d051c90e70e9d4fa9e79b7a46",
     "paper-two-3":
-        "6b7dc3db25ed568d3b47da659af05de4dc425151d79994ae50443eeeb631c225",
+        "ca989aa7ab8f4fd5dcbd759ddb0fa16460ad8099895c11d2fe81b726df43bbf8",
     "paper-two-4":
-        "c968318d9f835829aaa51d7b7fa97257d7e60d6deb187c582f3309134d47f9e0",
+        "57ac85c1801952e6c9db566b11c59fb59c8ecef508da68c1c64caed826eae26d",
     "paper-three-1":
-        "331fdc3aed471aa7f5f5ed1ffa69ddce59fce9f52fb9f6f81abcf7064bc5493c",
+        "319732e9ab67b432a3c6afa7c8f02970d0a0bed42854debc62676b5ae604d211",
     "paper-compare-1":
-        "826f54bfa2743a98a21042614251e4f1eee4d3793271c3dda1f9e0ba9ed8ddc4",
+        "603ada8ac4b1ca899ae4bfa0d886a8f094fb64ef26506261e3ad1ca5c02fa085",
 }
 
 # sha256 of the field-only baseline's full-length trajectory_benchmark.csv
 # for the presets ``run --compare`` is benchmarked on; same platform caveat.
 BASELINE_SHA256 = {
     "paper-compare-1":
-        "d93d020f1433b2dab0ba207ceeebc2d2dd4fadb2f6fa0b22253c46630fa94ea8",
+        "43b66c79e12d57f796c0d7376f71a5b097501c42b2e19b7d8346476194ac4df0",
     "paper-two-1":
-        "c5c45a40ecfa50207da05b4dbb844e11b25c88a04b11265eeb48b26cc75ae9d9",
+        "fac1e6b19dfba3ae1389094572151456cb82e31a9c64c55ba16e67a5859e3d8c",
     "paper-three-1":
-        "b46846fc7c09e908ad95c87fa74531bd1915dfa56d4aaec6cc4095399d5ea397",
+        "2243e69f42f346c674618223fe48e871decc63f8120d7bf818a945e6e0fb84ac",
 }
 
 

@@ -3,7 +3,6 @@
 import json
 import math
 import re
-from array import array
 
 import numpy as np
 import pytest
@@ -18,19 +17,18 @@ from slewguard.engine import (
     ValidationFailure,
     _LoopContext,
     _check_state,
-    _trajectory,
+    _columns,
     disturbance_torque,
     lyapunov_monitor,
     run_scenario,
     write_summary_json,
     write_trajectory_csv,
 )
-from slewguard.envelope import ERROR_RATIO_FLOOR
-from slewguard.potential import bridge, repulsion_grad_beta
+from slewguard.envelope import ERROR_RATIO_FLOOR, blf_value
+from slewguard.potential import bridge, repulsion_grad_beta, total_potential
 from slewguard.scenario import load_preset
 
 from loop_fixtures import (
-    FULL_INERTIA,
     Stage,
     hamilton,
     kernel,
@@ -393,32 +391,52 @@ def synthetic_records(values, omega_s=0.0):
     return Trajectory(data, ONE_CONE_COLUMNS)
 
 
-class TestTrajectoryColumns:
-    @pytest.mark.parametrize("inertia", [np.diag([5.08, 5.14, 5.0]),
-                                         FULL_INERTIA])
-    def test_batch_columns_round_like_single_rows(self, inertia):
-        # v_omega and td_error are formed for all rows at once; each must
-        # equal numpy's result on that row alone, bit for bit
-        rng = np.random.default_rng(23)
-        n = 12_000
-        head = rng.normal(size=(n, 14))          # t .. v_q, no cones
-        qn = rng.uniform(0.0, 1e-15, size=n)
-        scale = 10.0 ** rng.uniform(-9.0, 1.0, size=(n, 1))
-        e2 = rng.normal(size=(n, 3)) * scale
-        x1 = rng.normal(size=(n, 3)) * scale
-        v = rng.normal(size=(n, 3)) * scale
-        log = array("d")
-        for h, q, e, a, b in zip(head.tolist(), qn.tolist(), e2.tolist(),
-                                 x1.tolist(), v.tolist()):
-            log.extend((*h, q, *e, a[0] - b[0], a[1] - b[1], a[2] - b[2]))
-        traj = _trajectory(log, 0, inertia)
-        want_v_omega = [0.5 * float(e @ (inertia @ e)) for e in e2]
-        want_td = [float(np.linalg.norm(a - b)) for a, b in zip(x1, v)]
-        assert np.array_equal(traj["v_omega"], want_v_omega)
-        assert np.array_equal(traj["td_error"], want_td)
-        assert np.array_equal(traj.data[:, :14], head)
-        assert np.array_equal(traj["quat_norm_error"], qn)
-        assert len(traj) == n
+def within_ulps(got, want, n=2):
+    return abs(got - want) <= n * math.ulp(want)
+
+
+class TestRecord:
+    @pytest.mark.parametrize("index", range(4), ids=[
+        "diagonal-z", "diagonal-oblique", "full-z", "full-oblique"])
+    def test_row_is_the_csv_row(self, index):
+        # the row of record is the CSV row: one value per column, in header
+        # order, with v_omega and td_error as numpy forms them per row up to
+        # rounding
+        sc = oracle_scenarios()[index]
+        ctx = _LoopContext(sc, sc.sim)
+        columns = _columns(len(sc.obstacles))
+        t = 1.25
+        for y in sample_states(np.random.default_rng(23), sc, 18):
+            y = y.tolist()
+            st = Stage(*ctx.rhs(t, y)[1])
+            values = ctx.record(t, y, st)
+            assert len(values) == len(columns)
+            row = dict(zip(columns, values))
+            want = {"t": t, "x_e": st.x_e,
+                    "pointing_angle_deg":
+                        math.degrees(math.acos(1.0 - st.x_e)),
+                    "rho": y[7], "eps": st.eps,
+                    "omega_s_eff": st.s_eff, "omega_v_eff": st.v_eff,
+                    "omega_x": y[4], "omega_y": y[5], "omega_z": y[6],
+                    "torque_x": st.u[0], "torque_y": st.u[1],
+                    "torque_z": st.u[2],
+                    "quat_norm_error": abs(math.sqrt(
+                        sum(v * v for v in y[:4])) - 1.0)}
+            want.update((f"beta_{i + 1}", b)
+                        for i, b in enumerate(st.betas))
+            want["v_q"] = blf_value(st.eps, sc.controller.g,
+                                    sc.controller.big_f) + total_potential(
+                st.x_e, sc.controller.k_a, zip(sc.obstacles, st.betas))
+            assert sorted(want) == sorted(set(columns)
+                                          - {"v_omega", "td_error"})
+            for name, value in want.items():
+                assert row[name] == value, name
+            e = np.array(st.e2)
+            v_omega = 0.5 * float(e @ (sc.params.inertia @ e))
+            td_error = float(np.linalg.norm(np.array(y[8:11])
+                                            - np.array(st.v_cmd)))
+            assert within_ulps(row["v_omega"], v_omega)
+            assert within_ulps(row["td_error"], td_error)
 
 
 class TestLyapunovMonitor:

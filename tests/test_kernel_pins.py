@@ -35,16 +35,16 @@ SEED = 47
 CORRIDOR_SHA256 = {
     "corridor-47-000-on": None,
     "corridor-47-001-beside":
-        "045bc5227f69e05f2abade4d7df34c473ab45e184377b587b2b50dd5a3e47dd0",
+        "bc04884c51fb3b595b56d46c92b9bed8a8668aeedc48cfaa63bae6c1205097aa",
     "corridor-47-002-start-band":
-        "aca721d7c741a19d2901b23fdbd1eb25c7b88f0111501fecaa0503c3780b3020",
+        "e5da2f83167358e8d2bab95cf706c4e0911987f9d63c805de6cc2a6680013fdd",
     "corridor-47-003-two":
-        "943fd2aeafc5e0b9ee6940b786c0300811d7b2e1868a25a1f121045c25608e66",
+        "03797c34c4db6cbdca325438b9f220d178850d778905f0d1fb75f42981310d79",
     "corridor-47-004-on": None,
     "corridor-47-005-beside":
-        "2419ed0572368915f430d840e47e37d707761921f3a355a76d9b11c11c1962dd",
+        "c07e0afb894508bdc3b22e2e14a93634250549d1aeaeae11a5768e83f98ecba3",
     "corridor-47-006-start-band":
-        "4548ec347c23c5fe4b0cfd53a38f6d88034f7bc5c5a780b4fa690963542edf1c",
+        "5273ee01b01c1024b9dd4f5f39114571b0b72cfc4174f8a4d20a10ffc0d7fb69",
     "corridor-47-007-two": None,
 }
 
@@ -52,16 +52,16 @@ CORRIDOR_SHA256 = {
 # +z, oblique), 20 s at record stride 20, per controller mode
 ORACLE_SHA256 = {
     "proposed": (
-        "b497cb0cce869d693cecd014835f137cbc39303684e4e9f31b04e010afa95dc2",
-        "5df66903b2f4e9fe01fe8d1802b8b8eb0a8b8205604103d0eeb2aae5e4426540",
-        "8b6ae5a7a388113a83e17edf024008ae096b8de8e1f30d164f0f4c34ab80a953",
-        "5bf48c5c16b883edc28109527e5af30414016c30cb288f097959da12a434de44",
+        "77344e9f744f15008f979d08a27c94b1cab784fd8d9e90ba1e31956dd6b5cf99",
+        "696c8521da4edf566359f0d53d9c4f1ac12747d13dbfd71dfdaa9b70bc316139",
+        "af5b3b2de0ac1050bdc311d749fd2b1351cd5806ac08a75f4fd2096b408e562d",
+        "27ef98afa3acab246f98c09618d5adbde942c7b53a7b755241e97db5695f6793",
     ),
     "benchmark_apf": (
-        "58cc2f7ffd63a8977193dcf324e5e99366a211a47cd9f2fdf3cab45ac1c9fee4",
-        "f055952e60dc0b338fb3b2173f02c2a1ccf05ca670ba410741f65712895933c0",
-        "9f639465e4d2d3c46d0155ae941ebad4df405adf7573274a2b4173cefe6d3baf",
-        "b1f17c0385a8bf97a2e14c828fb0d0b11a71d2949e4a1b56e828ac3b483df9f5",
+        "c80c8779b92907d22be715a273fe2fcc34843ae4c8a05b3e9e097979776e7ae2",
+        "c76b5c69a7540bcc108a3c892058d8b384e3b67a750889fbed6586c1d955099e",
+        "7cc536c42bb4f3ffc67dd1e7a04d5be9adeaa67471db7d3ed07f67a031158d0e",
+        "08c8984b451af4d2cdce40726594e859c8e2244c6cd4e20648655186be10fc4a",
     ),
 }
 
