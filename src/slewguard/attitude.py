@@ -125,10 +125,7 @@ class SpacecraftParams:
             raise ValueError("inertia must have shape (3, 3)")
         if not np.allclose(inertia, inertia.T, rtol=0.0, atol=1e-12):
             raise ValueError("inertia must be symmetric")
-        try:
-            np.linalg.cholesky(inertia)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("inertia must be positive definite") from exc
+        inverse = _spd_inverse_rows(inertia.tolist())
         if self.torque_limit <= 0.0:
             raise ValueError("torque_limit must be positive")
         if self.disturbance_bound < 0.0:
@@ -136,8 +133,30 @@ class SpacecraftParams:
         object.__setattr__(self, "inertia", inertia)
         object.__setattr__(self, "inertia_rows",
                            tuple(tuple(row) for row in inertia.tolist()))
-        object.__setattr__(self, "inertia_inv_rows", tuple(
-            tuple(row) for row in np.linalg.inv(inertia).tolist()))
+        object.__setattr__(self, "inertia_inv_rows", inverse)
+
+
+def _spd_inverse_rows(m: list) -> tuple:
+    """Inverse of a symmetric 3x3 matrix as float rows, by Gauss-Jordan
+    elimination without pivoting.
+
+    The pivots of that elimination are the ratios of successive leading
+    principal minors, so they are all positive exactly when the matrix is
+    positive definite; a pivot that is not raises ``ValueError``.  A
+    diagonal matrix gives exactly ``1 / d`` on the diagonal and zeros off it.
+    """
+    a = [list(row) + [float(i == j) for j in range(3)]
+         for i, row in enumerate(m)]
+    for k in range(3):
+        p = a[k][k]
+        if not p > 0.0:
+            raise ValueError("inertia must be positive definite")
+        a[k] = [v / p for v in a[k]]
+        for i in range(3):
+            if i != k:
+                f = a[i][k]
+                a[i] = [v - f * w for v, w in zip(a[i], a[k])]
+    return tuple(tuple(row[3:]) for row in a)
 
 
 def rotate_to_body(q: UnitQuaternion, v_inertial: np.ndarray) -> np.ndarray:
@@ -155,4 +174,6 @@ def pointing_error(boresight_body: np.ndarray, target_body: np.ndarray) -> float
     """
     _require_unit_vec(boresight_body, "boresight_body")
     _require_unit_vec(target_body, "target_body")
-    return 1.0 - float(np.dot(boresight_body, target_body))
+    bx, by, bz = (float(v) for v in boresight_body)
+    rx, ry, rz = (float(v) for v in target_body)
+    return 1.0 - (bx * rx + by * ry + bz * rz)

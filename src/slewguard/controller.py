@@ -29,7 +29,8 @@ import numpy as np
 
 from .attitude import BodyState, SpacecraftParams, pointing_error, rotate_to_body
 from .envelope import EnvelopeConfig, SwitchConfig
-from .potential import ObstacleCone, bridge_grad_max, repulsion_grad_beta
+from .potential import (ObstacleCone, bridge_grad_max, goal_separation,
+                        repulsion_grad_beta)
 
 __all__ = [
     "ControllerConfig",
@@ -327,8 +328,7 @@ def validate_config(cfg: ControllerConfig, envelope: EnvelopeConfig,
         f"rho_0={envelope.rho_0:g} vs x_e(0)={x_e0:.6g} (need strict >)")
 
     for i, cone in enumerate(obstacles):
-        sep = math.acos(max(-1.0, min(1.0, float(
-            np.dot(target_inertial, cone.axis_inertial)))))
+        sep = goal_separation(target_inertial, cone.axis_inertial)
         add(f"goal-separation[{i}]", sep >= theta_df - 1e-12,
             f"goal-to-axis angle {math.degrees(sep):.3f} deg vs declared "
             f"minimum {math.degrees(theta_df):.3f} deg")

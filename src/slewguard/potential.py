@@ -31,6 +31,7 @@ __all__ = [
     "bridge",
     "bridge_grad",
     "bridge_grad_max",
+    "goal_separation",
     "repulsion_grad_beta",
     "total_potential",
 ]
@@ -149,7 +150,8 @@ class ObstacleCone:
         axis = np.asarray(self.axis_inertial, dtype=float)
         if axis.shape != (3,):
             raise ValueError("axis_inertial must have shape (3,)")
-        n = float(np.linalg.norm(axis))
+        x, y, z = axis.tolist()
+        n = math.sqrt(x * x + y * y + z * z)
         if abs(n - 1.0) > 1e-6:
             raise ValueError(f"axis_inertial must be unit, got norm {n:.9e}")
         if not (self.theta_0 > self.theta_1 >= self.theta_f > 0.0):
@@ -165,6 +167,13 @@ class ObstacleCone:
         object.__setattr__(self, "shape", BridgeShape(
             lo=lo, hi=hi, mid=0.5 * (lo + hi),
             steepness=self.r_slope * (hi - lo) / self.k_r))
+
+
+def goal_separation(target: np.ndarray, axis: np.ndarray) -> float:
+    """Angle [rad] between the unit goal direction and a unit cone axis."""
+    tx, ty, tz = (float(v) for v in target)
+    ax, ay, az = (float(v) for v in axis)
+    return math.acos(max(-1.0, min(1.0, tx * ax + ty * ay + tz * az)))
 
 
 def repulsion_grad_beta(cone: ObstacleCone, beta: float) -> float:

@@ -29,7 +29,7 @@ from .attitude import BodyState, SpacecraftParams, UnitQuaternion
 from .controller import ControllerConfig
 from .envelope import EnvelopeConfig, SwitchConfig
 from .engine import SimConfig
-from .potential import ObstacleCone
+from .potential import ObstacleCone, goal_separation
 
 __all__ = [
     "Targets",
@@ -164,7 +164,8 @@ def _warn(warns, msg):
 
 def _unit(vec, path, warns):
     v = np.asarray(vec, dtype=float)
-    n = float(np.linalg.norm(v))
+    x, y, z = v.tolist()
+    n = math.sqrt(x * x + y * y + z * z)
     if n < 1e-12:
         raise ValueError(f"{path}: zero vector cannot be normalized")
     if abs(n - 1.0) > _NORM_WARN_TOL:
@@ -322,7 +323,7 @@ def scenario_from_dict(data: Any, default_name: str = "scenario") -> Scenario:
                 errors.append(f"{path}.k_r: omitted, but the automatic value "
                               "needs a valid target and controller")
                 continue
-            sep = math.acos(max(-1.0, min(1.0, float(np.dot(target, naxis)))))
+            sep = goal_separation(target, naxis)
             if sep <= math.radians(t1):
                 errors.append(f"{path}.k_r: automatic value undefined, goal "
                               "sits inside the buffer edge")

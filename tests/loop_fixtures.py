@@ -15,7 +15,7 @@ from slewguard.attitude import BodyState, SpacecraftParams, UnitQuaternion
 from slewguard.controller import ControllerConfig
 from slewguard.engine import SimConfig, _LoopContext
 from slewguard.envelope import EnvelopeConfig, SwitchConfig
-from slewguard.potential import ObstacleCone
+from slewguard.potential import ObstacleCone, goal_separation
 from slewguard.scenario import Scenario
 
 # symmetric, positive definite, with every product of inertia nonzero
@@ -23,12 +23,19 @@ FULL_INERTIA = np.array([[5.08, 0.12, -0.05],
                          [0.12, 5.14, 0.08],
                          [-0.05, 0.08, 5.0]])
 
+
+def unit(v):
+    """``v / |v|`` with the norm as a scalar sum, as the scenario loader
+    forms it, so the pinned inputs do not depend on the BLAS kernel."""
+    x, y, z = (float(c) for c in v)
+    return np.array([x, y, z]) / math.sqrt(x * x + y * y + z * z)
+
+
 Z_BORESIGHT = np.array([0.0, 0.0, 1.0])
 # off every body axis, so no product in the frame arithmetic is trivial
-OBLIQUE_BORESIGHT = np.array([0.3, -0.2, 0.93]) / np.linalg.norm(
-    [0.3, -0.2, 0.93])
+OBLIQUE_BORESIGHT = unit([0.3, -0.2, 0.93])
 
-TARGET = np.array([-0.866, 0.5, 0.0]) / np.linalg.norm([-0.866, 0.5, 0.0])
+TARGET = unit([-0.866, 0.5, 0.0])
 CONE_AXES = (np.array([0.5145, 0.8575, 0.0]),
              np.array([-0.099, 0.990, -0.099]))
 
@@ -47,8 +54,8 @@ def make_scenario(n_obstacles=1, inertia=None, boresight=None, target=None,
     target = TARGET if target is None else np.asarray(target, dtype=float)
     cones = []
     for axis in axes[:n_obstacles]:
-        axis = axis / np.linalg.norm(axis)
-        sep = math.acos(float(np.dot(axis, target)))
+        axis = unit(axis)
+        sep = goal_separation(target, axis)
         k_r = ctrl.k_a * (1.0 - math.cos(sep - math.radians(27.0)))
         cones.append(ObstacleCone(axis_inertial=axis,
                                   theta_f=math.radians(20.0),

@@ -22,8 +22,10 @@ from slewguard.scenario import PRESET_NAMES, load_preset
 AVOIDANCE_PRESETS = tuple(n for n in PRESET_NAMES if n != "paper-compare-1")
 
 # sha256 of every preset's full-length trajectory.csv.  The last digits come
-# from the platform's libm (sin, cos, tanh, acos), so these hold on x86-64
-# Linux with glibc; elsewhere a mismatch may be the platform, not the code.
+# from the platform's libm (sin, cos, tanh, acos) and from nothing else: no
+# BLAS or LAPACK result reaches a written value, so the BLAS kernel numpy
+# picks does not matter.  These hold on x86-64 Linux with glibc; elsewhere a
+# mismatch may be the platform, not the code.
 TRAJECTORY_SHA256 = {
     "paper-single-1":
         "603ada8ac4b1ca899ae4bfa0d886a8f094fb64ef26506261e3ad1ca5c02fa085",
@@ -49,7 +51,7 @@ TRAJECTORY_SHA256 = {
 # for the presets ``run --compare`` is benchmarked on; same platform caveat.
 BASELINE_SHA256 = {
     "paper-compare-1":
-        "43b66c79e12d57f796c0d7376f71a5b097501c42b2e19b7d8346476194ac4df0",
+        "074de3e63370d238358339e871172a8cad6189ea38a83da04d87736223677528",
     "paper-two-1":
         "fac1e6b19dfba3ae1389094572151456cb82e31a9c64c55ba16e67a5859e3d8c",
     "paper-three-1":

@@ -16,6 +16,7 @@ from slewguard.attitude import (
 from slewguard.engine import SimConfig, disturbance_torque
 
 from loop_fixtures import (
+    FULL_INERTIA,
     axis_angle,
     hamilton,
     kernel,
@@ -266,3 +267,21 @@ class TestDynamics:
         with pytest.raises(ValueError):
             SpacecraftParams(inertia=np.diag([5.0, 5.0, 5.0]),
                              torque_limit=0.0, disturbance_bound=0.1)
+        # symmetric with a positive diagonal, but indefinite
+        with pytest.raises(ValueError, match="positive definite"):
+            SpacecraftParams(inertia=np.array([[1.0, 2.0, 0.0],
+                                               [2.0, 1.0, 0.0],
+                                               [0.0, 0.0, 1.0]]),
+                             torque_limit=0.5, disturbance_bound=0.1)
+
+    def test_inverse_rows(self):
+        # a diagonal inertia inverts exactly, entry by entry
+        d = (5.08, 5.14, 5.0)
+        inv = SpacecraftParams(inertia=np.diag(d), torque_limit=0.5,
+                               disturbance_bound=0.1).inertia_inv_rows
+        assert inv == ((1.0 / d[0], 0.0, 0.0), (0.0, 1.0 / d[1], 0.0),
+                       (0.0, 0.0, 1.0 / d[2]))
+        inv = SpacecraftParams(inertia=FULL_INERTIA, torque_limit=0.5,
+                               disturbance_bound=0.1).inertia_inv_rows
+        assert np.allclose(FULL_INERTIA @ np.array(inv), np.eye(3),
+                           rtol=0.0, atol=1e-15)

@@ -12,8 +12,8 @@ add, as the sha256 of each written ``trajectory.csv``:
 
 The draws come from ``perfbench/cases.py``, loaded by path as
 ``test_tracing`` loads the span tracer.  As with the golden digests, the
-last digits come from the platform's libm, so the pins hold on x86-64 Linux
-with glibc.
+last digits come from the platform's libm and from nothing else, so the pins
+hold on x86-64 Linux with glibc whatever BLAS kernel numpy runs.
 """
 
 import hashlib
@@ -35,11 +35,11 @@ SEED = 47
 CORRIDOR_SHA256 = {
     "corridor-47-000-on": None,
     "corridor-47-001-beside":
-        "bc04884c51fb3b595b56d46c92b9bed8a8668aeedc48cfaa63bae6c1205097aa",
+        "669653932da49cde4b81d374eab4dee7a4e44cf4885bd79bec0b7920983c787c",
     "corridor-47-002-start-band":
         "e5da2f83167358e8d2bab95cf706c4e0911987f9d63c805de6cc2a6680013fdd",
     "corridor-47-003-two":
-        "03797c34c4db6cbdca325438b9f220d178850d778905f0d1fb75f42981310d79",
+        "ad4e8a33205583ad206efaeda57f7a099a99fda3fecc650dd8a1338c03bc57c4",
     "corridor-47-004-on": None,
     "corridor-47-005-beside":
         "c07e0afb894508bdc3b22e2e14a93634250549d1aeaeae11a5768e83f98ecba3",
@@ -54,14 +54,14 @@ ORACLE_SHA256 = {
     "proposed": (
         "77344e9f744f15008f979d08a27c94b1cab784fd8d9e90ba1e31956dd6b5cf99",
         "696c8521da4edf566359f0d53d9c4f1ac12747d13dbfd71dfdaa9b70bc316139",
-        "af5b3b2de0ac1050bdc311d749fd2b1351cd5806ac08a75f4fd2096b408e562d",
-        "27ef98afa3acab246f98c09618d5adbde942c7b53a7b755241e97db5695f6793",
+        "66a8c90b0d7df777eeb64597848728ff24da57aa7a308cc1f055242130f85e15",
+        "fd96c27249b734cc3a9b7527ae9a9573e3946d5f1e1be86b59fb0ed053f2d6e3",
     ),
     "benchmark_apf": (
-        "c80c8779b92907d22be715a273fe2fcc34843ae4c8a05b3e9e097979776e7ae2",
+        "3b130c8874bf03ea80836d85b2919a567512dc300a45407df265a0ddfd8f86ed",
         "c76b5c69a7540bcc108a3c892058d8b384e3b67a750889fbed6586c1d955099e",
-        "7cc536c42bb4f3ffc67dd1e7a04d5be9adeaa67471db7d3ed07f67a031158d0e",
-        "08c8984b451af4d2cdce40726594e859c8e2244c6cd4e20648655186be10fc4a",
+        "ca384cdcf35cd54b2a7e17babb94bd5c7117a4bff33d6abba04cb23c95167643",
+        "f0f179a543fb6dbb9ecb4648f70c6e886ca53043b5982bdb8957e4c83e6648f3",
     ),
 }
 
@@ -98,3 +98,4 @@ def test_oracle_scenarios(mode, tmp_path):
                    tmp_path / "t.csv")
         for sc in oracle_scenarios())
     assert got == ORACLE_SHA256[mode]
+
