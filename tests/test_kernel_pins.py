@@ -13,17 +13,22 @@ add, as the sha256 of each written ``trajectory.csv``:
 The draws come from ``perfbench/cases.py``, loaded by path as
 ``test_tracing`` loads the span tracer.  As with the golden digests, the
 last digits come from the platform's libm and from nothing else, so the pins
-hold on x86-64 Linux with glibc whatever BLAS kernel numpy runs.
+hold on x86-64 Linux with glibc whatever BLAS kernel numpy runs:
+:func:`test_digests_do_not_depend_on_the_blas_kernel` checks that last part.
 """
 
 import hashlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import slewguard
 from slewguard.engine import ValidationFailure, run_scenario, write_trajectory_csv
-from slewguard.scenario import scenario_from_dict
+from slewguard.scenario import load_preset, scenario_from_dict
 
 from loop_fixtures import oracle_scenarios
 
@@ -99,3 +104,41 @@ def test_oracle_scenarios(mode, tmp_path):
         for sc in oracle_scenarios())
     assert got == ORACLE_SHA256[mode]
 
+
+# OpenBLAS kernels that round dot products, norms and inverses differently
+# from each other and from the kernel picked on an AVX-512 host
+BLAS_KERNELS = ("Haswell", "Prescott")
+
+
+def blas_probe_digests(path):
+    """sha256 of the CSVs of ``paper-two-1`` (10 s) and the full-inertia,
+    oblique-boresight oracle scenario (5 s), each in both controller modes."""
+    runs = (load_preset("paper-two-1").with_sim(duration=10.0),
+            oracle_scenarios()[3].with_sim(duration=5.0))
+    return [csv_sha256(run_scenario(sc.with_sim(controller_mode=mode)), path)
+            for sc in runs for mode in sorted(ORACLE_SHA256)]
+
+
+def test_digests_do_not_depend_on_the_blas_kernel(tmp_path):
+    # OpenBLAS built with DYNAMIC_ARCH picks its CPU kernel when it loads,
+    # and OPENBLAS_CORETYPE in the environment overrides the pick.  Each
+    # child runs the probe under another kernel; a digest that moves means a
+    # BLAS or LAPACK result reached a written value.  Other BLAS builds
+    # ignore the variable, and the children then repeat this process.
+    pythonpath = os.pathsep.join([
+        str(Path(slewguard.__file__).resolve().parents[1]),
+        str(Path(__file__).resolve().parent)])
+    children = {}
+    for kernel in BLAS_KERNELS:
+        env = dict(os.environ, OPENBLAS_CORETYPE=kernel, PYTHONPATH=pythonpath)
+        children[kernel] = subprocess.Popen(
+            [sys.executable, "-c",
+             "import sys, test_kernel_pins as m; "
+             "print(*m.blas_probe_digests(m.Path(sys.argv[1])))",
+             str(tmp_path / f"{kernel}.csv")],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    want = blas_probe_digests(tmp_path / "t.csv")
+    for kernel, child in children.items():
+        out, err = child.communicate(timeout=120)
+        assert child.returncode == 0, err
+        assert out.split() == want, kernel
