@@ -174,7 +174,6 @@ class Trajectory:
 class SimulationResult:
     records: Trajectory
     summary: dict
-    validation: object
 
 
 def disturbance_torque(t: float) -> tuple[float, float, float]:
@@ -451,8 +450,6 @@ def _check_state(t: float, y: list) -> None:
         if bad is not None:
             raise SimulationAbort(
                 t, f"non-finite value in {_STATE_NAMES[bad]}[{bad}]")
-    if not y[7] > 0.0:
-        raise SimulationAbort(t, "funnel radius reached zero")
 
 
 class _SafetyStats:
@@ -492,15 +489,15 @@ class _SafetyStats:
                 for beta in self.max_betas]
 
 
-def run_scenario(scenario: "Scenario", sim: SimConfig | None = None,
-                 force: bool = False) -> SimulationResult:
-    """Validate, integrate, and summarize one scenario.
+def run_scenario(scenario: "Scenario", force: bool = False) -> SimulationResult:
+    """Validate, integrate, and summarize one scenario with its own
+    simulation settings (see :meth:`Scenario.with_sim`).
 
-    ``sim`` overrides the scenario's embedded simulation settings.  A
-    validation report with hard failures raises :class:`ValidationFailure`
-    unless ``force`` is set; warnings are carried into the summary.
+    A validation report with hard failures raises :class:`ValidationFailure`
+    unless ``force`` is set; warnings and failures are carried into the
+    summary.
     """
-    sim = sim if sim is not None else scenario.sim
+    sim = scenario.sim
     report = validate_config(scenario.controller, scenario.envelope,
                              scenario.switch, scenario.obstacles,
                              scenario.boresight_body,
@@ -534,7 +531,7 @@ def run_scenario(scenario: "Scenario", sim: SimConfig | None = None,
     wall = time.perf_counter() - t0
 
     summary = summarize(scenario, sim, records, safety, report, wall)
-    return SimulationResult(records=records, summary=summary, validation=report)
+    return SimulationResult(records=records, summary=summary)
 
 
 def settling_time(records: Trajectory, level_deg: float) -> float | None:

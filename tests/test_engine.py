@@ -363,6 +363,27 @@ class TestRunScenario:
                                match=re.escape(f"non-finite value in {name}")):
                 _check_state(1.0, z)
 
+    @pytest.mark.parametrize("k", [3, 9])
+    def test_collapsed_funnel_aborts_when_the_state_is_next_used(
+            self, monkeypatch, k):
+        # a step that leaves rho = 0 aborts at the end of that step, in the
+        # next step's first stage or, after the last step, in the final
+        # sample
+        step = _LoopContext.step
+
+        def collapsing_step(ctx, i, y, dt):
+            y_next, stage = step(ctx, i, y, dt)
+            if i == k:
+                y_next[7] = 0.0
+            return y_next, stage
+
+        monkeypatch.setattr(_LoopContext, "step", collapsing_step)
+        sc = load_preset("paper-single-1").with_sim(duration=0.1)
+        with pytest.raises(SimulationAbort,
+                           match="funnel radius reached zero") as err:
+            run_scenario(sc)
+        assert err.value.t == (k + 1) * sc.sim.dt
+
     def test_benchmark_mode_pins_switches(self):
         sc = load_preset("paper-single-1").with_sim(
             duration=2.0, controller_mode="benchmark_apf")
