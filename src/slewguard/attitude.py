@@ -23,6 +23,12 @@ product with its zero-scalar terms, and the frame resolution as the
 conjugate ``_sandwich`` of :func:`rotate_to_body`, in the same operation
 order.  The public functions take numpy arrays of shape (3,).  Nothing in
 this module mutates its inputs.
+
+numpy only holds, compares and formats values here; the arithmetic is on
+Python floats.  :func:`pointing_error` sums its dot product as a scalar, and
+:class:`SpacecraftParams` inverts the inertia by Gauss-Jordan elimination on
+floats, so no BLAS or LAPACK result, whose rounding depends on the CPU kernel
+the library picks, reaches the closed loop.
 """
 
 from __future__ import annotations

@@ -5,6 +5,10 @@ spacecraft constants, initial state, goal and boresight directions, the
 forbidden cones, funnel and switching parameters, controller gains,
 simulation settings, and optional performance targets.  Angles live in the
 file as degrees with a ``_deg`` suffix and are converted to radians on load.
+Directions are normalized by a norm taken as a scalar sum, and the automatic
+``k_r`` reads the goal-to-axis angle from
+:func:`slewguard.potential.goal_separation`, so a loaded scenario has the
+same bits whatever BLAS kernel numpy runs.
 
 Presets are built from the same loader: each combines a bundled geometry
 table with the package's reference tuning file (``data/reference_tuning.json``),
