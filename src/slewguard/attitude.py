@@ -24,11 +24,9 @@ conjugate ``_sandwich`` of :func:`rotate_to_body`, in the same operation
 order.  The public functions take numpy arrays of shape (3,).  Nothing in
 this module mutates its inputs.
 
-numpy only holds, compares and formats values here; the arithmetic is on
-Python floats.  :func:`pointing_error` sums its dot product as a scalar, and
-:class:`SpacecraftParams` inverts the inertia by Gauss-Jordan elimination on
-floats, so no BLAS or LAPACK result, whose rounding depends on the CPU kernel
-the library picks, reaches the closed loop.
+numpy only holds and compares values here: the dot product and the inertia
+inverse are float arithmetic, so no BLAS or LAPACK rounding, which depends
+on the CPU kernel the library picks, reaches the closed loop.
 """
 
 from __future__ import annotations
@@ -144,15 +142,9 @@ class SpacecraftParams:
 
 def _spd_inverse_rows(m: list) -> tuple:
     """Inverse of a symmetric 3x3 matrix as float rows, by Gauss-Jordan
-    elimination without pivoting.
-
-    The pivots of that elimination are the ratios of successive leading
-    principal minors, so they are all positive exactly when the matrix is
-    positive definite; a pivot that is not raises ``ValueError``.  A
-    diagonal matrix gives exactly ``1 / d`` on the diagonal and zeros off it.
-    """
-    a = [list(row) + [float(i == j) for j in range(3)]
-         for i, row in enumerate(m)]
+    elimination without pivoting, whose pivots are all positive exactly when
+    the matrix is positive definite.  A diagonal inverts to exactly 1 / d."""
+    a = [row + [float(i == j) for j in range(3)] for i, row in enumerate(m)]
     for k in range(3):
         p = a[k][k]
         if not p > 0.0:
@@ -180,6 +172,5 @@ def pointing_error(boresight_body: np.ndarray, target_body: np.ndarray) -> float
     """
     _require_unit_vec(boresight_body, "boresight_body")
     _require_unit_vec(target_body, "target_body")
-    bx, by, bz = (float(v) for v in boresight_body)
-    rx, ry, rz = (float(v) for v in target_body)
-    return 1.0 - (bx * rx + by * ry + bz * rz)
+    return 1.0 - sum(float(b) * float(r)
+                     for b, r in zip(boresight_body, target_body))

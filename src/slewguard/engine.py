@@ -17,19 +17,15 @@ repeated runs of the same scenario are bit-identical.
 The state is a list of 14 Python floats, and the stage evaluation, the
 controller laws, the RK4 combine, the renormalization, the state check and
 the logging are scalar code: on 3-vectors, numpy's per-call overhead costs
-far more than the arithmetic.  numpy works only at the batch edges of a run.
-Inside a stage the same holds for Python calls and tuple packing, so the
-guidance, the quaternion kinematics, the stage states and the RK4 combine
-are written out in ``rhs`` and ``step``, component by component, while the
-control laws and the frame resolution stay functions of their own.
-Each logged step appends one flat tuple of floats, the row of a
-:class:`Trajectory` in its column order, to a C double buffer
-(``array("d")``, 8 bytes a value rather than a Python float object).  After
-the loop numpy copies the buffer into the ``(n, k)`` float64 array whose
-columns the summary, the Lyapunov monitor and the CSV writer read.  numpy
-only wraps, compares and formats what Python floats computed: no written
-value passes through a BLAS or LAPACK call, whose rounding depends on the
-CPU kernel the library picks at run time.
+far more than the arithmetic.  Inside a stage the same holds for Python
+calls and tuple packing, so the guidance, the quaternion kinematics, the
+stage states and the RK4 combine are written out in ``rhs`` and ``step``,
+component by component, while the control laws and the frame resolution
+stay functions of their own.  Each logged step appends its CSV row, a flat
+tuple of floats, to a C double buffer (``array("d")``), which numpy copies
+after the loop into the ``(n, k)`` float64 array of a :class:`Trajectory`.
+numpy only wraps, compares and formats what Python floats computed, so no
+written value depends on the CPU kernel a BLAS or LAPACK library picks.
 
 Each stage forms every term that more than one law needs exactly once and
 hands it to both: the body-frame target with ``x_e`` and the body-frame
@@ -154,10 +150,7 @@ class Trajectory:
     """Logged samples of a run: one ``(n, k)`` float64 array, named columns.
 
     ``records["eps"]`` is the column of that name.  The names are the CSV
-    header, in order: ``t``, ``x_e``, ``pointing_angle_deg``, one ``beta_i``
-    per cone, ``rho``, ``eps``, the two effective switches, body rate and
-    torque components, ``v_q``, ``v_omega``, ``td_error`` and
-    ``quat_norm_error``.
+    header, and each row is one :meth:`_LoopContext.record`.
     """
 
     data: np.ndarray
@@ -204,7 +197,6 @@ class _LoopContext:
 
     def __init__(self, scenario: "Scenario", sim: SimConfig):
         self.scenario = scenario
-        self.sim = sim
         self.params = scenario.params
         self.ctrl = scenario.controller
         self.env = scenario.envelope
@@ -494,8 +486,7 @@ def run_scenario(scenario: "Scenario", force: bool = False) -> SimulationResult:
     simulation settings (see :meth:`Scenario.with_sim`).
 
     A validation report with hard failures raises :class:`ValidationFailure`
-    unless ``force`` is set; warnings and failures are carried into the
-    summary.
+    unless ``force`` is set; the summary carries warnings and failures.
     """
     sim = scenario.sim
     report = validate_config(scenario.controller, scenario.envelope,

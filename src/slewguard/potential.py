@@ -171,9 +171,8 @@ class ObstacleCone:
 
 def goal_separation(target: np.ndarray, axis: np.ndarray) -> float:
     """Angle [rad] between the unit goal direction and a unit cone axis."""
-    tx, ty, tz = (float(v) for v in target)
-    ax, ay, az = (float(v) for v in axis)
-    return math.acos(max(-1.0, min(1.0, tx * ax + ty * ay + tz * az)))
+    c = sum(float(t) * float(a) for t, a in zip(target, axis))
+    return math.acos(max(-1.0, min(1.0, c)))
 
 
 def repulsion_grad_beta(cone: ObstacleCone, beta: float) -> float:

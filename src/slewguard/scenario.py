@@ -5,10 +5,8 @@ spacecraft constants, initial state, goal and boresight directions, the
 forbidden cones, funnel and switching parameters, controller gains,
 simulation settings, and optional performance targets.  Angles live in the
 file as degrees with a ``_deg`` suffix and are converted to radians on load.
-Directions are normalized by a norm taken as a scalar sum, and the automatic
-``k_r`` reads the goal-to-axis angle from
-:func:`slewguard.potential.goal_separation`, so a loaded scenario has the
-same bits whatever BLAS kernel numpy runs.
+Norms and the goal-to-axis cosine are scalar sums, so a loaded scenario has
+the same bits whatever BLAS kernel numpy runs.
 
 Presets are built from the same loader: each combines a bundled geometry
 table with the package's reference tuning file (``data/reference_tuning.json``),
@@ -167,14 +165,13 @@ def _warn(warns, msg):
 
 
 def _unit(vec, path, warns):
-    v = np.asarray(vec, dtype=float)
-    x, y, z = v.tolist()
+    x, y, z = vec
     n = math.sqrt(x * x + y * y + z * z)
     if n < 1e-12:
         raise ValueError(f"{path}: zero vector cannot be normalized")
     if abs(n - 1.0) > _NORM_WARN_TOL:
         _warn(warns, f"{path}: normalized (norm correction {abs(n - 1.0):.3e})")
-    return v / n
+    return np.array(vec) / n
 
 
 def scenario_from_dict(data: Any, default_name: str = "scenario") -> Scenario:
