@@ -21,20 +21,19 @@ arithmetic out inline on float components, since a call per product slows
 the loop: the kinematics ``0.5 q (x) [omega, 0]`` as the full Hamilton
 product with its zero-scalar terms, and the frame resolution as the
 conjugate ``_sandwich`` of :func:`rotate_to_body`, in the same operation
-order.  The public functions take numpy arrays of shape (3,).  Nothing in
-this module mutates its inputs.
+order.  The public functions take any sequence of three numbers and return
+float triples; nothing in this module mutates its inputs.
 
-numpy only holds and compares values here: the dot product and the inertia
-inverse are float arithmetic, so no BLAS or LAPACK rounding, which depends
-on the CPU kernel the library picks, reaches the closed loop.
+Every value here is a Python float: the dot product and the inertia inverse
+are written out in float arithmetic with a fixed operation order, so the
+results do not depend on any array library or on the CPU kernel one picks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import Sequence
 
 __all__ = [
     "UnitQuaternion",
@@ -51,7 +50,7 @@ _QUAT_NORM_TOL = 1e-6
 _UNIT_VEC_TOL = 1e-6
 
 
-def _require_unit_vec(v: np.ndarray, name: str) -> None:
+def _require_unit_vec(v: Sequence[float], name: str) -> None:
     n = math.sqrt(float(v[0]) ** 2 + float(v[1]) ** 2 + float(v[2]) ** 2)
     if abs(n - 1.0) > _UNIT_VEC_TOL:
         raise ValueError(f"{name} must be a unit vector, got norm {n:.9e}")
@@ -100,12 +99,13 @@ class BodyState:
     """Instantaneous rigid-body state: attitude plus body rate [rad/s]."""
 
     attitude: UnitQuaternion
-    omega: np.ndarray
+    omega: tuple[float, float, float]
 
     def __post_init__(self):
-        self.omega = np.asarray(self.omega, dtype=float)
-        if self.omega.shape != (3,):
+        omega = tuple(float(v) for v in self.omega)
+        if len(omega) != 3:
             raise ValueError("omega must have shape (3,)")
+        self.omega = omega
 
 
 @dataclass(frozen=True)
@@ -113,30 +113,34 @@ class SpacecraftParams:
     """Plant constants: inertia [kg m^2], per-axis torque limit [N m],
     and the disturbance magnitude bound [N m] used by the compensator.
 
-    ``inertia_rows`` and ``inertia_inv_rows`` hold the inertia and its
-    inverse as tuples of float rows for the scalar closed-loop kernel.
+    ``inertia`` is given as any 3x3 nested sequence and kept as three float
+    row tuples; ``inertia_inv_rows`` holds its inverse the same way.
     """
 
-    inertia: np.ndarray
+    inertia: tuple[tuple[float, float, float], ...]
     torque_limit: float
     disturbance_bound: float
-    inertia_rows: tuple = field(init=False, repr=False, compare=False)
     inertia_inv_rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        inertia = np.asarray(self.inertia, dtype=float)
-        if inertia.shape != (3, 3):
+        try:
+            rows = tuple(tuple(float(v) for v in row) for row in self.inertia)
+        except TypeError:
+            rows = ()
+        if len(rows) != 3 or any(len(row) != 3 for row in rows):
             raise ValueError("inertia must have shape (3, 3)")
-        if not np.allclose(inertia, inertia.T, rtol=0.0, atol=1e-12):
+        # each entry within 1e-12 of its transpose, infinities equal to
+        # themselves and NaN to nothing
+        if not all(a == b or abs(a - b) <= 1e-12
+                   for row, col in zip(rows, zip(*rows))
+                   for a, b in zip(row, col)):
             raise ValueError("inertia must be symmetric")
-        inverse = _spd_inverse_rows(inertia.tolist())
+        inverse = _spd_inverse_rows([list(row) for row in rows])
         if self.torque_limit <= 0.0:
             raise ValueError("torque_limit must be positive")
         if self.disturbance_bound < 0.0:
             raise ValueError("disturbance_bound must be nonnegative")
-        object.__setattr__(self, "inertia", inertia)
-        object.__setattr__(self, "inertia_rows",
-                           tuple(tuple(row) for row in inertia.tolist()))
+        object.__setattr__(self, "inertia", rows)
         object.__setattr__(self, "inertia_inv_rows", inverse)
 
 
@@ -157,15 +161,15 @@ def _spd_inverse_rows(m: list) -> tuple:
     return tuple(tuple(row[3:]) for row in a)
 
 
-def rotate_to_body(q: UnitQuaternion, v_inertial: np.ndarray) -> np.ndarray:
+def rotate_to_body(q: UnitQuaternion, v_inertial: Sequence[float]
+                   ) -> tuple[float, float, float]:
     """Resolve an inertial-frame vector in body axes: ``q* [v, 0] q``."""
-    return np.array(_sandwich(-q.x, -q.y, -q.z, q.w,
-                              float(v_inertial[0]),
-                              float(v_inertial[1]),
-                              float(v_inertial[2])))
+    return _sandwich(-q.x, -q.y, -q.z, q.w, float(v_inertial[0]),
+                     float(v_inertial[1]), float(v_inertial[2]))
 
 
-def pointing_error(boresight_body: np.ndarray, target_body: np.ndarray) -> float:
+def pointing_error(boresight_body: Sequence[float],
+                   target_body: Sequence[float]) -> float:
     """Scalar reduced-attitude error ``x_e = 1 - dot(B_b, r_b)`` in [0, 2].
 
     Both arguments must be unit vectors expressed in body axes.

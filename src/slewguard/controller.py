@@ -15,8 +15,7 @@ the terms they share as float triples and scalars that the stage computes
 once (see :mod:`slewguard.engine`): the error-rate direction ``r_b x B_b``,
 the potential descent direction P1 from :func:`apf_vector`, the pointing
 error ``x_e`` and ``J omega``.  P1 is needed only while ``omega_v > 0``;
-otherwise the caller passes zeros.  The laws return float triples, since a
-numpy 3-vector costs more there than the arithmetic behind it.
+otherwise the caller passes zeros.  The laws return float triples.
 """
 
 from __future__ import annotations
@@ -24,8 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .attitude import BodyState, SpacecraftParams, pointing_error, rotate_to_body
 from .envelope import EnvelopeConfig, SwitchConfig
@@ -196,7 +193,7 @@ def torque_law(omega: tuple[float, float, float],
     jwx, jwy, jwz = j_omega
     sx, sy, sz = sd_dot
     ex, ey, ez = e2
-    (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = params.inertia_rows
+    (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = params.inertia
     d_m = params.disturbance_bound
     k_w = cfg.k_omega
     eta = cfg.eta
@@ -281,7 +278,8 @@ class ValidationReport:
 def validate_config(cfg: ControllerConfig, envelope: EnvelopeConfig,
                     switch: SwitchConfig,
                     obstacles: Sequence[ObstacleCone],
-                    boresight_body: np.ndarray, target_inertial: np.ndarray,
+                    boresight_body: Sequence[float],
+                    target_inertial: Sequence[float],
                     initial: BodyState, theta_df: float) -> ValidationReport:
     """Check the parameter selection rules against a concrete scenario.
 

@@ -16,16 +16,16 @@ repeated runs of the same scenario are bit-identical.
 
 The state is a list of 14 Python floats, and the stage evaluation, the
 controller laws, the RK4 combine, the renormalization, the state check and
-the logging are scalar code: on 3-vectors, numpy's per-call overhead costs
-far more than the arithmetic.  Inside a stage the same holds for Python
+the logging are scalar code: on 3-vectors, an array library's per-call
+overhead costs far more than the arithmetic.  Inside a stage the same holds for Python
 calls and tuple packing, so the guidance, the quaternion kinematics, the
 stage states and the RK4 combine are written out in ``rhs`` and ``step``,
 component by component, while the control laws and the frame resolution
 stay functions of their own.  Each logged step appends its CSV row, a flat
-tuple of floats, to a C double buffer (``array("d")``), which numpy copies
-after the loop into the ``(n, k)`` float64 array of a :class:`Trajectory`.
-numpy only wraps, compares and formats what Python floats computed, so no
-written value depends on the CPU kernel a BLAS or LAPACK library picks.
+tuple of floats, to a C double buffer (``array("d")``), which the run's
+:class:`Trajectory` then wraps as it is.  The summary and the CSV writer
+read that buffer in scalar code too, so every written value is Python
+float arithmetic in a fixed order, and the package needs no array library.
 
 Each stage forms every term that more than one law needs exactly once and
 hands it to both: the body-frame target with ``x_e`` and the body-frame
@@ -57,8 +57,6 @@ import time
 from array import array
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 from .controller import (
     apf_vector,
@@ -147,20 +145,22 @@ def _columns(n_cones: int) -> tuple[str, ...]:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Logged samples of a run: one ``(n, k)`` float64 array, named columns.
+    """Logged samples of a run: ``n`` rows of named columns in one flat
+    ``array("d")``, row after row.
 
-    ``records["eps"]`` is the column of that name.  The names are the CSV
-    header, and each row is one :meth:`_LoopContext.record`.
+    ``records["eps"]`` is the column of that name, a strided copy.  The
+    names are the CSV header, and each row is one
+    :meth:`_LoopContext.record`.
     """
 
-    data: np.ndarray
+    data: array
     columns: tuple[str, ...]
 
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self.data[:, self.columns.index(name)]
+    def __getitem__(self, name: str) -> array:
+        return self.data[self.columns.index(name)::len(self.columns)]
 
     def __len__(self) -> int:
-        return len(self.data)
+        return len(self.data) // len(self.columns)
 
 
 @dataclass
@@ -209,7 +209,7 @@ class _LoopContext:
         self.axes = tuple(
             (float(c.axis_inertial[0]), float(c.axis_inertial[1]),
              float(c.axis_inertial[2])) for c in self.cones)
-        self.j_rows = self.params.inertia_rows
+        self.j_rows = self.params.inertia
         self.j_inv_rows = self.params.inertia_inv_rows
         self.neg_k_rho = -self.env.k_rho
         self.rho_inf = self.env.rho_inf
@@ -517,8 +517,7 @@ def run_scenario(scenario: "Scenario", force: bool = False) -> SimulationResult:
     stage = ctx.rhs(t, y)[1]
     safety.add(stage)
     log.extend(ctx.record(t, y, stage))
-    columns = _columns(len(ctx.cones))
-    records = Trajectory(np.array(log).reshape(-1, len(columns)), columns)
+    records = Trajectory(log, _columns(len(ctx.cones)))
     wall = time.perf_counter() - t0
 
     summary = summarize(scenario, sim, records, safety, report, wall)
@@ -527,9 +526,12 @@ def run_scenario(scenario: "Scenario", force: bool = False) -> SimulationResult:
 
 def settling_time(records: Trajectory, level_deg: float) -> float | None:
     """Earliest time after which the pointing angle stays below the level."""
-    above = np.flatnonzero(~(records["pointing_angle_deg"] < level_deg))
-    first = above[-1] + 1 if above.size else 0
-    return float(records["t"][first]) if first < len(records) else None
+    angle = records["pointing_angle_deg"]
+    # one past the last sample that is not below the level (NaN is not)
+    first = len(angle)
+    while first and angle[first - 1] < level_deg:
+        first -= 1
+    return records["t"][first] if first < len(angle) else None
 
 
 def summarize(scenario: "Scenario", sim: SimConfig,
@@ -546,8 +548,8 @@ def summarize(scenario: "Scenario", sim: SimConfig,
     if targets is not None and targets.terminal_time_s is not None:
         terminal_start = targets.terminal_time_s
     angle = records["pointing_angle_deg"]
-    tail = angle[records["t"] >= terminal_start]
-    terminal_err = float(tail.max()) if tail.size else None
+    tail = [a for a, t in zip(angle, records["t"]) if t >= terminal_start]
+    terminal_err = max(tail) if tail else None
     max_eps = safety.max_eps
     lyap = lyapunov_monitor(records)
 
@@ -574,8 +576,8 @@ def summarize(scenario: "Scenario", sim: SimConfig,
         "theta_f_deg": [math.degrees(c.theta_f) for c in cones],
         "min_clearance_deg": min_clearance,
         "constraint_satisfied": constraint_ok,
-        "initial_error_deg": float(angle[0]),
-        "final_error_deg": float(angle[-1]),
+        "initial_error_deg": angle[0],
+        "final_error_deg": angle[-1],
         "settling_time_1deg_s": settling_time(records, 1.0),
         "terminal_window_start_s": terminal_start,
         "terminal_error_deg": terminal_err,
@@ -583,7 +585,7 @@ def summarize(scenario: "Scenario", sim: SimConfig,
         "envelope_contained": max_eps is None or max_eps < 1.0,
         "torque_saturation_fraction": safety.n_saturated / safety.n_samples,
         "max_torque_abs": safety.max_torque,
-        "max_quat_norm_error": float(records["quat_norm_error"].max()),
+        "max_quat_norm_error": max(records["quat_norm_error"]),
         "lyapunov_positive_fraction": lyap.fraction_positive,
         "targets": targets_dict,
         "targets_met": targets_met,
@@ -611,17 +613,18 @@ def lyapunov_monitor(records: Trajectory,
     the freeze and avoidance modes trade potential for clearance by design.
     """
     t = records["t"]
-    angle = records["pointing_angle_deg"]
     s = records["omega_s_eff"]
-    energy = records["v_q"] + records["v_omega"]
-    keep = (~(t[:-1] < skip_s) & ~(angle[:-1] < ball_deg)
-            & ~(s[:-1] > 1e-9) & ~(s[1:] > 1e-9))
-    rate = ((energy[1:] - energy[:-1]) / (t[1:] - t[:-1]))[keep]
-    n_tot = int(rate.size)
-    if n_tot == 0:
+    energy = [a + b for a, b in zip(records["v_q"], records["v_omega"])]
+    # a pair is kept unless its start is early, inside the ball or
+    # switching, or its end is switching; NaN excludes nothing
+    rate = [(e1 - e0) / (t1 - t0) for t0, t1, a0, s0, s1, e0, e1 in zip(
+                t, t[1:], records["pointing_angle_deg"], s, s[1:],
+                energy, energy[1:])
+            if not (t0 < skip_s or a0 < ball_deg or s0 > 1e-9 or s1 > 1e-9)]
+    if not rate:
         return LyapunovDiagnostics(0.0, 0, -math.inf)
-    n_pos = int(np.count_nonzero(rate > 0.0))
-    return LyapunovDiagnostics(n_pos / n_tot, n_tot, float(rate.max()))
+    n_pos = len([r for r in rate if r > 0.0])
+    return LyapunovDiagnostics(n_pos / len(rate), len(rate), max(rate))
 
 
 # rows formatted by one ``%`` operation in the CSV writer
@@ -630,12 +633,15 @@ _CSV_CHUNK_ROWS = 256
 
 def write_trajectory_csv(records: Trajectory, path) -> None:
     """Write records as CSV with full double precision (17 significant digits)."""
-    row = ",".join(["%.17g"] * len(records.columns)) + "\n"
+    width = len(records.columns)
+    row = ",".join(["%.17g"] * width) + "\n"
+    chunk = _CSV_CHUNK_ROWS * width
+    data = records.data
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(records.columns) + "\n")
-        for i in range(0, len(records), _CSV_CHUNK_ROWS):
-            part = records.data[i:i + _CSV_CHUNK_ROWS]
-            fh.write(row * len(part) % tuple(part.ravel().tolist()))
+        for i in range(0, len(data), chunk):
+            part = tuple(data[i:i + chunk])
+            fh.write(row * (len(part) // width) % part)
 
 
 def write_summary_json(summary: dict, path) -> None:

@@ -21,9 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
-
-import numpy as np
+from typing import Iterable, Sequence
 
 __all__ = [
     "BridgeShape",
@@ -97,34 +95,89 @@ def bridge_grad(shape: BridgeShape, beta: float, scale: float = 1.0) -> float:
 def bridge_grad_max(shape: BridgeShape, scale: float, n: int) -> float:
     """Largest :func:`bridge_grad` over ``n`` evenly spaced knot-to-knot points.
 
-    The closed form is evaluated on the whole grid with numpy.  ``np.exp``
-    can differ from ``math.exp`` in the last bit, which moves a value by a
-    few ulps, far less than 1e-12 relative.  So the points within a relative
-    1e-12 of the array maximum are evaluated again with the scalar function
-    and the largest of those is returned: the value of the scalar maximum
-    over the grid, bit for bit, at a fraction of its cost.  A slope that
-    overflows double precision anywhere on the grid gives ``inf``.
+    The points are those of ``np.linspace(lo, hi, n)``: ``i * step + lo``
+    with ``step = (hi - lo) / (n - 1)``, and ``hi`` itself last.  The result
+    is the scalar maximum over all of them, bit for bit, and ``inf`` when
+    the slope overflows double precision at any of them.
+
+    A centered bridge (``mid`` the midpoint of the knots, as every cone's
+    is) needs a few of the points only.  With ``u`` the position between
+    the knots scaled to (-1, 1) and ``s = u / sqrt(1 - u^2)``, the slope is
+    proportional to ``sech^2(k s) (1 + s^2)^(3/2)``: one peak at ``s = 0``
+    when ``2 k^2 >= 3``, otherwise two mirror peaks where
+    ``3 s / (1 + s^2) = 2 k tanh(k s)``, found by bisection.  From the grid
+    point nearest each peak the search walks both ways until the slope has
+    fallen by a relative ``_PEAK_FALL``, far above the rounding of
+    :func:`bridge_grad`; beyond that point the slope only falls.  The three
+    points nearest each knot are evaluated too: the derivative of the tanh
+    argument is largest there, so that is where it overflows first.  Any
+    other bridge is scanned point by point.
     """
-    grid = np.linspace(shape.lo, shape.hi, n)
-    beta = grid[~(grid < shape.lo + _KNOT_GUARD)
-                & ~(grid > shape.hi - _KNOT_GUARD)]
-    if not beta.size:
+    lo, hi = shape.lo, shape.hi
+    if n < 3:
         return 0.0
-    d = (beta - shape.lo) * (shape.hi - beta)
-    root = np.sqrt(d)
-    with np.errstate(over="ignore", invalid="ignore"):
-        arg = shape.steepness * (beta - shape.mid) / root
-        darg = shape.steepness * (d - 0.5 * (beta - shape.mid)
-                                  * (shape.lo + shape.hi - 2.0 * beta)) / (d * root)
-        e = np.exp(-np.abs(arg))
-        sech = 2.0 * e / (1.0 + e * e)
-        grad = 0.5 * scale * sech * sech * darg
-    if not np.isfinite(grad).all():
-        # a steep enough bridge overflows its slope (inf, or 0 * inf = nan
-        # next to the knots), and the scalar form does the same
+    step = (hi - lo) / (n - 1)
+
+    def inside(i):  # bridge_grad does not zero the point
+        beta = i * step + lo
+        return not (beta < lo + _KNOT_GUARD or beta > hi - _KNOT_GUARD)
+
+    first = next((i for i in range(1, n - 1) if inside(i)), None)
+    if first is None:
+        return 0.0
+    last = next(i for i in range(n - 2, 0, -1) if inside(i))
+    if shape.mid != 0.5 * (lo + hi):
+        points, peaks = range(first, last + 1), ()
+    else:
+        u = _centered_peak(shape.steepness)
+        peaks = {max(first, min(last, round(c * (n - 1))))
+                 for c in (0.5 * (1.0 - u), 0.5 * (1.0 + u))}
+        points = {first, first + 1, first + 2, last - 2, last - 1, last}
+        points = [i for i in points if first <= i <= last]
+    values = [bridge_grad(shape, i * step + lo, scale) for i in points]
+    for start in peaks:
+        top = bridge_grad(shape, start * step + lo, scale)
+        values.append(top)
+        for direction in (-1, 1):
+            i, peak = start + direction, top
+            while first <= i <= last:
+                g = bridge_grad(shape, i * step + lo, scale)
+                values.append(g)
+                if g > peak:
+                    peak = g
+                elif not g > peak * (1.0 - _PEAK_FALL):
+                    break  # fallen off the peak (or not finite)
+                i += direction
+    if not all(map(math.isfinite, values)):
         return math.inf
-    near = beta[grad >= grad.max() * (1.0 - 1e-12)]
-    return max(bridge_grad(shape, b, scale) for b in near.tolist())
+    return max(values)
+
+
+# relative fall of the slope that ends a walk away from its peak; rounding
+# moves bridge_grad by a few ulps, some 1e-15 relative
+_PEAK_FALL = 1e-12
+
+
+def _centered_peak(k: float) -> float:
+    """Position ``u`` in [0, 1] of the slope peak of a centered bridge of
+    steepness ``k`` (its mirror is at ``-u``)."""
+    if 2.0 * k * k >= 3.0:
+        return 0.0
+
+    def rising(s):  # d/ds log(sech^2(k s) (1 + s^2)^(3/2)) > 0
+        return 3.0 * s / (1.0 + s * s) > 2.0 * k * math.tanh(k * s)
+
+    a, b = 0.0, 1.0
+    while rising(b):
+        a, b = b, 2.0 * b
+    for _ in range(64):
+        m = 0.5 * (a + b)
+        if rising(m):
+            a = m
+        else:
+            b = m
+    s = 0.5 * (a + b)
+    return 1.0 / math.sqrt(1.0 + 1.0 / (s * s))
 
 
 @dataclass(frozen=True)
@@ -138,7 +191,7 @@ class ObstacleCone:
     the repulsion with respect to the cosine.
     """
 
-    axis_inertial: np.ndarray
+    axis_inertial: tuple[float, float, float]
     theta_f: float
     theta_0: float
     theta_1: float
@@ -147,10 +200,10 @@ class ObstacleCone:
     shape: BridgeShape = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        axis = np.asarray(self.axis_inertial, dtype=float)
-        if axis.shape != (3,):
+        axis = tuple(float(v) for v in self.axis_inertial)
+        if len(axis) != 3:
             raise ValueError("axis_inertial must have shape (3,)")
-        x, y, z = axis.tolist()
+        x, y, z = axis
         n = math.sqrt(x * x + y * y + z * z)
         if abs(n - 1.0) > 1e-6:
             raise ValueError(f"axis_inertial must be unit, got norm {n:.9e}")
@@ -163,13 +216,13 @@ class ObstacleCone:
             raise ValueError("k_r and r_slope must be positive")
         lo = math.cos(self.theta_0)
         hi = math.cos(self.theta_1)
-        object.__setattr__(self, "axis_inertial", axis / n)
+        object.__setattr__(self, "axis_inertial", (x / n, y / n, z / n))
         object.__setattr__(self, "shape", BridgeShape(
             lo=lo, hi=hi, mid=0.5 * (lo + hi),
             steepness=self.r_slope * (hi - lo) / self.k_r))
 
 
-def goal_separation(target: np.ndarray, axis: np.ndarray) -> float:
+def goal_separation(target: Sequence[float], axis: Sequence[float]) -> float:
     """Angle [rad] between the unit goal direction and a unit cone axis."""
     c = sum(float(t) * float(a) for t, a in zip(target, axis))
     return math.acos(max(-1.0, min(1.0, c)))

@@ -5,8 +5,9 @@ spacecraft constants, initial state, goal and boresight directions, the
 forbidden cones, funnel and switching parameters, controller gains,
 simulation settings, and optional performance targets.  Angles live in the
 file as degrees with a ``_deg`` suffix and are converted to radians on load.
-Norms and the goal-to-axis cosine are scalar sums, so a loaded scenario has
-the same bits whatever BLAS kernel numpy runs.
+Vectors and the inertia are loaded as tuples of Python floats, and norms
+and the goal-to-axis cosine are written-out float sums, so a loaded
+scenario's bits depend on nothing but the document.
 
 Presets are built from the same loader: each combines a bundled geometry
 table with the package's reference tuning file (``data/reference_tuning.json``),
@@ -24,8 +25,6 @@ import warnings
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from typing import Any
-
-import numpy as np
 
 from .attitude import BodyState, SpacecraftParams, UnitQuaternion
 from .controller import ControllerConfig
@@ -75,8 +74,8 @@ class Scenario:
     description: str
     params: SpacecraftParams
     initial: BodyState
-    boresight_body: np.ndarray
-    target_inertial: np.ndarray
+    boresight_body: tuple[float, float, float]
+    target_inertial: tuple[float, float, float]
     obstacles: tuple[ObstacleCone, ...]
     envelope: EnvelopeConfig
     switch: SwitchConfig
@@ -171,7 +170,7 @@ def _unit(vec, path, warns):
         raise ValueError(f"{path}: zero vector cannot be normalized")
     if abs(n - 1.0) > _NORM_WARN_TOL:
         _warn(warns, f"{path}: normalized (norm correction {abs(n - 1.0):.3e})")
-    return np.array(vec) / n
+    return (x / n, y / n, z / n)
 
 
 def scenario_from_dict(data: Any, default_name: str = "scenario") -> Scenario:
@@ -201,7 +200,8 @@ def scenario_from_dict(data: Any, default_name: str = "scenario") -> Scenario:
         if "inertia_diag" in sc:
             diag = _as_vec(errors, sc, "$.spacecraft", "inertia_diag", 3)
             if diag is not None:
-                inertia = np.diag(diag)
+                d0, d1, d2 = diag
+                inertia = ((d0, 0.0, 0.0), (0.0, d1, 0.0), (0.0, 0.0, d2))
         else:
             rows = sc.get("inertia")
             if (isinstance(rows, list) and len(rows) == 3
@@ -214,7 +214,7 @@ def scenario_from_dict(data: Any, default_name: str = "scenario") -> Scenario:
                                           "expected a finite number")
                             ok = False
                 if ok:
-                    inertia = np.array(rows, dtype=float)
+                    inertia = rows
             else:
                 errors.append("$.spacecraft.inertia: expected a 3x3 matrix "
                               "(or use inertia_diag)")
@@ -242,7 +242,7 @@ def scenario_from_dict(data: Any, default_name: str = "scenario") -> Scenario:
                     _warn(warns, f"$.initial.attitude: normalized "
                                  f"(norm correction {abs(n - 1.0):.3e})")
                 q = UnitQuaternion(x / n, y / n, z / n, w / n)
-                initial = BodyState(attitude=q, omega=np.array(om))
+                initial = BodyState(attitude=q, omega=om)
             except ValueError as exc:
                 errors.append(f"$.initial: {exc}")
 

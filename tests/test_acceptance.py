@@ -96,7 +96,7 @@ def half_step_run():
 
 def row_at(records, t_want):
     """Index of the record logged at ``t_want``."""
-    i = int(np.argmin(np.abs(records["t"] - t_want)))
+    i = int(np.argmin(np.abs(np.asarray(records["t"]) - t_want)))
     assert abs(records["t"][i] - t_want) < 1e-9, f"no record at t={t_want}"
     return i
 
@@ -123,7 +123,7 @@ def test_criterion_01_keep_out_clearance(preset_runs):
 
 def test_criterion_02_performance_envelope(preset_runs):
     recs = preset_runs["paper-single-1"].records
-    t, angle = recs["t"], recs["pointing_angle_deg"]
+    t, angle = np.asarray(recs["t"]), np.asarray(recs["pointing_angle_deg"])
     err_50 = angle[row_at(recs, 50.0)]
     after_50 = angle[t >= 50.0].max()
     tail = angle[t > 80.0].max()
@@ -145,7 +145,7 @@ def test_criterion_03_comparison_ordering(preset_runs, benchmark_run):
 def test_criterion_04_funnel_shrink_oracle(preset_runs):
     run = preset_runs["paper-single-1"]
     env = load_preset("paper-single-1").envelope
-    assert np.all(run.records["omega_s_eff"] == 0.0), \
+    assert np.all(np.asarray(run.records["omega_s_eff"]) == 0.0), \
         "run must stay in shrink mode for the closed form to apply"
     worst = 0.0
     for t_want in (1.0, 10.0, 50.0):
@@ -163,7 +163,7 @@ def test_criterion_05_freeze_holds_ratio(preset_runs):
     drifts = []
     for name in AVOIDANCE_PRESETS:
         recs = preset_runs[name].records
-        t, eps, s = recs["t"], recs["eps"], recs["omega_s_eff"]
+        t, eps, s = (np.asarray(recs[c]) for c in ("t", "eps", "omega_s_eff"))
         frozen = (s[:-1] == 1.0) & (s[1:] == 1.0)
         drifts.append((np.abs(eps[1:] - eps[:-1]) / (t[1:] - t[:-1]))[frozen])
     drifts = np.concatenate(drifts)
@@ -217,7 +217,8 @@ def test_criterion_08_envelope_containment(preset_runs):
     ok = True
     for name in PRESET_NAMES:
         recs = preset_runs[name].records
-        tracking = np.abs(recs["eps"][recs["omega_s_eff"] < 0.5])
+        eps, s = np.asarray(recs["eps"]), np.asarray(recs["omega_s_eff"])
+        tracking = np.abs(eps[s < 0.5])
         if tracking.size and tracking.max() > worst:
             worst, worst_name = float(tracking.max()), name
     ok = worst < 1.0

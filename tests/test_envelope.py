@@ -47,6 +47,7 @@ class TestSwitchConfig:
 
 def pointing_with_cosines(a1, a2, c1, c2):
     """A unit direction whose cosines to the unit axes a1, a2 are c1, c2."""
+    a1, a2 = np.asarray(a1), np.asarray(a2)
     c12 = float(np.dot(a1, a2))
     alpha = (c1 - c2 * c12) / (1.0 - c12 * c12)
     beta = (c2 - c1 * c12) / (1.0 - c12 * c12)

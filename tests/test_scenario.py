@@ -247,7 +247,7 @@ class TestSchema:
                                         [0.01, 5.14, 0.0],
                                         [0.0, 0.0, 5.0]]
         sc = scenario_from_dict(doc)
-        assert sc.params.inertia[0, 1] == 0.01
+        assert sc.params.inertia[0][1] == 0.01
 
     def test_switching_p1_as_cosine_matches_the_angle(self):
         doc = valid_doc()
