@@ -91,12 +91,23 @@ _DIST_OMEGA = 0.01
 
 
 class SimulationAbort(RuntimeError):
-    """Raised when the propagated state stops being physically meaningful."""
+    """Raised when the propagated state stops being physically meaningful.
 
-    def __init__(self, t: float, reason: str):
+    ``state`` is the last accepted state, the 14 finite floats the failing
+    step started from, and ``stage`` the RK4 stage (1-4) whose evaluation
+    failed, or ``None`` when the check after the step found a non-finite
+    component.  The final sample counts as stage 1 of the step it would
+    start.  A run fills both in; a bare right-hand-side call leaves them
+    ``None``.
+    """
+
+    def __init__(self, t: float, reason: str, state: tuple | None = None,
+                 stage: int | None = None):
         super().__init__(f"simulation aborted at t={t:.4f} s: {reason}")
         self.t = t
         self.reason = reason
+        self.state = state
+        self.stage = stage
 
 
 class ValidationFailure(RuntimeError):
@@ -367,11 +378,19 @@ class _LoopContext:
         quaternion renormalization are written out for the 14 components.
         """
         t = k * dt
-        k1, stage = self.rhs(t, y)
         h = 0.5 * dt
-        k2 = self.rhs(t + h, _axpy(y, h, k1))[0]
-        k3 = self.rhs(t + h, _axpy(y, h, k2))[0]
-        k4 = self.rhs((k + 1) * dt, _axpy(y, dt, k3))[0]
+        n = 1
+        try:
+            k1, stage = self.rhs(t, y)
+            n = 2
+            k2 = self.rhs(t + h, _axpy(y, h, k1))[0]
+            n = 3
+            k3 = self.rhs(t + h, _axpy(y, h, k2))[0]
+            n = 4
+            k4 = self.rhs((k + 1) * dt, _axpy(y, dt, k3))[0]
+        except SimulationAbort as exc:
+            exc.state, exc.stage = tuple(y), n
+            raise
         c = dt / 6.0
         a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13 = y
         p0, p1, p2, p3, p4, p5, p6, p7, p8, p9, p10, p11, p12, p13 = k1
@@ -434,14 +453,16 @@ _STATE_NAMES = (["quat"] * 4 + ["omega"] * 3 + ["rho"]
                 + ["td_x1"] * 3 + ["td_x2"] * 3)
 
 
-def _check_state(t: float, y: list) -> None:
+def _check_state(t: float, y: list, last: list) -> None:
+    """Abort when the state ``y`` a step reached from ``last`` is not finite."""
     # one sum catches any inf or NaN; it can also overflow on finite values,
     # so the scan names the component or finds none
     if not math.isfinite(sum(y)):
         bad = next((i for i, v in enumerate(y) if not math.isfinite(v)), None)
         if bad is not None:
             raise SimulationAbort(
-                t, f"non-finite value in {_STATE_NAMES[bad]}[{bad}]")
+                t, f"non-finite value in {_STATE_NAMES[bad]}[{bad}]",
+                tuple(last))
 
 
 class _SafetyStats:
@@ -510,11 +531,15 @@ def run_scenario(scenario: "Scenario", force: bool = False) -> SimulationResult:
         safety.add(stage)
         if k % stride == 0:
             log.extend(ctx.record(k * dt, y, stage))
+        _check_state((k + 1) * dt, y_next, y)
         y = y_next
-        _check_state((k + 1) * dt, y)
     # the final sample is the one stage evaluated outside a step
     t = n_steps * dt
-    stage = ctx.rhs(t, y)[1]
+    try:
+        stage = ctx.rhs(t, y)[1]
+    except SimulationAbort as exc:
+        exc.state, exc.stage = tuple(y), 1
+        raise
     safety.add(stage)
     log.extend(ctx.record(t, y, stage))
     records = Trajectory(log, _columns(len(ctx.cones)))

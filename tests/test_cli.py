@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import slewguard
 from slewguard.cli import main
 from test_scenario import valid_doc
 
@@ -23,6 +28,38 @@ class TestListPresets:
         assert "paper-single-1" in out
         assert "paper-three-1" in out
         assert len(out.strip().splitlines()) == 9
+
+
+# every user path in one interpreter: the package, both commands, a
+# comparison run, and a scenario file through the library
+NO_NUMPY_PROBE = """
+import sys
+import slewguard
+from slewguard import cli
+from slewguard.engine import run_scenario
+from slewguard.scenario import load_scenario
+
+out, example = sys.argv[1:]
+assert cli.main(["list-presets"]) == 0
+assert cli.main(["run", "--preset", "paper-three-1", "--compare",
+                 "--duration", "2", "--out", out]) in (0, 5)
+run_scenario(load_scenario(example).with_sim(duration=2.0))
+print(sorted(name for name in sys.modules if name.split(".")[0] == "numpy"))
+"""
+
+
+def test_user_paths_do_not_import_numpy(tmp_path):
+    # the package computes in Python floats; importing an array library
+    # would cost every cold start its import time
+    root = Path(slewguard.__file__).resolve().parents[2]
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(slewguard.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY_PROBE, str(tmp_path),
+         str(root / "docs" / "example_scenario.json")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 class TestVersion:

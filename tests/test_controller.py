@@ -489,7 +489,29 @@ class TestValidateConfig:
         off = make_cone(cone.axis_inertial, k_r=cone.k_r * 2.0)
         report = self.run_validate(cfg, env, switch, [off], target, initial)
         assert report.ok  # warning, not failure
-        assert any(i.rule == "edge-equilibrium[0]" for i in report.warnings)
+        [warn] = [i for i in report.warnings
+                  if i.rule == "edge-equilibrium[0]"]
+        # a warning keeps the number
+        assert warn.detail.endswith(f"(residual {cone.k_r:+.3g})")
+
+    def test_edge_equilibrium_pass_states_the_tolerance(self):
+        # cones whose k_r differs from the balanced value by a few ulps pass
+        # with one and the same line, whatever the residual's rounding
+        cfg, env, switch, cone, target, initial = self.setup()
+        details = set()
+        k_r = cone.k_r
+        for _ in range(5):
+            near = make_cone(cone.axis_inertial, k_r=k_r)
+            report = self.run_validate(cfg, env, switch, [near], target,
+                                       initial)
+            [line] = [i for i in report.issues
+                      if i.rule == "edge-equilibrium[0]"]
+            assert line.status == "pass"
+            details.add(line.detail)
+            k_r = math.nextafter(k_r, math.inf)
+        assert details == {f"k_r={cone.k_r:.6g} vs k_a*x_E={cone.k_r:.6g} "
+                           f"(residual within tolerance "
+                           f"{1e-9 * cone.k_r:.3g})"}
 
     def test_slope_warning_in_sharp_regime(self):
         cfg, env, switch, cone, target, initial = self.setup()

@@ -347,13 +347,20 @@ class TestRunScenario:
         with pytest.raises(SimulationAbort) as err:
             run_scenario(sc.with_sim(duration=1.0), force=True)
         assert err.value.t <= 0.02
+        # the abort keeps the finite state the failing step started from
+        # and the stage that failed
+        assert err.value.stage in (1, 2, 3, 4)
+        assert len(err.value.state) == 14
+        assert all(math.isfinite(v) for v in err.value.state)
 
     def test_state_check_names_the_non_finite_component(self):
         y = [0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0] + [0.0] * 6
+        last = [0.0, 0.0, 0.6, 0.8, 0.1, 0.2, 0.3, 0.5] + [0.25] * 6
         # finite components whose sum overflows pass
-        _check_state(1.0, y[:4] + [1e308, 1e308] + y[6:])
+        _check_state(1.0, y[:4] + [1e308, 1e308] + y[6:], last)
         # the first non-finite component is named, also where infinities
-        # of both signs sum to NaN
+        # of both signs sum to NaN; the abort keeps the state the step
+        # started from and names no stage
         for bad, name in (({2: math.nan}, "quat[2]"),
                           ({7: math.nan}, "rho[7]"),
                           ({13: math.inf}, "td_x2[13]"),
@@ -362,8 +369,13 @@ class TestRunScenario:
             for i, v in bad.items():
                 z[i] = v
             with pytest.raises(SimulationAbort,
-                               match=re.escape(f"non-finite value in {name}")):
-                _check_state(1.0, z)
+                               match=re.escape(f"non-finite value in {name}")
+                               ) as err:
+                _check_state(1.0, z, last)
+            assert err.value.state == tuple(last)
+            assert err.value.stage is None
+            assert str(err.value) == (f"simulation aborted at t=1.0000 s: "
+                                      f"non-finite value in {name}")
 
     @pytest.mark.parametrize("k", [3, 9])
     def test_collapsed_funnel_aborts_when_the_state_is_next_used(
@@ -385,6 +397,34 @@ class TestRunScenario:
                            match="funnel radius reached zero") as err:
             run_scenario(sc)
         assert err.value.t == (k + 1) * sc.sim.dt
+        # the first stage of the next step, or the final sample after the
+        # last one, fails on the finite state the collapsing step left
+        assert err.value.stage == 1
+        assert len(err.value.state) == 14
+        assert err.value.state[7] == 0.0
+        assert all(math.isfinite(v) for v in err.value.state)
+
+    @pytest.mark.parametrize("failing", [1, 2, 3, 4])
+    def test_abort_names_the_failing_stage(self, monkeypatch, failing):
+        # one call for the initial command, then four per step: make stage
+        # ``failing`` of step 5 raise, and keep the state that step began at
+        rhs = _LoopContext.rhs
+        calls, starts = [], []
+
+        def failing_rhs(ctx, t, y):
+            calls.append(t)
+            if len(calls) == 1 + 4 * 5 + 1:
+                starts.append(tuple(y))
+            if len(calls) == 1 + 4 * 5 + failing:
+                raise SimulationAbort(t, "stage failed")
+            return rhs(ctx, t, y)
+
+        monkeypatch.setattr(_LoopContext, "rhs", failing_rhs)
+        sc = load_preset("paper-single-1").with_sim(duration=0.1)
+        with pytest.raises(SimulationAbort, match="stage failed") as err:
+            run_scenario(sc)
+        assert err.value.stage == failing
+        assert err.value.state == starts[0]
 
     def test_benchmark_mode_pins_switches(self):
         sc = load_preset("paper-single-1").with_sim(
