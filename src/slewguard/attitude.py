@@ -123,10 +123,7 @@ class SpacecraftParams:
     inertia_inv_rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        try:
-            rows = tuple(tuple(float(v) for v in row) for row in self.inertia)
-        except TypeError:
-            rows = ()
+        rows = tuple(tuple(float(v) for v in row) for row in self.inertia)
         if len(rows) != 3 or any(len(row) != 3 for row in rows):
             raise ValueError("inertia must have shape (3, 3)")
         # each entry within 1e-12 of its transpose, infinities equal to

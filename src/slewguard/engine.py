@@ -17,15 +17,16 @@ repeated runs of the same scenario are bit-identical.
 The state is a list of 14 Python floats, and the stage evaluation, the
 controller laws, the RK4 combine, the renormalization, the state check and
 the logging are scalar code: on 3-vectors, an array library's per-call
-overhead costs far more than the arithmetic.  Inside a stage the same holds for Python
-calls and tuple packing, so the guidance, the quaternion kinematics, the
-stage states and the RK4 combine are written out in ``rhs`` and ``step``,
-component by component, while the control laws and the frame resolution
-stay functions of their own.  Each logged step appends its CSV row, a flat
-tuple of floats, to a C double buffer (``array("d")``), which the run's
-:class:`Trajectory` then wraps as it is.  The summary and the CSV writer
-read that buffer in scalar code too, so every written value is Python
-float arithmetic in a fixed order, and the package needs no array library.
+overhead costs far more than the arithmetic.  Inside a stage the same holds
+for Python calls and tuple packing, so the guidance, the quaternion
+kinematics, the stage states and the RK4 combine are written out in ``rhs``
+and ``step``, component by component, while the control laws and the frame
+resolution stay functions of their own.  Each logged step appends its CSV
+row, a flat tuple of floats, to a C double buffer (``array("d")``), which
+the run's :class:`Trajectory` then wraps as it is.  The summary and the CSV
+writer read that buffer in scalar code too, so every written value is
+Python float arithmetic in a fixed order, and the package needs no array
+library.
 
 Each stage forms every term that more than one law needs exactly once and
 hands it to both: the body-frame target with ``x_e`` and the body-frame
@@ -217,9 +218,7 @@ class _LoopContext:
         r = scenario.target_inertial
         self.r_i = (float(r[0]), float(r[1]), float(r[2]))
         # inertial cone axes, resolved in body axes after the target
-        self.axes = tuple(
-            (float(c.axis_inertial[0]), float(c.axis_inertial[1]),
-             float(c.axis_inertial[2])) for c in self.cones)
+        self.axes = tuple(c.axis_inertial for c in self.cones)
         self.j_rows = self.params.inertia
         self.j_inv_rows = self.params.inertia_inv_rows
         self.neg_k_rho = -self.env.k_rho
