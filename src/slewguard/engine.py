@@ -54,9 +54,12 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import time
 from array import array
 from dataclasses import asdict, dataclass
+from functools import partial
+from itertools import compress, repeat, takewhile
 from typing import TYPE_CHECKING
 
 from .controller import (
@@ -551,10 +554,9 @@ def run_scenario(scenario: "Scenario", force: bool = False) -> SimulationResult:
 def settling_time(records: Trajectory, level_deg: float) -> float | None:
     """Earliest time after which the pointing angle stays below the level."""
     angle = records["pointing_angle_deg"]
-    # one past the last sample that is not below the level (NaN is not)
-    first = len(angle)
-    while first and angle[first - 1] < level_deg:
-        first -= 1
+    # the samples below the level, counted back from the last (NaN is not)
+    below = takewhile(partial(operator.gt, level_deg), reversed(angle))
+    first = len(angle) - len(list(below))
     return records["t"][first] if first < len(angle) else None
 
 
@@ -572,10 +574,12 @@ def summarize(scenario: "Scenario", sim: SimConfig,
     if targets is not None and targets.terminal_time_s is not None:
         terminal_start = targets.terminal_time_s
     angle = records["pointing_angle_deg"]
-    tail = [a for a, t in zip(angle, records["t"]) if t >= terminal_start]
-    terminal_err = max(tail) if tail else None
+    terminal_err = max(compress(angle, map(operator.ge, records["t"],
+                                           repeat(terminal_start))),
+                       default=None)
     max_eps = safety.max_eps
     lyap = lyapunov_monitor(records)
+    settle_1deg = settling_time(records, 1.0)
 
     targets_met = None
     targets_dict = None
@@ -583,7 +587,8 @@ def summarize(scenario: "Scenario", sim: SimConfig,
         targets_dict = asdict(targets)
         targets_met = True
         if targets.settle_deg is not None and targets.settle_time_s is not None:
-            st = settling_time(records, targets.settle_deg)
+            st = (settle_1deg if targets.settle_deg == 1.0
+                  else settling_time(records, targets.settle_deg))
             targets_met = targets_met and (st is not None
                                            and st <= targets.settle_time_s)
         if targets.terminal_deg is not None:
@@ -602,7 +607,7 @@ def summarize(scenario: "Scenario", sim: SimConfig,
         "constraint_satisfied": constraint_ok,
         "initial_error_deg": angle[0],
         "final_error_deg": angle[-1],
-        "settling_time_1deg_s": settling_time(records, 1.0),
+        "settling_time_1deg_s": settle_1deg,
         "terminal_window_start_s": terminal_start,
         "terminal_error_deg": terminal_err,
         "max_eps_while_tracking": max_eps,
@@ -636,15 +641,16 @@ def lyapunov_monitor(records: Trajectory,
     positive rate of ``V_q + V_omega``.  Switching intervals are excluded:
     the freeze and avoidance modes trade potential for clearance by design.
     """
-    t = records["t"]
-    s = records["omega_s_eff"]
-    energy = [a + b for a, b in zip(records["v_q"], records["v_omega"])]
-    # a pair is kept unless its start is early, inside the ball or
-    # switching, or its end is switching; NaN excludes nothing
-    rate = [(e1 - e0) / (t1 - t0) for t0, t1, a0, s0, s1, e0, e1 in zip(
-                t, t[1:], records["pointing_angle_deg"], s, s[1:],
-                energy, energy[1:])
-            if not (t0 < skip_s or a0 < ball_deg or s0 > 1e-9 or s1 > 1e-9)]
+    t, s = records["t"], records["omega_s_eff"]
+    v_q, v_omega = records["v_q"], records["v_omega"]
+    # a pair is kept unless its start is inside the ball, early or
+    # switching, or its end is switching; NaN excludes nothing.  The ball
+    # test drops most pairs of a settled run, so it comes first.
+    rate = [((v_q[i + 1] + v_omega[i + 1]) - (v_q[i] + v_omega[i]))
+            / (t[i + 1] - t[i])
+            for i, a in enumerate(records["pointing_angle_deg"][:-1])
+            if not (a < ball_deg or t[i] < skip_s or s[i] > 1e-9
+                    or s[i + 1] > 1e-9)]
     if not rate:
         return LyapunovDiagnostics(0.0, 0, -math.inf)
     n_pos = len([r for r in rate if r > 0.0])
