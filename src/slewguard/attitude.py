@@ -21,8 +21,9 @@ arithmetic out inline on float components, since a call per product slows
 the loop: the kinematics ``0.5 q (x) [omega, 0]`` as the full Hamilton
 product with its zero-scalar terms, and the frame resolution as the
 conjugate ``_sandwich`` of :func:`rotate_to_body`, in the same operation
-order.  The public functions take any sequence of three numbers and return
-float triples; nothing in this module mutates its inputs.
+order.  The public functions take 3-vectors as any sequence of three
+numbers, and :func:`rotate_to_body` returns a float triple; nothing in this
+module mutates its inputs.
 
 Every value here is a Python float: the dot product and the inertia inverse
 are written out in float arithmetic with a fixed operation order, so the
