@@ -133,7 +133,7 @@ class SpacecraftParams:
                    for row, col in zip(rows, zip(*rows))
                    for a, b in zip(row, col)):
             raise ValueError("inertia must be symmetric")
-        inverse = _spd_inverse_rows([list(row) for row in rows])
+        inverse = _spd_inverse_rows(rows)
         if self.torque_limit <= 0.0:
             raise ValueError("torque_limit must be positive")
         if self.disturbance_bound < 0.0:
@@ -142,11 +142,11 @@ class SpacecraftParams:
         object.__setattr__(self, "inertia_inv_rows", inverse)
 
 
-def _spd_inverse_rows(m: list) -> tuple:
+def _spd_inverse_rows(m: tuple) -> tuple:
     """Inverse of a symmetric 3x3 matrix as float rows, by Gauss-Jordan
     elimination without pivoting, whose pivots are all positive exactly when
     the matrix is positive definite.  A diagonal inverts to exactly 1 / d."""
-    a = [row + [float(i == j) for j in range(3)] for i, row in enumerate(m)]
+    a = [[*row] + [float(i == j) for j in range(3)] for i, row in enumerate(m)]
     for k in range(3):
         p = a[k][k]
         if not p > 0.0:

@@ -6,7 +6,7 @@ forbidden cones, funnel and switching parameters, controller gains,
 simulation settings, and optional performance targets.  Angles live in the
 file as degrees with a ``_deg`` suffix and are converted to radians on load.
 Vectors and the inertia are loaded as tuples of Python floats, and norms
-and the goal-to-axis cosine are written-out float sums, so a loaded
+and the goal-to-axis cosine are float sums in a fixed order, so a loaded
 scenario's bits depend on nothing but the document.
 
 Presets are built from the same loader: each combines a bundled geometry
