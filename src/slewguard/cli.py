@@ -52,7 +52,10 @@ def _build_parser() -> argparse.ArgumentParser:
                           "into DIR/<scenario-name>/")
     run.add_argument("--compare", action="store_true",
                      help="also run the potential-field-only baseline and "
-                          "write comparison.json")
+                          "write comparison.json; the baseline runs in a "
+                          "second process at the same time as the proposed "
+                          "run, and its outputs are byte-identical to a "
+                          "sequential run")
     run.add_argument("--dt", type=float, default=None,
                      help="override integration step [s]")
     run.add_argument("--duration", type=float, default=None,
@@ -81,46 +84,115 @@ def _fmt(value, spec=".4g"):
     return "n/a" if value is None else format(value, spec)
 
 
+def _partial(path: Path) -> Path:
+    """Where a baseline file is written before it is moved into place."""
+    return path.with_name(f".{path.name}.part")
+
+
+def _run_baseline(scenario, paths, conn) -> None:
+    """Child process: run and write the baseline, then send back its
+    summary, or the exception that stopped it."""
+    try:
+        result = run_scenario(scenario)
+        write_trajectory_csv(result.records, _partial(paths[0]))
+        write_summary_json(result.summary, _partial(paths[1]))
+    except Exception as exc:
+        conn.send(exc)
+    else:
+        conn.send(result.summary)
+    finally:
+        conn.close()
+
+
+class _Baseline:
+    """The potential-field-only baseline of a scenario, run in a second
+    process while this one runs the proposed controller.
+
+    The two runs share no state, so the written files are the bytes a run
+    after the proposed one would write.  The child writes under temporary
+    names; :meth:`summary` moves its files into place, :meth:`close` stops
+    the child and removes what it left.
+    """
+
+    def __init__(self, scenario, out_dir: Path):
+        import multiprocessing  # only comparisons pay for its import
+
+        self.paths = (out_dir / "trajectory_benchmark.csv",
+                      out_dir / "summary_benchmark.json")
+        self._conn, child_conn = multiprocessing.Pipe(duplex=False)
+        self._proc = multiprocessing.Process(
+            target=_run_baseline, daemon=True,
+            args=(scenario.with_sim(controller_mode="benchmark_apf"),
+                  self.paths, child_conn))
+        self._proc.start()
+        child_conn.close()
+
+    def summary(self) -> dict:
+        """Wait for the baseline and return its summary; its exception is
+        raised here."""
+        try:
+            reply = self._conn.recv()
+        except EOFError:
+            reply = None
+        self._proc.join()
+        if reply is None:
+            raise RuntimeError("the baseline process exited with code "
+                               f"{self._proc.exitcode} and sent no result")
+        if isinstance(reply, Exception):
+            raise reply
+        for path in self.paths:
+            _partial(path).replace(path)
+        return reply
+
+    def close(self) -> None:
+        self._conn.close()
+        if self._proc.is_alive():
+            self._proc.terminate()
+        self._proc.join()
+        self._proc.close()
+        for path in self.paths:
+            _partial(path).unlink(missing_ok=True)
+
+
 def _run_one(scenario, args, out_root: Path) -> int:
     """Run one scenario (plus baseline when comparing); returns an exit code."""
     out_dir = out_root / scenario.name
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    result = run_scenario(scenario)
-    write_trajectory_csv(result.records, out_dir / "trajectory.csv")
-    write_summary_json(result.summary, out_dir / "summary.json")
-    s = result.summary
-    ok = s["constraint_satisfied"] and s["targets_met"] is not False
-    clear = min(s["min_clearance_deg"]) if s["min_clearance_deg"] else None
-    print(f"{scenario.name}: clearance {_fmt(clear)} deg, "
-          f"settle(1 deg) {_fmt(s['settling_time_1deg_s'])} s, "
-          f"terminal {_fmt(s['terminal_error_deg'])} deg, "
-          f"wall {s['wall_clock_s']:.2f} s "
-          f"[{'ok' if ok else 'MISS'}]")
+    baseline = _Baseline(scenario, out_dir) if args.compare else None
+    try:
+        result = run_scenario(scenario)
+        write_trajectory_csv(result.records, out_dir / "trajectory.csv")
+        write_summary_json(result.summary, out_dir / "summary.json")
+        s = result.summary
+        ok = s["constraint_satisfied"] and s["targets_met"] is not False
+        clear = min(s["min_clearance_deg"]) if s["min_clearance_deg"] else None
+        print(f"{scenario.name}: clearance {_fmt(clear)} deg, "
+              f"settle(1 deg) {_fmt(s['settling_time_1deg_s'])} s, "
+              f"terminal {_fmt(s['terminal_error_deg'])} deg, "
+              f"wall {s['wall_clock_s']:.2f} s "
+              f"[{'ok' if ok else 'MISS'}]")
 
-    if args.compare:
-        bench = scenario.with_sim(controller_mode="benchmark_apf")
-        bench_result = run_scenario(bench)
-        write_trajectory_csv(bench_result.records,
-                             out_dir / "trajectory_benchmark.csv")
-        write_summary_json(bench_result.summary,
-                           out_dir / "summary_benchmark.json")
-        b = bench_result.summary
-        comparison = {
-            "scenario": scenario.name,
-            "proposed": s,
-            "benchmark_apf": b,
-            "proposed_terminal_error_deg": s["terminal_error_deg"],
-            "benchmark_terminal_error_deg": b["terminal_error_deg"],
-            "proposed_not_worse": (
-                s["terminal_error_deg"] is not None
-                and b["terminal_error_deg"] is not None
-                and s["terminal_error_deg"] <= b["terminal_error_deg"]),
-        }
-        write_summary_json(comparison, out_dir / "comparison.json")
-        print(f"{scenario.name} baseline: terminal "
-              f"{_fmt(b['terminal_error_deg'])} deg vs proposed "
-              f"{_fmt(s['terminal_error_deg'])} deg")
+        if baseline is not None:
+            b = baseline.summary()
+            comparison = {
+                "scenario": scenario.name,
+                "proposed": s,
+                "benchmark_apf": b,
+                "proposed_terminal_error_deg": s["terminal_error_deg"],
+                "benchmark_terminal_error_deg": b["terminal_error_deg"],
+                "proposed_not_worse": (
+                    s["terminal_error_deg"] is not None
+                    and b["terminal_error_deg"] is not None
+                    and s["terminal_error_deg"] <= b["terminal_error_deg"]),
+            }
+            write_summary_json(comparison, out_dir / "comparison.json")
+            print(f"{scenario.name} baseline: terminal "
+                  f"{_fmt(b['terminal_error_deg'])} deg vs proposed "
+                  f"{_fmt(s['terminal_error_deg'])} deg")
+    finally:
+        if baseline is not None:
+            baseline.close()
 
     return _EXIT_OK if ok else _EXIT_PERFORMANCE
 

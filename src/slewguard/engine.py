@@ -113,6 +113,11 @@ class SimulationAbort(RuntimeError):
         self.state = state
         self.stage = stage
 
+    def __reduce__(self):
+        # rebuilt from the fields, not from the message in ``args``, so the
+        # abort survives pickling (the compare run sends it between processes)
+        return type(self), (self.t, self.reason, self.state, self.stage)
+
 
 class ValidationFailure(RuntimeError):
     """Raised when a scenario fails parameter validation before running."""
@@ -121,6 +126,9 @@ class ValidationFailure(RuntimeError):
         lines = "; ".join(f"{i.rule}: {i.detail}" for i in report.failures)
         super().__init__(f"scenario failed validation: {lines}")
         self.report = report
+
+    def __reduce__(self):
+        return type(self), (self.report,)
 
 
 @dataclass(frozen=True)
@@ -458,7 +466,9 @@ _STATE_NAMES = (["quat"] * 4 + ["omega"] * 3 + ["rho"]
 def _check_state(t: float, y: list, last: list) -> None:
     """Abort when the state ``y`` a step reached from ``last`` is not finite."""
     # one sum catches any inf or NaN; it can also overflow on finite values,
-    # so the scan names the component or finds none
+    # so the scan names the component or finds none.  Only its finiteness
+    # is read, so the interpreter's summation order (compensated from
+    # Python 3.12) cannot reach a written value.
     if not math.isfinite(sum(y)):
         bad = next((i for i, v in enumerate(y) if not math.isfinite(v)), None)
         if bad is not None:

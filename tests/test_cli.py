@@ -1,18 +1,28 @@
 """Command line behavior: outputs, overrides, and exit codes."""
 
+import glob
+import hashlib
 import json
 import math
+import multiprocessing
 import os
 import re
+import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import slewguard
+from slewguard import cli
 from slewguard.cli import main
+from slewguard.engine import SimulationAbort
+from slewguard.scenario import list_presets
 from test_scenario import valid_doc
+
+SRC = Path(slewguard.__file__).resolve().parents[1]
 
 
 def write_scenario(tmp_path, doc, name="case.json"):
@@ -51,9 +61,8 @@ print(sorted(name for name in sys.modules if name.split(".")[0] == "numpy"))
 def test_user_paths_do_not_import_numpy(tmp_path):
     # the package computes in Python floats; importing an array library
     # would cost every cold start its import time
-    root = Path(slewguard.__file__).resolve().parents[2]
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(slewguard.__file__).resolve().parents[1]))
+    root = SRC.parent
+    env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
         [sys.executable, "-c", NO_NUMPY_PROBE, str(tmp_path),
          str(root / "docs" / "example_scenario.json")],
@@ -267,3 +276,185 @@ class TestRun:
         assert code in (0, 5)
         assert (tmp_path / "paper-single-1" / "summary.json").exists()
         capsys.readouterr()
+
+
+def doc_without_targets(**initial):
+    doc = valid_doc()
+    del doc["targets"]
+    doc["initial"].update(initial)
+    return doc
+
+
+def run_compare(path, out):
+    return main(["run", "--scenario", str(path), "--duration", "2",
+                 "--compare", "--out", str(out)])
+
+
+class TestCompareInASecondProcess:
+    """``--compare`` runs the baseline in a child process beside the
+    proposed run; every failure keeps the sequential run's exit code and
+    message, and leaves neither a process nor a baseline file behind."""
+
+    @pytest.mark.parametrize("doc,code,message", [
+        (doc_without_targets(omega=[1e100, 0.0, 0.0]), 4,
+         "error: custom: simulation aborted at t=0.0100 s: non-finite value "
+         "in quat[0]\n"),
+        (dict(doc_without_targets(),
+              controller=dict(valid_doc()["controller"], k1=0.05)), 3,
+         "error: custom:\n[fail] gain-ordering: k1=0.05 vs k_rho=0.1 "
+         "(need k1 > k_rho)\n")], ids=["abort", "validation"])
+    def test_failing_proposed_run(self, tmp_path, capsys, doc, code,
+                                  message):
+        path = write_scenario(tmp_path, doc)
+        assert main(["run", "--scenario", str(path), "--duration", "2",
+                     "--out", str(tmp_path / "alone")]) == code
+        alone = capsys.readouterr()
+        assert run_compare(path, tmp_path / "runs") == code
+        got = capsys.readouterr()
+        assert got.out == alone.out == ""
+        assert got.err == alone.err
+        assert got.err.startswith(message)
+        assert list((tmp_path / "runs" / "custom").iterdir()) == []
+        assert multiprocessing.active_children() == []
+
+    def test_proposed_abort_after_the_baseline_wrote(self, tmp_path, capsys,
+                                                     monkeypatch):
+        # the proposed run fails once the baseline's files exist under
+        # their temporary names: the child is stopped and they are removed
+        case = tmp_path / "runs" / "custom"
+        run_scenario = cli.run_scenario
+
+        def run(scenario):
+            if scenario.sim.controller_mode == "benchmark_apf":
+                return run_scenario(scenario)
+            deadline = time.monotonic() + 60.0
+            while (len(list(case.iterdir())) < 2
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+            raise SimulationAbort(0.5, "stopped by the test")
+
+        monkeypatch.setattr(cli, "run_scenario", run)
+        path = write_scenario(tmp_path, doc_without_targets())
+        assert run_compare(path, tmp_path / "runs") == 4
+        assert capsys.readouterr().err == (
+            "error: custom: simulation aborted at t=0.5000 s: stopped by the "
+            "test\n")
+        assert list(case.iterdir()) == []
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the child sees the patched run only when "
+                               "forked")
+    def test_failing_baseline(self, tmp_path, capsys, monkeypatch):
+        # as in a sequential run, the proposed case is written and printed
+        # before the baseline's abort is reported
+        run_scenario = cli.run_scenario
+
+        def run(scenario):
+            if scenario.sim.controller_mode == "benchmark_apf":
+                raise SimulationAbort(1.0, "baseline stopped by the test",
+                                      (0.0,) * 14, 3)
+            return run_scenario(scenario)
+
+        monkeypatch.setattr(cli, "run_scenario", run)
+        path = write_scenario(tmp_path, doc_without_targets())
+        assert run_compare(path, tmp_path / "runs") == 4
+        got = capsys.readouterr()
+        assert got.out.startswith("custom: clearance ")
+        assert len(got.out.splitlines()) == 1
+        assert got.err == ("error: custom: simulation aborted at t=1.0000 s: "
+                           "baseline stopped by the test\n")
+        case = tmp_path / "runs" / "custom"
+        assert sorted(p.name for p in case.iterdir()) == [
+            "summary.json", "trajectory.csv"]
+        assert multiprocessing.active_children() == []
+
+
+def test_all_presets_compare_prints_each_line_once(tmp_path):
+    # stdout on a pipe is block-buffered: lines printed before a fork must
+    # not be flushed again by the child
+    proc = subprocess.run(
+        [sys.executable, "-m", "slewguard.cli", "run", "--all-presets",
+         "--compare", "--duration", "1", "--out", str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True, text=True, timeout=300)
+    # one simulated second misses every preset's settling target
+    assert proc.returncode == 5, proc.stderr
+    assert proc.stderr == ""
+    heads = [line.split(":", 1)[0] for line in proc.stdout.splitlines()]
+    assert heads == [head for name, _ in list_presets()
+                     for head in (name, f"{name} baseline")]
+
+
+# the compare path under -W error: 3.12 and later warn when a process with
+# threads forks
+COMPARE_ARGS = ("run", "--preset", "paper-three-1", "--compare",
+                "--duration", "2")
+THIS_VERSION = "%d.%d" % sys.version_info[:2]
+OTHER_VERSIONS = [v for v in ("3.10", "3.11", "3.12", "3.13")
+                  if v != THIS_VERSION]
+
+
+def compare_run(python, out, entry=("-m", "slewguard.cli")):
+    """Exit code, stderr and the CSV digests of the compare run."""
+    proc = subprocess.run(
+        [python, "-W", "error", *entry, *COMPARE_ARGS, "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True, text=True, timeout=300)
+    case = out / "paper-three-1"
+    digests = {name: hashlib.sha256((case / name).read_bytes()).hexdigest()
+               for name in ("trajectory.csv", "trajectory_benchmark.csv")
+               if (case / name).exists()}
+    return proc.returncode, proc.stderr, digests
+
+
+@pytest.fixture(scope="module")
+def reference_compare_run(tmp_path_factory):
+    return compare_run(sys.executable, tmp_path_factory.mktemp("reference"))
+
+
+def find_python(version):
+    """A working interpreter of ``version`` (major.minor), from pyenv's
+    versions or the PATH, or None."""
+    root = Path(os.environ.get("PYENV_ROOT", Path.home() / ".pyenv"))
+    candidates = sorted(glob.glob(str(
+        root / "versions" / f"{version}.*" / "bin" / f"python{version}")))
+    candidates.append(shutil.which(f"python{version}"))
+    for python in filter(None, candidates):
+        probe = subprocess.run(
+            [python, "-c", "import sys; print('%d.%d' % sys.version_info[:2])"],
+            capture_output=True, text=True, timeout=60)
+        if probe.returncode == 0 and probe.stdout.strip() == version:
+            return python
+    return None
+
+
+def test_reference_compare_run(reference_compare_run):
+    # two simulated seconds miss the preset's settling target: exit 5
+    code, err, digests = reference_compare_run
+    assert (code, err) == (5, "")
+    assert len(digests) == 2
+
+
+@pytest.mark.parametrize("version", OTHER_VERSIONS)
+def test_compare_run_on_other_interpreters(version, tmp_path,
+                                           reference_compare_run):
+    # the package needs nothing outside the standard library, so every
+    # supported interpreter must run the compare path without a warning
+    # and write the same bytes
+    python = find_python(version)
+    if python is None:
+        pytest.skip(f"no Python {version} found; nothing was compared")
+    assert compare_run(python, tmp_path) == reference_compare_run
+
+
+def test_compare_run_with_spawned_baseline(tmp_path, reference_compare_run):
+    # where the default start method is not fork (macOS; Linux from Python
+    # 3.14 on), the child is a fresh interpreter that gets the scenario by
+    # pickle: the bytes stay the same
+    spawn_main = ("import multiprocessing, sys; "
+                  "from slewguard.cli import main; "
+                  "multiprocessing.set_start_method('spawn'); "
+                  "sys.exit(main(sys.argv[1:]))")
+    assert compare_run(sys.executable, tmp_path,
+                       ("-c", spawn_main)) == reference_compare_run

@@ -2,6 +2,7 @@
 
 import json
 import math
+import pickle
 import re
 from array import array
 
@@ -340,6 +341,27 @@ class TestRunScenario:
             run_scenario(sc.with_sim(duration=1.0))
         res = run_scenario(sc.with_sim(duration=1.0), force=True)
         assert res.summary["validation_failures"]
+
+    def test_run_exceptions_survive_pickling(self):
+        # the compare run sends the baseline's exception back between
+        # processes; the round trip must keep every field and the message
+        sc = make_scenario(k1=0.05)
+        with pytest.raises(ValidationFailure) as failed:
+            run_scenario(sc.with_sim(duration=1.0))
+        aborts = (SimulationAbort(1.0, "x", (1.0,), 2),
+                  SimulationAbort(0.25, "funnel radius reached zero"))
+        for exc in aborts:
+            back = pickle.loads(pickle.dumps(exc))
+            assert type(back) is SimulationAbort
+            assert (back.t, back.reason, back.state, back.stage) == (
+                exc.t, exc.reason, exc.state, exc.stage)
+            assert str(back) == str(exc)
+        exc = failed.value
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is ValidationFailure
+        assert back.report == exc.report
+        assert back.report.describe() == exc.report.describe()
+        assert str(back) == str(exc)
 
     def test_abort_on_nonfinite_state(self):
         # overflow in the differentiator gain poisons a stage immediately
