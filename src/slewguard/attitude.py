@@ -174,5 +174,8 @@ def pointing_error(boresight_body: Sequence[float],
     """
     _require_unit_vec(boresight_body, "boresight_body")
     _require_unit_vec(target_body, "target_body")
-    return 1.0 - sum(float(b) * float(r)
-                     for b, r in zip(boresight_body, target_body))
+    # added left to right: from Python 3.12 ``sum()`` of floats compensates,
+    # which would make the bits depend on the interpreter
+    return 1.0 - (float(boresight_body[0]) * float(target_body[0])
+                  + float(boresight_body[1]) * float(target_body[1])
+                  + float(boresight_body[2]) * float(target_body[2]))

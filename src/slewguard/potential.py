@@ -224,7 +224,10 @@ class ObstacleCone:
 
 def goal_separation(target: Sequence[float], axis: Sequence[float]) -> float:
     """Angle [rad] between the unit goal direction and a unit cone axis."""
-    c = sum(float(t) * float(a) for t, a in zip(target, axis))
+    # added left to right, as in ``attitude.pointing_error``, so the angle
+    # does not depend on the interpreter's ``sum()``
+    c = (float(target[0]) * float(axis[0]) + float(target[1]) * float(axis[1])
+         + float(target[2]) * float(axis[2]))
     return math.acos(max(-1.0, min(1.0, c)))
 
 

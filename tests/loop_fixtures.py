@@ -40,6 +40,38 @@ CONE_AXES = (np.array([0.5145, 0.8575, 0.0]),
              np.array([-0.099, 0.990, -0.099]))
 
 
+# unit-vector pairs on which a compensated sum of the three products, as
+# ``sum()`` of floats forms it from Python 3.12, differs from adding them
+# left to right, both in the dot product and in pointing_error and
+# goal_separation
+SUM_ORDER_PAIRS = tuple(
+    tuple(tuple(float.fromhex(x) for x in v) for v in pair) for pair in (
+        (("0x1.42de00a3c7f4cp-1", "-0x1.78b3987100059p-1",
+          "-0x1.f9e99caa50e23p-3"),
+         ("0x1.68bb518e9f9d3p-1", "-0x1.4db9c4102bd33p-1",
+          "0x1.1f5bf27eb10fap-2")),
+        (("0x1.05e6c3e8d6514p-1", "0x1.05790791a56edp-3",
+          "0x1.b30fc87ed791cp-1"),
+         ("0x1.d53e1e39841eap-1", "0x1.86ee6c385784cp-2",
+          "0x1.e9ccef842c479p-4"))))
+
+
+def compensated_sum(terms):
+    """Neumaier summation of floats, the algorithm of ``sum()`` from
+    Python 3.12, written out so any interpreter can run it."""
+    total = compensation = 0.0
+    for x in terms:
+        t = total + x
+        if abs(total) >= abs(x):
+            compensation += (total - t) + x
+        else:
+            compensation += (x - t) + total
+        total = t
+    if compensation and math.isfinite(compensation):
+        total += compensation
+    return total
+
+
 def make_scenario(n_obstacles=1, inertia=None, boresight=None, target=None,
                   axes=CONE_AXES, **ctrl_over):
     """Hand-built scenario; by default a cone lies close to the slew path."""

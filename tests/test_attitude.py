@@ -17,7 +17,9 @@ from slewguard.engine import SimConfig, disturbance_torque
 
 from loop_fixtures import (
     FULL_INERTIA,
+    SUM_ORDER_PAIRS,
     axis_angle,
+    compensated_sum,
     hamilton,
     kernel,
     make_scenario,
@@ -115,6 +117,15 @@ class TestPointingError:
         b = np.array([0.0, 0.0, 1.0])
         with pytest.raises(ValueError):
             pointing_error(b, np.array([0.0, 0.0, 2.0]))
+
+    def test_adds_the_products_left_to_right(self):
+        # the same bits on every supported Python: from 3.12 ``sum()``
+        # compensates, and these pairs would tell it apart
+        for b, r in SUM_ORDER_PAIRS:
+            products = [x * y for x, y in zip(b, r)]
+            left = products[0] + products[1] + products[2]
+            assert pointing_error(b, r) == 1.0 - left
+            assert pointing_error(b, r) != 1.0 - compensated_sum(products)
 
 
 class TestReducedErrorRate:

@@ -16,10 +16,13 @@ from slewguard.potential import (
     bridge,
     bridge_grad,
     bridge_grad_max,
+    goal_separation,
     repulsion_grad_beta,
     total_potential,
 )
 from slewguard.scenario import PRESET_NAMES, load_preset, scenario_from_dict
+
+from loop_fixtures import SUM_ORDER_PAIRS, compensated_sum
 
 
 def make_cone(theta_0_deg=60.0, theta_1_deg=25.0, k_r=0.9, r_slope=3.0):
@@ -232,6 +235,18 @@ class TestObstacleCone:
             ObstacleCone(axis_inertial=np.array([0.0, 2.0, 0.0]),
                          theta_f=0.3, theta_0=0.8, theta_1=0.5,
                          k_r=1.0, r_slope=1.0)
+
+
+class TestGoalSeparation:
+    def test_adds_the_products_left_to_right(self):
+        # the same bits on every supported Python: from 3.12 ``sum()``
+        # compensates, and these pairs would tell it apart
+        for target, axis in SUM_ORDER_PAIRS:
+            products = [t * a for t, a in zip(target, axis)]
+            left = products[0] + products[1] + products[2]
+            assert goal_separation(target, axis) == math.acos(left)
+            assert goal_separation(target, axis) != math.acos(
+                compensated_sum(products))
 
 
 class TestRepulsion:
