@@ -71,6 +71,16 @@ def test_user_paths_do_not_import_numpy(tmp_path):
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+def test_cli_import_leaves_multiprocessing_to_comparisons():
+    # only --compare starts a process, so only it pays for the import
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, slewguard.cli; print('multiprocessing' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True, text=True, timeout=120)
+    assert proc.stdout.strip() == "False", proc.stderr
+
+
 class TestVersion:
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -367,6 +377,27 @@ class TestCompareInASecondProcess:
         case = tmp_path / "runs" / "custom"
         assert sorted(p.name for p in case.iterdir()) == [
             "summary.json", "trajectory.csv"]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the child sees the patched run only when "
+                               "forked")
+    def test_baseline_that_dies_without_a_reply(self, tmp_path, capsys,
+                                                monkeypatch):
+        run_scenario = cli.run_scenario
+
+        def run(scenario):
+            if scenario.sim.controller_mode == "benchmark_apf":
+                os._exit(7)
+            return run_scenario(scenario)
+
+        monkeypatch.setattr(cli, "run_scenario", run)
+        path = write_scenario(tmp_path, doc_without_targets())
+        with pytest.raises(RuntimeError, match="the baseline process exited "
+                                               "with code 7 and sent no "
+                                               "result"):
+            run_compare(path, tmp_path / "runs")
+        capsys.readouterr()
         assert multiprocessing.active_children() == []
 
 
