@@ -117,13 +117,13 @@ class _Baseline:
     def __init__(self, scenario, out_dir: Path):
         import multiprocessing  # only comparisons pay for its import
 
-        self.paths = (out_dir / "trajectory_benchmark.csv",
-                      out_dir / "summary_benchmark.json")
+        self._paths = (out_dir / "trajectory_benchmark.csv",
+                       out_dir / "summary_benchmark.json")
         self._conn, child_conn = multiprocessing.Pipe(duplex=False)
         self._proc = multiprocessing.Process(
-            target=_run_baseline, daemon=True,
+            target=_run_baseline,
             args=(scenario.with_sim(controller_mode="benchmark_apf"),
-                  self.paths, child_conn))
+                  self._paths, child_conn))
         self._proc.start()
         child_conn.close()
 
@@ -140,17 +140,18 @@ class _Baseline:
                                f"{self._proc.exitcode} and sent no result")
         if isinstance(reply, Exception):
             raise reply
-        for path in self.paths:
+        for path in self._paths:
             _partial(path).replace(path)
         return reply
 
     def close(self) -> None:
-        self._conn.close()
-        if self._proc.is_alive():
-            self._proc.terminate()
+        # stopped before the pipe closes, so the child never writes into a
+        # closed pipe; a child that has exited is left alone
+        self._proc.terminate()
         self._proc.join()
         self._proc.close()
-        for path in self.paths:
+        self._conn.close()
+        for path in self._paths:
             _partial(path).unlink(missing_ok=True)
 
 
