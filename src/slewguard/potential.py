@@ -28,7 +28,6 @@ __all__ = [
     "ObstacleCone",
     "bridge",
     "bridge_grad",
-    "bridge_grad_max",
     "goal_separation",
     "repulsion_grad_beta",
     "total_potential",
@@ -90,94 +89,6 @@ def bridge_grad(shape: BridgeShape, beta: float, scale: float = 1.0) -> float:
     e = math.exp(-abs(arg))
     sech = 2.0 * e / (1.0 + e * e)
     return 0.5 * scale * sech * sech * darg
-
-
-def bridge_grad_max(shape: BridgeShape, scale: float, n: int) -> float:
-    """Largest :func:`bridge_grad` over ``n`` evenly spaced knot-to-knot points.
-
-    The points are those of ``np.linspace(lo, hi, n)``: ``i * step + lo``
-    with ``step = (hi - lo) / (n - 1)``, and ``hi`` itself last.  The result
-    is the scalar maximum over all of them, bit for bit, and ``inf`` when
-    the slope overflows double precision at any of them.
-
-    A centered bridge (``mid`` the midpoint of the knots, as every cone's
-    is) needs a few of the points only.  With ``u`` the position between
-    the knots scaled to (-1, 1) and ``s = u / sqrt(1 - u^2)``, the slope is
-    proportional to ``sech^2(k s) (1 + s^2)^(3/2)``: one peak at ``s = 0``
-    when ``2 k^2 >= 3``, otherwise two mirror peaks where
-    ``3 s / (1 + s^2) = 2 k tanh(k s)``, found by bisection.  From the grid
-    point nearest each peak the search walks both ways until the slope has
-    fallen by a relative ``_PEAK_FALL``, far above the rounding of
-    :func:`bridge_grad`; beyond that point the slope only falls.  The three
-    points nearest each knot are evaluated too: the derivative of the tanh
-    argument is largest there, so that is where it overflows first.  Any
-    other bridge is scanned point by point.
-    """
-    lo, hi = shape.lo, shape.hi
-    if n < 3:
-        return 0.0
-    step = (hi - lo) / (n - 1)
-
-    def inside(i):  # bridge_grad does not zero the point
-        beta = i * step + lo
-        return not (beta < lo + _KNOT_GUARD or beta > hi - _KNOT_GUARD)
-
-    first = next((i for i in range(1, n - 1) if inside(i)), None)
-    if first is None:
-        return 0.0
-    last = next(i for i in range(n - 2, 0, -1) if inside(i))
-    if shape.mid != 0.5 * (lo + hi):
-        points, peaks = range(first, last + 1), ()
-    else:
-        u = _centered_peak(shape.steepness)
-        peaks = {max(first, min(last, round(c * (n - 1))))
-                 for c in (0.5 * (1.0 - u), 0.5 * (1.0 + u))}
-        points = {first, first + 1, first + 2, last - 2, last - 1, last}
-        points = [i for i in points if first <= i <= last]
-    values = [bridge_grad(shape, i * step + lo, scale) for i in points]
-    for start in peaks:
-        top = bridge_grad(shape, start * step + lo, scale)
-        values.append(top)
-        for direction in (-1, 1):
-            i, peak = start + direction, top
-            while first <= i <= last:
-                g = bridge_grad(shape, i * step + lo, scale)
-                values.append(g)
-                if g > peak:
-                    peak = g
-                elif not g > peak * (1.0 - _PEAK_FALL):
-                    break  # fallen off the peak (or not finite)
-                i += direction
-    if not all(map(math.isfinite, values)):
-        return math.inf
-    return max(values)
-
-
-# relative fall of the slope that ends a walk away from its peak; rounding
-# moves bridge_grad by a few ulps, some 1e-15 relative
-_PEAK_FALL = 1e-12
-
-
-def _centered_peak(k: float) -> float:
-    """Position ``u`` in [0, 1] of the slope peak of a centered bridge of
-    steepness ``k`` (its mirror is at ``-u``)."""
-    if 2.0 * k * k >= 3.0:
-        return 0.0
-
-    def rising(s):  # d/ds log(sech^2(k s) (1 + s^2)^(3/2)) > 0
-        return 3.0 * s / (1.0 + s * s) > 2.0 * k * math.tanh(k * s)
-
-    a, b = 0.0, 1.0
-    while rising(b):
-        a, b = b, 2.0 * b
-    for _ in range(64):
-        m = 0.5 * (a + b)
-        if rising(m):
-            a = m
-        else:
-            b = m
-    s = 0.5 * (a + b)
-    return 1.0 / math.sqrt(1.0 + 1.0 / (s * s))
 
 
 @dataclass(frozen=True)

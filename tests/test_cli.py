@@ -20,6 +20,7 @@ from slewguard import cli
 from slewguard.cli import main
 from slewguard.engine import SimulationAbort
 from slewguard.scenario import list_presets
+from loop_fixtures import SUM_ORDER_PAIRS
 from test_scenario import valid_doc
 
 SRC = Path(slewguard.__file__).resolve().parents[1]
@@ -426,17 +427,40 @@ OTHER_VERSIONS = [v for v in ("3.10", "3.11", "3.12", "3.13")
                   if v != THIS_VERSION]
 
 
+def oblique_doc():
+    """An oblique boresight that starts in the cone's field band, with a goal
+    and cone axis on which a compensated ``sum()`` of the goal separation's
+    products (Python 3.12 on) differs from adding them left to right.  The
+    loader sets the omitted ``k_r`` from that separation, and the 2 s run
+    depends on it: the compensated sum moves ``k_r`` by 10 ulp and the
+    CSV's digest with it."""
+    target, axis = SUM_ORDER_PAIRS[1]
+    doc = valid_doc()
+    doc.update(name="oblique", boresight_body=[0.64, 0.48, 0.6],
+               target_inertial=list(target))
+    doc["obstacles"][0].update(axis_inertial=list(axis), theta_1_deg=26.0)
+    return doc
+
+
 def compare_run(python, out, entry=("-m", "slewguard.cli")):
-    """Exit code, stderr and the CSV digests of the compare run."""
-    proc = subprocess.run(
-        [python, "-W", "error", *entry, *COMPARE_ARGS, "--out", str(out)],
-        env=dict(os.environ, PYTHONPATH=str(SRC)),
-        capture_output=True, text=True, timeout=300)
-    case = out / "paper-three-1"
-    digests = {name: hashlib.sha256((case / name).read_bytes()).hexdigest()
-               for name in ("trajectory.csv", "trajectory_benchmark.csv")
-               if (case / name).exists()}
-    return proc.returncode, proc.stderr, digests
+    """Exit code, stderr and the CSV digests of the compare run and of a run
+    of :func:`oblique_doc` read from a file, by case name."""
+    scenario = write_scenario(out, oblique_doc())
+    runs = {"paper-three-1": COMPARE_ARGS,
+            "oblique": ("run", "--scenario", str(scenario),
+                        "--duration", "2")}
+    got = {}
+    for name, args in runs.items():
+        proc = subprocess.run(
+            [python, "-W", "error", *entry, *args, "--out", str(out)],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True, text=True, timeout=300)
+        case = out / name
+        got[name] = (proc.returncode, proc.stderr, {
+            csv: hashlib.sha256((case / csv).read_bytes()).hexdigest()
+            for csv in ("trajectory.csv", "trajectory_benchmark.csv")
+            if (case / csv).exists()})
+    return got
 
 
 @pytest.fixture(scope="module")
@@ -461,10 +485,10 @@ def find_python(version):
 
 
 def test_reference_compare_run(reference_compare_run):
-    # two simulated seconds miss the preset's settling target: exit 5
-    code, err, digests = reference_compare_run
-    assert (code, err) == (5, "")
-    assert len(digests) == 2
+    # two simulated seconds miss each case's settling target: exit 5
+    assert {name: (code, err, len(digests))
+            for name, (code, err, digests) in reference_compare_run.items()
+            } == {"paper-three-1": (5, "", 2), "oblique": (5, "", 1)}
 
 
 @pytest.mark.parametrize("version", OTHER_VERSIONS)

@@ -513,12 +513,6 @@ class TestValidateConfig:
                            f"(residual within tolerance "
                            f"{1e-9 * cone.k_r:.3g})"}
 
-    def test_slope_warning_in_sharp_regime(self):
-        cfg, env, switch, cone, target, initial = self.setup()
-        report = self.run_validate(cfg, env, switch, [cone], target, initial)
-        # reference tuning is in the sharp-bridge regime by design
-        assert any(i.rule == "repulsion-slope[0]" for i in report.warnings)
-
     def test_cone_free_scenario_passes_with_a_wide_switch_band(self):
         # without cones the switch band is inert; a delta this wide parks it
         # below beta = -1, where the attraction floor cannot be evaluated

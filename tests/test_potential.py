@@ -1,26 +1,19 @@
 """Bridge, attraction, and repulsion tests with analytic and FD oracles."""
 
-import importlib.util
 import math
-import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from slewguard.potential import (
     BridgeShape,
     ObstacleCone,
     bridge,
     bridge_grad,
-    bridge_grad_max,
     goal_separation,
     repulsion_grad_beta,
     total_potential,
 )
-from slewguard.scenario import PRESET_NAMES, load_preset, scenario_from_dict
 
 from loop_fixtures import SUM_ORDER_PAIRS, compensated_sum
 
@@ -75,22 +68,6 @@ class TestBridge:
             got = bridge_grad(self.shape, beta, 2.0)
             assert got == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
-    def test_grad_max_equals_scalar_grid_max(self):
-        # gentle and sharp bridges, from nearly flat to saturated; on a few
-        # of these a plain numpy maximum is off in the last bit (np.exp)
-        rng = np.random.default_rng(4)
-        for _ in range(200):
-            lo, mid, hi = np.sort(rng.uniform(-0.9, 0.999, size=3)).tolist()
-            shape = BridgeShape(lo=lo, hi=hi, mid=mid,
-                                steepness=10.0 ** rng.uniform(-2.0, 2.0))
-            scale = 10.0 ** rng.uniform(-2.0, 1.0)
-            grid = np.linspace(lo, hi, 2001).tolist()
-            want = max(bridge_grad(shape, b, scale) for b in grid)
-            assert bridge_grad_max(shape, scale, 2001) == want
-
-    def test_grad_max_of_a_grid_without_interior_points(self):
-        assert bridge_grad_max(self.shape, 1.0, 2) == 0.0
-
     def test_validation(self):
         with pytest.raises(ValueError):
             BridgeShape(lo=0.9, hi=0.5, mid=0.7, steepness=1.0)
@@ -103,108 +80,6 @@ class TestBridge:
     def test_non_finite_steepness_rejected(self, k):
         with pytest.raises(ValueError, match="positive and finite"):
             BridgeShape(lo=0.5, hi=0.9, mid=0.7, steepness=k)
-
-    def test_grad_max_of_an_overflowing_slope_is_inf(self):
-        # a finite steepness whose slope overflows doubles, giving inf and
-        # 0 * inf = nan on the grid; the grid maximum used to raise
-        shape = BridgeShape(lo=0.5, hi=0.9, mid=0.7, steepness=1e305)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert bridge_grad_max(shape, 1e-3, 20001) == math.inf
-
-
-GRID = 20001  # the grid validate_config measures the repulsion slope on
-
-
-def scalar_grid_max(shape, scale, n=GRID):
-    """:func:`bridge_grad` at every point of ``np.linspace(lo, hi, n)``:
-    their maximum, or ``inf`` where any of them is not finite."""
-    values = [bridge_grad(shape, b, scale)
-              for b in np.linspace(shape.lo, shape.hi, n).tolist()]
-    return max(values) if all(map(math.isfinite, values)) else math.inf
-
-
-def corridor_cones(seed=47):
-    """The cones of the corridor-sweep draws of ``seed``, from the benchmark
-    inputs loaded by path."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "cases.py"
-    spec = importlib.util.spec_from_file_location("perfbench_cases", path)
-    cases = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(cases)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # axis normalization notes
-        return [cone for doc in cases.corridor_scenario_docs(seed)
-                for cone in scenario_from_dict(doc).obstacles]
-
-
-@st.composite
-def centered_bridges(draw):
-    """A cone-shaped bridge (mid between the knots) and a scale, over the
-    regimes of its slope: two mirror peaks (2 k^2 < 3), the flat single
-    peak at 2 k^2 = 3, one peak, and a slope that overflows near the knots."""
-    theta_1 = draw(st.floats(0.01, 2.5))
-    theta_0 = draw(st.floats(theta_1 + 0.005, 3.1))
-    lo, hi = math.cos(theta_0), math.cos(theta_1)
-    regime = draw(st.sampled_from(("two peaks", "flat", "one peak",
-                                   "overflow")))
-    if regime == "two peaks":
-        k = 10.0 ** draw(st.floats(-3.0, 0.088))
-    elif regime == "flat":
-        k = math.sqrt(1.5) * (1.0 + draw(st.floats(-1e-3, 1e-3)))
-    elif regime == "one peak":
-        k = 10.0 ** draw(st.floats(0.089, 6.0))
-    else:
-        k = 10.0 ** draw(st.floats(300.0, 307.5))
-    shape = BridgeShape(lo=lo, hi=hi, mid=0.5 * (lo + hi), steepness=k)
-    return shape, 10.0 ** draw(st.floats(-3.0, 1.0))
-
-
-class TestGradMaxIsTheScalarGridMax:
-    """bridge_grad_max evaluates a few points of a cone's grid; it must
-    return what evaluating all of them returns, bit for bit."""
-
-    @pytest.mark.parametrize("name", PRESET_NAMES)
-    def test_preset_cones(self, name):
-        for cone in load_preset(name).obstacles:
-            assert (bridge_grad_max(cone.shape, cone.k_r, GRID)
-                    == scalar_grid_max(cone.shape, cone.k_r))
-
-    def test_corridor_cones(self):
-        cones = corridor_cones()
-        assert len(cones) > 64  # every draw has a cone, some two
-        for cone in cones:
-            assert (bridge_grad_max(cone.shape, cone.k_r, GRID)
-                    == scalar_grid_max(cone.shape, cone.k_r))
-
-    @pytest.mark.parametrize("theta_0, theta_1", [(1.5, 0.2), (0.8, 0.3)])
-    def test_flat_peak_on_a_fine_grid(self, theta_0, theta_1):
-        # at 2 k^2 = 3 the single peak is quartic, and on a fine grid the
-        # rounding of bridge_grad picks the largest value among a dozen
-        # points on either side of it
-        lo, hi = math.cos(theta_0), math.cos(theta_1)
-        shape = BridgeShape(lo=lo, hi=hi, mid=0.5 * (lo + hi),
-                            steepness=math.sqrt(1.5))
-        assert (bridge_grad_max(shape, 1.0, 200001)
-                == scalar_grid_max(shape, 1.0, 200001))
-
-    def test_search(self):
-        reached = set()
-
-        @settings(derandomize=True, database=None, deadline=None,
-                  max_examples=60)
-        @given(centered_bridges())
-        def check(case):
-            shape, scale = case
-            got = bridge_grad_max(shape, scale, GRID)
-            assert got == scalar_grid_max(shape, scale)
-            if 2.0 * shape.steepness * shape.steepness < 3.0:
-                reached.add("two peaks")
-            if got == math.inf:
-                reached.add("inf")
-
-        check()
-        # the search met both the mirror peaks and the overflow
-        assert reached == {"two peaks", "inf"}
 
 
 class TestObstacleCone:

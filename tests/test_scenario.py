@@ -384,6 +384,7 @@ class TestPresets:
                                  sc.obstacles, sc.boresight_body,
                                  sc.target_inertial, sc.initial, sc.theta_df)
         assert report.ok, f"{name}: {report.describe()}"
+        assert not report.warnings, f"{name}: {report.describe()}"
 
     def test_preset_specific_geometry(self):
         assert len(load_preset("paper-single-1").obstacles) == 1
