@@ -9,6 +9,7 @@ session fixtures, so the whole suite costs about a dozen 120 s simulations.
 """
 
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -56,6 +57,39 @@ BASELINE_SHA256 = {
         "fac1e6b19dfba3ae1389094572151456cb82e31a9c64c55ba16e67a5859e3d8c",
     "paper-three-1":
         "2243e69f42f346c674618223fe48e871decc63f8120d7bf818a945e6e0fb84ac",
+}
+
+# sha256 of each preset's summary, as ``summary_sha256`` forms it: every
+# field but the wall time, in canonical JSON.  Same platform caveat.
+SUMMARY_SHA256 = {
+    "paper-single-1":
+        "50b4779437caf43e3a6dc05f62dd20ce2f88b67ae8cf8a6fd4e33dbf42270ccf",
+    "paper-single-2":
+        "90f43657fe1e2bf700805ab81ead1d1db10363420ff6331c5ac901366350c82b",
+    "paper-single-3":
+        "2a089e91efd45d828e1e767f1c01f6bc97ebf4e67727abbd901fe65d79673efa",
+    "paper-two-1":
+        "c4629ed70a3ea4cd478e25b40ea75b78287b8830677895c40a701c57b39e9d8a",
+    "paper-two-2":
+        "c7c781d02214f211d729797f5ccdb909c86d88992f25bdefc27e15021c92cc2a",
+    "paper-two-3":
+        "473a5190afd10fb230fe36a8c8ee02b4ce2cfea5f8a65b40b4048fa80e889468",
+    "paper-two-4":
+        "33f980391f0840b5c89e5643e6b83d0c3d28fa181a29c5741bbd561c47430c64",
+    "paper-three-1":
+        "f14c7ab84f412e464daa2a2d901c2ffcf66c6326991ffac4fe6174af4d6fc50c",
+    "paper-compare-1":
+        "29b618aede39dff30f4f77a499aefc3cf4da769cb771ca8f8bac2677c7cd272a",
+}
+
+# sha256 of the baseline summary of each ``BASELINE_SHA256`` preset.
+BASELINE_SUMMARY_SHA256 = {
+    "paper-compare-1":
+        "4f1a9171b5b9adf108b8a3420c32d4e40b9d305ec6648c8310edbbfe0113ed9b",
+    "paper-two-1":
+        "0f682e06bbcd873026ba794b19859039ca049637b0391962a696a8c54eae7e9a",
+    "paper-three-1":
+        "8f13acbc4e38a6d15b18098f6a38eb3c7b84fd5e1a8b3b9d2e3fa52c91670d48",
 }
 
 
@@ -286,5 +320,26 @@ def test_baseline_trajectories_bit_identical(benchmark_runs, tmp_path):
             f"presets match the recorded sha256 (changed: "
             f"{', '.join(changed) or 'none'}; digests assume x86-64 glibc "
             f"libm)")
+    print(line)
+    assert not changed, line
+
+
+def summary_sha256(summary):
+    """sha256 of a summary's canonical JSON without ``wall_clock_s``."""
+    fields = {k: v for k, v in summary.items() if k != "wall_clock_s"}
+    return hashlib.sha256(
+        json.dumps(fields, sort_keys=True).encode()).hexdigest()
+
+
+def test_summaries_pinned(preset_runs, benchmark_runs):
+    changed = [name for name, want in SUMMARY_SHA256.items()
+               if summary_sha256(preset_runs[name].summary) != want]
+    changed += [f"{name} (baseline)"
+                for name, want in BASELINE_SUMMARY_SHA256.items()
+                if summary_sha256(benchmark_runs[name].summary) != want]
+    line = (f"golden summaries: {'PASS' if not changed else 'FAIL'} - "
+            f"summary fields of {len(SUMMARY_SHA256)} presets and "
+            f"{len(BASELINE_SUMMARY_SHA256)} baselines match the recorded "
+            f"sha256 (changed: {', '.join(changed) or 'none'})")
     print(line)
     assert not changed, line
