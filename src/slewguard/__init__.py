@@ -44,7 +44,6 @@ from .engine import (
     SimulationResult,
     Trajectory,
     disturbance_torque,
-    lyapunov_monitor,
     run_scenario,
     write_summary_json,
     write_trajectory_csv,

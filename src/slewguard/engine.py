@@ -23,10 +23,9 @@ kinematics, the stage states and the RK4 combine are written out in ``rhs``
 and ``step``, component by component, while the control laws and the frame
 resolution stay functions of their own.  Each logged step appends its CSV
 row, a flat tuple of floats, to a C double buffer (``array("d")``), which
-the run's :class:`Trajectory` then wraps as it is.  The summary and the CSV
-writer read that buffer in scalar code too, so every written value is
-Python float arithmetic in a fixed order, and the package needs no array
-library.
+the run's :class:`Trajectory` then wraps as it is.  The CSV writer reads that
+buffer in scalar code too, so every written value is Python float
+arithmetic in a fixed order, and the package needs no array library.
 
 Each stage forms every term that more than one law needs exactly once and
 hands it to both: the body-frame target with ``x_e`` and the body-frame
@@ -45,21 +44,20 @@ starts at, so a run of ``n`` steps evaluates the disturbance ``2 n + 1``
 times.
 
 ``step`` returns, with the new state, the quantities its first stage
-evaluated at the start of the step.  Logging and the safety statistics
-reuse them, so the controller is not evaluated again for a record, and the
-statistics see every step whatever ``record_stride`` is.
+evaluated at the start of the step.  Logging and the run's statistics
+(:class:`_RunStats`) reuse them, so the controller is not evaluated again
+for a record.  The statistics see every step and the final sample, and the
+summary is built from them alone, so no summary field depends on
+``record_stride``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import operator
 import time
 from array import array
 from dataclasses import asdict, dataclass
-from functools import partial
-from itertools import compress, repeat, takewhile
 from typing import TYPE_CHECKING
 
 from .controller import (
@@ -83,7 +81,6 @@ __all__ = [
     "ValidationFailure",
     "disturbance_torque",
     "run_scenario",
-    "lyapunov_monitor",
     "write_trajectory_csv",
     "write_summary_json",
 ]
@@ -202,6 +199,16 @@ def disturbance_torque(t: float) -> tuple[float, float, float]:
 
 _ZERO3 = (0.0, 0.0, 0.0)
 _tanh = math.tanh
+
+
+def _pointing_angle_deg(x_e: float) -> float:
+    """Boresight-to-target angle [deg] of the pointing error ``x_e``."""
+    return math.degrees(math.acos(max(-1.0, min(1.0, 1.0 - x_e))))
+
+
+def _quat_norm_error(y: list) -> float:
+    """``| |q| - 1 |`` of the attitude quaternion of state ``y``."""
+    return abs(math.sqrt(y[0] ** 2 + y[1] ** 2 + y[2] ** 2 + y[3] ** 2) - 1.0)
 
 
 def _axpy(y: list, h: float, k: list) -> list:
@@ -426,25 +433,29 @@ class _LoopContext:
 
     # -- logging ------------------------------------------------------------
 
+    def energies(self, stage: tuple) -> tuple[float, float]:
+        """The tracking energies ``(v_q, v_omega)`` at a stage: the funnel
+        barrier plus the potential, and the kinetic energy of the rate
+        error."""
+        _, x_e, betas, eps, _, _, _, (ex, ey, ez), _ = stage
+        v_q = blf_value(eps, self.ctrl.g, self.ctrl.big_f) + total_potential(
+            x_e, self.ctrl.k_a, zip(self.cones, betas))
+        (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = self.j_rows
+        return v_q, 0.5 * (ex * (j00 * ex + j01 * ey + j02 * ez)
+                           + ey * (j10 * ex + j11 * ey + j12 * ez)
+                           + ez * (j20 * ex + j21 * ey + j22 * ez))
+
     def record(self, t: float, y: list, stage: tuple) -> tuple:
         """Logged row of state ``y`` at ``t`` from its stage quantities: the
         :class:`Trajectory` columns, in order."""
-        _, x_e, betas, eps, s_eff, v_eff, v_cmd, e2, u = stage
-        v_q = blf_value(eps, self.ctrl.g, self.ctrl.big_f) + total_potential(
-            x_e, self.ctrl.k_a, zip(self.cones, betas))
-        ex, ey, ez = e2
-        (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = self.j_rows
-        v_omega = 0.5 * (ex * (j00 * ex + j01 * ey + j02 * ez)
-                         + ey * (j10 * ex + j11 * ey + j12 * ez)
-                         + ez * (j20 * ex + j21 * ey + j22 * ez))
+        _, x_e, betas, eps, s_eff, v_eff, v_cmd, _, u = stage
+        v_q, v_omega = self.energies(stage)
         vx, vy, vz = v_cmd
         dx, dy, dz = y[8] - vx, y[9] - vy, y[10] - vz
-        cos_angle = max(-1.0, min(1.0, 1.0 - x_e))
-        qn = math.sqrt(y[0] ** 2 + y[1] ** 2 + y[2] ** 2 + y[3] ** 2)
-        return (t, x_e, math.degrees(math.acos(cos_angle)), *betas,
+        return (t, x_e, _pointing_angle_deg(x_e), *betas,
                 y[7], eps, s_eff, v_eff, y[4], y[5], y[6], *u,
                 v_q, v_omega, math.sqrt(dx * dx + dy * dy + dz * dz),
-                abs(qn - 1.0))
+                _quat_norm_error(y))
 
     def initial_state(self) -> list:
         init = self.scenario.initial
@@ -477,23 +488,72 @@ def _check_state(t: float, y: list, last: list) -> None:
                 tuple(last))
 
 
-class _SafetyStats:
-    """Keep-out, funnel and torque statistics over every step of a run.
+# The Lyapunov pairs: a pair of consecutive samples counts unless its first
+# sample is inside the ball or early, or either sample is switching.
+_BALL_DEG = 1.0
+_SKIP_S = 1.0
+_SWITCHING = 1e-9
 
-    Fed the first-stage quantities of each step, so the summary fields built
-    from them do not depend on ``record_stride``.
+# positions in a logged row (see _columns) of the values the statistics read
+_ANGLE, _V_Q, _V_OMEGA, _QUAT_ERR = 2, -4, -3, -1
+
+
+class _RunStats:
+    """Every statistic the summary reports, accumulated over a run.
+
+    Fed each step's first-stage quantities and the final sample, so no
+    summary field depends on ``record_stride``.  On a logged sample the
+    pointing angle, ``v_q + v_omega`` and the quaternion-norm error come
+    from the row :meth:`_LoopContext.record` formed; on any other sample the
+    angle and the norm error are formed here, and the energies only where a
+    Lyapunov pair needs them.  Each statistic compares as a ``max()`` over
+    the samples would: the first sample is kept, and a later one replaces
+    it only when greater, so NaN neither wins nor is dropped.
+
+    - ``settled[i]``: the time of the first sample after the last one whose
+      angle is not below ``levels[i]`` (NaN is not below), or ``None`` when
+      the last sample is not below it.
+    - ``n_pairs``, ``n_rising``: the pairs of consecutive samples counted
+      and those with a positive rate of ``V_q + V_omega``.  A pair counts
+      unless its first sample lies inside the 1 deg ball or before 1 s, or
+      either sample has ``omega_s_eff > 1e-9``: the differentiator's initial
+      transient, the settled noise floor and the freeze and avoidance modes,
+      which trade potential for clearance by design, are left out.
     """
 
-    def __init__(self, n_cones: int, torque_limit: float):
-        self.max_betas = [-math.inf] * n_cones  # deepest approach per cone
-        self.max_eps = None                     # max |eps| while tracking
+    def __init__(self, ctx: _LoopContext):
+        self._energies = ctx.energies
+        self.max_betas = [-math.inf] * len(ctx.cones)  # deepest approach
+        self.max_eps = None                           # max |eps| tracking
         self.n_samples = 0
         self.n_saturated = 0
         self.max_torque = 0.0
-        self._sat_limit = torque_limit - 1e-12
+        self._sat_limit = ctx.params.torque_limit - 1e-12
+        targets = ctx.scenario.targets
+        self.terminal_start = 80.0
+        self.levels = [1.0]
+        if targets is not None:
+            if targets.terminal_time_s is not None:
+                self.terminal_start = targets.terminal_time_s
+            if (targets.settle_deg is not None
+                    and targets.settle_time_s is not None
+                    and targets.settle_deg != 1.0):
+                self.levels.append(targets.settle_deg)
+        self.settled = [None] * len(self.levels)
+        self.initial_angle = None
+        self.final_angle = None
+        self.terminal_err = None      # max angle in the terminal window
+        self.max_quat_norm_error = None
+        self.n_pairs = 0
+        self.n_rising = 0
+        # V_q + V_omega and time of the last sample, when it starts a pair
+        self._v_start = None
+        self._t_start = 0.0
 
-    def add(self, stage: tuple) -> None:
-        _, _, betas, eps, s_eff, _, _, _, (ux, uy, uz) = stage
+    def add(self, t: float, y: list, stage: tuple, row=None) -> None:
+        """Count the sample of state ``y`` at ``t`` with its stage
+        quantities and, when it was logged, its row."""
+        _, x_e, betas, eps, s_eff, _, _, _, (ux, uy, uz) = stage
         for i, beta in enumerate(betas):
             if beta > self.max_betas[i]:
                 self.max_betas[i] = beta
@@ -508,10 +568,53 @@ class _SafetyStats:
         if m > self.max_torque:
             self.max_torque = m
 
+        if row is None:
+            angle = _pointing_angle_deg(x_e)
+            q_err = _quat_norm_error(y)
+        else:
+            angle = row[_ANGLE]
+            q_err = row[_QUAT_ERR]
+        if self.initial_angle is None:
+            self.initial_angle = angle
+        self.final_angle = angle
+        if self.max_quat_norm_error is None or q_err > self.max_quat_norm_error:
+            self.max_quat_norm_error = q_err
+        for i, level in enumerate(self.levels):
+            if not level > angle:
+                self.settled[i] = None
+            elif self.settled[i] is None:
+                self.settled[i] = t
+        if t >= self.terminal_start and (self.terminal_err is None
+                                         or angle > self.terminal_err):
+            self.terminal_err = angle
+
+        if s_eff > _SWITCHING:
+            self._v_start = None
+            return
+        starts = not (angle < _BALL_DEG or t < _SKIP_S)
+        if starts or self._v_start is not None:
+            if row is None:
+                v_q, v_omega = self._energies(stage)
+                v = v_q + v_omega
+            else:
+                v = row[_V_Q] + row[_V_OMEGA]
+            if self._v_start is not None:
+                self.n_pairs += 1
+                if (v - self._v_start) / (t - self._t_start) > 0.0:
+                    self.n_rising += 1
+            self._v_start = v if starts else None
+            self._t_start = t
+
     def min_clearance_deg(self) -> list[float]:
         # acos decreases, so the deepest approach is the smallest clearance
         return [math.degrees(math.acos(max(-1.0, min(1.0, beta))))
                 for beta in self.max_betas]
+
+    def settled_at(self, level: float) -> float | None:
+        return self.settled[self.levels.index(level)]
+
+    def lyapunov_positive_fraction(self) -> float:
+        return self.n_rising / self.n_pairs if self.n_pairs else 0.0
 
 
 def run_scenario(scenario: "Scenario", force: bool = False) -> SimulationResult:
@@ -534,15 +637,17 @@ def run_scenario(scenario: "Scenario", force: bool = False) -> SimulationResult:
     dt = sim.dt
     stride = sim.record_stride
     n_steps = int(round(sim.duration / dt))
-    safety = _SafetyStats(len(ctx.cones), scenario.params.torque_limit)
+    stats = _RunStats(ctx)
     y = ctx.initial_state()
     log = array("d")
     t0 = time.perf_counter()
     for k in range(n_steps):
         y_next, stage = ctx.step(k, y, dt)
-        safety.add(stage)
+        row = None
         if k % stride == 0:
-            log.extend(ctx.record(k * dt, y, stage))
+            row = ctx.record(k * dt, y, stage)
+            log.extend(row)
+        stats.add(k * dt, y, stage, row)
         _check_state((k + 1) * dt, y_next, y)
         y = y_next
     # the final sample is the one stage evaluated outside a step
@@ -552,53 +657,34 @@ def run_scenario(scenario: "Scenario", force: bool = False) -> SimulationResult:
     except SimulationAbort as exc:
         exc.state, exc.stage = tuple(y), 1
         raise
-    safety.add(stage)
-    log.extend(ctx.record(t, y, stage))
+    row = ctx.record(t, y, stage)
+    log.extend(row)
+    stats.add(t, y, stage, row)
     records = Trajectory(log, _columns(len(ctx.cones)))
     wall = time.perf_counter() - t0
 
-    summary = summarize(scenario, sim, records, safety, report, wall)
+    summary = summarize(scenario, sim, stats, report, wall)
     return SimulationResult(records=records, summary=summary)
 
 
-def settling_time(records: Trajectory, level_deg: float) -> float | None:
-    """Earliest time after which the pointing angle stays below the level."""
-    angle = records["pointing_angle_deg"]
-    # the samples below the level, counted back from the last (NaN is not)
-    below = takewhile(partial(operator.gt, level_deg), reversed(angle))
-    first = len(angle) - len(list(below))
-    return records["t"][first] if first < len(angle) else None
-
-
-def summarize(scenario: "Scenario", sim: SimConfig,
-              records: Trajectory, safety: _SafetyStats,
+def summarize(scenario: "Scenario", sim: SimConfig, stats: _RunStats,
               report, wall: float) -> dict:
     cones = scenario.obstacles
-    min_clearance = safety.min_clearance_deg()
+    min_clearance = stats.min_clearance_deg()
     constraint_ok = all(
         min_clearance[i] >= math.degrees(cones[i].theta_f)
         for i in range(len(cones)))
+    terminal_err = stats.terminal_err
+    max_eps = stats.max_eps
 
-    terminal_start = 80.0
     targets = scenario.targets
-    if targets is not None and targets.terminal_time_s is not None:
-        terminal_start = targets.terminal_time_s
-    angle = records["pointing_angle_deg"]
-    terminal_err = max(compress(angle, map(operator.ge, records["t"],
-                                           repeat(terminal_start))),
-                       default=None)
-    max_eps = safety.max_eps
-    lyap = lyapunov_monitor(records)
-    settle_1deg = settling_time(records, 1.0)
-
     targets_met = None
     targets_dict = None
     if targets is not None:
         targets_dict = asdict(targets)
         targets_met = True
         if targets.settle_deg is not None and targets.settle_time_s is not None:
-            st = (settle_1deg if targets.settle_deg == 1.0
-                  else settling_time(records, targets.settle_deg))
+            st = stats.settled_at(targets.settle_deg)
             targets_met = targets_met and (st is not None
                                            and st <= targets.settle_time_s)
         if targets.terminal_deg is not None:
@@ -615,56 +701,23 @@ def summarize(scenario: "Scenario", sim: SimConfig,
         "theta_f_deg": [math.degrees(c.theta_f) for c in cones],
         "min_clearance_deg": min_clearance,
         "constraint_satisfied": constraint_ok,
-        "initial_error_deg": angle[0],
-        "final_error_deg": angle[-1],
-        "settling_time_1deg_s": settle_1deg,
-        "terminal_window_start_s": terminal_start,
+        "initial_error_deg": stats.initial_angle,
+        "final_error_deg": stats.final_angle,
+        "settling_time_1deg_s": stats.settled_at(1.0),
+        "terminal_window_start_s": stats.terminal_start,
         "terminal_error_deg": terminal_err,
         "max_eps_while_tracking": max_eps,
         "envelope_contained": max_eps is None or max_eps < 1.0,
-        "torque_saturation_fraction": safety.n_saturated / safety.n_samples,
-        "max_torque_abs": safety.max_torque,
-        "max_quat_norm_error": max(records["quat_norm_error"]),
-        "lyapunov_positive_fraction": lyap.fraction_positive,
+        "torque_saturation_fraction": stats.n_saturated / stats.n_samples,
+        "max_torque_abs": stats.max_torque,
+        "max_quat_norm_error": stats.max_quat_norm_error,
+        "lyapunov_positive_fraction": stats.lyapunov_positive_fraction(),
         "targets": targets_dict,
         "targets_met": targets_met,
         "validation_warnings": [f"{i.rule}: {i.detail}" for i in report.warnings],
         "validation_failures": [f"{i.rule}: {i.detail}" for i in report.failures],
         "wall_clock_s": wall,
     }
-
-
-@dataclass(frozen=True)
-class LyapunovDiagnostics:
-    fraction_positive: float
-    n_considered: int
-    max_rate: float
-
-
-def lyapunov_monitor(records: Trajectory,
-                     skip_s: float = 1.0,
-                     ball_deg: float = 1.0) -> LyapunovDiagnostics:
-    """Finite-difference check that the tracking energy keeps descending.
-
-    Considers consecutive record pairs after the initial differentiator
-    transient and outside the terminal ball, and reports the fraction with a
-    positive rate of ``V_q + V_omega``.  Switching intervals are excluded:
-    the freeze and avoidance modes trade potential for clearance by design.
-    """
-    t, s = records["t"], records["omega_s_eff"]
-    v_q, v_omega = records["v_q"], records["v_omega"]
-    # a pair is kept unless its start is inside the ball, early or
-    # switching, or its end is switching; NaN excludes nothing.  The ball
-    # test drops most pairs of a settled run, so it comes first.
-    rate = [((v_q[i + 1] + v_omega[i + 1]) - (v_q[i] + v_omega[i]))
-            / (t[i + 1] - t[i])
-            for i, a in enumerate(records["pointing_angle_deg"][:-1])
-            if not (a < ball_deg or t[i] < skip_s or s[i] > 1e-9
-                    or s[i + 1] > 1e-9)]
-    if not rate:
-        return LyapunovDiagnostics(0.0, 0, -math.inf)
-    n_pos = len([r for r in rate if r > 0.0])
-    return LyapunovDiagnostics(n_pos / len(rate), len(rate), max(rate))
 
 
 # rows formatted by one ``%`` operation in the CSV writer

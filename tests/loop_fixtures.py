@@ -6,8 +6,10 @@ oracle tests read it back through :func:`kernel` and :func:`slice_flow`.
 Quaternion oracles here are numpy 4-vectors, scalar last.
 """
 
+import importlib.util
 import math
 from collections import namedtuple
+from pathlib import Path
 
 import numpy as np
 
@@ -17,6 +19,8 @@ from slewguard.engine import SimConfig, _LoopContext
 from slewguard.envelope import EnvelopeConfig, SwitchConfig
 from slewguard.potential import ObstacleCone, goal_separation
 from slewguard.scenario import Scenario
+
+CASES = Path(__file__).resolve().parent.parent / "perfbench" / "cases.py"
 
 # symmetric, positive definite, with every product of inertia nonzero
 FULL_INERTIA = np.array([[5.08, 0.12, -0.05],
@@ -211,3 +215,12 @@ def rk4(f, y, t, dt):
     k3 = f(t + 0.5 * dt, y + 0.5 * dt * k2)
     k4 = f(t + dt, y + dt * k3)
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def load_cases():
+    """The benchmark's seeded inputs, ``perfbench/cases.py``, loaded by
+    path."""
+    spec = importlib.util.spec_from_file_location("perfbench_cases", CASES)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

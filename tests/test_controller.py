@@ -455,6 +455,7 @@ class TestValidateConfig:
         assert "attraction-floor" in rules
         assert "funnel-start" in rules
         assert "edge-equilibrium[0]" in rules
+        assert "start-outside-cone[0]" in rules
 
     def test_gain_ordering_failure(self):
         cfg, env, switch, cone, target, initial = self.setup()
@@ -483,6 +484,27 @@ class TestValidateConfig:
         report = self.run_validate(cfg, env, switch, [close], target, initial)
         assert any(i.rule == "goal-separation[0]" for i in report.failures)
         assert any(i.rule == "goal-clear-of-field[0]" for i in report.failures)
+
+    @pytest.mark.parametrize("start_deg", [5.0, 15.0, 19.0, 21.0])
+    def test_start_outside_cone(self, start_deg):
+        # a 20 deg cone whose axis lies start_deg from the initial
+        # boresight, on the side away from the goal
+        cfg, env, switch, _, target, initial = self.setup()
+        a = math.radians(start_deg)
+        axis = [-math.sin(a) * target[0], -math.sin(a) * target[1],
+                math.cos(a)]
+        sep = math.acos(float(np.dot(target, axis)))
+        cone = make_cone(axis, k_r=cfg.k_a * (1.0 - math.cos(
+            sep - math.radians(27.0))))
+        report = self.run_validate(cfg, env, switch, [cone], target, initial)
+        outside = start_deg > 20.0
+        assert report.ok == outside, report.describe()
+        [line] = [i for i in report.issues
+                  if i.rule == "start-outside-cone[0]"]
+        assert line.status == ("pass" if outside else "fail")
+        assert line.detail == (
+            f"boresight-to-axis angle {start_deg:.3f} deg vs theta_f "
+            f"20.000 deg (margin {start_deg - 20.0:+.3f} deg)")
 
     def test_edge_equilibrium_warning(self):
         cfg, env, switch, cone, target, initial = self.setup()

@@ -1,10 +1,10 @@
 """Closed-loop engine tests: RHS composition, determinism, logging, aborts."""
 
+import dataclasses
 import json
 import math
 import pickle
 import re
-from array import array
 
 import numpy as np
 import pytest
@@ -15,25 +15,24 @@ from slewguard.controller import benchmark_apf_law, torque_law, virtual_law
 from slewguard.engine import (
     SimConfig,
     SimulationAbort,
-    Trajectory,
     ValidationFailure,
     _LoopContext,
     _check_state,
     _columns,
     disturbance_torque,
-    lyapunov_monitor,
     run_scenario,
     write_summary_json,
     write_trajectory_csv,
 )
 from slewguard.envelope import ERROR_RATIO_FLOOR, blf_value
 from slewguard.potential import bridge, repulsion_grad_beta, total_potential
-from slewguard.scenario import load_preset
+from slewguard.scenario import Targets, load_preset, scenario_from_dict
 
 from loop_fixtures import (
     Stage,
     hamilton,
     kernel,
+    load_cases,
     make_scenario,
     oracle_scenarios,
     quat_conj,
@@ -326,14 +325,26 @@ class TestRunScenario:
         s2.pop("wall_clock_s")
         assert s1 == s2
 
-    def test_safety_statistics_independent_of_record_stride(self):
-        sc = load_preset("paper-two-1").with_sim(duration=30.0)
-        every = run_scenario(sc).summary
-        sparse = run_scenario(sc.with_sim(record_stride=50)).summary
-        for key in ("min_clearance_deg", "constraint_satisfied",
-                    "max_eps_while_tracking", "envelope_contained",
-                    "torque_saturation_fraction", "max_torque_abs"):
-            assert sparse[key] == every[key], key
+    @pytest.mark.parametrize("name", ["paper-two-1", "corridor-1-001-beside"])
+    def test_summary_independent_of_record_stride(self, name):
+        # paper-two-1 settles, enters avoidance and has its terminal window
+        # inside 40 s; the corridor draw spends much of its run beside a
+        # cone, where the Lyapunov pairs start and stop
+        if name == "paper-two-1":
+            sc = load_preset(name).with_sim(duration=40.0)
+            sc = dataclasses.replace(sc, targets=dataclasses.replace(
+                sc.targets, terminal_time_s=30.0))
+        else:
+            doc = load_cases().corridor_scenario_docs(1)[1]
+            assert doc["name"] == name
+            sc = scenario_from_dict(doc)
+        summaries = []
+        for stride in (1, 7, 20):
+            s = run_scenario(sc.with_sim(record_stride=stride)).summary
+            s.pop("wall_clock_s")
+            summaries.append(s)
+        assert summaries[1] == summaries[0]
+        assert summaries[2] == summaries[0]
 
     def test_validation_failure_raises_unless_forced(self):
         sc = make_scenario(k1=0.05)  # violates gain ordering
@@ -466,14 +477,22 @@ ONE_CONE_COLUMNS = ("t", "x_e", "pointing_angle_deg", "beta_1", "rho", "eps",
                     "v_q", "v_omega", "td_error", "quat_norm_error")
 
 
-def synthetic_records(values, omega_s=0.0):
-    fixed = {"x_e": 0.5, "pointing_angle_deg": 60.0, "beta_1": 0.1,
-             "rho": 1.0, "eps": 0.5, "omega_s_eff": omega_s}
-    data = array("d")
-    for i, v_q in enumerate(values):
-        row = dict(fixed, t=float(i), v_q=v_q)
-        data.extend(row.get(name, 0.0) for name in ONE_CONE_COLUMNS)
-    return Trajectory(data, ONE_CONE_COLUMNS)
+def synthetic_stats(energies, angles=None, omega_s=0.0, targets=None):
+    """The run statistics of ``make_scenario()`` fed logged samples one
+    second apart: ``v_q`` steps through ``energies`` and the pointing angle
+    through ``angles`` (60 deg by default)."""
+    sc = dataclasses.replace(make_scenario(), targets=targets)
+    stats = engine_module._RunStats(_LoopContext(sc, SimConfig()))
+    if angles is None:
+        angles = [60.0] * len(energies)
+    for i, (v_q, angle) in enumerate(zip(energies, angles)):
+        fixed = {"t": float(i), "pointing_angle_deg": angle, "beta_1": 0.1,
+                 "eps": 0.5, "omega_s_eff": omega_s, "v_q": v_q}
+        row = tuple(fixed.get(name, 0.0) for name in ONE_CONE_COLUMNS)
+        stage = Stage((0.0, 0.0, 1.0), 0.5, [0.1], 0.5, omega_s, 0.0,
+                      (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+        stats.add(float(i), [0.0, 0.0, 0.0, 1.0], stage, row)
+    return stats
 
 
 def within_ulps(got, want, n=2):
@@ -525,31 +544,62 @@ class TestRecord:
 
 
 class TestLyapunovMonitor:
+    """The run statistics' count of Lyapunov pairs."""
+
     def test_descending_energy_flags_nothing(self):
-        recs = synthetic_records([5.0, 4.0, 3.0, 2.5, 2.4])
-        diag = lyapunov_monitor(recs, skip_s=0.5)
-        assert diag.fraction_positive == 0.0
-        assert diag.n_considered == 3
-        assert diag.max_rate == pytest.approx(-0.1)
+        stats = synthetic_stats([5.0, 4.0, 3.0, 2.5, 2.4])
+        # the pair starting at t = 0 is inside the first second
+        assert (stats.n_pairs, stats.n_rising) == (3, 0)
+        assert stats.lyapunov_positive_fraction() == 0.0
 
     def test_positive_jump_is_counted(self):
-        recs = synthetic_records([5.0, 4.0, 4.7, 3.0, 2.0])
-        diag = lyapunov_monitor(recs, skip_s=0.5)
-        assert diag.fraction_positive == pytest.approx(1.0 / 3.0)
-        assert diag.max_rate == pytest.approx(0.7)
+        stats = synthetic_stats([5.0, 4.0, 4.7, 3.0, 2.0])
+        assert (stats.n_pairs, stats.n_rising) == (3, 1)
+        assert stats.lyapunov_positive_fraction() == pytest.approx(1.0 / 3.0)
 
     def test_switching_windows_excluded(self):
-        recs = synthetic_records([5.0, 4.0, 6.0, 3.0], omega_s=0.2)
-        diag = lyapunov_monitor(recs, skip_s=0.5)
-        assert diag.n_considered == 0
+        stats = synthetic_stats([5.0, 4.0, 6.0, 3.0], omega_s=0.2)
+        assert stats.n_pairs == 0
+        assert stats.lyapunov_positive_fraction() == 0.0
 
-    def test_real_run_descends_outside_switching(self):
+    def test_real_run_descends_outside_switching(self, monkeypatch):
+        made = []
+
+        class Kept(engine_module._RunStats):
+            def __init__(self, ctx):
+                super().__init__(ctx)
+                made.append(self)
+
+        monkeypatch.setattr(engine_module, "_RunStats", Kept)
         sc = load_preset("paper-single-1").with_sim(duration=30.0,
                                                     record_stride=5)
         res = run_scenario(sc)
-        diag = lyapunov_monitor(res.records)
-        assert diag.n_considered > 100
-        assert diag.fraction_positive < 0.2
+        assert made[0].n_pairs > 100
+        assert res.summary["lyapunov_positive_fraction"] < 0.2
+
+
+class TestRunStats:
+    def test_settling_and_terminal_window(self):
+        # the settling time is that of the first sample after the last one
+        # not below the level; NaN is not below, and a max keeps a leading
+        # NaN and skips a later one, as max() over the samples does
+        targets = Targets(settle_deg=0.5, settle_time_s=5.0,
+                          terminal_time_s=3.0)
+        angles = [2.0, 0.4, 0.7, math.nan, 0.4, 0.3, 0.2]
+        stats = synthetic_stats([0.0] * 7, angles, targets=targets)
+        assert stats.settled_at(1.0) == 4.0
+        assert stats.settled_at(0.5) == 4.0
+        assert (stats.initial_angle, stats.final_angle) == (2.0, 0.2)
+        assert math.isnan(stats.terminal_err)
+        stats = synthetic_stats([0.0] * 4, [0.2, 0.3, 0.9, 0.6],
+                                targets=targets)
+        assert stats.settled_at(1.0) == 0.0
+        assert stats.settled_at(0.5) is None
+        assert stats.terminal_err == 0.6
+        stats = synthetic_stats([0.0] * 5, [0.2, 0.3, 0.6, 0.9, math.nan],
+                                targets=targets)
+        assert stats.terminal_err == 0.9
+        assert stats.settled_at(1.0) is None
 
 
 class TestOutputs(object):

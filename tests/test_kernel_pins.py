@@ -17,17 +17,14 @@ hold on x86-64 Linux with glibc.
 """
 
 import hashlib
-import importlib.util
-from pathlib import Path
 
 import pytest
 
 from slewguard.engine import ValidationFailure, run_scenario, write_trajectory_csv
 from slewguard.scenario import scenario_from_dict
 
-from loop_fixtures import oracle_scenarios
+from loop_fixtures import load_cases, oracle_scenarios
 
-CASES = Path(__file__).resolve().parent.parent / "perfbench" / "cases.py"
 SEED = 47
 
 # corridor-sweep draws 0-7 of SEED: the sha256 of an admitted draw's CSV, or
@@ -64,13 +61,6 @@ ORACLE_SHA256 = {
         "f0f179a543fb6dbb9ecb4648f70c6e886ca53043b5982bdb8957e4c83e6648f3",
     ),
 }
-
-
-def load_cases():
-    spec = importlib.util.spec_from_file_location("perfbench_cases", CASES)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def csv_sha256(result, path):
