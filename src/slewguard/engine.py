@@ -488,8 +488,7 @@ def _check_state(t: float, y: list, last: list) -> None:
                 tuple(last))
 
 
-# The Lyapunov pairs: a pair of consecutive samples counts unless its first
-# sample is inside the ball or early, or either sample is switching.
+# limits of the counted Lyapunov pairs (see _RunStats)
 _BALL_DEG = 1.0
 _SKIP_S = 1.0
 _SWITCHING = 1e-9
@@ -506,19 +505,21 @@ class _RunStats:
     pointing angle, ``v_q + v_omega`` and the quaternion-norm error come
     from the row :meth:`_LoopContext.record` formed; on any other sample the
     angle and the norm error are formed here, and the energies only where a
-    Lyapunov pair needs them.  Each statistic compares as a ``max()`` over
-    the samples would: the first sample is kept, and a later one replaces
-    it only when greater, so NaN neither wins nor is dropped.
+    Lyapunov pair needs them.
 
-    - ``settled[i]``: the time of the first sample after the last one whose
-      angle is not below ``levels[i]`` (NaN is not below), or ``None`` when
-      the last sample is not below it.
-    - ``n_pairs``, ``n_rising``: the pairs of consecutive samples counted
-      and those with a positive rate of ``V_q + V_omega``.  A pair counts
-      unless its first sample lies inside the 1 deg ball or before 1 s, or
-      either sample has ``omega_s_eff > 1e-9``: the differentiator's initial
-      transient, the settled noise floor and the freeze and avoidance modes,
-      which trade potential for clearance by design, are left out.
+    - The maxima of the angle in the terminal window, of ``|eps|`` while
+      tracking and of the norm error keep the first sample and give way
+      only to a greater one, as ``max()`` over the samples does: a leading
+      NaN stays, a later one is passed over.
+    - ``settled[i]`` is the time of the first sample after the last one
+      whose angle is not below ``levels[i]`` (NaN is not below), or
+      ``None`` when the last sample is not below it.
+    - ``n_pairs`` and ``n_rising`` count the pairs of consecutive samples
+      and those over which ``v_q + v_omega`` rises.  A pair counts unless
+      its first sample lies inside the 1 deg ball or before 1 s, or either
+      sample has ``omega_s_eff > 1e-9``: the differentiator's initial
+      transient, the settled noise floor and the freeze and avoidance
+      modes, which trade potential for clearance by design, are left out.
     """
 
     def __init__(self, ctx: _LoopContext):
