@@ -201,9 +201,23 @@ _ZERO3 = (0.0, 0.0, 0.0)
 _tanh = math.tanh
 
 
+# the factor math.degrees multiplies by
+_RAD_TO_DEG = 180.0 / math.pi
+
+
 def _pointing_angle_deg(x_e: float) -> float:
-    """Boresight-to-target angle [deg] of the pointing error ``x_e``."""
-    return math.degrees(math.acos(max(-1.0, min(1.0, 1.0 - x_e))))
+    """Boresight-to-target angle [deg] of the pointing error ``x_e``.
+
+    ``math.degrees(math.acos(max(-1.0, min(1.0, 1.0 - x_e))))`` to the bit,
+    NaN clamped to 1 as ``min`` clamps it, written without the three
+    builtin calls, which took three quarters of its time.
+    """
+    c = 1.0 - x_e
+    if not c < 1.0:
+        c = 1.0
+    elif not c > -1.0:
+        c = -1.0
+    return math.acos(c) * _RAD_TO_DEG
 
 
 def _quat_norm_error(y: list) -> float:
