@@ -326,12 +326,10 @@ def validate_config(cfg: ControllerConfig, envelope: EnvelopeConfig,
     add("funnel-start", envelope.rho_0 > x_e0,
         f"rho_0={envelope.rho_0:g} vs x_e(0)={x_e0:.6g} (need strict >)")
 
-    b0, b1, b2 = (float(c) for c in boresight_body)
     for i, cone in enumerate(obstacles):
-        # the keep-out guarantee holds a boresight outside theta_f, so it
-        # must start there; the dot product adds left to right
-        f0, f1, f2 = rotate_to_body(initial.attitude, cone.axis_inertial)
-        start = math.acos(max(-1.0, min(1.0, b0 * f0 + b1 * f1 + b2 * f2)))
+        # the keep-out guarantee keeps the boresight out, not gets it out
+        start = goal_separation(boresight_body, rotate_to_body(
+            initial.attitude, cone.axis_inertial))
         add(f"start-outside-cone[{i}]", start > cone.theta_f,
             f"boresight-to-axis angle {math.degrees(start):.3f} deg vs "
             f"theta_f {math.degrees(cone.theta_f):.3f} deg (margin "

@@ -199,25 +199,14 @@ def disturbance_torque(t: float) -> tuple[float, float, float]:
 
 _ZERO3 = (0.0, 0.0, 0.0)
 _tanh = math.tanh
-
-
-# the factor math.degrees multiplies by
-_RAD_TO_DEG = 180.0 / math.pi
+_RAD_TO_DEG = 180.0 / math.pi  # the factor math.degrees multiplies by
 
 
 def _pointing_angle_deg(x_e: float) -> float:
-    """Boresight-to-target angle [deg] of the pointing error ``x_e``.
-
-    ``math.degrees(math.acos(max(-1.0, min(1.0, 1.0 - x_e))))`` to the bit,
-    NaN clamped to 1 as ``min`` clamps it, written without the three
-    builtin calls, which took three quarters of its time.
-    """
+    """``math.degrees(math.acos(max(-1.0, min(1.0, 1.0 - x_e))))`` to the
+    bit (NaN clamps to 1), in a quarter of the time: no builtin calls."""
     c = 1.0 - x_e
-    if not c < 1.0:
-        c = 1.0
-    elif not c > -1.0:
-        c = -1.0
-    return math.acos(c) * _RAD_TO_DEG
+    return math.acos(-1.0 if c <= -1.0 else c if c < 1.0 else 1.0) * _RAD_TO_DEG
 
 
 def _quat_norm_error(y: list) -> float:
@@ -448,9 +437,8 @@ class _LoopContext:
     # -- logging ------------------------------------------------------------
 
     def energies(self, stage: tuple) -> tuple[float, float]:
-        """The tracking energies ``(v_q, v_omega)`` at a stage: the funnel
-        barrier plus the potential, and the kinetic energy of the rate
-        error."""
+        """``(v_q, v_omega)`` at a stage: barrier plus potential, and the
+        kinetic energy of the rate error."""
         _, x_e, betas, eps, _, _, _, (ex, ey, ez), _ = stage
         v_q = blf_value(eps, self.ctrl.g, self.ctrl.big_f) + total_potential(
             x_e, self.ctrl.k_a, zip(self.cones, betas))
@@ -502,41 +490,21 @@ def _check_state(t: float, y: list, last: list) -> None:
                 tuple(last))
 
 
-# limits of the counted Lyapunov pairs (see _RunStats)
-_BALL_DEG = 1.0
-_SKIP_S = 1.0
-_SWITCHING = 1e-9
-
-# positions in a logged row (see _columns) of the values the statistics read
-_ANGLE, _V_Q, _V_OMEGA, _QUAT_ERR = 2, -4, -3, -1
-
-
 class _RunStats:
-    """Every statistic the summary reports, accumulated over a run.
+    """Every statistic of the summary, over each step and the final sample.
 
-    Fed each step's first-stage quantities and the final sample, so no
-    summary field depends on ``record_stride``.  On a logged sample the
-    pointing angle, ``v_q + v_omega`` and the quaternion-norm error come
-    from the row :meth:`_LoopContext.record` formed; on any other sample the
-    angle and the norm error are formed here, and the energies only where a
-    Lyapunov pair needs them.
-
-    - The maxima of the angle in the terminal window, of ``|eps|`` while
-      tracking and of the norm error keep the first sample and give way
-      only to a greater one, as ``max()`` over the samples does: a leading
-      NaN stays, a later one is passed over.
-    - ``settled[i]`` is the time of the first sample after the last one
-      whose angle is not below ``levels[i]`` (NaN is not below), or
-      ``None`` when the last sample is not below it.
-    - ``n_pairs`` and ``n_rising`` count the pairs of consecutive samples
-      and those over which ``v_q + v_omega`` rises.  A pair counts unless
-      its first sample lies inside the 1 deg ball or before 1 s, or either
-      sample has ``omega_s_eff > 1e-9``: the differentiator's initial
-      transient, the settled noise floor and the freeze and avoidance
-      modes, which trade potential for clearance by design, are left out.
+    A logged sample hands over its row; any other forms the angle and the
+    norm error, and ``v_q + v_omega`` only where a Lyapunov pair needs it.
+    Maxima keep the first sample unless a later one is greater, as ``max()``
+    does.  ``settled[level]``: the time of the first sample after the last
+    one not below ``level`` (NaN is not below).  ``n_pairs``: consecutive
+    samples, unless the first is inside 1 deg or before 1 s, or either is
+    switching (freeze and avoidance trade potential for clearance by
+    design); ``n_rising``: those where ``v_q + v_omega`` rises.
     """
 
     def __init__(self, ctx: _LoopContext):
+        targets = ctx.scenario.targets
         self._energies = ctx.energies
         self.max_betas = [-math.inf] * len(ctx.cones)  # deepest approach
         self.max_eps = None                           # max |eps| tracking
@@ -544,30 +512,23 @@ class _RunStats:
         self.n_saturated = 0
         self.max_torque = 0.0
         self._sat_limit = ctx.params.torque_limit - 1e-12
-        targets = ctx.scenario.targets
         self.terminal_start = 80.0
-        self.levels = [1.0]
+        self.settled = {1.0: None}
         if targets is not None:
             if targets.terminal_time_s is not None:
                 self.terminal_start = targets.terminal_time_s
-            if (targets.settle_deg is not None
-                    and targets.settle_time_s is not None
-                    and targets.settle_deg != 1.0):
-                self.levels.append(targets.settle_deg)
-        self.settled = [None] * len(self.levels)
-        self.initial_angle = None
-        self.final_angle = None
-        self.terminal_err = None      # max angle in the terminal window
-        self.max_quat_norm_error = None
-        self.n_pairs = 0
-        self.n_rising = 0
-        # V_q + V_omega and time of the last sample, when it starts a pair
+            if targets.settle_deg is not None:
+                self.settled[targets.settle_deg] = None
+        self.initial_angle = self.final_angle = None
+        self.terminal_err = self.max_quat_norm_error = None
+        self.n_pairs = self.n_rising = 0
+        # v_q + v_omega and time of the last sample, if it starts a pair
         self._v_start = None
         self._t_start = 0.0
 
     def add(self, t: float, y: list, stage: tuple, row=None) -> None:
-        """Count the sample of state ``y`` at ``t`` with its stage
-        quantities and, when it was logged, its row."""
+        """Count the sample of ``y`` at ``t`` from its stage quantities and,
+        when logged, its row."""
         _, x_e, betas, eps, s_eff, _, _, _, (ux, uy, uz) = stage
         for i, beta in enumerate(betas):
             if beta > self.max_betas[i]:
@@ -584,35 +545,32 @@ class _RunStats:
             self.max_torque = m
 
         if row is None:
-            angle = _pointing_angle_deg(x_e)
-            q_err = _quat_norm_error(y)
-        else:
-            angle = row[_ANGLE]
-            q_err = row[_QUAT_ERR]
+            angle, q_err = _pointing_angle_deg(x_e), _quat_norm_error(y)
+        else:  # the columns pointing_angle_deg and quat_norm_error
+            angle, q_err = row[2], row[-1]
         if self.initial_angle is None:
             self.initial_angle = angle
         self.final_angle = angle
         if self.max_quat_norm_error is None or q_err > self.max_quat_norm_error:
             self.max_quat_norm_error = q_err
-        for i, level in enumerate(self.levels):
+        for level, since in self.settled.items():
             if not level > angle:
-                self.settled[i] = None
-            elif self.settled[i] is None:
-                self.settled[i] = t
+                self.settled[level] = None
+            elif since is None:
+                self.settled[level] = t
         if t >= self.terminal_start and (self.terminal_err is None
                                          or angle > self.terminal_err):
             self.terminal_err = angle
 
-        if s_eff > _SWITCHING:
+        if s_eff > 1e-9:
             self._v_start = None
             return
-        starts = not (angle < _BALL_DEG or t < _SKIP_S)
+        starts = not (angle < 1.0 or t < 1.0)
         if starts or self._v_start is not None:
-            if row is None:
-                v_q, v_omega = self._energies(stage)
-                v = v_q + v_omega
-            else:
-                v = row[_V_Q] + row[_V_OMEGA]
+            # from the columns v_q and v_omega when logged
+            v_q, v_omega = (self._energies(stage) if row is None
+                            else (row[-4], row[-3]))
+            v = v_q + v_omega
             if self._v_start is not None:
                 self.n_pairs += 1
                 if (v - self._v_start) / (t - self._t_start) > 0.0:
@@ -624,12 +582,6 @@ class _RunStats:
         # acos decreases, so the deepest approach is the smallest clearance
         return [math.degrees(math.acos(max(-1.0, min(1.0, beta))))
                 for beta in self.max_betas]
-
-    def settled_at(self, level: float) -> float | None:
-        return self.settled[self.levels.index(level)]
-
-    def lyapunov_positive_fraction(self) -> float:
-        return self.n_rising / self.n_pairs if self.n_pairs else 0.0
 
 
 def run_scenario(scenario: "Scenario", force: bool = False) -> SimulationResult:
@@ -684,11 +636,9 @@ def run_scenario(scenario: "Scenario", force: bool = False) -> SimulationResult:
 
 def summarize(scenario: "Scenario", sim: SimConfig, stats: _RunStats,
               report, wall: float) -> dict:
-    cones = scenario.obstacles
+    theta_f_deg = [math.degrees(c.theta_f) for c in scenario.obstacles]
     min_clearance = stats.min_clearance_deg()
-    constraint_ok = all(
-        min_clearance[i] >= math.degrees(cones[i].theta_f)
-        for i in range(len(cones)))
+    constraint_ok = all(c >= f for c, f in zip(min_clearance, theta_f_deg))
     terminal_err = stats.terminal_err
     max_eps = stats.max_eps
 
@@ -699,7 +649,7 @@ def summarize(scenario: "Scenario", sim: SimConfig, stats: _RunStats,
         targets_dict = asdict(targets)
         targets_met = True
         if targets.settle_deg is not None and targets.settle_time_s is not None:
-            st = stats.settled_at(targets.settle_deg)
+            st = stats.settled[targets.settle_deg]
             targets_met = targets_met and (st is not None
                                            and st <= targets.settle_time_s)
         if targets.terminal_deg is not None:
@@ -713,12 +663,12 @@ def summarize(scenario: "Scenario", sim: SimConfig, stats: _RunStats,
         "dt": sim.dt,
         "duration_s": sim.duration,
         "disturbance_enabled": sim.disturbance_enabled,
-        "theta_f_deg": [math.degrees(c.theta_f) for c in cones],
+        "theta_f_deg": theta_f_deg,
         "min_clearance_deg": min_clearance,
         "constraint_satisfied": constraint_ok,
         "initial_error_deg": stats.initial_angle,
         "final_error_deg": stats.final_angle,
-        "settling_time_1deg_s": stats.settled_at(1.0),
+        "settling_time_1deg_s": stats.settled[1.0],
         "terminal_window_start_s": stats.terminal_start,
         "terminal_error_deg": terminal_err,
         "max_eps_while_tracking": max_eps,
@@ -726,7 +676,8 @@ def summarize(scenario: "Scenario", sim: SimConfig, stats: _RunStats,
         "torque_saturation_fraction": stats.n_saturated / stats.n_samples,
         "max_torque_abs": stats.max_torque,
         "max_quat_norm_error": stats.max_quat_norm_error,
-        "lyapunov_positive_fraction": stats.lyapunov_positive_fraction(),
+        "lyapunov_positive_fraction": (stats.n_rising / stats.n_pairs
+                                       if stats.n_pairs else 0.0),
         "targets": targets_dict,
         "targets_met": targets_met,
         "validation_warnings": [f"{i.rule}: {i.detail}" for i in report.warnings],

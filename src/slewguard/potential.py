@@ -134,7 +134,8 @@ class ObstacleCone:
 
 
 def goal_separation(target: Sequence[float], axis: Sequence[float]) -> float:
-    """Angle [rad] between the unit goal direction and a unit cone axis."""
+    """Angle [rad] between two unit vectors, such as the goal direction and
+    a cone axis."""
     # added left to right, as in ``attitude.pointing_error``, so the angle
     # does not depend on the interpreter's ``sum()``
     c = (float(target[0]) * float(axis[0]) + float(target[1]) * float(axis[1])

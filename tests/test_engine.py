@@ -550,17 +550,14 @@ class TestLyapunovMonitor:
         stats = synthetic_stats([5.0, 4.0, 3.0, 2.5, 2.4])
         # the pair starting at t = 0 is inside the first second
         assert (stats.n_pairs, stats.n_rising) == (3, 0)
-        assert stats.lyapunov_positive_fraction() == 0.0
 
     def test_positive_jump_is_counted(self):
         stats = synthetic_stats([5.0, 4.0, 4.7, 3.0, 2.0])
         assert (stats.n_pairs, stats.n_rising) == (3, 1)
-        assert stats.lyapunov_positive_fraction() == pytest.approx(1.0 / 3.0)
 
     def test_switching_windows_excluded(self):
         stats = synthetic_stats([5.0, 4.0, 6.0, 3.0], omega_s=0.2)
         assert stats.n_pairs == 0
-        assert stats.lyapunov_positive_fraction() == 0.0
 
     def test_real_run_descends_outside_switching(self, monkeypatch):
         made = []
@@ -587,19 +584,19 @@ class TestRunStats:
                           terminal_time_s=3.0)
         angles = [2.0, 0.4, 0.7, math.nan, 0.4, 0.3, 0.2]
         stats = synthetic_stats([0.0] * 7, angles, targets=targets)
-        assert stats.settled_at(1.0) == 4.0
-        assert stats.settled_at(0.5) == 4.0
+        assert stats.settled[1.0] == 4.0
+        assert stats.settled[0.5] == 4.0
         assert (stats.initial_angle, stats.final_angle) == (2.0, 0.2)
         assert math.isnan(stats.terminal_err)
         stats = synthetic_stats([0.0] * 4, [0.2, 0.3, 0.9, 0.6],
                                 targets=targets)
-        assert stats.settled_at(1.0) == 0.0
-        assert stats.settled_at(0.5) is None
+        assert stats.settled[1.0] == 0.0
+        assert stats.settled[0.5] is None
         assert stats.terminal_err == 0.6
         stats = synthetic_stats([0.0] * 5, [0.2, 0.3, 0.6, 0.9, math.nan],
                                 targets=targets)
         assert stats.terminal_err == 0.9
-        assert stats.settled_at(1.0) is None
+        assert stats.settled[1.0] is None
 
 
 class TestOutputs(object):
