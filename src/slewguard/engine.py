@@ -497,10 +497,11 @@ class _RunStats:
     norm error, and ``v_q + v_omega`` only where a Lyapunov pair needs it.
     Maxima keep the first sample unless a later one is greater, as ``max()``
     does.  ``settled[level]``: the time of the first sample after the last
-    one not below ``level`` (NaN is not below).  ``n_pairs``: consecutive
-    samples, unless the first is inside 1 deg or before 1 s, or either is
-    switching (freeze and avoidance trade potential for clearance by
-    design); ``n_rising``: those where ``v_q + v_omega`` rises.
+    one not below ``level`` (NaN is not below).  ``n_pairs``: pairs of
+    consecutive samples, unless the first is inside 1 deg or before 1 s, or
+    either has ``omega_s_eff > 1e-9`` (freeze and avoidance trade potential
+    for clearance by design); ``n_rising``: those where ``v_q + v_omega``
+    rises.
     """
 
     def __init__(self, ctx: _LoopContext):
