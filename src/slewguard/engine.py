@@ -527,9 +527,9 @@ class _RunStats:
         self._v_start = None
         self._t_start = 0.0
 
-    def add(self, t: float, y: list, stage: tuple, row=None) -> None:
+    def add(self, t: float, y: list, stage: tuple, row) -> None:
         """Count the sample of ``y`` at ``t`` from its stage quantities and,
-        when logged, its row."""
+        when logged, its row (else ``None``)."""
         _, x_e, betas, eps, s_eff, _, _, _, (ux, uy, uz) = stage
         for i, beta in enumerate(betas):
             if beta > self.max_betas[i]:
