@@ -6,18 +6,27 @@ Exit codes:
     3  scenario failed schema or parameter validation
     4  numeric abort during integration
     5  run completed but violated the constraint or missed its targets
+    6  trajectory.csv could not be written (the writer process failed)
+
+Each run streams its logged rows, a block at a time, to one writer process
+per call of :func:`main`, which formats ``trajectory.csv`` on another core
+while the run integrates; a run's line is printed once its file is
+complete.  The bytes are those of :func:`write_trajectory_csv`.
 """
 
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
+from array import array
 from pathlib import Path
 
 from . import __version__
 from .engine import (
     SimulationAbort,
     ValidationFailure,
+    _csv_text,
     run_scenario,
     write_summary_json,
     write_trajectory_csv,
@@ -29,6 +38,7 @@ _EXIT_PARSE = 2
 _EXIT_VALIDATION = 3
 _EXIT_NUMERIC = 4
 _EXIT_PERFORMANCE = 5
+_EXIT_OUTPUT = 6
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -53,9 +63,10 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--compare", action="store_true",
                      help="also run the potential-field-only baseline and "
                           "write comparison.json; the baseline runs in a "
-                          "second process at the same time as the proposed "
-                          "run, and its outputs are byte-identical to a "
-                          "sequential run")
+                          "process of its own at the same time as the "
+                          "proposed run (whose trajectory.csv another "
+                          "process writes as it goes), and its outputs are "
+                          "byte-identical to a sequential run")
     run.add_argument("--dt", type=float, default=None,
                      help="override integration step [s]")
     run.add_argument("--duration", type=float, default=None,
@@ -85,7 +96,7 @@ def _fmt(value, spec=".4g"):
 
 
 def _partial(path: Path) -> Path:
-    """Where a baseline file is written before it is moved into place."""
+    """Where an output file is written before it is moved into place."""
     return path.with_name(f".{path.name}.part")
 
 
@@ -115,7 +126,7 @@ class _Baseline:
     """
 
     def __init__(self, scenario, out_dir: Path):
-        import multiprocessing  # only comparisons pay for its import
+        import multiprocessing
 
         self._paths = (out_dir / "trajectory_benchmark.csv",
                        out_dir / "summary_benchmark.json")
@@ -155,16 +166,127 @@ class _Baseline:
             _partial(path).unlink(missing_ok=True)
 
 
-def _run_one(scenario, args, out_root: Path) -> int:
+def _write_trajectories(conn, parent_end) -> None:
+    """Writer process: for each ``(path, columns)`` received, write the CSV
+    text of the blocks of raw doubles that follow to ``path`` until an empty
+    block, then reply ``None``.  The first exception is sent back instead,
+    and ends the process.
+
+    ``parent_end`` is the parent's end of the pipe, which a forked child
+    holds a copy of; it is closed so that the parent's exit ends the loop.
+    """
+    parent_end.close()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent stops it
+    try:
+        while True:
+            path, columns = conn.recv()
+            with open(path, "w", encoding="utf-8") as fh:
+                header = True
+                while block := conn.recv_bytes():
+                    rows = array("d")
+                    rows.frombytes(block)
+                    fh.writelines(_csv_text(rows, columns, header))
+                    header = False
+            conn.send(None)
+    except EOFError:
+        pass  # the parent closed the pipe
+    except Exception as exc:
+        conn.send(exc)
+    finally:
+        conn.close()
+
+
+class _WriteFailure(RuntimeError):
+    """The writer process could not complete a ``trajectory.csv``."""
+
+
+class _Writer:
+    """The process that writes each run's ``trajectory.csv`` while the run
+    integrates.
+
+    :meth:`rows_to` gives a run's ``on_rows`` consumer, which sends the rows
+    logged since its last call down the pipe as raw doubles; the child
+    formats them with the CSV writer's code into a temporary file, and
+    :meth:`finish` waits until that file is complete and moves it into
+    place.  The child starts with the first rows sent, so a call of
+    :func:`main` whose runs all fail before logging starts none.  After an
+    exception the writer is not reused: :meth:`close` stops the child and
+    removes the temporary file.
+    """
+
+    def __init__(self):
+        self._proc = self._conn = self._path = None
+        self._sent = 0
+
+    def rows_to(self, path: Path):
+        self._path, self._sent = path, 0
+        return self._send
+
+    def _send(self, records) -> None:
+        if self._proc is None:
+            import multiprocessing
+
+            self._conn, child_conn = multiprocessing.Pipe()
+            self._proc = multiprocessing.Process(
+                target=_write_trajectories, args=(child_conn, self._conn))
+            self._proc.start()
+            child_conn.close()
+        data = records.data
+        try:
+            if not self._sent:
+                self._conn.send((_partial(self._path), records.columns))
+            # as bytes: a view of doubles would be copied whole on 3.10
+            self._conn.send_bytes(memoryview(data).cast("B"),
+                                  data.itemsize * self._sent)
+        except OSError:
+            raise self._failure(self._reply()) from None
+        self._sent = len(data)
+
+    def _reply(self):
+        """The child's next reply, or the error its silent exit stands for."""
+        try:
+            return self._conn.recv()
+        except (OSError, EOFError):
+            self._proc.join()
+            return RuntimeError("the writer process exited with code "
+                                f"{self._proc.exitcode}")
+
+    def _failure(self, error) -> _WriteFailure:
+        return _WriteFailure(f"{self._path.name} not written: {error}")
+
+    def finish(self) -> None:
+        """Wait until the run's file is complete, then move it into place."""
+        try:
+            self._conn.send_bytes(b"")
+        except OSError:
+            pass  # the reply says why
+        reply = self._reply()
+        if reply is not None:
+            raise self._failure(reply)
+        _partial(self._path).replace(self._path)
+
+    def close(self) -> None:
+        if self._proc is not None:
+            self._proc.terminate()
+            self._proc.join()
+            self._proc.close()
+            self._conn.close()
+            self._proc = None
+        if self._path is not None:
+            _partial(self._path).unlink(missing_ok=True)
+
+
+def _run_one(scenario, args, out_root: Path, writer: _Writer) -> int:
     """Run one scenario (plus baseline when comparing); returns an exit code."""
     out_dir = out_root / scenario.name
     out_dir.mkdir(parents=True, exist_ok=True)
 
     baseline = _Baseline(scenario, out_dir) if args.compare else None
     try:
-        result = run_scenario(scenario)
-        write_trajectory_csv(result.records, out_dir / "trajectory.csv")
+        result = run_scenario(
+            scenario, on_rows=writer.rows_to(out_dir / "trajectory.csv"))
         write_summary_json(result.summary, out_dir / "summary.json")
+        writer.finish()
         s = result.summary
         ok = s["constraint_satisfied"] and s["targets_met"] is not False
         clear = min(s["min_clearance_deg"]) if s["min_clearance_deg"] else None
@@ -217,22 +339,29 @@ def _cmd_run(args) -> int:
         return _EXIT_PARSE if exc.kind == "parse" else _EXIT_VALIDATION
 
     worst = _EXIT_OK
-    for scenario in scenarios:
-        try:
-            scenario = _apply_overrides(scenario, args)
-        except ValueError as exc:
-            print(f"error: {scenario.name}: {exc}", file=sys.stderr)
-            return _EXIT_VALIDATION
-        try:
-            code = _run_one(scenario, args, out_root)
-        except ValidationFailure as exc:
-            print(f"error: {scenario.name}:", file=sys.stderr)
-            print(exc.report.describe(), file=sys.stderr)
-            return _EXIT_VALIDATION
-        except SimulationAbort as exc:
-            print(f"error: {scenario.name}: {exc}", file=sys.stderr)
-            return _EXIT_NUMERIC
-        worst = max(worst, code)
+    writer = _Writer()
+    try:
+        for scenario in scenarios:
+            try:
+                scenario = _apply_overrides(scenario, args)
+            except ValueError as exc:
+                print(f"error: {scenario.name}: {exc}", file=sys.stderr)
+                return _EXIT_VALIDATION
+            try:
+                code = _run_one(scenario, args, out_root, writer)
+            except ValidationFailure as exc:
+                print(f"error: {scenario.name}:", file=sys.stderr)
+                print(exc.report.describe(), file=sys.stderr)
+                return _EXIT_VALIDATION
+            except SimulationAbort as exc:
+                print(f"error: {scenario.name}: {exc}", file=sys.stderr)
+                return _EXIT_NUMERIC
+            except _WriteFailure as exc:
+                print(f"error: {scenario.name}: {exc}", file=sys.stderr)
+                return _EXIT_OUTPUT
+            worst = max(worst, code)
+    finally:
+        writer.close()
     return worst
 
 

@@ -23,9 +23,12 @@ kinematics, the stage states and the RK4 combine are written out in ``rhs``
 and ``step``, component by component, while the control laws and the frame
 resolution stay functions of their own.  Each logged step appends its CSV
 row, a flat tuple of floats, to a C double buffer (``array("d")``), which
-the run's :class:`Trajectory` then wraps as it is.  The CSV writer reads that
-buffer in scalar code too, so every written value is Python float
-arithmetic in a fixed order, and the package needs no array library.
+the run's :class:`Trajectory` wraps as it is.  A caller may take the rows
+in blocks while the run goes on (``run_scenario``'s ``on_rows``); the CLI
+streams them to a process that writes ``trajectory.csv`` on another core.
+One function, ``_csv_text``, formats the rows in scalar code wherever they
+are written, so every written value is Python float arithmetic in a fixed
+order, and the package needs no array library.
 
 Each stage forms every term that more than one law needs exactly once and
 hands it to both: the body-frame target with ``x_e`` and the body-frame
@@ -585,12 +588,20 @@ class _RunStats:
                 for beta in self.max_betas]
 
 
-def run_scenario(scenario: "Scenario", force: bool = False) -> SimulationResult:
+def run_scenario(scenario: "Scenario", force: bool = False,
+                 on_rows=None) -> SimulationResult:
     """Validate, integrate, and summarize one scenario with its own
     simulation settings (see :meth:`Scenario.with_sim`).
 
     A validation report with hard failures raises :class:`ValidationFailure`
     unless ``force`` is set; the summary carries warnings and failures.
+
+    ``on_rows``, when given, is called with the run's :class:`Trajectory`
+    each time ``_BLOCK_ROWS`` more rows have been logged, and once after the
+    final sample.  The trajectory only grows between calls, so the caller
+    can stream the rows logged since its last call while the run goes on
+    (the CLI hands them to the process that writes ``trajectory.csv``).  An
+    exception it raises ends the run.
     """
     sim = scenario.sim
     report = validate_config(scenario.controller, scenario.envelope,
@@ -607,17 +618,24 @@ def run_scenario(scenario: "Scenario", force: bool = False) -> SimulationResult:
     n_steps = int(round(sim.duration / dt))
     stats = _RunStats(ctx)
     y = ctx.initial_state()
-    log = array("d")
+    records = Trajectory(array("d"), _columns(len(ctx.cones)))
+    log = records.data
+    # steps between calls of on_rows, each block logging _BLOCK_ROWS rows
+    block = n_steps if on_rows is None else _BLOCK_ROWS * stride
     t0 = time.perf_counter()
-    for k in range(n_steps):
-        y_next, stage = ctx.step(k, y, dt)
-        row = None
-        if k % stride == 0:
-            row = ctx.record(k * dt, y, stage)
-            log.extend(row)
-        stats.add(k * dt, y, stage, row)
-        _check_state((k + 1) * dt, y_next, y)
-        y = y_next
+    for start in range(0, n_steps, block):
+        end = start + block
+        for k in range(start, min(end, n_steps)):
+            y_next, stage = ctx.step(k, y, dt)
+            row = None
+            if k % stride == 0:
+                row = ctx.record(k * dt, y, stage)
+                log.extend(row)
+            stats.add(k * dt, y, stage, row)
+            _check_state((k + 1) * dt, y_next, y)
+            y = y_next
+        if on_rows is not None and end <= n_steps:
+            on_rows(records)
     # the final sample is the one stage evaluated outside a step
     t = n_steps * dt
     try:
@@ -628,7 +646,8 @@ def run_scenario(scenario: "Scenario", force: bool = False) -> SimulationResult:
     row = ctx.record(t, y, stage)
     log.extend(row)
     stats.add(t, y, stage, row)
-    records = Trajectory(log, _columns(len(ctx.cones)))
+    if on_rows is not None:
+        on_rows(records)
     wall = time.perf_counter() - t0
 
     summary = summarize(scenario, sim, stats, report, wall)
@@ -687,21 +706,30 @@ def summarize(scenario: "Scenario", sim: SimConfig, stats: _RunStats,
     }
 
 
-# rows formatted by one ``%`` operation in the CSV writer
-_CSV_CHUNK_ROWS = 256
+# rows formatted by one ``%`` operation in the CSV text, and rows per block
+# a run hands to its ``on_rows`` consumer
+_BLOCK_ROWS = 256
+
+
+def _csv_text(data, columns: tuple[str, ...], header: bool = True):
+    """``trajectory.csv`` text of the rows in ``data``, a flat sequence of
+    floats ``len(columns)`` to a row: the header line first when asked, then
+    every value with full double precision (17 significant digits), one
+    string per ``_BLOCK_ROWS`` rows."""
+    width = len(columns)
+    if header:
+        yield ",".join(columns) + "\n"
+    row = ",".join(["%.17g"] * width) + "\n"
+    chunk = _BLOCK_ROWS * width
+    for i in range(0, len(data), chunk):
+        part = tuple(data[i:i + chunk])
+        yield row * (len(part) // width) % part
 
 
 def write_trajectory_csv(records: Trajectory, path) -> None:
     """Write records as CSV with full double precision (17 significant digits)."""
-    width = len(records.columns)
-    row = ",".join(["%.17g"] * width) + "\n"
-    chunk = _CSV_CHUNK_ROWS * width
-    data = records.data
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(records.columns) + "\n")
-        for i in range(0, len(data), chunk):
-            part = tuple(data[i:i + chunk])
-            fh.write(row * (len(part) // width) % part)
+        fh.writelines(_csv_text(records.data, records.columns))
 
 
 def write_summary_json(summary: dict, path) -> None:

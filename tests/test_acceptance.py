@@ -23,8 +23,13 @@ from slewguard.scenario import PRESET_NAMES, load_preset
 AVOIDANCE_PRESETS = tuple(n for n in PRESET_NAMES if n != "paper-compare-1")
 
 # sha256 of every preset's full-length trajectory.csv.  The last digits come
-# from the platform's libm (sin, cos, tanh, acos) and from nothing else: no
-# BLAS or LAPACK result reaches a written value, so the BLAS kernel numpy
+# from the platform's libm and from nothing else:
+# - sin, cos, tanh and acos;
+# - exp and log1p: ``envelope._ln_cosh`` feeds ``v_q``, and
+#   ``potential.bridge_grad`` feeds P1;
+# - pow: the ``** 2`` in ``engine.step``'s renormalization and in
+#   ``engine._quat_norm_error``.
+# No BLAS or LAPACK result reaches a written value, so the BLAS kernel numpy
 # picks does not matter.  These hold on x86-64 Linux with glibc; elsewhere a
 # mismatch may be the platform, not the code.
 TRAJECTORY_SHA256 = {

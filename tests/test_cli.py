@@ -8,9 +8,12 @@ import multiprocessing
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import time
+from contextlib import redirect_stdout
+from io import TextIOBase
 from pathlib import Path
 
 import pytest
@@ -18,9 +21,15 @@ import pytest
 import slewguard
 from slewguard import cli
 from slewguard.cli import main
-from slewguard.engine import SimulationAbort
-from slewguard.scenario import list_presets
+from slewguard.engine import (
+    _BLOCK_ROWS,
+    SimulationAbort,
+    run_scenario,
+    write_trajectory_csv,
+)
+from slewguard.scenario import list_presets, load_preset, load_scenario
 from loop_fixtures import SUM_ORDER_PAIRS
+from test_acceptance import TRAJECTORY_SHA256
 from test_scenario import valid_doc
 
 SRC = Path(slewguard.__file__).resolve().parents[1]
@@ -72,8 +81,9 @@ def test_user_paths_do_not_import_numpy(tmp_path):
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
-def test_cli_import_leaves_multiprocessing_to_comparisons():
-    # only --compare starts a process, so only it pays for the import
+def test_cli_import_leaves_multiprocessing_to_runs():
+    # a run starts the trajectory writer (and --compare the baseline), so
+    # only runs pay for the import; listing presets and --help do not
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, slewguard.cli; print('multiprocessing' in sys.modules)"],
@@ -335,7 +345,7 @@ class TestCompareInASecondProcess:
         case = tmp_path / "runs" / "custom"
         run_scenario = cli.run_scenario
 
-        def run(scenario):
+        def run(scenario, on_rows=None):
             if scenario.sim.controller_mode == "benchmark_apf":
                 return run_scenario(scenario)
             deadline = time.monotonic() + 60.0
@@ -361,11 +371,11 @@ class TestCompareInASecondProcess:
         # before the baseline's abort is reported
         run_scenario = cli.run_scenario
 
-        def run(scenario):
+        def run(scenario, on_rows=None):
             if scenario.sim.controller_mode == "benchmark_apf":
                 raise SimulationAbort(1.0, "baseline stopped by the test",
                                       (0.0,) * 14, 3)
-            return run_scenario(scenario)
+            return run_scenario(scenario, on_rows=on_rows)
 
         monkeypatch.setattr(cli, "run_scenario", run)
         path = write_scenario(tmp_path, doc_without_targets())
@@ -387,10 +397,10 @@ class TestCompareInASecondProcess:
                                                 monkeypatch):
         run_scenario = cli.run_scenario
 
-        def run(scenario):
+        def run(scenario, on_rows=None):
             if scenario.sim.controller_mode == "benchmark_apf":
                 os._exit(7)
-            return run_scenario(scenario)
+            return run_scenario(scenario, on_rows=on_rows)
 
         monkeypatch.setattr(cli, "run_scenario", run)
         path = write_scenario(tmp_path, doc_without_targets())
@@ -399,6 +409,186 @@ class TestCompareInASecondProcess:
                                                "result"):
             run_compare(path, tmp_path / "runs")
         capsys.readouterr()
+        assert multiprocessing.active_children() == []
+
+
+def part_files(root):
+    return sorted(Path(root).rglob("*.part"))
+
+
+def sha256(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+class _SizesAtPrint(TextIOBase):
+    """stdout that notes, as each ``<name>: ...`` line is completed, the
+    size of ``<out>/<name>/trajectory.csv`` (None while it does not exist),
+    as the benchmark stamps each line with the time."""
+
+    def __init__(self, out):
+        self.out = out
+        self.sizes = {}
+        self._part = ""
+
+    def write(self, s):
+        self._part += s
+        while "\n" in self._part:
+            line, self._part = self._part.split("\n", 1)
+            path = self.out / line.split(":", 1)[0] / "trajectory.csv"
+            self.sizes[path] = path.stat().st_size if path.exists() else None
+        return len(s)
+
+
+def stream_rows(on_rows, then):
+    """An ``on_rows`` that passes each call on and calls ``then()`` once two
+    blocks were sent, and the row counts it has passed on."""
+    calls = []
+
+    def feed(records):
+        on_rows(records)
+        calls.append(len(records))
+        if len(calls) == 2:
+            then()
+    return feed, calls
+
+
+class TestTrajectoryWriter:
+    """Each run streams its rows to one writer process per ``main`` call,
+    which writes ``trajectory.csv``: the bytes are the library writer's, the
+    file is complete when the run's line prints, and no exit path leaves a
+    process or a temporary file behind."""
+
+    @pytest.mark.parametrize("rows", [_BLOCK_ROWS - 1, _BLOCK_ROWS,
+                                      _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS + 1])
+    def test_bytes_equal_the_library_writer(self, tmp_path, capsys, rows):
+        path = write_scenario(tmp_path, doc_without_targets())
+        duration = (rows - 1) * 0.01
+        out = tmp_path / "runs"
+        assert main(["run", "--scenario", str(path), "--duration",
+                     str(duration), "--out", str(out)]) == 0
+        capsys.readouterr()
+        result = run_scenario(load_scenario(path).with_sim(duration=duration))
+        assert len(result.records) == rows
+        write_trajectory_csv(result.records, tmp_path / "library.csv")
+        assert ((out / "custom" / "trajectory.csv").read_bytes()
+                == (tmp_path / "library.csv").read_bytes())
+        assert part_files(tmp_path) == []
+        assert multiprocessing.active_children() == []
+
+    def test_record_stride_above_one(self, tmp_path, capsys):
+        doc = doc_without_targets()
+        doc["sim"].update(duration=20.0, record_stride=7)
+        path = write_scenario(tmp_path, doc)
+        out = tmp_path / "runs"
+        assert main(["run", "--scenario", str(path), "--out", str(out)]) == 0
+        capsys.readouterr()
+        result = run_scenario(load_scenario(path))
+        assert len(result.records) == 287  # two blocks and part of a third
+        write_trajectory_csv(result.records, tmp_path / "library.csv")
+        assert ((out / "custom" / "trajectory.csv").read_bytes()
+                == (tmp_path / "library.csv").read_bytes())
+
+    def test_golden_preset(self, tmp_path, capsys):
+        name = "paper-single-1"
+        assert load_preset(name).sim.duration == 120.0
+        assert main(["run", "--preset", name, "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert sha256(tmp_path / name / "trajectory.csv") == (
+            TRAJECTORY_SHA256[name])
+
+    def test_file_is_complete_when_its_line_prints(self, tmp_path):
+        stdout = _SizesAtPrint(tmp_path)
+        with redirect_stdout(stdout):
+            # three simulated seconds: 301 rows, two blocks per preset
+            assert main(["run", "--all-presets", "--duration", "3",
+                         "--out", str(tmp_path)]) == 5
+        assert len(stdout.sizes) == 9
+        for path, size in stdout.sizes.items():
+            assert size == path.stat().st_size, path
+        assert part_files(tmp_path) == []
+        assert multiprocessing.active_children() == []
+
+    def test_validation_failure_starts_no_writer(self, tmp_path, capsys):
+        doc = doc_without_targets()
+        doc["controller"]["k1"] = 0.05
+        path = write_scenario(tmp_path, doc)
+        assert main(["run", "--scenario", str(path), "--out",
+                     str(tmp_path / "runs")]) == 3
+        assert "gain-ordering" in capsys.readouterr().err
+        assert list((tmp_path / "runs" / "custom").iterdir()) == []
+        assert multiprocessing.active_children() == []
+
+    def test_abort_after_blocks_were_sent(self, tmp_path, capsys,
+                                          monkeypatch):
+        # the run aborts once the writer has its temporary file open
+        case = tmp_path / "runs" / "custom"
+
+        def abort():
+            deadline = time.monotonic() + 60.0
+            while not part_files(case) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert part_files(case) != []
+            raise SimulationAbort(2.56, "stopped by the test")
+
+        calls = []
+
+        def run(scenario, on_rows):
+            feed, sent = stream_rows(on_rows, abort)
+            calls.append(sent)
+            return run_scenario(scenario, on_rows=feed)
+
+        monkeypatch.setattr(cli, "run_scenario", run)
+        path = write_scenario(tmp_path, doc_without_targets())
+        assert main(["run", "--scenario", str(path), "--duration", "10",
+                     "--out", str(tmp_path / "runs")]) == 4
+        assert calls == [[_BLOCK_ROWS, 2 * _BLOCK_ROWS]]
+        got = capsys.readouterr()
+        assert got.out == ""
+        assert got.err == ("error: custom: simulation aborted at t=2.5600 s: "
+                           "stopped by the test\n")
+        assert list(case.iterdir()) == []
+        assert multiprocessing.active_children() == []
+
+    def test_writer_that_dies(self, tmp_path, capsys, monkeypatch):
+        def kill_writer():
+            (writer,) = multiprocessing.active_children()
+            os.kill(writer.pid, signal.SIGKILL)
+            writer.join(timeout=60)
+            assert not writer.is_alive()
+
+        def run(scenario, on_rows):
+            return run_scenario(scenario,
+                                on_rows=stream_rows(on_rows, kill_writer)[0])
+
+        monkeypatch.setattr(cli, "run_scenario", run)
+        path = write_scenario(tmp_path, doc_without_targets())
+        case = tmp_path / "runs" / "custom"
+        assert main(["run", "--scenario", str(path), "--duration", "10",
+                     "--out", str(tmp_path / "runs")]) == 6
+        got = capsys.readouterr()
+        assert got.out == ""
+        assert got.err == ("error: custom: trajectory.csv not written: the "
+                           "writer process exited with code -9\n")
+        assert list(case.iterdir()) == []
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the child sees the patched formatter only "
+                               "when forked")
+    def test_writer_error_is_reported(self, tmp_path, capsys, monkeypatch):
+        def full_disk(*args):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "_csv_text", full_disk)
+        path = write_scenario(tmp_path, doc_without_targets())
+        case = tmp_path / "runs" / "custom"
+        assert main(["run", "--scenario", str(path), "--duration", "10",
+                     "--out", str(tmp_path / "runs")]) == 6
+        got = capsys.readouterr()
+        assert got.out == ""
+        assert got.err == ("error: custom: trajectory.csv not written: "
+                           "[Errno 28] No space left on device\n")
+        assert list(case.iterdir()) == []
         assert multiprocessing.active_children() == []
 
 

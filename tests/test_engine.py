@@ -325,6 +325,34 @@ class TestRunScenario:
         s2.pop("wall_clock_s")
         assert s1 == s2
 
+    @pytest.mark.parametrize("stride", [1, 7])
+    def test_on_rows_sees_each_block_once(self, stride):
+        # called every 256 logged rows and after the final sample, with
+        # rows that do not change once handed over; the result is the
+        # run's without a consumer
+        sc = load_preset("paper-two-1").with_sim(duration=7.0,
+                                                 record_stride=stride)
+        seen = []
+
+        def on_rows(records):
+            assert records.columns == res_plain.records.columns
+            seen.append(records.data[:])
+
+        res_plain = run_scenario(sc)
+        res = run_scenario(sc, on_rows=on_rows)
+        width = len(res.records.columns)
+        n = len(res.records)
+        blocks = list(range(engine_module._BLOCK_ROWS, n,
+                            engine_module._BLOCK_ROWS))
+        assert [len(d) // width for d in seen] == blocks + [n]
+        for d in seen:
+            assert d == res.records.data[:len(d)]
+        assert res.records.data == res_plain.records.data
+        s1, s2 = dict(res.summary), dict(res_plain.summary)
+        s1.pop("wall_clock_s")
+        s2.pop("wall_clock_s")
+        assert s1 == s2
+
     @pytest.mark.parametrize("name", ["paper-two-1", "corridor-1-001-beside"])
     def test_summary_independent_of_record_stride(self, name):
         # paper-two-1 settles, enters avoidance and has its terminal window

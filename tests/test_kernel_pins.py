@@ -13,7 +13,10 @@ add, as the sha256 of each written ``trajectory.csv``:
 The draws come from ``perfbench/cases.py``, loaded by path as
 ``test_tracing`` loads the span tracer.  As with the golden digests, the
 last digits come from the platform's libm and from nothing else, so the pins
-hold on x86-64 Linux with glibc.
+hold on x86-64 Linux with glibc.  The libm functions are sin, cos, tanh and
+acos; exp and log1p (``envelope._ln_cosh`` feeds ``v_q``,
+``potential.bridge_grad`` feeds P1); and pow, which the ``** 2`` in
+``engine.step``'s renormalization and in ``engine._quat_norm_error`` calls.
 """
 
 import hashlib
