@@ -17,6 +17,7 @@ complete.  The bytes are those of :func:`write_trajectory_csv`.
 from __future__ import annotations
 
 import argparse
+import os
 import signal
 import sys
 from array import array
@@ -166,6 +167,25 @@ class _Baseline:
             _partial(path).unlink(missing_ok=True)
 
 
+def _keep_apart(pid: int) -> None:
+    """Keep process ``pid`` off the CPU this process runs on now, where the
+    platform tells which one that is (Linux) and allows another.
+
+    A forked child starts on its parent's CPU.  Where the kernel does not
+    balance load across CPUs (a cpuset with ``sched_load_balance`` 0), the
+    writer, woken by each block, stays there: it shares the run's core and
+    overlaps nothing.
+    """
+    try:
+        with open("/proc/thread-self/stat", encoding="ascii") as fh:
+            here = int(fh.read().rsplit(")", 1)[1].split()[36])
+        others = os.sched_getaffinity(0) - {here}
+        if others:
+            os.sched_setaffinity(pid, others)
+    except (AttributeError, OSError, IndexError, ValueError):
+        pass  # no such interface here: the kernel places the child
+
+
 def _write_trajectories(conn, parent_end) -> None:
     """Writer process: for each ``(path, columns)`` received, write the CSV
     text of the blocks of raw doubles that follow to ``path`` until an empty
@@ -212,9 +232,14 @@ class _Writer:
     :func:`main` whose runs all fail before logging starts none.  After an
     exception the writer is not reused: :meth:`close` stops the child and
     removes the temporary file.
+
+    ``keep_apart`` keeps the child off the run's CPU.  A comparison leaves
+    it where the kernel puts it: the baseline's process, the longer of the
+    two runs, then needs the other core more than the writer does.
     """
 
-    def __init__(self):
+    def __init__(self, keep_apart: bool):
+        self._keep_apart = keep_apart
         self._proc = self._conn = self._path = None
         self._sent = 0
 
@@ -231,6 +256,8 @@ class _Writer:
                 target=_write_trajectories, args=(child_conn, self._conn))
             self._proc.start()
             child_conn.close()
+            if self._keep_apart:
+                _keep_apart(self._proc.pid)
         data = records.data
         try:
             if not self._sent:
@@ -339,7 +366,7 @@ def _cmd_run(args) -> int:
         return _EXIT_PARSE if exc.kind == "parse" else _EXIT_VALIDATION
 
     worst = _EXIT_OK
-    writer = _Writer()
+    writer = _Writer(keep_apart=not args.compare)
     try:
         for scenario in scenarios:
             try:

@@ -508,6 +508,39 @@ class TestTrajectoryWriter:
         assert part_files(tmp_path) == []
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity")
+                        or len(os.sched_getaffinity(0)) < 2,
+                        reason="placement needs Linux and two CPUs")
+    @pytest.mark.parametrize("compare", [False, True])
+    def test_writer_is_kept_off_the_run_cpu(self, tmp_path, capsys,
+                                            monkeypatch, compare):
+        # one CPU fewer than the run may use; with --compare the baseline
+        # needs the other core more, and no child is placed
+        allowed = os.sched_getaffinity(0)
+        seen = []
+
+        def look():
+            seen.append(sorted(os.sched_getaffinity(child.pid)
+                               for child in multiprocessing.active_children()))
+
+        def run(scenario, on_rows=None):
+            if on_rows is None:
+                return run_scenario(scenario)
+            return run_scenario(scenario,
+                                on_rows=stream_rows(on_rows, look)[0])
+
+        monkeypatch.setattr(cli, "run_scenario", run)
+        path = write_scenario(tmp_path, doc_without_targets())
+        argv = ["run", "--scenario", str(path), "--duration", "10",
+                "--out", str(tmp_path / "runs")]
+        assert main(argv + ["--compare"] * compare) == 0
+        capsys.readouterr()
+        if compare:
+            assert seen == [[allowed, allowed]]
+        else:
+            (placed,) = seen[0]
+            assert placed < allowed and len(placed) == len(allowed) - 1
+
     def test_validation_failure_starts_no_writer(self, tmp_path, capsys):
         doc = doc_without_targets()
         doc["controller"]["k1"] = 0.05
