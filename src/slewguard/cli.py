@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import signal
 import sys
 from array import array
 from pathlib import Path
@@ -195,6 +194,8 @@ def _write_trajectories(conn, parent_end) -> None:
     ``parent_end`` is the parent's end of the pipe, which a forked child
     holds a copy of; it is closed so that the parent's exit ends the loop.
     """
+    import signal  # only the child needs it; its import costs set-up
+
     parent_end.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent stops it
     try:
