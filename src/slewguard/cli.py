@@ -245,6 +245,7 @@ class _Writer:
         self._sent = 0
 
     def rows_to(self, path: Path):
+        """The ``on_rows`` consumer of the run whose file is ``path``."""
         self._path, self._sent = path, 0
         return self._send
 
@@ -294,6 +295,7 @@ class _Writer:
         _partial(self._path).replace(self._path)
 
     def close(self) -> None:
+        """Stop the child, and remove the temporary file it may have left."""
         if self._proc is not None:
             self._proc.terminate()
             self._proc.join()

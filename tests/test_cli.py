@@ -416,10 +416,6 @@ def part_files(root):
     return sorted(Path(root).rglob("*.part"))
 
 
-def sha256(path):
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
 class _SizesAtPrint(TextIOBase):
     """stdout that notes, as each ``<name>: ...`` line is completed, the
     size of ``<out>/<name>/trajectory.csv`` (None while it does not exist),
@@ -458,16 +454,19 @@ class TestTrajectoryWriter:
     file is complete when the run's line prints, and no exit path leaves a
     process or a temporary file behind."""
 
-    @pytest.mark.parametrize("rows", [_BLOCK_ROWS - 1, _BLOCK_ROWS,
-                                      _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS + 1])
-    def test_bytes_equal_the_library_writer(self, tmp_path, capsys, rows):
-        path = write_scenario(tmp_path, doc_without_targets())
-        duration = (rows - 1) * 0.01
+    @pytest.mark.parametrize("rows,stride", [
+        (_BLOCK_ROWS - 1, 1), (_BLOCK_ROWS, 1), (_BLOCK_ROWS + 1, 1),
+        (3 * _BLOCK_ROWS + 1, 1), (287, 7)])
+    def test_bytes_equal_the_library_writer(self, tmp_path, capsys, rows,
+                                            stride):
+        doc = doc_without_targets()
+        doc["sim"].update(duration=(rows - 1) * stride * 0.01,
+                          record_stride=stride)
+        path = write_scenario(tmp_path, doc)
         out = tmp_path / "runs"
-        assert main(["run", "--scenario", str(path), "--duration",
-                     str(duration), "--out", str(out)]) == 0
+        assert main(["run", "--scenario", str(path), "--out", str(out)]) == 0
         capsys.readouterr()
-        result = run_scenario(load_scenario(path).with_sim(duration=duration))
+        result = run_scenario(load_scenario(path))
         assert len(result.records) == rows
         write_trajectory_csv(result.records, tmp_path / "library.csv")
         assert ((out / "custom" / "trajectory.csv").read_bytes()
@@ -475,26 +474,13 @@ class TestTrajectoryWriter:
         assert part_files(tmp_path) == []
         assert multiprocessing.active_children() == []
 
-    def test_record_stride_above_one(self, tmp_path, capsys):
-        doc = doc_without_targets()
-        doc["sim"].update(duration=20.0, record_stride=7)
-        path = write_scenario(tmp_path, doc)
-        out = tmp_path / "runs"
-        assert main(["run", "--scenario", str(path), "--out", str(out)]) == 0
-        capsys.readouterr()
-        result = run_scenario(load_scenario(path))
-        assert len(result.records) == 287  # two blocks and part of a third
-        write_trajectory_csv(result.records, tmp_path / "library.csv")
-        assert ((out / "custom" / "trajectory.csv").read_bytes()
-                == (tmp_path / "library.csv").read_bytes())
-
     def test_golden_preset(self, tmp_path, capsys):
         name = "paper-single-1"
         assert load_preset(name).sim.duration == 120.0
         assert main(["run", "--preset", name, "--out", str(tmp_path)]) == 0
         capsys.readouterr()
-        assert sha256(tmp_path / name / "trajectory.csv") == (
-            TRAJECTORY_SHA256[name])
+        written = (tmp_path / name / "trajectory.csv").read_bytes()
+        assert hashlib.sha256(written).hexdigest() == TRAJECTORY_SHA256[name]
 
     def test_file_is_complete_when_its_line_prints(self, tmp_path):
         stdout = _SizesAtPrint(tmp_path)
