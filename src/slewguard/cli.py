@@ -232,15 +232,10 @@ class _Writer:
     place.  The child starts with the first rows sent, so a call of
     :func:`main` whose runs all fail before logging starts none.  After an
     exception the writer is not reused: :meth:`close` stops the child and
-    removes the temporary file.
-
-    ``keep_apart`` keeps the child off the run's CPU.  A comparison leaves
-    it where the kernel puts it: the baseline's process, the longer of the
-    two runs, then needs the other core more than the writer does.
+    removes the temporary file.  The child is kept off the run's CPU.
     """
 
-    def __init__(self, keep_apart: bool):
-        self._keep_apart = keep_apart
+    def __init__(self):
         self._proc = self._conn = self._path = None
         self._sent = 0
 
@@ -258,8 +253,7 @@ class _Writer:
                 target=_write_trajectories, args=(child_conn, self._conn))
             self._proc.start()
             child_conn.close()
-            if self._keep_apart:
-                _keep_apart(self._proc.pid)
+            _keep_apart(self._proc.pid)
         data = records.data
         try:
             if not self._sent:
@@ -292,7 +286,10 @@ class _Writer:
         reply = self._reply()
         if reply is not None:
             raise self._failure(reply)
-        _partial(self._path).replace(self._path)
+        try:
+            _partial(self._path).replace(self._path)
+        except OSError as exc:
+            raise self._failure(exc) from None
 
     def close(self) -> None:
         """Stop the child, and remove the temporary file it may have left."""
@@ -315,8 +312,8 @@ def _run_one(scenario, args, out_root: Path, writer: _Writer) -> int:
     try:
         result = run_scenario(
             scenario, on_rows=writer.rows_to(out_dir / "trajectory.csv"))
+        writer.finish()  # first, so a failed CSV leaves no new summary
         write_summary_json(result.summary, out_dir / "summary.json")
-        writer.finish()
         s = result.summary
         ok = s["constraint_satisfied"] and s["targets_met"] is not False
         clear = min(s["min_clearance_deg"]) if s["min_clearance_deg"] else None
@@ -369,7 +366,7 @@ def _cmd_run(args) -> int:
         return _EXIT_PARSE if exc.kind == "parse" else _EXIT_VALIDATION
 
     worst = _EXIT_OK
-    writer = _Writer(keep_apart=not args.compare)
+    writer = _Writer()
     try:
         for scenario in scenarios:
             try:

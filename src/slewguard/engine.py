@@ -601,7 +601,8 @@ def run_scenario(scenario: "Scenario", force: bool = False,
     final sample.  The trajectory only grows between calls, so the caller
     can stream the rows logged since its last call while the run goes on
     (the CLI hands them to the process that writes ``trajectory.csv``).  An
-    exception it raises ends the run.
+    exception it raises ends the run.  Its time is left out of the
+    summary's ``wall_clock_s``, which covers the integration alone.
     """
     sim = scenario.sim
     report = validate_config(scenario.controller, scenario.envelope,
@@ -623,6 +624,7 @@ def run_scenario(scenario: "Scenario", force: bool = False,
     # steps between calls of on_rows, each block logging _BLOCK_ROWS rows
     block = n_steps if on_rows is None else _BLOCK_ROWS * stride
     t0 = time.perf_counter()
+    held = 0.0  # time spent in on_rows
     for start in range(0, n_steps, block):
         end = start + block
         for k in range(start, min(end, n_steps)):
@@ -635,7 +637,9 @@ def run_scenario(scenario: "Scenario", force: bool = False,
             _check_state((k + 1) * dt, y_next, y)
             y = y_next
         if on_rows is not None and end <= n_steps:
+            held -= time.perf_counter()
             on_rows(records)
+            held += time.perf_counter()
     # the final sample is the one stage evaluated outside a step
     t = n_steps * dt
     try:
@@ -646,9 +650,9 @@ def run_scenario(scenario: "Scenario", force: bool = False,
     row = ctx.record(t, y, stage)
     log.extend(row)
     stats.add(t, y, stage, row)
+    wall = time.perf_counter() - t0 - held
     if on_rows is not None:
         on_rows(records)
-    wall = time.perf_counter() - t0
 
     summary = summarize(scenario, sim, stats, report, wall)
     return SimulationResult(records=records, summary=summary)

@@ -497,17 +497,16 @@ class TestTrajectoryWriter:
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity")
                         or len(os.sched_getaffinity(0)) < 2,
                         reason="placement needs Linux and two CPUs")
-    @pytest.mark.parametrize("compare", [False, True])
     def test_writer_is_kept_off_the_run_cpu(self, tmp_path, capsys,
-                                            monkeypatch, compare):
-        # one CPU fewer than the run may use; with --compare the baseline
-        # needs the other core more, and no child is placed
+                                            monkeypatch):
+        # one CPU fewer than the run may use; the --compare baseline is
+        # left where the kernel puts it
         allowed = os.sched_getaffinity(0)
         seen = []
 
         def look():
-            seen.append(sorted(os.sched_getaffinity(child.pid)
-                               for child in multiprocessing.active_children()))
+            seen.append([os.sched_getaffinity(child.pid)
+                         for child in multiprocessing.active_children()])
 
         def run(scenario, on_rows=None):
             if on_rows is None:
@@ -519,12 +518,14 @@ class TestTrajectoryWriter:
         path = write_scenario(tmp_path, doc_without_targets())
         argv = ["run", "--scenario", str(path), "--duration", "10",
                 "--out", str(tmp_path / "runs")]
-        assert main(argv + ["--compare"] * compare) == 0
+        assert main(argv) == 0
+        assert main(argv + ["--compare"]) == 0
         capsys.readouterr()
-        if compare:
-            assert seen == [[allowed, allowed]]
-        else:
-            (placed,) = seen[0]
+        # the writer alone, then the baseline and the writer
+        assert [len(children) for children in seen] == [1, 2]
+        for children in seen:
+            *others, placed = sorted(children, key=len, reverse=True)
+            assert others == [allowed] * (len(children) - 1)
             assert placed < allowed and len(placed) == len(allowed) - 1
 
     def test_validation_failure_starts_no_writer(self, tmp_path, capsys):
@@ -608,6 +609,48 @@ class TestTrajectoryWriter:
         assert got.err == ("error: custom: trajectory.csv not written: "
                            "[Errno 28] No space left on device\n")
         assert list(case.iterdir()) == []
+        assert multiprocessing.active_children() == []
+
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the child sees the patched formatter only "
+                               "when forked")
+    def test_writer_error_on_the_final_block(self, tmp_path, capsys,
+                                             monkeypatch):
+        # the first three blocks are written, the last (233 rows) is not:
+        # no summary.json is written beside the missing trajectory.csv
+        format_rows = cli._csv_text
+
+        def full_disk(data, columns, header):
+            if len(data) < _BLOCK_ROWS * len(columns):
+                raise OSError(28, "No space left on device")
+            return format_rows(data, columns, header)
+
+        monkeypatch.setattr(cli, "_csv_text", full_disk)
+        path = write_scenario(tmp_path, doc_without_targets())
+        case = tmp_path / "runs" / "custom"
+        assert main(["run", "--scenario", str(path), "--duration", "10",
+                     "--out", str(tmp_path / "runs")]) == 6
+        got = capsys.readouterr()
+        assert got.out == ""
+        assert got.err == ("error: custom: trajectory.csv not written: "
+                           "[Errno 28] No space left on device\n")
+        assert list(case.iterdir()) == []
+        assert multiprocessing.active_children() == []
+
+    def test_file_that_cannot_be_moved_into_place(self, tmp_path, capsys):
+        # a directory where trajectory.csv goes: the complete temporary
+        # file cannot replace it, and no summary.json is written
+        path = write_scenario(tmp_path, doc_without_targets())
+        case = tmp_path / "runs" / "custom"
+        (case / "trajectory.csv" / "taken").mkdir(parents=True)
+        assert main(["run", "--scenario", str(path), "--duration", "3",
+                     "--out", str(tmp_path / "runs")]) == 6
+        got = capsys.readouterr()
+        assert got.out == ""
+        assert got.err.startswith("error: custom: trajectory.csv not "
+                                  "written: [Errno 21] Is a directory")
+        assert [p.name for p in case.iterdir()] == ["trajectory.csv"]
         assert multiprocessing.active_children() == []
 
 

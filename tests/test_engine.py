@@ -5,6 +5,7 @@ import json
 import math
 import pickle
 import re
+import time
 
 import numpy as np
 import pytest
@@ -352,6 +353,20 @@ class TestRunScenario:
         s1.pop("wall_clock_s")
         s2.pop("wall_clock_s")
         assert s1 == s2
+
+    def test_wall_clock_leaves_out_the_consumer(self):
+        # three simulated seconds log 301 rows: one full block, then the
+        # final call; half a second's wait in each is not the run's time
+        sc = load_preset("paper-two-1").with_sim(duration=3.0)
+        calls = []
+
+        def on_rows(records):
+            calls.append(len(records))
+            time.sleep(0.5)
+
+        res = run_scenario(sc, on_rows=on_rows)
+        assert calls == [engine_module._BLOCK_ROWS, 301]
+        assert res.summary["wall_clock_s"] < 0.5
 
     @pytest.mark.parametrize("name", ["paper-two-1", "corridor-1-001-beside"])
     def test_summary_independent_of_record_stride(self, name):
