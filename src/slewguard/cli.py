@@ -232,10 +232,17 @@ class _Writer:
     place.  The child starts with the first rows sent, so a call of
     :func:`main` whose runs all fail before logging starts none.  After an
     exception the writer is not reused: :meth:`close` stops the child and
-    removes the temporary file.  The child is kept off the run's CPU.
+    removes the temporary file.
+
+    ``keep_apart`` keeps the child off the run's CPU.  A comparison leaves
+    it where the kernel puts it: with the baseline's process as a third,
+    keeping the writer apart made ``--compare`` slower (per preset 0.57 s
+    against 0.63 s normalized over 10 alternating pairs on a 2-vCPU x86-64
+    host, ``BENCH_20.json`` round 5).
     """
 
-    def __init__(self):
+    def __init__(self, keep_apart: bool):
+        self._keep_apart = keep_apart
         self._proc = self._conn = self._path = None
         self._sent = 0
 
@@ -253,7 +260,8 @@ class _Writer:
                 target=_write_trajectories, args=(child_conn, self._conn))
             self._proc.start()
             child_conn.close()
-            _keep_apart(self._proc.pid)
+            if self._keep_apart:
+                _keep_apart(self._proc.pid)
         data = records.data
         try:
             if not self._sent:
@@ -366,7 +374,7 @@ def _cmd_run(args) -> int:
         return _EXIT_PARSE if exc.kind == "parse" else _EXIT_VALIDATION
 
     worst = _EXIT_OK
-    writer = _Writer()
+    writer = _Writer(keep_apart=not args.compare)
     try:
         for scenario in scenarios:
             try:
