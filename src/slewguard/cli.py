@@ -236,9 +236,9 @@ class _Writer:
 
     ``keep_apart`` keeps the child off the run's CPU.  A comparison leaves
     it where the kernel puts it: with the baseline's process as a third,
-    keeping the writer apart made ``--compare`` slower (per preset 0.57 s
-    against 0.63 s normalized over 10 alternating pairs on a 2-vCPU x86-64
-    host, ``BENCH_20.json`` round 5).
+    keeping the writer apart made ``--compare`` slower (per preset 0.56 s
+    against 0.63 s normalized, over 10 alternating pairs on a 2-vCPU x86-64
+    host, ``BENCH_20.json`` rounds 5 and 6).
     """
 
     def __init__(self, keep_apart: bool):

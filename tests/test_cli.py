@@ -502,7 +502,7 @@ class TestTrajectoryWriter:
                                             monkeypatch, compare):
         # one CPU fewer than the run may use; with --compare no child is
         # placed: the writer kept apart there slowed comparisons (measured
-        # in BENCH_20.json, round 5)
+        # in BENCH_20.json, rounds 5 and 6)
         allowed = os.sched_getaffinity(0)
         seen = []
 
