@@ -6,12 +6,13 @@ Exit codes:
     3  scenario failed schema or parameter validation
     4  numeric abort during integration
     5  run completed but violated the constraint or missed its targets
-    6  trajectory.csv could not be written (the writer process failed)
+    6  an output file could not be written (the file and why are printed)
 
-Each run streams its logged rows, a block at a time, to one writer process
-per call of :func:`main`, which formats ``trajectory.csv`` on another core
-while the run integrates; a run's line is printed once its file is
-complete.  The bytes are those of :func:`write_trajectory_csv`.
+Each run streams its logged rows, a block at a time, to a writer process of
+its own, which formats ``trajectory.csv`` on another core while the run
+integrates; a run's line is printed once its file is complete.  The bytes
+are those of :func:`write_trajectory_csv`.  With ``--compare`` the baseline
+runs in a third process.  Both are :class:`_Child` processes.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ _EXIT_PARSE = 2
 _EXIT_VALIDATION = 3
 _EXIT_NUMERIC = 4
 _EXIT_PERFORMANCE = 5
-_EXIT_OUTPUT = 6
+_EXIT_OUTPUT = 6  # any output file, written here or by a child process
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -64,9 +65,10 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="also run the potential-field-only baseline and "
                           "write comparison.json; the baseline runs in a "
                           "process of its own at the same time as the "
-                          "proposed run (whose trajectory.csv another "
-                          "process writes as it goes), and its outputs are "
-                          "byte-identical to a sequential run")
+                          "proposed run (whose trajectory.csv, as in any "
+                          "run, the run's own writer process writes as it "
+                          "goes); the outputs are byte-identical to a "
+                          "sequential run's")
     run.add_argument("--dt", type=float, default=None,
                      help="override integration step [s]")
     run.add_argument("--duration", type=float, default=None,
@@ -100,70 +102,13 @@ def _partial(path: Path) -> Path:
     return path.with_name(f".{path.name}.part")
 
 
-def _run_baseline(scenario, paths, conn) -> None:
-    """Child process: run and write the baseline, then send back its
-    summary, or the exception that stopped it."""
+def _output(path: Path, write, *args) -> None:
+    """Call ``write(*args)``, which writes ``path`` or its temporary name;
+    an :class:`OSError` it raises is raised again naming ``path``'s file."""
     try:
-        result = run_scenario(scenario)
-        write_trajectory_csv(result.records, _partial(paths[0]))
-        write_summary_json(result.summary, _partial(paths[1]))
-    except Exception as exc:
-        conn.send(exc)
-    else:
-        conn.send(result.summary)
-    finally:
-        conn.close()
-
-
-class _Baseline:
-    """The potential-field-only baseline of a scenario, run in a second
-    process while this one runs the proposed controller.
-
-    The two runs share no state, so the written files are the bytes a run
-    after the proposed one would write.  The child writes under temporary
-    names; :meth:`summary` moves its files into place, :meth:`close` stops
-    the child and removes what it left.
-    """
-
-    def __init__(self, scenario, out_dir: Path):
-        import multiprocessing
-
-        self._paths = (out_dir / "trajectory_benchmark.csv",
-                       out_dir / "summary_benchmark.json")
-        self._conn, child_conn = multiprocessing.Pipe(duplex=False)
-        self._proc = multiprocessing.Process(
-            target=_run_baseline,
-            args=(scenario.with_sim(controller_mode="benchmark_apf"),
-                  self._paths, child_conn))
-        self._proc.start()
-        child_conn.close()
-
-    def summary(self) -> dict:
-        """Wait for the baseline and return its summary; its exception is
-        raised here."""
-        try:
-            reply = self._conn.recv()
-        except EOFError:
-            reply = None
-        self._proc.join()
-        if reply is None:
-            raise RuntimeError("the baseline process exited with code "
-                               f"{self._proc.exitcode} and sent no result")
-        if isinstance(reply, Exception):
-            raise reply
-        for path in self._paths:
-            _partial(path).replace(path)
-        return reply
-
-    def close(self) -> None:
-        # stopped before the pipe closes, so the child never writes into a
-        # closed pipe; a child that has exited is left alone
-        self._proc.terminate()
-        self._proc.join()
-        self._proc.close()
-        self._conn.close()
-        for path in self._paths:
-            _partial(path).unlink(missing_ok=True)
+        write(*args)
+    except OSError as exc:
+        raise OSError(f"{path.name} not written: {exc}") from None
 
 
 def _keep_apart(pid: int) -> None:
@@ -185,144 +130,151 @@ def _keep_apart(pid: int) -> None:
         pass  # no such interface here: the kernel places the child
 
 
-def _write_trajectories(conn, parent_end) -> None:
-    """Writer process: for each ``(path, columns)`` received, write the CSV
-    text of the blocks of raw doubles that follow to ``path`` until an empty
-    block, then reply ``None``.  The first exception is sent back instead,
-    and ends the process.
+def _serve(conn, parent_end, target, args) -> None:
+    """Child process: reply with what ``target(conn, *args)`` returns, or
+    with the exception it raises.
 
     ``parent_end`` is the parent's end of the pipe, which a forked child
-    holds a copy of; it is closed so that the parent's exit ends the loop.
+    holds a copy of; it is closed so that the parent's exit ends a wait for
+    its messages.
     """
     import signal  # only the child needs it; its import costs set-up
 
     parent_end.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent stops it
-    try:
-        while True:
-            path, columns = conn.recv()
-            with open(path, "w", encoding="utf-8") as fh:
-                header = True
-                while block := conn.recv_bytes():
-                    rows = array("d")
-                    rows.frombytes(block)
-                    fh.writelines(_csv_text(rows, columns, header))
-                    header = False
-            conn.send(None)
-    except EOFError:
-        pass  # the parent closed the pipe
-    except Exception as exc:
-        conn.send(exc)
-    finally:
-        conn.close()
+    with conn:
+        try:
+            reply = target(conn, *args)
+        except Exception as exc:
+            reply = exc
+        try:
+            conn.send(reply)
+        except OSError:
+            pass  # the parent is gone
 
 
-class _WriteFailure(RuntimeError):
-    """The writer process could not complete a ``trajectory.csv``."""
+class _Child:
+    """``target(conn, *outputs, *args)`` run in a process of its own, named
+    ``name``, which writes the files ``outputs`` under their temporary names.
 
-
-class _Writer:
-    """The process that writes each run's ``trajectory.csv`` while the run
-    integrates.
-
-    :meth:`rows_to` gives a run's ``on_rows`` consumer, which sends the rows
-    logged since its last call down the pipe as raw doubles; the child
-    formats them with the CSV writer's code into a temporary file, and
-    :meth:`finish` waits until that file is complete and moves it into
-    place.  The child starts with the first rows sent, so a call of
-    :func:`main` whose runs all fail before logging starts none.  After an
-    exception the writer is not reused: :meth:`close` stops the child and
-    removes the temporary file.
-
-    ``keep_apart`` keeps the child off the run's CPU.  A comparison leaves
-    it where the kernel puts it: with the baseline's process as a third,
-    keeping the writer apart made ``--compare`` slower (per preset 0.56 s
-    against 0.63 s normalized, over 10 alternating pairs on a 2-vCPU x86-64
-    host, ``BENCH_20.json`` rounds 5 and 6).
+    :meth:`result` waits for the child's reply and moves its files into
+    place; :meth:`close` stops the child and removes what it left, however
+    the run ended.  ``keep_apart`` keeps the child off this process's CPU.
     """
 
-    def __init__(self, keep_apart: bool):
-        self._keep_apart = keep_apart
-        self._proc = self._conn = self._path = None
-        self._sent = 0
+    def __init__(self, name, target, outputs, *args, keep_apart=False):
+        import multiprocessing
 
-    def rows_to(self, path: Path):
-        """The ``on_rows`` consumer of the run whose file is ``path``."""
-        self._path, self._sent = path, 0
-        return self._send
+        self._outputs = outputs
+        self._conn, child_conn = multiprocessing.Pipe()
+        self._proc = multiprocessing.Process(
+            target=_serve, name=name,
+            args=(child_conn, self._conn, target, (*outputs, *args)))
+        self._proc.start()
+        child_conn.close()
+        if keep_apart:
+            _keep_apart(self._proc.pid)
 
-    def _send(self, records) -> None:
-        if self._proc is None:
-            import multiprocessing
-
-            self._conn, child_conn = multiprocessing.Pipe()
-            self._proc = multiprocessing.Process(
-                target=_write_trajectories, args=(child_conn, self._conn))
-            self._proc.start()
-            child_conn.close()
-            if self._keep_apart:
-                _keep_apart(self._proc.pid)
-        data = records.data
+    def send(self, data, offset=0) -> None:
+        """Send bytes to the child; if it has stopped, raise why."""
         try:
-            if not self._sent:
-                self._conn.send((_partial(self._path), records.columns))
-            # as bytes: a view of doubles would be copied whole on 3.10
-            self._conn.send_bytes(memoryview(data).cast("B"),
-                                  data.itemsize * self._sent)
+            self._conn.send_bytes(data, offset)
         except OSError:
-            raise self._failure(self._reply()) from None
-        self._sent = len(data)
+            self.result()
+            raise
 
-    def _reply(self):
-        """The child's next reply, or the error its silent exit stands for."""
+    def result(self):
+        """What the target returned, once the files are in place; what it
+        raised is raised here, and an :class:`OSError` if it sent no reply."""
         try:
-            return self._conn.recv()
+            reply = self._conn.recv()
         except (OSError, EOFError):
             self._proc.join()
-            return RuntimeError("the writer process exited with code "
-                                f"{self._proc.exitcode}")
-
-    def _failure(self, error) -> _WriteFailure:
-        return _WriteFailure(f"{self._path.name} not written: {error}")
-
-    def finish(self) -> None:
-        """Wait until the run's file is complete, then move it into place."""
-        try:
-            self._conn.send_bytes(b"")
-        except OSError:
-            pass  # the reply says why
-        reply = self._reply()
-        if reply is not None:
-            raise self._failure(reply)
-        try:
-            _partial(self._path).replace(self._path)
-        except OSError as exc:
-            raise self._failure(exc) from None
+            raise OSError(f"{self._outputs[0].name} not written: the "
+                          f"{self._proc.name} process exited with code "
+                          f"{self._proc.exitcode}") from None
+        if isinstance(reply, Exception):
+            raise reply
+        for path in self._outputs:
+            _output(path, _partial(path).replace, path)
+        return reply
 
     def close(self) -> None:
-        """Stop the child, and remove the temporary file it may have left."""
-        if self._proc is not None:
-            self._proc.terminate()
-            self._proc.join()
-            self._proc.close()
-            self._conn.close()
-            self._proc = None
-        if self._path is not None:
-            _partial(self._path).unlink(missing_ok=True)
+        # stopped before the pipe closes, so the child never writes into a
+        # closed pipe; a child that has exited is left alone
+        self._proc.terminate()
+        self._proc.join()
+        self._proc.close()
+        self._conn.close()
+        for path in self._outputs:
+            _partial(path).unlink(missing_ok=True)
 
 
-def _run_one(scenario, args, out_root: Path, writer: _Writer) -> int:
-    """Run one scenario (plus baseline when comparing); returns an exit code."""
+def _run_baseline(conn, trajectory: Path, summary: Path, scenario) -> dict:
+    """Baseline process: run the baseline, write its files under their
+    temporary names, and return its summary."""
+    result = run_scenario(scenario)
+    _output(trajectory, write_trajectory_csv, result.records,
+            _partial(trajectory))
+    _output(summary, write_summary_json, result.summary, _partial(summary))
+    return result.summary
+
+
+def _write_csv(conn, path: Path, columns) -> None:
+    """Writer process: write the CSV text of the blocks of raw doubles
+    received, up to an empty block, to ``path``'s temporary name."""
+    def write():
+        with open(_partial(path), "w", encoding="utf-8") as fh:
+            header = True
+            while block := conn.recv_bytes():
+                rows = array("d")
+                rows.frombytes(block)
+                fh.writelines(_csv_text(rows, columns, header))
+                header = False
+
+    _output(path, write)
+
+
+def _run_one(scenario, args, out_root: Path) -> int:
+    """Run one scenario (plus baseline when comparing); returns an exit code.
+
+    The run streams its logged rows, as raw doubles, to a writer process
+    started with the first block, which writes ``trajectory.csv`` while the
+    run integrates.  The writer is kept off the run's CPU, except beside a
+    baseline: with the baseline's process as a third, keeping it apart made
+    ``--compare`` slower (per preset 0.56 s against 0.63 s normalized, over
+    10 alternating pairs on a 2-vCPU x86-64 host, ``BENCH_20.json`` rounds
+    5 and 6).
+    """
     out_dir = out_root / scenario.name
     out_dir.mkdir(parents=True, exist_ok=True)
+    children = []  # the baseline, then the writer; closed however it ends
+    writer, sent = None, 0  # and the rows sent to the writer
 
-    baseline = _Baseline(scenario, out_dir) if args.compare else None
+    def to_writer(records):
+        nonlocal writer, sent
+        if writer is None:
+            writer = _Child("writer", _write_csv, (out_dir / "trajectory.csv",),
+                            records.columns, keep_apart=not args.compare)
+            children.append(writer)
+        data = records.data
+        # as bytes: a view of doubles would be copied whole on 3.10
+        writer.send(memoryview(data).cast("B"), data.itemsize * sent)
+        sent = len(data)
+
     try:
-        result = run_scenario(
-            scenario, on_rows=writer.rows_to(out_dir / "trajectory.csv"))
-        writer.finish()  # first, so a failed CSV leaves no new summary
-        write_summary_json(result.summary, out_dir / "summary.json")
+        if args.compare:
+            children.append(_Child(
+                "baseline", _run_baseline,
+                (out_dir / "trajectory_benchmark.csv",
+                 out_dir / "summary_benchmark.json"),
+                scenario.with_sim(controller_mode="benchmark_apf")))
+        result = run_scenario(scenario, on_rows=to_writer)
+        writer.send(b"")
+        writer.result()  # first, so a failed CSV leaves no new summary
         s = result.summary
+        _output(out_dir / "summary.json", write_summary_json, s,
+                out_dir / "summary.json")
         ok = s["constraint_satisfied"] and s["targets_met"] is not False
         clear = min(s["min_clearance_deg"]) if s["min_clearance_deg"] else None
         print(f"{scenario.name}: clearance {_fmt(clear)} deg, "
@@ -331,8 +283,8 @@ def _run_one(scenario, args, out_root: Path, writer: _Writer) -> int:
               f"wall {s['wall_clock_s']:.2f} s "
               f"[{'ok' if ok else 'MISS'}]")
 
-        if baseline is not None:
-            b = baseline.summary()
+        if args.compare:
+            b = children[0].result()
             comparison = {
                 "scenario": scenario.name,
                 "proposed": s,
@@ -344,13 +296,14 @@ def _run_one(scenario, args, out_root: Path, writer: _Writer) -> int:
                     and b["terminal_error_deg"] is not None
                     and s["terminal_error_deg"] <= b["terminal_error_deg"]),
             }
-            write_summary_json(comparison, out_dir / "comparison.json")
+            _output(out_dir / "comparison.json", write_summary_json,
+                    comparison, out_dir / "comparison.json")
             print(f"{scenario.name} baseline: terminal "
                   f"{_fmt(b['terminal_error_deg'])} deg vs proposed "
                   f"{_fmt(s['terminal_error_deg'])} deg")
     finally:
-        if baseline is not None:
-            baseline.close()
+        for child in children:
+            child.close()
 
     return _EXIT_OK if ok else _EXIT_PERFORMANCE
 
@@ -374,29 +327,25 @@ def _cmd_run(args) -> int:
         return _EXIT_PARSE if exc.kind == "parse" else _EXIT_VALIDATION
 
     worst = _EXIT_OK
-    writer = _Writer(keep_apart=not args.compare)
-    try:
-        for scenario in scenarios:
-            try:
-                scenario = _apply_overrides(scenario, args)
-            except ValueError as exc:
-                print(f"error: {scenario.name}: {exc}", file=sys.stderr)
-                return _EXIT_VALIDATION
-            try:
-                code = _run_one(scenario, args, out_root, writer)
-            except ValidationFailure as exc:
-                print(f"error: {scenario.name}:", file=sys.stderr)
-                print(exc.report.describe(), file=sys.stderr)
-                return _EXIT_VALIDATION
-            except SimulationAbort as exc:
-                print(f"error: {scenario.name}: {exc}", file=sys.stderr)
-                return _EXIT_NUMERIC
-            except _WriteFailure as exc:
-                print(f"error: {scenario.name}: {exc}", file=sys.stderr)
-                return _EXIT_OUTPUT
-            worst = max(worst, code)
-    finally:
-        writer.close()
+    for scenario in scenarios:
+        try:
+            scenario = _apply_overrides(scenario, args)
+        except ValueError as exc:
+            print(f"error: {scenario.name}: {exc}", file=sys.stderr)
+            return _EXIT_VALIDATION
+        try:
+            code = _run_one(scenario, args, out_root)
+        except ValidationFailure as exc:
+            print(f"error: {scenario.name}:", file=sys.stderr)
+            print(exc.report.describe(), file=sys.stderr)
+            return _EXIT_VALIDATION
+        except SimulationAbort as exc:
+            print(f"error: {scenario.name}: {exc}", file=sys.stderr)
+            return _EXIT_NUMERIC
+        except OSError as exc:  # an output could not be written
+            print(f"error: {scenario.name}: {exc}", file=sys.stderr)
+            return _EXIT_OUTPUT
+        worst = max(worst, code)
     return worst
 
 
