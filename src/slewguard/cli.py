@@ -212,7 +212,8 @@ class _Child:
 
 def _run_baseline(conn, trajectory: Path, summary: Path, scenario) -> dict:
     """Baseline process: run the baseline, write its files under their
-    temporary names, and return its summary."""
+    temporary names, and return its summary.  It shares no state with the
+    proposed run, so the files are the bytes a sequential run writes."""
     result = run_scenario(scenario)
     _output(trajectory, write_trajectory_csv, result.records,
             _partial(trajectory))
@@ -248,8 +249,8 @@ def _run_one(scenario, args, out_root: Path) -> int:
     """
     out_dir = out_root / scenario.name
     out_dir.mkdir(parents=True, exist_ok=True)
-    children = []  # the baseline, then the writer; closed however it ends
-    writer, sent = None, 0  # and the rows sent to the writer
+    children = []  # closed however the run ends
+    writer, sent = None, 0  # the writer, once started, and the rows sent
 
     def to_writer(records):
         nonlocal writer, sent
@@ -284,7 +285,7 @@ def _run_one(scenario, args, out_root: Path) -> int:
               f"[{'ok' if ok else 'MISS'}]")
 
         if args.compare:
-            b = children[0].result()
+            b = children[0].result()  # the baseline's summary
             comparison = {
                 "scenario": scenario.name,
                 "proposed": s,
