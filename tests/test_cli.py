@@ -413,6 +413,29 @@ class TestCompareInASecondProcess:
         assert sorted(p.name for p in case.iterdir()) == [
             "summary.json", "trajectory.csv"]
 
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the child sees the patched writer only when "
+                               "forked")
+    def test_baseline_write_error_names_its_file(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # the baseline writes two files; the one that failed is named
+        write_json = cli.write_summary_json
+
+        def full_disk(summary, path):
+            if Path(path).name == ".summary_benchmark.json.part":
+                raise OSError(28, "No space left on device")
+            write_json(summary, path)
+
+        monkeypatch.setattr(cli, "write_summary_json", full_disk)
+        path = write_scenario(tmp_path, doc_without_targets())
+        assert run_compare(path, tmp_path / "runs") == 6
+        assert capsys.readouterr().err == (
+            "error: custom: summary_benchmark.json not written: [Errno 28] "
+            "No space left on device\n")
+        case = tmp_path / "runs" / "custom"
+        assert sorted(p.name for p in case.iterdir()) == [
+            "summary.json", "trajectory.csv"]
+
 
 # every file a --compare run writes, in the order it is put in place
 OUTPUTS = ("trajectory.csv", "summary.json", "trajectory_benchmark.csv",
