@@ -33,8 +33,9 @@ results do not depend on any array library or on the CPU kernel one picks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Sequence
+
+from ._value import Frozen
 
 __all__ = [
     "UnitQuaternion",
@@ -95,22 +96,19 @@ def _sandwich(qx: float, qy: float, qz: float, qw: float,
     )
 
 
-@dataclass
 class BodyState:
     """Instantaneous rigid-body state: attitude plus body rate [rad/s]."""
 
-    attitude: UnitQuaternion
-    omega: tuple[float, float, float]
-
-    def __post_init__(self):
-        omega = tuple(float(v) for v in self.omega)
+    def __init__(self, attitude: UnitQuaternion,
+                 omega: Sequence[float]):
+        omega = tuple(float(v) for v in omega)
         if len(omega) != 3:
             raise ValueError("omega must have shape (3,)")
+        self.attitude = attitude
         self.omega = omega
 
 
-@dataclass(frozen=True)
-class SpacecraftParams:
+class SpacecraftParams(Frozen):
     """Plant constants: inertia [kg m^2], per-axis torque limit [N m],
     and the disturbance magnitude bound [N m] used by the compensator.
 
@@ -118,13 +116,11 @@ class SpacecraftParams:
     row tuples; ``inertia_inv_rows`` holds its inverse the same way.
     """
 
-    inertia: tuple[tuple[float, float, float], ...]
-    torque_limit: float
-    disturbance_bound: float
-    inertia_inv_rows: tuple = field(init=False, repr=False, compare=False)
+    _fields = ("inertia", "torque_limit", "disturbance_bound")
 
-    def __post_init__(self):
-        rows = tuple(tuple(float(v) for v in row) for row in self.inertia)
+    def __init__(self, inertia: Sequence[Sequence[float]],
+                 torque_limit: float, disturbance_bound: float):
+        rows = tuple(tuple(float(v) for v in row) for row in inertia)
         if len(rows) != 3 or any(len(row) != 3 for row in rows):
             raise ValueError("inertia must have shape (3, 3)")
         # each entry within 1e-12 of its transpose, infinities equal to
@@ -134,12 +130,13 @@ class SpacecraftParams:
                    for a, b in zip(row, col)):
             raise ValueError("inertia must be symmetric")
         inverse = _spd_inverse_rows(rows)
-        if self.torque_limit <= 0.0:
+        if torque_limit <= 0.0:
             raise ValueError("torque_limit must be positive")
-        if self.disturbance_bound < 0.0:
+        if disturbance_bound < 0.0:
             raise ValueError("disturbance_bound must be nonnegative")
-        object.__setattr__(self, "inertia", rows)
-        object.__setattr__(self, "inertia_inv_rows", inverse)
+        self._set(inertia=rows, torque_limit=torque_limit,
+                  disturbance_bound=disturbance_bound,
+                  inertia_inv_rows=inverse)
 
 
 def _spd_inverse_rows(m: tuple) -> tuple:

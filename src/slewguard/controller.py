@@ -21,9 +21,9 @@ otherwise the caller passes zeros.  The laws return float triples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from ._value import Frozen
 from .attitude import BodyState, SpacecraftParams, pointing_error, rotate_to_body
 from .envelope import EnvelopeConfig, SwitchConfig
 from .potential import ObstacleCone, goal_separation, repulsion_grad_beta
@@ -48,8 +48,7 @@ ANTIPODAL_NUDGE_FRACTION = 0.1
 _tanh = math.tanh
 
 
-@dataclass(frozen=True)
-class ControllerConfig:
+class ControllerConfig(Frozen):
     """Gains of the guidance cascade.
 
     k1       tracking-branch rate gain [1/s], must dominate the funnel
@@ -65,23 +64,19 @@ class ControllerConfig:
     td_a2    differentiator damping-term coefficient
     """
 
-    k1: float
-    k_p: float
-    k_omega: float
-    g: float
-    big_f: float
-    k_a: float
-    eta: float
-    sigma: float
-    td_r: float
-    td_a1: float = 1.0
-    td_a2: float = 2.0
+    _fields = ("k1", "k_p", "k_omega", "g", "big_f", "k_a", "eta", "sigma",
+               "td_r", "td_a1", "td_a2")
 
-    def __post_init__(self):
-        for name in ("k1", "k_p", "k_omega", "g", "big_f", "k_a", "eta",
-                     "sigma", "td_r", "td_a1", "td_a2"):
-            if getattr(self, name) <= 0.0:
+    def __init__(self, k1: float, k_p: float, k_omega: float, g: float,
+                 big_f: float, k_a: float, eta: float, sigma: float,
+                 td_r: float, td_a1: float = 1.0, td_a2: float = 2.0):
+        gains = dict(k1=k1, k_p=k_p, k_omega=k_omega, g=g, big_f=big_f,
+                     k_a=k_a, eta=eta, sigma=sigma, td_r=td_r, td_a1=td_a1,
+                     td_a2=td_a2)
+        for name, value in gains.items():
+            if value <= 0.0:
                 raise ValueError(f"{name} must be positive")
+        self._set(**gains)
 
 
 def min_sin_theta_d(theta_df: float, p0: float, p1: float) -> float:
@@ -247,16 +242,22 @@ def benchmark_apf_law(omega: tuple[float, float, float],
                       p1, 1.0, 1.0, boresight_body, params, cfg)
 
 
-@dataclass(frozen=True)
-class ValidationIssue:
-    rule: str
-    status: str  # "pass" | "warn" | "fail"
-    detail: str
+class ValidationIssue(Frozen):
+    """One rule's outcome: ``status`` is "pass", "warn" or "fail"."""
+
+    _fields = ("rule", "status", "detail")
+
+    def __init__(self, rule: str, status: str, detail: str):
+        self._set(rule=rule, status=status, detail=detail)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    issues: tuple[ValidationIssue, ...]
+class ValidationReport(Frozen):
+    """Every rule's outcome for one scenario, in the order checked."""
+
+    _fields = ("issues",)
+
+    def __init__(self, issues: tuple[ValidationIssue, ...]):
+        self._set(issues=issues)
 
     @property
     def failures(self) -> tuple[ValidationIssue, ...]:

@@ -60,9 +60,9 @@ import json
 import math
 import time
 from array import array
-from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
+from ._value import Frozen
 from .controller import (
     apf_vector,
     benchmark_apf_law,
@@ -131,30 +131,32 @@ class ValidationFailure(RuntimeError):
         return type(self), (self.report,)
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(Frozen):
     """Fixed-step RK4 settings; defaults match the reference experiments."""
 
-    dt: float = 0.01
-    duration: float = 120.0
-    record_stride: int = 1
-    disturbance_enabled: bool = True
-    controller_mode: str = "proposed"
+    _fields = ("dt", "duration", "record_stride", "disturbance_enabled",
+               "controller_mode")
 
-    def __post_init__(self):
-        for name in ("dt", "duration", "record_stride"):
-            if not math.isfinite(getattr(self, name)):
+    def __init__(self, dt: float = 0.01, duration: float = 120.0,
+                 record_stride: int = 1, disturbance_enabled: bool = True,
+                 controller_mode: str = "proposed"):
+        for name, value in (("dt", dt), ("duration", duration),
+                            ("record_stride", record_stride)):
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
-        if self.dt <= 0.0:
+        if dt <= 0.0:
             raise ValueError("dt must be positive")
-        if self.duration < self.dt:
+        if duration < dt:
             raise ValueError("duration must cover at least one step")
-        if not math.isfinite(self.duration / self.dt):
+        if not math.isfinite(duration / dt):
             raise ValueError("duration / dt must be finite")
-        if int(self.record_stride) != self.record_stride or self.record_stride < 1:
+        if int(record_stride) != record_stride or record_stride < 1:
             raise ValueError("record_stride must be a positive integer")
-        if self.controller_mode not in _CONTROLLER_MODES:
+        if controller_mode not in _CONTROLLER_MODES:
             raise ValueError(f"controller_mode must be one of {_CONTROLLER_MODES}")
+        self._set(dt=dt, duration=duration, record_stride=record_stride,
+                  disturbance_enabled=disturbance_enabled,
+                  controller_mode=controller_mode)
 
 
 def _columns(n_cones: int) -> tuple[str, ...]:
@@ -166,30 +168,41 @@ def _columns(n_cones: int) -> tuple[str, ...]:
                "v_q", "v_omega", "td_error", "quat_norm_error"))
 
 
-@dataclass(frozen=True, eq=False)
-class Trajectory:
+class Trajectory(Frozen):
     """Logged samples of a run: ``n`` rows of named columns in one flat
     ``array("d")``, row after row.
 
-    ``records["eps"]`` is the column of that name, a strided copy.  The
-    names are the CSV header, and each row is one
-    :meth:`_LoopContext.record`.
+    ``records["eps"]`` is the column of that name, a strided copy; an
+    unknown name raises :class:`KeyError`.  The names are the CSV header,
+    and each row is one :meth:`_LoopContext.record`.  Trajectories compare
+    and hash by identity, since ``data`` grows while a run logs.
     """
 
-    data: array
-    columns: tuple[str, ...]
+    _fields = ("data", "columns")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, data: array, columns: tuple[str, ...]):
+        self._set(data=data, columns=columns)
 
     def __getitem__(self, name: str) -> array:
-        return self.data[self.columns.index(name)::len(self.columns)]
+        try:
+            i = self.columns.index(name)
+        except ValueError:
+            raise KeyError(f"no column {name!r}; the columns are "
+                           f"{', '.join(self.columns)}") from None
+        return self.data[i::len(self.columns)]
 
     def __len__(self) -> int:
         return len(self.data) // len(self.columns)
 
 
-@dataclass
 class SimulationResult:
-    records: Trajectory
-    summary: dict
+    """A run's logged samples and its summary dict."""
+
+    def __init__(self, records: Trajectory, summary: dict):
+        self.records = records
+        self.summary = summary
 
 
 def disturbance_torque(t: float) -> tuple[float, float, float]:
@@ -670,7 +683,10 @@ def summarize(scenario: "Scenario", sim: SimConfig, stats: _RunStats,
     targets_met = None
     targets_dict = None
     if targets is not None:
-        targets_dict = asdict(targets)
+        targets_dict = {"settle_deg": targets.settle_deg,
+                        "settle_time_s": targets.settle_time_s,
+                        "terminal_deg": targets.terminal_deg,
+                        "terminal_time_s": targets.terminal_time_s}
         targets_met = True
         if targets.settle_deg is not None and targets.settle_time_s is not None:
             st = stats.settled[targets.settle_deg]

@@ -30,8 +30,8 @@ stage (see :mod:`slewguard.engine`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
+from ._value import Frozen
 from .potential import BridgeShape
 
 __all__ = [
@@ -47,23 +47,20 @@ ERROR_RATIO_FLOOR = 1e-9
 _LN2 = math.log(2.0)
 
 
-@dataclass(frozen=True)
-class EnvelopeConfig:
+class EnvelopeConfig(Frozen):
     """Funnel radius parameters: start, floor, and shrink rate [1/s]."""
 
-    rho_0: float
-    rho_inf: float
-    k_rho: float
+    _fields = ("rho_0", "rho_inf", "k_rho")
 
-    def __post_init__(self):
-        if not (self.rho_0 > self.rho_inf > 0.0):
+    def __init__(self, rho_0: float, rho_inf: float, k_rho: float):
+        if not (rho_0 > rho_inf > 0.0):
             raise ValueError("funnel requires rho_0 > rho_inf > 0")
-        if self.k_rho <= 0.0:
+        if k_rho <= 0.0:
             raise ValueError("k_rho must be positive")
+        self._set(rho_0=rho_0, rho_inf=rho_inf, k_rho=k_rho)
 
 
-@dataclass(frozen=True)
-class SwitchConfig:
+class SwitchConfig(Frozen):
     """Knots and steepness factors of the two mode switches.
 
     Five settings fix the layout: the repulsion onset ``v1``, the saturation
@@ -73,37 +70,27 @@ class SwitchConfig:
     ``omega_v`` over [p0, p1] centered at pm with steepness
     ``n * (p1 - p0)``.  The layout is asynchronous: p0 equals v1, so the
     funnel freeze completes exactly where the guidance blend begins.  The
-    other knots and both bridge shapes are derived, never set.
+    other knots and both bridge shapes, ``s_shape`` and ``v_shape``, are
+    derived, never set.
     """
 
-    v1: float
-    p1: float
-    delta: float
-    m: float
-    n: float
-    v0: float = field(init=False, compare=False)
-    vm: float = field(init=False, compare=False)
-    p0: float = field(init=False, compare=False)
-    pm: float = field(init=False, compare=False)
-    s_shape: BridgeShape = field(init=False, repr=False, compare=False)
-    v_shape: BridgeShape = field(init=False, repr=False, compare=False)
+    _fields = ("v1", "p1", "delta", "m", "n")
 
-    def __post_init__(self):
-        if not (self.v1 < self.p1):
+    def __init__(self, v1: float, p1: float, delta: float, m: float,
+                 n: float):
+        if not (v1 < p1):
             raise ValueError("switch knots must satisfy v1 < p1")
-        if self.m <= 0.0 or self.n <= 0.0:
+        if m <= 0.0 or n <= 0.0:
             raise ValueError("steepness factors must be positive")
-        if self.delta <= 0.0:
+        if delta <= 0.0:
             raise ValueError("delta must be positive")
-        v1, p1 = self.v1, self.p1
-        v0, vm, pm = v1 - 2.0 * self.delta, v1 - self.delta, 0.5 * (v1 + p1)
-        for name, value in (
-                ("v0", v0), ("vm", vm), ("p0", v1), ("pm", pm),
-                ("s_shape", BridgeShape(lo=v0, hi=v1, mid=vm,
-                                        steepness=self.m * (v1 - v0))),
-                ("v_shape", BridgeShape(lo=v1, hi=p1, mid=pm,
-                                        steepness=self.n * (p1 - v1)))):
-            object.__setattr__(self, name, value)
+        v0, vm, pm = v1 - 2.0 * delta, v1 - delta, 0.5 * (v1 + p1)
+        self._set(v1=v1, p1=p1, delta=delta, m=m, n=n,
+                  v0=v0, vm=vm, p0=v1, pm=pm,
+                  s_shape=BridgeShape(lo=v0, hi=v1, mid=vm,
+                                      steepness=m * (v1 - v0)),
+                  v_shape=BridgeShape(lo=v1, hi=p1, mid=pm,
+                                      steepness=n * (p1 - v1)))
 
 
 def _ln_cosh(z: float) -> float:

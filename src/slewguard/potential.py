@@ -20,8 +20,9 @@ unit scale, is reused by the mode-switching logic in :mod:`slewguard.envelope`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Iterable, Sequence
+
+from ._value import Frozen
 
 __all__ = [
     "BridgeShape",
@@ -38,8 +39,7 @@ __all__ = [
 _KNOT_GUARD = 1e-12
 
 
-@dataclass(frozen=True)
-class BridgeShape:
+class BridgeShape(Frozen):
     """Knots and steepness of one tanh bridge on the cosine axis.
 
     ``lo`` and ``hi`` are the outer and inner knots (cosines, lo < hi),
@@ -47,17 +47,15 @@ class BridgeShape:
     tanh argument.  Larger k makes the transition sharper around ``mid``.
     """
 
-    lo: float
-    hi: float
-    mid: float
-    steepness: float
+    _fields = ("lo", "hi", "mid", "steepness")
 
-    def __post_init__(self):
-        if not (self.lo < self.mid < self.hi):
+    def __init__(self, lo: float, hi: float, mid: float, steepness: float):
+        if not (lo < mid < hi):
             raise ValueError("bridge knots must satisfy lo < mid < hi")
-        if not 0.0 < self.steepness < math.inf:
+        if not 0.0 < steepness < math.inf:
             raise ValueError(f"bridge steepness must be positive and finite, "
-                             f"got {self.steepness!r}")
+                             f"got {steepness!r}")
+        self._set(lo=lo, hi=hi, mid=mid, steepness=steepness)
 
 
 def bridge(shape: BridgeShape, beta: float, scale: float = 1.0) -> float:
@@ -91,46 +89,42 @@ def bridge_grad(shape: BridgeShape, beta: float, scale: float = 1.0) -> float:
     return 0.5 * scale * sech * sech * darg
 
 
-@dataclass(frozen=True)
-class ObstacleCone:
+class ObstacleCone(Frozen):
     """One forbidden cone: inertial axis plus angular layout and field gains.
 
     Angles in radians: ``theta_f`` is the hard forbidden half-angle,
     ``theta_1`` the inner buffer edge where the repulsion plateaus, and
     ``theta_0`` the outer onset, with theta_0 > theta_1 >= theta_f.  ``k_r``
     is the plateau height and ``r_slope`` the designed mid-bridge slope of
-    the repulsion with respect to the cosine.
+    the repulsion with respect to the cosine.  ``shape`` is the repulsion
+    bridge derived from them.
     """
 
-    axis_inertial: tuple[float, float, float]
-    theta_f: float
-    theta_0: float
-    theta_1: float
-    k_r: float
-    r_slope: float
-    shape: BridgeShape = field(init=False, repr=False, compare=False)
+    _fields = ("axis_inertial", "theta_f", "theta_0", "theta_1", "k_r",
+               "r_slope")
 
-    def __post_init__(self):
-        axis = tuple(float(v) for v in self.axis_inertial)
+    def __init__(self, axis_inertial: Sequence[float], theta_f: float,
+                 theta_0: float, theta_1: float, k_r: float, r_slope: float):
+        axis = tuple(float(v) for v in axis_inertial)
         if len(axis) != 3:
             raise ValueError("axis_inertial must have shape (3,)")
         x, y, z = axis
         n = math.sqrt(x * x + y * y + z * z)
         if abs(n - 1.0) > 1e-6:
             raise ValueError(f"axis_inertial must be unit, got norm {n:.9e}")
-        if not (self.theta_0 > self.theta_1 >= self.theta_f > 0.0):
+        if not (theta_0 > theta_1 >= theta_f > 0.0):
             raise ValueError("cone angles must satisfy "
                              "theta_0 > theta_1 >= theta_f > 0")
-        if self.theta_0 >= math.pi:
+        if theta_0 >= math.pi:
             raise ValueError("theta_0 must be below pi")
-        if self.k_r <= 0.0 or self.r_slope <= 0.0:
+        if k_r <= 0.0 or r_slope <= 0.0:
             raise ValueError("k_r and r_slope must be positive")
-        lo = math.cos(self.theta_0)
-        hi = math.cos(self.theta_1)
-        object.__setattr__(self, "axis_inertial", (x / n, y / n, z / n))
-        object.__setattr__(self, "shape", BridgeShape(
-            lo=lo, hi=hi, mid=0.5 * (lo + hi),
-            steepness=self.r_slope * (hi - lo) / self.k_r))
+        lo = math.cos(theta_0)
+        hi = math.cos(theta_1)
+        self._set(axis_inertial=(x / n, y / n, z / n), theta_f=theta_f,
+                  theta_0=theta_0, theta_1=theta_1, k_r=k_r, r_slope=r_slope,
+                  shape=BridgeShape(lo=lo, hi=hi, mid=0.5 * (lo + hi),
+                                    steepness=r_slope * (hi - lo) / k_r))
 
 
 def goal_separation(target: Sequence[float], axis: Sequence[float]) -> float:

@@ -22,10 +22,10 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field, replace
 from importlib import resources
 from typing import Any
 
+from ._value import Frozen
 from .attitude import BodyState, SpacecraftParams, UnitQuaternion
 from .controller import ControllerConfig
 from .envelope import EnvelopeConfig, SwitchConfig
@@ -56,39 +56,52 @@ class ScenarioError(Exception):
         super().__init__("\n".join(self.errors))
 
 
-@dataclass(frozen=True)
-class Targets:
+class Targets(Frozen):
     """Optional pass/fail performance targets evaluated by the summary."""
 
-    settle_deg: float | None = None
-    settle_time_s: float | None = None
-    terminal_deg: float | None = None
-    terminal_time_s: float | None = None
+    _fields = ("settle_deg", "settle_time_s", "terminal_deg",
+               "terminal_time_s")
+
+    def __init__(self, settle_deg: float | None = None,
+                 settle_time_s: float | None = None,
+                 terminal_deg: float | None = None,
+                 terminal_time_s: float | None = None):
+        self._set(settle_deg=settle_deg, settle_time_s=settle_time_s,
+                  terminal_deg=terminal_deg, terminal_time_s=terminal_time_s)
 
 
-@dataclass
 class Scenario:
     """Fully resolved scenario ready for :func:`slewguard.engine.run_scenario`."""
 
-    name: str
-    description: str
-    params: SpacecraftParams
-    initial: BodyState
-    boresight_body: tuple[float, float, float]
-    target_inertial: tuple[float, float, float]
-    obstacles: tuple[ObstacleCone, ...]
-    envelope: EnvelopeConfig
-    switch: SwitchConfig
-    controller: ControllerConfig
-    sim: SimConfig
-    theta_df: float
-    targets: Targets | None = None
-    load_warnings: list[str] = field(default_factory=list)
+    def __init__(self, name: str, description: str, params: SpacecraftParams,
+                 initial: BodyState,
+                 boresight_body: tuple[float, float, float],
+                 target_inertial: tuple[float, float, float],
+                 obstacles: tuple[ObstacleCone, ...],
+                 envelope: EnvelopeConfig, switch: SwitchConfig,
+                 controller: ControllerConfig, sim: SimConfig,
+                 theta_df: float, targets: Targets | None = None,
+                 load_warnings: list[str] | None = None):
+        self.name = name
+        self.description = description
+        self.params = params
+        self.initial = initial
+        self.boresight_body = boresight_body
+        self.target_inertial = target_inertial
+        self.obstacles = obstacles
+        self.envelope = envelope
+        self.switch = switch
+        self.controller = controller
+        self.sim = sim
+        self.theta_df = theta_df
+        self.targets = targets
+        self.load_warnings = [] if load_warnings is None else load_warnings
 
     def with_sim(self, **changes) -> "Scenario":
         """Copy with modified simulation settings."""
         new = copy.copy(self)
-        new.sim = replace(self.sim, **changes)
+        sim = self.sim
+        new.sim = SimConfig(**dict(zip(sim._fields, sim._key()), **changes))
         return new
 
 

@@ -2,7 +2,6 @@
 closed-loop kernel's kinematics, error-rate and rigid-body terms."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -219,9 +218,9 @@ class TestDynamics:
     def test_principal_axis_spin_is_torque_free_equilibrium(self):
         sc = make_scenario()
         # an actuator limit of 1e-300 N m and no disturbance: torque free
-        sc = replace(sc, params=SpacecraftParams(
+        sc.params = SpacecraftParams(
             inertia=sc.params.inertia, torque_limit=1e-300,
-            disturbance_bound=0.1))
+            disturbance_bound=0.1)
         sim = SimConfig(disturbance_enabled=False)
         for w in ([0.3, 0.0, 0.0], [0.0, -0.2, 0.0], [0.0, 0.0, 0.4]):
             y = state(UnitQuaternion(0.0, 0.0, 0.0, 1.0), w)

@@ -1,11 +1,11 @@
 """Closed-loop engine tests: RHS composition, determinism, logging, aborts."""
 
-import dataclasses
 import json
 import math
 import pickle
 import re
 import time
+from array import array
 
 import numpy as np
 import pytest
@@ -16,6 +16,7 @@ from slewguard.controller import benchmark_apf_law, torque_law, virtual_law
 from slewguard.engine import (
     SimConfig,
     SimulationAbort,
+    Trajectory,
     ValidationFailure,
     _LoopContext,
     _check_state,
@@ -375,8 +376,9 @@ class TestRunScenario:
         # cone, where the Lyapunov pairs start and stop
         if name == "paper-two-1":
             sc = load_preset(name).with_sim(duration=40.0)
-            sc = dataclasses.replace(sc, targets=dataclasses.replace(
-                sc.targets, terminal_time_s=30.0))
+            t = sc.targets
+            sc.targets = Targets(t.settle_deg, t.settle_time_s,
+                                 t.terminal_deg, terminal_time_s=30.0)
         else:
             doc = load_cases().corridor_scenario_docs(1)[1]
             assert doc["name"] == name
@@ -524,7 +526,8 @@ def synthetic_stats(energies, angles=None, omega_s=0.0, targets=None):
     """The run statistics of ``make_scenario()`` fed logged samples one
     second apart: ``v_q`` steps through ``energies`` and the pointing angle
     through ``angles`` (60 deg by default)."""
-    sc = dataclasses.replace(make_scenario(), targets=targets)
+    sc = make_scenario()
+    sc.targets = targets
     stats = engine_module._RunStats(_LoopContext(sc, SimConfig()))
     if angles is None:
         angles = [60.0] * len(energies)
@@ -665,6 +668,12 @@ class TestOutputs(object):
             header = path.read_text().splitlines()[0]
             assert tuple(header.split(",")) == res.records.columns
         assert res.records.columns[3:6] == ("beta_1", "beta_2", "beta_3")
+
+    def test_unknown_column_raises_key_error(self):
+        records = Trajectory(array("d", [0.0, 1.0, 0.5, 2.0]), ("t", "eps"))
+        assert list(records["eps"]) == [1.0, 2.0]
+        with pytest.raises(KeyError, match="'nope'; the columns are t, eps"):
+            records["nope"]
 
     def test_summary_json(self, tmp_path):
         sc = load_preset("paper-single-1").with_sim(duration=0.5)
