@@ -12,8 +12,6 @@ from .attitude import (
     BodyState,
     SpacecraftParams,
     UnitQuaternion,
-    pointing_error,
-    rotate_to_body,
 )
 from .potential import (
     BridgeShape,

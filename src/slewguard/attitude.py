@@ -20,14 +20,12 @@ The closed-loop kernel in :mod:`slewguard.engine` writes its quaternion
 arithmetic out inline on float components, since a call per product slows
 the loop: the kinematics ``0.5 q (x) [omega, 0]`` as the full Hamilton
 product with its zero-scalar terms, and the frame resolution as the
-conjugate ``_sandwich`` of :func:`rotate_to_body`, in the same operation
-order.  The public functions take 3-vectors as any sequence of three
-numbers, and :func:`rotate_to_body` returns a float triple; nothing in this
-module mutates its inputs.
+conjugate sandwich, in ``_LoopContext._resolve``, the one place the
+package rotates a vector between frames.
 
-Every value here is a Python float: the dot product and the inertia inverse
-are written out in float arithmetic with a fixed operation order, so the
-results do not depend on any array library or on the CPU kernel one picks.
+Every value here is a Python float: the inertia inverse is written out in
+float arithmetic with a fixed operation order, so the results do not depend
+on any array library or on the CPU kernel one picks.
 """
 
 from __future__ import annotations
@@ -41,24 +39,14 @@ __all__ = [
     "UnitQuaternion",
     "BodyState",
     "SpacecraftParams",
-    "rotate_to_body",
-    "pointing_error",
 ]
 
 # Constructor rejects inputs farther than this from the unit sphere; smaller
 # deviations are silently renormalized.
 _QUAT_NORM_TOL = 1e-6
-# Unit-vector precondition tolerance for direction arguments.
-_UNIT_VEC_TOL = 1e-6
 
 
-def _require_unit_vec(v: Sequence[float], name: str) -> None:
-    n = math.sqrt(float(v[0]) ** 2 + float(v[1]) ** 2 + float(v[2]) ** 2)
-    if abs(n - 1.0) > _UNIT_VEC_TOL:
-        raise ValueError(f"{name} must be a unit vector, got norm {n:.9e}")
-
-
-class UnitQuaternion:
+class UnitQuaternion(Frozen):
     """Unit quaternion ``[x, y, z, w]`` (scalar last), fields ``x`` to ``w``.
 
     Construction renormalizes so the stored norm is 1 to machine precision;
@@ -66,34 +54,14 @@ class UnitQuaternion:
     rather than drift.
     """
 
-    __slots__ = ("x", "y", "z", "w")
+    _fields = ("x", "y", "z", "w")
 
     def __init__(self, x: float, y: float, z: float, w: float):
         n = math.sqrt(x * x + y * y + z * z + w * w)
         if abs(n - 1.0) > _QUAT_NORM_TOL:
             raise ValueError(f"quaternion norm {n:.9e} is not within "
                              f"{_QUAT_NORM_TOL:g} of 1; normalize explicitly")
-        self.x = x / n
-        self.y = y / n
-        self.z = z / n
-        self.w = w / n
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return (f"UnitQuaternion(x={self.x:.9g}, y={self.y:.9g}, "
-                f"z={self.z:.9g}, w={self.w:.9g})")
-
-
-def _sandwich(qx: float, qy: float, qz: float, qw: float,
-              vx: float, vy: float, vz: float):
-    """Vector part of ``q [v, 0] q*`` via the two-cross expansion."""
-    tx = 2.0 * (qy * vz - qz * vy)
-    ty = 2.0 * (qz * vx - qx * vz)
-    tz = 2.0 * (qx * vy - qy * vx)
-    return (
-        vx + qw * tx + qy * tz - qz * ty,
-        vy + qw * ty + qz * tx - qx * tz,
-        vz + qw * tz + qx * ty - qy * tx,
-    )
+        self._set(x=x / n, y=y / n, z=z / n, w=w / n)
 
 
 class BodyState:
@@ -154,25 +122,3 @@ def _spd_inverse_rows(m: tuple) -> tuple:
                 f = a[i][k]
                 a[i] = [v - f * w for v, w in zip(a[i], a[k])]
     return tuple(tuple(row[3:]) for row in a)
-
-
-def rotate_to_body(q: UnitQuaternion, v_inertial: Sequence[float]
-                   ) -> tuple[float, float, float]:
-    """Resolve an inertial-frame vector in body axes: ``q* [v, 0] q``."""
-    return _sandwich(-q.x, -q.y, -q.z, q.w, float(v_inertial[0]),
-                     float(v_inertial[1]), float(v_inertial[2]))
-
-
-def pointing_error(boresight_body: Sequence[float],
-                   target_body: Sequence[float]) -> float:
-    """Scalar reduced-attitude error ``x_e = 1 - dot(B_b, r_b)`` in [0, 2].
-
-    Both arguments must be unit vectors expressed in body axes.
-    """
-    _require_unit_vec(boresight_body, "boresight_body")
-    _require_unit_vec(target_body, "target_body")
-    # added left to right: from Python 3.12 ``sum()`` of floats compensates,
-    # which would make the bits depend on the interpreter
-    return 1.0 - (float(boresight_body[0]) * float(target_body[0])
-                  + float(boresight_body[1]) * float(target_body[1])
-                  + float(boresight_body[2]) * float(target_body[2]))

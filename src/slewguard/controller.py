@@ -21,12 +21,19 @@ otherwise the caller passes zeros.  The laws return float triples.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from ._value import Frozen
-from .attitude import BodyState, SpacecraftParams, pointing_error, rotate_to_body
-from .envelope import EnvelopeConfig, SwitchConfig
-from .potential import ObstacleCone, goal_separation, repulsion_grad_beta
+from .attitude import SpacecraftParams
+from .potential import (
+    ObstacleCone,
+    balanced_k_r,
+    goal_separation,
+    repulsion_grad_beta,
+)
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .scenario import Scenario
 
 __all__ = [
     "ControllerConfig",
@@ -275,19 +282,24 @@ class ValidationReport(Frozen):
         return "\n".join(f"[{i.status}] {i.rule}: {i.detail}" for i in self.issues)
 
 
-def validate_config(cfg: ControllerConfig, envelope: EnvelopeConfig,
-                    switch: SwitchConfig,
-                    obstacles: Sequence[ObstacleCone],
-                    boresight_body: Sequence[float],
-                    target_inertial: Sequence[float],
-                    initial: BodyState, theta_df: float) -> ValidationReport:
+def validate_config(scenario: "Scenario", x_e0: float,
+                    betas0: Sequence[float]) -> ValidationReport:
     """Check the parameter selection rules against a concrete scenario.
 
+    ``x_e0`` and ``betas0`` are the pointing error and the cone cosines at
+    t = 0 as the closed loop evaluates them (``engine._LoopContext``'s
+    ``initial_state``), so the start rules judge the numbers the run moves.
     Hard failures break convergence or safety arguments; warnings flag
     departures from the nominal design recipe that the simulation may still
     tolerate.  Every rule is reported so the result doubles as a record of
     the margins.
     """
+    cfg = scenario.controller
+    envelope = scenario.envelope
+    switch = scenario.switch
+    obstacles = scenario.obstacles
+    target_inertial = scenario.target_inertial
+    theta_df = scenario.theta_df
     issues: list[ValidationIssue] = []
 
     def add(rule, ok, detail, warn_only=False):
@@ -322,15 +334,12 @@ def validate_config(cfg: ControllerConfig, envelope: EnvelopeConfig,
                     f"(min_sin={ms:.6g})")
 
     # funnel must start strictly above the initial error
-    r_b0 = rotate_to_body(initial.attitude, target_inertial)
-    x_e0 = pointing_error(boresight_body, r_b0)
     add("funnel-start", envelope.rho_0 > x_e0,
         f"rho_0={envelope.rho_0:g} vs x_e(0)={x_e0:.6g} (need strict >)")
 
-    for i, cone in enumerate(obstacles):
+    for i, (cone, beta0) in enumerate(zip(obstacles, betas0)):
         # the keep-out guarantee keeps the boresight out, not gets it out
-        start = goal_separation(boresight_body, rotate_to_body(
-            initial.attitude, cone.axis_inertial))
+        start = math.acos(max(-1.0, min(1.0, beta0)))
         add(f"start-outside-cone[{i}]", start > cone.theta_f,
             f"boresight-to-axis angle {math.degrees(start):.3f} deg vs "
             f"theta_f {math.degrees(cone.theta_f):.3f} deg (margin "
@@ -348,12 +357,12 @@ def validate_config(cfg: ControllerConfig, envelope: EnvelopeConfig,
         # nominal recipe: plateau height balances attraction at the buffer
         # edge of the goal-facing side; a pass states the tolerance, not a
         # residual at rounding level that a last-bit change would rewrite
-        x_edge = 1.0 - math.cos(sep - cone.theta_1)
-        residual = cone.k_r - cfg.k_a * x_edge
+        balanced = balanced_k_r(cfg.k_a, sep, cone.theta_1)
+        residual = cone.k_r - balanced
         tol = 1e-9 * max(1.0, cone.k_r)
         ok = abs(residual) <= tol
         add(f"edge-equilibrium[{i}]", ok,
-            f"k_r={cone.k_r:.6g} vs k_a*x_E={cfg.k_a * x_edge:.6g} "
+            f"k_r={cone.k_r:.6g} vs k_a*x_E={balanced:.6g} "
             + (f"(residual within tolerance {tol:.3g})" if ok
                else f"(residual {residual:+.3g})"), warn_only=True)
 

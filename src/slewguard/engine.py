@@ -150,11 +150,12 @@ class SimConfig(Frozen):
             raise ValueError("duration must cover at least one step")
         if not math.isfinite(duration / dt):
             raise ValueError("duration / dt must be finite")
-        if int(record_stride) != record_stride or record_stride < 1:
+        if (isinstance(record_stride, bool) or record_stride < 1
+                or int(record_stride) != record_stride):
             raise ValueError("record_stride must be a positive integer")
         if controller_mode not in _CONTROLLER_MODES:
             raise ValueError(f"controller_mode must be one of {_CONTROLLER_MODES}")
-        self._set(dt=dt, duration=duration, record_stride=record_stride,
+        self._set(dt=dt, duration=duration, record_stride=int(record_stride),
                   disturbance_enabled=disturbance_enabled,
                   controller_mode=controller_mode)
 
@@ -280,9 +281,10 @@ class _LoopContext:
         and their cosines to the boresight at a raw state."""
         qx, qy, qz, qw = y[0], y[1], y[2], y[3]
         n = math.sqrt(qx * qx + qy * qy + qz * qz + qw * qw)
-        # q* [v, 0] q is attitude._sandwich of the conjugate (-x, -y, -z, w),
-        # written out here with the same operation order, for the target
-        # and then for each cone axis
+        # the conjugate sandwich q* [v, 0] q, as the two-cross expansion of
+        # the vector part of c [v, 0] c* for c = (-x, -y, -z, w), for the
+        # target and then for each cone axis; the package's one frame
+        # rotation
         cx, cy, cz, qw = -qx / n, -qy / n, -qz / n, qw / n
         bx, by, bz = self.b
         vx, vy, vz = self.r_i
@@ -475,7 +477,10 @@ class _LoopContext:
                 v_q, v_omega, math.sqrt(dx * dx + dy * dy + dz * dz),
                 _quat_norm_error(y))
 
-    def initial_state(self) -> list:
+    def initial_state(self) -> tuple[list, tuple]:
+        """The state at t = 0 and the stage quantities that set its
+        differentiator.  The stage's frame terms ``r_b``, ``x_e`` and
+        ``betas`` read the attitude alone, so they are the first step's."""
         init = self.scenario.initial
         q = init.attitude
         w = init.omega
@@ -483,9 +488,10 @@ class _LoopContext:
         y = [float(q.x), float(q.y), float(q.z), float(q.w),
              float(w[0]), float(w[1]), float(w[2]), rho_0,
              0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+        stage = self.rhs(0.0, y)[1]
         # differentiator starts on the initial command with zero rate
-        y[8:11] = self.rhs(0.0, y)[1][6]
-        return y
+        y[8:11] = stage[6]
+        return y, stage
 
 
 _STATE_NAMES = (["quat"] * 4 + ["omega"] * 3 + ["rho"]
@@ -618,20 +624,17 @@ def run_scenario(scenario: "Scenario", force: bool = False,
     summary's ``wall_clock_s``, which covers the integration alone.
     """
     sim = scenario.sim
-    report = validate_config(scenario.controller, scenario.envelope,
-                             scenario.switch, scenario.obstacles,
-                             scenario.boresight_body,
-                             scenario.target_inertial, scenario.initial,
-                             scenario.theta_df)
+    ctx = _LoopContext(scenario, sim)
+    y, (_, x_e0, betas0, *_) = ctx.initial_state()
+    # the start rules read the pointing error and cone cosines of the loop
+    report = validate_config(scenario, x_e0, betas0)
     if not report.ok and not force:
         raise ValidationFailure(report)
 
-    ctx = _LoopContext(scenario, sim)
     dt = sim.dt
     stride = sim.record_stride
     n_steps = int(round(sim.duration / dt))
     stats = _RunStats(ctx)
-    y = ctx.initial_state()
     records = Trajectory(array("d"), _columns(len(ctx.cones)))
     log = records.data
     # steps between calls of on_rows, each block logging _BLOCK_ROWS rows

@@ -27,6 +27,7 @@ from ._value import Frozen
 __all__ = [
     "BridgeShape",
     "ObstacleCone",
+    "balanced_k_r",
     "bridge",
     "bridge_grad",
     "goal_separation",
@@ -130,11 +131,18 @@ class ObstacleCone(Frozen):
 def goal_separation(target: Sequence[float], axis: Sequence[float]) -> float:
     """Angle [rad] between two unit vectors, such as the goal direction and
     a cone axis."""
-    # added left to right, as in ``attitude.pointing_error``, so the angle
-    # does not depend on the interpreter's ``sum()``
+    # added left to right, as the closed loop forms its cosines, so the
+    # angle does not depend on the interpreter's ``sum()``
     c = (float(target[0]) * float(axis[0]) + float(target[1]) * float(axis[1])
          + float(target[2]) * float(axis[2]))
     return math.acos(max(-1.0, min(1.0, c)))
+
+
+def balanced_k_r(k_a: float, sep: float, theta_1: float) -> float:
+    """Plateau height ``k_a * (1 - cos(sep - theta_1))`` that balances the
+    attraction at a cone's goal-facing inner edge, for a goal ``sep`` [rad]
+    from the cone axis."""
+    return k_a * (1.0 - math.cos(sep - theta_1))
 
 
 def repulsion_grad_beta(cone: ObstacleCone, beta: float) -> float:

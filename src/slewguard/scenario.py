@@ -30,7 +30,7 @@ from .attitude import BodyState, SpacecraftParams, UnitQuaternion
 from .controller import ControllerConfig
 from .envelope import EnvelopeConfig, SwitchConfig
 from .engine import SimConfig
-from .potential import ObstacleCone, goal_separation
+from .potential import ObstacleCone, balanced_k_r, goal_separation
 
 __all__ = [
     "Targets",
@@ -342,7 +342,7 @@ def scenario_from_dict(data: Any, default_name: str = "scenario") -> Scenario:
                 errors.append(f"{path}.k_r: automatic value undefined, goal "
                               "sits inside the buffer edge")
                 continue
-            krep = controller.k_a * (1.0 - math.cos(sep - math.radians(t1)))
+            krep = balanced_k_r(controller.k_a, sep, math.radians(t1))
         try:
             obstacles.append(ObstacleCone(
                 axis_inertial=naxis, theta_f=math.radians(tf),

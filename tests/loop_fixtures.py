@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from slewguard.attitude import BodyState, SpacecraftParams, UnitQuaternion
-from slewguard.controller import ControllerConfig
+from slewguard.controller import ControllerConfig, validate_config
 from slewguard.engine import SimConfig, _LoopContext
 from slewguard.envelope import EnvelopeConfig, SwitchConfig
 from slewguard.potential import ObstacleCone, goal_separation
@@ -46,7 +46,7 @@ CONE_AXES = (np.array([0.5145, 0.8575, 0.0]),
 
 # unit-vector pairs on which a compensated sum of the three products, as
 # ``sum()`` of floats forms it from Python 3.12, differs from adding them
-# left to right, both in the dot product and in pointing_error and
+# left to right, both in the dot product and in the kernel's x_e and
 # goal_separation
 SUM_ORDER_PAIRS = tuple(
     tuple(tuple(float.fromhex(x) for x in v) for v in pair) for pair in (
@@ -144,7 +144,8 @@ def axis_angle(axis, angle):
 
 
 def quat_taking(body_dir, inertial_dir):
-    """Quaternion q with rotate_to_body(q, inertial_dir) == body_dir."""
+    """Quaternion q at which the kernel resolves inertial_dir along
+    body_dir."""
     c = float(np.dot(body_dir, inertial_dir))
     axis = np.cross(body_dir, inertial_dir)
     if np.linalg.norm(axis) < 1e-12:
@@ -191,6 +192,20 @@ def kernel(sc, y, t=0.0, sim=None):
     ctx = _LoopContext(sc, sim if sim is not None else sc.sim)
     dy, stage = ctx.rhs(t, [float(v) for v in y])
     return np.array(dy), Stage(*stage)
+
+
+def to_body(q, v):
+    """``v`` resolved in body axes at attitude ``q``: the kernel's ``r_b``
+    with ``v`` as the target, from the package's one frame rotation."""
+    _, stage = kernel(make_scenario(n_obstacles=0, target=v), state(q))
+    return np.array(stage.r_b)
+
+
+def initial_report(sc):
+    """The validation report of ``sc`` as ``run_scenario`` forms it, from
+    the pointing error and cone cosines of the stage the run starts from."""
+    _, stage = _LoopContext(sc, sc.sim).initial_state()
+    return validate_config(sc, stage[1], stage[2])
 
 
 def slice_flow(sc, y, keep):

@@ -1,17 +1,13 @@
-"""Oracle tests for quaternion math, the reduced-attitude error, and the
-closed-loop kernel's kinematics, error-rate and rigid-body terms."""
+"""Oracle tests for quaternion math and the closed-loop kernel's frame
+rotation, reduced-attitude error, kinematics, error-rate and rigid-body
+terms."""
 
 import math
 
 import numpy as np
 import pytest
 
-from slewguard.attitude import (
-    SpacecraftParams,
-    UnitQuaternion,
-    pointing_error,
-    rotate_to_body,
-)
+from slewguard.attitude import SpacecraftParams, UnitQuaternion
 from slewguard.engine import SimConfig, disturbance_torque
 
 from loop_fixtures import (
@@ -28,6 +24,7 @@ from loop_fixtures import (
     sample_states,
     slice_flow,
     state,
+    to_body,
 )
 
 
@@ -62,26 +59,28 @@ class TestUnitQuaternion:
         q = random_unit_quat(rng)
         conj = UnitQuaternion(-q.x, -q.y, -q.z, q.w)
         v = rng.normal(size=3)
-        back = rotate_to_body(conj, rotate_to_body(q, v))
+        back = to_body(conj, to_body(q, v))
         np.testing.assert_allclose(back, v, atol=1e-12)
 
     def test_rotate_axis_angle(self):
         # a body turned a quarter turn about +z sees inertial +y along its +x
         q = UnitQuaternion(*axis_angle([0.0, 0.0, 1.0], math.pi / 2))
-        got = rotate_to_body(q, np.array([0.0, 1.0, 0.0]))
+        got = to_body(q, np.array([0.0, 1.0, 0.0]))
         np.testing.assert_allclose(got, [1.0, 0.0, 0.0], atol=1e-15)
 
 
 class TestRotateToBody:
+    """The kernel's ``r_b``: the target resolved in body axes."""
+
     def test_identity_leaves_vector(self):
         v = np.array([0.3, -0.4, 0.866025403784439])
         v = v / np.linalg.norm(v)
-        got = rotate_to_body(UnitQuaternion(0.0, 0.0, 0.0, 1.0), v)
+        got = to_body(UnitQuaternion(0.0, 0.0, 0.0, 1.0), v)
         np.testing.assert_allclose(got, v, atol=1e-15)
 
     def test_half_turn_about_z(self):
         q = UnitQuaternion(*axis_angle([0.0, 0.0, 1.0], math.pi))
-        got = rotate_to_body(q, np.array([1.0, 0.0, 0.0]))
+        got = to_body(q, np.array([1.0, 0.0, 0.0]))
         np.testing.assert_allclose(got, [-1.0, 0.0, 0.0], atol=1e-12)
 
     def test_matches_bruteforce_sandwich(self):
@@ -96,26 +95,29 @@ class TestRotateToBody:
             u /= np.linalg.norm(u)
             qa = components(q)
             want = hamilton(hamilton(quat_conj(qa), [v[0], v[1], v[2], 0.0]), qa)
-            got = rotate_to_body(q, v)
+            got = to_body(q, v)
             np.testing.assert_allclose(got, want[:3], atol=1e-13)
             assert abs(want[3]) < 1e-13
             assert np.linalg.norm(got) == pytest.approx(1.0, abs=1e-12)
-            got_u = rotate_to_body(q, u)
+            got_u = to_body(q, u)
             assert float(np.dot(got, got_u)) == pytest.approx(float(np.dot(v, u)),
                                                               abs=1e-12)
 
 
 class TestPointingError:
+    """The kernel's ``x_e = 1 - dot(B_b, r_b)`` at the identity attitude,
+    where ``r_b`` is the target itself."""
+
+    @staticmethod
+    def x_e(b, r):
+        sc = make_scenario(n_obstacles=0, boresight=np.asarray(b), target=r)
+        return kernel(sc, state(UnitQuaternion(0.0, 0.0, 0.0, 1.0)))[1].x_e
+
     def test_aligned_perpendicular_opposite(self):
         b = np.array([0.0, 0.0, 1.0])
-        assert pointing_error(b, b) == pytest.approx(0.0, abs=1e-15)
-        assert pointing_error(b, np.array([1.0, 0.0, 0.0])) == pytest.approx(1.0)
-        assert pointing_error(b, -b) == pytest.approx(2.0)
-
-    def test_rejects_non_unit(self):
-        b = np.array([0.0, 0.0, 1.0])
-        with pytest.raises(ValueError):
-            pointing_error(b, np.array([0.0, 0.0, 2.0]))
+        assert self.x_e(b, b) == pytest.approx(0.0, abs=1e-15)
+        assert self.x_e(b, np.array([1.0, 0.0, 0.0])) == pytest.approx(1.0)
+        assert self.x_e(b, -b) == pytest.approx(2.0)
 
     def test_adds_the_products_left_to_right(self):
         # the same bits on every supported Python: from 3.12 ``sum()``
@@ -123,8 +125,8 @@ class TestPointingError:
         for b, r in SUM_ORDER_PAIRS:
             products = [x * y for x, y in zip(b, r)]
             left = products[0] + products[1] + products[2]
-            assert pointing_error(b, r) == 1.0 - left
-            assert pointing_error(b, r) != 1.0 - compensated_sum(products)
+            assert self.x_e(b, r) == 1.0 - left
+            assert self.x_e(b, r) != 1.0 - compensated_sum(products)
 
 
 class TestReducedErrorRate:
@@ -154,7 +156,6 @@ class TestReducedErrorRate:
         h = 1e-5
         n_frozen = 0
         for sc in oracle_scenarios():
-            b = sc.boresight_body
             for y in sample_states(np.random.default_rng(42), sc, 27):
                 dy, stage = kernel(sc, y)
                 if stage.s_eff != 1.0:
@@ -162,10 +163,9 @@ class TestReducedErrorRate:
                 n_frozen += 1
 
                 def x_e(s):
-                    q = y[0:4] + s * dy[0:4]
-                    q = UnitQuaternion(*(q / np.linalg.norm(q)))
-                    return pointing_error(
-                        b, rotate_to_body(q, sc.target_inertial))
+                    z = y.copy()
+                    z[0:4] = y[0:4] + s * dy[0:4]
+                    return kernel(sc, z)[1].x_e
 
                 fd = (x_e(h) - x_e(-h)) / (2.0 * h)
                 assert dy[7] * stage.x_e / y[7] == pytest.approx(fd, abs=1e-9)

@@ -13,10 +13,9 @@ from slewguard.controller import (
     benchmark_apf_law,
     min_sin_theta_d,
     torque_law,
-    validate_config,
     virtual_law,
 )
-from slewguard.engine import _LoopContext
+from slewguard.engine import ValidationFailure, _LoopContext, run_scenario
 from slewguard.envelope import EnvelopeConfig, SwitchConfig
 from slewguard.potential import (
     ObstacleCone,
@@ -27,11 +26,13 @@ from slewguard.scenario import load_preset, scenario_from_dict
 
 from loop_fixtures import (
     Stage,
+    initial_report,
     kernel,
     make_scenario,
     rk4,
     sample_states,
     slice_flow,
+    state,
 )
 from test_scenario import valid_doc
 
@@ -58,6 +59,18 @@ def make_cone(axis, k_r=1.0, theta_0_deg=36.0, theta_1_deg=27.0):
 
 B = np.array([0.0, 0.0, 1.0])
 B_T = (0.0, 0.0, 1.0)
+
+# An attitude, with a cone axis 25 deg and a target 90 deg off the +z
+# boresight, at which the loop's frame rotation, which renormalizes q,
+# differs in the last bit from rotating by the stored components: the loop
+# finds a smaller start angle to the axis and a larger x_e(0).
+LAST_BIT_Q = tuple(float.fromhex(v) for v in (
+    "-0x1.09e9f245cb751p-1", "0x1.51ace6668bf3bp-2", "0x1.91c9e57d103bbp-1",
+    "0x1.352b7166d35edp-4"))
+LAST_BIT_AXIS = tuple(float.fromhex(v) for v in (
+    "-0x1.c45432d3fc5bap-1", "0x1.c81e83fa5cad8p-2", "-0x1.297e3c2edc0eep-3"))
+LAST_BIT_TARGET = tuple(float.fromhex(v) for v in (
+    "0x1.cbe8960824be4p-2", "0x1.cae2b06c37697p-3", "0x1.bad61b8a51280p-1"))
 
 
 def stage_terms(r_b, obstacles, cfg, boresight=B):
@@ -290,7 +303,7 @@ class TestTrackingDifferentiator:
         sc = load_preset("paper-single-1")
         ctx = _LoopContext(sc, sc.sim)
         dt = sc.sim.dt
-        y = ctx.initial_state()
+        y, _ = ctx.initial_state()
         commands, rates = [], []
         for k in range(1000):
             y_next, stage = ctx.step(k, y, dt)
@@ -443,8 +456,11 @@ class TestValidateConfig:
 
     def run_validate(self, cfg, env, switch, cones, target, initial,
                      theta_df_deg=50.0):
-        return validate_config(cfg, env, switch, cones, B, target, initial,
-                               math.radians(theta_df_deg))
+        sc = make_scenario(n_obstacles=0, boresight=B, target=target)
+        sc.controller, sc.envelope, sc.switch = cfg, env, switch
+        sc.obstacles, sc.initial = tuple(cones), initial
+        sc.theta_df = math.radians(theta_df_deg)
+        return initial_report(sc)
 
     def test_reference_setup_passes(self):
         cfg, env, switch, cone, target, initial = self.setup()
@@ -535,6 +551,27 @@ class TestValidateConfig:
                            f"(residual within tolerance "
                            f"{1e-9 * cone.k_r:.3g})"}
 
+    @pytest.mark.parametrize("rule", ["start-outside-cone[0]", "funnel-start"])
+    def test_start_rules_judge_the_loops_own_numbers(self, rule):
+        # theta_f (or rho_0) set to the loop's own t = 0 value: the strict
+        # rule must fail on it, whatever another rotation would give
+        sc = make_scenario(target=LAST_BIT_TARGET, axes=[LAST_BIT_AXIS])
+        sc = sc.with_sim(duration=0.01)
+        q = UnitQuaternion(*LAST_BIT_Q)
+        sc.initial = BodyState(q, (0.0, 0.0, 0.0))
+        _, stage = kernel(sc, state(q, rho=sc.envelope.rho_0))
+        if rule == "funnel-start":
+            sc.envelope = EnvelopeConfig(rho_0=stage.x_e, rho_inf=1e-3,
+                                         k_rho=0.1)
+        else:
+            c = sc.obstacles[0]
+            start = math.acos(max(-1.0, min(1.0, stage.betas[0])))
+            sc.obstacles = (ObstacleCone(c.axis_inertial, start, c.theta_0,
+                                         c.theta_1, c.k_r, c.r_slope),)
+        with pytest.raises(ValidationFailure) as info:
+            run_scenario(sc)
+        assert [i.rule for i in info.value.report.failures] == [rule]
+
     def test_cone_free_scenario_passes_with_a_wide_switch_band(self):
         # without cones the switch band is inert; a delta this wide parks it
         # below beta = -1, where the attraction floor cannot be evaluated
@@ -544,9 +581,7 @@ class TestValidateConfig:
         with pytest.warns(UserWarning, match=re.escape(
                 "$.switching.theta_p1_deg: ignored, there are no obstacles")):
             sc = scenario_from_dict(doc)
-        report = validate_config(sc.controller, sc.envelope, sc.switch,
-                                 sc.obstacles, sc.boresight_body,
-                                 sc.target_inertial, sc.initial, sc.theta_df)
+        report = initial_report(sc)
         assert report.ok, report.describe()
         floor = [i for i in report.issues if i.rule == "attraction-floor"]
         assert [i.detail for i in floor] == ["no obstacles, rule vacuous"]

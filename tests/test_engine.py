@@ -264,7 +264,7 @@ class TestSharedStageTerms:
         sc = make_scenario(n_obstacles=1)
         ctx = _LoopContext(sc, SimConfig())
         dt = 0.01
-        y = ctx.initial_state()
+        y, _ = ctx.initial_state()
         y, _ = ctx.step(0, y, dt)
         # stages 2 and 3 share t + dt/2
         assert times == [0.0, 0.5 * dt, dt]
@@ -354,6 +354,21 @@ class TestRunScenario:
         s1.pop("wall_clock_s")
         s2.pop("wall_clock_s")
         assert s1 == s2
+
+    @pytest.mark.parametrize("stride, same_as", [(2.0, 2), (True, None)])
+    def test_record_stride_is_an_int(self, stride, same_as):
+        # an integral float is kept as the int, so a streamed run logs what
+        # the int stride logs; a bool is no stride, as in the loader
+        sc = load_preset("paper-two-1").with_sim(duration=3.0)
+        if same_as is None:
+            with pytest.raises(ValueError, match="positive integer"):
+                sc.with_sim(record_stride=stride)
+            return
+        rows = []
+        run_scenario(sc.with_sim(record_stride=stride),
+                     on_rows=lambda records: rows.append(records.data[:]))
+        want = run_scenario(sc.with_sim(record_stride=same_as)).records
+        assert rows[-1] == want.data
 
     def test_wall_clock_leaves_out_the_consumer(self):
         # three simulated seconds log 301 rows: one full block, then the

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from slewguard.attitude import UnitQuaternion, rotate_to_body
+from slewguard.attitude import UnitQuaternion
 from slewguard.engine import SimulationAbort
 from slewguard.envelope import EnvelopeConfig, SwitchConfig, blf_value
 from slewguard.potential import bridge
@@ -21,6 +21,7 @@ from loop_fixtures import (
     sample_states,
     slice_flow,
     state,
+    to_body,
 )
 
 
@@ -196,12 +197,11 @@ class TestFunnel:
         for cone_deg in (30.0, 36.5):
             # TARGET turned by +angle about z is TARGET resolved in a frame
             # turned by -angle
-            axis = rotate_to_body(UnitQuaternion(*axis_angle(
+            axis = to_body(UnitQuaternion(*axis_angle(
                 z, -math.radians(cone_deg))), TARGET)
             sc = make_scenario(axes=[axis])
             for offset in (0.0, 1e-6):
-                aim = rotate_to_body(UnitQuaternion(*axis_angle(z, offset)),
-                                     TARGET)
+                aim = to_body(UnitQuaternion(*axis_angle(z, offset)), TARGET)
                 y = state(quat_taking(sc.boresight_body, aim),
                           [0.1, -0.2, 0.05], rho=2.0)
                 dy, stage = kernel(sc, y)

@@ -98,6 +98,8 @@ class TestObstacleCone:
             make_cone(theta_0_deg=25.0, theta_1_deg=25.0)
         with pytest.raises(ValueError):
             make_cone(theta_1_deg=10.0)  # below theta_f
+        # theta_0 > theta_1 >= theta_f: the plateau may start at theta_f
+        assert make_cone(theta_1_deg=20.0).theta_1 == math.radians(20.0)
 
     def test_steepness_overflow_rejected(self):
         # r_slope * (hi - lo) / k_r overflows to inf

@@ -8,7 +8,6 @@ import warnings
 import numpy as np
 import pytest
 
-from slewguard.controller import validate_config
 from slewguard.engine import SimConfig
 from slewguard.scenario import (
     PRESET_NAMES,
@@ -18,6 +17,8 @@ from slewguard.scenario import (
     load_scenario,
     scenario_from_dict,
 )
+
+from loop_fixtures import initial_report
 
 TARGET = [-math.sqrt(3.0) / 2.0, 0.5, 0.0]  # exactly unit
 
@@ -380,9 +381,7 @@ class TestPresets:
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_presets_pass_validation(self, name):
         sc = load_preset(name)
-        report = validate_config(sc.controller, sc.envelope, sc.switch,
-                                 sc.obstacles, sc.boresight_body,
-                                 sc.target_inertial, sc.initial, sc.theta_df)
+        report = initial_report(sc)
         assert report.ok, f"{name}: {report.describe()}"
         assert not report.warnings, f"{name}: {report.describe()}"
 

@@ -7,24 +7,25 @@ import pickle
 
 import pytest
 
-from slewguard.attitude import BodyState, SpacecraftParams
+from slewguard.attitude import BodyState, SpacecraftParams, UnitQuaternion
 from slewguard.controller import (
     ControllerConfig,
     ValidationIssue,
     ValidationReport,
-    validate_config,
 )
 from slewguard.engine import SimConfig, SimulationResult, Trajectory, run_scenario
 from slewguard.envelope import EnvelopeConfig, SwitchConfig
 from slewguard.potential import BridgeShape, ObstacleCone
 from slewguard.scenario import Scenario, Targets, load_preset
 
+from loop_fixtures import initial_report
+
 MUTABLE = (BodyState, Scenario, SimulationResult)
 # frozen, compared by identity, since its array grows while a run logs
 IDENTITY = (Trajectory,)
-VALUE = (SpacecraftParams, ControllerConfig, ValidationIssue,
-         ValidationReport, SimConfig, EnvelopeConfig, SwitchConfig,
-         BridgeShape, ObstacleCone, Targets)
+VALUE = (UnitQuaternion, SpacecraftParams, ControllerConfig,
+         ValidationIssue, ValidationReport, SimConfig, EnvelopeConfig,
+         SwitchConfig, BridgeShape, ObstacleCone, Targets)
 FROZEN = IDENTITY + VALUE
 DERIVED = {
     SpacecraftParams: ("inertia_inv_rows",),
@@ -41,10 +42,8 @@ def by_name(classes):
 def samples():
     sc = load_preset("paper-two-1")
     result = run_scenario(sc.with_sim(duration=0.5, record_stride=10))
-    report = validate_config(sc.controller, sc.envelope, sc.switch,
-                             sc.obstacles, sc.boresight_body,
-                             sc.target_inertial, sc.initial, sc.theta_df)
-    values = (sc, sc.params, sc.initial, sc.obstacles[1],
+    report = initial_report(sc)
+    values = (sc, sc.params, sc.initial, sc.initial.attitude, sc.obstacles[1],
               sc.obstacles[1].shape, sc.envelope, sc.switch, sc.controller,
               sc.sim, sc.targets, report, report.issues[0], result,
               result.records)
