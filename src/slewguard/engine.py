@@ -626,7 +626,8 @@ def run_scenario(scenario: "Scenario", force: bool = False,
     sim = scenario.sim
     ctx = _LoopContext(scenario, sim)
     y, (_, x_e0, betas0, *_) = ctx.initial_state()
-    # the start rules read the pointing error and cone cosines of the loop
+    # validated after the initial state: the start rules judge the loop's
+    # own x_e and cone cosines at t = 0
     report = validate_config(scenario, x_e0, betas0)
     if not report.ok and not force:
         raise ValidationFailure(report)
