@@ -8,11 +8,11 @@ Exit codes:
     5  run completed but violated the constraint or missed its targets
     6  an output file could not be written (the file and why are printed)
 
-Each run streams its logged rows, a block at a time, to a writer process of
-its own, which formats ``trajectory.csv`` on another core while the run
-integrates; a run's line is printed once its file is complete.  The bytes
-are those of :func:`write_trajectory_csv`.  With ``--compare`` the baseline
-runs in a third process.  Both are :class:`_Child` processes.
+Each run has one helper, a :class:`_Child` process kept off the run's CPU:
+the writer, which formats ``trajectory.csv`` from the rows the run streams
+to it, or with ``--compare`` the baseline, beside which each side formats
+its own.  The bytes are those of :func:`write_trajectory_csv`; a run's line
+is printed once its file is complete.
 """
 
 from __future__ import annotations
@@ -62,13 +62,9 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="output directory (default: runs); each run writes "
                           "into DIR/<scenario-name>/")
     run.add_argument("--compare", action="store_true",
-                     help="also run the potential-field-only baseline and "
-                          "write comparison.json; the baseline runs in a "
-                          "process of its own at the same time as the "
-                          "proposed run (whose trajectory.csv, as in any "
-                          "run, the run's own writer process writes as it "
-                          "goes); the outputs are byte-identical to a "
-                          "sequential run's")
+                     help="also run the potential-field-only baseline, at "
+                          "the same time in a process of its own, and write "
+                          "comparison.json")
     run.add_argument("--dt", type=float, default=None,
                      help="override integration step [s]")
     run.add_argument("--duration", type=float, default=None,
@@ -117,8 +113,8 @@ def _keep_apart(pid: int) -> None:
 
     A forked child starts on its parent's CPU.  Where the kernel does not
     balance load across CPUs (a cpuset with ``sched_load_balance`` 0), the
-    writer, woken by each block, stays there: it shares the run's core and
-    overlaps nothing.
+    child can stay there: the writer, woken by each block, or the baseline
+    then shares the run's core and overlaps nothing.
     """
     try:
         with open("/proc/thread-self/stat", encoding="ascii") as fh:
@@ -154,26 +150,26 @@ def _serve(conn, parent_end, target, args) -> None:
 
 
 class _Child:
-    """``target(conn, *outputs, *args)`` run in a process of its own, named
-    ``name``, which writes the files ``outputs`` under their temporary names.
+    """``target(conn, *args, *outputs)`` run in a process of its own, named
+    ``name`` and kept off this process's CPU, which writes the files
+    ``outputs`` under their temporary names.
 
     :meth:`result` waits for the child's reply and moves its files into
     place; :meth:`close` stops the child and removes what it left, however
-    the run ended.  ``keep_apart`` keeps the child off this process's CPU.
+    the run ended.
     """
 
-    def __init__(self, name, target, outputs, *args, keep_apart=False):
+    def __init__(self, name, target, outputs, *args):
         import multiprocessing
 
         self._outputs = outputs
         self._conn, child_conn = multiprocessing.Pipe()
         self._proc = multiprocessing.Process(
             target=_serve, name=name,
-            args=(child_conn, self._conn, target, (*outputs, *args)))
+            args=(child_conn, self._conn, target, (*args, *outputs)))
         self._proc.start()
         child_conn.close()
-        if keep_apart:
-            _keep_apart(self._proc.pid)
+        _keep_apart(self._proc.pid)
 
     def send(self, data, offset=0) -> None:
         """Send bytes to the child; if it has stopped, raise why."""
@@ -210,18 +206,21 @@ class _Child:
             _partial(path).unlink(missing_ok=True)
 
 
-def _run_baseline(conn, trajectory: Path, summary: Path, scenario) -> dict:
-    """Baseline process: run the baseline, write its files under their
-    temporary names, and return its summary.  It shares no state with the
-    proposed run, so the files are the bytes a sequential run writes."""
+def _run_and_write(conn, scenario, trajectory: Path,
+                   summary: Path | None = None) -> dict:
+    """Run ``scenario`` and write its trajectory, and its summary if given,
+    under their temporary names; return its summary.  Both sides of a
+    comparison run here, sharing no state, so the files are the bytes a
+    sequential run writes."""
     result = run_scenario(scenario)
     _output(trajectory, write_trajectory_csv, result.records,
             _partial(trajectory))
-    _output(summary, write_summary_json, result.summary, _partial(summary))
+    if summary is not None:
+        _output(summary, write_summary_json, result.summary, _partial(summary))
     return result.summary
 
 
-def _write_csv(conn, path: Path, columns) -> None:
+def _write_csv(conn, columns, path: Path) -> None:
     """Writer process: write the CSV text of the blocks of raw doubles
     received, up to an empty block, to ``path``'s temporary name."""
     def write():
@@ -239,24 +238,22 @@ def _write_csv(conn, path: Path, columns) -> None:
 def _run_one(scenario, args, out_root: Path) -> int:
     """Run one scenario (plus baseline when comparing); returns an exit code.
 
-    The run streams its logged rows, as raw doubles, to a writer process
-    started with the first block, which writes ``trajectory.csv`` while the
-    run integrates.  The writer is kept off the run's CPU, except beside a
-    baseline: with the baseline's process as a third, keeping it apart made
-    ``--compare`` slower (per preset 0.56 s against 0.63 s normalized, over
-    10 alternating pairs on a 2-vCPU x86-64 host, ``BENCH_20.json`` rounds
-    5 and 6).
+    A single run streams its logged rows, as raw doubles, to a writer
+    process started with the first block, which writes ``trajectory.csv``
+    while the run integrates.  With ``--compare`` the baseline's process
+    takes the writer's place, and the proposed run writes its own file.
     """
     out_dir = out_root / scenario.name
     out_dir.mkdir(parents=True, exist_ok=True)
+    trajectory = out_dir / "trajectory.csv"
     children = []  # closed however the run ends
     writer, sent = None, 0  # the writer, once started, and the rows sent
 
     def to_writer(records):
         nonlocal writer, sent
         if writer is None:
-            writer = _Child("writer", _write_csv, (out_dir / "trajectory.csv",),
-                            records.columns, keep_apart=not args.compare)
+            writer = _Child("writer", _write_csv, (trajectory,),
+                            records.columns)
             children.append(writer)
         data = records.data
         # as bytes: a view of doubles would be copied whole on 3.10
@@ -266,14 +263,17 @@ def _run_one(scenario, args, out_root: Path) -> int:
     try:
         if args.compare:
             children.append(_Child(
-                "baseline", _run_baseline,
+                "baseline", _run_and_write,
                 (out_dir / "trajectory_benchmark.csv",
                  out_dir / "summary_benchmark.json"),
                 scenario.with_sim(controller_mode="benchmark_apf")))
-        result = run_scenario(scenario, on_rows=to_writer)
-        writer.send(b"")
-        writer.result()  # first, so a failed CSV leaves no new summary
-        s = result.summary
+            s = _run_and_write(None, scenario, trajectory)
+            _output(trajectory, _partial(trajectory).replace, trajectory)
+        else:
+            s = run_scenario(scenario, on_rows=to_writer).summary
+            writer.send(b"")
+            writer.result()
+        # after the CSV, so a failed CSV leaves no new summary
         _output(out_dir / "summary.json", write_summary_json, s,
                 out_dir / "summary.json")
         ok = s["constraint_satisfied"] and s["targets_met"] is not False
@@ -305,6 +305,7 @@ def _run_one(scenario, args, out_root: Path) -> int:
     finally:
         for child in children:
             child.close()
+        _partial(trajectory).unlink(missing_ok=True)
 
     return _EXIT_OK if ok else _EXIT_PERFORMANCE
 

@@ -14,7 +14,8 @@ The closed loop calls both laws in every integrator stage, so they take
 the terms they share as float triples and scalars that the stage computes
 once (see :mod:`slewguard.engine`): the error-rate direction ``r_b x B_b``,
 the potential descent direction P1 from :func:`apf_vector`, the pointing
-error ``x_e`` and ``J omega``.  P1 is needed only while ``omega_v > 0``;
+error ``x_e`` and the gyroscopic term ``omega x J omega``, which the
+rigid-body derivative uses too.  P1 is needed only while ``omega_v > 0``;
 otherwise the caller passes zeros.  The laws return float triples.
 """
 
@@ -167,8 +168,7 @@ def virtual_law(r_cross_b: tuple[float, float, float],
             tz * track_scale + pz * avoid_scale)
 
 
-def torque_law(omega: tuple[float, float, float],
-               j_omega: tuple[float, float, float],
+def torque_law(gyro: tuple[float, float, float],
                e2: tuple[float, float, float],
                sd_dot: tuple[float, float, float],
                eps: float, rho: float, x_e: float,
@@ -185,13 +185,12 @@ def torque_law(omega: tuple[float, float, float],
     differentiator feedforward, the funnel barrier reaction (faded out by
     ``omega_s``), and the potential descent direction (faded in by
     ``omega_v``).  Each component is clamped to the actuator limit.
-    ``j_omega`` is ``J omega``, ``sd_dot`` the differentiator's command rate
-    and ``x_e`` the pointing error, which picks out the antipodal case.
+    ``gyro`` is ``omega x J omega``, ``sd_dot`` the differentiator's command
+    rate and ``x_e`` the pointing error, which picks out the antipodal case.
     """
     tx, ty, tz = r_cross_b
     px, py, pz = p1
-    wx, wy, wz = omega
-    jwx, jwy, jwz = j_omega
+    gx, gy, gz = gyro
     sx, sy, sz = sd_dot
     ex, ey, ez = e2
     (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = params.inertia
@@ -206,11 +205,11 @@ def torque_law(omega: tuple[float, float, float],
 
     # gyroscopic term, feedback, compensator, feedforward J*sd_dot, barrier
     # and potential descent, summed in that order per axis
-    ux = ((wy * jwz - wz * jwy) - k_w * ex - d_m * _tanh(ex / eta)
+    ux = (gx - k_w * ex - d_m * _tanh(ex / eta)
           + (j00 * sx + j01 * sy + j02 * sz) - barrier * tx - omega_v_eff * px)
-    uy = ((wz * jwx - wx * jwz) - k_w * ey - d_m * _tanh(ey / eta)
+    uy = (gy - k_w * ey - d_m * _tanh(ey / eta)
           + (j10 * sx + j11 * sy + j12 * sz) - barrier * ty - omega_v_eff * py)
-    uz = ((wx * jwy - wy * jwx) - k_w * ez - d_m * _tanh(ez / eta)
+    uz = (gz - k_w * ez - d_m * _tanh(ez / eta)
           + (j20 * sx + j21 * sy + j22 * sz) - barrier * tz - omega_v_eff * pz)
 
     limit = params.torque_limit
@@ -229,8 +228,7 @@ def torque_law(omega: tuple[float, float, float],
             limit if uz > limit else -limit if uz < -limit else uz)
 
 
-def benchmark_apf_law(omega: tuple[float, float, float],
-                      j_omega: tuple[float, float, float],
+def benchmark_apf_law(gyro: tuple[float, float, float],
                       e2: tuple[float, float, float],
                       sd_dot: tuple[float, float, float], x_e: float,
                       r_cross_b: tuple[float, float, float],
@@ -245,8 +243,8 @@ def benchmark_apf_law(omega: tuple[float, float, float],
     reaction is absent, which is the switch configuration omega_s = 1,
     omega_v = 1 held for all time.
     """
-    return torque_law(omega, j_omega, e2, sd_dot, 0.0, 1.0, x_e, r_cross_b,
-                      p1, 1.0, 1.0, boresight_body, params, cfg)
+    return torque_law(gyro, e2, sd_dot, 0.0, 1.0, x_e, r_cross_b, p1, 1.0,
+                      1.0, boresight_body, params, cfg)
 
 
 class ValidationIssue(Frozen):

@@ -350,15 +350,15 @@ class _LoopContext:
         jwx = j00 * wx + j01 * wy + j02 * wz
         jwy = j10 * wx + j11 * wy + j12 * wz
         jwz = j20 * wx + j21 * wy + j22 * wz
-        w = (wx, wy, wz)
-        jw = (jwx, jwy, jwz)
+        gx, gy, gz = gyro = (wy * jwz - wz * jwy, wz * jwx - wx * jwz,
+                             wx * jwy - wy * jwx)
         e2 = (wx - x1x, wy - x1y, wz - x1z)
         sd_dot = (x2x, x2y, x2z)
         if self.benchmark:
-            u = benchmark_apf_law(w, jw, e2, sd_dot, x_e, r_cross_b, p1,
+            u = benchmark_apf_law(gyro, e2, sd_dot, x_e, r_cross_b, p1,
                                   self.b, self.params, self.ctrl)
         else:
-            u = torque_law(w, jw, e2, sd_dot, eps, rho, x_e, r_cross_b, p1,
+            u = torque_law(gyro, e2, sd_dot, eps, rho, x_e, r_cross_b, p1,
                            s_eff, v_eff, self.b, self.params, self.ctrl)
         ux, uy, uz = u
         if self.dist_on and t != self._dist_t:
@@ -367,9 +367,9 @@ class _LoopContext:
         dx, dy, dz = self._dist
 
         # rigid body: J w_dot = -w x (J w) + u + d
-        rhx = -(wy * jwz - wz * jwy) + ux + dx
-        rhy = -(wz * jwx - wx * jwz) + uy + dy
-        rhz = -(wx * jwy - wy * jwx) + uz + dz
+        rhx = -gx + ux + dx
+        rhy = -gy + uy + dy
+        rhz = -gz + uz + dz
         (i00, i01, i02), (i10, i11, i12), (i20, i21, i22) = self.j_inv_rows
         wdx = i00 * rhx + i01 * rhy + i02 * rhz
         wdy = i10 * rhx + i11 * rhy + i12 * rhz

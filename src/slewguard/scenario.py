@@ -23,6 +23,7 @@ import math
 import sys
 import warnings
 from importlib import resources
+from pathlib import Path
 from typing import Any
 
 from ._value import Frozen
@@ -80,8 +81,7 @@ class Scenario:
                  obstacles: tuple[ObstacleCone, ...],
                  envelope: EnvelopeConfig, switch: SwitchConfig,
                  controller: ControllerConfig, sim: SimConfig,
-                 theta_df: float, targets: Targets | None = None,
-                 load_warnings: list[str] | None = None):
+                 theta_df: float, targets: Targets | None = None):
         self.name = name
         self.description = description
         self.params = params
@@ -95,7 +95,6 @@ class Scenario:
         self.sim = sim
         self.theta_df = theta_df
         self.targets = targets
-        self.load_warnings = [] if load_warnings is None else load_warnings
 
     def with_sim(self, **changes) -> "Scenario":
         """Copy with modified simulation settings."""
@@ -165,24 +164,22 @@ def _as_dict(errors, data, path, key, required=True):
     return v
 
 
-def _warn(warns, msg):
-    """Record a load warning and issue it at the first frame outside this
-    module, the line that called :func:`load_scenario` or
-    :func:`scenario_from_dict`."""
-    warns.append(msg)
+def _warn(msg):
+    """Issue a load warning at the first frame outside this module, the line
+    that called :func:`load_scenario` or :func:`scenario_from_dict`."""
     frame, level = sys._getframe(1), 2
     while frame is not None and frame.f_globals is globals():
         frame, level = frame.f_back, level + 1
     warnings.warn(msg, stacklevel=level)
 
 
-def _unit(vec, path, warns):
+def _unit(vec, path):
     x, y, z = vec
     n = math.sqrt(x * x + y * y + z * z)
     if n < 1e-12:
         raise ValueError(f"{path}: zero vector cannot be normalized")
     if abs(n - 1.0) > _NORM_WARN_TOL:
-        _warn(warns, f"{path}: normalized (norm correction {abs(n - 1.0):.3e})")
+        _warn(f"{path}: normalized (norm correction {abs(n - 1.0):.3e})")
     return (x / n, y / n, z / n)
 
 
@@ -193,7 +190,6 @@ def scenario_from_dict(data: Any, default_name: str = "scenario") -> Scenario:
     found, each prefixed with the offending field path.
     """
     errors: list[str] = []
-    warns: list[str] = []
     if not isinstance(data, dict):
         raise ScenarioError("schema", ["$: top level must be an object"])
 
@@ -201,6 +197,10 @@ def scenario_from_dict(data: Any, default_name: str = "scenario") -> Scenario:
     if not isinstance(name, str) or not name:
         errors.append("$.name: expected a nonempty string")
         name = default_name
+    elif name in (".", "..") or "/" in name or "\\" in name:
+        # a run writes into the directory of this name under its --out
+        errors.append(f"$.name: expected one plain path component, got "
+                      f"{name!r}")
     description = data.get("description", "")
     if not isinstance(description, str):
         errors.append("$.description: expected a string")
@@ -252,7 +252,7 @@ def scenario_from_dict(data: Any, default_name: str = "scenario") -> Scenario:
                 if n < 1e-12:
                     raise ValueError("zero quaternion")
                 if abs(n - 1.0) > _NORM_WARN_TOL:
-                    _warn(warns, f"$.initial.attitude: normalized "
+                    _warn(f"$.initial.attitude: normalized "
                                  f"(norm correction {abs(n - 1.0):.3e})")
                 q = UnitQuaternion(x / n, y / n, z / n, w / n)
                 initial = BodyState(attitude=q, omega=om)
@@ -263,13 +263,13 @@ def scenario_from_dict(data: Any, default_name: str = "scenario") -> Scenario:
     bb = _as_vec(errors, data, "$", "boresight_body", 3)
     if bb is not None:
         try:
-            boresight = _unit(bb, "$.boresight_body", warns)
+            boresight = _unit(bb, "$.boresight_body")
         except ValueError as exc:
             errors.append(str(exc))
     ti = _as_vec(errors, data, "$", "target_inertial", 3)
     if ti is not None:
         try:
-            target = _unit(ti, "$.target_inertial", warns)
+            target = _unit(ti, "$.target_inertial")
         except ValueError as exc:
             errors.append(str(exc))
 
@@ -327,7 +327,7 @@ def scenario_from_dict(data: Any, default_name: str = "scenario") -> Scenario:
         if None in (axis, tf, t0, t1, rsl):
             continue
         try:
-            naxis = _unit(axis, f"{path}.axis_inertial", warns)
+            naxis = _unit(axis, f"{path}.axis_inertial")
         except ValueError as exc:
             errors.append(str(exc))
             continue
@@ -367,7 +367,7 @@ def scenario_from_dict(data: Any, default_name: str = "scenario") -> Scenario:
             p1 = math.cos(math.radians(tp1))
         if p1 is not None and not obs:
             key = "p1" if tp1 is None else "theta_p1_deg"
-            _warn(warns, f"$.switching.{key}: ignored, there are no obstacles")
+            _warn(f"$.switching.{key}: ignored, there are no obstacles")
         if None not in (delta, m, n):
             if obstacles:
                 # the freeze completes at the outermost onset; the blend
@@ -447,8 +447,7 @@ def scenario_from_dict(data: Any, default_name: str = "scenario") -> Scenario:
         boresight_body=boresight, target_inertial=target,
         obstacles=tuple(obstacles), envelope=envelope, switch=switch,
         controller=controller, sim=sim,
-        theta_df=math.radians(theta_df), targets=targets,
-        load_warnings=warns)
+        theta_df=math.radians(theta_df), targets=targets)
 
 
 def load_scenario(path) -> Scenario:
@@ -462,7 +461,7 @@ def load_scenario(path) -> Scenario:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError("parse", [f"{path}: invalid JSON: {exc}"]) from exc
-    return scenario_from_dict(data, default_name=str(path))
+    return scenario_from_dict(data, default_name=Path(path).stem)
 
 
 # ---------------------------------------------------------------------------

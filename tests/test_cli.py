@@ -82,8 +82,8 @@ def test_user_paths_do_not_import_numpy(tmp_path):
 
 
 def test_cli_import_footprint():
-    # a run starts the trajectory writer (and --compare the baseline), so
-    # only runs pay for multiprocessing; listing presets and --help do not.
+    # a run starts one child, the trajectory writer or with --compare the
+    # baseline, so only runs pay for multiprocessing; listing presets and --help do not.
     # The value classes are plain classes, so dataclasses and the inspect
     # module it pulls in stay out of every start.
     proc = subprocess.run(
@@ -277,6 +277,32 @@ class TestRun:
                      "--out", str(tmp_path / "runs")])
         assert code == 5
         assert "[MISS]" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name,given,code,case", [
+        (None, "absolute", 0, "noname"), (None, "relative", 0, "noname"),
+        ("../escaped", "absolute", 3, None)])
+    def test_scenario_name_is_a_directory_under_out(
+            self, tmp_path, capsys, monkeypatch, name, given, code, case):
+        # an unnamed file is named after its stem; a name that would leave
+        # --out is a schema error
+        doc = doc_without_targets()
+        del doc["name"]
+        if name is not None:
+            doc["name"] = name
+        path = write_scenario(tmp_path, doc, "noname.json")
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "cases" / "runs"
+        assert main(["run", "--scenario",
+                     str(path) if given == "absolute" else path.name,
+                     "--duration", "2", "--out", str(out)]) == code
+        got = capsys.readouterr()
+        if case is None:
+            assert got.err == ("error: $.name: expected one plain path "
+                               f"component, got {name!r}\n")
+            assert not (tmp_path / "cases").exists()
+        else:
+            assert got.out.startswith(f"{case}: clearance ")
+            assert [p.name for p in out.iterdir()] == [case]
 
     def test_compare_writes_baseline_artifacts(self, tmp_path):
         doc = valid_doc()
@@ -482,10 +508,11 @@ def stream_rows(on_rows, then):
 
 
 class TestTrajectoryWriter:
-    """Each run streams its rows to a writer process of its own, started
-    with the first block, which writes ``trajectory.csv``: the bytes are the
-    library writer's, the file is complete when the run's line prints, and
-    an output that cannot be written exits 6 (every test is checked for a
+    """A single run streams its rows to a writer process, started with the
+    first block, which writes ``trajectory.csv``; with ``--compare`` the
+    proposed run writes the file itself.  The bytes are the library
+    writer's, the file is complete when the run's line prints, and an
+    output that cannot be written exits 6 (every test is checked for a
     process or a temporary file left behind, see ``conftest.py``)."""
 
     @pytest.mark.parametrize("rows,stride", [
@@ -527,45 +554,28 @@ class TestTrajectoryWriter:
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity")
                         or len(os.sched_getaffinity(0)) < 2,
                         reason="placement needs Linux and two CPUs")
-    @pytest.mark.parametrize("compare", [False, pytest.param(
-        True, marks=pytest.mark.skipif(
-            multiprocessing.get_start_method() != "fork",
-            reason="the baseline waits in the patched run only when forked"))])
+    @pytest.mark.parametrize("compare", [False, True])
     def test_writer_is_kept_off_the_run_cpu(self, tmp_path, capsys,
                                             monkeypatch, compare):
-        # one CPU fewer than the run may use; with --compare no child is
-        # placed: the writer kept apart there slowed comparisons (measured
-        # in BENCH_20.json, rounds 5 and 6).  The baseline waits until both
-        # children were seen, so it cannot have exited by then.
+        # a run starts one child, the writer or with --compare the baseline
+        # (and then no writer), on one CPU fewer than the run may use
         allowed = os.sched_getaffinity(0)
-        seen = []
-        looked = tmp_path / "looked"
+        started = []
 
-        def look():
-            seen.append(sorted(os.sched_getaffinity(child.pid)
-                               for child in multiprocessing.active_children()))
-            looked.touch()
+        class Child(cli._Child):
+            def __init__(self, name, *args):
+                super().__init__(name, *args)
+                started.append((name, os.sched_getaffinity(self._proc.pid)))
 
-        def run(scenario, on_rows=None):
-            if on_rows is None:
-                deadline = time.monotonic() + 60.0
-                while not looked.exists() and time.monotonic() < deadline:
-                    time.sleep(0.01)
-                return run_scenario(scenario)
-            return run_scenario(scenario,
-                                on_rows=stream_rows(on_rows, look)[0])
-
-        monkeypatch.setattr(cli, "run_scenario", run)
+        monkeypatch.setattr(cli, "_Child", Child)
         path = write_scenario(tmp_path, doc_without_targets())
         argv = ["run", "--scenario", str(path), "--duration", "10",
                 "--out", str(tmp_path / "runs")]
         assert main(argv + ["--compare"] * compare) == 0
         capsys.readouterr()
-        if compare:
-            assert seen == [[allowed, allowed]]
-        else:
-            (placed,) = seen[0]
-            assert placed < allowed and len(placed) == len(allowed) - 1
+        ((name, placed),) = started
+        assert name == ("baseline" if compare else "writer")
+        assert placed < allowed and len(placed) == len(allowed) - 1
 
     def test_validation_failure_starts_no_writer(self, tmp_path, capsys):
         doc = doc_without_targets()
@@ -670,6 +680,29 @@ class TestTrajectoryWriter:
         assert got.err == ("error: custom: trajectory.csv not written: "
                            "[Errno 28] No space left on device\n")
         assert list(case.iterdir()) == []
+
+    def test_proposed_csv_error_under_compare(self, tmp_path, capsys,
+                                              monkeypatch):
+        # with --compare the proposed run writes its own trajectory.csv; a
+        # write that fails part way leaves neither the file nor a child
+        write_csv = cli.write_trajectory_csv
+
+        def full_disk(records, path):
+            if Path(path).name != ".trajectory.csv.part":
+                return write_csv(records, path)
+            Path(path).write_text("time")
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "write_trajectory_csv", full_disk)
+        path = write_scenario(tmp_path, doc_without_targets())
+        case = tmp_path / "runs" / "custom"
+        assert run_compare(path, tmp_path / "runs") == 6
+        got = capsys.readouterr()
+        assert got.out == ""
+        assert got.err == ("error: custom: trajectory.csv not written: "
+                           "[Errno 28] No space left on device\n")
+        assert list(case.iterdir()) == []
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("taken", OUTPUTS)
     def test_file_that_cannot_be_moved_into_place(self, tmp_path, capsys,

@@ -94,9 +94,10 @@ def torque(w, e2, eps, rho, boresight, r_b, obstacles, omega_s_eff,
     r_cross_b, p1 = stage_terms(r_b, obstacles, cfg, boresight)
     if not omega_v_eff > 0.0:
         p1 = (0.0, 0.0, 0.0)
-    jw = tuple((params.inertia @ np.asarray(w, dtype=float)).tolist())
+    w = np.asarray(w, dtype=float)
+    gyro = tuple(np.cross(w, params.inertia @ w).tolist())
     x_e = 1.0 - float(np.dot(boresight, r_b))
-    return torque_law(tuple(map(float, w)), jw, tuple(map(float, e2)),
+    return torque_law(gyro, tuple(map(float, e2)),
                       tuple(map(float, sd_dot)), eps, rho, x_e, r_cross_b, p1,
                       omega_s_eff, omega_v_eff, tuple(boresight.tolist()),
                       params, cfg)
@@ -388,13 +389,13 @@ class TestTorqueLaw:
             obstacles = [(cone, f_b, float(np.dot(B, f_b)))]
             sd = rng.normal(size=3) * 0.01
             r_cross_b, p1 = stage_terms(r_b, obstacles, cfg)
-            w_t, e2_t, sd_t = (tuple(v.tolist()) for v in (w, e2, sd))
-            jw = tuple((params.inertia @ w).tolist())
+            e2_t, sd_t = (tuple(v.tolist()) for v in (e2, sd))
+            gyro = tuple(np.cross(w, params.inertia @ w).tolist())
             x_e = 1.0 - float(np.dot(B, r_b))
-            got = benchmark_apf_law(w_t, jw, e2_t, sd_t, x_e, r_cross_b, p1,
+            got = benchmark_apf_law(gyro, e2_t, sd_t, x_e, r_cross_b, p1,
                                     B_T, params, cfg)
-            want = torque_law(w_t, jw, e2_t, sd_t, 0.0, 1.0, x_e, r_cross_b,
-                              p1, 1.0, 1.0, B_T, params, cfg)
+            want = torque_law(gyro, e2_t, sd_t, 0.0, 1.0, x_e, r_cross_b, p1,
+                              1.0, 1.0, B_T, params, cfg)
             np.testing.assert_allclose(got, want, atol=1e-15)
             # and the same as the torque law's own potential descent term
             np.testing.assert_allclose(

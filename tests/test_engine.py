@@ -108,8 +108,7 @@ def reference_rhs(t, y, sc, sim):
         p1 = sc.controller.k_a * r_cross_b
         for cone, f_b, beta in obstacles:
             p1 = p1 - repulsion_grad_beta(cone, beta) * np.cross(f_b, b)
-    terms = dict(omega=tuple(w.tolist()),
-                 j_omega=tuple((sc.params.inertia @ w).tolist()),
+    terms = dict(gyro=tuple(np.cross(w, sc.params.inertia @ w).tolist()),
                  e2=tuple((w - x1).tolist()), sd_dot=tuple(x2.tolist()),
                  x_e=x_e, r_cross_b=tuple(r_cross_b.tolist()),
                  p1=tuple(p1.tolist()), boresight_body=tuple(b.tolist()),
