@@ -62,9 +62,9 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="output directory (default: runs); each run writes "
                           "into DIR/<scenario-name>/")
     run.add_argument("--compare", action="store_true",
-                     help="also run the potential-field-only baseline, at "
-                          "the same time in a process of its own, and write "
-                          "comparison.json")
+                     help="also run the potential-field-only baseline, in "
+                          "parallel; writes trajectory_benchmark.csv, "
+                          "summary_benchmark.json and comparison.json")
     run.add_argument("--dt", type=float, default=None,
                      help="override integration step [s]")
     run.add_argument("--duration", type=float, default=None,

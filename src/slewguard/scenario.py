@@ -253,7 +253,7 @@ def scenario_from_dict(data: Any, default_name: str = "scenario") -> Scenario:
                     raise ValueError("zero quaternion")
                 if abs(n - 1.0) > _NORM_WARN_TOL:
                     _warn(f"$.initial.attitude: normalized "
-                                 f"(norm correction {abs(n - 1.0):.3e})")
+                          f"(norm correction {abs(n - 1.0):.3e})")
                 q = UnitQuaternion(x / n, y / n, z / n, w / n)
                 initial = BodyState(attitude=q, omega=om)
             except ValueError as exc:

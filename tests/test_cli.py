@@ -280,7 +280,8 @@ class TestRun:
 
     @pytest.mark.parametrize("name,given,code,case", [
         (None, "absolute", 0, "noname"), (None, "relative", 0, "noname"),
-        ("../escaped", "absolute", 3, None)])
+        ("../escaped", "absolute", 3, None)],
+        ids=["unnamed-absolute", "unnamed-relative", "escaping-name"])
     def test_scenario_name_is_a_directory_under_out(
             self, tmp_path, capsys, monkeypatch, name, given, code, case):
         # an unnamed file is named after its stem; a name that would leave

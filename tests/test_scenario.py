@@ -289,6 +289,17 @@ class TestSchema:
             scenario_from_dict(doc)
         assert [str(w.message) for w in record] == [message]
 
+    @pytest.mark.parametrize("name", ["../escaped", "a/b", "a\\b", ".", ".."])
+    def test_name_must_be_one_path_component(self, name):
+        # a run writes into a directory of this name under its --out
+        doc = valid_doc()
+        doc["name"] = name
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict(doc)
+        assert err.value.kind == "schema"
+        assert err.value.errors == [
+            f"$.name: expected one plain path component, got {name!r}"]
+
     def test_zero_attitude_quaternion_rejected(self):
         doc = valid_doc()
         doc["initial"]["attitude"] = [0, 0, 0, 0]
@@ -343,17 +354,6 @@ class TestLoadScenario:
         path.write_text(json.dumps(valid_doc()))
         sc = load_scenario(path)
         assert sc.name == "custom"
-
-    @pytest.mark.parametrize("name", ["../escaped", "a/b", "a\\b", ".", ".."])
-    def test_name_must_be_one_path_component(self, name):
-        # a run writes into a directory of this name under its --out
-        doc = valid_doc()
-        doc["name"] = name
-        with pytest.raises(ScenarioError) as err:
-            scenario_from_dict(doc)
-        assert err.value.kind == "schema"
-        assert err.value.errors == [
-            f"$.name: expected one plain path component, got {name!r}"]
 
     def test_missing_file_is_parse_error(self, tmp_path):
         with pytest.raises(ScenarioError) as err:
