@@ -83,7 +83,8 @@ def test_user_paths_do_not_import_numpy(tmp_path):
 
 def test_cli_import_footprint():
     # a run starts one child, the trajectory writer or with --compare the
-    # baseline, so only runs pay for multiprocessing; listing presets and --help do not.
+    # baseline, so only runs pay for multiprocessing; listing presets and
+    # --help do not.
     # The value classes are plain classes, so dataclasses and the inspect
     # module it pulls in stay out of every start.
     proc = subprocess.run(
