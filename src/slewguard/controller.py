@@ -29,6 +29,7 @@ from .attitude import SpacecraftParams
 from .potential import (
     ObstacleCone,
     balanced_k_r,
+    clamped_acos,
     goal_separation,
     repulsion_grad_beta,
 )
@@ -337,7 +338,7 @@ def validate_config(scenario: "Scenario", x_e0: float,
 
     for i, (cone, beta0) in enumerate(zip(obstacles, betas0)):
         # the keep-out guarantee keeps the boresight out, not gets it out
-        start = math.acos(max(-1.0, min(1.0, beta0)))
+        start = clamped_acos(beta0)
         add(f"start-outside-cone[{i}]", start > cone.theta_f,
             f"boresight-to-axis angle {math.degrees(start):.3f} deg vs "
             f"theta_f {math.degrees(cone.theta_f):.3f} deg (margin "
@@ -347,7 +348,7 @@ def validate_config(scenario: "Scenario", x_e0: float,
         add(f"goal-separation[{i}]", sep >= theta_df - 1e-12,
             f"goal-to-axis angle {math.degrees(sep):.3f} deg vs declared "
             f"minimum {math.degrees(theta_df):.3f} deg")
-        clear = math.acos(max(-1.0, min(1.0, switch.v0)))
+        clear = clamped_acos(switch.v0)
         add(f"goal-clear-of-field[{i}]", sep > clear,
             f"goal-to-axis angle {math.degrees(sep):.3f} deg vs switching "
             f"onset {math.degrees(clear):.3f} deg (field must vanish at goal)")

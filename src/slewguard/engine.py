@@ -46,11 +46,11 @@ time is the same float.  Step ``k`` evaluates its stages at ``k * dt``,
 starts at, so a run of ``n`` steps evaluates the disturbance ``2 n + 1``
 times.
 
-``step`` returns, with the new state, the quantities its first stage
-evaluated at the start of the step.  Logging and the run's statistics
-(:class:`_RunStats`) reuse them, so the controller is not evaluated again
-for a record.  The statistics see every step and the final sample, and the
-summary is built from them alone, so no summary field depends on
+The run loop evaluates each sample ``t = k * dt``, ``k = 0 .. n``, once
+with ``rhs``.  Logging and the run's statistics (:class:`_RunStats`) read
+that evaluation's controller quantities, and ``step`` takes its derivative
+as the first RK4 stage; the final sample has no step after it.  The
+summary is built from the statistics alone, so no summary field depends on
 ``record_stride``.
 """
 
@@ -71,7 +71,7 @@ from .controller import (
     virtual_law,
 )
 from .envelope import ERROR_RATIO_FLOOR, blf_value
-from .potential import bridge, total_potential
+from .potential import bridge, clamped_acos, total_potential
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scenario import Scenario
@@ -148,8 +148,11 @@ class SimConfig(Frozen):
             raise ValueError("dt must be positive")
         if duration < dt:
             raise ValueError("duration must cover at least one step")
-        if not math.isfinite(duration / dt):
+        steps = duration / dt
+        if not math.isfinite(steps):
             raise ValueError("duration / dt must be finite")
+        if abs(steps - round(steps)) > 1e-9 * steps:
+            raise ValueError("duration must be a whole number of steps of dt")
         if (isinstance(record_stride, bool) or record_stride < 1
                 or int(record_stride) != record_stride):
             raise ValueError("record_stride must be a positive integer")
@@ -216,14 +219,11 @@ def disturbance_torque(t: float) -> tuple[float, float, float]:
 
 _ZERO3 = (0.0, 0.0, 0.0)
 _tanh = math.tanh
-_RAD_TO_DEG = 180.0 / math.pi  # the factor math.degrees multiplies by
 
 
 def _pointing_angle_deg(x_e: float) -> float:
-    """``math.degrees(math.acos(max(-1.0, min(1.0, 1.0 - x_e))))`` to the
-    bit (NaN clamps to 1), in a quarter of the time: no builtin calls."""
-    c = 1.0 - x_e
-    return math.acos(-1.0 if c <= -1.0 else c if c < 1.0 else 1.0) * _RAD_TO_DEG
+    """Boresight-to-goal angle [deg] at the pointing error ``x_e``."""
+    return math.degrees(clamped_acos(1.0 - x_e))
 
 
 def _quat_norm_error(y: list) -> float:
@@ -245,7 +245,7 @@ def _axpy(y: list, h: float, k: list) -> list:
 class _LoopContext:
     """Prebound scenario pieces plus the coupled right-hand side."""
 
-    def __init__(self, scenario: "Scenario", sim: SimConfig):
+    def __init__(self, scenario: "Scenario"):
         self.scenario = scenario
         self.params = scenario.params
         self.ctrl = scenario.controller
@@ -268,8 +268,8 @@ class _LoopContext:
         self.s_shape = scenario.switch.s_shape
         self.v_shape = scenario.switch.v_shape
         self.switch_floor = min(self.s_shape.lo, self.v_shape.lo)
-        self.benchmark = sim.controller_mode == "benchmark_apf"
-        self.dist_on = sim.disturbance_enabled
+        self.benchmark = scenario.sim.controller_mode == "benchmark_apf"
+        self.dist_on = scenario.sim.disturbance_enabled
         # one-slot disturbance cache: the last stage time and its torque
         self._dist_t = math.nan
         self._dist = _ZERO3
@@ -407,20 +407,17 @@ class _LoopContext:
                  x2x, x2y, x2z, t2x, t2y, t2z],
                 (r_b, x_e, betas, eps, s_eff, v_eff, v_cmd, e2, u))
 
-    def step(self, k: int, y: list, dt: float) -> tuple[list, tuple]:
-        """Advance ``y`` from ``t = k * dt`` to ``(k + 1) * dt``; returns the
-        new state and the controller quantities of the first stage, which
-        are those of ``y`` at ``t``.
+    def step(self, k: int, y: list, dt: float, k1: list) -> list:
+        """Advance ``y`` from ``t = k * dt`` to ``(k + 1) * dt``, given its
+        derivative ``k1`` at ``t``, the first RK4 stage.
 
         The RK4 combine ``y + dt/6 (k1 + 2 k2 + 2 k3 + k4)`` and the
         quaternion renormalization are written out for the 14 components.
         """
         t = k * dt
         h = 0.5 * dt
-        n = 1
+        n = 2
         try:
-            k1, stage = self.rhs(t, y)
-            n = 2
             k2 = self.rhs(t + h, _axpy(y, h, k1))[0]
             n = 3
             k3 = self.rhs(t + h, _axpy(y, h, k2))[0]
@@ -440,17 +437,17 @@ class _LoopContext:
         o2 = a2 + c * (p2 + 2.0 * q2 + 2.0 * r2 + s2)
         o3 = a3 + c * (p3 + 2.0 * q3 + 2.0 * r3 + s3)
         n = math.sqrt(o0 ** 2 + o1 ** 2 + o2 ** 2 + o3 ** 2)
-        return ([o0 / n, o1 / n, o2 / n, o3 / n,
-                 a4 + c * (p4 + 2.0 * q4 + 2.0 * r4 + s4),
-                 a5 + c * (p5 + 2.0 * q5 + 2.0 * r5 + s5),
-                 a6 + c * (p6 + 2.0 * q6 + 2.0 * r6 + s6),
-                 a7 + c * (p7 + 2.0 * q7 + 2.0 * r7 + s7),
-                 a8 + c * (p8 + 2.0 * q8 + 2.0 * r8 + s8),
-                 a9 + c * (p9 + 2.0 * q9 + 2.0 * r9 + s9),
-                 a10 + c * (p10 + 2.0 * q10 + 2.0 * r10 + s10),
-                 a11 + c * (p11 + 2.0 * q11 + 2.0 * r11 + s11),
-                 a12 + c * (p12 + 2.0 * q12 + 2.0 * r12 + s12),
-                 a13 + c * (p13 + 2.0 * q13 + 2.0 * r13 + s13)], stage)
+        return [o0 / n, o1 / n, o2 / n, o3 / n,
+                a4 + c * (p4 + 2.0 * q4 + 2.0 * r4 + s4),
+                a5 + c * (p5 + 2.0 * q5 + 2.0 * r5 + s5),
+                a6 + c * (p6 + 2.0 * q6 + 2.0 * r6 + s6),
+                a7 + c * (p7 + 2.0 * q7 + 2.0 * r7 + s7),
+                a8 + c * (p8 + 2.0 * q8 + 2.0 * r8 + s8),
+                a9 + c * (p9 + 2.0 * q9 + 2.0 * r9 + s9),
+                a10 + c * (p10 + 2.0 * q10 + 2.0 * r10 + s10),
+                a11 + c * (p11 + 2.0 * q11 + 2.0 * r11 + s11),
+                a12 + c * (p12 + 2.0 * q12 + 2.0 * r12 + s12),
+                a13 + c * (p13 + 2.0 * q13 + 2.0 * r13 + s13)]
 
     # -- logging ------------------------------------------------------------
 
@@ -603,8 +600,7 @@ class _RunStats:
 
     def min_clearance_deg(self) -> list[float]:
         # acos decreases, so the deepest approach is the smallest clearance
-        return [math.degrees(math.acos(max(-1.0, min(1.0, beta))))
-                for beta in self.max_betas]
+        return [math.degrees(clamped_acos(beta)) for beta in self.max_betas]
 
 
 def run_scenario(scenario: "Scenario", force: bool = False,
@@ -624,7 +620,7 @@ def run_scenario(scenario: "Scenario", force: bool = False,
     summary's ``wall_clock_s``, which covers the integration alone.
     """
     sim = scenario.sim
-    ctx = _LoopContext(scenario, sim)
+    ctx = _LoopContext(scenario)
     y, (_, x_e0, betas0, *_) = ctx.initial_state()
     # validated after the initial state: the start rules judge the loop's
     # own x_e and cone cosines at t = 0
@@ -638,45 +634,39 @@ def run_scenario(scenario: "Scenario", force: bool = False,
     stats = _RunStats(ctx)
     records = Trajectory(array("d"), _columns(len(ctx.cones)))
     log = records.data
-    # steps between calls of on_rows, each block logging _BLOCK_ROWS rows
-    block = n_steps if on_rows is None else _BLOCK_ROWS * stride
     t0 = time.perf_counter()
     held = 0.0  # time spent in on_rows
-    for start in range(0, n_steps, block):
-        end = start + block
-        for k in range(start, min(end, n_steps)):
-            y_next, stage = ctx.step(k, y, dt)
-            row = None
-            if k % stride == 0:
-                row = ctx.record(k * dt, y, stage)
-                log.extend(row)
-            stats.add(k * dt, y, stage, row)
-            _check_state((k + 1) * dt, y_next, y)
-            y = y_next
-        if on_rows is not None and end <= n_steps:
+    for k in range(n_steps + 1):
+        t = k * dt
+        try:
+            k1, stage = ctx.rhs(t, y)
+        except SimulationAbort as exc:
+            exc.state, exc.stage = tuple(y), 1
+            raise
+        row = None
+        if k % stride == 0 or k == n_steps:
+            row = ctx.record(t, y, stage)
+            log.extend(row)
+        stats.add(t, y, stage, row)
+        if k == n_steps:
+            break
+        y_next = ctx.step(k, y, dt, k1)
+        _check_state((k + 1) * dt, y_next, y)
+        y = y_next
+        if on_rows is not None and (k + 1) % (_BLOCK_ROWS * stride) == 0:
             held -= time.perf_counter()
             on_rows(records)
             held += time.perf_counter()
-    # the final sample is the one stage evaluated outside a step
-    t = n_steps * dt
-    try:
-        stage = ctx.rhs(t, y)[1]
-    except SimulationAbort as exc:
-        exc.state, exc.stage = tuple(y), 1
-        raise
-    row = ctx.record(t, y, stage)
-    log.extend(row)
-    stats.add(t, y, stage, row)
     wall = time.perf_counter() - t0 - held
     if on_rows is not None:
         on_rows(records)
 
-    summary = summarize(scenario, sim, stats, report, wall)
+    summary = summarize(scenario, stats, report, wall)
     return SimulationResult(records=records, summary=summary)
 
 
-def summarize(scenario: "Scenario", sim: SimConfig, stats: _RunStats,
-              report, wall: float) -> dict:
+def summarize(scenario: "Scenario", stats: _RunStats, report,
+              wall: float) -> dict:
     theta_f_deg = [math.degrees(c.theta_f) for c in scenario.obstacles]
     min_clearance = stats.min_clearance_deg()
     constraint_ok = all(c >= f for c, f in zip(min_clearance, theta_f_deg))
@@ -703,10 +693,10 @@ def summarize(scenario: "Scenario", sim: SimConfig, stats: _RunStats,
 
     return {
         "scenario": scenario.name,
-        "controller_mode": sim.controller_mode,
-        "dt": sim.dt,
-        "duration_s": sim.duration,
-        "disturbance_enabled": sim.disturbance_enabled,
+        "controller_mode": scenario.sim.controller_mode,
+        "dt": scenario.sim.dt,
+        "duration_s": scenario.sim.duration,
+        "disturbance_enabled": scenario.sim.disturbance_enabled,
         "theta_f_deg": theta_f_deg,
         "min_clearance_deg": min_clearance,
         "constraint_satisfied": constraint_ok,

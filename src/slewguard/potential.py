@@ -30,6 +30,7 @@ __all__ = [
     "balanced_k_r",
     "bridge",
     "bridge_grad",
+    "clamped_acos",
     "goal_separation",
     "repulsion_grad_beta",
     "total_potential",
@@ -128,6 +129,12 @@ class ObstacleCone(Frozen):
                                     steepness=r_slope * (hi - lo) / k_r))
 
 
+def clamped_acos(c: float) -> float:
+    """``math.acos(max(-1.0, min(1.0, c)))`` to the bit (NaN clamps to 1)
+    without the builtin calls: a cosine rounded past +-1 gives 0 or pi."""
+    return math.acos(-1.0 if c <= -1.0 else c if c < 1.0 else 1.0)
+
+
 def goal_separation(target: Sequence[float], axis: Sequence[float]) -> float:
     """Angle [rad] between two unit vectors, such as the goal direction and
     a cone axis."""
@@ -135,7 +142,7 @@ def goal_separation(target: Sequence[float], axis: Sequence[float]) -> float:
     # angle does not depend on the interpreter's ``sum()``
     c = (float(target[0]) * float(axis[0]) + float(target[1]) * float(axis[1])
          + float(target[2]) * float(axis[2]))
-    return math.acos(max(-1.0, min(1.0, c)))
+    return clamped_acos(c)
 
 
 def balanced_k_r(k_a: float, sep: float, theta_1: float) -> float:

@@ -188,8 +188,11 @@ Stage = namedtuple("Stage", "r_b x_e betas eps s_eff v_eff v_cmd e2 u")
 
 def kernel(sc, y, t=0.0, sim=None):
     """The kernel's derivative at ``(t, y)`` as an array, and its stage
-    quantities as a :data:`Stage`."""
-    ctx = _LoopContext(sc, sim if sim is not None else sc.sim)
+    quantities as a :data:`Stage`; ``sim`` replaces the scenario's
+    simulation settings."""
+    if sim is not None:
+        sc = sc.with_sim(**dict(zip(sim._fields, sim._key())))
+    ctx = _LoopContext(sc)
     dy, stage = ctx.rhs(t, [float(v) for v in y])
     return np.array(dy), Stage(*stage)
 
@@ -204,14 +207,14 @@ def to_body(q, v):
 def initial_report(sc):
     """The validation report of ``sc`` as ``run_scenario`` forms it, from
     the pointing error and cone cosines of the stage the run starts from."""
-    _, stage = _LoopContext(sc, sc.sim).initial_state()
+    _, stage = _LoopContext(sc).initial_state()
     return validate_config(sc, stage[1], stage[2])
 
 
 def slice_flow(sc, y, keep):
     """``f(t, z)``: the kernel's derivative of the components ``keep`` of
     ``y`` at ``z``, with every other component held at its value in ``y``."""
-    ctx = _LoopContext(sc, sc.sim)
+    ctx = _LoopContext(sc)
     keep = list(keep)
 
     def f(t, z):

@@ -262,7 +262,10 @@ class TestRun:
     @pytest.mark.parametrize("flag,value,message", [
         ("--duration", "inf", "duration must be finite"),
         ("--dt", "nan", "dt must be finite"),
-        ("--dt", "0", "dt must be positive")])
+        ("--dt", "0", "dt must be positive"),
+        ("--duration", "10.005",
+         "duration must be a whole number of steps of dt"),
+        ("--dt", "0.007", "duration must be a whole number of steps of dt")])
     def test_bad_sim_override_exits_3(self, tmp_path, capsys, flag, value,
                                       message):
         code = main(["run", "--preset", "paper-single-1", flag, value,

@@ -302,15 +302,15 @@ class TestTrackingDifferentiator:
         # in the closed loop the command moves with the attitude; past the
         # start-up transient x2 tracks its central difference
         sc = load_preset("paper-single-1")
-        ctx = _LoopContext(sc, sc.sim)
+        ctx = _LoopContext(sc)
         dt = sc.sim.dt
         y, _ = ctx.initial_state()
         commands, rates = [], []
         for k in range(1000):
-            y_next, stage = ctx.step(k, y, dt)
+            k1, stage = ctx.rhs(k * dt, y)
             commands.append(Stage(*stage).v_cmd)
             rates.append(y[11:14])
-            y = y_next
+            y = ctx.step(k, y, dt, k1)
         v = np.array(commands)
         fd = (v[2:] - v[:-2]) / (2.0 * dt)
         x2 = np.array(rates)[1:-1]
@@ -486,6 +486,34 @@ class TestValidateConfig:
         bad = make_cfg(k_a=0.5)
         report = self.run_validate(bad, env, switch, [cone], target, initial)
         assert any(i.rule == "attraction-floor" for i in report.failures)
+
+    def test_attraction_floor_fails_where_the_goal_angle_reaches_zero(self):
+        # theta_df 20 deg lies inside the 36 deg blend onset, so the goal
+        # angle while avoiding has no positive lower bound
+        cfg, env, switch, cone, target, initial = self.setup()
+        report = self.run_validate(cfg, env, switch, [cone], target, initial,
+                                   theta_df_deg=20.0)
+        assert [i.detail for i in report.failures
+                if i.rule == "attraction-floor"] == [
+            "goal-angle lower bound reaches zero (theta_df=20.00 deg inside "
+            "the blend band)"]
+
+    @pytest.mark.parametrize("p1,theta_df_deg,message", [
+        (None, 180.0, "theta_df must lie in (0, pi)"),
+        (1.5, 50.0, "need -1 <= p0 < p1 <= 1")],
+        ids=["theta-df", "p1-beyond-one"])
+    def test_attraction_floor_fails_on_infeasible_bounds(
+            self, p1, theta_df_deg, message):
+        # min_sin_theta_d rejects the bounds, and the rule reports why
+        cfg, env, switch, cone, target, initial = self.setup()
+        if p1 is not None:
+            # a saturation knot past beta = 1, which the loader never builds
+            switch = SwitchConfig(v1=switch.v1, p1=p1, delta=switch.delta,
+                                  m=switch.m, n=switch.n)
+        report = self.run_validate(cfg, env, switch, [cone], target, initial,
+                                   theta_df_deg=theta_df_deg)
+        assert [i.detail for i in report.failures
+                if i.rule == "attraction-floor"] == [message]
 
     def test_funnel_start_failure(self):
         cfg, env, switch, cone, target, initial = self.setup()

@@ -207,7 +207,7 @@ class TestSharedStageTerms:
     @pytest.mark.parametrize("mode", ["proposed", "benchmark_apf"])
     def test_one_gradient_per_cone_per_stage(self, monkeypatch, mode):
         sc = make_scenario(n_obstacles=2)
-        ctx = _LoopContext(sc, SimConfig(controller_mode=mode))
+        ctx = _LoopContext(sc.with_sim(controller_mode=mode))
         calls = self.count_gradients(monkeypatch)
         avoiding = set()
         for y in sample_states(np.random.default_rng(13), sc, 27):
@@ -232,17 +232,17 @@ class TestSharedStageTerms:
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_disturbance_cache_is_never_stale(self, enabled):
-        sc = make_scenario(n_obstacles=2)
-        sim = SimConfig(disturbance_enabled=enabled)
+        sc = make_scenario(n_obstacles=2).with_sim(
+            disturbance_enabled=enabled)
         y = [float(v) for v in
              sample_states(np.random.default_rng(3), sc, 1)[0]]
         t1 = 12.5
-        ctx = _LoopContext(sc, sim)
+        ctx = _LoopContext(sc)
         got = {}
         for t in (t1, t1 + 5.0, t1, t1, math.nextafter(t1, math.inf), 0.0,
                   -0.0, t1):
             got[t] = ctx.rhs(t, y)[0]
-            assert bits(got[t]) == bits(_LoopContext(sc, sim).rhs(t, y)[0])
+            assert bits(got[t]) == bits(_LoopContext(sc).rhs(t, y)[0])
         # the disturbance reaches the derivative only when enabled
         assert (bits(got[t1]) != bits(got[t1 + 5.0])) == enabled
 
@@ -261,13 +261,13 @@ class TestSharedStageTerms:
     def test_one_disturbance_evaluation_per_stage_time(self, monkeypatch):
         times = self.disturbance_times(monkeypatch)
         sc = make_scenario(n_obstacles=1)
-        ctx = _LoopContext(sc, SimConfig())
+        ctx = _LoopContext(sc)
         dt = 0.01
         y, _ = ctx.initial_state()
-        y, _ = ctx.step(0, y, dt)
+        y = ctx.step(0, y, dt, ctx.rhs(0.0, y)[0])
         # stages 2 and 3 share t + dt/2
         assert times == [0.0, 0.5 * dt, dt]
-        ctx.step(1, y, dt)
+        ctx.step(1, y, dt, ctx.rhs(dt, y)[0])
         # stage 1 repeats the previous stage 4's time
         assert times == [0.0, 0.5 * dt, dt, dt + 0.5 * dt, 2.0 * dt]
 
@@ -279,6 +279,24 @@ class TestSharedStageTerms:
         # the initial command's stage at t = 0, then t + dt/2 and (k + 1) dt
         # of each step; stage 1 and the final sample reuse the cached value
         assert len(times) == 2 * 100 + 1
+
+    @pytest.mark.parametrize("n,stride", [(1, 1), (10, 1), (10, 3)])
+    def test_one_rhs_evaluation_per_stage(self, monkeypatch, n, stride):
+        # the initial command, four stages per step and the final sample:
+        # each sample is evaluated once, as the first stage of its step
+        rhs = _LoopContext.rhs
+        times = []
+
+        def counted(ctx, t, y):
+            times.append(t)
+            return rhs(ctx, t, y)
+
+        monkeypatch.setattr(_LoopContext, "rhs", counted)
+        sc = load_preset("paper-single-1").with_sim(duration=n * 0.01,
+                                                    record_stride=stride)
+        run_scenario(sc)
+        assert len(times) == 4 * n + 2
+        assert times[1::4] == [k * sc.sim.dt for k in range(n + 1)]
 
 
 class TestRunScenario:
@@ -477,11 +495,11 @@ class TestRunScenario:
         # sample
         step = _LoopContext.step
 
-        def collapsing_step(ctx, i, y, dt):
-            y_next, stage = step(ctx, i, y, dt)
+        def collapsing_step(ctx, i, y, dt, k1):
+            y_next = step(ctx, i, y, dt, k1)
             if i == k:
                 y_next[7] = 0.0
-            return y_next, stage
+            return y_next
 
         monkeypatch.setattr(_LoopContext, "step", collapsing_step)
         sc = load_preset("paper-single-1").with_sim(duration=0.1)
@@ -542,7 +560,7 @@ def synthetic_stats(energies, angles=None, omega_s=0.0, targets=None):
     through ``angles`` (60 deg by default)."""
     sc = make_scenario()
     sc.targets = targets
-    stats = engine_module._RunStats(_LoopContext(sc, SimConfig()))
+    stats = engine_module._RunStats(_LoopContext(sc))
     if angles is None:
         angles = [60.0] * len(energies)
     for i, (v_q, angle) in enumerate(zip(energies, angles)):
@@ -567,7 +585,7 @@ class TestRecord:
         # order, with v_omega and td_error as numpy forms them per row up to
         # rounding
         sc = oracle_scenarios()[index]
-        ctx = _LoopContext(sc, sc.sim)
+        ctx = _LoopContext(sc)
         columns = _columns(len(sc.obstacles))
         t = 1.25
         for y in sample_states(np.random.default_rng(23), sc, 18):

@@ -10,6 +10,7 @@ from slewguard.potential import (
     ObstacleCone,
     bridge,
     bridge_grad,
+    clamped_acos,
     goal_separation,
     repulsion_grad_beta,
     total_potential,
@@ -124,6 +125,17 @@ class TestGoalSeparation:
             assert goal_separation(target, axis) == math.acos(left)
             assert goal_separation(target, axis) != math.acos(
                 compensated_sum(products))
+
+
+class TestClampedAcos:
+    @pytest.mark.parametrize("c", [
+        -2.0, -math.inf, -1.0, math.nextafter(-1.0, 0.0), -0.5, -0.0, 0.0,
+        0.3, math.nextafter(1.0, 0.0), 1.0, 1.0 + 1e-15, math.inf, math.nan])
+    def test_is_the_clamped_builtin_expression(self, c):
+        # the bits of acos(max(-1, min(1, c))): NaN clamps to 1, -0.0 stays
+        got = clamped_acos(c)
+        assert got.hex() == math.acos(max(-1.0, min(1.0, c))).hex()
+        assert 0.0 <= got <= math.pi
 
 
 class TestRepulsion:

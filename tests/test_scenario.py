@@ -48,6 +48,25 @@ def valid_doc():
     }
 
 
+_DELETE = object()
+
+
+def edited(changes):
+    """``valid_doc()`` with each ``path: value`` of ``changes`` applied; a
+    path is a tuple of keys, and the value ``_DELETE`` removes the key."""
+    doc = valid_doc()
+    for path, value in changes.items():
+        *parents, key = path
+        owner = doc
+        for name in parents:
+            owner = owner[name]
+        if value is _DELETE:
+            del owner[key]
+        else:
+            owner[key] = value
+    return doc
+
+
 class TestSchema:
     def test_valid_document_loads_silently(self):
         with warnings.catch_warnings():
@@ -306,6 +325,73 @@ class TestSchema:
         with pytest.raises(ScenarioError) as err:
             scenario_from_dict(doc)
         assert err.value.errors == ["$.initial: zero quaternion"]
+
+    @pytest.mark.parametrize("doc,message", [
+        pytest.param([valid_doc()], "$: top level must be an object",
+                     id="top-level"),
+        pytest.param(edited({("name",): ""}),
+                     "$.name: expected a nonempty string", id="name"),
+        pytest.param(edited({("description",): 5}),
+                     "$.description: expected a string", id="description"),
+        pytest.param(edited({("spacecraft", "inertia_diag"): _DELETE,
+                             ("spacecraft", "inertia"): [[5.0, 0.0, 0.0],
+                                                         [0.0, 5.0, 0.0]]}),
+                     "$.spacecraft.inertia: expected a 3x3 matrix "
+                     "(or use inertia_diag)", id="inertia"),
+        pytest.param(edited({("boresight_body",): _DELETE}),
+                     "$.boresight_body: missing required 3-vector",
+                     id="missing-vector"),
+        pytest.param(edited({("envelope",): []}),
+                     "$.envelope: expected an object", id="section"),
+        pytest.param(edited({("target_inertial",): [0.0, 0.0, 0.0]}),
+                     "$.target_inertial: zero vector cannot be normalized",
+                     id="zero-vector"),
+        pytest.param(edited({("obstacles",): {},
+                             ("switching", "theta_p1_deg"): _DELETE}),
+                     "$.obstacles: expected a list (may be empty)",
+                     id="obstacles"),
+        pytest.param(edited({("obstacles",): [5]}),
+                     "$.obstacles[0]: expected an object", id="cone"),
+        pytest.param(edited({("sim",): 5}), "$.sim: expected an object",
+                     id="sim"),
+        pytest.param(edited({("sim", "record_stride"): 2.5}),
+                     "$.sim.record_stride: expected an integer",
+                     id="record-stride"),
+        pytest.param(edited({("sim", "controller_mode"): 5}),
+                     "$.sim.controller_mode: expected a string",
+                     id="controller-mode"),
+        pytest.param(edited({("sim", "disturbance_enabled"): "yes"}),
+                     "$.sim.disturbance_enabled: expected a boolean",
+                     id="disturbance-enabled"),
+        pytest.param(edited({("targets",): []}),
+                     "$.targets: expected an object", id="targets"),
+        pytest.param(edited({("sim", "duration"): 0.005}),
+                     "$.sim: duration must cover at least one step",
+                     id="duration-short"),
+        pytest.param(edited({("sim", "duration"): 60.005}),
+                     "$.sim: duration must be a whole number of steps of dt",
+                     id="duration-fraction"),
+    ])
+    def test_each_loader_message(self, doc, message):
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict(doc)
+        assert err.value.kind == "schema"
+        assert message in err.value.errors
+
+    @pytest.mark.parametrize("duration", [0.015, 0.025, 10.005, 0.5 + 1e-6])
+    def test_duration_must_be_a_whole_number_of_steps(self, duration):
+        # a rounded step count would end the run at another time than the
+        # summary's duration_s: 0.015 and 0.025 s both at 0.02 s
+        with pytest.raises(ValueError, match="duration must be a whole "
+                                             "number of steps of dt"):
+            SimConfig(dt=0.01, duration=duration)
+
+    @pytest.mark.parametrize("dt,duration", [
+        (0.01, 17.85), (0.01, 120.0), (0.01, 0.01), (0.005, 0.015),
+        (0.03, 120.0), (0.1, 0.3)])
+    def test_whole_step_durations_within_rounding_pass(self, dt, duration):
+        # 17.85 / 0.01 is 1784.9999999999998, inside the relative 1e-9
+        assert SimConfig(dt=dt, duration=duration).duration == duration
 
     def test_non_unit_attitude_normalized_with_warning(self):
         doc = valid_doc()

@@ -2,12 +2,17 @@
 
 ``perfbench/spans.py`` wraps each traced function at the binding its caller
 looks up.  A rename or deletion in the package leaves that target absent,
-and the traced benchmark run then lacks the metric it declares; this test
-catches that in the tier-1 suite.
+and the traced benchmark run then lacks the metric it declares; a caller
+that bypasses a traced binding leaves its metric at zero calls.  These
+tests catch both in the tier-1 suite.
 """
 
 import importlib.util
 from pathlib import Path
+
+from slewguard import cli, engine, scenario
+
+from loop_fixtures import load_cases
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -24,3 +29,25 @@ def test_every_traced_binding_resolves():
     with spans.Installed(spans.Tracer()) as installed:
         absent = list(installed.absent)
     assert absent == []
+
+
+def test_every_traced_metric_is_called(tmp_path):
+    # a layer the program stops calling through its traced binding would
+    # read as a 0-call "improvement"; one short run of each kind reaches
+    # every metric: a --compare run through the CLI, a baseline run in this
+    # process (the CLI runs its baseline in a child) and a corridor draw
+    # that starts inside the switch band
+    spans = load_spans()
+    tracer = spans.Tracer()
+    draw = next(doc for doc in load_cases().corridor_scenario_docs(47)
+                if doc["name"].endswith("-start-band"))
+    with spans.Installed(tracer):
+        assert cli.main(["run", "--preset", "paper-compare-1", "--compare",
+                         "--duration", "1", "--out", str(tmp_path)]) == 5
+        engine.run_scenario(scenario.load_preset("paper-single-1").with_sim(
+            duration=1.0, controller_mode="benchmark_apf"))
+        engine.run_scenario(
+            scenario.scenario_from_dict(draw).with_sim(duration=1.0))
+    stats, _ = tracer.take()
+    names = {name for _, _, name in spans.TARGETS}
+    assert sorted(n for n in names if n not in stats) == []
