@@ -262,6 +262,11 @@ def _run_one(scenario, args, out_root: Path) -> int:
 
     try:
         if args.compare:
+            from . import _kernel
+
+            # loaded, or built, before the fork: the baseline inherits the
+            # kernel and never builds one of its own
+            _kernel.load()
             children.append(_Child(
                 "baseline", _run_and_write,
                 (out_dir / "trajectory_benchmark.csv",

@@ -93,10 +93,11 @@ def min_sin_theta_d(theta_df: float, p0: float, p1: float) -> float:
 
     While ``omega_v > 0`` the boresight sits within ``arccos(p0)`` of some
     cone axis, so with every axis at least ``theta_df`` from the goal the
-    goal angle is confined to ``[theta_df - arccos(p0), pi - arccos(p1)]``.
-    The sine is concave there, so the minimum is at an endpoint.  A lower
-    bound that reaches zero or below means the geometry cannot keep the
-    attraction direction well defined and 0.0 is returned.
+    goal angle is confined to ``[theta_df - arccos(p0), pi - arccos(p1)]``,
+    which is never empty, since ``theta_df < pi`` and ``arccos(p0) >=
+    arccos(p1)``.  The sine is concave there, so the minimum is at an
+    endpoint.  A lower bound that reaches zero or below means the geometry
+    cannot keep the attraction direction well defined and 0.0 is returned.
     """
     if not (-1.0 <= p0 < p1 <= 1.0):
         raise ValueError("need -1 <= p0 < p1 <= 1")
@@ -104,8 +105,6 @@ def min_sin_theta_d(theta_df: float, p0: float, p1: float) -> float:
         raise ValueError("theta_df must lie in (0, pi)")
     lo = theta_df - math.acos(p0)
     hi = math.pi - math.acos(p1)
-    if lo > hi:
-        raise ValueError("geometrically infeasible goal-angle bounds")
     if lo <= 0.0:
         return 0.0
     return min(math.sin(lo), math.sin(hi))

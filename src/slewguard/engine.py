@@ -52,6 +52,14 @@ that evaluation's controller quantities, and ``step`` takes its derivative
 as the first RK4 stage; the final sample has no step after it.  The
 summary is built from the statistics alone, so no summary field depends on
 ``record_stride``.
+
+``rhs`` and ``step`` are the reference.  Wherever a C library can be built
+(:mod:`slewguard._kernel`), the run propagates the state with its copy of
+them instead, a block of samples per call, and logging and the statistics
+read each sample's state and stage quantities exactly as they read the
+reference's: the two give the same bits.  Where the kernel stops short of
+a sample the reference aborts on, the loop replays that sample with
+``rhs`` and ``step``, so every abort comes from the code above.
 """
 
 from __future__ import annotations
@@ -619,6 +627,8 @@ def run_scenario(scenario: "Scenario", force: bool = False,
     exception it raises ends the run.  Its time is left out of the
     summary's ``wall_clock_s``, which covers the integration alone.
     """
+    from . import _kernel  # here, so that importing the package skips it
+
     sim = scenario.sim
     ctx = _LoopContext(scenario)
     y, (_, x_e0, betas0, *_) = ctx.initial_state()
@@ -634,29 +644,58 @@ def run_scenario(scenario: "Scenario", force: bool = False,
     stats = _RunStats(ctx)
     records = Trajectory(array("d"), _columns(len(ctx.cones)))
     log = records.data
+    block = _BLOCK_ROWS * stride
+    kernel = _kernel.propagator(ctx, dt, n_steps, _BLOCK_ROWS)
     t0 = time.perf_counter()
     held = 0.0  # time spent in on_rows
-    for k in range(n_steps + 1):
+
+    def take(k, y, stage):
+        # sample k: its row when logged, and its statistics
+        t = k * dt
+        row = None
+        if k % stride == 0 or k == n_steps:
+            row = ctx.record(t, y, stage)
+            log.extend(row)
+        stats.add(t, y, stage, row)
+
+    def stepped_to(k):
+        # the state of sample k is accepted
+        nonlocal held
+        if on_rows is not None and k % block == 0 and k <= n_steps:
+            held -= time.perf_counter()
+            on_rows(records)
+            held += time.perf_counter()
+
+    k = 0
+    while k <= n_steps:
+        if kernel is not None:
+            # the kernel's samples up to the next whole block of rows; it
+            # stops short of a sample whose evaluation or step the reference
+            # aborts on, which the reference then replays
+            start = k
+            end = min(n_steps + 1, (k // _BLOCK_ROWS + 1) * _BLOCK_ROWS)
+            samples, y = kernel.advance(y, k, end)
+            for y_k, stage in samples:
+                take(k, y_k, stage)
+                k += 1
+            if k > start:
+                stepped_to(k)
+            if k == end:
+                continue
+        # one sample of the reference loop
         t = k * dt
         try:
             k1, stage = ctx.rhs(t, y)
         except SimulationAbort as exc:
             exc.state, exc.stage = tuple(y), 1
             raise
-        row = None
-        if k % stride == 0 or k == n_steps:
-            row = ctx.record(t, y, stage)
-            log.extend(row)
-        stats.add(t, y, stage, row)
-        if k == n_steps:
-            break
-        y_next = ctx.step(k, y, dt, k1)
-        _check_state((k + 1) * dt, y_next, y)
-        y = y_next
-        if on_rows is not None and (k + 1) % (_BLOCK_ROWS * stride) == 0:
-            held -= time.perf_counter()
-            on_rows(records)
-            held += time.perf_counter()
+        take(k, y, stage)
+        if k < n_steps:
+            y_next = ctx.step(k, y, dt, k1)
+            _check_state((k + 1) * dt, y_next, y)
+            y = y_next
+        k += 1
+        stepped_to(k)
     wall = time.perf_counter() - t0 - held
     if on_rows is not None:
         on_rows(records)

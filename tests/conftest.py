@@ -1,9 +1,20 @@
 """Checks every test shares: no exit path leaves a child process behind, or
-a temporary ``.part`` file in the test's directory."""
+a temporary ``.part`` file in the test's directory.  And the fixture that
+makes runs take the reference loop."""
 
 import sys
 
 import pytest
+
+from slewguard import _kernel
+
+
+@pytest.fixture
+def reference_path(monkeypatch):
+    """Runs take ``_LoopContext.rhs`` and ``step``, the reference loop, as
+    where no kernel library can be built: for tests that patch or count
+    what the loop calls.  A forked child of the test inherits it."""
+    monkeypatch.setattr(_kernel, "load", lambda: None)
 
 
 @pytest.fixture(autouse=True)

@@ -29,6 +29,10 @@ AVOIDANCE_PRESETS = tuple(n for n in PRESET_NAMES if n != "paper-compare-1")
 #   ``potential.bridge_grad`` feeds P1;
 # - pow: the ``** 2`` in ``engine.step``'s renormalization and in
 #   ``engine._quat_norm_error``.
+# The compiled kernel calls the same libm: it is built with
+# ``-ffp-contract=off`` and calls ``pow``, ``sin`` and ``cos`` through
+# volatile pointers, so no ``pow(x, 2.0)`` is folded to ``x * x`` and no
+# sine and cosine are merged.  The digests are checked on both paths.
 # No BLAS or LAPACK result reaches a written value, so the BLAS kernel numpy
 # picks does not matter.  These hold on x86-64 Linux with glibc; elsewhere a
 # mismatch may be the platform, not the code.
@@ -105,17 +109,22 @@ def check(num, description, ok, detail):
     assert ok, line
 
 
+def full_runs(mode="proposed"):
+    """One full-length run of every bundled preset, recorded at every step,
+    or of each ``BASELINE_SHA256`` preset in the baseline mode."""
+    names = PRESET_NAMES if mode == "proposed" else tuple(BASELINE_SHA256)
+    return {name: run_scenario(load_preset(name).with_sim(
+        controller_mode=mode)) for name in names}
+
+
 @pytest.fixture(scope="session")
 def preset_runs():
-    """One full-length run of every bundled preset, recorded at every step."""
-    return {name: run_scenario(load_preset(name)) for name in PRESET_NAMES}
+    return full_runs()
 
 
 @pytest.fixture(scope="session")
 def benchmark_runs():
-    """One full-length baseline run of each ``BASELINE_SHA256`` preset."""
-    return {name: run_scenario(load_preset(name).with_sim(
-        controller_mode="benchmark_apf")) for name in BASELINE_SHA256}
+    return full_runs("benchmark_apf")
 
 
 @pytest.fixture(scope="session")
@@ -307,26 +316,26 @@ def changed_digests(runs, digests, tmp_path):
     return changed
 
 
-def test_trajectories_bit_identical(preset_runs, tmp_path):
-    changed = changed_digests(preset_runs, TRAJECTORY_SHA256, tmp_path)
-    line = (f"golden trajectories: {'PASS' if not changed else 'FAIL'} - "
-            f"trajectory.csv bytes of {len(PRESET_NAMES)} presets match the "
-            f"recorded sha256 (changed: {', '.join(changed) or 'none'}; "
-            f"digests assume x86-64 glibc libm)")
+def golden(label, kind, changed, detail):
+    line = (f"golden {kind}{label}: {'PASS' if not changed else 'FAIL'} - "
+            f"{detail} (changed: {', '.join(changed) or 'none'})")
     print(line)
     assert not changed, line
 
 
-def test_baseline_trajectories_bit_identical(benchmark_runs, tmp_path):
-    changed = changed_digests(benchmark_runs, BASELINE_SHA256, tmp_path)
-    line = (f"golden baseline trajectories: "
-            f"{'PASS' if not changed else 'FAIL'} - "
-            f"trajectory_benchmark.csv bytes of {len(BASELINE_SHA256)} "
-            f"presets match the recorded sha256 (changed: "
-            f"{', '.join(changed) or 'none'}; digests assume x86-64 glibc "
-            f"libm)")
-    print(line)
-    assert not changed, line
+def trajectories_pinned(preset_runs, tmp_path, label=""):
+    golden(label, "trajectories",
+           changed_digests(preset_runs, TRAJECTORY_SHA256, tmp_path),
+           f"trajectory.csv bytes of {len(PRESET_NAMES)} presets match the "
+           f"recorded sha256; digests assume x86-64 glibc libm")
+
+
+def baselines_pinned(benchmark_runs, tmp_path, label=""):
+    golden(label, "baseline trajectories",
+           changed_digests(benchmark_runs, BASELINE_SHA256, tmp_path),
+           f"trajectory_benchmark.csv bytes of {len(BASELINE_SHA256)} "
+           f"presets match the recorded sha256; digests assume x86-64 "
+           f"glibc libm")
 
 
 def summary_sha256(summary):
@@ -336,15 +345,38 @@ def summary_sha256(summary):
         json.dumps(fields, sort_keys=True).encode()).hexdigest()
 
 
-def test_summaries_pinned(preset_runs, benchmark_runs):
+def summaries_pinned(preset_runs, benchmark_runs, label=""):
     changed = [name for name, want in SUMMARY_SHA256.items()
                if summary_sha256(preset_runs[name].summary) != want]
     changed += [f"{name} (baseline)"
                 for name, want in BASELINE_SUMMARY_SHA256.items()
                 if summary_sha256(benchmark_runs[name].summary) != want]
-    line = (f"golden summaries: {'PASS' if not changed else 'FAIL'} - "
-            f"summary fields of {len(SUMMARY_SHA256)} presets and "
-            f"{len(BASELINE_SUMMARY_SHA256)} baselines match the recorded "
-            f"sha256 (changed: {', '.join(changed) or 'none'})")
-    print(line)
-    assert not changed, line
+    golden(label, "summaries", changed,
+           f"summary fields of {len(SUMMARY_SHA256)} presets and "
+           f"{len(BASELINE_SUMMARY_SHA256)} baselines match the recorded "
+           f"sha256")
+
+
+# the runs above take the compiled kernel wherever a library can be built
+# (``test_kernel``); these take the reference loop
+
+
+def test_trajectories_bit_identical(preset_runs, tmp_path):
+    trajectories_pinned(preset_runs, tmp_path)
+
+
+def test_baseline_trajectories_bit_identical(benchmark_runs, tmp_path):
+    baselines_pinned(benchmark_runs, tmp_path)
+
+
+def test_summaries_pinned(preset_runs, benchmark_runs):
+    summaries_pinned(preset_runs, benchmark_runs)
+
+
+@pytest.mark.usefixtures("reference_path")
+def test_digests_hold_on_the_reference_loop(tmp_path):
+    preset_runs, benchmark_runs = full_runs(), full_runs("benchmark_apf")
+    label = " (reference loop)"
+    trajectories_pinned(preset_runs, tmp_path, label)
+    baselines_pinned(benchmark_runs, tmp_path, label)
+    summaries_pinned(preset_runs, benchmark_runs, label)

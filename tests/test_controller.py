@@ -1,6 +1,7 @@
 """Guidance/torque law tests: descent oracles, TD behavior, validation rules."""
 
 import math
+import random
 import re
 
 import numpy as np
@@ -126,6 +127,22 @@ class TestMinSinThetaD:
             min_sin_theta_d(math.radians(50.0), 0.9, 0.8)  # p0 >= p1
         with pytest.raises(ValueError):
             min_sin_theta_d(math.pi, 0.5, 0.9)
+
+    def test_every_valid_input_gives_a_sine(self):
+        # no goal-angle interval is empty: with p0 < p1 in [-1, 1] and
+        # theta_df in (0, pi), every call returns a sine in [0, 1]; a grid
+        # with both ends and the extreme angles, plus seeded draws
+        rng = random.Random(26)
+        ps = ([-1.0 + i / 10.0 for i in range(21)]
+              + [rng.uniform(-1.0, 1.0) for _ in range(20)])
+        thetas = ([math.nextafter(0.0, 1.0), math.nextafter(math.pi, 0.0)]
+                  + [k * math.pi / 12.0 for k in range(1, 12)]
+                  + [rng.uniform(0.0, math.pi) for _ in range(12)])
+        for theta_df in thetas:
+            for p0 in ps:
+                for p1 in ps:
+                    if p0 < p1:
+                        assert 0.0 <= min_sin_theta_d(theta_df, p0, p1) <= 1.0
 
 
 class TestVirtualLaw:

@@ -53,6 +53,7 @@ class TestDisturbance:
         assert worst < 0.1
         assert worst > 0.05  # sanity: the signal is not trivially small
 
+    @pytest.mark.usefixtures("reference_path")
     def test_disabled_is_zero(self, monkeypatch):
         # a disabled disturbance is never evaluated, and the kernel matches
         # the textbook composition with d = 0
@@ -205,6 +206,7 @@ class TestSharedStageTerms:
         return calls
 
     @pytest.mark.parametrize("mode", ["proposed", "benchmark_apf"])
+    @pytest.mark.usefixtures("reference_path")
     def test_one_gradient_per_cone_per_stage(self, monkeypatch, mode):
         sc = make_scenario(n_obstacles=2)
         ctx = _LoopContext(sc.with_sim(controller_mode=mode))
@@ -218,6 +220,7 @@ class TestSharedStageTerms:
         # the proposed law meets both regimes; the baseline is always on
         assert avoiding == ({True, False} if mode == "proposed" else {True})
 
+    @pytest.mark.usefixtures("reference_path")
     def test_gradient_counts_over_a_run(self, monkeypatch):
         sc = load_preset("paper-single-1").with_sim(duration=0.5)
         calls = self.count_gradients(monkeypatch)
@@ -258,6 +261,7 @@ class TestSharedStageTerms:
         monkeypatch.setattr(engine_module, "disturbance_torque", counted)
         return times
 
+    @pytest.mark.usefixtures("reference_path")
     def test_one_disturbance_evaluation_per_stage_time(self, monkeypatch):
         times = self.disturbance_times(monkeypatch)
         sc = make_scenario(n_obstacles=1)
@@ -271,6 +275,7 @@ class TestSharedStageTerms:
         # stage 1 repeats the previous stage 4's time
         assert times == [0.0, 0.5 * dt, dt, dt + 0.5 * dt, 2.0 * dt]
 
+    @pytest.mark.usefixtures("reference_path")
     def test_two_disturbance_evaluations_per_step(self, monkeypatch):
         times = self.disturbance_times(monkeypatch)
         res = run_scenario(load_preset("paper-single-1").with_sim(
@@ -281,6 +286,7 @@ class TestSharedStageTerms:
         assert len(times) == 2 * 100 + 1
 
     @pytest.mark.parametrize("n,stride", [(1, 1), (10, 1), (10, 3)])
+    @pytest.mark.usefixtures("reference_path")
     def test_one_rhs_evaluation_per_stage(self, monkeypatch, n, stride):
         # the initial command, four stages per step and the final sample:
         # each sample is evaluated once, as the first stage of its step
@@ -488,6 +494,7 @@ class TestRunScenario:
                                       f"non-finite value in {name}")
 
     @pytest.mark.parametrize("k", [3, 9])
+    @pytest.mark.usefixtures("reference_path")
     def test_collapsed_funnel_aborts_when_the_state_is_next_used(
             self, monkeypatch, k):
         # a step that leaves rho = 0 aborts at the end of that step, in the
@@ -515,6 +522,7 @@ class TestRunScenario:
         assert all(math.isfinite(v) for v in err.value.state)
 
     @pytest.mark.parametrize("failing", [1, 2, 3, 4])
+    @pytest.mark.usefixtures("reference_path")
     def test_abort_names_the_failing_stage(self, monkeypatch, failing):
         # one call for the initial command, then four per step: make stage
         # ``failing`` of step 5 raise, and keep the state that step began at

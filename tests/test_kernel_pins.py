@@ -17,6 +17,9 @@ hold on x86-64 Linux with glibc.  The libm functions are sin, cos, tanh and
 acos; exp and log1p (``envelope._ln_cosh`` feeds ``v_q``,
 ``potential.bridge_grad`` feeds P1); and pow, which the ``** 2`` in
 ``engine.step``'s renormalization and in ``engine._quat_norm_error`` calls.
+The compiled kernel, built with ``-ffp-contract=off``, calls the same
+functions, ``pow`` through a volatile pointer so that no ``pow(x, 2.0)`` is
+folded into ``x * x``.  Each pin is checked on both loops.
 """
 
 import hashlib
@@ -71,7 +74,7 @@ def csv_sha256(result, path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def test_corridor_draws(tmp_path):
+def corridor_digests(tmp_path):
     docs = load_cases().corridor_scenario_docs(SEED)[:len(CORRIDOR_SHA256)]
     got = {}
     for doc in docs:
@@ -80,14 +83,36 @@ def test_corridor_draws(tmp_path):
             got[sc.name] = csv_sha256(run_scenario(sc), tmp_path / "t.csv")
         except ValidationFailure:
             got[sc.name] = None
-    assert got == CORRIDOR_SHA256
+    return got
 
 
-@pytest.mark.parametrize("mode", sorted(ORACLE_SHA256))
-def test_oracle_scenarios(mode, tmp_path):
-    got = tuple(
+def oracle_digests(mode, tmp_path):
+    return tuple(
         csv_sha256(run_scenario(sc.with_sim(duration=20.0, record_stride=20,
                                             controller_mode=mode)),
                    tmp_path / "t.csv")
         for sc in oracle_scenarios())
-    assert got == ORACLE_SHA256[mode]
+
+
+# runs take the compiled kernel wherever a library can be built
+# (``test_kernel``); the reference loop must give the same pins
+
+
+def test_corridor_draws(tmp_path):
+    assert corridor_digests(tmp_path) == CORRIDOR_SHA256
+
+
+@pytest.mark.usefixtures("reference_path")
+def test_corridor_draws_on_the_reference_loop(tmp_path):
+    assert corridor_digests(tmp_path) == CORRIDOR_SHA256
+
+
+@pytest.mark.parametrize("mode", sorted(ORACLE_SHA256))
+def test_oracle_scenarios(mode, tmp_path):
+    assert oracle_digests(mode, tmp_path) == ORACLE_SHA256[mode]
+
+
+@pytest.mark.parametrize("mode", sorted(ORACLE_SHA256))
+@pytest.mark.usefixtures("reference_path")
+def test_oracle_scenarios_on_the_reference_loop(mode, tmp_path):
+    assert oracle_digests(mode, tmp_path) == ORACLE_SHA256[mode]

@@ -10,6 +10,8 @@ tests catch both in the tier-1 suite.
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from slewguard import cli, engine, scenario
 
 from loop_fixtures import load_cases
@@ -31,6 +33,7 @@ def test_every_traced_binding_resolves():
     assert absent == []
 
 
+@pytest.mark.usefixtures("reference_path")
 def test_every_traced_metric_is_called(tmp_path):
     # a layer the program stops calling through its traced binding would
     # read as a 0-call "improvement"; one short run of each kind reaches
