@@ -395,8 +395,9 @@ static int step(const double *p, long k, const double *y, double dt,
 
 /* Samples ``k`` to ``end - 1`` of a run of ``n`` steps of ``dt``, from the
  * state ``y`` of sample ``k``: each is written to ``out``, its state and
- * then its stage, and unless it is sample ``n`` it is stepped from.  Returns the number of samples completed; ``y`` then holds the
- * state of the next one.  A sample the Python code would abort on, in its
+ * then its stage, and unless it is sample ``n`` it is stepped from.
+ * Returns the number of samples completed; ``y`` then holds the state of
+ * the next one.  A sample the Python code would abort on, in its
  * evaluation or in the step after it, is not completed, and the run stops
  * there. */
 long slewguard_run(const double *p, double *y, long k, long end, long n,

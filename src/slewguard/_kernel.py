@@ -177,11 +177,11 @@ def propagator(ctx, dt: float, n_steps: int, block: int):
     for shape in (ctx.s_shape, ctx.v_shape):
         consts += (shape.lo, shape.hi, shape.mid, shape.steepness)
     consts += (ctx.switch_floor, float(ctx.benchmark),
-               float(bool(ctx.dist_on)), ctrl.k1, ctrl.k_p, ctrl.k_omega, ctrl.g, ctrl.big_f,
-               ctrl.k_a, ctrl.eta, ctrl.sigma, params.torque_limit,
-               params.disturbance_bound, ANTIPODAL_THRESHOLD,
-               ANTIPODAL_NUDGE_FRACTION, ERROR_RATIO_FLOOR, _KNOT_GUARD,
-               float(len(ctx.cones)))
+               float(bool(ctx.dist_on)), ctrl.k1, ctrl.k_p, ctrl.k_omega,
+               ctrl.g, ctrl.big_f, ctrl.k_a, ctrl.eta, ctrl.sigma,
+               params.torque_limit, params.disturbance_bound,
+               ANTIPODAL_THRESHOLD, ANTIPODAL_NUDGE_FRACTION,
+               ERROR_RATIO_FLOOR, _KNOT_GUARD, float(len(ctx.cones)))
     for cone, axis in zip(ctx.cones, ctx.axes):
         s = cone.shape
         consts += (*axis, s.lo, s.hi, s.mid, s.steepness, cone.k_r)

@@ -39,7 +39,9 @@ def test_every_traced_metric_is_called(tmp_path):
     # read as a 0-call "improvement"; one short run of each kind reaches
     # every metric: a --compare run through the CLI, a baseline run in this
     # process (the CLI runs its baseline in a child) and a corridor draw
-    # that starts inside the switch band
+    # that starts inside the switch band.  The compiled kernel has no
+    # traced layer yet, so the runs take the reference loop, whose
+    # functions the tracer wraps
     spans = load_spans()
     tracer = spans.Tracer()
     draw = next(doc for doc in load_cases().corridor_scenario_docs(47)
