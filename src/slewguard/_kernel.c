@@ -19,6 +19,7 @@
  */
 
 #include <math.h>
+#include <stdlib.h>
 
 /* Scenario constants, in the order ``_kernel.Propagator`` packs them. */
 enum {
@@ -149,10 +150,11 @@ static void to_body(double cx, double cy, double cz, double qw,
 }
 
 /* _LoopContext.rhs: the derivative ``dy`` of ``y`` at ``t`` and the stage
- * quantities into ``st``.  Returns 0, or 1 where the Python code would
+ * quantities into ``st``, with room for the body-frame cone axes in
+ * ``axes`` (3 per cone).  Returns 0, or 1 where the Python code would
  * raise. */
-static int rhs(const double *p, double t, const double *y, double *dy,
-               double *st)
+static int rhs(const double *p, double *axes, double t, const double *y,
+               double *dy, double *st)
 {
     const double *b = p + P_B, *j = p + P_J, *ji = p + P_JI;
     const double guard = p[P_KNOT_GUARD];
@@ -164,7 +166,6 @@ static int rhs(const double *p, double t, const double *y, double *dy,
     double x2x = y[11], x2y = y[12], x2z = y[13];
     double bx = b[0], by = b[1], bz = b[2];
     double *r_b = st + ST_RB, *betas = st + ST_BETAS;
-    double axes[n_cones > 0 ? n_cones : 1][3];
     double n, cx, cy, cz, cw, x_e, eps, tx, ty, tz, s_eff, v_eff;
     double px = 0.0, py = 0.0, pz = 0.0, track, avoid, vx, vy, vz;
     double jwx, jwy, jwz, gx, gy, gz, ex, ey, ez, sx, sy, sz;
@@ -184,8 +185,9 @@ static int rhs(const double *p, double t, const double *y, double *dy,
     cw = div_(qw, n, &err);
     to_body(cx, cy, cz, cw, p + P_R, r_b);
     for (i = 0; i < n_cones; i++) {
-        to_body(cx, cy, cz, cw, p + P_CONES + CONE_WIDTH * i, axes[i]);
-        betas[i] = bx * axes[i][0] + by * axes[i][1] + bz * axes[i][2];
+        double *f = axes + 3 * i;
+        to_body(cx, cy, cz, cw, p + P_CONES + CONE_WIDTH * i, f);
+        betas[i] = bx * f[0] + by * f[1] + bz * f[2];
     }
     x_e = 1.0 - (bx * r_b[0] + by * r_b[1] + bz * r_b[2]);
 
@@ -217,7 +219,8 @@ static int rhs(const double *p, double t, const double *y, double *dy,
         pz = p[P_K_A] * tz;
         for (i = 0; i < n_cones; i++) {
             const double *cone = p + P_CONES + CONE_WIDTH * i;
-            double fx = axes[i][0], fy = axes[i][1], fz = axes[i][2];
+            double fx = axes[3 * i], fy = axes[3 * i + 1];
+            double fz = axes[3 * i + 2];
             double grad = bridge_grad(cone + 3, guard, betas[i], cone[7],
                                       &err);
             if (grad == 0.0)
@@ -364,21 +367,21 @@ static void axpy(const double *y, double h, const double *k, double *out)
 /* _LoopContext.step and _check_state: ``y`` advanced from ``t = k dt`` to
  * ``(k + 1) dt`` into ``out``, given its derivative ``k1``.  Returns 0, or
  * 1 where the Python code would raise. */
-static int step(const double *p, long k, const double *y, double dt,
-                const double *k1, double *out, double *st)
+static int step(const double *p, double *axes, long k, const double *y,
+                double dt, const double *k1, double *out, double *st)
 {
     double k2[14], k3[14], k4[14], z[14], c, n;
     double t = k * dt, h = 0.5 * dt;
     int err = 0, i;
 
     axpy(y, h, k1, z);
-    if (rhs(p, t + h, z, k2, st))
+    if (rhs(p, axes, t + h, z, k2, st))
         return 1;
     axpy(y, h, k2, z);
-    if (rhs(p, t + h, z, k3, st))
+    if (rhs(p, axes, t + h, z, k3, st))
         return 1;
     axpy(y, dt, k3, z);
-    if (rhs(p, (k + 1) * dt, z, k4, st))
+    if (rhs(p, axes, (k + 1) * dt, z, k4, st))
         return 1;
     c = dt / 6.0;
     for (i = 0; i < 14; i++)
@@ -405,22 +408,29 @@ long slewguard_run(const double *p, double *y, long k, long end, long n,
 {
     const int n_cones = (int)p[P_N_CONES];
     const int width = 14 + ST_BETAS + n_cones;
-    double k1[14], next[14], scratch[ST_BETAS + n_cones];
+    double k1[14], next[14];
+    /* the cone axes, then the stage quantities of stages 2 to 4 of a step,
+     * which nothing reads */
+    double *work = malloc(sizeof(double) * (4 * n_cones + ST_BETAS));
+    double *axes = work, *scratch = work + 3 * n_cones;
     long done = 0;
     int i;
 
+    if (work == NULL)
+        return 0;
     for (; k < end; k++, done++) {
         double *row = out + done * width;
-        if (rhs(p, k * dt, y, k1, row + 14))
+        if (rhs(p, axes, k * dt, y, k1, row + 14))
             break;
         for (i = 0; i < 14; i++)
             row[i] = y[i];
         if (k == n)
             continue;
-        if (step(p, k, y, dt, k1, next, scratch))
+        if (step(p, axes, k, y, dt, k1, next, scratch))
             break;
         for (i = 0; i < 14; i++)
             y[i] = next[i];
     }
+    free(work);
     return done;
 }
