@@ -8,22 +8,22 @@ how).  Where the kernel stops short of a sample the reference would abort
 on, the run replays that sample with the reference, so every abort and
 arithmetic error comes from the Python code.
 
-The library is built by a child interpreter with setuptools' compiler
-machinery, as ``build_ext`` uses it, never in this process and never at
-import: importing setuptools costs memory and time a run does not need.
-It is cached in the package's ``__pycache__`` under a name keyed by the
-sha256 of the source and the flags, and written under a unique temporary
-name first, so processes that build at the same time leave one complete
-file.  It is a plain C library, so any interpreter loads it, also one
-without setuptools.  The build is tried once per process; where it fails,
-runs take the reference loop.
+The library is built by one call of the C compiler, never at import:
+``$CC`` where it is set, else the compiler the interpreter was built
+with, else ``cc``.  Only ``FLAGS`` reach the arithmetic, no ``CFLAGS`` or
+``LDFLAGS`` from the environment or the interpreter's configuration, and
+no Python package takes part.  The library is cached in the package's
+``__pycache__`` under a name keyed by the sha256 of the source and the
+flags, and written under a unique temporary name first, so processes that
+build at the same time leave one complete file.  It is a plain C library,
+so any interpreter loads it.  The build is tried once per process; where
+it fails, as where no compiler is found, runs take the reference loop.
 """
 
 from __future__ import annotations
 
 import functools
 import os
-import sys
 from array import array
 from pathlib import Path
 
@@ -36,44 +36,39 @@ SOURCE = Path(__file__).with_name("_kernel.c")
 # optimization, so each operation rounds as the interpreter's does
 FLAGS = ("-O2", "-fno-fast-math", "-ffp-contract=off")
 
-# the build, run by a child interpreter in the source's directory:
-# ``python -c _BUILD <target> <flag>...``
-_BUILD = """\
-import os, sys
-import setuptools  # noqa: F401  (provides distutils, as for build_ext)
-from distutils.ccompiler import new_compiler
-from distutils.sysconfig import customize_compiler
-
-target, *flags = sys.argv[1:]
-compiler = new_compiler()
-customize_compiler(compiler)
-objects = compiler.compile(["_kernel.c"], output_dir=os.path.dirname(target),
-                           extra_postargs=flags)
-compiler.link_shared_object(objects, target, libraries=["m"])
-"""
-
 # doubles a sample takes beyond its cone cosines: the state (14) and the
 # rest of the stage (16), as ``_kernel.c`` lays them out
 _SAMPLE_WIDTH = 30
 
 
+def compiler() -> list[str]:
+    """The C compiler's command: ``$CC``, else the interpreter's own, else
+    ``cc``."""
+    import shlex
+    import sysconfig
+
+    return shlex.split(os.environ.get("CC")
+                       or sysconfig.get_config_var("CC") or "cc")
+
+
 def build(target: Path, flags=FLAGS) -> None:
     """Compile ``_kernel.c`` with ``flags`` into the shared library
-    ``target``, whose directory also receives the object file; raise
-    :class:`OSError` with the compiler's output if that fails."""
+    ``target``; raise :class:`OSError` with the compiler's output if that
+    fails, or if there is no compiler."""
     import subprocess
 
     try:
         subprocess.run(
-            [sys.executable, "-W", "ignore", "-c", _BUILD, str(target),
-             *flags],
-            cwd=SOURCE.parent, capture_output=True, text=True, check=True,
-            timeout=300)
+            [*compiler(), *flags, "-fPIC", "-shared", "-o", str(target),
+             str(SOURCE), "-lm"],
+            capture_output=True, text=True, check=True, timeout=300)
     except subprocess.CalledProcessError as exc:
         raise OSError(f"kernel build failed:\n{exc.stdout}{exc.stderr}"
                       ) from None
     except subprocess.TimeoutExpired:
         raise OSError("kernel build timed out") from None
+    except ValueError as exc:  # a $CC that shlex cannot split
+        raise OSError(f"no compiler could be run: {exc}") from None
 
 
 def library_path() -> Path:

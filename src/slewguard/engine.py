@@ -18,17 +18,17 @@ The state is a list of 14 Python floats, and the stage evaluation, the
 controller laws, the RK4 combine, the renormalization, the state check and
 the logging are scalar code: on 3-vectors, an array library's per-call
 overhead costs far more than the arithmetic.  Inside a stage the same holds
-for Python calls and tuple packing, so the guidance, the quaternion
-kinematics, the stage states and the RK4 combine are written out in ``rhs``
-and ``step``, component by component, while the control laws and the frame
-resolution stay functions of their own.  Each logged step appends its CSV
-row, a flat tuple of floats, to a C double buffer (``array("d")``), which
-the run's :class:`Trajectory` wraps as it is.  A caller may take the rows
-in blocks while the run goes on (``run_scenario``'s ``on_rows``); the CLI
-streams them to a process that writes ``trajectory.csv`` on another core.
-One function, ``_csv_text``, formats the rows in scalar code wherever they
-are written, so every written value is Python float arithmetic in a fixed
-order, and the package needs no array library.
+for Python calls and tuple packing, so the guidance and the quaternion
+kinematics are written out in ``rhs``, component by component, while the
+control laws and the frame resolution stay functions of their own.  Each
+logged step appends its CSV row, a flat tuple of floats, to a C double
+buffer (``array("d")``), which the run's :class:`Trajectory` wraps as it
+is.  A caller may take the rows in blocks while the run goes on
+(``run_scenario``'s ``on_rows``); the CLI streams them to a process that
+writes ``trajectory.csv`` on another core.  One function, ``_csv_text``,
+formats the rows in scalar code wherever they are written, so every
+written value is Python float arithmetic in a fixed order, and the package
+needs no array library.
 
 Each stage forms every term that more than one law needs exactly once and
 hands it to both: the body-frame target with ``x_e`` and the body-frame
@@ -38,13 +38,6 @@ repulsion gradient per cone and is formed only while ``omega_v > 0``
 (always, in the baseline).  Each shared term has the expression and
 operation order a law would use on its own, so sharing it changes no
 result.
-
-The disturbance torque depends on time alone.  A one-slot cache keeps the
-last stage time and its value, and reuses the value when the next stage
-time is the same float.  Step ``k`` evaluates its stages at ``k * dt``,
-``k * dt + dt/2`` (twice) and ``(k + 1) * dt``, the time the next step
-starts at, so a run of ``n`` steps evaluates the disturbance ``2 n + 1``
-times.
 
 The run loop evaluates each sample ``t = k * dt``, ``k = 0 .. n``, once
 with ``rhs``.  Logging and the run's statistics (:class:`_RunStats`) read
@@ -239,17 +232,6 @@ def _quat_norm_error(y: list) -> float:
     return abs(math.sqrt(y[0] ** 2 + y[1] ** 2 + y[2] ** 2 + y[3] ** 2) - 1.0)
 
 
-def _axpy(y: list, h: float, k: list) -> list:
-    """The stage state ``[a + h * b for a, b in zip(y, k)]``, written out
-    for the 14 components, which takes half the time of the comprehension."""
-    a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13 = y
-    b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12, b13 = k
-    return [a0 + h * b0, a1 + h * b1, a2 + h * b2, a3 + h * b3,
-            a4 + h * b4, a5 + h * b5, a6 + h * b6, a7 + h * b7,
-            a8 + h * b8, a9 + h * b9, a10 + h * b10, a11 + h * b11,
-            a12 + h * b12, a13 + h * b13]
-
-
 class _LoopContext:
     """Prebound scenario pieces plus the coupled right-hand side."""
 
@@ -278,9 +260,6 @@ class _LoopContext:
         self.switch_floor = min(self.s_shape.lo, self.v_shape.lo)
         self.benchmark = scenario.sim.controller_mode == "benchmark_apf"
         self.dist_on = scenario.sim.disturbance_enabled
-        # one-slot disturbance cache: the last stage time and its torque
-        self._dist_t = math.nan
-        self._dist = _ZERO3
 
     # -- geometry helpers ---------------------------------------------------
 
@@ -369,10 +348,7 @@ class _LoopContext:
             u = torque_law(gyro, e2, sd_dot, eps, rho, x_e, r_cross_b, p1,
                            s_eff, v_eff, self.b, self.params, self.ctrl)
         ux, uy, uz = u
-        if self.dist_on and t != self._dist_t:
-            self._dist_t = t
-            self._dist = disturbance_torque(t)
-        dx, dy, dz = self._dist
+        dx, dy, dz = disturbance_torque(t) if self.dist_on else _ZERO3
 
         # rigid body: J w_dot = -w x (J w) + u + d
         rhx = -gx + ux + dx
@@ -417,45 +393,28 @@ class _LoopContext:
 
     def step(self, k: int, y: list, dt: float, k1: list) -> list:
         """Advance ``y`` from ``t = k * dt`` to ``(k + 1) * dt``, given its
-        derivative ``k1`` at ``t``, the first RK4 stage.
-
-        The RK4 combine ``y + dt/6 (k1 + 2 k2 + 2 k3 + k4)`` and the
-        quaternion renormalization are written out for the 14 components.
-        """
+        derivative ``k1`` at ``t``, the first RK4 stage: the combine
+        ``y + dt/6 (k1 + 2 k2 + 2 k3 + k4)``, then the quaternion
+        renormalized."""
         t = k * dt
         h = 0.5 * dt
         n = 2
         try:
-            k2 = self.rhs(t + h, _axpy(y, h, k1))[0]
+            k2 = self.rhs(t + h, [a + h * b for a, b in zip(y, k1)])[0]
             n = 3
-            k3 = self.rhs(t + h, _axpy(y, h, k2))[0]
+            k3 = self.rhs(t + h, [a + h * b for a, b in zip(y, k2)])[0]
             n = 4
-            k4 = self.rhs((k + 1) * dt, _axpy(y, dt, k3))[0]
+            k4 = self.rhs((k + 1) * dt,
+                          [a + dt * b for a, b in zip(y, k3)])[0]
         except SimulationAbort as exc:
             exc.state, exc.stage = tuple(y), n
             raise
         c = dt / 6.0
-        a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13 = y
-        p0, p1, p2, p3, p4, p5, p6, p7, p8, p9, p10, p11, p12, p13 = k1
-        q0, q1, q2, q3, q4, q5, q6, q7, q8, q9, q10, q11, q12, q13 = k2
-        r0, r1, r2, r3, r4, r5, r6, r7, r8, r9, r10, r11, r12, r13 = k3
-        s0, s1, s2, s3, s4, s5, s6, s7, s8, s9, s10, s11, s12, s13 = k4
-        o0 = a0 + c * (p0 + 2.0 * q0 + 2.0 * r0 + s0)
-        o1 = a1 + c * (p1 + 2.0 * q1 + 2.0 * r1 + s1)
-        o2 = a2 + c * (p2 + 2.0 * q2 + 2.0 * r2 + s2)
-        o3 = a3 + c * (p3 + 2.0 * q3 + 2.0 * r3 + s3)
-        n = math.sqrt(o0 ** 2 + o1 ** 2 + o2 ** 2 + o3 ** 2)
-        return [o0 / n, o1 / n, o2 / n, o3 / n,
-                a4 + c * (p4 + 2.0 * q4 + 2.0 * r4 + s4),
-                a5 + c * (p5 + 2.0 * q5 + 2.0 * r5 + s5),
-                a6 + c * (p6 + 2.0 * q6 + 2.0 * r6 + s6),
-                a7 + c * (p7 + 2.0 * q7 + 2.0 * r7 + s7),
-                a8 + c * (p8 + 2.0 * q8 + 2.0 * r8 + s8),
-                a9 + c * (p9 + 2.0 * q9 + 2.0 * r9 + s9),
-                a10 + c * (p10 + 2.0 * q10 + 2.0 * r10 + s10),
-                a11 + c * (p11 + 2.0 * q11 + 2.0 * r11 + s11),
-                a12 + c * (p12 + 2.0 * q12 + 2.0 * r12 + s12),
-                a13 + c * (p13 + 2.0 * q13 + 2.0 * r13 + s13)]
+        out = [a + c * (p + 2.0 * q + 2.0 * r + s)
+               for a, p, q, r, s in zip(y, k1, k2, k3, k4)]
+        n = math.sqrt(out[0] ** 2 + out[1] ** 2 + out[2] ** 2 + out[3] ** 2)
+        out[:4] = [v / n for v in out[:4]]
+        return out
 
     # -- logging ------------------------------------------------------------
 

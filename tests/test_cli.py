@@ -87,8 +87,8 @@ def test_cli_import_footprint():
     # --help do not.
     # The value classes are plain classes, so dataclasses and the inspect
     # module it pulls in stay out of every start.  The compiled kernel is
-    # loaded by the first run, so ctypes stays out too, and setuptools,
-    # which builds it in a child, never comes in.
+    # loaded by the first run, so ctypes stays out too, and its build, one
+    # call of the C compiler, needs no setuptools.
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, slewguard.cli; print(sorted({'ctypes', 'dataclasses', "

@@ -249,42 +249,6 @@ class TestSharedStageTerms:
         # the disturbance reaches the derivative only when enabled
         assert (bits(got[t1]) != bits(got[t1 + 5.0])) == enabled
 
-    @staticmethod
-    def disturbance_times(monkeypatch):
-        times = []
-        real = engine_module.disturbance_torque
-
-        def counted(t):
-            times.append(t)
-            return real(t)
-
-        monkeypatch.setattr(engine_module, "disturbance_torque", counted)
-        return times
-
-    @pytest.mark.usefixtures("reference_path")
-    def test_one_disturbance_evaluation_per_stage_time(self, monkeypatch):
-        times = self.disturbance_times(monkeypatch)
-        sc = make_scenario(n_obstacles=1)
-        ctx = _LoopContext(sc)
-        dt = 0.01
-        y, _ = ctx.initial_state()
-        y = ctx.step(0, y, dt, ctx.rhs(0.0, y)[0])
-        # stages 2 and 3 share t + dt/2
-        assert times == [0.0, 0.5 * dt, dt]
-        ctx.step(1, y, dt, ctx.rhs(dt, y)[0])
-        # stage 1 repeats the previous stage 4's time
-        assert times == [0.0, 0.5 * dt, dt, dt + 0.5 * dt, 2.0 * dt]
-
-    @pytest.mark.usefixtures("reference_path")
-    def test_two_disturbance_evaluations_per_step(self, monkeypatch):
-        times = self.disturbance_times(monkeypatch)
-        res = run_scenario(load_preset("paper-single-1").with_sim(
-            duration=1.0))
-        assert len(res.records) == 101
-        # the initial command's stage at t = 0, then t + dt/2 and (k + 1) dt
-        # of each step; stage 1 and the final sample reuse the cached value
-        assert len(times) == 2 * 100 + 1
-
     @pytest.mark.parametrize("n,stride", [(1, 1), (10, 1), (10, 3)])
     @pytest.mark.usefixtures("reference_path")
     def test_one_rhs_evaluation_per_stage(self, monkeypatch, n, stride):

@@ -9,12 +9,13 @@ the same bits on both.  The golden digests of ``test_acceptance`` and
 """
 
 import hashlib
-import importlib.util
 import math
+import os
+import shlex
 import shutil
 import struct
 import subprocess
-import sysconfig
+import sys
 
 import numpy as np
 import pytest
@@ -41,8 +42,8 @@ from test_cli import SRC, find_python
 
 def kernel_or_skip():
     if _kernel.load() is None:
-        pytest.skip("no kernel library could be built here (setuptools or "
-                    "a C compiler is missing), so runs take the reference")
+        pytest.skip("no kernel library could be built here (no C compiler "
+                    "was found, or it failed), so runs take the reference")
 
 
 @pytest.fixture
@@ -125,14 +126,14 @@ def test_the_library_is_built_once_and_cached(monkeypatch, tmp_path,
 
 
 def test_the_source_compiles_without_warnings(tmp_path):
-    if importlib.util.find_spec("setuptools") is None:
-        pytest.skip("setuptools is not installed, so nothing was compiled")
-    cc = (sysconfig.get_config_var("CC") or "").split()
+    # portable C99, so whichever compiler ``build`` finds takes it
+    cc = _kernel.compiler()
     if not cc or shutil.which(cc[0]) is None:
-        pytest.skip(f"no C compiler ({' '.join(cc) or 'none configured'}) "
+        pytest.skip(f"no C compiler ({shlex.join(cc) or 'none configured'}) "
                     f"found, so nothing was compiled")
     _kernel.build(tmp_path / "kernel.so",
-                  (*_kernel.FLAGS, "-Wall", "-Wextra", "-Werror"))
+                  (*_kernel.FLAGS, "-std=c99", "-pedantic", "-Wall", "-Wextra",
+                   "-Werror"))
 
 
 # ---------------------------------------------------------------------------
@@ -286,26 +287,60 @@ print(_kernel.load() is not None, hashlib.sha256(text.encode()).hexdigest())
 """
 
 
+def probe(python, src, **env):
+    """PROBE's output in ``python``, with ``env`` added to the environment,
+    as ``[has a kernel, sha256]``."""
+    proc = subprocess.run([python, "-B", "-W", "error", "-c", PROBE, str(src)],
+                          env=dict(os.environ, **env), capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def reference_csv_sha256():
+    """The sha256 of PROBE's CSV, from the reference loop."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernel, "load", lambda: None)
+        res = run_scenario(load_preset("paper-two-1").with_sim(duration=2.0))
+    text = "".join(engine._csv_text(res.records.data, res.records.columns))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def fresh_package(tmp_path):
+    """A copy of the package without its ``__pycache__``, so without a
+    library: the path to import it from."""
+    shutil.copytree(SRC / "slewguard", tmp_path / "src" / "slewguard",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    return tmp_path / "src"
+
+
 @pytest.mark.parametrize("version", ["3.10", "3.12", "3.13"])
 def test_other_interpreters_load_the_cached_library_or_none(version,
                                                             tmp_path):
-    # the library is plain C: an interpreter without setuptools loads the
-    # cached one and takes the reference loop where there is none, with
-    # the same bytes either way; one with setuptools builds its own
+    # the library is plain C, built by the compiler alone: each interpreter
+    # loads the cached one, builds its own in a fresh copy of the package
+    # or, with no compiler to run, takes the reference loop and leaves
+    # nothing behind, with the same bytes every way
     kernel_or_skip()  # and the library is cached
     python = find_python(version)
     if python is None:
         pytest.skip(f"no Python {version} found; nothing was compared")
-    fresh = tmp_path / "src"
-    shutil.copytree(SRC / "slewguard", fresh / "slewguard",
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    builds = subprocess.run([python, "-c", "import setuptools"],
-                            capture_output=True, timeout=120).returncode == 0
-    res = run_scenario(load_preset("paper-two-1").with_sim(duration=2.0))
-    text = "".join(engine._csv_text(res.records.data, res.records.columns))
-    want = hashlib.sha256(text.encode()).hexdigest()
-    for src, loads in ((SRC, True), (fresh, builds)):
-        proc = subprocess.run([python, "-W", "error", "-c", PROBE, str(src)],
-                              capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == [str(loads), want], src
+    want = reference_csv_sha256()
+    fresh = fresh_package(tmp_path)
+    cache = fresh / "slewguard" / "__pycache__"
+    assert probe(python, fresh, CC=str(tmp_path / "no-such-cc")) == [
+        "False", want]
+    assert list(cache.iterdir()) == []
+    assert probe(python, fresh) == ["True", want]
+    assert [p.name for p in cache.iterdir()] == [
+        _kernel.library_path().name]
+    assert probe(python, SRC) == ["True", want]
+
+
+def test_no_compiler_flags_from_the_environment_reach_the_build(tmp_path):
+    # flags the compiler rejects would fail the build and leave the run on
+    # the reference loop
+    kernel_or_skip()
+    assert probe(sys.executable, fresh_package(tmp_path),
+                 CFLAGS="-not-a-flag", LDFLAGS="-not-a-flag") == [
+        "True", reference_csv_sha256()]
