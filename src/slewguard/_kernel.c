@@ -1,6 +1,8 @@
-/* The closed loop's state propagation, compiled: ``engine._LoopContext.rhs``
- * with ``_resolve``, the switches, the laws and the disturbance, and
- * ``step``'s RK4 combine, renormalization and state check.
+/* The closed loop's per-sample work, compiled: ``engine._LoopContext.rhs``
+ * with ``_resolve``, the switches, the laws and the disturbance, ``step``'s
+ * RK4 combine, renormalization and state check, ``record``'s logged row
+ * and ``engine._RunStats.add``, which folds each sample into the run's
+ * statistics record.
  *
  * Every expression repeats the Python one, operation for operation and in
  * the same order, so each result is the same double: the two are tied
@@ -10,12 +12,15 @@
  * and ``cos`` are called through volatile pointers, so the compiler can
  * neither fold ``pow(x, 2.0)`` into ``x * x`` nor merge a sine and a cosine
  * of one argument into ``sincos``; Python's ``x ** 2`` calls ``pow``.
+ * ``math.degrees`` multiplies by a constant and ``log(2)`` is a constant of
+ * ``envelope``, so both come from Python with the scenario constants.
  *
  * Where the Python code would raise (an abort of the run, a division by
  * zero, a square root of a negative number, ``** 2`` overflowing), this
- * code stops before the sample concerned and reports how many samples it
- * completed.  The caller replays that sample with the Python code, which
- * raises, so no abort is raised or worded here.
+ * code stops before the sample concerned, with the statistics record as it
+ * was, and reports how many samples it completed.  The caller replays that
+ * sample with the Python code, which raises, so no abort is raised or
+ * worded here.
  */
 
 #include <math.h>
@@ -42,18 +47,33 @@ enum {
     P_NUDGE = 51,       /* controller.ANTIPODAL_NUDGE_FRACTION */
     P_RATIO_FLOOR = 52, /* envelope.ERROR_RATIO_FLOOR */
     P_KNOT_GUARD = 53,  /* potential._KNOT_GUARD */
-    P_N_CONES = 54,
-    P_CONES = 55        /* per cone: axis (3), lo, hi, mid, steepness, k_r */
+    P_LN2 = 54,         /* envelope._LN2 */
+    P_RAD_TO_DEG = 55,  /* math.degrees(1.0) */
+    P_N_CONES = 56,
+    P_CONES = 57        /* per cone: axis (3), lo, hi, mid, steepness, k_r */
 };
 #define CONE_WIDTH 8
 
 /* The stage quantities of ``rhs``, ``16 + n_cones`` doubles: r_b, x_e,
- * eps, omega_s, omega_v, the command, e2, u and the cone cosines.  A sample
- * of the output is the state (14) followed by its stage. */
+ * eps, omega_s, omega_v, the command, e2, u and the cone cosines. */
 enum {
     ST_RB = 0, ST_XE = 3, ST_EPS = 4, ST_S = 5, ST_V = 6, ST_VCMD = 7,
     ST_E2 = 10, ST_U = 13, ST_BETAS = 16
 };
+
+/* The run statistics record, in the layout of ``engine._RunStats``: the
+ * statistics and their flags, two settings, then per settling level the
+ * level and the time of the first sample after the last one not below it
+ * (NaN while there is none), then per cone the deepest cosine. */
+enum {
+    S_SAMPLES, S_SATURATED, S_MAX_TORQUE, S_TRACKING, S_MAX_EPS,
+    S_INITIAL, S_FINAL, S_MAX_Q_ERR, S_IN_WINDOW, S_TERMINAL,
+    S_PAIRS, S_RISING, S_OPEN, S_V_START, S_T_START,
+    S_SAT_LIMIT, S_WINDOW_START, S_N_LEVELS, S_LEVELS
+};
+
+/* The columns of a logged row beyond its cone cosines. */
+#define ROW_WIDTH 17
 
 static double (*volatile pow_fn)(double, double) = pow;
 static double (*volatile sin_fn)(double) = sin;
@@ -396,40 +416,177 @@ static int step(const double *p, double *axes, long k, const double *y,
     return err;
 }
 
-/* Samples ``k`` to ``end - 1`` of a run of ``n`` steps of ``dt``, from the
- * state ``y`` of sample ``k``: each is written to ``out``, its state and
- * then its stage, and unless it is sample ``n`` it is stepped from.
- * Returns the number of samples completed; ``y`` then holds the state of
- * the next one.  A sample the Python code would abort on, in its
- * evaluation or in the step after it, is not completed, and the run stops
- * there. */
-long slewguard_run(const double *p, double *y, long k, long end, long n,
-                   double dt, double *out)
+/* _LoopContext.energies: ``v_q`` and ``v_omega`` of the stage ``st`` into
+ * ``e``; blf_value and total_potential form ``v_q``, with envelope._ln_cosh
+ * written out. */
+static void energies(const double *p, const double *st, double *e, int *err)
+{
+    const double *j = p + P_J, *r = st + ST_E2;
+    const int n_cones = (int)p[P_N_CONES];
+    double total = p[P_K_A] * st[ST_XE];
+    double az = fabs(div_(st[ST_EPS], p[P_BIG_F], err));
+    int i;
+
+    for (i = 0; i < n_cones; i++) {
+        const double *cone = p + P_CONES + CONE_WIDTH * i;
+        total += bridge(cone + 3, p[P_KNOT_GUARD], st[ST_BETAS + i], cone[7],
+                        err);
+    }
+    e[0] = p[P_G] * p[P_BIG_F] * (az + log1p(exp(-2.0 * az)) - p[P_LN2])
+           + total;
+    e[1] = 0.5 * (r[0] * (j[0] * r[0] + j[1] * r[1] + j[2] * r[2])
+                  + r[1] * (j[3] * r[0] + j[4] * r[1] + j[5] * r[2])
+                  + r[2] * (j[6] * r[0] + j[7] * r[1] + j[8] * r[2]));
+}
+
+/* The sample at ``t`` of state ``y`` and stage ``st``: its row of
+ * _LoopContext.record into ``row`` where it is logged (else ``row`` is
+ * NULL), then _RunStats.add into the statistics record ``s``.  Returns 0,
+ * or 1 where the Python code would raise, before anything is folded. */
+static int take(const double *p, double *s, double t, const double *y,
+                const double *st, double *row)
 {
     const int n_cones = (int)p[P_N_CONES];
-    const int width = 14 + ST_BETAS + n_cones;
+    const int n_levels = (int)s[S_N_LEVELS];
+    const double *betas = st + ST_BETAS, *u = st + ST_U;
+    const double s_eff = st[ST_S];
+    const int first = s[S_SAMPLES] == 0.0, open = s[S_OPEN] != 0.0;
+    double *levels = s + S_LEVELS, *max_betas = levels + 2 * n_levels;
+    double c = 1.0 - st[ST_XE], angle, q_err, e[2], m, rise = 0.0;
+    int err = 0, i, starts, pair;
+
+    /* what can raise: the angle is engine._pointing_angle_deg with
+     * potential.clamped_acos, and q_err engine._quat_norm_error */
+    angle = acos(c <= -1.0 ? -1.0 : c < 1.0 ? c : 1.0) * p[P_RAD_TO_DEG];
+    q_err = fabs(sqrt(square(y[0], &err) + square(y[1], &err)
+                      + square(y[2], &err) + square(y[3], &err)) - 1.0);
+    starts = !(angle < 1.0 || t < 1.0);
+    pair = !(s_eff > 1e-9) && (starts || open);
+    if (row != NULL || pair)
+        energies(p, st, e, &err);
+    if (pair && open)
+        rise = div_(e[0] + e[1] - s[S_V_START], t - s[S_T_START], &err);
+    if (err)
+        return 1;
+
+    if (row != NULL) {
+        double dx = y[8] - st[ST_VCMD], dy = y[9] - st[ST_VCMD + 1];
+        double dz = y[10] - st[ST_VCMD + 2];
+        row[0] = t;
+        row[1] = st[ST_XE];
+        row[2] = angle;
+        for (i = 0; i < n_cones; i++)
+            row[3 + i] = betas[i];
+        row += 3 + n_cones;
+        row[0] = y[7];
+        row[1] = st[ST_EPS];
+        row[2] = s_eff;
+        row[3] = st[ST_V];
+        for (i = 0; i < 3; i++) {
+            row[4 + i] = y[4 + i];
+            row[7 + i] = u[i];
+        }
+        row[10] = e[0];
+        row[11] = e[1];
+        row[12] = sqrt(dx * dx + dy * dy + dz * dz);
+        row[13] = q_err;
+    }
+
+    for (i = 0; i < n_cones; i++)
+        if (betas[i] > max_betas[i])
+            max_betas[i] = betas[i];
+    if (s_eff < 0.5) {
+        double a = fabs(st[ST_EPS]);
+        if (s[S_TRACKING] == 0.0 || a > s[S_MAX_EPS]) {
+            s[S_MAX_EPS] = a;
+            s[S_TRACKING] = 1.0;
+        }
+    }
+    /* max() keeps the first of equal or unordered values */
+    m = fabs(u[0]);
+    if (fabs(u[1]) > m)
+        m = fabs(u[1]);
+    if (fabs(u[2]) > m)
+        m = fabs(u[2]);
+    s[S_SAMPLES] += 1.0;
+    if (m >= s[S_SAT_LIMIT])
+        s[S_SATURATED] += 1.0;
+    if (m > s[S_MAX_TORQUE])
+        s[S_MAX_TORQUE] = m;
+
+    if (first)
+        s[S_INITIAL] = angle;
+    s[S_FINAL] = angle;
+    if (first || q_err > s[S_MAX_Q_ERR])
+        s[S_MAX_Q_ERR] = q_err;
+    for (i = 0; i < 2 * n_levels; i += 2) {
+        if (!(levels[i] > angle))
+            levels[i + 1] = NAN;
+        else if (isnan(levels[i + 1]))
+            levels[i + 1] = t;
+    }
+    if (t >= s[S_WINDOW_START]
+        && (s[S_IN_WINDOW] == 0.0 || angle > s[S_TERMINAL])) {
+        s[S_TERMINAL] = angle;
+        s[S_IN_WINDOW] = 1.0;
+    }
+
+    if (s_eff > 1e-9) {
+        s[S_OPEN] = 0.0;
+    } else if (pair) {
+        if (open) {
+            s[S_PAIRS] += 1.0;
+            if (rise > 0.0)
+                s[S_RISING] += 1.0;
+        }
+        s[S_OPEN] = starts;
+        s[S_V_START] = e[0] + e[1];
+        s[S_T_START] = t;
+    }
+    return 0;
+}
+
+/* Samples ``k`` to ``end - 1`` of a run of ``n`` steps of ``dt``, from the
+ * state ``y`` of sample ``k``: each is folded into the statistics record
+ * ``s``, its row is written to ``out`` where ``k % stride == 0`` or
+ * ``k == n``, and unless it is sample ``n`` it is stepped from.  Returns
+ * the number of samples completed, with the number of rows written in
+ * ``*rows``; ``y`` then holds the state of the next one.  A sample the
+ * Python code would raise on, in its evaluation, its row, its statistics
+ * or the step after it, is not completed, and the run stops there. */
+long slewguard_run(const double *p, double *y, long k, long end, long n,
+                   double dt, long stride, double *s, double *out,
+                   long *rows)
+{
+    const int n_cones = (int)p[P_N_CONES];
+    const int width = ROW_WIDTH + n_cones;
     double k1[14], next[14];
-    /* the cone axes, then the stage quantities of stages 2 to 4 of a step,
-     * which nothing reads */
-    double *work = malloc(sizeof(double) * (4 * n_cones + ST_BETAS));
-    double *axes = work, *scratch = work + 3 * n_cones;
+    /* the cone axes, the sample's stage quantities, then those of stages
+     * 2 to 4 of its step, which nothing reads */
+    double *work = malloc(sizeof(double) * (5 * n_cones + 2 * ST_BETAS));
+    double *axes = work, *stage = work + 3 * n_cones;
+    double *scratch = stage + ST_BETAS + n_cones;
     long done = 0;
     int i;
 
+    *rows = 0;
     if (work == NULL)
         return 0;
     for (; k < end; k++, done++) {
-        double *row = out + done * width;
-        if (rhs(p, axes, k * dt, y, k1, row + 14))
+        double *row = NULL;
+        if (k % stride == 0 || k == n)
+            row = out + *rows * width;
+        if (rhs(p, axes, k * dt, y, k1, stage))
             break;
-        for (i = 0; i < 14; i++)
-            row[i] = y[i];
-        if (k == n)
-            continue;
-        if (step(p, axes, k, y, dt, k1, next, scratch))
+        if (k < n && step(p, axes, k, y, dt, k1, next, scratch))
             break;
-        for (i = 0; i < 14; i++)
-            y[i] = next[i];
+        if (take(p, s, k * dt, y, stage, row))
+            break;
+        if (row != NULL)
+            ++*rows;
+        if (k < n)
+            for (i = 0; i < 14; i++)
+                y[i] = next[i];
     }
     free(work);
     return done;

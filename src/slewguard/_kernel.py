@@ -1,12 +1,15 @@
-"""The compiled stage kernel: ``_kernel.c``, built on first use and called
-through :mod:`ctypes`.
+"""The compiled per-sample kernel: ``_kernel.c``, built on first use and
+called through :mod:`ctypes`.
 
-:func:`engine.run_scenario` propagates the state with it wherever a library
-can be built or found, and with ``_LoopContext.rhs`` and ``step``, the
-reference, everywhere else; both give the same bits (``_kernel.c`` says
-how).  Where the kernel stops short of a sample the reference would abort
-on, the run replays that sample with the reference, so every abort and
-arithmetic error comes from the Python code.
+:func:`engine.run_scenario` runs its samples with it wherever a library
+can be built or found, and with the reference, ``_LoopContext.rhs``,
+``step`` and ``record`` and ``_RunStats.add``, everywhere else; both give
+the same bits (``_kernel.c`` says how).  A call propagates the state over
+up to a block of logged rows, writes those rows and folds every sample
+into the run's statistics record, the ``array("d")`` that
+``_RunStats.add`` folds into as well.  Where the kernel stops short of a
+sample the reference would raise on, the run replays that sample with the
+reference, so every abort and arithmetic error comes from the Python code.
 
 The library is built by one call of the C compiler, never at import:
 ``$CC`` where it is set, else the compiler the interpreter was built
@@ -23,12 +26,13 @@ it fails, as where no compiler is found, runs take the reference loop.
 from __future__ import annotations
 
 import functools
+import math
 import os
 from array import array
 from pathlib import Path
 
 from .controller import ANTIPODAL_NUDGE_FRACTION, ANTIPODAL_THRESHOLD
-from .envelope import ERROR_RATIO_FLOOR
+from .envelope import _LN2, ERROR_RATIO_FLOOR
 from .potential import _KNOT_GUARD
 
 SOURCE = Path(__file__).with_name("_kernel.c")
@@ -36,9 +40,8 @@ SOURCE = Path(__file__).with_name("_kernel.c")
 # optimization, so each operation rounds as the interpreter's does
 FLAGS = ("-O2", "-fno-fast-math", "-ffp-contract=off")
 
-# doubles a sample takes beyond its cone cosines: the state (14) and the
-# rest of the stage (16), as ``_kernel.c`` lays them out
-_SAMPLE_WIDTH = 30
+# the columns of a logged row beyond its cone cosines
+_ROW_WIDTH = 17
 
 
 def compiler() -> list[str]:
@@ -106,62 +109,62 @@ def load():
         run = ctypes.CDLL(str(path)).slewguard_run
     except (ImportError, OSError):
         return None
-    double_p = ctypes.POINTER(ctypes.c_double)
-    run.argtypes = (double_p, double_p, ctypes.c_long, ctypes.c_long,
-                    ctypes.c_long, ctypes.c_double, double_p)
+    # every buffer is an array("d"), or array("l") for the row count,
+    # passed by address
+    buf = ctypes.c_void_p
+    run.argtypes = (buf, buf, ctypes.c_long, ctypes.c_long, ctypes.c_long,
+                    ctypes.c_double, ctypes.c_long, buf, buf, buf)
     run.restype = ctypes.c_long
     return run
 
 
 class Propagator:
-    """The kernel bound to one run: its scenario constants, the state it
-    steps and one block of output samples."""
+    """The kernel bound to one run: its scenario constants, its statistics
+    record and one block of rows, each an ``array`` that it holds while the
+    kernel writes to it and never resizes."""
 
-    def __init__(self, run, consts: list, n_cones: int, dt: float,
-                 n_steps: int, block: int):
-        import ctypes
-
+    def __init__(self, run, consts: list, stats: array, width: int,
+                 dt: float, n_steps: int, stride: int, block_rows: int):
         self._run = run
         self._dt = dt
         self._n = n_steps
-        self._block = block
-        self._width = _SAMPLE_WIDTH + n_cones
-        self._consts = (ctypes.c_double * len(consts))(*consts)
-        self._state = (ctypes.c_double * 14)()
-        self._out = array("d", bytes(8 * block * self._width))
-        # a view of the buffer, which cannot be resized while it exists
-        self._out_p = (ctypes.c_double * len(self._out)).from_buffer(
-            self._out)
+        self._stride = stride
+        self._block = block_rows * stride
+        self._width = width
+        self._consts = array("d", consts)
+        self._stats = stats
+        self._rows = array("l", [0])
+        # a block's rows, and the final sample's when it falls between two
+        # that are due
+        self._out = array("d", bytes(8 * (block_rows + 1) * width))
 
     def advance(self, y: list, k: int, end: int):
-        """Samples ``k`` to ``end - 1``, no more than a block, from the
-        state ``y`` of sample ``k``, up to the first one the reference would
-        abort on: ``(samples, y)``, an iterator over their ``(state,
-        stage)`` pairs, with the stage in the form ``rhs`` gives it, and the
-        state of the sample after the last.  The samples are read from the
-        block, so take them before the next call."""
-        if end - k > self._block:
-            raise ValueError("more samples than a block")
-        state = self._state
-        state[:] = y
-        got = self._run(self._consts, state, k, end, self._n, self._dt,
-                        self._out_p)
-        return self._samples(got), state[:]
-
-    def _samples(self, got: int):
-        out, w = self._out, self._width
-        for i in range(0, got * w, w):
-            s = out[i:i + w].tolist()
-            yield s[:14], ((s[14], s[15], s[16]), s[17], s[30:], s[18], s[19],
-                           s[20], (s[21], s[22], s[23]), (s[24], s[25], s[26]),
-                           (s[27], s[28], s[29]))
+        """Samples ``k`` to ``end - 1``, no more than a block of rows'
+        worth, from the state ``y`` of sample ``k``, up to the first one the
+        reference would raise on: each is folded into the statistics record
+        and its row, when due, is logged.  Returns ``(done, rows, y)``: the
+        number of samples completed, their rows as one flat ``array("d")``,
+        and the state of the sample after the last."""
+        if end - k > self._block or len(y) != 14:
+            raise ValueError("more samples than a block, or not a state")
+        state = array("d", y)
+        done = self._run(self._consts.buffer_info()[0],
+                         state.buffer_info()[0], k, end, self._n, self._dt,
+                         self._stride, self._stats.buffer_info()[0],
+                         self._out.buffer_info()[0],
+                         self._rows.buffer_info()[0])
+        return (done, self._out[:self._rows[0] * self._width],
+                state.tolist())
 
 
-def propagator(ctx, dt: float, n_steps: int, block: int):
+def propagator(ctx, stats: array, dt: float, n_steps: int, stride: int,
+               block_rows: int):
     """A :class:`Propagator` for a run of ``n_steps`` steps of ``dt`` of the
-    closed loop ``ctx`` (an ``engine._LoopContext``), or None where the run
-    takes the reference loop: no library, or a scenario constant that is
-    not a float, since the kernel repeats only float arithmetic."""
+    closed loop ``ctx`` (an ``engine._LoopContext``) that logs every
+    ``stride``-th sample and folds every sample into the statistics record
+    ``stats``, or None where the run takes the reference loop: no library,
+    or a scenario constant that is not a float, since the kernel repeats
+    only float arithmetic."""
     run = load()
     if run is None:
         return None
@@ -176,10 +179,12 @@ def propagator(ctx, dt: float, n_steps: int, block: int):
                ctrl.g, ctrl.big_f, ctrl.k_a, ctrl.eta, ctrl.sigma,
                params.torque_limit, params.disturbance_bound,
                ANTIPODAL_THRESHOLD, ANTIPODAL_NUDGE_FRACTION,
-               ERROR_RATIO_FLOOR, _KNOT_GUARD, float(len(ctx.cones)))
+               ERROR_RATIO_FLOOR, _KNOT_GUARD, _LN2, math.degrees(1.0),
+               float(len(ctx.cones)))
     for cone, axis in zip(ctx.cones, ctx.axes):
         s = cone.shape
         consts += (*axis, s.lo, s.hi, s.mid, s.steepness, cone.k_r)
     if not all(isinstance(v, float) for v in consts):
         return None
-    return Propagator(run, consts, len(ctx.cones), dt, n_steps, block)
+    return Propagator(run, consts, stats, _ROW_WIDTH + len(ctx.cones), dt,
+                      n_steps, stride, block_rows)

@@ -46,13 +46,15 @@ as the first RK4 stage; the final sample has no step after it.  The
 summary is built from the statistics alone, so no summary field depends on
 ``record_stride``.
 
-``rhs`` and ``step`` are the reference.  Wherever a C library can be built
-(:mod:`slewguard._kernel`), the run propagates the state with its copy of
-them instead, a block of samples per call, and logging and the statistics
-read each sample's state and stage quantities exactly as they read the
-reference's: the two give the same bits.  Where the kernel stops short of
-a sample the reference aborts on, the loop replays that sample with
-``rhs`` and ``step``, so every abort comes from the code above.
+``rhs``, ``step``, ``record`` and ``_RunStats.add`` are the reference.
+Wherever a C library can be built (:mod:`slewguard._kernel`), the run does
+each sample's work with its copy of them instead, one block of
+``_BLOCK_ROWS`` logged rows per call: it propagates the state, writes each
+row that is due, and folds every sample into the statistics record that
+``_RunStats.add`` also folds into, so Python sees no sample that is not
+logged.  The two give the same bits.  Where the kernel stops short of a
+sample the reference raises on, the loop replays that sample with the
+reference, so every abort comes from the code above.
 """
 
 from __future__ import annotations
@@ -476,8 +478,27 @@ def _check_state(t: float, y: list, last: list) -> None:
                 tuple(last))
 
 
+# The run statistics record, one ``array("d")`` that ``_RunStats.add`` and
+# the kernel (``_kernel.c``) both fold samples into: the statistics and the
+# flags that say whether a statistic has a value yet, two settings, then
+# per settling level the level and the time it was met (NaN while not;
+# times are never NaN), then per cone the deepest cosine.
+(_S_SAMPLES, _S_SATURATED, _S_MAX_TORQUE, _S_TRACKING, _S_MAX_EPS,
+ _S_INITIAL, _S_FINAL, _S_MAX_Q_ERR, _S_IN_WINDOW, _S_TERMINAL,
+ _S_PAIRS, _S_RISING, _S_OPEN, _S_V_START, _S_T_START,
+ _S_SAT_LIMIT, _S_WINDOW_START, _S_N_LEVELS, _S_LEVELS) = range(19)
+
+
+def _stat(slot: int, flag: int | None = None) -> property:
+    """Slot ``slot`` of the record, or None while slot ``flag`` is 0."""
+    return property(lambda self: None if flag is not None
+                    and not self.record[flag] else self.record[slot])
+
+
 class _RunStats:
-    """Every statistic of the summary, over each step and the final sample.
+    """Every statistic of the summary, over each step and the final sample,
+    held in ``record`` (laid out above) so that the kernel and ``add`` fold
+    samples into the one record.
 
     A logged sample hands over its row; any other forms the angle and the
     norm error, and ``v_q + v_omega`` only where a Lyapunov pair needs it.
@@ -487,87 +508,107 @@ class _RunStats:
     consecutive samples, unless the first is inside 1 deg or before 1 s, or
     either has ``omega_s_eff > 1e-9`` (freeze and avoidance trade potential
     for clearance by design); ``n_rising``: those where ``v_q + v_omega``
-    rises.
+    rises.  Counts are held as floats, exact below 2**53.
     """
+
+    n_samples = _stat(_S_SAMPLES)
+    n_saturated = _stat(_S_SATURATED)
+    max_torque = _stat(_S_MAX_TORQUE)
+    max_eps = _stat(_S_MAX_EPS, _S_TRACKING)            # max |eps| tracking
+    initial_angle = _stat(_S_INITIAL, _S_SAMPLES)
+    final_angle = _stat(_S_FINAL, _S_SAMPLES)
+    max_quat_norm_error = _stat(_S_MAX_Q_ERR, _S_SAMPLES)
+    terminal_err = _stat(_S_TERMINAL, _S_IN_WINDOW)
+    n_pairs = _stat(_S_PAIRS)
+    n_rising = _stat(_S_RISING)
 
     def __init__(self, ctx: _LoopContext):
         targets = ctx.scenario.targets
         self._energies = ctx.energies
-        self.max_betas = [-math.inf] * len(ctx.cones)  # deepest approach
-        self.max_eps = None                           # max |eps| tracking
-        self.n_samples = 0
-        self.n_saturated = 0
-        self.max_torque = 0.0
-        self._sat_limit = ctx.params.torque_limit - 1e-12
         self.terminal_start = 80.0
-        self.settled = {1.0: None}
+        levels = [1.0]
         if targets is not None:
             if targets.terminal_time_s is not None:
                 self.terminal_start = targets.terminal_time_s
-            if targets.settle_deg is not None:
-                self.settled[targets.settle_deg] = None
-        self.initial_angle = self.final_angle = None
-        self.terminal_err = self.max_quat_norm_error = None
-        self.n_pairs = self.n_rising = 0
-        # v_q + v_omega and time of the last sample, if it starts a pair
-        self._v_start = None
-        self._t_start = 0.0
+            if targets.settle_deg is not None and targets.settle_deg != 1.0:
+                levels.append(targets.settle_deg)
+        self._levels = levels
+        self._betas = _S_LEVELS + 2 * len(levels)
+        s = self.record = array("d", bytes(8 * _S_LEVELS))
+        s[_S_SAT_LIMIT] = ctx.params.torque_limit - 1e-12
+        s[_S_WINDOW_START] = self.terminal_start
+        s[_S_N_LEVELS] = len(levels)
+        for level in levels:
+            s.extend((level, math.nan))
+        s.extend([-math.inf] * len(ctx.cones))  # deepest approach
+
+    @property
+    def settled(self) -> dict:
+        since = self.record[_S_LEVELS + 1:self._betas:2]
+        return {level: None if math.isnan(t) else t
+                for level, t in zip(self._levels, since)}
 
     def add(self, t: float, y: list, stage: tuple, row) -> None:
         """Count the sample of ``y`` at ``t`` from its stage quantities and,
         when logged, its row (else ``None``)."""
+        s = self.record
         _, x_e, betas, eps, s_eff, _, _, _, (ux, uy, uz) = stage
-        for i, beta in enumerate(betas):
-            if beta > self.max_betas[i]:
-                self.max_betas[i] = beta
+        for i, beta in enumerate(betas, self._betas):
+            if beta > s[i]:
+                s[i] = beta
         if s_eff < 0.5:
             a = abs(eps)
-            if self.max_eps is None or a > self.max_eps:
-                self.max_eps = a
+            if not s[_S_TRACKING] or a > s[_S_MAX_EPS]:
+                s[_S_MAX_EPS] = a
+                s[_S_TRACKING] = 1.0
         m = max(abs(ux), abs(uy), abs(uz))
-        self.n_samples += 1
-        if m >= self._sat_limit:
-            self.n_saturated += 1
-        if m > self.max_torque:
-            self.max_torque = m
+        first = not s[_S_SAMPLES]
+        s[_S_SAMPLES] += 1.0
+        if m >= s[_S_SAT_LIMIT]:
+            s[_S_SATURATED] += 1.0
+        if m > s[_S_MAX_TORQUE]:
+            s[_S_MAX_TORQUE] = m
 
         if row is None:
             angle, q_err = _pointing_angle_deg(x_e), _quat_norm_error(y)
         else:  # the columns pointing_angle_deg and quat_norm_error
             angle, q_err = row[2], row[-1]
-        if self.initial_angle is None:
-            self.initial_angle = angle
-        self.final_angle = angle
-        if self.max_quat_norm_error is None or q_err > self.max_quat_norm_error:
-            self.max_quat_norm_error = q_err
-        for level, since in self.settled.items():
-            if not level > angle:
-                self.settled[level] = None
-            elif since is None:
-                self.settled[level] = t
-        if t >= self.terminal_start and (self.terminal_err is None
-                                         or angle > self.terminal_err):
-            self.terminal_err = angle
+        if first:
+            s[_S_INITIAL] = angle
+        s[_S_FINAL] = angle
+        if first or q_err > s[_S_MAX_Q_ERR]:
+            s[_S_MAX_Q_ERR] = q_err
+        for i in range(_S_LEVELS, self._betas, 2):
+            if not s[i] > angle:
+                s[i + 1] = math.nan
+            elif math.isnan(s[i + 1]):
+                s[i + 1] = t
+        if t >= s[_S_WINDOW_START] and (not s[_S_IN_WINDOW]
+                                        or angle > s[_S_TERMINAL]):
+            s[_S_TERMINAL] = angle
+            s[_S_IN_WINDOW] = 1.0
 
         if s_eff > 1e-9:
-            self._v_start = None
+            s[_S_OPEN] = 0.0
             return
         starts = not (angle < 1.0 or t < 1.0)
-        if starts or self._v_start is not None:
+        if starts or s[_S_OPEN]:
             # from the columns v_q and v_omega when logged
             v_q, v_omega = (self._energies(stage) if row is None
                             else (row[-4], row[-3]))
             v = v_q + v_omega
-            if self._v_start is not None:
-                self.n_pairs += 1
-                if (v - self._v_start) / (t - self._t_start) > 0.0:
-                    self.n_rising += 1
-            self._v_start = v if starts else None
-            self._t_start = t
+            if s[_S_OPEN]:
+                s[_S_PAIRS] += 1.0
+                if (v - s[_S_V_START]) / (t - s[_S_T_START]) > 0.0:
+                    s[_S_RISING] += 1.0
+            s[_S_OPEN] = starts
+            s[_S_V_START] = v
+            s[_S_T_START] = t
 
     def min_clearance_deg(self) -> list[float]:
         # acos decreases, so the deepest approach is the smallest clearance
-        return [math.degrees(clamped_acos(beta)) for beta in self.max_betas]
+        return [math.degrees(clamped_acos(beta))
+                for beta in self.record[self._betas:]]
 
 
 def run_scenario(scenario: "Scenario", force: bool = False,
@@ -604,18 +645,10 @@ def run_scenario(scenario: "Scenario", force: bool = False,
     records = Trajectory(array("d"), _columns(len(ctx.cones)))
     log = records.data
     block = _BLOCK_ROWS * stride
-    kernel = _kernel.propagator(ctx, dt, n_steps, _BLOCK_ROWS)
+    kernel = _kernel.propagator(ctx, stats.record, dt, n_steps, stride,
+                                _BLOCK_ROWS)
     t0 = time.perf_counter()
     held = 0.0  # time spent in on_rows
-
-    def take(k, y, stage):
-        # sample k: its row when logged, and its statistics
-        t = k * dt
-        row = None
-        if k % stride == 0 or k == n_steps:
-            row = ctx.record(t, y, stage)
-            log.extend(row)
-        stats.add(t, y, stage, row)
 
     def stepped_to(k):
         # the state of sample k is accepted
@@ -628,16 +661,15 @@ def run_scenario(scenario: "Scenario", force: bool = False,
     k = 0
     while k <= n_steps:
         if kernel is not None:
-            # the kernel's samples up to the next whole block of rows; it
-            # stops short of a sample whose evaluation or step the reference
-            # aborts on, which the reference then replays
-            start = k
-            end = min(n_steps + 1, (k // _BLOCK_ROWS + 1) * _BLOCK_ROWS)
-            samples, y = kernel.advance(y, k, end)
-            for y_k, stage in samples:
-                take(k, y_k, stage)
-                k += 1
-            if k > start:
+            # the kernel's samples up to the end of this block of rows, each
+            # folded into the statistics and logged when due; it stops
+            # short of a sample whose evaluation, row, statistics or step
+            # the reference raises on, which the reference then replays
+            end = min(n_steps + 1, (k // block + 1) * block)
+            done, rows, y = kernel.advance(y, k, end)
+            log.extend(rows)
+            k += done
+            if done:
                 stepped_to(k)
             if k == end:
                 continue
@@ -648,7 +680,11 @@ def run_scenario(scenario: "Scenario", force: bool = False,
         except SimulationAbort as exc:
             exc.state, exc.stage = tuple(y), 1
             raise
-        take(k, y, stage)
+        row = None
+        if k % stride == 0 or k == n_steps:
+            row = ctx.record(t, y, stage)
+            log.extend(row)
+        stats.add(t, y, stage, row)
         if k < n_steps:
             y_next = ctx.step(k, y, dt, k1)
             _check_state((k + 1) * dt, y_next, y)

@@ -16,6 +16,7 @@ import shutil
 import struct
 import subprocess
 import sys
+from array import array
 
 import numpy as np
 import pytest
@@ -26,13 +27,14 @@ from slewguard import _kernel, engine
 from slewguard.attitude import BodyState, UnitQuaternion
 from slewguard.engine import SimulationAbort, _LoopContext, run_scenario
 from slewguard.envelope import EnvelopeConfig
-from slewguard.scenario import load_preset
+from slewguard.scenario import load_preset, scenario_from_dict
 
 from loop_fixtures import (
     FULL_INERTIA,
     OBLIQUE_BORESIGHT,
     Z_BORESIGHT,
     hamilton,
+    load_cases,
     make_scenario,
     quat_conj,
     unit,
@@ -63,11 +65,13 @@ def test_a_default_run_takes_the_kernel(monkeypatch):
         calls.append(t)
         return rhs(ctx, t, y)
 
-    def no_step(*args):
+    def fell_back(*args):
         raise AssertionError("the run fell back to the reference loop")
 
     monkeypatch.setattr(_LoopContext, "rhs", counted)
-    monkeypatch.setattr(_LoopContext, "step", no_step)
+    for name in ("step", "record"):
+        monkeypatch.setattr(_LoopContext, name, fell_back)
+    monkeypatch.setattr(engine._RunStats, "add", fell_back)
     res = run_scenario(load_preset("paper-two-1").with_sim(duration=5.0))
     assert len(res.records) == 501
     # only the initial command's stage is evaluated in Python
@@ -146,34 +150,45 @@ def bits(values):
 
 def run_on(path, sc):
     """What a forced run of ``sc`` on ``path`` gives: the bits of every
-    sample's time, state and stage in order, the rows handed to
-    ``on_rows``, and the summary without its wall time and the log, or the
-    abort's fields."""
+    logged row, of the statistics record, of the rows handed to
+    ``on_rows`` at each call, and of the summary without its wall time, or
+    the abort's fields."""
     with pytest.MonkeyPatch.context() as mp:
         if path == "reference":
             mp.setattr(_kernel, "load", lambda: None)
-        add = engine._RunStats.add
-        samples, handed = [], []
+        made, handed = [], []
+        trajectory = engine.Trajectory
 
-        def recorded(stats, t, y, stage, row):
-            r_b, x_e, betas, eps, s_eff, v_eff, v_cmd, e2, u = stage
-            samples.append(bits([t, *y, *r_b, x_e, *betas, eps, s_eff,
-                                 v_eff, *v_cmd, *e2, *u]))
-            return add(stats, t, y, stage, row)
+        def kept(data, columns):
+            made.append(trajectory(data, columns))
+            return made[-1]
 
-        mp.setattr(engine._RunStats, "add", recorded)
+        class KeptStats(engine._RunStats):
+            def __init__(self, ctx):
+                super().__init__(ctx)
+                made.append(self)
+
+        mp.setattr(engine, "Trajectory", kept)
+        mp.setattr(engine, "_RunStats", KeptStats)
         try:
             res = run_scenario(sc, force=True,
-                               on_rows=lambda r: handed.append(r.data[:]))
+                               on_rows=lambda r: handed.append(bits(r.data)))
         except SimulationAbort as exc:
             end = ("abort", str(exc), exc.t, exc.state, exc.stage)
         except ArithmeticError as exc:
             end = (type(exc).__name__, str(exc))
         else:
-            summary = dict(res.summary)
-            summary.pop("wall_clock_s")
-            end = ("ok", summary, res.records.data)
-    return samples, handed, end
+            end = ("ok", summary_bits(res.summary))
+    stats, records = made
+    return bits(records.data), bits(stats.record), handed, end
+
+
+def summary_bits(summary):
+    """The summary without its wall time, with every float as its shortest
+    round-trip repr, which tells every double apart."""
+    summary = dict(summary)
+    summary.pop("wall_clock_s")
+    return repr(summary)
 
 
 def with_start(sc, omega, **sim):
@@ -213,7 +228,7 @@ def test_natural_aborts_are_the_same_on_both_paths(name):
     build, want = NATURAL_ABORTS[name]
     sc = build()
     reference = run_on("reference", sc)
-    end = reference[2]
+    end = reference[-1]
     if isinstance(want, str):
         assert end[0] == want
     else:
@@ -270,9 +285,51 @@ def test_every_sample_is_the_same_on_both_paths(
     except ValueError:  # a cone with no plateau at this goal
         return
     sc.initial = BodyState(UnitQuaternion(*q), omega)
-    sc = sc.with_sim(duration=duration, record_stride=stride,
-                     controller_mode=mode, disturbance_enabled=disturbance)
-    assert run_on("kernel", sc) == run_on("reference", sc)
+    sc = sc.with_sim(duration=duration, controller_mode=mode,
+                     disturbance_enabled=disturbance)
+    # stride 1 logs, and so compares, every sample's row
+    for s in sorted({1, stride}):
+        sc = sc.with_sim(record_stride=s)
+        assert run_on("kernel", sc) == run_on("reference", sc)
+
+
+@pytest.mark.parametrize("stride, skipped", [(1, 768), (7, 1792)])
+def test_a_sample_the_kernel_skips_lands_in_the_same_record(
+        monkeypatch, stride, skipped):
+    # a call that completes no sample, as where slewguard_run cannot
+    # allocate its work array: the loop replays that sample with the
+    # reference, which folds it into the statistics record the kernel
+    # folds into, and the kernel resumes after it.  The calls at the start
+    # of a block of rows and after it skip, so the reference replays the
+    # block's first sample and the one after it, logged only at stride 1.
+    kernel_or_skip()
+    # two cones, and Lyapunov pairs of which half rise
+    doc = load_cases().corridor_scenario_docs(1)[3]
+    assert doc["name"] == "corridor-1-003-two"
+    sc = scenario_from_dict(doc).with_sim(record_stride=stride)
+    want = run_on("kernel", sc)
+    advance, add = _kernel.Propagator.advance, engine._RunStats.add
+    calls, replayed = [], []
+
+    def skipping(kernel, y, k, end):
+        calls.append(k)
+        if k in (skipped, skipped + 1):
+            return 0, array("d"), list(y)
+        return advance(kernel, y, k, end)
+
+    def counted(stats, t, y, stage, row):
+        replayed.append((t, row is not None, stats.record[engine._S_OPEN]))
+        return add(stats, t, y, stage, row)
+
+    monkeypatch.setattr(_kernel.Propagator, "advance", skipping)
+    monkeypatch.setattr(engine._RunStats, "add", counted)
+    assert run_on("kernel", sc) == want
+    assert skipped % (engine._BLOCK_ROWS * stride) == 0
+    assert calls[calls.index(skipped):][:3] == [skipped, skipped + 1,
+                                                skipped + 2]
+    # a Lyapunov pair is open across both replays
+    assert replayed == [(skipped * 0.01, True, 1.0),
+                        ((skipped + 1) * 0.01, stride == 1, 1.0)]
 
 
 # a 2 s paper-two-1 run in another interpreter, which imports the package
