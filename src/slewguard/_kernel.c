@@ -455,8 +455,10 @@ static int take(const double *p, double *s, double t, const double *y,
     double c = 1.0 - st[ST_XE], angle, q_err, e[2], m, rise = 0.0;
     int err = 0, i, starts, pair;
 
-    /* what can raise: the angle is engine._pointing_angle_deg with
-     * potential.clamped_acos, and q_err engine._quat_norm_error */
+    /* first what the Python code can raise on, so that such a sample
+     * folds nothing: q_err (engine._quat_norm_error, whose ``** 2`` can
+     * overflow), the energies and a pair's slope.  The angle is
+     * engine._pointing_angle_deg with potential.clamped_acos. */
     angle = acos(c <= -1.0 ? -1.0 : c < 1.0 ? c : 1.0) * p[P_RAD_TO_DEG];
     q_err = fabs(sqrt(square(y[0], &err) + square(y[1], &err)
                       + square(y[2], &err) + square(y[3], &err)) - 1.0);

@@ -156,17 +156,17 @@ def run_on(path, sc):
     with pytest.MonkeyPatch.context() as mp:
         if path == "reference":
             mp.setattr(_kernel, "load", lambda: None)
-        made, handed = [], []
+        logs, stats, handed = [], [], []
         trajectory = engine.Trajectory
 
         def kept(data, columns):
-            made.append(trajectory(data, columns))
-            return made[-1]
+            logs.append(trajectory(data, columns))
+            return logs[-1]
 
         class KeptStats(engine._RunStats):
             def __init__(self, ctx):
                 super().__init__(ctx)
-                made.append(self)
+                stats.append(self)
 
         mp.setattr(engine, "Trajectory", kept)
         mp.setattr(engine, "_RunStats", KeptStats)
@@ -179,8 +179,7 @@ def run_on(path, sc):
             end = (type(exc).__name__, str(exc))
         else:
             end = ("ok", summary_bits(res.summary))
-    stats, records = made
-    return bits(records.data), bits(stats.record), handed, end
+    return bits(logs[0].data), bits(stats[0].record), handed, end
 
 
 def summary_bits(summary):
