@@ -163,10 +163,14 @@ def propagator(ctx, stats: array, dt: float, n_steps: int, stride: int,
     closed loop ``ctx`` (an ``engine._LoopContext``) that logs every
     ``stride``-th sample and folds every sample into the statistics record
     ``stats``, or None where the run takes the reference loop: no library,
-    or a scenario constant that is not a float, since the kernel repeats
-    only float arithmetic."""
+    a stride or sample count that a C ``long`` cannot hold, since ctypes
+    would wrap it, or a scenario constant that is not a float, since the
+    kernel repeats only float arithmetic."""
     run = load()
     if run is None:
+        return None
+    long_max = 2 ** (8 * array("l").itemsize - 1) - 1  # the largest C long
+    if stride > long_max or n_steps + 1 > long_max:
         return None
     ctrl, params = ctx.ctrl, ctx.params
     consts = [*ctx.b, *ctx.r_i, *(v for row in ctx.j_rows for v in row),

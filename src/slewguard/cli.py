@@ -9,10 +9,11 @@ Exit codes:
     6  an output file could not be written (the file and why are printed)
 
 Each run has one helper, a :class:`_Child` process kept off the run's CPU:
-the writer, which formats ``trajectory.csv`` from the rows the run streams
-to it, or with ``--compare`` the baseline, beside which each side formats
-its own.  The bytes are those of :func:`write_trajectory_csv`; a run's line
-is printed once its file is complete.
+the writer, which formats the second half of the rows of ``trajectory.csv``
+once the run is over while the run's own process formats the first, or
+with ``--compare`` the baseline, beside which each side formats its own.
+The bytes are those of :func:`write_trajectory_csv`; a run's line is
+printed once its file is complete.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from array import array
 from pathlib import Path
 
 from . import __version__
@@ -113,8 +113,8 @@ def _keep_apart(pid: int) -> None:
 
     A forked child starts on its parent's CPU.  Where the kernel does not
     balance load across CPUs (a cpuset with ``sched_load_balance`` 0), the
-    child can stay there: the writer, woken by each block, or the baseline
-    then shares the run's core and overlaps nothing.
+    child can stay there: the writer or the baseline then shares the run's
+    core and overlaps nothing.
     """
     try:
         with open("/proc/thread-self/stat", encoding="ascii") as fh:
@@ -127,8 +127,8 @@ def _keep_apart(pid: int) -> None:
 
 
 def _serve(conn, parent_end, target, args) -> None:
-    """Child process: reply with what ``target(conn, *args)`` returns, or
-    with the exception it raises.
+    """Child process: reply with what ``target(*args)`` returns, or with
+    the exception it raises.
 
     ``parent_end`` is the parent's end of the pipe, which a forked child
     holds a copy of; it is closed so that the parent's exit ends a wait for
@@ -140,7 +140,7 @@ def _serve(conn, parent_end, target, args) -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent stops it
     with conn:
         try:
-            reply = target(conn, *args)
+            reply = target(*args)
         except Exception as exc:
             reply = exc
         try:
@@ -150,13 +150,13 @@ def _serve(conn, parent_end, target, args) -> None:
 
 
 class _Child:
-    """``target(conn, *args, *outputs)`` run in a process of its own, named
+    """``target(*args, *outputs)`` run in a process of its own, named
     ``name`` and kept off this process's CPU, which writes the files
-    ``outputs`` under their temporary names.
+    ``outputs`` under their temporary names.  The child gets ``args`` by
+    fork, or by pickle where processes are spawned.
 
-    :meth:`result` waits for the child's reply and moves its files into
-    place; :meth:`close` stops the child and removes what it left, however
-    the run ended.
+    :meth:`result` waits for the child's reply; :meth:`close` stops the
+    child and removes what it left, however the run ended.
     """
 
     def __init__(self, name, target, outputs, *args):
@@ -171,17 +171,9 @@ class _Child:
         child_conn.close()
         _keep_apart(self._proc.pid)
 
-    def send(self, data, offset=0) -> None:
-        """Send bytes to the child; if it has stopped, raise why."""
-        try:
-            self._conn.send_bytes(data, offset)
-        except OSError:
-            self.result()
-            raise
-
     def result(self):
-        """What the target returned, once the files are in place; what it
-        raised is raised here, and an :class:`OSError` if it sent no reply."""
+        """What the target returned; what it raised is raised here, and an
+        :class:`OSError` naming the first output if it sent no reply."""
         try:
             reply = self._conn.recv()
         except (OSError, EOFError):
@@ -191,8 +183,6 @@ class _Child:
                           f"{self._proc.exitcode}") from None
         if isinstance(reply, Exception):
             raise reply
-        for path in self._outputs:
-            _output(path, _partial(path).replace, path)
         return reply
 
     def close(self) -> None:
@@ -206,7 +196,7 @@ class _Child:
             _partial(path).unlink(missing_ok=True)
 
 
-def _run_and_write(conn, scenario, trajectory: Path,
+def _run_and_write(scenario, trajectory: Path,
                    summary: Path | None = None) -> dict:
     """Run ``scenario`` and write its trajectory, and its summary if given,
     under their temporary names; return its summary.  Both sides of a
@@ -220,45 +210,48 @@ def _run_and_write(conn, scenario, trajectory: Path,
     return result.summary
 
 
-def _write_csv(conn, columns, path: Path) -> None:
-    """Writer process: write the CSV text of the blocks of raw doubles
-    received, up to an empty block, to ``path``'s temporary name."""
+def _write_rows(records, start: int, stop: int, path: Path,
+                part: Path | None = None) -> None:
+    """Write the CSV text of ``records``' rows ``start`` to ``stop - 1``,
+    after the header line if they are the first, to ``part``, by default
+    ``path``'s temporary name; an :class:`OSError` names ``path``."""
+    width = len(records.columns)
+    # a view, where a slice of the array would copy the rows
+    rows = memoryview(records.data)[start * width:stop * width]
+
     def write():
-        with open(_partial(path), "w", encoding="utf-8") as fh:
-            header = True
-            while block := conn.recv_bytes():
-                rows = array("d")
-                rows.frombytes(block)
-                fh.writelines(_csv_text(rows, columns, header))
-                header = False
+        with open(part or _partial(path), "w", encoding="utf-8") as fh:
+            fh.writelines(_csv_text(rows, records.columns, start == 0))
 
     _output(path, write)
+
+
+def _join(head: Path, tail: Path, path: Path) -> None:
+    """Append the file ``tail`` to the file ``head``, then move that to
+    ``path``."""
+    import shutil  # multiprocessing has loaded it
+
+    with open(tail, "rb") as src, open(head, "ab") as dst:
+        shutil.copyfileobj(src, dst)
+    head.replace(path)
 
 
 def _run_one(scenario, args, out_root: Path) -> int:
     """Run one scenario (plus baseline when comparing); returns an exit code.
 
-    A single run streams its logged rows, as raw doubles, to a writer
-    process started with the first block, which writes ``trajectory.csv``
-    while the run integrates.  With ``--compare`` the baseline's process
-    takes the writer's place, and the proposed run writes its own file.
+    Once a single run is over, a writer process formats the second half of
+    the rows of ``trajectory.csv`` while this one formats the header and
+    the first.  With ``--compare`` the baseline's process takes the
+    writer's place, and the proposed run writes its own file.
     """
     out_dir = out_root / scenario.name
     out_dir.mkdir(parents=True, exist_ok=True)
     trajectory = out_dir / "trajectory.csv"
+    # the first half of trajectory.csv, to which the writer's is appended
+    head = _partial(out_dir / "trajectory.head.csv")
+    baseline_outputs = (out_dir / "trajectory_benchmark.csv",
+                        out_dir / "summary_benchmark.json")
     children = []  # closed however the run ends
-    writer, sent = None, 0  # the writer, once started, and the rows sent
-
-    def to_writer(records):
-        nonlocal writer, sent
-        if writer is None:
-            writer = _Child("writer", _write_csv, (trajectory,),
-                            records.columns)
-            children.append(writer)
-        data = records.data
-        # as bytes: a view of doubles would be copied whole on 3.10
-        writer.send(memoryview(data).cast("B"), data.itemsize * sent)
-        sent = len(data)
 
     try:
         if args.compare:
@@ -268,16 +261,19 @@ def _run_one(scenario, args, out_root: Path) -> int:
             # kernel and never builds one of its own
             _kernel.load()
             children.append(_Child(
-                "baseline", _run_and_write,
-                (out_dir / "trajectory_benchmark.csv",
-                 out_dir / "summary_benchmark.json"),
+                "baseline", _run_and_write, baseline_outputs,
                 scenario.with_sim(controller_mode="benchmark_apf")))
-            s = _run_and_write(None, scenario, trajectory)
+            s = _run_and_write(scenario, trajectory)
             _output(trajectory, _partial(trajectory).replace, trajectory)
         else:
-            s = run_scenario(scenario, on_rows=to_writer).summary
-            writer.send(b"")
-            writer.result()
+            result = run_scenario(scenario)
+            records, half = result.records, len(result.records) // 2
+            children.append(_Child("writer", _write_rows, (trajectory,),
+                                   records, half, len(records)))
+            _write_rows(records, 0, half, trajectory, head)
+            children[0].result()
+            _output(trajectory, _join, head, _partial(trajectory), trajectory)
+            s = result.summary
         # after the CSV, so a failed CSV leaves no new summary
         _output(out_dir / "summary.json", write_summary_json, s,
                 out_dir / "summary.json")
@@ -291,6 +287,8 @@ def _run_one(scenario, args, out_root: Path) -> int:
 
         if args.compare:
             b = children[0].result()  # the baseline's summary
+            for path in baseline_outputs:
+                _output(path, _partial(path).replace, path)
             comparison = {
                 "scenario": scenario.name,
                 "proposed": s,
@@ -311,6 +309,7 @@ def _run_one(scenario, args, out_root: Path) -> int:
         for child in children:
             child.close()
         _partial(trajectory).unlink(missing_ok=True)
+        head.unlink(missing_ok=True)
 
     return _EXIT_OK if ok else _EXIT_PERFORMANCE
 

@@ -23,12 +23,10 @@ kinematics are written out in ``rhs``, component by component, while the
 control laws and the frame resolution stay functions of their own.  Each
 logged step appends its CSV row, a flat tuple of floats, to a C double
 buffer (``array("d")``), which the run's :class:`Trajectory` wraps as it
-is.  A caller may take the rows in blocks while the run goes on
-(``run_scenario``'s ``on_rows``); the CLI streams them to a process that
-writes ``trajectory.csv`` on another core.  One function, ``_csv_text``,
-formats the rows in scalar code wherever they are written, so every
-written value is Python float arithmetic in a fixed order, and the package
-needs no array library.
+is.  One function, ``_csv_text``, formats the rows in scalar code
+wherever they are written (the CLI writes ``trajectory.csv`` in two
+halves, one in a second process), so every written value is Python float
+arithmetic in a fixed order, and the package needs no array library.
 
 Each stage forms every term that more than one law needs exactly once and
 hands it to both: the body-frame target with ``x_e`` and the body-frame
@@ -61,6 +59,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import time
 from array import array
 from typing import TYPE_CHECKING
@@ -145,7 +144,8 @@ class SimConfig(Frozen):
                  controller_mode: str = "proposed"):
         for name, value in (("dt", dt), ("duration", duration),
                             ("record_stride", record_stride)):
-            if not math.isfinite(value):
+            # not NaN, nor infinite, nor an integer beyond the double range
+            if not abs(value) <= sys.float_info.max:
                 raise ValueError(f"{name} must be finite")
         if dt <= 0.0:
             raise ValueError("dt must be positive")
@@ -611,21 +611,14 @@ class _RunStats:
                 for beta in self.record[self._betas:]]
 
 
-def run_scenario(scenario: "Scenario", force: bool = False,
-                 on_rows=None) -> SimulationResult:
+def run_scenario(scenario: "Scenario", force: bool = False
+                 ) -> SimulationResult:
     """Validate, integrate, and summarize one scenario with its own
     simulation settings (see :meth:`Scenario.with_sim`).
 
     A validation report with hard failures raises :class:`ValidationFailure`
-    unless ``force`` is set; the summary carries warnings and failures.
-
-    ``on_rows``, when given, is called with the run's :class:`Trajectory`
-    each time ``_BLOCK_ROWS`` more rows have been logged, and once after the
-    final sample.  The trajectory only grows between calls, so the caller
-    can stream the rows logged since its last call while the run goes on
-    (the CLI hands them to the process that writes ``trajectory.csv``).  An
-    exception it raises ends the run.  Its time is left out of the
-    summary's ``wall_clock_s``, which covers the integration alone.
+    unless ``force`` is set; the summary carries warnings and failures.  The
+    summary's ``wall_clock_s`` covers the integration alone.
     """
     from . import _kernel  # here, so that importing the package skips it
 
@@ -648,16 +641,6 @@ def run_scenario(scenario: "Scenario", force: bool = False,
     kernel = _kernel.propagator(ctx, stats.record, dt, n_steps, stride,
                                 _BLOCK_ROWS)
     t0 = time.perf_counter()
-    held = 0.0  # time spent in on_rows
-
-    def stepped_to(k):
-        # the state of sample k is accepted
-        nonlocal held
-        if on_rows is not None and k % block == 0 and k <= n_steps:
-            held -= time.perf_counter()
-            on_rows(records)
-            held += time.perf_counter()
-
     k = 0
     while k <= n_steps:
         if kernel is not None:
@@ -669,8 +652,6 @@ def run_scenario(scenario: "Scenario", force: bool = False,
             done, rows, y = kernel.advance(y, k, end)
             log.extend(rows)
             k += done
-            if done:
-                stepped_to(k)
             if k == end:
                 continue
         # one sample of the reference loop
@@ -690,10 +671,7 @@ def run_scenario(scenario: "Scenario", force: bool = False,
             _check_state((k + 1) * dt, y_next, y)
             y = y_next
         k += 1
-        stepped_to(k)
-    wall = time.perf_counter() - t0 - held
-    if on_rows is not None:
-        on_rows(records)
+    wall = time.perf_counter() - t0
 
     summary = summarize(scenario, stats, report, wall)
     return SimulationResult(records=records, summary=summary)
@@ -754,21 +732,27 @@ def summarize(scenario: "Scenario", stats: _RunStats, report,
     }
 
 
-# rows formatted by one ``%`` operation in the CSV text, and rows per block
-# a run hands to its ``on_rows`` consumer
+# logged rows per kernel call
 _BLOCK_ROWS = 256
+
+# rows formatted by one ``%`` operation in the CSV text: 16 to 256 rows
+# format at about the same speed, but the CLI formats half of each run's
+# rows in the run's own process, and at 32 rows or more that process's
+# peak RSS over the nine presets rose from 20.5 to 22.6-23.3 MB (glibc
+# heap growth; with a fixed mmap threshold the rise is under 1 MB)
+_CSV_ROWS = 16
 
 
 def _csv_text(data, columns: tuple[str, ...], header: bool = True):
     """``trajectory.csv`` text of the rows in ``data``, a flat sequence of
     floats ``len(columns)`` to a row: the header line first when asked, then
     every value with full double precision (17 significant digits), one
-    string per ``_BLOCK_ROWS`` rows."""
+    string per ``_CSV_ROWS`` rows."""
     width = len(columns)
     if header:
         yield ",".join(columns) + "\n"
     row = ",".join(["%.17g"] * width) + "\n"
-    chunk = _BLOCK_ROWS * width
+    chunk = _CSV_ROWS * width
     for i in range(0, len(data), chunk):
         part = tuple(data[i:i + chunk])
         yield row * (len(part) // width) % part

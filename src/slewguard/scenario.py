@@ -410,6 +410,12 @@ def scenario_from_dict(data: Any, default_name: str = "scenario") -> Scenario:
                                                  or not isinstance(val, (int, float))):
                         errors.append(f"$.sim.{key}: expected a number")
                         continue
+                    # an integer beyond the double range; a non-finite
+                    # float is left to SimConfig
+                    if (cast in (float, int) and isinstance(val, int)
+                            and not _is_finite_number(val)):
+                        errors.append(f"$.sim.{key}: expected a finite number")
+                        continue
                     if (cast is int and isinstance(val, float)
                             and not val.is_integer()):
                         errors.append(f"$.sim.{key}: expected an integer")

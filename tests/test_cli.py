@@ -163,16 +163,22 @@ class TestRun:
         assert code == 3
         assert "gain-ordering" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key,value", [("dt", math.nan),
-                                           ("duration", math.inf)])
+    @pytest.mark.parametrize("key,value", [
+        ("dt", math.nan), ("duration", math.inf),
+        *(pytest.param(key, 10 ** 400, id=f"{key}-10**400")
+          for key in ("dt", "duration", "record_stride"))])
     def test_non_finite_sim_setting_exits_3(self, tmp_path, capsys, key,
                                             value):
+        # NaN and Infinity are written as those JSON literals, and 10**400
+        # as an integer that no double can hold
         doc = valid_doc()
-        doc["sim"][key] = value  # written as the JSON literal NaN/Infinity
+        doc["sim"][key] = value
         path = write_scenario(tmp_path, doc)
         code = main(["run", "--scenario", str(path), "--out", str(tmp_path)])
         assert code == 3
-        assert f"$.sim: {key} must be finite" in capsys.readouterr().err
+        assert (f"$.sim: {key} must be finite" if isinstance(value, float)
+                else f"$.sim.{key}: expected a finite number"
+                ) in capsys.readouterr().err
 
     @pytest.mark.parametrize("section,key,value,message", [
         ("controller", "k_p", math.nan,
@@ -380,7 +386,7 @@ class TestCompareInASecondProcess:
         case = tmp_path / "runs" / "custom"
         run_scenario = cli.run_scenario
 
-        def run(scenario, on_rows=None):
+        def run(scenario):
             if scenario.sim.controller_mode == "benchmark_apf":
                 return run_scenario(scenario)
             deadline = time.monotonic() + 60.0
@@ -405,11 +411,11 @@ class TestCompareInASecondProcess:
         # before the baseline's abort is reported
         run_scenario = cli.run_scenario
 
-        def run(scenario, on_rows=None):
+        def run(scenario):
             if scenario.sim.controller_mode == "benchmark_apf":
                 raise SimulationAbort(1.0, "baseline stopped by the test",
                                       (0.0,) * 14, 3)
-            return run_scenario(scenario, on_rows=on_rows)
+            return run_scenario(scenario)
 
         monkeypatch.setattr(cli, "run_scenario", run)
         path = write_scenario(tmp_path, doc_without_targets())
@@ -432,10 +438,10 @@ class TestCompareInASecondProcess:
         # ones not written, and the proposed case is kept
         run_scenario = cli.run_scenario
 
-        def run(scenario, on_rows=None):
+        def run(scenario):
             if scenario.sim.controller_mode == "benchmark_apf":
                 os._exit(7)
-            return run_scenario(scenario, on_rows=on_rows)
+            return run_scenario(scenario)
 
         monkeypatch.setattr(cli, "run_scenario", run)
         path = write_scenario(tmp_path, doc_without_targets())
@@ -478,10 +484,6 @@ OUTPUTS = ("trajectory.csv", "summary.json", "trajectory_benchmark.csv",
            "summary_benchmark.json", "comparison.json")
 
 
-def part_files(root):
-    return sorted(Path(root).rglob("*.part"))
-
-
 class _SizesAtPrint(TextIOBase):
     """stdout that notes, as each ``<name>: ...`` line is completed, the
     size of ``<out>/<name>/trajectory.csv`` (None while it does not exist),
@@ -501,28 +503,46 @@ class _SizesAtPrint(TextIOBase):
         return len(s)
 
 
-def stream_rows(on_rows, then):
-    """An ``on_rows`` that passes each call on and calls ``then()`` once two
-    blocks were sent, and the row counts it has passed on."""
-    calls = []
+def started_children(monkeypatch):
+    """The names of the :class:`cli._Child` processes started from now on,
+    with the CPUs each may use."""
+    started = []
 
-    def feed(records):
-        on_rows(records)
-        calls.append(len(records))
-        if len(calls) == 2:
-            then()
-    return feed, calls
+    class Child(cli._Child):
+        def __init__(self, name, *args):
+            super().__init__(name, *args)
+            started.append((name, os.sched_getaffinity(self._proc.pid)
+                            if hasattr(os, "sched_getaffinity") else None))
+
+    monkeypatch.setattr(cli, "_Child", Child)
+    return started
+
+
+def full_disk_in_half(monkeypatch, header):
+    """Make the CSV text of the half of ``trajectory.csv`` that begins
+    with the header line (``header``), or of the other half, fail as on a
+    full disk."""
+    format_rows = cli._csv_text
+
+    def full_disk(data, columns, with_header):
+        if with_header == header:
+            raise OSError(28, "No space left on device")
+        return format_rows(data, columns, with_header)
+
+    monkeypatch.setattr(cli, "_csv_text", full_disk)
 
 
 class TestTrajectoryWriter:
-    """A single run streams its rows to a writer process, started with the
-    first block, which writes ``trajectory.csv``; with ``--compare`` the
-    proposed run writes the file itself.  The bytes are the library
-    writer's, the file is complete when the run's line prints, and an
-    output that cannot be written exits 6 (every test is checked for a
-    process or a temporary file left behind, see ``conftest.py``)."""
+    """Once a single run is over, a writer process formats the second half
+    of the rows of ``trajectory.csv`` while the run's own process formats
+    the header and the first; with ``--compare`` the proposed run writes
+    the file itself.  The bytes are the library writer's, the file is
+    complete when the run's line prints, and an output that cannot be
+    written exits 6 (every test is checked for a process or a temporary
+    file left behind, see ``conftest.py``)."""
 
     @pytest.mark.parametrize("rows,stride", [
+        (2, 1), (3, 1),
         (_BLOCK_ROWS - 1, 1), (_BLOCK_ROWS, 1), (_BLOCK_ROWS + 1, 1),
         (3 * _BLOCK_ROWS + 1, 1), (287, 7)])
     def test_bytes_equal_the_library_writer(self, tmp_path, capsys, rows,
@@ -567,14 +587,7 @@ class TestTrajectoryWriter:
         # a run starts one child, the writer or with --compare the baseline
         # (and then no writer), on one CPU fewer than the run may use
         allowed = os.sched_getaffinity(0)
-        started = []
-
-        class Child(cli._Child):
-            def __init__(self, name, *args):
-                super().__init__(name, *args)
-                started.append((name, os.sched_getaffinity(self._proc.pid)))
-
-        monkeypatch.setattr(cli, "_Child", Child)
+        started = started_children(monkeypatch)
         path = write_scenario(tmp_path, doc_without_targets())
         argv = ["run", "--scenario", str(path), "--duration", "10",
                 "--out", str(tmp_path / "runs")]
@@ -593,30 +606,19 @@ class TestTrajectoryWriter:
         assert "gain-ordering" in capsys.readouterr().err
         assert list((tmp_path / "runs" / "custom").iterdir()) == []
 
-    def test_abort_after_blocks_were_sent(self, tmp_path, capsys,
-                                          monkeypatch):
-        # the run aborts once the writer has its temporary file open
+    def test_abort_starts_no_writer(self, tmp_path, capsys, monkeypatch):
+        # the run aborts part way: the writer would start only after it
         case = tmp_path / "runs" / "custom"
+        started = started_children(monkeypatch)
 
-        def abort():
-            deadline = time.monotonic() + 60.0
-            while not part_files(case) and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert part_files(case) != []
+        def run(scenario):
             raise SimulationAbort(2.56, "stopped by the test")
-
-        calls = []
-
-        def run(scenario, on_rows):
-            feed, sent = stream_rows(on_rows, abort)
-            calls.append(sent)
-            return run_scenario(scenario, on_rows=feed)
 
         monkeypatch.setattr(cli, "run_scenario", run)
         path = write_scenario(tmp_path, doc_without_targets())
         assert main(["run", "--scenario", str(path), "--duration", "10",
                      "--out", str(tmp_path / "runs")]) == 4
-        assert calls == [[_BLOCK_ROWS, 2 * _BLOCK_ROWS]]
+        assert started == []
         got = capsys.readouterr()
         assert got.out == ""
         assert got.err == ("error: custom: simulation aborted at t=2.5600 s: "
@@ -624,17 +626,21 @@ class TestTrajectoryWriter:
         assert list(case.iterdir()) == []
 
     def test_writer_that_dies(self, tmp_path, capsys, monkeypatch):
-        def kill_writer():
-            (writer,) = multiprocessing.active_children()
-            os.kill(writer.pid, signal.SIGKILL)
-            writer.join(timeout=60)
-            assert not writer.is_alive()
+        # killed once it has started, while this process formats its half;
+        # a forked writer waits in its own half, so it cannot reply first
+        format_rows = cli._csv_text
 
-        def run(scenario, on_rows):
-            return run_scenario(scenario,
-                                on_rows=stream_rows(on_rows, kill_writer)[0])
+        def kill_writer(data, columns, header):
+            if not header:
+                time.sleep(60)
+            else:
+                (writer,) = multiprocessing.active_children()
+                os.kill(writer.pid, signal.SIGKILL)
+                writer.join(timeout=60)
+                assert not writer.is_alive()
+            return format_rows(data, columns, header)
 
-        monkeypatch.setattr(cli, "run_scenario", run)
+        monkeypatch.setattr(cli, "_csv_text", kill_writer)
         path = write_scenario(tmp_path, doc_without_targets())
         case = tmp_path / "runs" / "custom"
         assert main(["run", "--scenario", str(path), "--duration", "10",
@@ -668,16 +674,23 @@ class TestTrajectoryWriter:
                                "when forked")
     def test_writer_error_on_the_final_block(self, tmp_path, capsys,
                                              monkeypatch):
-        # the first three blocks are written, the last (233 rows) is not:
-        # no summary.json is written beside the missing trajectory.csv
-        format_rows = cli._csv_text
+        # the first half of the rows is written, the writer's final half is
+        # not: no summary.json is written beside the missing trajectory.csv
+        full_disk_in_half(monkeypatch, header=False)
+        path = write_scenario(tmp_path, doc_without_targets())
+        case = tmp_path / "runs" / "custom"
+        assert main(["run", "--scenario", str(path), "--duration", "10",
+                     "--out", str(tmp_path / "runs")]) == 6
+        got = capsys.readouterr()
+        assert got.out == ""
+        assert got.err == ("error: custom: trajectory.csv not written: "
+                           "[Errno 28] No space left on device\n")
+        assert list(case.iterdir()) == []
 
-        def full_disk(data, columns, header):
-            if len(data) < _BLOCK_ROWS * len(columns):
-                raise OSError(28, "No space left on device")
-            return format_rows(data, columns, header)
-
-        monkeypatch.setattr(cli, "_csv_text", full_disk)
+    def test_error_in_the_first_half(self, tmp_path, capsys, monkeypatch):
+        # the run's own half fails while the writer formats the other: the
+        # writer is stopped and neither half is left
+        full_disk_in_half(monkeypatch, header=True)
         path = write_scenario(tmp_path, doc_without_targets())
         case = tmp_path / "runs" / "custom"
         assert main(["run", "--scenario", str(path), "--duration", "10",
@@ -770,6 +783,19 @@ def oblique_doc():
     return doc
 
 
+def cli_run(python, entry, args, case):
+    """Exit code, stderr and the CSV digests of ``python -W error *entry
+    *args --out <case's parent>``, which writes the directory ``case``."""
+    proc = subprocess.run(
+        [python, "-W", "error", *entry, *args, "--out", str(case.parent)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True, text=True, timeout=300)
+    return (proc.returncode, proc.stderr, {
+        csv: hashlib.sha256((case / csv).read_bytes()).hexdigest()
+        for csv in ("trajectory.csv", "trajectory_benchmark.csv")
+        if (case / csv).exists()})
+
+
 def compare_run(python, out, entry=("-m", "slewguard.cli")):
     """Exit code, stderr and the CSV digests of the compare run and of a run
     of :func:`oblique_doc` read from a file, by case name."""
@@ -777,18 +803,8 @@ def compare_run(python, out, entry=("-m", "slewguard.cli")):
     runs = {"paper-three-1": COMPARE_ARGS,
             "oblique": ("run", "--scenario", str(scenario),
                         "--duration", "2")}
-    got = {}
-    for name, args in runs.items():
-        proc = subprocess.run(
-            [python, "-W", "error", *entry, *args, "--out", str(out)],
-            env=dict(os.environ, PYTHONPATH=str(SRC)),
-            capture_output=True, text=True, timeout=300)
-        case = out / name
-        got[name] = (proc.returncode, proc.stderr, {
-            csv: hashlib.sha256((case / csv).read_bytes()).hexdigest()
-            for csv in ("trajectory.csv", "trajectory_benchmark.csv")
-            if (case / csv).exists()})
-    return got
+    return {name: cli_run(python, entry, args, out / name)
+            for name, args in runs.items()}
 
 
 @pytest.fixture(scope="module")
@@ -833,11 +849,17 @@ def test_compare_run_on_other_interpreters(version, tmp_path,
 
 def test_compare_run_with_spawned_baseline(tmp_path, reference_compare_run):
     # where the default start method is not fork (macOS; Linux from Python
-    # 3.14 on), the child is a fresh interpreter that gets the scenario by
-    # pickle: the bytes stay the same
+    # 3.14 on), the child is a fresh interpreter that gets the scenario, or
+    # the writer its rows, by pickle: the bytes stay the same
     spawn_main = ("import multiprocessing, sys; "
                   "from slewguard.cli import main; "
                   "multiprocessing.set_start_method('spawn'); "
                   "sys.exit(main(sys.argv[1:]))")
-    assert compare_run(sys.executable, tmp_path,
-                       ("-c", spawn_main)) == reference_compare_run
+    entry = ("-c", spawn_main)
+    assert compare_run(sys.executable, tmp_path, entry) == reference_compare_run
+    # a plain run of the compared preset writes the proposed side's file
+    plain = cli_run(sys.executable, entry, [
+        a for a in COMPARE_ARGS if a != "--compare"],
+        tmp_path / "plain" / "paper-three-1")
+    code, err, digests = reference_compare_run["paper-three-1"]
+    assert plain == (code, err, {"trajectory.csv": digests["trajectory.csv"]})

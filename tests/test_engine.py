@@ -4,7 +4,6 @@ import json
 import math
 import pickle
 import re
-import time
 from array import array
 
 import numpy as np
@@ -315,62 +314,18 @@ class TestRunScenario:
         s2.pop("wall_clock_s")
         assert s1 == s2
 
-    @pytest.mark.parametrize("stride", [1, 7])
-    def test_on_rows_sees_each_block_once(self, stride):
-        # called every 256 logged rows and after the final sample, with
-        # rows that do not change once handed over; the result is the
-        # run's without a consumer
-        sc = load_preset("paper-two-1").with_sim(duration=7.0,
-                                                 record_stride=stride)
-        seen = []
-
-        def on_rows(records):
-            assert records.columns == res_plain.records.columns
-            seen.append(records.data[:])
-
-        res_plain = run_scenario(sc)
-        res = run_scenario(sc, on_rows=on_rows)
-        width = len(res.records.columns)
-        n = len(res.records)
-        blocks = list(range(engine_module._BLOCK_ROWS, n,
-                            engine_module._BLOCK_ROWS))
-        assert [len(d) // width for d in seen] == blocks + [n]
-        for d in seen:
-            assert d == res.records.data[:len(d)]
-        assert res.records.data == res_plain.records.data
-        s1, s2 = dict(res.summary), dict(res_plain.summary)
-        s1.pop("wall_clock_s")
-        s2.pop("wall_clock_s")
-        assert s1 == s2
-
     @pytest.mark.parametrize("stride, same_as", [(2.0, 2), (True, None)])
     def test_record_stride_is_an_int(self, stride, same_as):
-        # an integral float is kept as the int, so a streamed run logs what
-        # the int stride logs; a bool is no stride, as in the loader
+        # an integral float is kept as the int, so a run logs what the int
+        # stride logs; a bool is no stride, as in the loader
         sc = load_preset("paper-two-1").with_sim(duration=3.0)
         if same_as is None:
             with pytest.raises(ValueError, match="positive integer"):
                 sc.with_sim(record_stride=stride)
             return
-        rows = []
-        run_scenario(sc.with_sim(record_stride=stride),
-                     on_rows=lambda records: rows.append(records.data[:]))
+        got = run_scenario(sc.with_sim(record_stride=stride)).records
         want = run_scenario(sc.with_sim(record_stride=same_as)).records
-        assert rows[-1] == want.data
-
-    def test_wall_clock_leaves_out_the_consumer(self):
-        # three simulated seconds log 301 rows: one full block, then the
-        # final call; half a second's wait in each is not the run's time
-        sc = load_preset("paper-two-1").with_sim(duration=3.0)
-        calls = []
-
-        def on_rows(records):
-            calls.append(len(records))
-            time.sleep(0.5)
-
-        res = run_scenario(sc, on_rows=on_rows)
-        assert calls == [engine_module._BLOCK_ROWS, 301]
-        assert res.summary["wall_clock_s"] < 0.5
+        assert got.data == want.data
 
     @pytest.mark.parametrize("name", ["paper-two-1", "corridor-1-001-beside"])
     def test_summary_independent_of_record_stride(self, name):

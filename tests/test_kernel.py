@@ -8,6 +8,7 @@ the same bits on both.  The golden digests of ``test_acceptance`` and
 ``test_kernel_pins`` run on both paths as well.
 """
 
+import ctypes
 import hashlib
 import math
 import os
@@ -27,7 +28,7 @@ from slewguard import _kernel, engine
 from slewguard.attitude import BodyState, UnitQuaternion
 from slewguard.engine import SimulationAbort, _LoopContext, run_scenario
 from slewguard.envelope import EnvelopeConfig
-from slewguard.scenario import load_preset, scenario_from_dict
+from slewguard.scenario import load_preset, load_scenario, scenario_from_dict
 
 from loop_fixtures import (
     FULL_INERTIA,
@@ -150,13 +151,12 @@ def bits(values):
 
 def run_on(path, sc):
     """What a forced run of ``sc`` on ``path`` gives: the bits of every
-    logged row, of the statistics record, of the rows handed to
-    ``on_rows`` at each call, and of the summary without its wall time, or
-    the abort's fields."""
+    logged row, of the statistics record, and of the summary without its
+    wall time, or the abort's fields."""
     with pytest.MonkeyPatch.context() as mp:
         if path == "reference":
             mp.setattr(_kernel, "load", lambda: None)
-        logs, stats, handed = [], [], []
+        logs, stats = [], []
         trajectory = engine.Trajectory
 
         def kept(data, columns):
@@ -171,15 +171,14 @@ def run_on(path, sc):
         mp.setattr(engine, "Trajectory", kept)
         mp.setattr(engine, "_RunStats", KeptStats)
         try:
-            res = run_scenario(sc, force=True,
-                               on_rows=lambda r: handed.append(bits(r.data)))
+            res = run_scenario(sc, force=True)
         except SimulationAbort as exc:
             end = ("abort", str(exc), exc.t, exc.state, exc.stage)
         except ArithmeticError as exc:
             end = (type(exc).__name__, str(exc))
         else:
             end = ("ok", summary_bits(res.summary))
-    return bits(logs[0].data), bits(stats[0].record), handed, end
+    return bits(logs[0].data), bits(stats[0].record), end
 
 
 def summary_bits(summary):
@@ -329,6 +328,38 @@ def test_a_sample_the_kernel_skips_lands_in_the_same_record(
     # a Lyapunov pair is open across both replays
     assert replayed == [(skipped * 0.01, True, 1.0),
                         ((skipped + 1) * 0.01, stride == 1, 1.0)]
+
+
+@pytest.mark.parametrize("stride", [2 ** 63, 2 ** 64, 2 ** 64 + 1],
+                         ids=["2**63", "2**64", "2**64+1"])
+def test_a_stride_beyond_a_c_long_runs_the_reference(stride):
+    # ctypes would wrap the stride into the kernel's C long: 2**64 to 0,
+    # which C takes modulo, and 2**64 + 1 to 1, which logs every sample.
+    # Both paths run the reference, which logs the first and the final
+    # sample of the 1 s run, as stride 100 does on the kernel
+    sc = load_scenario(SRC.parent / "docs" / "example_scenario.json"
+                       ).with_sim(duration=1.0)
+    got = run_on("kernel", sc.with_sim(record_stride=stride))
+    assert got == run_on("reference", sc.with_sim(record_stride=stride))
+    assert got[0] == run_on("kernel", sc.with_sim(record_stride=100))[0]
+    assert len(got[0]) == 2 * 8 * (17 + len(sc.obstacles))
+
+
+def test_a_count_beyond_a_c_long_takes_the_reference():
+    # the stride, and the sample count n_steps + 1, reach the kernel as C
+    # longs; one that does not fit leaves the run to the reference
+    kernel_or_skip()
+    long_max = 2 ** (8 * ctypes.sizeof(ctypes.c_long) - 1) - 1
+    ctx = _LoopContext(load_preset("paper-two-1"))
+    stats = engine._RunStats(ctx).record
+
+    def takes_kernel(n_steps, stride):
+        return _kernel.propagator(ctx, stats, 0.01, n_steps, stride,
+                                  engine._BLOCK_ROWS) is not None
+
+    assert takes_kernel(long_max - 1, long_max)
+    assert not takes_kernel(long_max, 1)
+    assert not takes_kernel(100, long_max + 1)
 
 
 # a 2 s paper-two-1 run in another interpreter, which imports the package

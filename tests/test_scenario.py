@@ -159,18 +159,24 @@ class TestSchema:
             scenario_from_dict(doc)
         assert any("$.sim" in e for e in err.value.errors)
 
-    @pytest.mark.parametrize("key,value", [("dt", math.nan),
-                                           ("duration", math.inf),
-                                           ("dt", -math.inf)])
+    @pytest.mark.parametrize("key,value", [
+        ("dt", math.nan), ("duration", math.inf), ("dt", -math.inf),
+        *(pytest.param(key, 10 ** 400, id=f"{key}-10**400")
+          for key in ("dt", "duration", "record_stride"))])
     def test_non_finite_sim_settings_rejected(self, key, value):
+        # an integer beyond the double range is rejected as in every other
+        # section; a non-finite float by SimConfig
         doc = valid_doc()
         doc["sim"][key] = value
         with pytest.raises(ScenarioError) as err:
             scenario_from_dict(doc)
-        assert f"$.sim: {key} must be finite" in err.value.errors
+        assert (f"$.sim: {key} must be finite" if isinstance(value, float)
+                else f"$.sim.{key}: expected a finite number"
+                ) in err.value.errors
 
     @pytest.mark.parametrize("key", ["dt", "duration", "record_stride"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("value", [
+        math.nan, math.inf, -math.inf, pytest.param(10 ** 400, id="10**400")])
     def test_sim_config_rejects_non_finite(self, key, value):
         with pytest.raises(ValueError, match=f"{key} must be finite"):
             SimConfig(**{key: value})
