@@ -26,7 +26,7 @@
 #include <math.h>
 #include <stdlib.h>
 
-/* Scenario constants, in the order ``_kernel.Propagator`` packs them. */
+/* Scenario constants, in the order ``_kernel.propagator`` packs them. */
 enum {
     P_B = 0,            /* boresight in body axes (3) */
     P_R = 3,            /* goal direction, inertial (3) */
@@ -550,15 +550,14 @@ static int take(const double *p, double *s, double t, const double *y,
 
 /* Samples ``k`` to ``end - 1`` of a run of ``n`` steps of ``dt``, from the
  * state ``y`` of sample ``k``: each is folded into the statistics record
- * ``s``, its row is written to ``out`` where ``k % stride == 0`` or
- * ``k == n``, and unless it is sample ``n`` it is stepped from.  Returns
- * the number of samples completed, with the number of rows written in
- * ``*rows``; ``y`` then holds the state of the next one.  A sample the
- * Python code would raise on, in its evaluation, its row, its statistics
- * or the step after it, is not completed, and the run stops there. */
+ * ``s``, and where ``k % stride == 0`` or ``k == n`` its row is written to
+ * row ceil(k / stride) of the run's log ``out``; unless it is sample ``n``
+ * it is stepped from.  Returns the number of samples completed; ``y`` then
+ * holds the state of the next one.  A sample the Python code would raise
+ * on, in its evaluation, its row, its statistics or the step after it, is
+ * not completed, and the run stops there. */
 long slewguard_run(const double *p, double *y, long k, long end, long n,
-                   double dt, long stride, double *s, double *out,
-                   long *rows)
+                   double dt, long stride, double *s, double *out)
 {
     const int n_cones = (int)p[P_N_CONES];
     const int width = ROW_WIDTH + n_cones;
@@ -571,21 +570,19 @@ long slewguard_run(const double *p, double *y, long k, long end, long n,
     long done = 0;
     int i;
 
-    *rows = 0;
     if (work == NULL)
         return 0;
     for (; k < end; k++, done++) {
         double *row = NULL;
+        /* ceil(k / stride), written so that no sum can overflow */
         if (k % stride == 0 || k == n)
-            row = out + *rows * width;
+            row = out + (k / stride + (k % stride != 0)) * width;
         if (rhs(p, axes, k * dt, y, k1, stage))
             break;
         if (k < n && step(p, axes, k, y, dt, k1, next, scratch))
             break;
         if (take(p, s, k * dt, y, stage, row))
             break;
-        if (row != NULL)
-            ++*rows;
         if (k < n)
             for (i = 0; i < 14; i++)
                 y[i] = next[i];

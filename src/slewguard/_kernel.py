@@ -4,12 +4,13 @@ called through :mod:`ctypes`.
 :func:`engine.run_scenario` runs its samples with it wherever a library
 can be built or found, and with the reference, ``_LoopContext.rhs``,
 ``step`` and ``record`` and ``_RunStats.add``, everywhere else; both give
-the same bits (``_kernel.c`` says how).  A call propagates the state over
-up to a block of logged rows, writes those rows and folds every sample
-into the run's statistics record, the ``array("d")`` that
-``_RunStats.add`` folds into as well.  Where the kernel stops short of a
-sample the reference would raise on, the run replays that sample with the
-reference, so every abort and arithmetic error comes from the Python code.
+the same bits (``_kernel.c`` says how).  One call runs the whole run: it
+propagates the state, writes each logged row in place into the run's log
+and folds every sample into the run's statistics record, both the
+``array("d")`` buffers that the reference writes and folds into as well.
+Where the kernel stops short of a sample the reference would raise on,
+the run replays that sample with the reference and calls the kernel again
+after it, so every abort and arithmetic error comes from the Python code.
 
 The library is built by one call of the C compiler, never at import:
 ``$CC`` where it is set, else the compiler the interpreter was built
@@ -39,9 +40,6 @@ SOURCE = Path(__file__).with_name("_kernel.c")
 # no contraction into fused multiply-adds and no value-changing
 # optimization, so each operation rounds as the interpreter's does
 FLAGS = ("-O2", "-fno-fast-math", "-ffp-contract=off")
-
-# the columns of a logged row beyond its cone cosines
-_ROW_WIDTH = 17
 
 
 def compiler() -> list[str]:
@@ -109,63 +107,31 @@ def load():
         run = ctypes.CDLL(str(path)).slewguard_run
     except (ImportError, OSError):
         return None
-    # every buffer is an array("d"), or array("l") for the row count,
-    # passed by address
+    # every buffer is an array("d"), passed by address
     buf = ctypes.c_void_p
     run.argtypes = (buf, buf, ctypes.c_long, ctypes.c_long, ctypes.c_long,
-                    ctypes.c_double, ctypes.c_long, buf, buf, buf)
+                    ctypes.c_double, ctypes.c_long, buf, buf)
     run.restype = ctypes.c_long
     return run
 
 
-class Propagator:
-    """The kernel bound to one run: its scenario constants, its statistics
-    record and one block of rows, each an ``array`` that it holds while the
-    kernel writes to it and never resizes."""
+def propagator(ctx, stats: array, log: array, dt: float, n_steps: int,
+               stride: int):
+    """The kernel bound to a run of ``n_steps`` steps of ``dt`` of the
+    closed loop ``ctx`` (an ``engine._LoopContext``) that folds every
+    sample into the statistics record ``stats`` and writes every
+    ``stride``-th sample's row, and the final one's, into ``log``, sized
+    for all of them; or None where the run takes the reference loop: no
+    library, a stride or sample count that a C ``long`` cannot hold, since
+    ctypes would wrap it, or a scenario constant that is not a float, since
+    the kernel repeats only float arithmetic.
 
-    def __init__(self, run, consts: list, stats: array, width: int,
-                 dt: float, n_steps: int, stride: int, block_rows: int):
-        self._run = run
-        self._dt = dt
-        self._n = n_steps
-        self._stride = stride
-        self._block = block_rows * stride
-        self._width = width
-        self._consts = array("d", consts)
-        self._stats = stats
-        self._rows = array("l", [0])
-        # a block's rows, and the final sample's when it falls between two
-        # that are due
-        self._out = array("d", bytes(8 * (block_rows + 1) * width))
-
-    def advance(self, y: list, k: int, end: int):
-        """Samples ``k`` to ``end - 1``, no more than a block of rows'
-        worth, from the state ``y`` of sample ``k``, up to the first one the
-        reference would raise on: each is folded into the statistics record
-        and its row, when due, is logged.  Returns ``(done, rows, y)``: the
-        number of samples completed, their rows as one flat ``array("d")``,
-        and the state of the sample after the last."""
-        if end - k > self._block or len(y) != 14:
-            raise ValueError("more samples than a block, or not a state")
-        state = array("d", y)
-        done = self._run(self._consts.buffer_info()[0],
-                         state.buffer_info()[0], k, end, self._n, self._dt,
-                         self._stride, self._stats.buffer_info()[0],
-                         self._out.buffer_info()[0],
-                         self._rows.buffer_info()[0])
-        return (done, self._out[:self._rows[0] * self._width],
-                state.tolist())
-
-
-def propagator(ctx, stats: array, dt: float, n_steps: int, stride: int,
-               block_rows: int):
-    """A :class:`Propagator` for a run of ``n_steps`` steps of ``dt`` of the
-    closed loop ``ctx`` (an ``engine._LoopContext``) that logs every
-    ``stride``-th sample and folds every sample into the statistics record
-    ``stats``, or None where the run takes the reference loop: no library,
-    a stride or sample count that a C ``long`` cannot hold, since ctypes
-    would wrap it, or a scenario constant that is not a float, since the
-    kernel repeats only float arithmetic."""
+    The kernel returned is ``advance(y, k, end) -> (done, y)``: samples
+    ``k`` to ``end - 1`` from the state ``y`` of sample ``k``, up to the
+    first one the reference would raise on, each folded into ``stats`` and
+    its row, when due, written into row ceil(k / stride) of ``log``.  It
+    returns the number of samples completed and the state of the sample
+    after the last.  Neither buffer may be resized while it lives."""
     run = load()
     if run is None:
         return None
@@ -190,5 +156,19 @@ def propagator(ctx, stats: array, dt: float, n_steps: int, stride: int,
         consts += (*axis, s.lo, s.hi, s.mid, s.steepness, cone.k_r)
     if not all(isinstance(v, float) for v in consts):
         return None
-    return Propagator(run, consts, stats, _ROW_WIDTH + len(ctx.cones), dt,
-                      n_steps, stride, block_rows)
+    consts = array("d", consts)
+
+    def advance(y: list, k: int, end: int):
+        # the rows written are those of samples k to end - 1, which the log
+        # holds only within the run
+        if not 0 <= k <= end <= n_steps + 1 or len(y) != 14:
+            raise ValueError("samples outside the run, or not a state")
+        # the arrays, not only their addresses, are held here: the kernel
+        # reads and writes through those addresses
+        state = array("d", y)
+        done = run(consts.buffer_info()[0], state.buffer_info()[0], k, end,
+                   n_steps, dt, stride, stats.buffer_info()[0],
+                   log.buffer_info()[0])
+        return done, state.tolist()
+
+    return advance

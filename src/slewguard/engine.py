@@ -20,10 +20,11 @@ the logging are scalar code: on 3-vectors, an array library's per-call
 overhead costs far more than the arithmetic.  Inside a stage the same holds
 for Python calls and tuple packing, so the guidance and the quaternion
 kinematics are written out in ``rhs``, component by component, while the
-control laws and the frame resolution stay functions of their own.  Each
-logged step appends its CSV row, a flat tuple of floats, to a C double
-buffer (``array("d")``), which the run's :class:`Trajectory` wraps as it
-is.  One function, ``_csv_text``, formats the rows in scalar code
+control laws and the frame resolution stay functions of their own.  The
+run's log is one C double buffer (``array("d")``), sized for every logged
+row before the first sample, which the run's :class:`Trajectory` wraps as
+it is; each logged sample writes its CSV row, a flat tuple of floats, into
+its own slot.  One function, ``_csv_text``, formats the rows in scalar code
 wherever they are written (the CLI writes ``trajectory.csv`` in two
 halves, one in a second process), so every written value is Python float
 arithmetic in a fixed order, and the package needs no array library.
@@ -46,13 +47,13 @@ summary is built from the statistics alone, so no summary field depends on
 
 ``rhs``, ``step``, ``record`` and ``_RunStats.add`` are the reference.
 Wherever a C library can be built (:mod:`slewguard._kernel`), the run does
-each sample's work with its copy of them instead, one block of
-``_BLOCK_ROWS`` logged rows per call: it propagates the state, writes each
-row that is due, and folds every sample into the statistics record that
-``_RunStats.add`` also folds into, so Python sees no sample that is not
-logged.  The two give the same bits.  Where the kernel stops short of a
-sample the reference raises on, the loop replays that sample with the
-reference, so every abort comes from the code above.
+each sample's work with its copy of them instead, the whole run in one
+call: it propagates the state, writes each row that is due into the log,
+and folds every sample into the statistics record that ``_RunStats.add``
+also folds into.  The two give the same bits.  Where the kernel stops
+short of a sample the reference raises on, the loop replays that sample
+with the reference and calls the kernel again after it, so every abort
+comes from the code above.
 """
 
 from __future__ import annotations
@@ -182,7 +183,7 @@ class Trajectory(Frozen):
     ``records["eps"]`` is the column of that name, a strided copy; an
     unknown name raises :class:`KeyError`.  The names are the CSV header,
     and each row is one :meth:`_LoopContext.record`.  Trajectories compare
-    and hash by identity, since ``data`` grows while a run logs.
+    and hash by identity, since a run writes ``data`` in place as it logs.
     """
 
     _fields = ("data", "columns")
@@ -618,7 +619,9 @@ def run_scenario(scenario: "Scenario", force: bool = False
 
     A validation report with hard failures raises :class:`ValidationFailure`
     unless ``force`` is set; the summary carries warnings and failures.  The
-    summary's ``wall_clock_s`` covers the integration alone.
+    summary's ``wall_clock_s`` covers the integration alone.  The log is
+    allocated whole before the first sample, so a run whose log does not
+    fit in memory raises :class:`MemoryError` before it starts.
     """
     from . import _kernel  # here, so that importing the package skips it
 
@@ -635,25 +638,24 @@ def run_scenario(scenario: "Scenario", force: bool = False
     stride = sim.record_stride
     n_steps = int(round(sim.duration / dt))
     stats = _RunStats(ctx)
-    records = Trajectory(array("d"), _columns(len(ctx.cones)))
-    log = records.data
-    block = _BLOCK_ROWS * stride
-    kernel = _kernel.propagator(ctx, stats.record, dt, n_steps, stride,
-                                _BLOCK_ROWS)
+    columns = _columns(len(ctx.cones))
+    width = len(columns)
+    # sample k's row is row ceil(k / stride), the final sample's included
+    log = array("d", [0.0]) * ((-(-n_steps // stride) + 1) * width)
+    records = Trajectory(log, columns)
+    kernel = _kernel.propagator(ctx, stats.record, log, dt, n_steps, stride)
     t0 = time.perf_counter()
     k = 0
     while k <= n_steps:
         if kernel is not None:
-            # the kernel's samples up to the end of this block of rows, each
-            # folded into the statistics and logged when due; it stops
-            # short of a sample whose evaluation, row, statistics or step
-            # the reference raises on, which the reference then replays
-            end = min(n_steps + 1, (k // block + 1) * block)
-            done, rows, y = kernel.advance(y, k, end)
-            log.extend(rows)
+            # the kernel's samples to the end of the run, each folded into
+            # the statistics and logged when due; it stops short of a
+            # sample whose evaluation, row, statistics or step the
+            # reference raises on, which the reference then replays
+            done, y = kernel(y, k, n_steps + 1)
             k += done
-            if k == end:
-                continue
+            if k > n_steps:
+                break
         # one sample of the reference loop
         t = k * dt
         try:
@@ -664,7 +666,8 @@ def run_scenario(scenario: "Scenario", force: bool = False
         row = None
         if k % stride == 0 or k == n_steps:
             row = ctx.record(t, y, stage)
-            log.extend(row)
+            i = -(-k // stride) * width
+            log[i:i + width] = array("d", row)
         stats.add(t, y, stage, row)
         if k < n_steps:
             y_next = ctx.step(k, y, dt, k1)
@@ -731,9 +734,6 @@ def summarize(scenario: "Scenario", stats: _RunStats, report,
         "wall_clock_s": wall,
     }
 
-
-# logged rows per kernel call
-_BLOCK_ROWS = 256
 
 # rows formatted by one ``%`` operation in the CSV text: 16 to 256 rows
 # format at about the same speed, but the CLI formats half of each run's

@@ -176,6 +176,8 @@ def _warn(msg):
 def _unit(vec, path):
     x, y, z = vec
     n = math.sqrt(x * x + y * y + z * z)
+    if not math.isfinite(n):
+        raise ValueError(f"{path}: norm overflows, cannot be normalized")
     if n < 1e-12:
         raise ValueError(f"{path}: zero vector cannot be normalized")
     if abs(n - 1.0) > _NORM_WARN_TOL:
@@ -249,6 +251,8 @@ def scenario_from_dict(data: Any, default_name: str = "scenario") -> Scenario:
             try:
                 x, y, z, w = att
                 n = math.sqrt(x * x + y * y + z * z + w * w)
+                if not math.isfinite(n):
+                    raise ValueError("quaternion norm overflows")
                 if n < 1e-12:
                     raise ValueError("zero quaternion")
                 if abs(n - 1.0) > _NORM_WARN_TOL:
@@ -463,6 +467,9 @@ def load_scenario(path) -> Scenario:
             text = fh.read()
     except OSError as exc:
         raise ScenarioError("parse", [f"cannot read {path}: {exc}"]) from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioError("parse", [f"{path}: not UTF-8 text: {exc}"]
+                            ) from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

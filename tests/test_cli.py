@@ -22,7 +22,6 @@ import slewguard
 from slewguard import cli
 from slewguard.cli import main
 from slewguard.engine import (
-    _BLOCK_ROWS,
     SimulationAbort,
     run_scenario,
     write_trajectory_csv,
@@ -145,6 +144,23 @@ class TestRun:
         code = main(["run", "--scenario", str(path), "--out", str(tmp_path)])
         assert code == 2
         assert "invalid JSON" in capsys.readouterr().err
+
+    def test_text_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{\x00}\x00")
+        code = main(["run", "--scenario", str(path), "--out", str(tmp_path)])
+        assert code == 2
+        assert f"error: {path}: not UTF-8 text" in capsys.readouterr().err
+
+    def test_boresight_whose_norm_overflows_exits_3(self, tmp_path, capsys):
+        # it would divide to a zero vector, which no cone or goal constrains
+        doc = json.loads((SRC.parent / "docs" / "example_scenario.json"
+                          ).read_text())
+        doc["boresight_body"] = [1e308, 1e308, 0]
+        path = write_scenario(tmp_path, doc)
+        code = main(["run", "--scenario", str(path), "--out", str(tmp_path)])
+        assert code == 3
+        assert "$.boresight_body: norm overflows" in capsys.readouterr().err
 
     def test_schema_error_exits_3(self, tmp_path, capsys):
         doc = valid_doc()
@@ -542,9 +558,7 @@ class TestTrajectoryWriter:
     file left behind, see ``conftest.py``)."""
 
     @pytest.mark.parametrize("rows,stride", [
-        (2, 1), (3, 1),
-        (_BLOCK_ROWS - 1, 1), (_BLOCK_ROWS, 1), (_BLOCK_ROWS + 1, 1),
-        (3 * _BLOCK_ROWS + 1, 1), (287, 7)])
+        (2, 1), (3, 1), (255, 1), (256, 1), (257, 1), (769, 1), (287, 7)])
     def test_bytes_equal_the_library_writer(self, tmp_path, capsys, rows,
                                             stride):
         doc = doc_without_targets()
@@ -571,7 +585,7 @@ class TestTrajectoryWriter:
     def test_file_is_complete_when_its_line_prints(self, tmp_path):
         stdout = _SizesAtPrint(tmp_path)
         with redirect_stdout(stdout):
-            # three simulated seconds: 301 rows, two blocks per preset
+            # three simulated seconds: 301 rows per preset
             assert main(["run", "--all-presets", "--duration", "3",
                          "--out", str(tmp_path)]) == 5
         assert len(stdout.sizes) == 9

@@ -59,12 +59,21 @@ def fresh_load():
 
 def test_a_default_run_takes_the_kernel(monkeypatch):
     kernel_or_skip()
-    rhs = _LoopContext.rhs
-    calls = []
+    rhs, propagator = _LoopContext.rhs, _kernel.propagator
+    calls, kernel_calls = [], []
 
     def counted(ctx, t, y):
         calls.append(t)
         return rhs(ctx, t, y)
+
+    def counted_kernel(*args):
+        advance = propagator(*args)
+
+        def counted_advance(y, k, end):
+            kernel_calls.append((k, end))
+            return advance(y, k, end)
+
+        return counted_advance
 
     def fell_back(*args):
         raise AssertionError("the run fell back to the reference loop")
@@ -73,10 +82,13 @@ def test_a_default_run_takes_the_kernel(monkeypatch):
     for name in ("step", "record"):
         monkeypatch.setattr(_LoopContext, name, fell_back)
     monkeypatch.setattr(engine._RunStats, "add", fell_back)
+    monkeypatch.setattr(_kernel, "propagator", counted_kernel)
     res = run_scenario(load_preset("paper-two-1").with_sim(duration=5.0))
     assert len(res.records) == 501
-    # only the initial command's stage is evaluated in Python
+    # only the initial command's stage is evaluated in Python, and one
+    # kernel call runs every sample
     assert calls == [0.0]
+    assert kernel_calls == [(0, 501)]
 
 
 def test_a_failed_build_runs_the_reference_once_per_process(
@@ -139,6 +151,44 @@ def test_the_source_compiles_without_warnings(tmp_path):
     _kernel.build(tmp_path / "kernel.so",
                   (*_kernel.FLAGS, "-std=c99", "-pedantic", "-Wall", "-Wextra",
                    "-Werror"))
+
+
+# runs on the library given, in a process with the sanitizers' runtime
+SANITIZED_PROBE = """\
+import sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+from slewguard import _kernel, engine, load_preset
+_kernel.library_path = lambda: Path(sys.argv[2])
+assert _kernel.load() is not None
+for name in ("paper-two-1", "paper-three-1"):
+    for stride in (1, 7, 2 ** 63 - 1):
+        engine.run_scenario(load_preset(name).with_sim(
+            duration=20.0, record_stride=stride))
+"""
+
+
+def test_the_kernel_runs_clean_under_the_sanitizers(tmp_path):
+    # AddressSanitizer fails a row written outside the log, and
+    # UndefinedBehaviorSanitizer an overflowing row index, at the strides
+    # that log every sample, some, and only the first and the final one
+    cc = _kernel.compiler()
+    if not cc or shutil.which(cc[0]) is None:
+        pytest.skip(f"no C compiler ({shlex.join(cc) or 'none configured'}) "
+                    f"found, so nothing was compiled")
+    runtime = subprocess.run([*cc, "-print-file-name=libasan.so"],
+                             capture_output=True, text=True).stdout.strip()
+    if not os.path.isabs(runtime):
+        pytest.skip(f"{shlex.join(cc)} has no libasan, so nothing was run")
+    library = tmp_path / "kernel.so"
+    _kernel.build(library, (*_kernel.FLAGS, "-fsanitize=address,undefined",
+                            "-fno-sanitize-recover=all"))
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", SANITIZED_PROBE, str(SRC), str(library)],
+        env=dict(os.environ, LD_PRELOAD=runtime,
+                 ASAN_OPTIONS="detect_leaks=0"),
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -294,49 +344,59 @@ def test_every_sample_is_the_same_on_both_paths(
 @pytest.mark.parametrize("stride, skipped", [(1, 768), (7, 1792)])
 def test_a_sample_the_kernel_skips_lands_in_the_same_record(
         monkeypatch, stride, skipped):
-    # a call that completes no sample, as where slewguard_run cannot
-    # allocate its work array: the loop replays that sample with the
-    # reference, which folds it into the statistics record the kernel
-    # folds into, and the kernel resumes after it.  The calls at the start
-    # of a block of rows and after it skip, so the reference replays the
-    # block's first sample and the one after it, logged only at stride 1.
+    # the first call stops short of sample ``skipped``, as before a sample
+    # the reference raises on, and the next completes no sample, as where
+    # slewguard_run cannot allocate its work array: the loop replays each
+    # of the two with the reference, which logs it in its own row and
+    # folds it into the statistics record the kernel folds into, and the
+    # kernel resumes after it.  ``skipped`` is logged at both strides, the
+    # sample after it only at stride 1.
     kernel_or_skip()
     # two cones, and Lyapunov pairs of which half rise
     doc = load_cases().corridor_scenario_docs(1)[3]
     assert doc["name"] == "corridor-1-003-two"
     sc = scenario_from_dict(doc).with_sim(record_stride=stride)
     want = run_on("kernel", sc)
-    advance, add = _kernel.Propagator.advance, engine._RunStats.add
+    propagator, add = _kernel.propagator, engine._RunStats.add
     calls, replayed = [], []
 
-    def skipping(kernel, y, k, end):
-        calls.append(k)
-        if k in (skipped, skipped + 1):
-            return 0, array("d"), list(y)
-        return advance(kernel, y, k, end)
+    def skipping(*args):
+        advance = propagator(*args)
+
+        def skipping_advance(y, k, end):
+            calls.append(k)
+            if k == 0:
+                end = skipped
+            elif k == skipped + 1:
+                return 0, list(y)
+            return advance(y, k, end)
+
+        return skipping_advance
 
     def counted(stats, t, y, stage, row):
         replayed.append((t, row is not None, stats.record[engine._S_OPEN]))
         return add(stats, t, y, stage, row)
 
-    monkeypatch.setattr(_kernel.Propagator, "advance", skipping)
+    monkeypatch.setattr(_kernel, "propagator", skipping)
     monkeypatch.setattr(engine._RunStats, "add", counted)
     assert run_on("kernel", sc) == want
-    assert skipped % (engine._BLOCK_ROWS * stride) == 0
-    assert calls[calls.index(skipped):][:3] == [skipped, skipped + 1,
-                                                skipped + 2]
+    assert skipped % stride == 0
+    assert calls == [0, skipped + 1, skipped + 2]
     # a Lyapunov pair is open across both replays
     assert replayed == [(skipped * 0.01, True, 1.0),
                         ((skipped + 1) * 0.01, stride == 1, 1.0)]
 
 
-@pytest.mark.parametrize("stride", [2 ** 63, 2 ** 64, 2 ** 64 + 1],
-                         ids=["2**63", "2**64", "2**64+1"])
-def test_a_stride_beyond_a_c_long_runs_the_reference(stride):
-    # ctypes would wrap the stride into the kernel's C long: 2**64 to 0,
-    # which C takes modulo, and 2**64 + 1 to 1, which logs every sample.
-    # Both paths run the reference, which logs the first and the final
-    # sample of the 1 s run, as stride 100 does on the kernel
+@pytest.mark.parametrize("stride", [2 ** 63 - 1, 2 ** 63, 2 ** 64,
+                                    2 ** 64 + 1],
+                         ids=["2**63-1", "2**63", "2**64", "2**64+1"])
+def test_a_huge_stride_logs_the_first_and_final_sample(stride):
+    # the largest C long runs on the kernel, whose row index must not
+    # overflow.  ctypes would wrap a larger stride into the kernel's C
+    # long: 2**64 to 0, which C takes modulo, and 2**64 + 1 to 1, which
+    # logs every sample, so both paths run those on the reference.  Each
+    # logs the first and the final sample of the 1 s run, as stride 100
+    # does on the kernel
     sc = load_scenario(SRC.parent / "docs" / "example_scenario.json"
                        ).with_sim(duration=1.0)
     got = run_on("kernel", sc.with_sim(record_stride=stride))
@@ -354,12 +414,28 @@ def test_a_count_beyond_a_c_long_takes_the_reference():
     stats = engine._RunStats(ctx).record
 
     def takes_kernel(n_steps, stride):
-        return _kernel.propagator(ctx, stats, 0.01, n_steps, stride,
-                                  engine._BLOCK_ROWS) is not None
+        return _kernel.propagator(ctx, stats, array("d"), 0.01, n_steps,
+                                  stride) is not None
 
     assert takes_kernel(long_max - 1, long_max)
     assert not takes_kernel(long_max, 1)
     assert not takes_kernel(100, long_max + 1)
+
+
+@pytest.mark.parametrize("k, end, state", [
+    (0, 102, 14), (-1, 10, 14), (10, 9, 14), (0, 101, 13)])
+def test_the_kernel_refuses_samples_outside_the_run(k, end, state):
+    # the kernel writes the rows of samples k to end - 1 into a log that
+    # holds the run's rows alone, and reads 14 state components
+    kernel_or_skip()
+    ctx = _LoopContext(load_preset("paper-two-1"))
+    log = array("d", [0.0]) * (101 * (17 + len(ctx.cones)))
+    advance = _kernel.propagator(ctx, engine._RunStats(ctx).record, log,
+                                 0.01, 100, 1)
+    y, _ = ctx.initial_state()
+    with pytest.raises(ValueError, match="outside the run"):
+        advance(y[:state], k, end)
+    assert not any(log)
 
 
 # a 2 s paper-two-1 run in another interpreter, which imports the package

@@ -332,6 +332,15 @@ class TestSchema:
             scenario_from_dict(doc)
         assert err.value.errors == ["$.initial: zero quaternion"]
 
+    def test_overflowing_attitude_quaternion_rejected(self):
+        # finite components whose norm overflows, which would divide to the
+        # zero quaternion
+        doc = valid_doc()
+        doc["initial"]["attitude"] = [1e200, 1e200, 0, 0]
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict(doc)
+        assert err.value.errors == ["$.initial: quaternion norm overflows"]
+
     @pytest.mark.parametrize("doc,message", [
         pytest.param([valid_doc()], "$: top level must be an object",
                      id="top-level"),
@@ -352,6 +361,18 @@ class TestSchema:
         pytest.param(edited({("target_inertial",): [0.0, 0.0, 0.0]}),
                      "$.target_inertial: zero vector cannot be normalized",
                      id="zero-vector"),
+        # finite components whose norm overflows, which would divide to a
+        # zero vector
+        pytest.param(edited({("target_inertial",): [1e308, 1e308, 0.0]}),
+                     "$.target_inertial: norm overflows, cannot be normalized",
+                     id="overflowing-target"),
+        pytest.param(edited({("boresight_body",): [1e308, 1e308, 0.0]}),
+                     "$.boresight_body: norm overflows, cannot be normalized",
+                     id="overflowing-boresight"),
+        pytest.param(edited({("obstacles", 0, "axis_inertial"):
+                             [1e308, 1e308, 0.0]}),
+                     "$.obstacles[0].axis_inertial: norm overflows, cannot "
+                     "be normalized", id="overflowing-cone-axis"),
         pytest.param(edited({("obstacles",): {},
                              ("switching", "theta_p1_deg"): _DELETE}),
                      "$.obstacles: expected a list (may be empty)",
@@ -459,6 +480,14 @@ class TestLoadScenario:
             load_scenario(path)
         assert err.value.kind == "parse"
         assert "invalid JSON" in err.value.errors[0]
+
+    def test_text_that_is_not_utf8_is_parse_error(self, tmp_path):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{\x00}\x00")
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(path)
+        assert err.value.kind == "parse"
+        assert err.value.errors[0].startswith(f"{path}: not UTF-8 text")
 
 
 class TestPresets:
