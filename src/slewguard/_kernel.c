@@ -13,7 +13,10 @@
  * neither fold ``pow(x, 2.0)`` into ``x * x`` nor merge a sine and a cosine
  * of one argument into ``sincos``; Python's ``x ** 2`` calls ``pow``.
  * ``math.degrees`` multiplies by a constant and ``log(2)`` is a constant of
- * ``envelope``, so both come from Python with the scenario constants.
+ * ``envelope``, so both come from Python with the scenario constants.  The
+ * layouts shared with Python are stated there once and come as ``-D``
+ * definitions from ``_kernel.py``: ``P_*`` and ``C_*`` (``CONSTANTS`` and
+ * ``CONE``), ``S_*`` (``engine._S_*``), ``ROW_WIDTH`` (``engine._columns``).
  *
  * Where the Python code would raise (an abort of the run, a division by
  * zero, a square root of a negative number, ``** 2`` overflowing), this
@@ -26,54 +29,12 @@
 #include <math.h>
 #include <stdlib.h>
 
-/* Scenario constants, in the order ``_kernel.propagator`` packs them. */
-enum {
-    P_B = 0,            /* boresight in body axes (3) */
-    P_R = 3,            /* goal direction, inertial (3) */
-    P_J = 6,            /* inertia rows (9) */
-    P_JI = 15,          /* inverse inertia rows (9) */
-    P_NEG_K_RHO = 24,   /* -k_rho */
-    P_RHO_INF = 25,
-    P_TD = 26,          /* differentiator r, -r^2 a1, r^2 a2 (3) */
-    P_S_SHAPE = 29,     /* omega_s bridge lo, hi, mid, steepness (4) */
-    P_V_SHAPE = 33,     /* omega_v bridge (4) */
-    P_SWITCH_FLOOR = 37,
-    P_BENCHMARK = 38,   /* 1 for the potential-field-only baseline */
-    P_DIST_ON = 39,
-    P_K1 = 40, P_K_P, P_K_OMEGA, P_G, P_BIG_F, P_K_A, P_ETA, P_SIGMA,
-    P_TORQUE_LIMIT = 48,
-    P_DIST_BOUND = 49,
-    P_ANTIPODAL = 50,   /* controller.ANTIPODAL_THRESHOLD */
-    P_NUDGE = 51,       /* controller.ANTIPODAL_NUDGE_FRACTION */
-    P_RATIO_FLOOR = 52, /* envelope.ERROR_RATIO_FLOOR */
-    P_KNOT_GUARD = 53,  /* potential._KNOT_GUARD */
-    P_LN2 = 54,         /* envelope._LN2 */
-    P_RAD_TO_DEG = 55,  /* math.degrees(1.0) */
-    P_N_CONES = 56,
-    P_CONES = 57        /* per cone: axis (3), lo, hi, mid, steepness, k_r */
-};
-#define CONE_WIDTH 8
-
 /* The stage quantities of ``rhs``, ``16 + n_cones`` doubles: r_b, x_e,
  * eps, omega_s, omega_v, the command, e2, u and the cone cosines. */
 enum {
     ST_RB = 0, ST_XE = 3, ST_EPS = 4, ST_S = 5, ST_V = 6, ST_VCMD = 7,
     ST_E2 = 10, ST_U = 13, ST_BETAS = 16
 };
-
-/* The run statistics record, in the layout of ``engine._RunStats``: the
- * statistics and their flags, two settings, then per settling level the
- * level and the time of the first sample after the last one not below it
- * (NaN while there is none), then per cone the deepest cosine. */
-enum {
-    S_SAMPLES, S_SATURATED, S_MAX_TORQUE, S_TRACKING, S_MAX_EPS,
-    S_INITIAL, S_FINAL, S_MAX_Q_ERR, S_IN_WINDOW, S_TERMINAL,
-    S_PAIRS, S_RISING, S_OPEN, S_V_START, S_T_START,
-    S_SAT_LIMIT, S_WINDOW_START, S_N_LEVELS, S_LEVELS
-};
-
-/* The columns of a logged row beyond its cone cosines. */
-#define ROW_WIDTH 17
 
 static double (*volatile pow_fn)(double, double) = pow;
 static double (*volatile sin_fn)(double) = sin;
@@ -206,7 +167,7 @@ static int rhs(const double *p, double *axes, double t, const double *y,
     to_body(cx, cy, cz, cw, p + P_R, r_b);
     for (i = 0; i < n_cones; i++) {
         double *f = axes + 3 * i;
-        to_body(cx, cy, cz, cw, p + P_CONES + CONE_WIDTH * i, f);
+        to_body(cx, cy, cz, cw, p + P_CONES + CONE_WIDTH * i + C_AXIS, f);
         betas[i] = bx * f[0] + by * f[1] + bz * f[2];
     }
     x_e = 1.0 - (bx * r_b[0] + by * r_b[1] + bz * r_b[2]);
@@ -241,8 +202,8 @@ static int rhs(const double *p, double *axes, double t, const double *y,
             const double *cone = p + P_CONES + CONE_WIDTH * i;
             double fx = axes[3 * i], fy = axes[3 * i + 1];
             double fz = axes[3 * i + 2];
-            double grad = bridge_grad(cone + 3, guard, betas[i], cone[7],
-                                      &err);
+            double grad = bridge_grad(cone + C_SHAPE, guard, betas[i],
+                                      cone[C_K_R], &err);
             if (grad == 0.0)
                 continue;
             px -= grad * (fy * bz - fz * by);
@@ -429,8 +390,8 @@ static void energies(const double *p, const double *st, double *e, int *err)
 
     for (i = 0; i < n_cones; i++) {
         const double *cone = p + P_CONES + CONE_WIDTH * i;
-        total += bridge(cone + 3, p[P_KNOT_GUARD], st[ST_BETAS + i], cone[7],
-                        err);
+        total += bridge(cone + C_SHAPE, p[P_KNOT_GUARD], st[ST_BETAS + i],
+                        cone[C_K_R], err);
     }
     e[0] = p[P_G] * p[P_BIG_F] * (az + log1p(exp(-2.0 * az)) - p[P_LN2])
            + total;

@@ -12,16 +12,17 @@ Where the kernel stops short of a sample the reference would raise on,
 the run replays that sample with the reference and calls the kernel again
 after it, so every abort and arithmetic error comes from the Python code.
 
-The library is built by one call of the C compiler, never at import:
-``$CC`` where it is set, else the compiler the interpreter was built
-with, else ``cc``.  Only ``FLAGS`` reach the arithmetic, no ``CFLAGS`` or
-``LDFLAGS`` from the environment or the interpreter's configuration, and
-no Python package takes part.  The library is cached in the package's
-``__pycache__`` under a name keyed by the sha256 of the source and the
-flags, and written under a unique temporary name first, so processes that
-build at the same time leave one complete file.  It is a plain C library,
-so any interpreter loads it.  The build is tried once per process; where
-it fails, as where no compiler is found, runs take the reference loop.
+The library is built by one call of the C compiler, never at import: ``$CC``
+where it is set, else the compiler the interpreter was built with, else
+``cc``.  Only ``FLAGS`` reach the arithmetic, no ``CFLAGS`` or ``LDFLAGS``
+from the environment or the interpreter's configuration, and no Python
+package takes part; the layouts shared with Python come as ``-D``
+:func:`definitions`.  The library is cached in the package's ``__pycache__``
+under a name keyed by the sha256 of the source, the flags and the layouts,
+and written under a unique temporary name first, so processes that build at
+the same time leave one complete file.  It is a plain C library, so any
+interpreter loads it.  The build is tried once per process; where it fails,
+as where no compiler is found, runs take the reference loop.
 """
 
 from __future__ import annotations
@@ -30,8 +31,10 @@ import functools
 import math
 import os
 from array import array
+from itertools import accumulate
 from pathlib import Path
 
+from . import engine
 from .controller import ANTIPODAL_NUDGE_FRACTION, ANTIPODAL_THRESHOLD
 from .envelope import _LN2, ERROR_RATIO_FLOOR
 from .potential import _KNOT_GUARD
@@ -40,6 +43,18 @@ SOURCE = Path(__file__).with_name("_kernel.c")
 # no contraction into fused multiply-adds and no value-changing
 # optimization, so each operation rounds as the interpreter's does
 FLAGS = ("-O2", "-fno-fast-math", "-ffp-contract=off")
+
+# The scenario constants, (name, width) in the order they are packed, at
+# ``P_<name>`` in C; then from ``P_CONES`` each cone's, at ``C_<name>``.
+CONSTANTS = (
+    ("B", 3), ("R", 3), ("J", 9), ("JI", 9), ("NEG_K_RHO", 1),
+    ("RHO_INF", 1), ("TD", 3), ("S_SHAPE", 4), ("V_SHAPE", 4),
+    ("SWITCH_FLOOR", 1), ("BENCHMARK", 1), ("DIST_ON", 1), ("K1", 1),
+    ("K_P", 1), ("K_OMEGA", 1), ("G", 1), ("BIG_F", 1), ("K_A", 1),
+    ("ETA", 1), ("SIGMA", 1), ("TORQUE_LIMIT", 1), ("DIST_BOUND", 1),
+    ("ANTIPODAL", 1), ("NUDGE", 1), ("RATIO_FLOOR", 1), ("KNOT_GUARD", 1),
+    ("LN2", 1), ("RAD_TO_DEG", 1), ("N_CONES", 1))
+CONE = (("AXIS", 3), ("SHAPE", 4), ("K_R", 1))
 
 
 def compiler() -> list[str]:
@@ -52,16 +67,29 @@ def compiler() -> list[str]:
                        or sysconfig.get_config_var("CC") or "cc")
 
 
+def definitions() -> list[str]:
+    """The layouts ``_kernel.c`` reads, as ``-D`` definitions."""
+    out = [f"-D{name[1:]}={i}" for name, i in vars(engine).items()
+           if name.startswith("_S_")]
+    out.append(f"-DROW_WIDTH={len(engine._columns(0))}")
+    for layout, prefix, end in ((CONSTANTS, "P_", "P_CONES"),
+                                (CONE, "C_", "CONE_WIDTH")):
+        names = [prefix + name for name, _ in layout] + [end]
+        offsets = accumulate((width for _, width in layout), initial=0)
+        out += map("-D{}={}".format, names, offsets)
+    return out
+
+
 def build(target: Path, flags=FLAGS) -> None:
-    """Compile ``_kernel.c`` with ``flags`` into the shared library
-    ``target``; raise :class:`OSError` with the compiler's output if that
-    fails, or if there is no compiler."""
+    """Compile ``_kernel.c`` with ``flags`` and :func:`definitions` into the
+    shared library ``target``; raise :class:`OSError` with the compiler's
+    output if that fails, or if there is no compiler."""
     import subprocess
 
     try:
         subprocess.run(
-            [*compiler(), *flags, "-fPIC", "-shared", "-o", str(target),
-             str(SOURCE), "-lm"],
+            [*compiler(), *flags, *definitions(), "-fPIC", "-shared", "-o",
+             str(target), str(SOURCE), "-lm"],
             capture_output=True, text=True, check=True, timeout=300)
     except subprocess.CalledProcessError as exc:
         raise OSError(f"kernel build failed:\n{exc.stdout}{exc.stderr}"
@@ -73,7 +101,7 @@ def build(target: Path, flags=FLAGS) -> None:
 
 
 def library_path() -> Path:
-    """Where the library of this source and ``FLAGS`` is cached."""
+    """Where the library of this source, ``FLAGS`` and layouts is cached."""
     # the interpreter's own sha256, as ``random`` takes its sha512: hashlib
     # would load OpenSSL, about 4 MB, into every run's process
     try:
@@ -83,7 +111,8 @@ def library_path() -> Path:
             from _sha256 import sha256
         except ImportError:
             from hashlib import sha256
-    key = sha256(SOURCE.read_bytes() + "\0".join(FLAGS).encode()).hexdigest()
+    key = sha256(SOURCE.read_bytes()
+                 + "\0".join((*FLAGS, *definitions())).encode()).hexdigest()
     return SOURCE.parent / "__pycache__" / f"_kernel-{key[:16]}.so"
 
 
@@ -139,21 +168,33 @@ def propagator(ctx, stats: array, log: array, dt: float, n_steps: int,
     if stride > long_max or n_steps + 1 > long_max:
         return None
     ctrl, params = ctx.ctrl, ctx.params
-    consts = [*ctx.b, *ctx.r_i, *(v for row in ctx.j_rows for v in row),
-              *(v for row in ctx.j_inv_rows for v in row),
-              ctx.neg_k_rho, ctx.rho_inf, *ctx.td]
-    for shape in (ctx.s_shape, ctx.v_shape):
-        consts += (shape.lo, shape.hi, shape.mid, shape.steepness)
-    consts += (ctx.switch_floor, float(ctx.benchmark),
-               float(bool(ctx.dist_on)), ctrl.k1, ctrl.k_p, ctrl.k_omega,
-               ctrl.g, ctrl.big_f, ctrl.k_a, ctrl.eta, ctrl.sigma,
-               params.torque_limit, params.disturbance_bound,
-               ANTIPODAL_THRESHOLD, ANTIPODAL_NUDGE_FRACTION,
-               ERROR_RATIO_FLOOR, _KNOT_GUARD, _LN2, math.degrees(1.0),
-               float(len(ctx.cones)))
+
+    def pack(layout, **values):
+        out = []
+        for name, width in layout:
+            v = values[name]
+            out += v if width > 1 else (v,)
+        return out
+
+    def shape(s):
+        return s.lo, s.hi, s.mid, s.steepness
+
+    consts = pack(
+        CONSTANTS, B=ctx.b, R=ctx.r_i,
+        J=[v for row in ctx.j_rows for v in row],
+        JI=[v for row in ctx.j_inv_rows for v in row],
+        NEG_K_RHO=ctx.neg_k_rho, RHO_INF=ctx.rho_inf, TD=ctx.td,
+        S_SHAPE=shape(ctx.s_shape), V_SHAPE=shape(ctx.v_shape),
+        SWITCH_FLOOR=ctx.switch_floor, BENCHMARK=float(ctx.benchmark),
+        DIST_ON=float(bool(ctx.dist_on)), K1=ctrl.k1, K_P=ctrl.k_p,
+        K_OMEGA=ctrl.k_omega, G=ctrl.g, BIG_F=ctrl.big_f, K_A=ctrl.k_a,
+        ETA=ctrl.eta, SIGMA=ctrl.sigma, TORQUE_LIMIT=params.torque_limit,
+        DIST_BOUND=params.disturbance_bound, ANTIPODAL=ANTIPODAL_THRESHOLD,
+        NUDGE=ANTIPODAL_NUDGE_FRACTION, RATIO_FLOOR=ERROR_RATIO_FLOOR,
+        KNOT_GUARD=_KNOT_GUARD, LN2=_LN2, RAD_TO_DEG=math.degrees(1.0),
+        N_CONES=float(len(ctx.cones)))
     for cone, axis in zip(ctx.cones, ctx.axes):
-        s = cone.shape
-        consts += (*axis, s.lo, s.hi, s.mid, s.steepness, cone.k_r)
+        consts += pack(CONE, AXIS=axis, SHAPE=shape(cone.shape), K_R=cone.k_r)
     if not all(isinstance(v, float) for v in consts):
         return None
     consts = array("d", consts)

@@ -345,6 +345,9 @@ def _cmd_run(args) -> int:
             print(f"error: {scenario.name}:", file=sys.stderr)
             print(exc.report.describe(), file=sys.stderr)
             return _EXIT_VALIDATION
+        except MemoryError as exc:  # a log too large to allocate
+            print(f"error: {scenario.name}: {exc}", file=sys.stderr)
+            return _EXIT_VALIDATION
         except SimulationAbort as exc:
             print(f"error: {scenario.name}: {exc}", file=sys.stderr)
             return _EXIT_NUMERIC

@@ -483,7 +483,8 @@ def _check_state(t: float, y: list, last: list) -> None:
 # the kernel (``_kernel.c``) both fold samples into: the statistics and the
 # flags that say whether a statistic has a value yet, two settings, then
 # per settling level the level and the time it was met (NaN while not;
-# times are never NaN), then per cone the deepest cosine.
+# times are never NaN), then per cone the deepest cosine.  Its only
+# statement: the kernel is compiled with each ``_S_<NAME>`` as ``S_<NAME>``.
 (_S_SAMPLES, _S_SATURATED, _S_MAX_TORQUE, _S_TRACKING, _S_MAX_EPS,
  _S_INITIAL, _S_FINAL, _S_MAX_Q_ERR, _S_IN_WINDOW, _S_TERMINAL,
  _S_PAIRS, _S_RISING, _S_OPEN, _S_V_START, _S_T_START,
@@ -641,7 +642,12 @@ def run_scenario(scenario: "Scenario", force: bool = False
     columns = _columns(len(ctx.cones))
     width = len(columns)
     # sample k's row is row ceil(k / stride), the final sample's included
-    log = array("d", [0.0]) * ((-(-n_steps // stride) + 1) * width)
+    rows = -(-n_steps // stride) + 1
+    try:
+        log = array("d", [0.0]) * (rows * width)
+    except (OverflowError, MemoryError):  # beyond an index, or memory
+        raise MemoryError(f"the log's {rows:.6g} rows of {width} values do "
+                          f"not fit in memory") from None
     records = Trajectory(log, columns)
     kernel = _kernel.propagator(ctx, stats.record, log, dt, n_steps, stride)
     t0 = time.perf_counter()

@@ -297,6 +297,22 @@ class TestRun:
         assert code == 3
         assert capsys.readouterr().err == f"error: paper-single-1: {message}\n"
 
+    @pytest.mark.parametrize("compare", [[], ["--compare"]],
+                             ids=["alone", "compare"])
+    @pytest.mark.parametrize("duration, rows", [("1e300", "1e+302"),
+                                                ("1e13", "1e+15")],
+                             ids=["1e300", "1e13"])
+    def test_a_log_too_large_exits_3(self, tmp_path, capsys, duration, rows,
+                                     compare):
+        # neither log can be allocated, so no memory is touched
+        code = main(["run", "--preset", "paper-two-1", "--duration", duration,
+                     *compare, "--out", str(tmp_path / "runs")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"error: paper-two-1: the log's {rows} rows of 19 values do not "
+            f"fit in memory\n")
+        assert list((tmp_path / "runs" / "paper-two-1").iterdir()) == []
+
     def test_missed_targets_exit_5(self, tmp_path, capsys):
         # 2 simulated seconds cannot settle, so declared targets are missed
         doc = valid_doc()

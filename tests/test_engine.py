@@ -362,6 +362,18 @@ class TestRunScenario:
         res = run_scenario(sc.with_sim(duration=1.0), force=True)
         assert res.summary["validation_failures"]
 
+    @pytest.mark.parametrize("duration, rows", [(1e300, "1e+302"),
+                                                (1e13, "1e+15")],
+                             ids=["1e300", "1e13"])
+    def test_a_log_too_large_raises_memory_error(self, duration, rows):
+        # 1e300 s needs more rows than an index holds, and 1e13 s about
+        # 1.4e17 bytes, beyond any 48-bit address space, so neither touches
+        # memory
+        sc = load_preset("paper-two-1").with_sim(duration=duration)
+        with pytest.raises(MemoryError, match=f"^the log's {re.escape(rows)} "
+                                              f"rows of 19 values do not fit"):
+            run_scenario(sc)
+
     def test_run_exceptions_survive_pickling(self):
         # the compare run sends the baseline's exception back between
         # processes; the round trip must keep every field and the message

@@ -10,6 +10,7 @@ the same bits on both.  The golden digests of ``test_acceptance`` and
 
 import ctypes
 import hashlib
+import json
 import math
 import os
 import shlex
@@ -189,6 +190,20 @@ def test_the_kernel_runs_clean_under_the_sanitizers(tmp_path):
                  ASAN_OPTIONS="detect_leaks=0"),
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("module, name, value", [
+    (_kernel, "CONSTANTS", (("R", 3), ("B", 3), *_kernel.CONSTANTS[2:])),
+    (_kernel, "CONE", (("AXIS", 3), ("K_R", 1), ("SHAPE", 4))),
+    (engine, "_S_SAMPLES", engine._S_MAX_TORQUE)],
+    ids=["constants", "cone", "statistics"])
+def test_a_library_of_another_layout_is_never_loaded(monkeypatch, module,
+                                                     name, value):
+    # the layouts are part of the library's cache name, so a library built
+    # for another one is never found, and the kernel is built anew
+    path = _kernel.library_path()
+    monkeypatch.setattr(module, name, value)
+    assert _kernel.library_path() != path
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +417,7 @@ def test_a_huge_stride_logs_the_first_and_final_sample(stride):
     got = run_on("kernel", sc.with_sim(record_stride=stride))
     assert got == run_on("reference", sc.with_sim(record_stride=stride))
     assert got[0] == run_on("kernel", sc.with_sim(record_stride=100))[0]
-    assert len(got[0]) == 2 * 8 * (17 + len(sc.obstacles))
+    assert len(got[0]) == 2 * 8 * len(engine._columns(len(sc.obstacles)))
 
 
 def test_a_count_beyond_a_c_long_takes_the_reference():
@@ -429,7 +444,7 @@ def test_the_kernel_refuses_samples_outside_the_run(k, end, state):
     # holds the run's rows alone, and reads 14 state components
     kernel_or_skip()
     ctx = _LoopContext(load_preset("paper-two-1"))
-    log = array("d", [0.0]) * (101 * (17 + len(ctx.cones)))
+    log = array("d", [0.0]) * (101 * len(engine._columns(len(ctx.cones))))
     advance = _kernel.propagator(ctx, engine._RunStats(ctx).record, log,
                                  0.01, 100, 1)
     y, _ = ctx.initial_state()
@@ -507,3 +522,75 @@ def test_no_compiler_flags_from_the_environment_reach_the_build(tmp_path):
     assert probe(sys.executable, fresh_package(tmp_path),
                  CFLAGS="-not-a-flag", LDFLAGS="-not-a-flag") == [
         "True", reference_csv_sha256()]
+
+
+# (file, text, its replacement): two slots of the statistics record, two
+# scenario constants of different widths and two fields of a cone swapped
+REORDERINGS = [
+    ("engine.py", "(_S_SAMPLES, _S_SATURATED, _S_MAX_TORQUE,",
+     "(_S_MAX_TORQUE, _S_SATURATED, _S_SAMPLES,"),
+    ("_kernel.py", '("B", 3), ("R", 3), ("J", 9),',
+     '("J", 9), ("R", 3), ("B", 3),'),
+    ("_kernel.py", '(("AXIS", 3), ("SHAPE", 4), ("K_R", 1))',
+     '(("K_R", 1), ("SHAPE", 4), ("AXIS", 3))'),
+]
+
+# 2 s of each scenario given, a preset's name or a document, on both paths
+# of the package at the path given: the sha256 of its log's and its
+# statistics record's bits, and its summary without the wall time
+REORDERED_PROBE = """\
+import hashlib, json, sys
+sys.path.insert(0, sys.argv[1])
+from slewguard import _kernel, engine, load_preset
+from slewguard.scenario import scenario_from_dict
+assert _kernel.load() is not None
+records, runs, kernel = [], {}, _kernel.load
+
+class Kept(engine._RunStats):
+    def __init__(self, ctx):
+        super().__init__(ctx)
+        records.append(self.record)
+
+engine._RunStats = Kept
+for path in ("kernel", "reference"):
+    _kernel.load = kernel if path == "kernel" else lambda: None
+    for doc in json.loads(sys.argv[2]):
+        sc = (load_preset(doc) if isinstance(doc, str)
+              else scenario_from_dict(doc))
+        res = engine.run_scenario(sc.with_sim(duration=2.0))
+        del res.summary["wall_clock_s"]
+        runs.setdefault(sc.name, {})[path] = [
+            hashlib.sha256(data).hexdigest()
+            for data in (res.records.data, records[-1])] + [repr(res.summary)]
+print(json.dumps(runs))
+"""
+
+
+def test_reordered_layouts_give_the_same_run_on_both_paths(tmp_path):
+    # each layout is stated once, in Python, so a package with its slots
+    # reordered builds a kernel of that layout, which the reference agrees
+    # with bit for bit; the log and summary are this package's, and only
+    # the statistics record's bits move
+    kernel_or_skip()
+    fresh = fresh_package(tmp_path)
+    for name, old, new in REORDERINGS:
+        path = fresh / "slewguard" / name
+        text = path.read_text()
+        assert text.count(old) == 1, old
+        path.write_text(text.replace(old, new))
+    corridor = load_cases().corridor_scenario_docs(1)[3]
+    assert corridor["name"] == "corridor-1-003-two"
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", REORDERED_PROBE, str(fresh),
+         json.dumps(["paper-two-1", corridor])],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    runs = json.loads(proc.stdout)
+    assert sorted(runs) == ["corridor-1-003-two", "paper-two-1"]
+    for sc in (load_preset("paper-two-1"), scenario_from_dict(corridor)):
+        got = runs[sc.name]
+        assert got["kernel"] == got["reference"]
+        log, stats, (_, summary) = run_on("kernel", sc.with_sim(duration=2.0))
+        assert got["kernel"][0] == hashlib.sha256(log).hexdigest()
+        assert got["kernel"][1] != hashlib.sha256(stats).hexdigest()
+        assert got["kernel"][2] == summary
