@@ -24,10 +24,15 @@
  * was, and reports how many samples it completed.  The caller replays that
  * sample with the Python code, which raises, so no abort is raised or
  * worded here.
+ *
+ * ``slewguard_csv`` at the end formats rows of the run's log as the text
+ * of ``trajectory.csv``, each value as Python's ``'%.17g' % v`` writes it.
  */
 
 #include <math.h>
+#include <stdio.h>
 #include <stdlib.h>
+#include <string.h>
 
 /* The stage quantities of ``rhs``, ``16 + n_cones`` doubles: r_b, x_e,
  * eps, omega_s, omega_v, the command, e2, u and the cone cosines. */
@@ -550,4 +555,200 @@ long slewguard_run(const double *p, double *y, long k, long end, long n,
     }
     free(work);
     return done;
+}
+
+/* ``trajectory.csv`` text: each value exactly as Python's ``'%.17g' % v``
+ * writes it, the 17-significant-digit decimal nearest the double, ties to
+ * even, in exponent form below 1e-4 and from 1e17 on (two exponent digits
+ * at least), with trailing zeros and a bare point dropped; ``-0``, ``inf``,
+ * ``-inf``, and ``nan`` for every NaN (glibc writes ``-nan`` for some).
+ * Where the compiler has a 128-bit integer, each value of 2**-53 to 2**123
+ * in magnitude is rounded in exact integer arithmetic; every other one,
+ * and every one where it has none, goes to ``snprintf``, which glibc
+ * rounds correctly.  The longest value, ``-1.2345678901234567e-308``, is
+ * 24 bytes: CSV_VALUE_BYTES, from ``_kernel.py``, counts them with the
+ * separator. */
+
+#define DIGITS 17
+#define TEN_16 10000000000000000ULL
+#define TEN_17 100000000000000000ULL
+
+#ifdef __SIZEOF_INT128__
+__extension__ typedef unsigned __int128 u128;
+
+/* "00" to "99" */
+static const char PAIRS[] =
+    "000102030405060708091011121314151617181920212223242526272829"
+    "303132333435363738394041424344454647484950515253545556575859"
+    "606162636465666768697071727374757677787980818283848586878889"
+    "90919293949596979899";
+
+/* 5**0 to 5**27, the powers of five that fit in 64 bits */
+static const unsigned long long POW5[] = {
+    1ULL, 5ULL, 25ULL, 125ULL, 625ULL, 3125ULL, 15625ULL, 78125ULL, 390625ULL,
+    1953125ULL, 9765625ULL, 48828125ULL, 244140625ULL, 1220703125ULL,
+    6103515625ULL, 30517578125ULL, 152587890625ULL, 762939453125ULL,
+    3814697265625ULL, 19073486328125ULL, 95367431640625ULL, 476837158203125ULL,
+    2384185791015625ULL, 11920928955078125ULL, 59604644775390625ULL,
+    298023223876953125ULL, 1490116119384765625ULL, 7450580596923828125ULL
+};
+
+/* The 17-digit significand of f * 2**e, whose decimal exponent is *x or
+ * *x + 1, rounded half to even on the exact value; *x is set to the
+ * exponent.  *x is in -16 .. 36, so f * 5**(16 - *x) < 2**53 * 5**32 and
+ * f * 2**e < 2**123 fit in 128 bits. */
+static unsigned long long decimal_digits(unsigned long long f, int e, int *x)
+{
+    u128 q, r, half;
+    int s = *x - 16;
+
+    for (;;) {
+        if (s <= 0) {
+            /* f * 2**e * 10**-s = f * 5**-s * 2**(e - s) */
+            u128 m = (u128)f * POW5[-s < 27 ? -s : 27];
+            int t = e - s;
+
+            if (-s > 27)
+                m *= POW5[-s - 27];
+            if (t >= 0) {
+                q = m << t;
+                r = 0;
+                half = 1;
+            } else {
+                q = m >> -t;
+                r = m & (((u128)1 << -t) - 1);
+                half = (u128)1 << (-t - 1);
+            }
+        } else {
+            /* f * 2**e / 10**s, with 10**s = 5**s * 2**s and s <= 21 */
+            u128 n = (u128)f << e, p = (u128)POW5[s] << s;
+
+            q = n / p;
+            r = n % p;
+            half = p / 2;
+        }
+        if (q < TEN_17)
+            break;
+        /* the exponent is *x + 1 */
+        (*x)++;
+        s++;
+    }
+    if (r > half || (r == half && (q & 1)))
+        q++;
+    if (q == TEN_17) {
+        q = TEN_16;
+        (*x)++;
+    }
+    return (unsigned long long)q;
+}
+#endif
+
+/* Writes the text of the finite, nonzero |v| at out; returns its end. */
+static char *magnitude(double v, char *out)
+{
+#ifdef __SIZEOF_INT128__
+    unsigned long long bits, d;
+    unsigned hi, lo;
+    char digits[DIGITS];
+    int be, n, x, nd, i;
+
+    memcpy(&bits, &v, sizeof bits);
+    be = (int)(bits >> 52 & 0x7ff);
+    /* v is f * 2**(n - 52), f of 53 bits, so 10**x <= v < 10**(x + 2) with
+     * x = floor(n * log10(2)), which 78913 / 2**18 gives for |n| < 1650 */
+    n = be - 1023;
+    if (be != 0 && n >= -53 && n <= 122) {
+        x = ((n * 78913 + (64 << 18)) >> 18) - 64;
+        d = decimal_digits((bits & ((1ULL << 52) - 1)) | 1ULL << 52,
+                           n - 52, &x);
+        /* the 17 digits from the last, two at a time in 32 bits: the
+         * 8 of d % 10**8, then the 9 above them */
+        lo = (unsigned)(d % 100000000);
+        hi = (unsigned)(d / 100000000);
+        for (i = DIGITS - 2; i > 8; i -= 2, lo /= 100)
+            memcpy(digits + i, PAIRS + 2 * (lo % 100), 2);
+        for (; i > 0; i -= 2, hi /= 100)
+            memcpy(digits + i, PAIRS + 2 * (hi % 100), 2);
+        digits[0] = (char)('0' + hi);
+        for (nd = DIGITS; digits[nd - 1] == '0'; nd--)
+            ;
+        if (x < -4 || x >= DIGITS) {
+            /* -16 <= x <= 37: two exponent digits */
+            *out++ = digits[0];
+            if (nd > 1) {
+                *out++ = '.';
+                memcpy(out, digits + 1, nd - 1);
+                out += nd - 1;
+            }
+            *out++ = 'e';
+            *out++ = x < 0 ? '-' : '+';
+            x = abs(x);
+            *out++ = (char)('0' + x / 10);
+            *out++ = (char)('0' + x % 10);
+        } else if (x < 0) {
+            *out++ = '0';
+            *out++ = '.';
+            memset(out, '0', -x - 1);
+            out += -x - 1;
+            memcpy(out, digits, nd);
+            out += nd;
+        } else if (nd <= x + 1) {
+            memcpy(out, digits, nd);
+            memset(out + nd, '0', x + 1 - nd);
+            out += x + 1;
+        } else {
+            memcpy(out, digits, x + 1);
+            out += x + 1;
+            *out++ = '.';
+            memcpy(out, digits + x + 1, nd - x - 1);
+            out += nd - x - 1;
+        }
+        return out;
+    }
+#endif
+    {
+        char text[32];
+        int len = snprintf(text, sizeof text, "%.17g", v);
+
+        memcpy(out, text, len);
+        return out + len;
+    }
+}
+
+/* Writes the text of the ``n`` values at ``v``, ``width`` to a row, as
+ * rows of ``trajectory.csv`` into ``out``, which holds ``cap`` bytes, and
+ * returns the number of bytes written: -1, with nothing written, where
+ * ``n`` is not a whole number of rows or the longest text of ``n`` values
+ * could exceed ``cap``. */
+long slewguard_csv(const double *v, long n, long width, char *out, long cap)
+{
+    char *p = out;
+    long i, column = 0;
+
+    if (width < 1 || n < 0 || n % width != 0 || n > cap / CSV_VALUE_BYTES)
+        return -1;
+    for (i = 0; i < n; i++) {
+        if (isnan(v[i])) {
+            memcpy(p, "nan", 3);
+            p += 3;
+        } else {
+            if (signbit(v[i]))
+                *p++ = '-';
+            if (isinf(v[i])) {
+                memcpy(p, "inf", 3);
+                p += 3;
+            } else if (v[i] == 0.0) {
+                *p++ = '0';
+            } else {
+                p = magnitude(fabs(v[i]), p);
+            }
+        }
+        if (++column < width) {
+            *p++ = ',';
+        } else {
+            *p++ = '\n';
+            column = 0;
+        }
+    }
+    return p - out;
 }

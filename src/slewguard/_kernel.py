@@ -11,6 +11,9 @@ and folds every sample into the run's statistics record, both the
 Where the kernel stops short of a sample the reference would raise on,
 the run replays that sample with the reference and calls the kernel again
 after it, so every abort and arithmetic error comes from the Python code.
+The library also formats ``trajectory.csv`` (:func:`csv_chunks`), each
+value as Python's ``'%.17g' % v`` writes it, where ``engine._csv_text``
+is the fallback.
 
 The library is built by one call of the C compiler, never at import: ``$CC``
 where it is set, else the compiler the interpreter was built with, else
@@ -56,6 +59,11 @@ CONSTANTS = (
     ("LN2", 1), ("RAD_TO_DEG", 1), ("N_CONES", 1))
 CONE = (("AXIS", 3), ("SHAPE", 4), ("K_R", 1))
 
+# The bytes of the longest value in ``trajectory.csv`` with its separator,
+# "-1.2345678901234567e-308,", and of the buffer its rows are formatted in
+CSV_VALUE_BYTES = 25
+CSV_BUFFER_BYTES = 1 << 16
+
 
 def compiler() -> list[str]:
     """The C compiler's command: ``$CC``, else the interpreter's own, else
@@ -72,6 +80,7 @@ def definitions() -> list[str]:
     out = [f"-D{name[1:]}={i}" for name, i in vars(engine).items()
            if name.startswith("_S_")]
     out.append(f"-DROW_WIDTH={len(engine._columns(0))}")
+    out.append(f"-DCSV_VALUE_BYTES={CSV_VALUE_BYTES}")
     for layout, prefix, end in ((CONSTANTS, "P_", "P_CONES"),
                                 (CONE, "C_", "CONE_WIDTH")):
         names = [prefix + name for name, _ in layout] + [end]
@@ -118,8 +127,10 @@ def library_path() -> Path:
 
 @functools.cache
 def load():
-    """The kernel's entry point, or None where no library can be built or
-    loaded.  Called once per process; a forked child inherits the result."""
+    """The kernel's library, with the argument types of its entry points,
+    ``slewguard_run`` and ``slewguard_csv``, set; or None where no library
+    can be built or loaded.  Called once per process; a forked child
+    inherits the result."""
     try:
         import ctypes
 
@@ -133,15 +144,16 @@ def load():
                 part = Path(tmp) / path.name
                 build(part)
                 os.replace(part, path)
-        run = ctypes.CDLL(str(path)).slewguard_run
+        lib = ctypes.CDLL(str(path))
     except (ImportError, OSError):
         return None
-    # every buffer is an array("d"), passed by address
-    buf = ctypes.c_void_p
-    run.argtypes = (buf, buf, ctypes.c_long, ctypes.c_long, ctypes.c_long,
-                    ctypes.c_double, ctypes.c_long, buf, buf)
-    run.restype = ctypes.c_long
-    return run
+    # every buffer is an array, passed by address
+    buf, long = ctypes.c_void_p, ctypes.c_long
+    lib.slewguard_run.argtypes = (buf, buf, long, long, long,
+                                  ctypes.c_double, long, buf, buf)
+    lib.slewguard_csv.argtypes = (buf, long, long, buf, long)
+    lib.slewguard_run.restype = lib.slewguard_csv.restype = long
+    return lib
 
 
 def propagator(ctx, stats: array, log: array, dt: float, n_steps: int,
@@ -161,9 +173,10 @@ def propagator(ctx, stats: array, log: array, dt: float, n_steps: int,
     its row, when due, written into row ceil(k / stride) of ``log``.  It
     returns the number of samples completed and the state of the sample
     after the last.  Neither buffer may be resized while it lives."""
-    run = load()
-    if run is None:
+    lib = load()
+    if lib is None:
         return None
+    run = lib.slewguard_run
     long_max = 2 ** (8 * array("l").itemsize - 1) - 1  # the largest C long
     if stride > long_max or n_steps + 1 > long_max:
         return None
@@ -213,3 +226,30 @@ def propagator(ctx, stats: array, log: array, dt: float, n_steps: int,
         return done, state.tolist()
 
     return advance
+
+
+def csv_chunks(data, width: int):
+    """The ``trajectory.csv`` rows of ``data``, an ``array("d")`` of
+    ``width`` values to a row, each value as ``'%.17g' % v`` writes it: a
+    generator of views of one buffer of about ``CSV_BUFFER_BYTES``, each
+    valid until the next is taken; until the last is, ``data`` cannot be
+    resized.  None where no library is loaded, or ``data`` is no
+    ``array("d")``."""
+    lib = load()
+    if lib is None or not isinstance(data, array) or data.typecode != "d":
+        return None
+    return _chunks(lib.slewguard_csv, data, width)
+
+
+def _chunks(csv, data: array, width: int):
+    step = max(1, CSV_BUFFER_BYTES // (CSV_VALUE_BYTES * width)) * width
+    out = array("B", [0]) * (step * CSV_VALUE_BYTES)
+    with memoryview(data), memoryview(out) as text:  # neither resizable
+        at, end = data.buffer_info()
+        for i in range(0, end, step):
+            n = min(step, end - i)
+            size = csv(at + i * data.itemsize, n, width, out.buffer_info()[0],
+                       len(out))
+            if size < 0:
+                raise ValueError("not a whole number of rows")
+            yield text[:size]

@@ -8,12 +8,13 @@ Exit codes:
     5  run completed but violated the constraint or missed its targets
     6  an output file could not be written (the file and why are printed)
 
-Each run has one helper, a :class:`_Child` process kept off the run's CPU:
-the writer, which formats the second half of the rows of ``trajectory.csv``
-once the run is over while the run's own process formats the first, or
-with ``--compare`` the baseline, beside which each side formats its own.
-The bytes are those of :func:`write_trajectory_csv`; a run's line is
-printed once its file is complete.
+A run writes its outputs in its own process.  With ``--compare`` the
+baseline runs beside it in one child process, a :class:`_Child` kept off
+the run's CPU, which writes the baseline's files.  A run's line is printed
+once its ``trajectory.csv`` is complete.  Before a scenario runs, the files
+it writes are removed from its directory, so the directory holds only the
+outputs of its latest run, and each output is moved into place under a
+free name.  No file is synced to disk.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from . import __version__
 from .engine import (
     SimulationAbort,
     ValidationFailure,
-    _csv_text,
     run_scenario,
     write_summary_json,
     write_trajectory_csv,
@@ -40,6 +40,11 @@ _EXIT_VALIDATION = 3
 _EXIT_NUMERIC = 4
 _EXIT_PERFORMANCE = 5
 _EXIT_OUTPUT = 6  # any output file, written here or by a child process
+
+# every file a run writes, in the order it is put in place; the last three
+# only with --compare
+_OUTPUTS = ("trajectory.csv", "summary.json", "trajectory_benchmark.csv",
+            "summary_benchmark.json", "comparison.json")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -113,8 +118,8 @@ def _keep_apart(pid: int) -> None:
 
     A forked child starts on its parent's CPU.  Where the kernel does not
     balance load across CPUs (a cpuset with ``sched_load_balance`` 0), the
-    child can stay there: the writer or the baseline then shares the run's
-    core and overlaps nothing.
+    child can stay there: the baseline, a run's only child, then shares the
+    run's core and overlaps nothing.
     """
     try:
         with open("/proc/thread-self/stat", encoding="ascii") as fh:
@@ -199,9 +204,9 @@ class _Child:
 def _run_and_write(scenario, trajectory: Path,
                    summary: Path | None = None) -> dict:
     """Run ``scenario`` and write its trajectory, and its summary if given,
-    under their temporary names; return its summary.  Both sides of a
-    comparison run here, sharing no state, so the files are the bytes a
-    sequential run writes."""
+    under their temporary names; return its summary.  Every run writes
+    here, and the two sides of a comparison, in two processes, share no
+    state, so the files are the bytes a sequential run writes."""
     result = run_scenario(scenario)
     _output(trajectory, write_trajectory_csv, result.records,
             _partial(trajectory))
@@ -210,48 +215,36 @@ def _run_and_write(scenario, trajectory: Path,
     return result.summary
 
 
-def _write_rows(records, start: int, stop: int, path: Path,
-                part: Path | None = None) -> None:
-    """Write the CSV text of ``records``' rows ``start`` to ``stop - 1``,
-    after the header line if they are the first, to ``part``, by default
-    ``path``'s temporary name; an :class:`OSError` names ``path``."""
-    width = len(records.columns)
-    # a view, where a slice of the array would copy the rows
-    rows = memoryview(records.data)[start * width:stop * width]
-
-    def write():
-        with open(part or _partial(path), "w", encoding="utf-8") as fh:
-            fh.writelines(_csv_text(rows, records.columns, start == 0))
-
-    _output(path, write)
-
-
-def _join(head: Path, tail: Path, path: Path) -> None:
-    """Append the file ``tail`` to the file ``head``, then move that to
-    ``path``."""
-    import shutil  # multiprocessing has loaded it
-
-    with open(tail, "rb") as src, open(head, "ab") as dst:
-        shutil.copyfileobj(src, dst)
-    head.replace(path)
+def _clear(path: Path) -> None:
+    """Remove the file ``path`` if there is one: an earlier run's output,
+    which would otherwise pass for this run's, and which an output moved
+    onto it would replace.  (On ext4 such a replace waits for the new
+    file's blocks to be written out, tens of milliseconds for a preset's
+    CSV; onto a free name it takes well under one.)  A directory there is
+    left for the write to report."""
+    try:
+        path.unlink(missing_ok=True)
+    except IsADirectoryError:
+        pass
+    except OSError as exc:
+        raise OSError(f"{path.name} not written: {exc}") from None
 
 
 def _run_one(scenario, args, out_root: Path) -> int:
     """Run one scenario (plus baseline when comparing); returns an exit code.
 
-    Once a single run is over, a writer process formats the second half of
-    the rows of ``trajectory.csv`` while this one formats the header and
-    the first.  With ``--compare`` the baseline's process takes the
-    writer's place, and the proposed run writes its own file.
+    The scenario's earlier outputs are removed first.  With ``--compare``
+    the baseline runs in a child process beside the proposed run, and each
+    side writes its own files.
     """
     out_dir = out_root / scenario.name
     out_dir.mkdir(parents=True, exist_ok=True)
+    for name in _OUTPUTS:
+        _clear(out_dir / name)
     trajectory = out_dir / "trajectory.csv"
-    # the first half of trajectory.csv, to which the writer's is appended
-    head = _partial(out_dir / "trajectory.head.csv")
     baseline_outputs = (out_dir / "trajectory_benchmark.csv",
                         out_dir / "summary_benchmark.json")
-    children = []  # closed however the run ends
+    baseline = None  # closed however the run ends
 
     try:
         if args.compare:
@@ -260,20 +253,11 @@ def _run_one(scenario, args, out_root: Path) -> int:
             # loaded, or built, before the fork: the baseline inherits the
             # kernel and never builds one of its own
             _kernel.load()
-            children.append(_Child(
+            baseline = _Child(
                 "baseline", _run_and_write, baseline_outputs,
-                scenario.with_sim(controller_mode="benchmark_apf")))
-            s = _run_and_write(scenario, trajectory)
-            _output(trajectory, _partial(trajectory).replace, trajectory)
-        else:
-            result = run_scenario(scenario)
-            records, half = result.records, len(result.records) // 2
-            children.append(_Child("writer", _write_rows, (trajectory,),
-                                   records, half, len(records)))
-            _write_rows(records, 0, half, trajectory, head)
-            children[0].result()
-            _output(trajectory, _join, head, _partial(trajectory), trajectory)
-            s = result.summary
+                scenario.with_sim(controller_mode="benchmark_apf"))
+        s = _run_and_write(scenario, trajectory)
+        _output(trajectory, _partial(trajectory).replace, trajectory)
         # after the CSV, so a failed CSV leaves no new summary
         _output(out_dir / "summary.json", write_summary_json, s,
                 out_dir / "summary.json")
@@ -285,8 +269,8 @@ def _run_one(scenario, args, out_root: Path) -> int:
               f"wall {s['wall_clock_s']:.2f} s "
               f"[{'ok' if ok else 'MISS'}]")
 
-        if args.compare:
-            b = children[0].result()  # the baseline's summary
+        if baseline is not None:
+            b = baseline.result()  # the baseline's summary
             for path in baseline_outputs:
                 _output(path, _partial(path).replace, path)
             comparison = {
@@ -306,10 +290,9 @@ def _run_one(scenario, args, out_root: Path) -> int:
                   f"{_fmt(b['terminal_error_deg'])} deg vs proposed "
                   f"{_fmt(s['terminal_error_deg'])} deg")
     finally:
-        for child in children:
-            child.close()
+        if baseline is not None:
+            baseline.close()
         _partial(trajectory).unlink(missing_ok=True)
-        head.unlink(missing_ok=True)
 
     return _EXIT_OK if ok else _EXIT_PERFORMANCE
 

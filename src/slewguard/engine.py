@@ -24,10 +24,10 @@ control laws and the frame resolution stay functions of their own.  The
 run's log is one C double buffer (``array("d")``), sized for every logged
 row before the first sample, which the run's :class:`Trajectory` wraps as
 it is; each logged sample writes its CSV row, a flat tuple of floats, into
-its own slot.  One function, ``_csv_text``, formats the rows in scalar code
-wherever they are written (the CLI writes ``trajectory.csv`` in two
-halves, one in a second process), so every written value is Python float
-arithmetic in a fixed order, and the package needs no array library.
+its own slot.  ``write_trajectory_csv`` writes each value as Python's
+``'%.17g' % v`` does, with the compiled formatter of :mod:`._kernel` where
+a library loads and with ``_csv_text``, scalar code, everywhere else: the
+same bytes either way, and the package needs no array library.
 
 Each stage forms every term that more than one law needs exactly once and
 hands it to both: the body-frame target with ``x_e`` and the body-frame
@@ -741,11 +741,10 @@ def summarize(scenario: "Scenario", stats: _RunStats, report,
     }
 
 
-# rows formatted by one ``%`` operation in the CSV text: 16 to 256 rows
-# format at about the same speed, but the CLI formats half of each run's
-# rows in the run's own process, and at 32 rows or more that process's
-# peak RSS over the nine presets rose from 20.5 to 22.6-23.3 MB (glibc
-# heap growth; with a fixed mmap threshold the rise is under 1 MB)
+# rows formatted by one ``%`` operation in the CSV text where no library
+# loads (the compiled formatter fills a fixed buffer instead): 16 to 256
+# rows format at about the same speed, and at 32 rows or more a process
+# that formats the nine presets peaked 2.1-2.8 MB higher (glibc heap growth)
 _CSV_ROWS = 16
 
 
@@ -765,9 +764,20 @@ def _csv_text(data, columns: tuple[str, ...], header: bool = True):
 
 
 def write_trajectory_csv(records: Trajectory, path) -> None:
-    """Write records as CSV with full double precision (17 significant digits)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(_csv_text(records.data, records.columns))
+    """Write records as CSV with full double precision (17 significant
+    digits): each value as ``'%.17g' % v`` writes it, by the compiled
+    formatter where a library loads (``_kernel.csv_chunks``), else by
+    ``_csv_text``, with the same bytes.  The file is not synced to disk."""
+    from . import _kernel  # here, so that importing the package skips it
+
+    data, columns = records.data, records.columns
+    chunks = _kernel.csv_chunks(data, len(columns))
+    with open(path, "wb") as fh:
+        fh.write((",".join(columns) + "\n").encode())
+        if chunks is None:  # no library: the same bytes, formatted here
+            chunks = (text.encode()
+                      for text in _csv_text(data, columns, header=False))
+        fh.writelines(chunks)
 
 
 def write_summary_json(summary: dict, path) -> None:

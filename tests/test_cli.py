@@ -2,13 +2,13 @@
 
 import glob
 import hashlib
+import io
 import json
 import math
 import multiprocessing
 import os
 import re
 import shutil
-import signal
 import subprocess
 import sys
 import time
@@ -19,10 +19,11 @@ from pathlib import Path
 import pytest
 
 import slewguard
-from slewguard import cli
+from slewguard import cli, engine
 from slewguard.cli import main
 from slewguard.engine import (
     SimulationAbort,
+    _csv_text,
     run_scenario,
     write_trajectory_csv,
 )
@@ -81,9 +82,8 @@ def test_user_paths_do_not_import_numpy(tmp_path):
 
 
 def test_cli_import_footprint():
-    # a run starts one child, the trajectory writer or with --compare the
-    # baseline, so only runs pay for multiprocessing; listing presets and
-    # --help do not.
+    # only a --compare run starts a child, the baseline, so only it pays
+    # for multiprocessing; a plain run, listing presets and --help do not.
     # The value classes are plain classes, so dataclasses and the inspect
     # module it pulls in stay out of every start.  The compiled kernel is
     # loaded by the first run, so ctypes stays out too, and its build, one
@@ -435,6 +435,22 @@ class TestCompareInASecondProcess:
             "test\n")
         assert list(case.iterdir()) == []
 
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity")
+                        or len(os.sched_getaffinity(0)) < 2,
+                        reason="placement needs Linux and two CPUs")
+    def test_baseline_is_kept_off_the_run_cpu(self, tmp_path, capsys,
+                                              monkeypatch):
+        # the baseline, a run's only child, may use one CPU fewer than the
+        # run
+        allowed = os.sched_getaffinity(0)
+        started = started_children(monkeypatch)
+        path = write_scenario(tmp_path, doc_without_targets())
+        assert run_compare(path, tmp_path / "runs") == 0
+        capsys.readouterr()
+        ((name, placed),) = started
+        assert name == "baseline"
+        assert placed < allowed and len(placed) == len(allowed) - 1
+
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="the child sees the patched run only when "
                                "forked")
@@ -466,8 +482,8 @@ class TestCompareInASecondProcess:
                                "forked")
     def test_baseline_that_dies_without_a_reply(self, tmp_path, capsys,
                                                 monkeypatch):
-        # exit 6, as for a writer that dies: the baseline's files are the
-        # ones not written, and the proposed case is kept
+        # exit 6: the baseline's files are the ones not written, and the
+        # proposed case is kept
         run_scenario = cli.run_scenario
 
         def run(scenario):
@@ -550,28 +566,30 @@ def started_children(monkeypatch):
     return started
 
 
-def full_disk_in_half(monkeypatch, header):
-    """Make the CSV text of the half of ``trajectory.csv`` that begins
-    with the header line (``header``), or of the other half, fail as on a
-    full disk."""
-    format_rows = cli._csv_text
+def full_disk_after(monkeypatch, limit):
+    """Make each file that ``engine`` opens for binary writing, the
+    trajectory CSVs, fail as on a full disk once more than ``limit`` bytes
+    would be in it."""
+    class Full(io.FileIO):
+        def write(self, b):
+            if self.tell() + len(memoryview(b)) > limit:
+                raise OSError(28, "No space left on device")
+            return super().write(b)
 
-    def full_disk(data, columns, with_header):
-        if with_header == header:
-            raise OSError(28, "No space left on device")
-        return format_rows(data, columns, with_header)
+    def opener(path, mode="r", **kwargs):
+        if mode != "wb":
+            return open(path, mode, **kwargs)
+        return io.BufferedWriter(Full(path, "w"))
 
-    monkeypatch.setattr(cli, "_csv_text", full_disk)
+    monkeypatch.setattr(engine, "open", opener, raising=False)
 
 
 class TestTrajectoryWriter:
-    """Once a single run is over, a writer process formats the second half
-    of the rows of ``trajectory.csv`` while the run's own process formats
-    the header and the first; with ``--compare`` the proposed run writes
-    the file itself.  The bytes are the library writer's, the file is
-    complete when the run's line prints, and an output that cannot be
-    written exits 6 (every test is checked for a process or a temporary
-    file left behind, see ``conftest.py``)."""
+    """A run writes ``trajectory.csv`` in its own process, with the bytes
+    of :func:`write_trajectory_csv` on either formatter, and starts no
+    child; the file is complete when the run's line prints, and an output
+    that cannot be written exits 6 (every test is checked for a process or
+    a temporary file left behind, see ``conftest.py``)."""
 
     @pytest.mark.parametrize("rows,stride", [
         (2, 1), (3, 1), (255, 1), (256, 1), (257, 1), (769, 1), (287, 7)])
@@ -587,8 +605,11 @@ class TestTrajectoryWriter:
         result = run_scenario(load_scenario(path))
         assert len(result.records) == rows
         write_trajectory_csv(result.records, tmp_path / "library.csv")
-        assert ((out / "custom" / "trajectory.csv").read_bytes()
-                == (tmp_path / "library.csv").read_bytes())
+        written = (out / "custom" / "trajectory.csv").read_bytes()
+        assert written == (tmp_path / "library.csv").read_bytes()
+        # and the Python formatter's text, which runs without a library
+        assert written == "".join(
+            _csv_text(result.records.data, result.records.columns)).encode()
 
     def test_golden_preset(self, tmp_path, capsys):
         name = "paper-single-1"
@@ -608,36 +629,31 @@ class TestTrajectoryWriter:
         for path, size in stdout.sizes.items():
             assert size == path.stat().st_size, path
 
-    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity")
-                        or len(os.sched_getaffinity(0)) < 2,
-                        reason="placement needs Linux and two CPUs")
-    @pytest.mark.parametrize("compare", [False, True])
-    def test_writer_is_kept_off_the_run_cpu(self, tmp_path, capsys,
-                                            monkeypatch, compare):
-        # a run starts one child, the writer or with --compare the baseline
-        # (and then no writer), on one CPU fewer than the run may use
-        allowed = os.sched_getaffinity(0)
+    def test_a_plain_run_starts_no_child(self, tmp_path, capsys,
+                                         monkeypatch):
         started = started_children(monkeypatch)
         path = write_scenario(tmp_path, doc_without_targets())
-        argv = ["run", "--scenario", str(path), "--duration", "10",
-                "--out", str(tmp_path / "runs")]
-        assert main(argv + ["--compare"] * compare) == 0
+        assert main(["run", "--scenario", str(path), "--duration", "10",
+                     "--out", str(tmp_path / "runs")]) == 0
         capsys.readouterr()
-        ((name, placed),) = started
-        assert name == ("baseline" if compare else "writer")
-        assert placed < allowed and len(placed) == len(allowed) - 1
+        assert started == []
+        assert sorted(p.name for p in (tmp_path / "runs" / "custom").iterdir()
+                      ) == ["summary.json", "trajectory.csv"]
 
-    def test_validation_failure_starts_no_writer(self, tmp_path, capsys):
+    def test_validation_failure_starts_no_writer(self, tmp_path, capsys,
+                                                 monkeypatch):
+        started = started_children(monkeypatch)
         doc = doc_without_targets()
         doc["controller"]["k1"] = 0.05
         path = write_scenario(tmp_path, doc)
         assert main(["run", "--scenario", str(path), "--out",
                      str(tmp_path / "runs")]) == 3
         assert "gain-ordering" in capsys.readouterr().err
+        assert started == []
         assert list((tmp_path / "runs" / "custom").iterdir()) == []
 
     def test_abort_starts_no_writer(self, tmp_path, capsys, monkeypatch):
-        # the run aborts part way: the writer would start only after it
+        # the run aborts part way: nothing is written and no child started
         case = tmp_path / "runs" / "custom"
         started = started_children(monkeypatch)
 
@@ -655,40 +671,9 @@ class TestTrajectoryWriter:
                            "stopped by the test\n")
         assert list(case.iterdir()) == []
 
-    def test_writer_that_dies(self, tmp_path, capsys, monkeypatch):
-        # killed once it has started, while this process formats its half;
-        # a forked writer waits in its own half, so it cannot reply first
-        format_rows = cli._csv_text
-
-        def kill_writer(data, columns, header):
-            if not header:
-                time.sleep(60)
-            else:
-                (writer,) = multiprocessing.active_children()
-                os.kill(writer.pid, signal.SIGKILL)
-                writer.join(timeout=60)
-                assert not writer.is_alive()
-            return format_rows(data, columns, header)
-
-        monkeypatch.setattr(cli, "_csv_text", kill_writer)
-        path = write_scenario(tmp_path, doc_without_targets())
-        case = tmp_path / "runs" / "custom"
-        assert main(["run", "--scenario", str(path), "--duration", "10",
-                     "--out", str(tmp_path / "runs")]) == 6
-        got = capsys.readouterr()
-        assert got.out == ""
-        assert got.err == ("error: custom: trajectory.csv not written: the "
-                           "writer process exited with code -9\n")
-        assert list(case.iterdir()) == []
-
-    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                        reason="the child sees the patched formatter only "
-                               "when forked")
     def test_writer_error_is_reported(self, tmp_path, capsys, monkeypatch):
-        def full_disk(*args):
-            raise OSError(28, "No space left on device")
-
-        monkeypatch.setattr(cli, "_csv_text", full_disk)
+        # the first write, the header's, fails
+        full_disk_after(monkeypatch, 0)
         path = write_scenario(tmp_path, doc_without_targets())
         case = tmp_path / "runs" / "custom"
         assert main(["run", "--scenario", str(path), "--duration", "10",
@@ -699,29 +684,15 @@ class TestTrajectoryWriter:
                            "[Errno 28] No space left on device\n")
         assert list(case.iterdir()) == []
 
-    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                        reason="the child sees the patched formatter only "
-                               "when forked")
     def test_writer_error_on_the_final_block(self, tmp_path, capsys,
                                              monkeypatch):
-        # the first half of the rows is written, the writer's final half is
-        # not: no summary.json is written beside the missing trajectory.csv
-        full_disk_in_half(monkeypatch, header=False)
+        # every byte of trajectory.csv but its last is written: no
+        # summary.json is written beside the missing trajectory.csv
         path = write_scenario(tmp_path, doc_without_targets())
-        case = tmp_path / "runs" / "custom"
-        assert main(["run", "--scenario", str(path), "--duration", "10",
-                     "--out", str(tmp_path / "runs")]) == 6
-        got = capsys.readouterr()
-        assert got.out == ""
-        assert got.err == ("error: custom: trajectory.csv not written: "
-                           "[Errno 28] No space left on device\n")
-        assert list(case.iterdir()) == []
-
-    def test_error_in_the_first_half(self, tmp_path, capsys, monkeypatch):
-        # the run's own half fails while the writer formats the other: the
-        # writer is stopped and neither half is left
-        full_disk_in_half(monkeypatch, header=True)
-        path = write_scenario(tmp_path, doc_without_targets())
+        library = tmp_path / "library.csv"
+        write_trajectory_csv(run_scenario(
+            load_scenario(path).with_sim(duration=10.0)).records, library)
+        full_disk_after(monkeypatch, library.stat().st_size - 1)
         case = tmp_path / "runs" / "custom"
         assert main(["run", "--scenario", str(path), "--duration", "10",
                      "--out", str(tmp_path / "runs")]) == 6
@@ -771,6 +742,91 @@ class TestTrajectoryWriter:
         assert len(got.err.splitlines()) == 1
         written = OUTPUTS[:OUTPUTS.index(taken) + 1]
         assert sorted(p.name for p in case.iterdir()) == sorted(written)
+
+
+class TestEarlierOutputs:
+    """A scenario's directory holds only the outputs of its latest run: a
+    run that fails, or writes fewer files, leaves none of an earlier run's
+    behind to pass for its own."""
+
+    @pytest.mark.parametrize("compare", [[], ["--compare"]],
+                             ids=["alone", "compare"])
+    def test_a_log_too_large(self, tmp_path, capsys, compare):
+        out = tmp_path / "runs"
+        argv = ["run", "--preset", "paper-two-1", *compare, "--out", str(out)]
+        # five simulated seconds miss the preset's settling target
+        assert main([*argv, "--duration", "5"]) == 5
+        assert main([*argv, "--duration", "1e13"]) == 3
+        assert capsys.readouterr().err.endswith("do not fit in memory\n")
+        assert list((out / "paper-two-1").iterdir()) == []
+
+    def test_an_abort(self, tmp_path, capsys, monkeypatch):
+        path = write_scenario(tmp_path, doc_without_targets())
+        case = tmp_path / "runs" / "custom"
+        assert run_compare(path, tmp_path / "runs") == 0
+        assert sorted(p.name for p in case.iterdir()) == sorted(OUTPUTS)
+
+        def run(scenario):
+            raise SimulationAbort(1.0, "stopped by the test")
+
+        monkeypatch.setattr(cli, "run_scenario", run)
+        assert main(["run", "--scenario", str(path), "--duration", "2",
+                     "--out", str(tmp_path / "runs")]) == 4
+        assert capsys.readouterr().err == (
+            "error: custom: simulation aborted at t=1.0000 s: stopped by the "
+            "test\n")
+        assert list(case.iterdir()) == []
+
+    def test_an_output_that_cannot_be_written(self, tmp_path, capsys,
+                                              monkeypatch):
+        path = write_scenario(tmp_path, doc_without_targets())
+        argv = ["run", "--scenario", str(path), "--duration", "2",
+                "--out", str(tmp_path / "runs")]
+        assert main(argv) == 0
+        full_disk_after(monkeypatch, 0)
+        assert main(argv) == 6
+        assert capsys.readouterr().err == (
+            "error: custom: trajectory.csv not written: [Errno 28] No space "
+            "left on device\n")
+        assert list((tmp_path / "runs" / "custom").iterdir()) == []
+
+    def test_a_plain_run_after_a_comparison(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, doc_without_targets())
+        case = tmp_path / "runs" / "custom"
+        assert run_compare(path, tmp_path / "runs") == 0
+        assert main(["run", "--scenario", str(path), "--duration", "1",
+                     "--out", str(tmp_path / "runs")]) == 0
+        capsys.readouterr()
+        assert sorted(p.name for p in case.iterdir()) == [
+            "summary.json", "trajectory.csv"]
+        summary = json.loads((case / "summary.json").read_text())
+        assert summary["duration_s"] == 1.0
+
+    def test_scenarios_after_a_failing_one_are_not_touched(
+            self, tmp_path, capsys, monkeypatch):
+        # --all-presets stops at the first failure: the failing preset's
+        # directory is cleared, and those of the presets after it, which
+        # are not run, are not touched
+        out = tmp_path / "runs"
+        argv = ["run", "--all-presets", "--duration", "1", "--out", str(out)]
+        # one simulated second misses every preset's settling target
+        assert main(argv) == 5
+        names = [name for name, _ in list_presets()]
+        before = {name: (out / name / "summary.json").read_bytes()
+                  for name in names}
+        run_scenario = cli.run_scenario
+
+        def run(scenario):
+            if scenario.name == names[1]:
+                raise SimulationAbort(0.5, "stopped by the test")
+            return run_scenario(scenario)
+
+        monkeypatch.setattr(cli, "run_scenario", run)
+        assert main(argv) == 4
+        capsys.readouterr()
+        assert list((out / names[1]).iterdir()) == []
+        for name in names[2:]:
+            assert (out / name / "summary.json").read_bytes() == before[name]
 
 
 def test_all_presets_compare_prints_each_line_once(tmp_path):
@@ -879,8 +935,8 @@ def test_compare_run_on_other_interpreters(version, tmp_path,
 
 def test_compare_run_with_spawned_baseline(tmp_path, reference_compare_run):
     # where the default start method is not fork (macOS; Linux from Python
-    # 3.14 on), the child is a fresh interpreter that gets the scenario, or
-    # the writer its rows, by pickle: the bytes stay the same
+    # 3.14 on), the child is a fresh interpreter that gets the scenario by
+    # pickle: the bytes stay the same
     spawn_main = ("import multiprocessing, sys; "
                   "from slewguard.cli import main; "
                   "multiprocessing.set_start_method('spawn'); "

@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import shlex
 import shutil
 import struct
@@ -154,25 +155,54 @@ def test_the_source_compiles_without_warnings(tmp_path):
                    "-Werror"))
 
 
-# runs on the library given, in a process with the sanitizers' runtime
+# runs, and formats a log of extreme values, on the library given, in a
+# process with the sanitizers' runtime
 SANITIZED_PROBE = """\
 import sys
+from array import array
 from pathlib import Path
 sys.path.insert(0, sys.argv[1])
 from slewguard import _kernel, engine, load_preset
 _kernel.library_path = lambda: Path(sys.argv[2])
-assert _kernel.load() is not None
+lib = _kernel.load()
+assert lib is not None
 for name in ("paper-two-1", "paper-three-1"):
     for stride in (1, 7, 2 ** 63 - 1):
         engine.run_scenario(load_preset(name).with_sim(
             duration=20.0, record_stride=stride))
+# 24 characters, the longest value, and others of every kind
+longest = -1.2345678901234567e-308
+assert len("%.17g" % longest) == _kernel.CSV_VALUE_BYTES - 1
+log = array("d", [longest] * 24 + [
+    5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, -1e-5, 1e17,
+    -0.0, float("nan"), float("-inf"), 0.1, 123456789.0, -1e-300, 2.0 ** 70])
+want = "".join(engine._csv_text(log, ("v",) * 6, header=False)).encode()
+cap = len(log) * _kernel.CSV_VALUE_BYTES  # above pymalloc's 512 bytes, so
+out = array("B", [0xA5]) * cap            # the sanitizer guards its end
+for width, n in ((6, len(log)), (6, 24), (1, 1)):
+    size = lib.slewguard_csv(log.buffer_info()[0], n, width,
+                             out.buffer_info()[0], cap)
+    assert out[:size].tobytes() == "".join(engine._csv_text(
+        log[:n], ("v",) * width, header=False)).encode()
+# a buffer with room after it, which must stay as it was
+out = array("B", [0xA5]) * (cap + 64)
+size = lib.slewguard_csv(log.buffer_info()[0], len(log), 6,
+                         out.buffer_info()[0], cap)
+assert out[:size].tobytes() == want and size <= cap
+assert out[cap:] == array("B", [0xA5]) * 64
+# chunks of whole rows that end exactly at the buffer's capacity
+_kernel.CSV_BUFFER_BYTES = 2 * 6 * _kernel.CSV_VALUE_BYTES
+chunks = [bytes(c) for c in _kernel.csv_chunks(log[:24], 6)]
+assert [len(c) for c in chunks] == [_kernel.CSV_BUFFER_BYTES] * 2
+assert b"".join(chunks) == want[:24 * _kernel.CSV_VALUE_BYTES]
 """
 
 
 def test_the_kernel_runs_clean_under_the_sanitizers(tmp_path):
     # AddressSanitizer fails a row written outside the log, and
     # UndefinedBehaviorSanitizer an overflowing row index, at the strides
-    # that log every sample, some, and only the first and the final one
+    # that log every sample, some, and only the first and the final one;
+    # and either fails a CSV value written past the formatter's buffer
     cc = _kernel.compiler()
     if not cc or shutil.which(cc[0]) is None:
         pytest.skip(f"no C compiler ({shlex.join(cc) or 'none configured'}) "
@@ -204,6 +234,121 @@ def test_a_library_of_another_layout_is_never_loaded(monkeypatch, module,
     path = _kernel.library_path()
     monkeypatch.setattr(module, name, value)
     assert _kernel.library_path() != path
+
+
+# ---------------------------------------------------------------------------
+# the CSV text: Python's '%.17g' byte for byte, on both formatters
+# ---------------------------------------------------------------------------
+
+def double(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def formatter_inputs():
+    """About 200,000 random bit patterns and the edge families: zeros,
+    infinities, NaNs of both signs, subnormals, every power of two, every
+    power of ten with its neighbours, the neighbours of 1e16 and 1e17, and
+    exact ties at the 18th significant digit, all of both signs."""
+    rnd = random.Random(33)
+    values = [double(rnd.getrandbits(64)) for _ in range(200_000)]
+    edges = [0.0, math.inf, math.nan, double(0x7FF0000000000001),
+             double(0x7FFFFFFFFFFFFFFF), 1.0]
+    edges += [double(b) for b in (1, 2, 3, 0xFFFFFFFFFFFFF, 0x10000000000000)]
+    edges += [double(rnd.getrandbits(52)) for _ in range(1000)]
+    edges += [math.ldexp(1.0, e) for e in range(-1074, 1024)]
+    for p in [float(f"1e{k}") for k in range(-323, 309)]:
+        edges += [p, math.nextafter(p, 0.0), math.nextafter(p, math.inf)]
+    for p in (1e16, 1e17):
+        down = up = p
+        for _ in range(64):
+            down, up = math.nextafter(down, 0.0), math.nextafter(up, math.inf)
+            edges += [down, up]
+    # K / 2**s is exact, and its decimal is K * 5**s * 10**-s: with K odd
+    # and K * 5**s of 18 digits, the 18th digit is a 5 with nothing after
+    for s in range(3, 26):
+        lo = -(-10 ** 17 // 5 ** s) | 1
+        hi = min((10 ** 18 - 1) // 5 ** s, 2 ** 53 - 1)
+        for _ in range(1000):
+            k = rnd.randrange(lo, hi + 1) | 1
+            if k <= hi and len(str(k * 5 ** s)) == 18:
+                edges.append(k / 2 ** s)
+    return values + edges + [-v for v in edges]
+
+
+WIDTH = 7
+
+
+@pytest.fixture(scope="module")
+def formatter_cases():
+    """The inputs as an ``array("d")`` of whole rows of ``WIDTH``, and each
+    value's expected text."""
+    values = formatter_inputs()
+    values += [0.0] * (-len(values) % WIDTH)
+    return array("d", values), ["%.17g" % v for v in values]
+
+
+def first_difference(text, want):
+    got = text.replace("\n", ",").split(",")
+    return next(((i, g, w) for i, (g, w) in enumerate(zip(got, want))
+                 if g != w), None)
+
+
+@pytest.mark.parametrize("path", ["kernel", "snprintf", "reference"])
+def test_the_csv_text_is_percent_17g(path, formatter_cases, tmp_path):
+    # the compiled formatter, built as here or as where the compiler has no
+    # 128-bit integer (every value through snprintf), and _csv_text where
+    # no library loads, write each value as '%.17g' % v does: exact ties
+    # round to even, and a NaN of either sign is "nan"
+    log, want = formatter_cases
+    if path == "reference":
+        text = "".join(engine._csv_text(log, ("v",) * WIDTH, header=False))
+    else:
+        kernel_or_skip()
+        csv = _kernel.load().slewguard_csv
+        if path == "snprintf":
+            library = tmp_path / "kernel.so"
+            _kernel.build(library, (*_kernel.FLAGS, "-U__SIZEOF_INT128__"))
+            csv = ctypes.CDLL(str(library)).slewguard_csv
+            csv.argtypes = _kernel.load().slewguard_csv.argtypes
+            csv.restype = ctypes.c_long
+        text = b"".join(bytes(chunk) for chunk in
+                        _kernel._chunks(csv, log, WIDTH)).decode()
+    rows = [",".join(want[i:i + WIDTH]) + "\n"
+            for i in range(0, len(want), WIDTH)]
+    assert first_difference(text, want) is None
+    assert text == "".join(rows)
+
+
+@pytest.mark.parametrize("rows", [5, 6, 7])
+def test_chunks_that_end_at_the_buffer_capacity(monkeypatch, rows):
+    # three rows of the longest value fill the buffer exactly
+    kernel_or_skip()
+    width = 4
+    monkeypatch.setattr(_kernel, "CSV_BUFFER_BYTES",
+                        3 * width * _kernel.CSV_VALUE_BYTES)
+    log = array("d", [-1.2345678901234567e-308]) * (rows * width)
+    chunks = [bytes(c) for c in _kernel.csv_chunks(log, width)]
+    sizes = [_kernel.CSV_BUFFER_BYTES] * (rows // 3)
+    assert [len(c) for c in chunks] == sizes + [
+        (rows % 3) * width * _kernel.CSV_VALUE_BYTES] * (rows % 3 > 0)
+    assert b"".join(chunks) == "".join(
+        engine._csv_text(log, ("v",) * width, header=False)).encode()
+
+
+def test_the_formatter_refuses_what_could_overflow_its_buffer():
+    # a buffer one byte short of the longest text of the values, or
+    # values that are no whole number of rows: nothing is written
+    kernel_or_skip()
+    csv = _kernel.load().slewguard_csv
+    log = array("d", [1.0] * 6)
+    cap = len(log) * _kernel.CSV_VALUE_BYTES
+    out = array("B", [0xA5]) * cap
+    for n, width, room in ((6, 3, cap - 1), (5, 3, cap), (6, 0, cap),
+                           (-3, 3, cap)):
+        assert csv(log.buffer_info()[0], n, width, out.buffer_info()[0],
+                   room) == -1
+    assert out == array("B", [0xA5]) * cap
+    assert csv(log.buffer_info()[0], 6, 3, out.buffer_info()[0], cap) == 12
 
 
 # ---------------------------------------------------------------------------
