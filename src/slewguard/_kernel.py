@@ -129,8 +129,9 @@ def library_path() -> Path:
 def load():
     """The kernel's library, with the argument types of its entry points,
     ``slewguard_run`` and ``slewguard_csv``, set; or None where no library
-    can be built or loaded.  Called once per process; a forked child
-    inherits the result."""
+    can be built or loaded.  Called once per process, and cached without a
+    lock: a caller that starts threads which run scenarios calls it first,
+    else each of them could build the library."""
     try:
         import ctypes
 

@@ -8,13 +8,13 @@ Exit codes:
     5  run completed but violated the constraint or missed its targets
     6  an output file could not be written (the file and why are printed)
 
-A run writes its outputs in its own process.  With ``--compare`` the
-baseline runs beside it in one child process, a :class:`_Child` kept off
-the run's CPU, which writes the baseline's files.  A run's line is printed
-once its ``trajectory.csv`` is complete.  Before a scenario runs, the files
-it writes are removed from its directory, so the directory holds only the
-outputs of its latest run, and each output is moved into place under a
-free name.  No file is synced to disk.
+A run writes its outputs itself, and starts no process.  With
+``--compare`` the baseline runs beside it on a thread, a :class:`_Beside`
+kept off the run's CPU, which writes the baseline's files.  A run's line is
+printed once its ``trajectory.csv`` is complete.  Before a scenario runs,
+the files it writes are removed from its directory, so the directory holds
+only the outputs of its latest run, and each output is moved into place
+under a free name.  No file is synced to disk.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import threading
 from pathlib import Path
 
 from . import __version__
@@ -39,7 +40,7 @@ _EXIT_PARSE = 2
 _EXIT_VALIDATION = 3
 _EXIT_NUMERIC = 4
 _EXIT_PERFORMANCE = 5
-_EXIT_OUTPUT = 6  # any output file, written here or by a child process
+_EXIT_OUTPUT = 6  # any output file, the run's or the baseline's
 
 # every file a run writes, in the order it is put in place; the last three
 # only with --compare
@@ -112,101 +113,63 @@ def _output(path: Path, write, *args) -> None:
         raise OSError(f"{path.name} not written: {exc}") from None
 
 
-def _keep_apart(pid: int) -> None:
-    """Keep process ``pid`` off the CPU this process runs on now, where the
-    platform tells which one that is (Linux) and allows another.
+def _other_cpus():
+    """The CPUs this process may use other than the one this thread runs on
+    now, where the platform tells which one that is (Linux); else None.
 
-    A forked child starts on its parent's CPU.  Where the kernel does not
-    balance load across CPUs (a cpuset with ``sched_load_balance`` 0), the
-    child can stay there: the baseline, a run's only child, then shares the
-    run's core and overlaps nothing.
+    A new thread starts on its creator's CPU.  Where the kernel does not
+    balance load across CPUs (a cpuset with ``sched_load_balance`` 0), it
+    can stay there: the baseline then shares the run's core and overlaps
+    nothing.
     """
     try:
         with open("/proc/thread-self/stat", encoding="ascii") as fh:
             here = int(fh.read().rsplit(")", 1)[1].split()[36])
-        others = os.sched_getaffinity(0) - {here}
-        if others:
-            os.sched_setaffinity(pid, others)
+        return os.sched_getaffinity(0) - {here} or None
     except (AttributeError, OSError, IndexError, ValueError):
-        pass  # no such interface here: the kernel places the child
+        return None  # no such interface here: the kernel places the thread
 
 
-def _serve(conn, parent_end, target, args) -> None:
-    """Child process: reply with what ``target(*args)`` returns, or with
-    the exception it raises.
+class _Beside(threading.Thread):
+    """``target(*args)`` run on a thread of its own, started when this is
+    made and kept off the CPU of the thread that made it.
 
-    ``parent_end`` is the parent's end of the pipe, which a forked child
-    holds a copy of; it is closed so that the parent's exit ends a wait for
-    its messages.
-    """
-    import signal  # only the child needs it; its import costs set-up
-
-    parent_end.close()
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent stops it
-    with conn:
-        try:
-            reply = target(*args)
-        except Exception as exc:
-            reply = exc
-        try:
-            conn.send(reply)
-        except OSError:
-            pass  # the parent is gone
-
-
-class _Child:
-    """``target(*args, *outputs)`` run in a process of its own, named
-    ``name`` and kept off this process's CPU, which writes the files
-    ``outputs`` under their temporary names.  The child gets ``args`` by
-    fork, or by pickle where processes are spawned.
-
-    :meth:`result` waits for the child's reply; :meth:`close` stops the
-    child and removes what it left, however the run ended.
+    :meth:`result` waits for it and returns what the target returned, or
+    raises what it raised.
     """
 
-    def __init__(self, name, target, outputs, *args):
-        import multiprocessing
+    def __init__(self, name, target, *args):
+        super().__init__(name=name)
+        self._call = target, args
+        self._cpus = _other_cpus()
+        self._reply = None
+        self.start()
 
-        self._outputs = outputs
-        self._conn, child_conn = multiprocessing.Pipe()
-        self._proc = multiprocessing.Process(
-            target=_serve, name=name,
-            args=(child_conn, self._conn, target, (*args, *outputs)))
-        self._proc.start()
-        child_conn.close()
-        _keep_apart(self._proc.pid)
+    def run(self) -> None:
+        if self._cpus is not None:
+            try:
+                os.sched_setaffinity(0, self._cpus)  # this thread only
+            except OSError:
+                pass  # the kernel places the thread
+        target, args = self._call
+        try:
+            self._reply = target(*args)
+        except BaseException as exc:  # raised again by result()
+            self._reply = exc
 
     def result(self):
-        """What the target returned; what it raised is raised here, and an
-        :class:`OSError` naming the first output if it sent no reply."""
-        try:
-            reply = self._conn.recv()
-        except (OSError, EOFError):
-            self._proc.join()
-            raise OSError(f"{self._outputs[0].name} not written: the "
-                          f"{self._proc.name} process exited with code "
-                          f"{self._proc.exitcode}") from None
-        if isinstance(reply, Exception):
-            raise reply
-        return reply
-
-    def close(self) -> None:
-        # stopped before the pipe closes, so the child never writes into a
-        # closed pipe; a child that has exited is left alone
-        self._proc.terminate()
-        self._proc.join()
-        self._proc.close()
-        self._conn.close()
-        for path in self._outputs:
-            _partial(path).unlink(missing_ok=True)
+        self.join()
+        if isinstance(self._reply, BaseException):
+            raise self._reply
+        return self._reply
 
 
 def _run_and_write(scenario, trajectory: Path,
                    summary: Path | None = None) -> dict:
     """Run ``scenario`` and write its trajectory, and its summary if given,
     under their temporary names; return its summary.  Every run writes
-    here, and the two sides of a comparison, in two processes, share no
-    state, so the files are the bytes a sequential run writes."""
+    here, and the two sides of a comparison, on two threads, share no
+    mutable state, so the files are the bytes a sequential run writes."""
     result = run_scenario(scenario)
     _output(trajectory, write_trajectory_csv, result.records,
             _partial(trajectory))
@@ -234,8 +197,12 @@ def _run_one(scenario, args, out_root: Path) -> int:
     """Run one scenario (plus baseline when comparing); returns an exit code.
 
     The scenario's earlier outputs are removed first.  With ``--compare``
-    the baseline runs in a child process beside the proposed run, and each
-    side writes its own files.
+    the baseline runs on a thread beside the proposed run, and each side
+    writes its own files.  The two overlap where the simulation and the
+    CSV formatting run in the compiled kernel, whose calls release the
+    interpreter lock; without a library they take turns.  However the run
+    ends, the baseline is waited for before its temporary files are
+    removed.
     """
     out_dir = out_root / scenario.name
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -244,18 +211,19 @@ def _run_one(scenario, args, out_root: Path) -> int:
     trajectory = out_dir / "trajectory.csv"
     baseline_outputs = (out_dir / "trajectory_benchmark.csv",
                         out_dir / "summary_benchmark.json")
-    baseline = None  # closed however the run ends
+    baseline = None  # joined however the run ends
 
     try:
         if args.compare:
             from . import _kernel
 
-            # loaded, or built, before the fork: the baseline inherits the
-            # kernel and never builds one of its own
+            # loaded, or built, before the thread starts: load() is cached
+            # without a lock, so two threads could both build the library
             _kernel.load()
-            baseline = _Child(
-                "baseline", _run_and_write, baseline_outputs,
-                scenario.with_sim(controller_mode="benchmark_apf"))
+            baseline = _Beside(
+                "baseline", _run_and_write,
+                scenario.with_sim(controller_mode="benchmark_apf"),
+                *baseline_outputs)
         s = _run_and_write(scenario, trajectory)
         _output(trajectory, _partial(trajectory).replace, trajectory)
         # after the CSV, so a failed CSV leaves no new summary
@@ -291,7 +259,9 @@ def _run_one(scenario, args, out_root: Path) -> int:
                   f"{_fmt(s['terminal_error_deg'])} deg")
     finally:
         if baseline is not None:
-            baseline.close()
+            baseline.join()
+            for path in baseline_outputs:
+                _partial(path).unlink(missing_ok=True)
         _partial(trajectory).unlink(missing_ok=True)
 
     return _EXIT_OK if ok else _EXIT_PERFORMANCE

@@ -5,12 +5,12 @@ import hashlib
 import io
 import json
 import math
-import multiprocessing
 import os
 import re
 import shutil
 import subprocess
 import sys
+import threading
 import time
 from contextlib import redirect_stdout
 from io import TextIOBase
@@ -29,7 +29,13 @@ from slewguard.engine import (
 )
 from slewguard.scenario import list_presets, load_preset, load_scenario
 from loop_fixtures import SUM_ORDER_PAIRS
-from test_acceptance import TRAJECTORY_SHA256
+from test_acceptance import (
+    BASELINE_SHA256,
+    BASELINE_SUMMARY_SHA256,
+    SUMMARY_SHA256,
+    TRAJECTORY_SHA256,
+    summary_sha256,
+)
 from test_scenario import valid_doc
 
 SRC = Path(slewguard.__file__).resolve().parents[1]
@@ -51,7 +57,8 @@ class TestListPresets:
 
 
 # every user path in one interpreter: the package, both commands, a
-# comparison run, and a scenario file through the library
+# comparison run, and a scenario file through the library; the modules it
+# loaded of numpy and of multiprocessing are printed
 NO_NUMPY_PROBE = """
 import sys
 import slewguard
@@ -64,13 +71,15 @@ assert cli.main(["list-presets"]) == 0
 assert cli.main(["run", "--preset", "paper-three-1", "--compare",
                  "--duration", "2", "--out", out]) in (0, 5)
 run_scenario(load_scenario(example).with_sim(duration=2.0))
-print(sorted(name for name in sys.modules if name.split(".")[0] == "numpy"))
+print(sorted(name for name in sys.modules
+             if name.split(".")[0] in ("numpy", "multiprocessing")))
 """
 
 
 def test_user_paths_do_not_import_numpy(tmp_path):
     # the package computes in Python floats; importing an array library
-    # would cost every cold start its import time
+    # would cost every cold start its import time.  And the comparison's
+    # baseline runs on a thread, so no path needs multiprocessing
     root = SRC.parent
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
@@ -82,12 +91,12 @@ def test_user_paths_do_not_import_numpy(tmp_path):
 
 
 def test_cli_import_footprint():
-    # only a --compare run starts a child, the baseline, so only it pays
-    # for multiprocessing; a plain run, listing presets and --help do not.
-    # The value classes are plain classes, so dataclasses and the inspect
-    # module it pulls in stay out of every start.  The compiled kernel is
-    # loaded by the first run, so ctypes stays out too, and its build, one
-    # call of the C compiler, needs no setuptools.
+    # no path starts a process, so none pays for multiprocessing (a
+    # --compare run is checked above).  The value classes are plain
+    # classes, so dataclasses and the inspect module it pulls in stay out
+    # of every start.  The compiled kernel is loaded by the first run, so
+    # ctypes stays out too, and its build, one call of the C compiler,
+    # needs no setuptools.
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, slewguard.cli; print(sorted({'ctypes', 'dataclasses', "
@@ -386,9 +395,9 @@ def run_compare(path, out):
 
 
 class TestCompareInASecondProcess:
-    """``--compare`` runs the baseline in a child process beside the
-    proposed run; every failure keeps the sequential run's exit code and
-    message, and leaves neither a process nor a baseline file behind."""
+    """``--compare`` runs the baseline on a thread beside the proposed
+    run; every failure keeps the sequential run's exit code and message,
+    and leaves neither a thread nor a baseline file behind."""
 
     @pytest.mark.parametrize("doc,code,message", [
         (doc_without_targets(omega=[1e100, 0.0, 0.0]), 4,
@@ -414,7 +423,8 @@ class TestCompareInASecondProcess:
     def test_proposed_abort_after_the_baseline_wrote(self, tmp_path, capsys,
                                                      monkeypatch):
         # the proposed run fails once the baseline's files exist under
-        # their temporary names: the child is stopped and they are removed
+        # their temporary names: the baseline is waited for and they are
+        # removed
         case = tmp_path / "runs" / "custom"
         run_scenario = cli.run_scenario
 
@@ -435,15 +445,40 @@ class TestCompareInASecondProcess:
             "test\n")
         assert list(case.iterdir()) == []
 
+    @pytest.mark.parametrize("loop", ["kernel", "reference"])
+    def test_both_sides_write_their_pinned_bytes(self, tmp_path, capsys,
+                                                 request, loop):
+        # the two sides share a process but no mutable state: each writes
+        # the bytes of its pins, whether their kernel calls overlap or
+        # their reference loops take turns, here every few bytecodes
+        if loop == "reference":
+            request.getfixturevalue("reference_path")
+        name = "paper-compare-1"
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            assert main(["run", "--preset", name, "--compare",
+                         "--out", str(tmp_path)]) == 0
+        finally:
+            sys.setswitchinterval(interval)
+        capsys.readouterr()
+        case = tmp_path / name
+        assert [hashlib.sha256((case / csv).read_bytes()).hexdigest()
+                for csv in ("trajectory.csv", "trajectory_benchmark.csv")
+                ] == [TRAJECTORY_SHA256[name], BASELINE_SHA256[name]]
+        assert [summary_sha256(json.loads((case / f).read_text()))
+                for f in ("summary.json", "summary_benchmark.json")
+                ] == [SUMMARY_SHA256[name], BASELINE_SUMMARY_SHA256[name]]
+
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity")
                         or len(os.sched_getaffinity(0)) < 2,
                         reason="placement needs Linux and two CPUs")
     def test_baseline_is_kept_off_the_run_cpu(self, tmp_path, capsys,
                                               monkeypatch):
-        # the baseline, a run's only child, may use one CPU fewer than the
+        # the baseline, a run's only thread, may use one CPU fewer than the
         # run
         allowed = os.sched_getaffinity(0)
-        started = started_children(monkeypatch)
+        started = started_threads(monkeypatch)
         path = write_scenario(tmp_path, doc_without_targets())
         assert run_compare(path, tmp_path / "runs") == 0
         capsys.readouterr()
@@ -451,9 +486,6 @@ class TestCompareInASecondProcess:
         assert name == "baseline"
         assert placed < allowed and len(placed) == len(allowed) - 1
 
-    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                        reason="the child sees the patched run only when "
-                               "forked")
     def test_failing_baseline(self, tmp_path, capsys, monkeypatch):
         # as in a sequential run, the proposed case is written and printed
         # before the baseline's abort is reported
@@ -477,35 +509,6 @@ class TestCompareInASecondProcess:
         assert sorted(p.name for p in case.iterdir()) == [
             "summary.json", "trajectory.csv"]
 
-    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                        reason="the child sees the patched run only when "
-                               "forked")
-    def test_baseline_that_dies_without_a_reply(self, tmp_path, capsys,
-                                                monkeypatch):
-        # exit 6: the baseline's files are the ones not written, and the
-        # proposed case is kept
-        run_scenario = cli.run_scenario
-
-        def run(scenario):
-            if scenario.sim.controller_mode == "benchmark_apf":
-                os._exit(7)
-            return run_scenario(scenario)
-
-        monkeypatch.setattr(cli, "run_scenario", run)
-        path = write_scenario(tmp_path, doc_without_targets())
-        assert run_compare(path, tmp_path / "runs") == 6
-        got = capsys.readouterr()
-        assert got.out.startswith("custom: clearance ")
-        assert got.err == ("error: custom: trajectory_benchmark.csv not "
-                           "written: the baseline process exited with code "
-                           "7\n")
-        case = tmp_path / "runs" / "custom"
-        assert sorted(p.name for p in case.iterdir()) == [
-            "summary.json", "trajectory.csv"]
-
-    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                        reason="the child sees the patched writer only when "
-                               "forked")
     def test_baseline_write_error_names_its_file(self, tmp_path, capsys,
                                                  monkeypatch):
         # the baseline writes two files; the one that failed is named
@@ -551,18 +554,18 @@ class _SizesAtPrint(TextIOBase):
         return len(s)
 
 
-def started_children(monkeypatch):
-    """The names of the :class:`cli._Child` processes started from now on,
-    with the CPUs each may use."""
+def started_threads(monkeypatch):
+    """The names of the :class:`cli._Beside` threads started from now on,
+    with the CPUs each was left to use, read on the thread as it ends."""
     started = []
 
-    class Child(cli._Child):
-        def __init__(self, name, *args):
-            super().__init__(name, *args)
-            started.append((name, os.sched_getaffinity(self._proc.pid)
+    class Beside(cli._Beside):
+        def run(self):
+            super().run()
+            started.append((self.name, os.sched_getaffinity(0)
                             if hasattr(os, "sched_getaffinity") else None))
 
-    monkeypatch.setattr(cli, "_Child", Child)
+    monkeypatch.setattr(cli, "_Beside", Beside)
     return started
 
 
@@ -585,11 +588,11 @@ def full_disk_after(monkeypatch, limit):
 
 
 class TestTrajectoryWriter:
-    """A run writes ``trajectory.csv`` in its own process, with the bytes
-    of :func:`write_trajectory_csv` on either formatter, and starts no
-    child; the file is complete when the run's line prints, and an output
-    that cannot be written exits 6 (every test is checked for a process or
-    a temporary file left behind, see ``conftest.py``)."""
+    """A run writes ``trajectory.csv`` itself, with the bytes of
+    :func:`write_trajectory_csv` on either formatter, and starts no thread;
+    the file is complete when the run's line prints, and an output that
+    cannot be written exits 6 (every test is checked for a thread or a
+    temporary file left behind, see ``conftest.py``)."""
 
     @pytest.mark.parametrize("rows,stride", [
         (2, 1), (3, 1), (255, 1), (256, 1), (257, 1), (769, 1), (287, 7)])
@@ -631,7 +634,7 @@ class TestTrajectoryWriter:
 
     def test_a_plain_run_starts_no_child(self, tmp_path, capsys,
                                          monkeypatch):
-        started = started_children(monkeypatch)
+        started = started_threads(monkeypatch)
         path = write_scenario(tmp_path, doc_without_targets())
         assert main(["run", "--scenario", str(path), "--duration", "10",
                      "--out", str(tmp_path / "runs")]) == 0
@@ -642,7 +645,7 @@ class TestTrajectoryWriter:
 
     def test_validation_failure_starts_no_writer(self, tmp_path, capsys,
                                                  monkeypatch):
-        started = started_children(monkeypatch)
+        started = started_threads(monkeypatch)
         doc = doc_without_targets()
         doc["controller"]["k1"] = 0.05
         path = write_scenario(tmp_path, doc)
@@ -653,9 +656,9 @@ class TestTrajectoryWriter:
         assert list((tmp_path / "runs" / "custom").iterdir()) == []
 
     def test_abort_starts_no_writer(self, tmp_path, capsys, monkeypatch):
-        # the run aborts part way: nothing is written and no child started
+        # the run aborts part way: nothing is written and no thread started
         case = tmp_path / "runs" / "custom"
-        started = started_children(monkeypatch)
+        started = started_threads(monkeypatch)
 
         def run(scenario):
             raise SimulationAbort(2.56, "stopped by the test")
@@ -705,7 +708,7 @@ class TestTrajectoryWriter:
     def test_proposed_csv_error_under_compare(self, tmp_path, capsys,
                                               monkeypatch):
         # with --compare the proposed run writes its own trajectory.csv; a
-        # write that fails part way leaves neither the file nor a child
+        # write that fails part way leaves neither the file nor a thread
         write_csv = cli.write_trajectory_csv
 
         def full_disk(records, path):
@@ -723,7 +726,7 @@ class TestTrajectoryWriter:
         assert got.err == ("error: custom: trajectory.csv not written: "
                            "[Errno 28] No space left on device\n")
         assert list(case.iterdir()) == []
-        assert multiprocessing.active_children() == []
+        assert threading.enumerate() == [threading.main_thread()]
 
     @pytest.mark.parametrize("taken", OUTPUTS)
     def test_file_that_cannot_be_moved_into_place(self, tmp_path, capsys,
@@ -830,8 +833,8 @@ class TestEarlierOutputs:
 
 
 def test_all_presets_compare_prints_each_line_once(tmp_path):
-    # stdout on a pipe is block-buffered: lines printed before a fork must
-    # not be flushed again by the child
+    # stdout on a pipe: each preset's line, then its baseline's, once and
+    # in order
     proc = subprocess.run(
         [sys.executable, "-m", "slewguard.cli", "run", "--all-presets",
          "--compare", "--duration", "1", "--out", str(tmp_path)],
@@ -845,8 +848,9 @@ def test_all_presets_compare_prints_each_line_once(tmp_path):
                      for head in (name, f"{name} baseline")]
 
 
-# the compare path under -W error: 3.12 and later warn when a process with
-# threads forks
+# the compare path under -W error: a warning from any supported interpreter
+# fails, such as the one 3.12 and later give when a process that runs a
+# thread, as --compare does, forks
 COMPARE_ARGS = ("run", "--preset", "paper-three-1", "--compare",
                 "--duration", "2")
 THIS_VERSION = "%d.%d" % sys.version_info[:2]
@@ -869,11 +873,13 @@ def oblique_doc():
     return doc
 
 
-def cli_run(python, entry, args, case):
-    """Exit code, stderr and the CSV digests of ``python -W error *entry
-    *args --out <case's parent>``, which writes the directory ``case``."""
+def cli_run(python, args, case):
+    """Exit code, stderr and the CSV digests of ``python -W error -m
+    slewguard.cli *args --out <case's parent>``, which writes the directory
+    ``case``."""
     proc = subprocess.run(
-        [python, "-W", "error", *entry, *args, "--out", str(case.parent)],
+        [python, "-W", "error", "-m", "slewguard.cli", *args,
+         "--out", str(case.parent)],
         env=dict(os.environ, PYTHONPATH=str(SRC)),
         capture_output=True, text=True, timeout=300)
     return (proc.returncode, proc.stderr, {
@@ -882,14 +888,14 @@ def cli_run(python, entry, args, case):
         if (case / csv).exists()})
 
 
-def compare_run(python, out, entry=("-m", "slewguard.cli")):
+def compare_run(python, out):
     """Exit code, stderr and the CSV digests of the compare run and of a run
     of :func:`oblique_doc` read from a file, by case name."""
     scenario = write_scenario(out, oblique_doc())
     runs = {"paper-three-1": COMPARE_ARGS,
             "oblique": ("run", "--scenario", str(scenario),
                         "--duration", "2")}
-    return {name: cli_run(python, entry, args, out / name)
+    return {name: cli_run(python, args, out / name)
             for name, args in runs.items()}
 
 
@@ -931,21 +937,3 @@ def test_compare_run_on_other_interpreters(version, tmp_path,
     if python is None:
         pytest.skip(f"no Python {version} found; nothing was compared")
     assert compare_run(python, tmp_path) == reference_compare_run
-
-
-def test_compare_run_with_spawned_baseline(tmp_path, reference_compare_run):
-    # where the default start method is not fork (macOS; Linux from Python
-    # 3.14 on), the child is a fresh interpreter that gets the scenario by
-    # pickle: the bytes stay the same
-    spawn_main = ("import multiprocessing, sys; "
-                  "from slewguard.cli import main; "
-                  "multiprocessing.set_start_method('spawn'); "
-                  "sys.exit(main(sys.argv[1:]))")
-    entry = ("-c", spawn_main)
-    assert compare_run(sys.executable, tmp_path, entry) == reference_compare_run
-    # a plain run of the compared preset writes the proposed side's file
-    plain = cli_run(sys.executable, entry, [
-        a for a in COMPARE_ARGS if a != "--compare"],
-        tmp_path / "plain" / "paper-three-1")
-    code, err, digests = reference_compare_run["paper-three-1"]
-    assert plain == (code, err, {"trajectory.csv": digests["trajectory.csv"]})

@@ -37,11 +37,10 @@ def test_every_traced_binding_resolves():
 def test_every_traced_metric_is_called(tmp_path):
     # a layer the program stops calling through its traced binding would
     # read as a 0-call "improvement"; one short run of each kind reaches
-    # every metric: a --compare run through the CLI, a baseline run in this
-    # process (the CLI runs its baseline in a child) and a corridor draw
-    # that starts inside the switch band.  The compiled kernel has no
-    # traced layer yet, so the runs take the reference loop, whose
-    # functions the tracer wraps
+    # every metric: a --compare run through the CLI, whose baseline thread
+    # runs the baseline law, and a corridor draw that starts inside the
+    # switch band.  The compiled kernel has no traced layer yet, so the runs
+    # take the reference loop, whose functions the tracer wraps
     spans = load_spans()
     tracer = spans.Tracer()
     draw = next(doc for doc in load_cases().corridor_scenario_docs(47)
@@ -49,8 +48,6 @@ def test_every_traced_metric_is_called(tmp_path):
     with spans.Installed(tracer):
         assert cli.main(["run", "--preset", "paper-compare-1", "--compare",
                          "--duration", "1", "--out", str(tmp_path)]) == 5
-        engine.run_scenario(scenario.load_preset("paper-single-1").with_sim(
-            duration=1.0, controller_mode="benchmark_apf"))
         engine.run_scenario(
             scenario.scenario_from_dict(draw).with_sim(duration=1.0))
     stats, _ = tracer.take()
