@@ -21,9 +21,9 @@
  * Where the Python code would raise (an abort of the run, a division by
  * zero, a square root of a negative number, ``** 2`` overflowing), this
  * code stops before the sample concerned, with the statistics record as it
- * was, and reports how many samples it completed.  The caller replays that
- * sample with the Python code, which raises, so no abort is raised or
- * worded here.
+ * was, and reports how many samples it completed.  The caller hands that
+ * sample and the rest of the run to the Python code, which raises, so no
+ * abort is raised or worded here.
  *
  * ``slewguard_csv`` at the end formats rows of the run's log as the text
  * of ``trajectory.csv``, each value as Python's ``'%.17g' % v`` writes it.
@@ -187,8 +187,6 @@ static int rhs(const double *p, double *axes, double t, const double *y,
         s_eff = v_eff = 0.0;
         for (i = 0; i < n_cones; i++) {
             double s, v;
-            if (betas[i] <= p[P_SWITCH_FLOOR])
-                continue;
             s = bridge(p + P_S_SHAPE, guard, betas[i], 1.0, &err);
             if (s > s_eff)
                 s_eff = s;
@@ -514,16 +512,16 @@ static int take(const double *p, double *s, double t, const double *y,
     return 0;
 }
 
-/* Samples ``k`` to ``end - 1`` of a run of ``n`` steps of ``dt``, from the
- * state ``y`` of sample ``k``: each is folded into the statistics record
- * ``s``, and where ``k % stride == 0`` or ``k == n`` its row is written to
- * row ceil(k / stride) of the run's log ``out``; unless it is sample ``n``
- * it is stepped from.  Returns the number of samples completed; ``y`` then
+/* Samples 0 to ``n`` of a run of ``n`` steps of ``dt``, from the state
+ * ``y`` of sample 0: each is folded into the statistics record ``s``, and
+ * where ``k % stride == 0`` or ``k == n`` its row is written to row
+ * ceil(k / stride) of the run's log ``out``; unless it is sample ``n`` it
+ * is stepped from.  Returns the number of samples completed; ``y`` then
  * holds the state of the next one.  A sample the Python code would raise
  * on, in its evaluation, its row, its statistics or the step after it, is
  * not completed, and the run stops there. */
-long slewguard_run(const double *p, double *y, long k, long end, long n,
-                   double dt, long stride, double *s, double *out)
+long slewguard_run(const double *p, double *y, long n, double dt,
+                   long stride, double *s, double *out)
 {
     const int n_cones = (int)p[P_N_CONES];
     const int width = ROW_WIDTH + n_cones;
@@ -533,12 +531,12 @@ long slewguard_run(const double *p, double *y, long k, long end, long n,
     double *work = malloc(sizeof(double) * (5 * n_cones + 2 * ST_BETAS));
     double *axes = work, *stage = work + 3 * n_cones;
     double *scratch = stage + ST_BETAS + n_cones;
-    long done = 0;
+    long k;
     int i;
 
     if (work == NULL)
         return 0;
-    for (; k < end; k++, done++) {
+    for (k = 0; k <= n; k++) {
         double *row = NULL;
         /* ceil(k / stride), written so that no sum can overflow */
         if (k % stride == 0 || k == n)
@@ -554,7 +552,7 @@ long slewguard_run(const double *p, double *y, long k, long end, long n,
                 y[i] = next[i];
     }
     free(work);
-    return done;
+    return k;
 }
 
 /* ``trajectory.csv`` text: each value exactly as Python's ``'%.17g' % v``

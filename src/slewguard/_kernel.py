@@ -8,9 +8,9 @@ the same bits (``_kernel.c`` says how).  One call runs the whole run: it
 propagates the state, writes each logged row in place into the run's log
 and folds every sample into the run's statistics record, both the
 ``array("d")`` buffers that the reference writes and folds into as well.
-Where the kernel stops short of a sample the reference would raise on,
-the run replays that sample with the reference and calls the kernel again
-after it, so every abort and arithmetic error comes from the Python code.
+The kernel stops short of the first sample the reference would raise on,
+and the run hands that sample and the rest to the reference, once, so
+every abort comes from the Python code.
 The library also formats ``trajectory.csv`` (:func:`csv_chunks`), each
 value as Python's ``'%.17g' % v`` writes it, where ``engine._csv_text``
 is the fallback.
@@ -52,7 +52,7 @@ FLAGS = ("-O2", "-fno-fast-math", "-ffp-contract=off")
 CONSTANTS = (
     ("B", 3), ("R", 3), ("J", 9), ("JI", 9), ("NEG_K_RHO", 1),
     ("RHO_INF", 1), ("TD", 3), ("S_SHAPE", 4), ("V_SHAPE", 4),
-    ("SWITCH_FLOOR", 1), ("BENCHMARK", 1), ("DIST_ON", 1), ("K1", 1),
+    ("BENCHMARK", 1), ("DIST_ON", 1), ("K1", 1),
     ("K_P", 1), ("K_OMEGA", 1), ("G", 1), ("BIG_F", 1), ("K_A", 1),
     ("ETA", 1), ("SIGMA", 1), ("TORQUE_LIMIT", 1), ("DIST_BOUND", 1),
     ("ANTIPODAL", 1), ("NUDGE", 1), ("RATIO_FLOOR", 1), ("KNOT_GUARD", 1),
@@ -150,37 +150,32 @@ def load():
         return None
     # every buffer is an array, passed by address
     buf, long = ctypes.c_void_p, ctypes.c_long
-    lib.slewguard_run.argtypes = (buf, buf, long, long, long,
-                                  ctypes.c_double, long, buf, buf)
+    lib.slewguard_run.argtypes = (buf, buf, long, ctypes.c_double, long,
+                                  buf, buf)
     lib.slewguard_csv.argtypes = (buf, long, long, buf, long)
     lib.slewguard_run.restype = lib.slewguard_csv.restype = long
     return lib
 
 
-def propagator(ctx, stats: array, log: array, dt: float, n_steps: int,
-               stride: int):
-    """The kernel bound to a run of ``n_steps`` steps of ``dt`` of the
-    closed loop ``ctx`` (an ``engine._LoopContext``) that folds every
-    sample into the statistics record ``stats`` and writes every
-    ``stride``-th sample's row, and the final one's, into ``log``, sized
-    for all of them; or None where the run takes the reference loop: no
-    library, a stride or sample count that a C ``long`` cannot hold, since
-    ctypes would wrap it, or a scenario constant that is not a float, since
-    the kernel repeats only float arithmetic.
+def run(ctx, y: list, stats: array, log: array, dt: float, n_steps: int,
+        stride: int) -> tuple[int, list]:
+    """Samples 0 to ``n_steps`` of a run of ``n_steps`` steps of ``dt`` of
+    the closed loop ``ctx`` (an ``engine._LoopContext``), from the state
+    ``y`` of sample 0, up to the first one the reference would raise on:
+    each folded into the statistics record ``stats`` and, where
+    ``k % stride == 0`` or it is the final one, its row written into row
+    ceil(k / stride) of ``log``, sized for every such row.  Returns the
+    number of samples completed and the state of the sample after the
+    last.
 
-    The kernel returned is ``advance(y, k, end) -> (done, y)``: samples
-    ``k`` to ``end - 1`` from the state ``y`` of sample ``k``, up to the
-    first one the reference would raise on, each folded into ``stats`` and
-    its row, when due, written into row ceil(k / stride) of ``log``.  It
-    returns the number of samples completed and the state of the sample
-    after the last.  Neither buffer may be resized while it lives."""
+    Completes none, and returns ``(0, y)``, where the run takes the
+    reference loop: no library, a stride or sample count that a C ``long``
+    cannot hold, since ctypes would wrap it, or a scenario constant that is
+    not a float, since the kernel repeats only float arithmetic."""
     lib = load()
-    if lib is None:
-        return None
-    run = lib.slewguard_run
     long_max = 2 ** (8 * array("l").itemsize - 1) - 1  # the largest C long
-    if stride > long_max or n_steps + 1 > long_max:
-        return None
+    if lib is None or stride > long_max or n_steps + 1 > long_max:
+        return 0, y
     ctrl, params = ctx.ctrl, ctx.params
 
     def pack(layout, **values):
@@ -199,7 +194,7 @@ def propagator(ctx, stats: array, log: array, dt: float, n_steps: int,
         JI=[v for row in ctx.j_inv_rows for v in row],
         NEG_K_RHO=ctx.neg_k_rho, RHO_INF=ctx.rho_inf, TD=ctx.td,
         S_SHAPE=shape(ctx.s_shape), V_SHAPE=shape(ctx.v_shape),
-        SWITCH_FLOOR=ctx.switch_floor, BENCHMARK=float(ctx.benchmark),
+        BENCHMARK=float(ctx.benchmark),
         DIST_ON=float(bool(ctx.dist_on)), K1=ctrl.k1, K_P=ctrl.k_p,
         K_OMEGA=ctrl.k_omega, G=ctrl.g, BIG_F=ctrl.big_f, K_A=ctrl.k_a,
         ETA=ctrl.eta, SIGMA=ctrl.sigma, TORQUE_LIMIT=params.torque_limit,
@@ -210,23 +205,16 @@ def propagator(ctx, stats: array, log: array, dt: float, n_steps: int,
     for cone, axis in zip(ctx.cones, ctx.axes):
         consts += pack(CONE, AXIS=axis, SHAPE=shape(cone.shape), K_R=cone.k_r)
     if not all(isinstance(v, float) for v in consts):
-        return None
-    consts = array("d", consts)
-
-    def advance(y: list, k: int, end: int):
-        # the rows written are those of samples k to end - 1, which the log
-        # holds only within the run
-        if not 0 <= k <= end <= n_steps + 1 or len(y) != 14:
-            raise ValueError("samples outside the run, or not a state")
-        # the arrays, not only their addresses, are held here: the kernel
-        # reads and writes through those addresses
-        state = array("d", y)
-        done = run(consts.buffer_info()[0], state.buffer_info()[0], k, end,
-                   n_steps, dt, stride, stats.buffer_info()[0],
-                   log.buffer_info()[0])
-        return done, state.tolist()
-
-    return advance
+        return 0, y
+    if len(y) != 14:  # the kernel reads and writes 14 components
+        raise ValueError("not a state of 14 components")
+    # the arrays, not only their addresses, are held here: the kernel reads
+    # and writes through those addresses
+    consts, state = array("d", consts), array("d", y)
+    done = lib.slewguard_run(consts.buffer_info()[0], state.buffer_info()[0],
+                             n_steps, dt, stride, stats.buffer_info()[0],
+                             log.buffer_info()[0])
+    return done, state.tolist()
 
 
 def csv_chunks(data, width: int):

@@ -50,10 +50,11 @@ Wherever a C library can be built (:mod:`slewguard._kernel`), the run does
 each sample's work with its copy of them instead, the whole run in one
 call: it propagates the state, writes each row that is due into the log,
 and folds every sample into the statistics record that ``_RunStats.add``
-also folds into.  The two give the same bits.  Where the kernel stops
-short of a sample the reference raises on, the loop replays that sample
-with the reference and calls the kernel again after it, so every abort
-comes from the code above.
+also folds into.  The two give the same bits.  The kernel runs from the
+first sample and stops short of the first one the reference raises on; the
+reference takes the run from there to its end, so every abort comes from
+the code above.  The hand-over happens once per run, and where no library
+loads, the reference runs every sample.
 """
 
 from __future__ import annotations
@@ -102,10 +103,10 @@ class SimulationAbort(RuntimeError):
 
     ``state`` is the last accepted state, the 14 finite floats the failing
     step started from, and ``stage`` the RK4 stage (1-4) whose evaluation
-    failed, or ``None`` when the check after the step found a non-finite
-    component.  The final sample counts as stage 1 of the step it would
-    start.  A run fills both in; a bare right-hand-side call leaves them
-    ``None``.
+    failed, or ``None`` when the step's quaternion norm overflowed or the
+    check after the step found a non-finite component.  The final sample
+    counts as stage 1 of the step it would start.  A run fills both in; a
+    bare right-hand-side call leaves them ``None``.
     """
 
     def __init__(self, t: float, reason: str, state: tuple | None = None,
@@ -118,7 +119,8 @@ class SimulationAbort(RuntimeError):
 
     def __reduce__(self):
         # rebuilt from the fields, not from the message in ``args``, so the
-        # abort survives pickling (the compare run sends it between processes)
+        # abort survives pickling (a caller that runs scenarios in a process
+        # pool gets it back from a worker)
         return type(self), (self.t, self.reason, self.state, self.stage)
 
 
@@ -260,7 +262,6 @@ class _LoopContext:
         self.td = (self.ctrl.td_r, -r2 * self.ctrl.td_a1, r2 * self.ctrl.td_a2)
         self.s_shape = scenario.switch.s_shape
         self.v_shape = scenario.switch.v_shape
-        self.switch_floor = min(self.s_shape.lo, self.v_shape.lo)
         self.benchmark = scenario.sim.controller_mode == "benchmark_apf"
         self.dist_on = scenario.sim.disturbance_enabled
 
@@ -321,8 +322,6 @@ class _LoopContext:
         else:
             s_eff = v_eff = 0.0
             for beta in betas:
-                if beta <= self.switch_floor:
-                    continue  # below both switches' outer knots: both are 0
                 s = bridge(self.s_shape, beta, 1.0)
                 if s > s_eff:
                     s_eff = s
@@ -415,7 +414,12 @@ class _LoopContext:
         c = dt / 6.0
         out = [a + c * (p + 2.0 * q + 2.0 * r + s)
                for a, p, q, r, s in zip(y, k1, k2, k3, k4)]
-        n = math.sqrt(out[0] ** 2 + out[1] ** 2 + out[2] ** 2 + out[3] ** 2)
+        try:
+            n = math.sqrt(out[0] ** 2 + out[1] ** 2 + out[2] ** 2
+                          + out[3] ** 2)
+        except OverflowError:  # ``**`` raises where a square overflows
+            raise SimulationAbort((k + 1) * dt, "quaternion norm overflowed",
+                                  tuple(y)) from None
         out[:4] = [v / n for v in out[:4]]
         return out
 
@@ -620,9 +624,10 @@ def run_scenario(scenario: "Scenario", force: bool = False
 
     A validation report with hard failures raises :class:`ValidationFailure`
     unless ``force`` is set; the summary carries warnings and failures.  The
-    summary's ``wall_clock_s`` covers the integration alone.  The log is
-    allocated whole before the first sample, so a run whose log does not
-    fit in memory raises :class:`MemoryError` before it starts.
+    summary's ``wall_clock_s`` covers the integration alone, the packing of
+    the kernel's constants included but not the library's build or load.
+    The log is allocated whole before the first sample, so a run whose log
+    does not fit in memory raises :class:`MemoryError` before it starts.
     """
     from . import _kernel  # here, so that importing the package skips it
 
@@ -649,20 +654,14 @@ def run_scenario(scenario: "Scenario", force: bool = False
         raise MemoryError(f"the log's {rows:.6g} rows of {width} values do "
                           f"not fit in memory") from None
     records = Trajectory(log, columns)
-    kernel = _kernel.propagator(ctx, stats.record, log, dt, n_steps, stride)
+    _kernel.load()  # the library is built or loaded before the clock starts
     t0 = time.perf_counter()
-    k = 0
-    while k <= n_steps:
-        if kernel is not None:
-            # the kernel's samples to the end of the run, each folded into
-            # the statistics and logged when due; it stops short of a
-            # sample whose evaluation, row, statistics or step the
-            # reference raises on, which the reference then replays
-            done, y = kernel(y, k, n_steps + 1)
-            k += done
-            if k > n_steps:
-                break
-        # one sample of the reference loop
+    # the kernel's samples from the first, each folded into the statistics
+    # and logged when due, up to one whose evaluation, row, statistics or
+    # step the reference raises on; the reference takes the rest, from
+    # that sample, or from the first where no kernel runs
+    done, y = _kernel.run(ctx, y, stats.record, log, dt, n_steps, stride)
+    for k in range(done, n_steps + 1):
         t = k * dt
         try:
             k1, stage = ctx.rhs(t, y)
@@ -679,7 +678,6 @@ def run_scenario(scenario: "Scenario", force: bool = False
             y_next = ctx.step(k, y, dt, k1)
             _check_state((k + 1) * dt, y_next, y)
             y = y_next
-        k += 1
     wall = time.perf_counter() - t0
 
     summary = summarize(scenario, stats, report, wall)
@@ -748,14 +746,10 @@ def summarize(scenario: "Scenario", stats: _RunStats, report,
 _CSV_ROWS = 16
 
 
-def _csv_text(data, columns: tuple[str, ...], header: bool = True):
-    """``trajectory.csv`` text of the rows in ``data``, a flat sequence of
-    floats ``len(columns)`` to a row: the header line first when asked, then
-    every value with full double precision (17 significant digits), one
-    string per ``_CSV_ROWS`` rows."""
-    width = len(columns)
-    if header:
-        yield ",".join(columns) + "\n"
+def _csv_text(data, width: int):
+    """``trajectory.csv`` rows of ``data``, a flat sequence of floats
+    ``width`` to a row: every value with full double precision (17
+    significant digits), one string per ``_CSV_ROWS`` rows."""
     row = ",".join(["%.17g"] * width) + "\n"
     chunk = _CSV_ROWS * width
     for i in range(0, len(data), chunk):
@@ -775,8 +769,7 @@ def write_trajectory_csv(records: Trajectory, path) -> None:
     with open(path, "wb") as fh:
         fh.write((",".join(columns) + "\n").encode())
         if chunks is None:  # no library: the same bytes, formatted here
-            chunks = (text.encode()
-                      for text in _csv_text(data, columns, header=False))
+            chunks = (text.encode() for text in _csv_text(data, len(columns)))
         fh.writelines(chunks)
 
 

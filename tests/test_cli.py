@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import slewguard
-from slewguard import cli, engine
+from slewguard import _kernel, cli, engine
 from slewguard.cli import main
 from slewguard.engine import (
     SimulationAbort,
@@ -322,6 +322,26 @@ class TestRun:
             f"fit in memory\n")
         assert list((tmp_path / "runs" / "paper-two-1").iterdir()) == []
 
+    @pytest.mark.parametrize("library", [True, False],
+                             ids=["kernel", "reference"])
+    def test_a_quaternion_norm_that_overflows_exits_4(self, tmp_path, capsys,
+                                                      monkeypatch, library):
+        # 1e12 rad/s passes validation; the step to t = 0.02 s squares a
+        # quaternion component beyond the double range, which aborts the
+        # run with one line on either path
+        if not library:
+            monkeypatch.setattr(_kernel, "load", lambda: None)
+        doc = json.loads((SRC.parent / "docs" / "example_scenario.json"
+                          ).read_text())
+        doc["initial"]["omega"] = [0, 0, 1e12]
+        path = write_scenario(tmp_path, doc)
+        code = main(["run", "--scenario", str(path), "--out",
+                     str(tmp_path / "runs")])
+        assert code == 4
+        assert capsys.readouterr().err == (
+            "error: example-dogleg: simulation aborted at t=0.0200 s: "
+            "quaternion norm overflowed\n")
+
     def test_missed_targets_exit_5(self, tmp_path, capsys):
         # 2 simulated seconds cannot settle, so declared targets are missed
         doc = valid_doc()
@@ -611,8 +631,9 @@ class TestTrajectoryWriter:
         written = (out / "custom" / "trajectory.csv").read_bytes()
         assert written == (tmp_path / "library.csv").read_bytes()
         # and the Python formatter's text, which runs without a library
-        assert written == "".join(
-            _csv_text(result.records.data, result.records.columns)).encode()
+        columns = result.records.columns
+        assert written == "".join([",".join(columns) + "\n", *_csv_text(
+            result.records.data, len(columns))]).encode()
 
     def test_golden_preset(self, tmp_path, capsys):
         name = "paper-single-1"

@@ -375,8 +375,9 @@ class TestRunScenario:
             run_scenario(sc)
 
     def test_run_exceptions_survive_pickling(self):
-        # the compare run sends the baseline's exception back between
-        # processes; the round trip must keep every field and the message
+        # a caller that runs scenarios in a process pool gets a worker's
+        # exception back pickled; the round trip must keep every field and
+        # the message
         sc = make_scenario(k1=0.05)
         with pytest.raises(ValidationFailure) as failed:
             run_scenario(sc.with_sim(duration=1.0))
