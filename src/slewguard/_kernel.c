@@ -155,7 +155,7 @@ static int rhs(const double *p, double *axes, double t, const double *y,
     double n, cx, cy, cz, cw, x_e, eps, tx, ty, tz, s_eff, v_eff;
     double px = 0.0, py = 0.0, pz = 0.0, track, avoid, vx, vy, vz;
     double jwx, jwy, jwz, gx, gy, gz, ex, ey, ez, sx, sy, sz;
-    double l_eps, l_rho, l_s, l_v, barrier, ux, uy, uz, limit;
+    double barrier, ux, uy, uz, limit;
     double d[3] = {0.0, 0.0, 0.0}, rhx, rhy, rhz, rho_dot;
     double r_td, c1, c2;
     int err = 0, i;
@@ -241,31 +241,22 @@ static int rhs(const double *p, double *axes, double t, const double *y,
     sy = x2y;
     sz = x2z;
 
-    /* controller.torque_law; benchmark_apf_law passes eps 0, rho 1 and
-     * both switches at 1 */
-    if (benchmark) {
-        l_eps = 0.0;
-        l_rho = 1.0;
-        l_s = l_v = 1.0;
-    } else {
-        l_eps = eps;
-        l_rho = rho;
-        l_s = s_eff;
-        l_v = v_eff;
-    }
+    /* controller.torque_law, and benchmark_apf_law: the baseline's
+     * switches are both 1, so its barrier is 0, as the eps and rho that
+     * benchmark_apf_law passes make it, and its descent term is P1 */
     barrier = 0.0;
-    if (l_s < 1.0)
-        barrier = div_(p[P_G] * tanh(div_(l_eps, p[P_BIG_F], &err)), l_rho,
-                       &err) * (1.0 - l_s);
+    if (s_eff < 1.0)
+        barrier = div_(p[P_G] * tanh(div_(eps, p[P_BIG_F], &err)), rho,
+                       &err) * (1.0 - s_eff);
     ux = (gx - p[P_K_OMEGA] * ex
           - p[P_DIST_BOUND] * tanh(div_(ex, p[P_ETA], &err))
-          + (j[0] * sx + j[1] * sy + j[2] * sz) - barrier * tx - l_v * px);
+          + (j[0] * sx + j[1] * sy + j[2] * sz) - barrier * tx - v_eff * px);
     uy = (gy - p[P_K_OMEGA] * ey
           - p[P_DIST_BOUND] * tanh(div_(ey, p[P_ETA], &err))
-          + (j[3] * sx + j[4] * sy + j[5] * sz) - barrier * ty - l_v * py);
+          + (j[3] * sx + j[4] * sy + j[5] * sz) - barrier * ty - v_eff * py);
     uz = (gz - p[P_K_OMEGA] * ez
           - p[P_DIST_BOUND] * tanh(div_(ez, p[P_ETA], &err))
-          + (j[6] * sx + j[7] * sy + j[8] * sz) - barrier * tz - l_v * pz);
+          + (j[6] * sx + j[7] * sy + j[8] * sz) - barrier * tz - v_eff * pz);
     limit = p[P_TORQUE_LIMIT];
     if (x_e > p[P_ANTIPODAL]) {
         /* the first axis of least |boresight| component */
@@ -405,8 +396,10 @@ static void energies(const double *p, const double *st, double *e, int *err)
 
 /* The sample at ``t`` of state ``y`` and stage ``st``: its row of
  * _LoopContext.record into ``row`` where it is logged (else ``row`` is
- * NULL), then _RunStats.add into the statistics record ``s``.  Returns 0,
- * or 1 where the Python code would raise, before anything is folded. */
+ * NULL), then _RunStats.add into the statistics record ``s``.  Each forms
+ * its values from the state and the stage, as in Python, so the two share
+ * the angle, the norm error and the energies here.  Returns 0, or 1 where
+ * the Python code would raise, before anything is folded. */
 static int take(const double *p, double *s, double t, const double *y,
                 const double *st, double *row)
 {

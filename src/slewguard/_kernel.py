@@ -33,6 +33,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import threading
 from array import array
 from itertools import accumulate
 from pathlib import Path
@@ -43,6 +44,8 @@ from .envelope import _LN2, ERROR_RATIO_FLOOR
 from .potential import _KNOT_GUARD
 
 SOURCE = Path(__file__).with_name("_kernel.c")
+# held while :func:`load` finds or builds the library
+_BUILDING = threading.Lock()
 # no contraction into fused multiply-adds and no value-changing
 # optimization, so each operation rounds as the interpreter's does
 FLAGS = ("-O2", "-fno-fast-math", "-ffp-contract=off")
@@ -129,23 +132,23 @@ def library_path() -> Path:
 def load():
     """The kernel's library, with the argument types of its entry points,
     ``slewguard_run`` and ``slewguard_csv``, set; or None where no library
-    can be built or loaded.  Called once per process, and cached without a
-    lock: a caller that starts threads which run scenarios calls it first,
-    else each of them could build the library."""
+    can be built or loaded.  Cached; threads that call it at once find or
+    build the library one at a time, so it is built once."""
     try:
         import ctypes
 
         path = library_path()
-        if not path.exists():
-            import tempfile
+        with _BUILDING:
+            if not path.exists():
+                import tempfile
 
-            path.parent.mkdir(exist_ok=True)
-            with tempfile.TemporaryDirectory(dir=path.parent,
-                                             prefix=".build-") as tmp:
-                part = Path(tmp) / path.name
-                build(part)
-                os.replace(part, path)
-        lib = ctypes.CDLL(str(path))
+                path.parent.mkdir(exist_ok=True)
+                with tempfile.TemporaryDirectory(dir=path.parent,
+                                                 prefix=".build-") as tmp:
+                    part = Path(tmp) / path.name
+                    build(part)
+                    os.replace(part, path)
+            lib = ctypes.CDLL(str(path))
     except (ImportError, OSError):
         return None
     # every buffer is an array, passed by address
@@ -169,12 +172,12 @@ def run(ctx, y: list, stats: array, log: array, dt: float, n_steps: int,
     last.
 
     Completes none, and returns ``(0, y)``, where the run takes the
-    reference loop: no library, a stride or sample count that a C ``long``
-    cannot hold, since ctypes would wrap it, or a scenario constant that is
-    not a float, since the kernel repeats only float arithmetic."""
+    reference loop: no library, a sample count that a C ``long`` cannot
+    hold, since ctypes would wrap it, or a scenario constant that is not a
+    float, since the kernel repeats only float arithmetic."""
     lib = load()
     long_max = 2 ** (8 * array("l").itemsize - 1) - 1  # the largest C long
-    if lib is None or stride > long_max or n_steps + 1 > long_max:
+    if lib is None or n_steps + 1 > long_max:
         return 0, y
     ctrl, params = ctx.ctrl, ctx.params
 
@@ -211,9 +214,12 @@ def run(ctx, y: list, stats: array, log: array, dt: float, n_steps: int,
     # the arrays, not only their addresses, are held here: the kernel reads
     # and writes through those addresses
     consts, state = array("d", consts), array("d", y)
+    # the stride clamped to n_steps, which logs the rows of every larger
+    # one, samples 0 and n_steps, and fits the C long that ctypes would
+    # wrap a larger one into (2**64 to 0, 2**64 + 1 to 1)
     done = lib.slewguard_run(consts.buffer_info()[0], state.buffer_info()[0],
-                             n_steps, dt, stride, stats.buffer_info()[0],
-                             log.buffer_info()[0])
+                             n_steps, dt, min(stride, n_steps),
+                             stats.buffer_info()[0], log.buffer_info()[0])
     return done, state.tolist()
 
 

@@ -113,6 +113,11 @@ def _output(path: Path, write, *args) -> None:
         raise OSError(f"{path.name} not written: {exc}") from None
 
 
+def _place(path: Path) -> None:
+    """Move the file written under ``path``'s temporary name to ``path``."""
+    _output(path, _partial(path).replace, path)
+
+
 def _other_cpus():
     """The CPUs this process may use other than the one this thread runs on
     now, where the platform tells which one that is (Linux); else None.
@@ -200,35 +205,30 @@ def _run_one(scenario, args, out_root: Path) -> int:
     the baseline runs on a thread beside the proposed run, and each side
     writes its own files.  The two overlap where the simulation and the
     CSV formatting run in the compiled kernel, whose calls release the
-    interpreter lock; without a library they take turns.  However the run
-    ends, the baseline is waited for before its temporary files are
-    removed.
+    interpreter lock; without a library they take turns.  Every output is
+    written under its temporary name and moved into place in the order of
+    ``_OUTPUTS``.  However the run ends, the baseline is waited for before
+    the temporary files are removed.
     """
     out_dir = out_root / scenario.name
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name in _OUTPUTS:
-        _clear(out_dir / name)
-    trajectory = out_dir / "trajectory.csv"
-    baseline_outputs = (out_dir / "trajectory_benchmark.csv",
-                        out_dir / "summary_benchmark.json")
+    paths = [out_dir / name for name in _OUTPUTS]
+    for path in paths:
+        _clear(path)
+    trajectory, summary, *baseline_outputs, comparison_path = paths
     baseline = None  # joined however the run ends
 
     try:
         if args.compare:
-            from . import _kernel
-
-            # loaded, or built, before the thread starts: load() is cached
-            # without a lock, so two threads could both build the library
-            _kernel.load()
             baseline = _Beside(
                 "baseline", _run_and_write,
                 scenario.with_sim(controller_mode="benchmark_apf"),
                 *baseline_outputs)
         s = _run_and_write(scenario, trajectory)
-        _output(trajectory, _partial(trajectory).replace, trajectory)
+        _place(trajectory)
         # after the CSV, so a failed CSV leaves no new summary
-        _output(out_dir / "summary.json", write_summary_json, s,
-                out_dir / "summary.json")
+        _output(summary, write_summary_json, s, _partial(summary))
+        _place(summary)
         ok = s["constraint_satisfied"] and s["targets_met"] is not False
         clear = min(s["min_clearance_deg"]) if s["min_clearance_deg"] else None
         print(f"{scenario.name}: clearance {_fmt(clear)} deg, "
@@ -240,7 +240,7 @@ def _run_one(scenario, args, out_root: Path) -> int:
         if baseline is not None:
             b = baseline.result()  # the baseline's summary
             for path in baseline_outputs:
-                _output(path, _partial(path).replace, path)
+                _place(path)
             comparison = {
                 "scenario": scenario.name,
                 "proposed": s,
@@ -252,17 +252,17 @@ def _run_one(scenario, args, out_root: Path) -> int:
                     and b["terminal_error_deg"] is not None
                     and s["terminal_error_deg"] <= b["terminal_error_deg"]),
             }
-            _output(out_dir / "comparison.json", write_summary_json,
-                    comparison, out_dir / "comparison.json")
+            _output(comparison_path, write_summary_json, comparison,
+                    _partial(comparison_path))
+            _place(comparison_path)
             print(f"{scenario.name} baseline: terminal "
                   f"{_fmt(b['terminal_error_deg'])} deg vs proposed "
                   f"{_fmt(s['terminal_error_deg'])} deg")
     finally:
         if baseline is not None:
             baseline.join()
-            for path in baseline_outputs:
-                _partial(path).unlink(missing_ok=True)
-        _partial(trajectory).unlink(missing_ok=True)
+        for path in paths:
+            _partial(path).unlink(missing_ok=True)
 
     return _EXIT_OK if ok else _EXIT_PERFORMANCE
 

@@ -39,11 +39,11 @@ operation order a law would use on its own, so sharing it changes no
 result.
 
 The run loop evaluates each sample ``t = k * dt``, ``k = 0 .. n``, once
-with ``rhs``.  Logging and the run's statistics (:class:`_RunStats`) read
-that evaluation's controller quantities, and ``step`` takes its derivative
-as the first RK4 stage; the final sample has no step after it.  The
-summary is built from the statistics alone, so no summary field depends on
-``record_stride``.
+with ``rhs``.  Logging and the run's statistics (:class:`_RunStats`) each
+read that evaluation's controller quantities, the statistics never the
+logged row, and ``step`` takes its derivative as the first RK4 stage; the
+final sample has no step after it.  The summary is built from the
+statistics alone, so no summary field depends on ``record_stride``.
 
 ``rhs``, ``step``, ``record`` and ``_RunStats.add`` are the reference.
 Wherever a C library can be built (:mod:`slewguard._kernel`), the run does
@@ -470,17 +470,12 @@ _STATE_NAMES = (["quat"] * 4 + ["omega"] * 3 + ["rho"]
 
 
 def _check_state(t: float, y: list, last: list) -> None:
-    """Abort when the state ``y`` a step reached from ``last`` is not finite."""
-    # one sum catches any inf or NaN; it can also overflow on finite values,
-    # so the scan names the component or finds none.  Only its finiteness
-    # is read, so the interpreter's summation order (compensated from
-    # Python 3.12) cannot reach a written value.
-    if not math.isfinite(sum(y)):
-        bad = next((i for i, v in enumerate(y) if not math.isfinite(v)), None)
-        if bad is not None:
-            raise SimulationAbort(
-                t, f"non-finite value in {_STATE_NAMES[bad]}[{bad}]",
-                tuple(last))
+    """Abort, naming the first non-finite component, when the state ``y`` a
+    step reached from ``last`` is not finite."""
+    bad = next((i for i, v in enumerate(y) if not math.isfinite(v)), None)
+    if bad is not None:
+        raise SimulationAbort(
+            t, f"non-finite value in {_STATE_NAMES[bad]}[{bad}]", tuple(last))
 
 
 # The run statistics record, one ``array("d")`` that ``_RunStats.add`` and
@@ -506,8 +501,9 @@ class _RunStats:
     held in ``record`` (laid out above) so that the kernel and ``add`` fold
     samples into the one record.
 
-    A logged sample hands over its row; any other forms the angle and the
-    norm error, and ``v_q + v_omega`` only where a Lyapunov pair needs it.
+    Each sample's angle and quaternion norm error are formed from its
+    stage and state, and ``v_q + v_omega`` only where a Lyapunov pair needs
+    it; no statistic reads the logged row.
     Maxima keep the first sample unless a later one is greater, as ``max()``
     does.  ``settled[level]``: the time of the first sample after the last
     one not below ``level`` (NaN is not below).  ``n_pairs``: pairs of
@@ -554,9 +550,8 @@ class _RunStats:
         return {level: None if math.isnan(t) else t
                 for level, t in zip(self._levels, since)}
 
-    def add(self, t: float, y: list, stage: tuple, row) -> None:
-        """Count the sample of ``y`` at ``t`` from its stage quantities and,
-        when logged, its row (else ``None``)."""
+    def add(self, t: float, y: list, stage: tuple) -> None:
+        """Count the sample of ``y`` at ``t`` from its stage quantities."""
         s = self.record
         _, x_e, betas, eps, s_eff, _, _, _, (ux, uy, uz) = stage
         for i, beta in enumerate(betas, self._betas):
@@ -575,10 +570,7 @@ class _RunStats:
         if m > s[_S_MAX_TORQUE]:
             s[_S_MAX_TORQUE] = m
 
-        if row is None:
-            angle, q_err = _pointing_angle_deg(x_e), _quat_norm_error(y)
-        else:  # the columns pointing_angle_deg and quat_norm_error
-            angle, q_err = row[2], row[-1]
+        angle, q_err = _pointing_angle_deg(x_e), _quat_norm_error(y)
         if first:
             s[_S_INITIAL] = angle
         s[_S_FINAL] = angle
@@ -599,9 +591,7 @@ class _RunStats:
             return
         starts = not (angle < 1.0 or t < 1.0)
         if starts or s[_S_OPEN]:
-            # from the columns v_q and v_omega when logged
-            v_q, v_omega = (self._energies(stage) if row is None
-                            else (row[-4], row[-3]))
+            v_q, v_omega = self._energies(stage)
             v = v_q + v_omega
             if s[_S_OPEN]:
                 s[_S_PAIRS] += 1.0
@@ -668,12 +658,10 @@ def run_scenario(scenario: "Scenario", force: bool = False
         except SimulationAbort as exc:
             exc.state, exc.stage = tuple(y), 1
             raise
-        row = None
         if k % stride == 0 or k == n_steps:
-            row = ctx.record(t, y, stage)
             i = -(-k // stride) * width
-            log[i:i + width] = array("d", row)
-        stats.add(t, y, stage, row)
+            log[i:i + width] = array("d", ctx.record(t, y, stage))
+        stats.add(t, y, stage)
         if k < n_steps:
             y_next = ctx.step(k, y, dt, k1)
             _check_state((k + 1) * dt, y_next, y)
@@ -739,22 +727,13 @@ def summarize(scenario: "Scenario", stats: _RunStats, report,
     }
 
 
-# rows formatted by one ``%`` operation in the CSV text where no library
-# loads (the compiled formatter fills a fixed buffer instead): 16 to 256
-# rows format at about the same speed, and at 32 rows or more a process
-# that formats the nine presets peaked 2.1-2.8 MB higher (glibc heap growth)
-_CSV_ROWS = 16
-
-
 def _csv_text(data, width: int):
     """``trajectory.csv`` rows of ``data``, a flat sequence of floats
     ``width`` to a row: every value with full double precision (17
-    significant digits), one string per ``_CSV_ROWS`` rows."""
+    significant digits), one string per row."""
     row = ",".join(["%.17g"] * width) + "\n"
-    chunk = _CSV_ROWS * width
-    for i in range(0, len(data), chunk):
-        part = tuple(data[i:i + chunk])
-        yield row * (len(part) // width) % part
+    for i in range(0, len(data), width):
+        yield row % tuple(data[i:i + width])
 
 
 def write_trajectory_csv(records: Trajectory, path) -> None:

@@ -653,8 +653,8 @@ class TestTrajectoryWriter:
         for path, size in stdout.sizes.items():
             assert size == path.stat().st_size, path
 
-    def test_a_plain_run_starts_no_child(self, tmp_path, capsys,
-                                         monkeypatch):
+    def test_a_plain_run_starts_no_thread(self, tmp_path, capsys,
+                                          monkeypatch):
         started = started_threads(monkeypatch)
         path = write_scenario(tmp_path, doc_without_targets())
         assert main(["run", "--scenario", str(path), "--duration", "10",
@@ -664,7 +664,7 @@ class TestTrajectoryWriter:
         assert sorted(p.name for p in (tmp_path / "runs" / "custom").iterdir()
                       ) == ["summary.json", "trajectory.csv"]
 
-    def test_validation_failure_starts_no_writer(self, tmp_path, capsys,
+    def test_validation_failure_starts_no_thread(self, tmp_path, capsys,
                                                  monkeypatch):
         started = started_threads(monkeypatch)
         doc = doc_without_targets()
@@ -676,7 +676,7 @@ class TestTrajectoryWriter:
         assert started == []
         assert list((tmp_path / "runs" / "custom").iterdir()) == []
 
-    def test_abort_starts_no_writer(self, tmp_path, capsys, monkeypatch):
+    def test_abort_starts_no_thread(self, tmp_path, capsys, monkeypatch):
         # the run aborts part way: nothing is written and no thread started
         case = tmp_path / "runs" / "custom"
         started = started_threads(monkeypatch)
@@ -813,6 +813,55 @@ class TestEarlierOutputs:
             "error: custom: trajectory.csv not written: [Errno 28] No space "
             "left on device\n")
         assert list((tmp_path / "runs" / "custom").iterdir()) == []
+
+    @pytest.mark.parametrize("name, compare", [
+        ("summary.json", []), ("comparison.json", ["--compare"])])
+    def test_a_summary_that_cannot_be_written(self, tmp_path, capsys,
+                                              monkeypatch, name, compare):
+        # the write fails once the file is open, as on a full disk: the
+        # outputs before it in OUTPUTS are in place, and no empty file
+        path = write_scenario(tmp_path, doc_without_targets())
+        write_json = cli.write_summary_json
+
+        def full_disk(summary, target):
+            if Path(target).name not in (name, f".{name}.part"):
+                return write_json(summary, target)
+            open(target, "w").close()
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "write_summary_json", full_disk)
+        assert main(["run", "--scenario", str(path), "--duration", "2",
+                     *compare, "--out", str(tmp_path / "runs")]) == 6
+        assert capsys.readouterr().err == (
+            f"error: custom: {name} not written: [Errno 28] No space left "
+            f"on device\n")
+        case = tmp_path / "runs" / "custom"
+        assert sorted(p.name for p in case.iterdir()) == sorted(
+            OUTPUTS[:OUTPUTS.index(name)])
+
+    def test_an_earlier_output_that_cannot_be_removed(self, tmp_path, capsys,
+                                                      monkeypatch):
+        # removing an earlier output fails, other than on a directory: the
+        # run stops before it starts and names the file, exit 6
+        path = write_scenario(tmp_path, doc_without_targets())
+        argv = ["run", "--scenario", str(path), "--duration", "2",
+                "--out", str(tmp_path / "runs")]
+        assert main(argv) == 0
+        unlink = Path.unlink
+
+        def failing(self, missing_ok=False):
+            if self.name == "summary.json":
+                raise PermissionError(13, "Permission denied")
+            return unlink(self, missing_ok=missing_ok)
+
+        monkeypatch.setattr(Path, "unlink", failing)
+        assert main(argv) == 6
+        assert capsys.readouterr().err == (
+            "error: custom: summary.json not written: [Errno 13] Permission "
+            "denied\n")
+        # trajectory.csv, removed before it, is gone
+        assert [p.name for p in (tmp_path / "runs" / "custom").iterdir()
+                ] == ["summary.json"]
 
     def test_a_plain_run_after_a_comparison(self, tmp_path, capsys):
         path = write_scenario(tmp_path, doc_without_targets())

@@ -494,29 +494,24 @@ class TestRunScenario:
         assert all(rho == sc.envelope.rho_0 for rho in res.records["rho"])
 
 
-ONE_CONE_COLUMNS = ("t", "x_e", "pointing_angle_deg", "beta_1", "rho", "eps",
-                    "omega_s_eff", "omega_v_eff",
-                    "omega_x", "omega_y", "omega_z",
-                    "torque_x", "torque_y", "torque_z",
-                    "v_q", "v_omega", "td_error", "quat_norm_error")
-
-
 def synthetic_stats(energies, angles=None, omega_s=0.0, targets=None):
-    """The run statistics of ``make_scenario()`` fed logged samples one
-    second apart: ``v_q`` steps through ``energies`` and the pointing angle
-    through ``angles`` (60 deg by default)."""
+    """The run statistics of ``make_scenario()`` fed samples one second
+    apart: ``v_q`` steps through ``energies`` and the pointing angle
+    through ``angles`` (60 deg by default).  Each angle is given as the
+    stage's ``x_e``, with the angle formed as ``x_e`` itself, and each
+    energy as the stage's energies."""
     sc = make_scenario()
     sc.targets = targets
     stats = engine_module._RunStats(_LoopContext(sc))
     if angles is None:
         angles = [60.0] * len(energies)
-    for i, (v_q, angle) in enumerate(zip(energies, angles)):
-        fixed = {"t": float(i), "pointing_angle_deg": angle, "beta_1": 0.1,
-                 "eps": 0.5, "omega_s_eff": omega_s, "v_q": v_q}
-        row = tuple(fixed.get(name, 0.0) for name in ONE_CONE_COLUMNS)
-        stage = Stage((0.0, 0.0, 1.0), 0.5, [0.1], 0.5, omega_s, 0.0,
-                      (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
-        stats.add(float(i), [0.0, 0.0, 0.0, 1.0], stage, row)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine_module, "_pointing_angle_deg", lambda x_e: x_e)
+        for i, (v_q, angle) in enumerate(zip(energies, angles)):
+            stats._energies = lambda stage, v_q=v_q: (v_q, 0.0)
+            stage = Stage((0.0, 0.0, 1.0), angle, [0.1], 0.5, omega_s, 0.0,
+                          (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+            stats.add(float(i), [0.0, 0.0, 0.0, 1.0], stage)
     return stats
 
 

@@ -19,6 +19,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import threading
 from array import array
 
 import numpy as np
@@ -121,6 +122,8 @@ def test_a_failed_build_runs_the_reference_once_per_process(
 
 def test_the_library_is_built_once_and_cached(monkeypatch, tmp_path,
                                               fresh_load):
+    # two threads that load at once, as a --compare run's two sides do,
+    # on an empty cache: one builds, and the other loads what it built
     kernel_or_skip()
     build = _kernel.build
     builds = []
@@ -132,7 +135,22 @@ def test_the_library_is_built_once_and_cached(monkeypatch, tmp_path,
     path = tmp_path / "cache" / "_kernel-test.so"
     monkeypatch.setattr(_kernel, "build", counted)
     monkeypatch.setattr(_kernel, "library_path", lambda: path)
-    assert _kernel.load() is not None
+    _kernel.load.cache_clear()  # loaded by kernel_or_skip
+    together = threading.Barrier(2, timeout=60)
+    loaded = []
+
+    def loading():
+        together.wait()
+        loaded.append(_kernel.load())
+
+    threads = [threading.Thread(target=loading) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=300)
+        assert not thread.is_alive()
+    assert len(loaded) == 2 and None not in loaded
+    assert len(builds) == 1
     _kernel.load.cache_clear()
     assert _kernel.load() is not None
     assert len(builds) == 1
@@ -346,6 +364,12 @@ def test_the_formatter_refuses_what_could_overflow_its_buffer():
     assert csv(log.buffer_info()[0], 6, 3, out.buffer_info()[0], cap) == 12
 
 
+def test_values_that_are_no_whole_number_of_rows_are_refused():
+    kernel_or_skip()
+    with pytest.raises(ValueError, match="not a whole number of rows"):
+        list(_kernel.csv_chunks(array("d", [1.0] * 7), 3))
+
+
 # ---------------------------------------------------------------------------
 # one contract: the same samples and the same aborts on both paths
 # ---------------------------------------------------------------------------
@@ -524,9 +548,9 @@ def test_a_sample_the_kernel_skips_lands_in_the_same_record(
         done, _ = run(ctx, y, stats, log, dt, skipped - 1, stride)
         return done, y_skipped
 
-    def counted(stats, t, y, stage, row):
-        replayed.append((t, row is not None, stats.record[engine._S_OPEN]))
-        return add(stats, t, y, stage, row)
+    def counted(stats, t, y, stage):
+        replayed.append((t, stats.record[engine._S_OPEN]))
+        return add(stats, t, y, stage)
 
     monkeypatch.setattr(_kernel, "run", stopping)
     monkeypatch.setattr(engine._RunStats, "add", counted)
@@ -535,19 +559,18 @@ def test_a_sample_the_kernel_skips_lands_in_the_same_record(
     assert len(replayed) == round(sc.sim.duration / sc.sim.dt) + 1 - skipped
     # the reference's first sample: a Lyapunov pair is open across the
     # hand-over where the kernel ran before it
-    assert replayed[0] == (skipped * 0.01, True, float(skipped > 0))
+    assert replayed[0] == (skipped * 0.01, float(skipped > 0))
 
 
 @pytest.mark.parametrize("stride", [2 ** 63 - 1, 2 ** 63, 2 ** 64,
                                     2 ** 64 + 1],
                          ids=["2**63-1", "2**63", "2**64", "2**64+1"])
 def test_a_huge_stride_logs_the_first_and_final_sample(stride):
-    # the largest C long runs on the kernel, whose row index must not
-    # overflow.  ctypes would wrap a larger stride into the kernel's C
-    # long: 2**64 to 0, which C takes modulo, and 2**64 + 1 to 1, which
-    # logs every sample, so both paths run those on the reference.  Each
-    # logs the first and the final sample of the 1 s run, as stride 100
-    # does on the kernel
+    # ctypes would wrap a stride beyond a C long into the kernel's: 2**64
+    # to 0, which C takes modulo, and 2**64 + 1 to 1, which logs every
+    # sample past the log's end.  The kernel takes each stride of n_steps
+    # or more as n_steps, so every one logs the first and the final sample
+    # of the 1 s run, at rows 0 and 1, as stride 100 does, on both paths
     sc = load_scenario(SRC.parent / "docs" / "example_scenario.json"
                        ).with_sim(duration=1.0)
     got = run_on("kernel", sc.with_sim(record_stride=stride))
@@ -557,9 +580,10 @@ def test_a_huge_stride_logs_the_first_and_final_sample(stride):
 
 
 def test_a_count_beyond_a_c_long_takes_the_reference(monkeypatch):
-    # the stride, and the sample count n_steps + 1, reach the kernel as C
-    # longs; one that does not fit leaves the run to the reference.  The
-    # library is one that records its calls, so no huge run is made
+    # the sample count n_steps + 1 reaches the kernel as a C long; one that
+    # does not fit leaves the run to the reference.  A stride beyond a C
+    # long reaches it as n_steps.  The library is one that records its
+    # calls, so no huge run is made
     long_max = 2 ** (8 * ctypes.sizeof(ctypes.c_long) - 1) - 1
     ctx = _LoopContext(load_preset("paper-two-1"))
     y, _ = ctx.initial_state()
@@ -574,15 +598,37 @@ def test_a_count_beyond_a_c_long_takes_the_reference(monkeypatch):
 
     monkeypatch.setattr(_kernel, "load", Library)
 
-    def takes_kernel(n_steps, stride):
+    def kernel_stride(n_steps, stride):
+        """The stride the kernel is called with, or None where it is not."""
         calls.clear()
         assert _kernel.run(ctx, y, stats, array("d"), 0.01, n_steps,
                            stride) == (0, y)
-        return len(calls) == 1
+        return calls[0][4] if calls else None
 
-    assert takes_kernel(long_max - 1, long_max)
-    assert not takes_kernel(long_max, 1)
-    assert not takes_kernel(100, long_max + 1)
+    assert kernel_stride(long_max - 1, long_max) == long_max - 1
+    assert kernel_stride(long_max, 1) is None
+    assert kernel_stride(100, long_max + 1) == 100
+    assert kernel_stride(100, 2 ** 64) == 100
+
+
+def test_a_constant_that_is_no_float_takes_the_reference(monkeypatch):
+    # the kernel repeats float arithmetic only: with a gain given as an
+    # int it completes no sample, and the reference, whose int arithmetic
+    # rounds as the float gain's does, gives the float gain's run
+    kernel_or_skip()
+    sc = make_scenario(k_omega=10).with_sim(duration=1.0)
+    assert isinstance(sc.controller.k_omega, int)
+    run, done = _kernel.run, []
+
+    def counted(*args):
+        out = run(*args)
+        done.append(out[0])
+        return out
+
+    want = run_on("kernel", make_scenario().with_sim(duration=1.0))
+    monkeypatch.setattr(_kernel, "run", counted)
+    assert run_on("kernel", sc) == want
+    assert done == [0]
 
 
 def test_the_kernel_refuses_a_state_that_is_not_14_components():
