@@ -2,7 +2,11 @@
  * with ``_resolve``, the switches, the laws and the disturbance, ``step``'s
  * RK4 combine, renormalization and state check, ``record``'s logged row
  * and ``engine._RunStats.add``, which folds each sample into the run's
- * statistics record.
+ * statistics record.  The disturbance is a function of the time alone, so
+ * where the Python code evaluates it in each of a step's four stages, this
+ * code evaluates it once per distinct time, twice per step: stages 2 and 3
+ * share ``t + h``, and stage 4 shares ``(k + 1) dt`` with the next
+ * sample's stage 1.
  *
  * Every expression repeats the Python one, operation for operation and in
  * the same order, so each result is the same double: the two are tied
@@ -110,10 +114,10 @@ static double bridge_grad(const double *shape, double guard, double beta,
     return 0.5 * scale * sech * sech * darg;
 }
 
-/* engine.disturbance_torque, with its frequency engine._DIST_OMEGA */
-static void disturbance(double t, double *d, int *err)
+/* engine.disturbance_torque */
+static void disturbance(const double *p, double t, double *d, int *err)
 {
-    double a = 0.01 * t;
+    double a = p[P_DIST_OMEGA] * t;
     d[0] = 1e-3 * (4.0 * trig(sin_fn, 3.0 * a, err)
                    + 3.0 * trig(cos_fn, 10.0 * a, err) - 40.0);
     d[1] = 1e-3 * (-1.5 * trig(sin_fn, 2.0 * a, err)
@@ -135,12 +139,14 @@ static void to_body(double cx, double cy, double cz, double qw,
     out[2] = vz + qw * tz + cx * ty - cy * tx;
 }
 
-/* _LoopContext.rhs: the derivative ``dy`` of ``y`` at ``t`` and the stage
+/* _LoopContext.rhs: the derivative ``dy`` of ``y`` under the disturbance
+ * ``d`` of its time (zero where the disturbance is off) and the stage
  * quantities into ``st``, with room for the body-frame cone axes in
- * ``axes`` (3 per cone).  Returns 0, or 1 where the Python code would
- * raise. */
-static int rhs(const double *p, double *axes, double t, const double *y,
-               double *dy, double *st)
+ * ``axes`` (3 per cone).  The disturbance depends on the time alone, so
+ * the caller evaluates it once per distinct time.  Returns 0, or 1 where
+ * the Python code would raise. */
+static int rhs(const double *p, double *axes, const double *y,
+               const double *d, double *dy, double *st)
 {
     const double *b = p + P_B, *j = p + P_J, *ji = p + P_JI;
     const double guard = p[P_KNOT_GUARD];
@@ -156,7 +162,7 @@ static int rhs(const double *p, double *axes, double t, const double *y,
     double px = 0.0, py = 0.0, pz = 0.0, track, avoid, vx, vy, vz;
     double jwx, jwy, jwz, gx, gy, gz, ex, ey, ez, sx, sy, sz;
     double barrier, ux, uy, uz, limit;
-    double d[3] = {0.0, 0.0, 0.0}, rhx, rhy, rhz, rho_dot;
+    double rhx, rhy, rhz, rho_dot;
     double r_td, c1, c2;
     int err = 0, i;
 
@@ -278,9 +284,6 @@ static int rhs(const double *p, double *axes, double t, const double *y,
     uy = uy > limit ? limit : uy < -limit ? -limit : uy;
     uz = uz > limit ? limit : uz < -limit ? -limit : uz;
 
-    if (p[P_DIST_ON] != 0.0)
-        disturbance(t, d, &err);
-
     /* rigid body: J w_dot = -w x (J w) + u + d */
     rhx = -gx + ux + d[0];
     rhy = -gy + uy + d[1];
@@ -340,23 +343,33 @@ static void axpy(const double *y, double h, const double *k, double *out)
 }
 
 /* _LoopContext.step and _check_state: ``y`` advanced from ``t = k dt`` to
- * ``(k + 1) dt`` into ``out``, given its derivative ``k1``.  Returns 0, or
- * 1 where the Python code would raise. */
+ * ``(k + 1) dt`` into ``out``, given its derivative ``k1``.  Where the
+ * disturbance is on, it is evaluated twice, at ``t + h`` for stages 2 and 3
+ * and at ``(k + 1) dt`` for stage 4, into ``d_next``, which the next
+ * sample's stage 1 reads; elsewhere ``d_next`` is left as it is.  Returns
+ * 0, or 1 where the Python code would raise. */
 static int step(const double *p, double *axes, long k, const double *y,
-                double dt, const double *k1, double *out, double *st)
+                double dt, const double *k1, double *d_next, double *out,
+                double *st)
 {
-    double k2[14], k3[14], k4[14], z[14], c, n;
+    double k2[14], k3[14], k4[14], z[14], d_half[3] = {0.0, 0.0, 0.0}, c, n;
     double t = k * dt, h = 0.5 * dt;
     int err = 0, i;
 
+    if (p[P_DIST_ON] != 0.0) {
+        disturbance(p, t + h, d_half, &err);
+        disturbance(p, (k + 1) * dt, d_next, &err);
+        if (err)
+            return 1;
+    }
     axpy(y, h, k1, z);
-    if (rhs(p, axes, t + h, z, k2, st))
+    if (rhs(p, axes, z, d_half, k2, st))
         return 1;
     axpy(y, h, k2, z);
-    if (rhs(p, axes, t + h, z, k3, st))
+    if (rhs(p, axes, z, d_half, k3, st))
         return 1;
     axpy(y, dt, k3, z);
-    if (rhs(p, axes, (k + 1) * dt, z, k4, st))
+    if (rhs(p, axes, z, d_next, k4, st))
         return 1;
     c = dt / 6.0;
     for (i = 0; i < 14; i++)
@@ -512,31 +525,37 @@ static int take(const double *p, double *s, double t, const double *y,
  * is stepped from.  Returns the number of samples completed; ``y`` then
  * holds the state of the next one.  A sample the Python code would raise
  * on, in its evaluation, its row, its statistics or the step after it, is
- * not completed, and the run stops there. */
+ * not completed, and the run stops there.  The disturbance of sample 0 is
+ * evaluated here, and that of each later sample by the step to it. */
 long slewguard_run(const double *p, double *y, long n, double dt,
                    long stride, double *s, double *out)
 {
     const int n_cones = (int)p[P_N_CONES];
     const int width = ROW_WIDTH + n_cones;
-    double k1[14], next[14];
+    double k1[14], next[14], d[3] = {0.0, 0.0, 0.0};
     /* the cone axes, the sample's stage quantities, then those of stages
      * 2 to 4 of its step, which nothing reads */
     double *work = malloc(sizeof(double) * (5 * n_cones + 2 * ST_BETAS));
     double *axes = work, *stage = work + 3 * n_cones;
     double *scratch = stage + ST_BETAS + n_cones;
     long k;
-    int i;
+    int err = 0, i;
 
-    if (work == NULL)
+    /* at t = 0 * dt, as the loop forms sample 0's time */
+    if (p[P_DIST_ON] != 0.0)
+        disturbance(p, 0 * dt, d, &err);
+    if (work == NULL || err) {
+        free(work);
         return 0;
+    }
     for (k = 0; k <= n; k++) {
         double *row = NULL;
         /* ceil(k / stride), written so that no sum can overflow */
         if (k % stride == 0 || k == n)
             row = out + (k / stride + (k % stride != 0)) * width;
-        if (rhs(p, axes, k * dt, y, k1, stage))
+        if (rhs(p, axes, y, d, k1, stage))
             break;
-        if (k < n && step(p, axes, k, y, dt, k1, next, scratch))
+        if (k < n && step(p, axes, k, y, dt, k1, d, next, scratch))
             break;
         if (take(p, s, k * dt, y, stage, row))
             break;

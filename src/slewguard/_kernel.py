@@ -55,7 +55,7 @@ FLAGS = ("-O2", "-fno-fast-math", "-ffp-contract=off")
 CONSTANTS = (
     ("B", 3), ("R", 3), ("J", 9), ("JI", 9), ("NEG_K_RHO", 1),
     ("RHO_INF", 1), ("TD", 3), ("S_SHAPE", 4), ("V_SHAPE", 4),
-    ("BENCHMARK", 1), ("DIST_ON", 1), ("K1", 1),
+    ("BENCHMARK", 1), ("DIST_ON", 1), ("DIST_OMEGA", 1), ("K1", 1),
     ("K_P", 1), ("K_OMEGA", 1), ("G", 1), ("BIG_F", 1), ("K_A", 1),
     ("ETA", 1), ("SIGMA", 1), ("TORQUE_LIMIT", 1), ("DIST_BOUND", 1),
     ("ANTIPODAL", 1), ("NUDGE", 1), ("RATIO_FLOOR", 1), ("KNOT_GUARD", 1),
@@ -198,7 +198,8 @@ def run(ctx, y: list, stats: array, log: array, dt: float, n_steps: int,
         NEG_K_RHO=ctx.neg_k_rho, RHO_INF=ctx.rho_inf, TD=ctx.td,
         S_SHAPE=shape(ctx.s_shape), V_SHAPE=shape(ctx.v_shape),
         BENCHMARK=float(ctx.benchmark),
-        DIST_ON=float(bool(ctx.dist_on)), K1=ctrl.k1, K_P=ctrl.k_p,
+        DIST_ON=float(bool(ctx.dist_on)), DIST_OMEGA=engine._DIST_OMEGA,
+        K1=ctrl.k1, K_P=ctrl.k_p,
         K_OMEGA=ctrl.k_omega, G=ctrl.g, BIG_F=ctrl.big_f, K_A=ctrl.k_a,
         ETA=ctrl.eta, SIGMA=ctrl.sigma, TORQUE_LIMIT=params.torque_limit,
         DIST_BOUND=params.disturbance_bound, ANTIPODAL=ANTIPODAL_THRESHOLD,

@@ -414,7 +414,7 @@ def run_compare(path, out):
                  "--compare", "--out", str(out)])
 
 
-class TestCompareInASecondProcess:
+class TestCompareOnAThread:
     """``--compare`` runs the baseline on a thread beside the proposed
     run; every failure keeps the sequential run's exit code and message,
     and leaves neither a thread nor a baseline file behind."""

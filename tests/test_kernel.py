@@ -517,6 +517,22 @@ def test_every_sample_is_the_same_on_both_paths(
         assert run_on("kernel", sc) == run_on("reference", sc)
 
 
+@pytest.mark.parametrize("mode", ["proposed", "benchmark_apf"])
+@pytest.mark.parametrize("dt", [0.01, 0.004, 0.003, 0.0025])
+def test_the_disturbance_is_handed_to_the_next_sample_at_any_step(mode, dt):
+    # the kernel evaluates the disturbance once per distinct time: stage 4
+    # of each step hands its value, at (k + 1) dt, to the next sample's
+    # stage 1, which the reference evaluates at k dt of the next k.  At
+    # steps where k dt + dt rounds otherwise, every sample of the first 6 s
+    # of paper-two-1, into its avoidance from 4.2 s on, is the same on both
+    # paths
+    kernel_or_skip()
+    sc = load_preset("paper-two-1").with_sim(
+        duration=6.0, dt=dt, record_stride=1, controller_mode=mode,
+        disturbance_enabled=True)
+    assert run_on("kernel", sc) == run_on("reference", sc)
+
+
 @pytest.mark.parametrize("stride, skipped", [(1, 768), (7, 1792), (7, 0)])
 def test_a_sample_the_kernel_skips_lands_in_the_same_record(
         monkeypatch, stride, skipped):
