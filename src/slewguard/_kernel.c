@@ -4,9 +4,11 @@
  * and ``engine._RunStats.add``, which folds each sample into the run's
  * statistics record.  The disturbance is a function of the time alone, so
  * where the Python code evaluates it in each of a step's four stages, this
- * code evaluates it once per distinct time, twice per step: stages 2 and 3
- * share ``t + h``, and stage 4 shares ``(k + 1) dt`` with the next
- * sample's stage 1.
+ * code reads it from a table of the stage times of a run's time grid,
+ * which ``slewguard_disturbance`` fills: stages 2 and 3 share ``t + h``,
+ * and stage 4 shares ``(k + 1) dt`` with the next sample's stage 1.
+ * ``_kernel.py`` keeps one such table per process, read by every run of
+ * its ``dt``.
  *
  * Every expression repeats the Python one, operation for operation and in
  * the same order, so each result is the same double: the two are tied
@@ -114,16 +116,39 @@ static double bridge_grad(const double *shape, double guard, double beta,
     return 0.5 * scale * sech * sech * darg;
 }
 
-/* engine.disturbance_torque */
-static void disturbance(const double *p, double t, double *d, int *err)
+/* engine.disturbance_torque, with ``_DIST_OMEGA`` as ``omega``, at the
+ * stage times of a run of steps of ``dt``: entries ``from`` to ``to - 1``
+ * into ``out``, 3 doubles each, entry ``from`` first.  Entry j is at
+ * (j / 2) dt, plus dt / 2 where j is odd, so sample k's time ``k dt`` is
+ * entry 2k and its step's ``t + h`` and ``(k + 1) dt`` are entries 2k + 1
+ * and 2k + 2, each the expression the Python code forms.  This is the
+ * only place the disturbance is evaluated.  Returns ``to``, or the first
+ * entry whose evaluation the Python code would raise on, where the
+ * entries from that one on are of no use. */
+unsigned long slewguard_disturbance(double omega, double dt,
+                                    unsigned long from, unsigned long to,
+                                    double *out)
 {
-    double a = p[P_DIST_OMEGA] * t;
-    d[0] = 1e-3 * (4.0 * trig(sin_fn, 3.0 * a, err)
-                   + 3.0 * trig(cos_fn, 10.0 * a, err) - 40.0);
-    d[1] = 1e-3 * (-1.5 * trig(sin_fn, 2.0 * a, err)
-                   + 3.0 * trig(cos_fn, 5.0 * a, err) + 45.0);
-    d[2] = 1e-3 * (3.0 * trig(sin_fn, 10.0 * a, err)
-                   - 8.0 * trig(cos_fn, 4.0 * a, err) + 40.0);
+    unsigned long j;
+
+    for (j = from; j < to; j++, out += 3) {
+        unsigned long k = j / 2;
+        double t = k * dt, a;
+        int err = 0;
+
+        if (j % 2)
+            t = t + 0.5 * dt;
+        a = omega * t;
+        out[0] = 1e-3 * (4.0 * trig(sin_fn, 3.0 * a, &err)
+                         + 3.0 * trig(cos_fn, 10.0 * a, &err) - 40.0);
+        out[1] = 1e-3 * (-1.5 * trig(sin_fn, 2.0 * a, &err)
+                         + 3.0 * trig(cos_fn, 5.0 * a, &err) + 45.0);
+        out[2] = 1e-3 * (3.0 * trig(sin_fn, 10.0 * a, &err)
+                         - 8.0 * trig(cos_fn, 4.0 * a, &err) + 40.0);
+        if (err)
+            return j;
+    }
+    return to;
 }
 
 /* The conjugate sandwich of _LoopContext._resolve for one vector. */
@@ -142,9 +167,8 @@ static void to_body(double cx, double cy, double cz, double qw,
 /* _LoopContext.rhs: the derivative ``dy`` of ``y`` under the disturbance
  * ``d`` of its time (zero where the disturbance is off) and the stage
  * quantities into ``st``, with room for the body-frame cone axes in
- * ``axes`` (3 per cone).  The disturbance depends on the time alone, so
- * the caller evaluates it once per distinct time.  Returns 0, or 1 where
- * the Python code would raise. */
+ * ``axes`` (3 per cone).  Returns 0, or 1 where the Python code would
+ * raise. */
 static int rhs(const double *p, double *axes, const double *y,
                const double *d, double *dy, double *st)
 {
@@ -342,26 +366,17 @@ static void axpy(const double *y, double h, const double *k, double *out)
         out[i] = y[i] + h * k[i];
 }
 
-/* _LoopContext.step and _check_state: ``y`` advanced from ``t = k dt`` to
- * ``(k + 1) dt`` into ``out``, given its derivative ``k1``.  Where the
- * disturbance is on, it is evaluated twice, at ``t + h`` for stages 2 and 3
- * and at ``(k + 1) dt`` for stage 4, into ``d_next``, which the next
- * sample's stage 1 reads; elsewhere ``d_next`` is left as it is.  Returns
- * 0, or 1 where the Python code would raise. */
-static int step(const double *p, double *axes, long k, const double *y,
-                double dt, const double *k1, double *d_next, double *out,
-                double *st)
+/* _LoopContext.step and _check_state: ``y`` advanced by ``dt`` into
+ * ``out``, given its derivative ``k1``, under the disturbance ``d_half``
+ * of stages 2 and 3 and ``d_next`` of stage 4.  Returns 0, or 1 where the
+ * Python code would raise. */
+static int step(const double *p, double *axes, const double *y, double dt,
+                const double *k1, const double *d_half, const double *d_next,
+                double *out, double *st)
 {
-    double k2[14], k3[14], k4[14], z[14], d_half[3] = {0.0, 0.0, 0.0}, c, n;
-    double t = k * dt, h = 0.5 * dt;
+    double k2[14], k3[14], k4[14], z[14], c, n, h = 0.5 * dt;
     int err = 0, i;
 
-    if (p[P_DIST_ON] != 0.0) {
-        disturbance(p, t + h, d_half, &err);
-        disturbance(p, (k + 1) * dt, d_next, &err);
-        if (err)
-            return 1;
-    }
     axpy(y, h, k1, z);
     if (rhs(p, axes, z, d_half, k2, st))
         return 1;
@@ -518,6 +533,12 @@ static int take(const double *p, double *s, double t, const double *y,
     return 0;
 }
 
+/* The private block's steps: a run beyond its table reads the
+ * disturbance of these many steps at a time from a block of its own */
+#define BLOCK_STEPS 256
+
+static const double ZERO[9] = {0.0};
+
 /* Samples 0 to ``n`` of a run of ``n`` steps of ``dt``, from the state
  * ``y`` of sample 0: each is folded into the statistics record ``s``, and
  * where ``k % stride == 0`` or ``k == n`` its row is written to row
@@ -525,37 +546,63 @@ static int take(const double *p, double *s, double t, const double *y,
  * is stepped from.  Returns the number of samples completed; ``y`` then
  * holds the state of the next one.  A sample the Python code would raise
  * on, in its evaluation, its row, its statistics or the step after it, is
- * not completed, and the run stops there.  The disturbance of sample 0 is
- * evaluated here, and that of each later sample by the step to it. */
+ * not completed, and the run stops there.
+ *
+ * The disturbance comes from ``table``, the first ``n_table`` entries of
+ * ``slewguard_disturbance`` at ``omega`` and ``dt``, which this code only
+ * reads; where a sample's entries lie beyond it, from a private block that
+ * the run refills with that function.  A NULL ``table`` is a run without
+ * the disturbance. */
 long slewguard_run(const double *p, double *y, long n, double dt,
-                   long stride, double *s, double *out)
+                   long stride, double *s, double *out, double omega,
+                   const double *table, unsigned long n_table)
 {
     const int n_cones = (int)p[P_N_CONES];
     const int width = ROW_WIDTH + n_cones;
-    double k1[14], next[14], d[3] = {0.0, 0.0, 0.0};
+    double k1[14], next[14];
     /* the cone axes, the sample's stage quantities, then those of stages
-     * 2 to 4 of its step, which nothing reads */
-    double *work = malloc(sizeof(double) * (5 * n_cones + 2 * ST_BETAS));
+     * 2 to 4 of its step, which nothing reads, then the private block */
+    double *work = malloc(sizeof(double) * (5 * n_cones + 2 * ST_BETAS
+                                            + 3 * (2 * BLOCK_STEPS + 1)));
     double *axes = work, *stage = work + 3 * n_cones;
     double *scratch = stage + ST_BETAS + n_cones;
+    double *block = scratch + ST_BETAS + n_cones;
+    /* the block holds entries ``base`` to ``end - 1`` */
+    unsigned long base = 0, end = 0;
     long k;
-    int err = 0, i;
+    int i;
 
-    /* at t = 0 * dt, as the loop forms sample 0's time */
-    if (p[P_DIST_ON] != 0.0)
-        disturbance(p, 0 * dt, d, &err);
-    if (work == NULL || err) {
-        free(work);
+    if (work == NULL)
         return 0;
-    }
     for (k = 0; k <= n; k++) {
+        /* sample k's disturbance, entry 2k, then its step's, entries
+         * 2k + 1 and 2k + 2; the index is unsigned, so 2k cannot overflow */
+        unsigned long j = 2 * (unsigned long)k, last = k < n ? j + 2 : j;
+        const double *d = ZERO;
         double *row = NULL;
+
+        if (table != NULL && last < n_table) {
+            d = table + 3 * j;
+        } else if (table != NULL) {
+            if (last >= end) {
+                unsigned long steps = (unsigned long)(n - k);
+
+                if (steps > BLOCK_STEPS)
+                    steps = BLOCK_STEPS;
+                base = j;
+                end = slewguard_disturbance(omega, dt, j, j + 2 * steps + 1,
+                                            block);
+                if (last >= end)
+                    break;
+            }
+            d = block + 3 * (j - base);
+        }
         /* ceil(k / stride), written so that no sum can overflow */
         if (k % stride == 0 || k == n)
             row = out + (k / stride + (k % stride != 0)) * width;
         if (rhs(p, axes, y, d, k1, stage))
             break;
-        if (k < n && step(p, axes, k, y, dt, k1, d, next, scratch))
+        if (k < n && step(p, axes, y, dt, k1, d + 3, d + 6, next, scratch))
             break;
         if (take(p, s, k * dt, y, stage, row))
             break;

@@ -11,9 +11,14 @@ and folds every sample into the run's statistics record, both the
 The kernel stops short of the first sample the reference would raise on,
 and the run hands that sample and the rest to the reference, once, so
 every abort comes from the Python code.
-The library also formats ``trajectory.csv`` (:func:`csv_chunks`), each
-value as Python's ``'%.17g' % v`` writes it, where ``engine._csv_text``
-is the fallback.
+The disturbance torque depends on the time alone, and runs of one ``dt``
+sample it at the same times, so the library evaluates it into one table
+per process (:func:`disturbances`), which every run of that ``dt`` reads
+and none writes: the most recent ``dt``'s, extended as longer runs need it,
+up to ``TABLE_STEPS`` steps, beyond which a run fills a private block of
+its own.  The library also formats ``trajectory.csv`` (:func:`csv_chunks`),
+each value as Python's ``'%.17g' % v`` writes it, where
+``engine._csv_text`` is the fallback.
 
 The library is built by one call of the C compiler, never at import: ``$CC``
 where it is set, else the compiler the interpreter was built with, else
@@ -55,17 +60,26 @@ FLAGS = ("-O2", "-fno-fast-math", "-ffp-contract=off")
 CONSTANTS = (
     ("B", 3), ("R", 3), ("J", 9), ("JI", 9), ("NEG_K_RHO", 1),
     ("RHO_INF", 1), ("TD", 3), ("S_SHAPE", 4), ("V_SHAPE", 4),
-    ("BENCHMARK", 1), ("DIST_ON", 1), ("DIST_OMEGA", 1), ("K1", 1),
-    ("K_P", 1), ("K_OMEGA", 1), ("G", 1), ("BIG_F", 1), ("K_A", 1),
-    ("ETA", 1), ("SIGMA", 1), ("TORQUE_LIMIT", 1), ("DIST_BOUND", 1),
-    ("ANTIPODAL", 1), ("NUDGE", 1), ("RATIO_FLOOR", 1), ("KNOT_GUARD", 1),
-    ("LN2", 1), ("RAD_TO_DEG", 1), ("N_CONES", 1))
+    ("BENCHMARK", 1), ("K1", 1), ("K_P", 1), ("K_OMEGA", 1), ("G", 1),
+    ("BIG_F", 1), ("K_A", 1), ("ETA", 1), ("SIGMA", 1), ("TORQUE_LIMIT", 1),
+    ("DIST_BOUND", 1), ("ANTIPODAL", 1), ("NUDGE", 1), ("RATIO_FLOOR", 1),
+    ("KNOT_GUARD", 1), ("LN2", 1), ("RAD_TO_DEG", 1), ("N_CONES", 1))
 CONE = (("AXIS", 3), ("SHAPE", 4), ("K_R", 1))
 
 # The bytes of the longest value in ``trajectory.csv`` with its separator,
 # "-1.2345678901234567e-308,", and of the buffer its rows are formatted in
 CSV_VALUE_BYTES = 25
 CSV_BUFFER_BYTES = 1 << 16
+
+# The disturbance table of the most recent time grid, as ``((omega, dt),
+# entries)`` (see :func:`disturbances`), replaced under ``_TABLE`` by a new
+# array wherever it is extended or another grid's replaces it; an array
+# once published is never written, so a run reads its own without a lock.
+# It holds the stage times of at most ``TABLE_STEPS`` steps, 2 entries of
+# 3 doubles each: 3 MiB.
+TABLE_STEPS = 2 ** 16
+_TABLE = threading.Lock()
+_table = (None, array("d"))
 
 
 def compiler() -> list[str]:
@@ -131,9 +145,10 @@ def library_path() -> Path:
 @functools.cache
 def load():
     """The kernel's library, with the argument types of its entry points,
-    ``slewguard_run`` and ``slewguard_csv``, set; or None where no library
-    can be built or loaded.  Cached; threads that call it at once find or
-    build the library one at a time, so it is built once."""
+    ``slewguard_run``, ``slewguard_disturbance`` and ``slewguard_csv``,
+    set; or None where no library can be built or loaded.  Cached; threads
+    that call it at once find or build the library one at a time, so it is
+    built once."""
     try:
         import ctypes
 
@@ -152,12 +167,46 @@ def load():
     except (ImportError, OSError):
         return None
     # every buffer is an array, passed by address
-    buf, long = ctypes.c_void_p, ctypes.c_long
-    lib.slewguard_run.argtypes = (buf, buf, long, ctypes.c_double, long,
-                                  buf, buf)
+    buf, long, ulong = ctypes.c_void_p, ctypes.c_long, ctypes.c_ulong
+    double = ctypes.c_double
+    lib.slewguard_run.argtypes = (buf, buf, long, double, long, buf, buf,
+                                  double, buf, ulong)
+    lib.slewguard_disturbance.argtypes = (double, double, ulong, ulong, buf)
     lib.slewguard_csv.argtypes = (buf, long, long, buf, long)
     lib.slewguard_run.restype = lib.slewguard_csv.restype = long
+    lib.slewguard_disturbance.restype = ulong
     return lib
+
+
+def disturbances(lib, omega: float, dt: float, n_steps: int) -> array:
+    """The disturbance table of ``omega`` (``engine._DIST_OMEGA``) and
+    ``dt``, with the entries of the first ``min(n_steps, TABLE_STEPS)``
+    steps or more: entry j is ``engine.disturbance_torque`` at (j // 2) dt,
+    plus dt / 2 where j is odd, 3 values to an entry, filled by
+    ``slewguard_disturbance``.  Where an entry would raise, the table ends
+    before it, and a run stops at the first sample that needs it.
+
+    The shared table of the most recent ``(omega, dt)``: where it lacks
+    entries, a copy with its tail filled replaces it, and so does a table
+    of another ``(omega, dt)``.  The array returned is never written
+    again."""
+    global _table
+    key = (omega, dt)
+    want = 2 * min(n_steps, TABLE_STEPS) + 1
+    with _TABLE:
+        have_key, table = _table
+        if have_key != key:
+            table = array("d")
+        have = len(table) // 3
+        if have < want:
+            table = table + array("d", [0.0]) * (3 * (want - have))
+            done = lib.slewguard_disturbance(
+                omega, dt, have, want,
+                table.buffer_info()[0] + 3 * have * table.itemsize)
+            del table[3 * done:]
+        if table is not _table[1]:
+            _table = key, table
+    return table
 
 
 def run(ctx, y: list, stats: array, log: array, dt: float, n_steps: int,
@@ -197,9 +246,7 @@ def run(ctx, y: list, stats: array, log: array, dt: float, n_steps: int,
         JI=[v for row in ctx.j_inv_rows for v in row],
         NEG_K_RHO=ctx.neg_k_rho, RHO_INF=ctx.rho_inf, TD=ctx.td,
         S_SHAPE=shape(ctx.s_shape), V_SHAPE=shape(ctx.v_shape),
-        BENCHMARK=float(ctx.benchmark),
-        DIST_ON=float(bool(ctx.dist_on)), DIST_OMEGA=engine._DIST_OMEGA,
-        K1=ctrl.k1, K_P=ctrl.k_p,
+        BENCHMARK=float(ctx.benchmark), K1=ctrl.k1, K_P=ctrl.k_p,
         K_OMEGA=ctrl.k_omega, G=ctrl.g, BIG_F=ctrl.big_f, K_A=ctrl.k_a,
         ETA=ctrl.eta, SIGMA=ctrl.sigma, TORQUE_LIMIT=params.torque_limit,
         DIST_BOUND=params.disturbance_bound, ANTIPODAL=ANTIPODAL_THRESHOLD,
@@ -213,14 +260,19 @@ def run(ctx, y: list, stats: array, log: array, dt: float, n_steps: int,
     if len(y) != 14:  # the kernel reads and writes 14 components
         raise ValueError("not a state of 14 components")
     # the arrays, not only their addresses, are held here: the kernel reads
-    # and writes through those addresses
+    # and writes through those addresses.  The table's entry 0, at t = 0,
+    # is always filled, so a table is never empty and never passes as NULL
     consts, state = array("d", consts), array("d", y)
+    omega = engine._DIST_OMEGA
+    table = disturbances(lib, omega, dt, n_steps) if ctx.dist_on else None
     # the stride clamped to n_steps, which logs the rows of every larger
     # one, samples 0 and n_steps, and fits the C long that ctypes would
     # wrap a larger one into (2**64 to 0, 2**64 + 1 to 1)
-    done = lib.slewguard_run(consts.buffer_info()[0], state.buffer_info()[0],
-                             n_steps, dt, min(stride, n_steps),
-                             stats.buffer_info()[0], log.buffer_info()[0])
+    done = lib.slewguard_run(
+        consts.buffer_info()[0], state.buffer_info()[0], n_steps, dt,
+        min(stride, n_steps), stats.buffer_info()[0], log.buffer_info()[0],
+        omega, None if table is None else table.buffer_info()[0],
+        0 if table is None else len(table) // 3)
     return done, state.tolist()
 
 

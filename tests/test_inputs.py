@@ -7,6 +7,10 @@ either raises an error the package declares, or runs to the same end on
 the compiled kernel and on the reference loop; through the CLI it exits
 with a code the README lists, never with a traceback.
 
+Most such documents stop at the loader, so a second generator moves one
+to three numbers of the example only a little, and draws its step and
+duration, so that most of its documents run, on many time grids.
+
 Resource caps: a run lasts at most ``MAX_DURATION`` simulated seconds at a
 step of at least ``MIN_DT``, so no example runs long or allocates a large
 log; the log-size errors have their own tests.  A duration or step that
@@ -145,6 +149,40 @@ def documents(draw):
     return capped(doc)
 
 
+# the example's numbers, each vector entry on its own, but for the step
+# and the duration, which are drawn together
+NUMBERS = [path for path in leaf_paths(EXAMPLE)
+           if isinstance(get(EXAMPLE, path), (int, float))
+           and not isinstance(get(EXAMPLE, path), bool)
+           and path not in (("sim", "dt"), ("sim", "duration"))]
+
+
+def nearby(value):
+    """A number near ``value``: an integer up to twice it and 3 more, or a
+    float scaled by 0.8 to 1.25, or moved by up to 0.05 (so that zeros
+    move too)."""
+    if isinstance(value, int):
+        return st.integers(1, 2 * value + 3)
+    return st.one_of(st.floats(0.8, 1.25).map(lambda f: value * f),
+                     st.floats(-0.05, 0.05).map(lambda e: value + e))
+
+
+@st.composite
+def nearby_documents(draw):
+    """The example with one to three of its numbers moved a little, run
+    at a step of ``MIN_DT`` to 0.02 s in whole microseconds for a whole
+    number of steps, up to ``MAX_DURATION``: documents that the loader
+    mostly admits, on many time grids."""
+    doc = copy.deepcopy(EXAMPLE)
+    dt = draw(st.integers(1_000, 20_000)) / 1e6
+    steps = draw(st.integers(1, int(MAX_DURATION / dt)))
+    doc["sim"].update(dt=dt, duration=steps * dt)
+    for path in draw(st.lists(st.sampled_from(NUMBERS), min_size=1,
+                              max_size=3)):
+        put(doc, path, draw(nearby(get(doc, path))))
+    return doc
+
+
 def mutated(*changes):
     """The capped example with ``changes``, (path, value) pairs."""
     doc = copy.deepcopy(EXAMPLE)
@@ -190,6 +228,14 @@ EXAMPLES = settings(derandomize=True, database=None, deadline=None,
 @example(doc=FOUND[0])
 def test_every_document_ends_the_same_on_both_paths(doc):
     # an error the package declares, or one end on both paths
+    assert end(doc, "kernel") == end(doc, "reference")
+
+
+@settings(EXAMPLES, max_examples=100)
+@given(doc=nearby_documents())
+def test_every_nearby_document_ends_the_same_on_both_paths(doc):
+    # most of these run, so the runs, and the kernel's disturbance table,
+    # keyed by each document's step, are searched harder
     assert end(doc, "kernel") == end(doc, "reference")
 
 

@@ -60,6 +60,13 @@ def fresh_load():
     _kernel.load.cache_clear()
 
 
+@pytest.fixture
+def fresh_table(monkeypatch):
+    """The disturbance table's slot is empty for the test, and restored
+    after it."""
+    monkeypatch.setattr(_kernel, "_table", (None, array("d")))
+
+
 def test_a_default_run_takes_the_kernel(monkeypatch):
     kernel_or_skip()
     rhs, run = _LoopContext.rhs, _kernel.run
@@ -184,6 +191,14 @@ for name in ("paper-two-1", "paper-three-1"):
     for stride in (1, 7, 2 ** 63 - 1):
         engine.run_scenario(load_preset(name).with_sim(
             duration=20.0, record_stride=stride))
+# a disturbance table of 500 steps: a run that reads its last entry, and
+# one that outgrows it into the private block, filled twice
+_kernel.TABLE_STEPS = 500
+for duration in (5.0, 8.0):
+    _kernel._table = (None, array("d"))
+    engine.run_scenario(load_preset("paper-two-1").with_sim(
+        duration=duration))
+    assert len(_kernel._table[1]) == 3 * 1001
 # 24 characters, the longest value, and others of every kind
 longest = -1.2345678901234567e-308
 assert len("%.17g" % longest) == _kernel.CSV_VALUE_BYTES - 1
@@ -216,7 +231,8 @@ def test_the_kernel_runs_clean_under_the_sanitizers(tmp_path):
     # AddressSanitizer fails a row written outside the log, and
     # UndefinedBehaviorSanitizer an overflowing row index, at the strides
     # that log every sample, some, and only the first and the final one;
-    # and either fails a CSV value written past the formatter's buffer
+    # either fails a disturbance read past the table's end or the private
+    # block's, and a CSV value written past the formatter's buffer
     cc = _kernel.compiler()
     if not cc or shutil.which(cc[0]) is None:
         pytest.skip(f"no C compiler ({shlex.join(cc) or 'none configured'}) "
@@ -520,17 +536,120 @@ def test_every_sample_is_the_same_on_both_paths(
 @pytest.mark.parametrize("mode", ["proposed", "benchmark_apf"])
 @pytest.mark.parametrize("dt", [0.01, 0.004, 0.003, 0.0025])
 def test_the_disturbance_is_handed_to_the_next_sample_at_any_step(mode, dt):
-    # the kernel evaluates the disturbance once per distinct time: stage 4
-    # of each step hands its value, at (k + 1) dt, to the next sample's
-    # stage 1, which the reference evaluates at k dt of the next k.  At
-    # steps where k dt + dt rounds otherwise, every sample of the first 6 s
-    # of paper-two-1, into its avoidance from 4.2 s on, is the same on both
+    # the kernel reads the disturbance of stage 4 of each step and of the
+    # next sample's stage 1 from one table entry, at (k + 1) dt, where the
+    # reference evaluates the latter at k dt of the next k.  At steps where
+    # k dt + dt rounds otherwise, every sample of the first 6 s of
+    # paper-two-1, into its avoidance from 4.2 s on, is the same on both
     # paths
     kernel_or_skip()
     sc = load_preset("paper-two-1").with_sim(
         duration=6.0, dt=dt, record_stride=1, controller_mode=mode,
         disturbance_enabled=True)
     assert run_on("kernel", sc) == run_on("reference", sc)
+
+
+@pytest.mark.parametrize("dt", [0.01, 0.004, 0.003, 0.0025, 1e-3])
+def test_the_table_holds_the_disturbance_at_the_stage_times(dt, fresh_table):
+    # entry 2k is engine.disturbance_torque at k dt, the time of sample k
+    # and of stage 4 of the step before it, and entry 2k + 1 at k dt +
+    # dt / 2, that of stages 2 and 3 of its step: the expressions the
+    # reference forms, bit for bit
+    kernel_or_skip()
+    n = 3000
+    table = _kernel.disturbances(_kernel.load(), engine._DIST_OMEGA, dt, n)
+    want = []
+    for k in range(n + 1):
+        want += engine.disturbance_torque(k * dt)
+        if k < n:
+            want += engine.disturbance_torque(k * dt + 0.5 * dt)
+    assert bits(table) == bits(want)
+
+
+def test_a_run_reads_the_same_bits_from_any_table(fresh_table):
+    # a run on an empty slot, on the table it filled, on one that a longer
+    # run extended, and on one that a run of another dt replaced, and then
+    # on one of its own dt again, is the reference's, bit for bit
+    kernel_or_skip()
+    sc = load_preset("paper-two-1").with_sim(duration=3.0)
+    want = run_on("reference", sc)
+    key = (engine._DIST_OMEGA, 0.01)
+
+    def table():
+        got, entries = _kernel._table
+        return got, len(entries) // 3
+
+    assert run_on("kernel", sc) == want
+    assert table() == (key, 601)
+    assert run_on("kernel", sc) == want
+    run_on("kernel", sc.with_sim(duration=4.0))
+    assert table() == (key, 801)
+    assert run_on("kernel", sc) == want
+    run_on("kernel", sc.with_sim(dt=0.004))
+    assert table() == ((engine._DIST_OMEGA, 0.004), 1501)
+    assert run_on("kernel", sc) == want
+    assert table() == (key, 601)
+
+
+@pytest.mark.parametrize("mode", ["proposed", "benchmark_apf"])
+def test_a_run_beyond_the_table_reads_a_private_block(mode, monkeypatch,
+                                                      fresh_table):
+    # with the table capped at 100 steps, the 600 steps of the run read
+    # the rest from a block of their own, filled twice: the kernel runs
+    # every sample and gives the reference's bits
+    kernel_or_skip()
+    monkeypatch.setattr(_kernel, "TABLE_STEPS", 100)
+    run, done = _kernel.run, []
+
+    def counted(*args):
+        out = run(*args)
+        done.append(out[0])
+        return out
+
+    sc = load_preset("paper-two-1").with_sim(
+        duration=6.0, record_stride=1, controller_mode=mode)
+    want = run_on("reference", sc)
+    monkeypatch.setattr(_kernel, "run", counted)
+    assert run_on("kernel", sc) == want
+    assert done == [601]
+    assert len(_kernel._table[1]) == 3 * 201
+
+
+def test_threads_share_the_table_and_keep_their_bits(fresh_table):
+    # two threads run scenarios of two steps and three lengths at once, so
+    # each extends the other's table or replaces it with its own; every
+    # run gives its sequential bits
+    kernel_or_skip()
+    base = load_preset("paper-two-1")
+    cases = [base.with_sim(dt=dt, duration=d)
+             for dt in (0.01, 0.004) for d in (10.0, 20.0, 30.0)]
+
+    def ran(sc):
+        res = run_scenario(sc)
+        return bits(res.records.data), summary_bits(res.summary)
+
+    want = [ran(sc) for sc in cases]
+    together = threading.Barrier(2, timeout=60)
+    got = {0: [], 1: []}
+
+    def running(i):
+        together.wait()
+        # thread 0 alternates the steps from the shortest run, thread 1
+        # from the longest
+        order = [0, 3, 1, 4, 2, 5] if i == 0 else [5, 2, 4, 1, 3, 0]
+        for _ in range(3):
+            got[i] += [(j, ran(cases[j])) for j in order]
+
+    threads = [threading.Thread(target=running, args=(i,)) for i in (0, 1)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=300)
+        assert not thread.is_alive()
+    for i in (0, 1):
+        assert len(got[i]) == 18
+        for j, result in got[i]:
+            assert result == want[j]
 
 
 @pytest.mark.parametrize("stride, skipped", [(1, 768), (7, 1792), (7, 0)])
@@ -595,16 +714,17 @@ def test_a_huge_stride_logs_the_first_and_final_sample(stride):
     assert len(got[0]) == 2 * 8 * len(engine._columns(len(sc.obstacles)))
 
 
-def test_a_count_beyond_a_c_long_takes_the_reference(monkeypatch):
+def test_a_count_beyond_a_c_long_takes_the_reference(monkeypatch,
+                                                     fresh_table):
     # the sample count n_steps + 1 reaches the kernel as a C long; one that
-    # does not fit leaves the run to the reference.  A stride beyond a C
-    # long reaches it as n_steps.  The library is one that records its
-    # calls, so no huge run is made
+    # does not fit leaves the run to the reference, before a disturbance
+    # table is built.  A stride beyond a C long reaches it as n_steps.  The
+    # library is one that records its calls, so no huge run is made
     long_max = 2 ** (8 * ctypes.sizeof(ctypes.c_long) - 1) - 1
     ctx = _LoopContext(load_preset("paper-two-1"))
     y, _ = ctx.initial_state()
     stats = engine._RunStats(ctx).record
-    calls = []
+    calls, tables = [], []
 
     class Library:
         @staticmethod
@@ -612,17 +732,26 @@ def test_a_count_beyond_a_c_long_takes_the_reference(monkeypatch):
             calls.append(args)
             return 0
 
+        @staticmethod
+        def slewguard_disturbance(omega, dt, start, end, out):
+            tables.append((start, end))
+            return end
+
     monkeypatch.setattr(_kernel, "load", Library)
 
     def kernel_stride(n_steps, stride):
         """The stride the kernel is called with, or None where it is not."""
         calls.clear()
+        tables.clear()
         assert _kernel.run(ctx, y, stats, array("d"), 0.01, n_steps,
                            stride) == (0, y)
         return calls[0][4] if calls else None
 
+    # the table holds TABLE_STEPS steps at most
     assert kernel_stride(long_max - 1, long_max) == long_max - 1
+    assert tables == [(0, 2 * _kernel.TABLE_STEPS + 1)]
     assert kernel_stride(long_max, 1) is None
+    assert tables == []
     assert kernel_stride(100, long_max + 1) == 100
     assert kernel_stride(100, 2 ** 64) == 100
 
