@@ -7,8 +7,8 @@
  * code reads it from a table of the stage times of a run's time grid,
  * which ``slewguard_disturbance`` fills: stages 2 and 3 share ``t + h``,
  * and stage 4 shares ``(k + 1) dt`` with the next sample's stage 1.
- * ``_kernel.py`` keeps one such table per process, read by every run of
- * its ``dt``.
+ * ``_kernel.py`` keeps the most recent such table, read by every run of
+ * its ``dt`` and length.
  *
  * Every expression repeats the Python one, operation for operation and in
  * the same order, so each result is the same double: the two are tied
@@ -22,7 +22,9 @@
  * ``envelope``, so both come from Python with the scenario constants.  The
  * layouts shared with Python are stated there once and come as ``-D``
  * definitions from ``_kernel.py``: ``P_*`` and ``C_*`` (``CONSTANTS`` and
- * ``CONE``), ``S_*`` (``engine._S_*``), ``ROW_WIDTH`` (``engine._columns``).
+ * ``CONE``), ``S_*`` (``engine._S_*``), ``ROW_WIDTH`` (``engine._columns``),
+ * and so does the disturbance frequency ``DIST_OMEGA``
+ * (``engine._DIST_OMEGA``), as an exact hexadecimal literal.
  *
  * Where the Python code would raise (an abort of the run, a division by
  * zero, a square root of a negative number, ``** 2`` overflowing), this
@@ -116,18 +118,17 @@ static double bridge_grad(const double *shape, double guard, double beta,
     return 0.5 * scale * sech * sech * darg;
 }
 
-/* engine.disturbance_torque, with ``_DIST_OMEGA`` as ``omega``, at the
- * stage times of a run of steps of ``dt``: entries ``from`` to ``to - 1``
- * into ``out``, 3 doubles each, entry ``from`` first.  Entry j is at
- * (j / 2) dt, plus dt / 2 where j is odd, so sample k's time ``k dt`` is
- * entry 2k and its step's ``t + h`` and ``(k + 1) dt`` are entries 2k + 1
- * and 2k + 2, each the expression the Python code forms.  This is the
- * only place the disturbance is evaluated.  Returns ``to``, or the first
- * entry whose evaluation the Python code would raise on, where the
- * entries from that one on are of no use. */
-unsigned long slewguard_disturbance(double omega, double dt,
-                                    unsigned long from, unsigned long to,
-                                    double *out)
+/* engine.disturbance_torque at the stage times of a run of steps of
+ * ``dt``: entries ``from`` to ``to - 1`` into ``out``, 3 doubles each,
+ * entry ``from`` first.  Entry j is at (j / 2) dt, plus dt / 2 where j is
+ * odd, so sample k's time ``k dt`` is entry 2k and its step's ``t + h``
+ * and ``(k + 1) dt`` are entries 2k + 1 and 2k + 2, each the expression
+ * the Python code forms.  This is the only place the disturbance is
+ * evaluated.  Returns ``to``, or the first entry whose evaluation the
+ * Python code would raise on, where the entries from that one on are of
+ * no use. */
+unsigned long slewguard_disturbance(double dt, unsigned long from,
+                                    unsigned long to, double *out)
 {
     unsigned long j;
 
@@ -138,7 +139,7 @@ unsigned long slewguard_disturbance(double omega, double dt,
 
         if (j % 2)
             t = t + 0.5 * dt;
-        a = omega * t;
+        a = DIST_OMEGA * t;
         out[0] = 1e-3 * (4.0 * trig(sin_fn, 3.0 * a, &err)
                          + 3.0 * trig(cos_fn, 10.0 * a, &err) - 40.0);
         out[1] = 1e-3 * (-1.5 * trig(sin_fn, 2.0 * a, &err)
@@ -549,13 +550,13 @@ static const double ZERO[9] = {0.0};
  * not completed, and the run stops there.
  *
  * The disturbance comes from ``table``, the first ``n_table`` entries of
- * ``slewguard_disturbance`` at ``omega`` and ``dt``, which this code only
- * reads; where a sample's entries lie beyond it, from a private block that
- * the run refills with that function.  A NULL ``table`` is a run without
- * the disturbance. */
+ * ``slewguard_disturbance`` at ``dt``, which this code only reads; where a
+ * sample's entries lie beyond it, from a private block that the run
+ * refills with that function.  A NULL ``table`` is a run without the
+ * disturbance. */
 long slewguard_run(const double *p, double *y, long n, double dt,
-                   long stride, double *s, double *out, double omega,
-                   const double *table, unsigned long n_table)
+                   long stride, double *s, double *out, const double *table,
+                   unsigned long n_table)
 {
     const int n_cones = (int)p[P_N_CONES];
     const int width = ROW_WIDTH + n_cones;
@@ -590,8 +591,7 @@ long slewguard_run(const double *p, double *y, long n, double dt,
                 if (steps > BLOCK_STEPS)
                     steps = BLOCK_STEPS;
                 base = j;
-                end = slewguard_disturbance(omega, dt, j, j + 2 * steps + 1,
-                                            block);
+                end = slewguard_disturbance(dt, j, j + 2 * steps + 1, block);
                 if (last >= end)
                     break;
             }

@@ -12,25 +12,25 @@ The kernel stops short of the first sample the reference would raise on,
 and the run hands that sample and the rest to the reference, once, so
 every abort comes from the Python code.
 The disturbance torque depends on the time alone, and runs of one ``dt``
-sample it at the same times, so the library evaluates it into one table
-per process (:func:`disturbances`), which every run of that ``dt`` reads
-and none writes: the most recent ``dt``'s, extended as longer runs need it,
-up to ``TABLE_STEPS`` steps, beyond which a run fills a private block of
-its own.  The library also formats ``trajectory.csv`` (:func:`csv_chunks`),
-each value as Python's ``'%.17g' % v`` writes it, where
-``engine._csv_text`` is the fallback.
+and length sample it at the same times, so the library evaluates it into
+a table that every such run reads and none writes: :func:`disturbances`
+keeps the most recent one, of at most ``TABLE_STEPS`` steps, beyond which
+a run fills a private block of its own.  The library also formats
+``trajectory.csv`` (:func:`csv_chunks`), each value as Python's
+``'%.17g' % v`` writes it, where ``engine._csv_text`` is the fallback.
 
 The library is built by one call of the C compiler, never at import: ``$CC``
 where it is set, else the compiler the interpreter was built with, else
 ``cc``.  Only ``FLAGS`` reach the arithmetic, no ``CFLAGS`` or ``LDFLAGS``
 from the environment or the interpreter's configuration, and no Python
-package takes part; the layouts shared with Python come as ``-D``
-:func:`definitions`.  The library is cached in the package's ``__pycache__``
-under a name keyed by the sha256 of the source, the flags and the layouts,
-and written under a unique temporary name first, so processes that build at
-the same time leave one complete file.  It is a plain C library, so any
-interpreter loads it.  The build is tried once per process; where it fails,
-as where no compiler is found, runs take the reference loop.
+package takes part; the layouts shared with Python and the disturbance
+frequency come as ``-D`` :func:`definitions`.  The library is cached in the
+package's ``__pycache__`` under a name keyed by the sha256 of the source,
+the flags and the definitions, and written under a unique temporary name
+first, so processes that build at the same time leave one complete file.
+It is a plain C library, so any interpreter loads it.  The build is tried
+once per process; where it fails, as where no compiler is found, runs take
+the reference loop.
 """
 
 from __future__ import annotations
@@ -71,15 +71,9 @@ CONE = (("AXIS", 3), ("SHAPE", 4), ("K_R", 1))
 CSV_VALUE_BYTES = 25
 CSV_BUFFER_BYTES = 1 << 16
 
-# The disturbance table of the most recent time grid, as ``((omega, dt),
-# entries)`` (see :func:`disturbances`), replaced under ``_TABLE`` by a new
-# array wherever it is extended or another grid's replaces it; an array
-# once published is never written, so a run reads its own without a lock.
-# It holds the stage times of at most ``TABLE_STEPS`` steps, 2 entries of
-# 3 doubles each: 3 MiB.
+# The steps of the longest disturbance table, 2 entries of 3 doubles
+# each: 3 MiB
 TABLE_STEPS = 2 ** 16
-_TABLE = threading.Lock()
-_table = (None, array("d"))
 
 
 def compiler() -> list[str]:
@@ -93,9 +87,11 @@ def compiler() -> list[str]:
 
 
 def definitions() -> list[str]:
-    """The layouts ``_kernel.c`` reads, as ``-D`` definitions."""
+    """The layouts ``_kernel.c`` reads, and the disturbance frequency
+    exactly, as ``-D`` definitions."""
     out = [f"-D{name[1:]}={i}" for name, i in vars(engine).items()
            if name.startswith("_S_")]
+    out.append(f"-DDIST_OMEGA={engine._DIST_OMEGA.hex()}")
     out.append(f"-DROW_WIDTH={len(engine._columns(0))}")
     out.append(f"-DCSV_VALUE_BYTES={CSV_VALUE_BYTES}")
     for layout, prefix, end in ((CONSTANTS, "P_", "P_CONES"),
@@ -127,7 +123,8 @@ def build(target: Path, flags=FLAGS) -> None:
 
 
 def library_path() -> Path:
-    """Where the library of this source, ``FLAGS`` and layouts is cached."""
+    """Where the library of this source, ``FLAGS`` and :func:`definitions`
+    is cached."""
     # the interpreter's own sha256, as ``random`` takes its sha512: hashlib
     # would load OpenSSL, about 4 MB, into every run's process
     try:
@@ -170,42 +167,31 @@ def load():
     buf, long, ulong = ctypes.c_void_p, ctypes.c_long, ctypes.c_ulong
     double = ctypes.c_double
     lib.slewguard_run.argtypes = (buf, buf, long, double, long, buf, buf,
-                                  double, buf, ulong)
-    lib.slewguard_disturbance.argtypes = (double, double, ulong, ulong, buf)
+                                  buf, ulong)
+    lib.slewguard_disturbance.argtypes = (double, ulong, ulong, buf)
     lib.slewguard_csv.argtypes = (buf, long, long, buf, long)
     lib.slewguard_run.restype = lib.slewguard_csv.restype = long
     lib.slewguard_disturbance.restype = ulong
     return lib
 
 
-def disturbances(lib, omega: float, dt: float, n_steps: int) -> array:
-    """The disturbance table of ``omega`` (``engine._DIST_OMEGA``) and
-    ``dt``, with the entries of the first ``min(n_steps, TABLE_STEPS)``
-    steps or more: entry j is ``engine.disturbance_torque`` at (j // 2) dt,
-    plus dt / 2 where j is odd, 3 values to an entry, filled by
+@functools.lru_cache(maxsize=1)
+def disturbances(lib, dt: float, steps: int) -> array:
+    """The disturbance table of ``steps`` steps of ``dt``: entry j is
+    ``engine.disturbance_torque`` at (j // 2) dt, plus dt / 2 where j is
+    odd, 3 values to an entry, its ``2 * steps + 1`` entries filled by
     ``slewguard_disturbance``.  Where an entry would raise, the table ends
     before it, and a run stops at the first sample that needs it.
 
-    The shared table of the most recent ``(omega, dt)``: where it lacks
-    entries, a copy with its tail filled replaces it, and so does a table
-    of another ``(omega, dt)``.  The array returned is never written
-    again."""
-    global _table
-    key = (omega, dt)
-    want = 2 * min(n_steps, TABLE_STEPS) + 1
-    with _TABLE:
-        have_key, table = _table
-        if have_key != key:
-            table = array("d")
-        have = len(table) // 3
-        if have < want:
-            table = table + array("d", [0.0]) * (3 * (want - have))
-            done = lib.slewguard_disturbance(
-                omega, dt, have, want,
-                table.buffer_info()[0] + 3 * have * table.itemsize)
-            del table[3 * done:]
-        if table is not _table[1]:
-            _table = key, table
+    The most recent table is kept and never written, so the runs of one
+    ``dt`` and length share it; a run of another fills its own.  Two
+    threads that miss at once, as a ``--compare`` run's two may on first
+    use, each fill one of the same bits, about 1.3 ms for 120 s at ``dt``
+    = 0.01."""
+    table = array("d", [0.0]) * (3 * (2 * steps + 1))
+    done = lib.slewguard_disturbance(dt, 0, 2 * steps + 1,
+                                     table.buffer_info()[0])
+    del table[3 * done:]
     return table
 
 
@@ -263,15 +249,15 @@ def run(ctx, y: list, stats: array, log: array, dt: float, n_steps: int,
     # and writes through those addresses.  The table's entry 0, at t = 0,
     # is always filled, so a table is never empty and never passes as NULL
     consts, state = array("d", consts), array("d", y)
-    omega = engine._DIST_OMEGA
-    table = disturbances(lib, omega, dt, n_steps) if ctx.dist_on else None
+    table = (disturbances(lib, dt, min(n_steps, TABLE_STEPS))
+             if ctx.dist_on else None)
     # the stride clamped to n_steps, which logs the rows of every larger
     # one, samples 0 and n_steps, and fits the C long that ctypes would
     # wrap a larger one into (2**64 to 0, 2**64 + 1 to 1)
     done = lib.slewguard_run(
         consts.buffer_info()[0], state.buffer_info()[0], n_steps, dt,
         min(stride, n_steps), stats.buffer_info()[0], log.buffer_info()[0],
-        omega, None if table is None else table.buffer_info()[0],
+        None if table is None else table.buffer_info()[0],
         0 if table is None else len(table) // 3)
     return done, state.tolist()
 

@@ -615,8 +615,8 @@ def run_scenario(scenario: "Scenario", force: bool = False
     A validation report with hard failures raises :class:`ValidationFailure`
     unless ``force`` is set; the summary carries warnings and failures.  The
     summary's ``wall_clock_s`` covers the integration alone, the packing of
-    the kernel's constants and any extension of its disturbance table
-    included, but not the library's build or load.
+    the kernel's constants and its disturbance table's fill included, but
+    not the library's build or load.
     The log is allocated whole before the first sample, so a run whose log
     does not fit in memory raises :class:`MemoryError` before it starts.
     """

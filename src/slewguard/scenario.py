@@ -199,7 +199,7 @@ def scenario_from_dict(data: Any, default_name: str = "scenario") -> Scenario:
     if not isinstance(name, str) or not name:
         errors.append("$.name: expected a nonempty string")
         name = default_name
-    elif name in (".", "..") or "/" in name or "\\" in name:
+    elif name in (".", "..") or any(c in name for c in "/\\\0"):
         # a run writes into the directory of this name under its --out
         errors.append(f"$.name: expected one plain path component, got "
                       f"{name!r}")
@@ -474,6 +474,9 @@ def load_scenario(path) -> Scenario:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError("parse", [f"{path}: invalid JSON: {exc}"]) from exc
+    except RecursionError:
+        raise ScenarioError(
+            "parse", [f"{path}: invalid JSON: nested too deeply"]) from None
     return scenario_from_dict(data, default_name=Path(path).stem)
 
 

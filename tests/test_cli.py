@@ -154,6 +154,15 @@ class TestRun:
         assert code == 2
         assert "invalid JSON" in capsys.readouterr().err
 
+    def test_json_nested_too_deeply_exits_2(self, tmp_path, capsys):
+        # the decoder recurses once per array, and runs out of stack
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 200_000)
+        code = main(["run", "--scenario", str(path), "--out", str(tmp_path)])
+        assert code == 2
+        assert (f"error: {path}: invalid JSON: nested too deeply"
+                in capsys.readouterr().err)
+
     def test_text_that_is_not_utf8_exits_2(self, tmp_path, capsys):
         path = tmp_path / "utf16.json"
         path.write_bytes(b"\xff\xfe{\x00}\x00")
@@ -170,6 +179,18 @@ class TestRun:
         code = main(["run", "--scenario", str(path), "--out", str(tmp_path)])
         assert code == 3
         assert "$.boresight_body: norm overflows" in capsys.readouterr().err
+
+    def test_name_with_a_nul_exits_3(self, tmp_path, capsys):
+        # no directory of that name can be made, so it is a schema error
+        doc = json.loads((SRC.parent / "docs" / "example_scenario.json"
+                          ).read_text())
+        doc["name"] = "a\0b"
+        path = write_scenario(tmp_path, doc)
+        code = main(["run", "--scenario", str(path), "--out", str(tmp_path)])
+        assert code == 3
+        assert ("$.name: expected one plain path component, got 'a\\x00b'"
+                in capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_schema_error_exits_3(self, tmp_path, capsys):
         doc = valid_doc()

@@ -29,6 +29,7 @@ from hypothesis import strategies as st
 
 from slewguard import _kernel, engine
 from slewguard.attitude import BodyState, UnitQuaternion
+from slewguard.cli import main
 from slewguard.engine import SimulationAbort, _LoopContext, run_scenario
 from slewguard.envelope import EnvelopeConfig
 from slewguard.scenario import load_preset, load_scenario, scenario_from_dict
@@ -61,10 +62,12 @@ def fresh_load():
 
 
 @pytest.fixture
-def fresh_table(monkeypatch):
-    """The disturbance table's slot is empty for the test, and restored
-    after it."""
-    monkeypatch.setattr(_kernel, "_table", (None, array("d")))
+def fresh_table():
+    """``_kernel.disturbances`` forgets its table before and after the
+    test."""
+    _kernel.disturbances.cache_clear()
+    yield
+    _kernel.disturbances.cache_clear()
 
 
 def test_a_default_run_takes_the_kernel(monkeypatch):
@@ -192,13 +195,16 @@ for name in ("paper-two-1", "paper-three-1"):
         engine.run_scenario(load_preset(name).with_sim(
             duration=20.0, record_stride=stride))
 # a disturbance table of 500 steps: a run that reads its last entry, and
-# one that outgrows it into the private block, filled twice
+# one that outgrows it into the private block, filled twice; both read the
+# one table
 _kernel.TABLE_STEPS = 500
+_kernel.disturbances.cache_clear()
 for duration in (5.0, 8.0):
-    _kernel._table = (None, array("d"))
     engine.run_scenario(load_preset("paper-two-1").with_sim(
         duration=duration))
-    assert len(_kernel._table[1]) == 3 * 1001
+info = _kernel.disturbances.cache_info()
+assert (info.misses, info.hits) == (1, 1)
+assert len(_kernel.disturbances(lib, 0.01, 500)) == 3 * 1001
 # 24 characters, the longest value, and others of every kind
 longest = -1.2345678901234567e-308
 assert len("%.17g" % longest) == _kernel.CSV_VALUE_BYTES - 1
@@ -255,12 +261,14 @@ def test_the_kernel_runs_clean_under_the_sanitizers(tmp_path):
 @pytest.mark.parametrize("module, name, value", [
     (_kernel, "CONSTANTS", (("R", 3), ("B", 3), *_kernel.CONSTANTS[2:])),
     (_kernel, "CONE", (("AXIS", 3), ("K_R", 1), ("SHAPE", 4))),
-    (engine, "_S_SAMPLES", engine._S_MAX_TORQUE)],
-    ids=["constants", "cone", "statistics"])
+    (engine, "_S_SAMPLES", engine._S_MAX_TORQUE),
+    (engine, "_DIST_OMEGA", 0.02)],
+    ids=["constants", "cone", "statistics", "disturbance-frequency"])
 def test_a_library_of_another_layout_is_never_loaded(monkeypatch, module,
                                                      name, value):
-    # the layouts are part of the library's cache name, so a library built
-    # for another one is never found, and the kernel is built anew
+    # the layouts and the disturbance frequency, compiled in, are part of
+    # the library's cache name, so a library built for another one is
+    # never found, and the kernel is built anew
     path = _kernel.library_path()
     monkeypatch.setattr(module, name, value)
     assert _kernel.library_path() != path
@@ -557,7 +565,7 @@ def test_the_table_holds_the_disturbance_at_the_stage_times(dt, fresh_table):
     # reference forms, bit for bit
     kernel_or_skip()
     n = 3000
-    table = _kernel.disturbances(_kernel.load(), engine._DIST_OMEGA, dt, n)
+    table = _kernel.disturbances(_kernel.load(), dt, n)
     want = []
     for k in range(n + 1):
         want += engine.disturbance_torque(k * dt)
@@ -567,28 +575,71 @@ def test_the_table_holds_the_disturbance_at_the_stage_times(dt, fresh_table):
 
 
 def test_a_run_reads_the_same_bits_from_any_table(fresh_table):
-    # a run on an empty slot, on the table it filled, on one that a longer
-    # run extended, and on one that a run of another dt replaced, and then
-    # on one of its own dt again, is the reference's, bit for bit
+    # a run on no table, on the table it filled, after a longer run and
+    # after a run of another dt replaced it, each of which fills its own,
+    # is the reference's, bit for bit
     kernel_or_skip()
     sc = load_preset("paper-two-1").with_sim(duration=3.0)
     want = run_on("reference", sc)
-    key = (engine._DIST_OMEGA, 0.01)
 
-    def table():
-        got, entries = _kernel._table
-        return got, len(entries) // 3
+    def traffic():
+        info = _kernel.disturbances.cache_info()
+        return info.misses, info.hits
 
     assert run_on("kernel", sc) == want
-    assert table() == (key, 601)
+    assert traffic() == (1, 0)
     assert run_on("kernel", sc) == want
+    assert traffic() == (1, 1)
     run_on("kernel", sc.with_sim(duration=4.0))
-    assert table() == (key, 801)
+    assert traffic() == (2, 1)
     assert run_on("kernel", sc) == want
+    assert traffic() == (3, 1)
     run_on("kernel", sc.with_sim(dt=0.004))
-    assert table() == ((engine._DIST_OMEGA, 0.004), 1501)
+    assert traffic() == (4, 1)
     assert run_on("kernel", sc) == want
-    assert table() == (key, 601)
+    assert traffic() == (5, 1)
+
+
+def test_rounds_of_one_length_fill_one_table(fresh_table, tmp_path):
+    # the benchmark's traffic: every round of the corridor draws (20 s at
+    # dt 0.01) reads the table the first run filled, and so does every
+    # --compare run of one preset after the first, on both its threads
+    kernel_or_skip()
+    scenarios = [scenario_from_dict(doc)
+                 for doc in load_cases().corridor_scenario_docs(1)]
+    assert {(sc.sim.duration, sc.sim.dt) for sc in scenarios} == {
+        (20.0, 0.01)}
+
+    def sweep():
+        admitted = 0
+        for sc in scenarios:
+            try:
+                run_scenario(sc)
+            except engine.ValidationFailure:
+                continue
+            admitted += 1
+        return admitted
+
+    def misses():
+        return _kernel.disturbances.cache_info().misses
+
+    assert sweep() > 1
+    assert misses() == 1
+    sweep()
+    assert misses() == 1
+
+    def compare():
+        # 2 s is too short to reach the target: exit 5, outputs written
+        args = ["run", "--preset", "paper-compare-1", "--compare",
+                "--duration", "2", "--out", str(tmp_path)]
+        assert main(args) == 5
+
+    _kernel.disturbances.cache_clear()
+    compare()
+    assert misses() in (1, 2)  # the two threads may both miss at once
+    first = misses()
+    compare()
+    assert misses() == first
 
 
 @pytest.mark.parametrize("mode", ["proposed", "benchmark_apf"])
@@ -596,7 +647,8 @@ def test_a_run_beyond_the_table_reads_a_private_block(mode, monkeypatch,
                                                       fresh_table):
     # with the table capped at 100 steps, the 600 steps of the run read
     # the rest from a block of their own, filled twice: the kernel runs
-    # every sample and gives the reference's bits
+    # every sample and gives the reference's bits, from a table of 100
+    # steps
     kernel_or_skip()
     monkeypatch.setattr(_kernel, "TABLE_STEPS", 100)
     run, done = _kernel.run, []
@@ -612,13 +664,14 @@ def test_a_run_beyond_the_table_reads_a_private_block(mode, monkeypatch,
     monkeypatch.setattr(_kernel, "run", counted)
     assert run_on("kernel", sc) == want
     assert done == [601]
-    assert len(_kernel._table[1]) == 3 * 201
+    assert _kernel.disturbances.cache_info().misses == 1
+    assert len(_kernel.disturbances(_kernel.load(), 0.01, 100)) == 3 * 201
 
 
 def test_threads_share_the_table_and_keep_their_bits(fresh_table):
     # two threads run scenarios of two steps and three lengths at once, so
-    # each extends the other's table or replaces it with its own; every
-    # run gives its sequential bits
+    # each reads the other's table or replaces it with its own; every run
+    # gives its sequential bits
     kernel_or_skip()
     base = load_preset("paper-two-1")
     cases = [base.with_sim(dt=dt, duration=d)
@@ -733,7 +786,7 @@ def test_a_count_beyond_a_c_long_takes_the_reference(monkeypatch,
             return 0
 
         @staticmethod
-        def slewguard_disturbance(omega, dt, start, end, out):
+        def slewguard_disturbance(dt, start, end, out):
             tables.append((start, end))
             return end
 

@@ -314,7 +314,8 @@ class TestSchema:
             scenario_from_dict(doc)
         assert [str(w.message) for w in record] == [message]
 
-    @pytest.mark.parametrize("name", ["../escaped", "a/b", "a\\b", ".", ".."])
+    @pytest.mark.parametrize("name", ["../escaped", "a/b", "a\\b", ".", "..",
+                                      "a\0b"])
     def test_name_must_be_one_path_component(self, name):
         # a run writes into a directory of this name under its --out
         doc = valid_doc()
