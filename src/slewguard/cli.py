@@ -174,8 +174,9 @@ def _run_and_write(scenario, trajectory: Path,
     """Run ``scenario`` and write its trajectory, and its summary if given,
     under their temporary names; return its summary.  Every run writes
     here.  The two sides of a comparison, on two threads, share only the
-    kernel's disturbance table, which neither writes, so the files are the
-    bytes a sequential run writes."""
+    kernel's read-only disturbance table; on first use each may fill its
+    own, of the same bits.  So the files are the bytes a sequential run
+    writes."""
     result = run_scenario(scenario)
     _output(trajectory, write_trajectory_csv, result.records,
             _partial(trajectory))

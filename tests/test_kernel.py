@@ -70,6 +70,17 @@ def fresh_table():
     _kernel.disturbances.cache_clear()
 
 
+def held_table(dt, steps):
+    """The number of entries of the table ``_kernel.disturbances`` holds,
+    which must be the one of ``steps`` steps of ``dt``: asking for that
+    table again is a hit, and fills none."""
+    before = _kernel.disturbances.cache_info()
+    table = _kernel.disturbances(_kernel.load(), dt, steps)
+    after = _kernel.disturbances.cache_info()
+    assert (after.misses, after.hits) == (before.misses, before.hits + 1)
+    return len(table) // 3
+
+
 def test_a_default_run_takes_the_kernel(monkeypatch):
     kernel_or_skip()
     rhs, run = _LoopContext.rhs, _kernel.run
@@ -204,7 +215,10 @@ for duration in (5.0, 8.0):
         duration=duration))
 info = _kernel.disturbances.cache_info()
 assert (info.misses, info.hits) == (1, 1)
+# the table held is the runs' own: asking for it again is a hit
 assert len(_kernel.disturbances(lib, 0.01, 500)) == 3 * 1001
+info = _kernel.disturbances.cache_info()
+assert (info.misses, info.hits) == (1, 2)
 # 24 characters, the longest value, and others of every kind
 longest = -1.2345678901234567e-308
 assert len("%.17g" % longest) == _kernel.CSV_VALUE_BYTES - 1
@@ -586,18 +600,24 @@ def test_a_run_reads_the_same_bits_from_any_table(fresh_table):
         info = _kernel.disturbances.cache_info()
         return info.misses, info.hits
 
+    # each held_table adds one hit
     assert run_on("kernel", sc) == want
     assert traffic() == (1, 0)
+    assert held_table(0.01, 300) == 601
     assert run_on("kernel", sc) == want
-    assert traffic() == (1, 1)
+    assert traffic() == (1, 2)
     run_on("kernel", sc.with_sim(duration=4.0))
-    assert traffic() == (2, 1)
+    assert traffic() == (2, 2)
+    assert held_table(0.01, 400) == 801
     assert run_on("kernel", sc) == want
-    assert traffic() == (3, 1)
+    assert traffic() == (3, 3)
+    assert held_table(0.01, 300) == 601
     run_on("kernel", sc.with_sim(dt=0.004))
-    assert traffic() == (4, 1)
+    assert traffic() == (4, 4)
+    assert held_table(0.004, 750) == 1501
     assert run_on("kernel", sc) == want
-    assert traffic() == (5, 1)
+    assert traffic() == (5, 5)
+    assert held_table(0.01, 300) == 601
 
 
 def test_rounds_of_one_length_fill_one_table(fresh_table, tmp_path):
@@ -665,7 +685,7 @@ def test_a_run_beyond_the_table_reads_a_private_block(mode, monkeypatch,
     assert run_on("kernel", sc) == want
     assert done == [601]
     assert _kernel.disturbances.cache_info().misses == 1
-    assert len(_kernel.disturbances(_kernel.load(), 0.01, 100)) == 3 * 201
+    assert held_table(0.01, 100) == 201
 
 
 def test_threads_share_the_table_and_keep_their_bits(fresh_table):
